@@ -432,11 +432,13 @@ func (c *Coordinator) Complete(workerID, jobID string, req engine.LeaseCompleteR
 	}
 	c.mu.Unlock()
 
-	// Merge the worker's terminal span flush BEFORE the job settles, so
-	// a subscriber woken by the done event reads a complete timeline.
+	// Merge the worker's terminal span flush and count its final rounds
+	// BEFORE the job settles, so a subscriber woken by the done event
+	// reads a complete timeline and round count.
 	if len(req.Spans) > 0 {
 		c.mergeLeaseSpans(ls, req.Spans)
 	}
+	c.eng.RemoteProgress(ls.job, req.Round, ls.job.Spec.Rounds)
 	c.settleLeaseStats(ls)
 
 	switch {

@@ -571,6 +571,7 @@ func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome
 	w.mu.Lock()
 	if al, ok := w.active[jobID]; ok {
 		req.Spans, _ = w.pendingSpansLocked(al)
+		req.Round = al.round
 	}
 	w.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

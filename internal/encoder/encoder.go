@@ -13,6 +13,7 @@ package encoder
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/pardon-feddg/pardon/internal/rng"
 	"github.com/pardon-feddg/pardon/internal/tensor"
@@ -60,11 +61,22 @@ func DefaultConfig() Config {
 
 type convLayer struct {
 	inC, outC int
-	// weights indexed [out][in][ky][kx], 3×3 kernels.
-	w    [][][3][3]float64
-	bias []float64
-	pool bool
-	relu bool
+	// h, w is the layer's input map size (its conv output size too).
+	h, w int
+	// weights holds the 3×3 kernels flattened [out][in][ky][kx].
+	weights []float64
+	bias    []float64
+	pool    bool
+	relu    bool
+}
+
+// scratch is the working memory of one encode, sized for the largest
+// layer at construction and recycled through Encoder.scratch so steady-
+// state encoding allocates nothing.
+type scratch struct {
+	pad  []float64 // the current layer's input, zero-padded by one pixel
+	act  []float64 // a pooling layer's conv output before pooling
+	next []float64 // a hidden layer's output, the next layer's input
 }
 
 // Encoder is the frozen feature extractor Φ. It is safe for concurrent use
@@ -82,6 +94,7 @@ type Encoder struct {
 	// style information survives intact.
 	outShift []float64
 	outScale []float64
+	scratch  sync.Pool // *scratch
 }
 
 // New builds the encoder with deterministic weights derived from cfg.Seed.
@@ -104,35 +117,40 @@ func New(cfg Config) (*Encoder, error) {
 	}
 	src := rng.New(cfg.Seed)
 	e := &Encoder{cfg: cfg}
+	var padN, actN, nextN int
 	inC, h, w := cfg.InChannels, cfg.H, cfg.W
 	for li, outC := range cfg.Channels {
 		r := src.StreamI("encoder-layer", li)
-		layer := convLayer{inC: inC, outC: outC, pool: cfg.Pool[li], relu: cfg.Act == ReLU, bias: make([]float64, outC)}
-		layer.w = make([][][3][3]float64, outC)
+		layer := convLayer{inC: inC, outC: outC, h: h, w: w, pool: cfg.Pool[li], relu: cfg.Act == ReLU,
+			weights: make([]float64, outC*inC*9), bias: make([]float64, outC)}
 		// He-style scaling keeps activations in a stable range through the
 		// frozen stack.
 		std := math.Sqrt(2.0 / float64(inC*9))
 		for o := 0; o < outC; o++ {
-			layer.w[o] = make([][3][3]float64, inC)
-			for i := 0; i < inC; i++ {
-				for ky := 0; ky < 3; ky++ {
-					for kx := 0; kx < 3; kx++ {
-						layer.w[o][i][ky][kx] = r.NormFloat64() * std
-					}
-				}
+			k := layer.weights[o*inC*9 : (o+1)*inC*9]
+			for i := range k {
+				k[i] = r.NormFloat64() * std
 			}
 			layer.bias[o] = r.NormFloat64() * 0.01
 		}
 		e.layers = append(e.layers, layer)
+		padN = max(padN, inC*(h+2)*(w+2))
 		inC = outC
 		if layer.pool {
 			if h%2 != 0 || w%2 != 0 {
 				return nil, fmt.Errorf("encoder: layer %d pools an odd map %dx%d", li, h, w)
 			}
+			actN = max(actN, outC*h*w)
 			h, w = h/2, w/2
+		}
+		if li < len(cfg.Channels)-1 {
+			nextN = max(nextN, outC*h*w)
 		}
 	}
 	e.outC, e.outH, e.outW = inC, h, w
+	e.scratch.New = func() any {
+		return &scratch{pad: make([]float64, padN), act: make([]float64, actN), next: make([]float64, nextN)}
+	}
 	e.calibrate(src)
 	return e, nil
 }
@@ -145,12 +163,12 @@ func (e *Encoder) calibrate(src *rng.Source) {
 	hw := e.outH * e.outW
 	sum := make([]float64, e.outC)
 	sumSq := make([]float64, e.outC)
+	f := make([]float64, e.outC*hw)
 	for p := 0; p < probes; p++ {
 		x := tensor.Randn(r, 1, e.cfg.InChannels, e.cfg.H, e.cfg.W)
-		f := e.raw(x)
-		data := f.Data()
+		e.raw(f, x.Data())
 		for ch := 0; ch < e.outC; ch++ {
-			for _, v := range data[ch*hw : (ch+1)*hw] {
+			for _, v := range f[ch*hw : (ch+1)*hw] {
 				sum[ch] += v
 				sumSq[ch] += v * v
 			}
@@ -170,13 +188,19 @@ func (e *Encoder) calibrate(src *rng.Source) {
 	}
 }
 
-// raw runs the conv stack without output calibration.
-func (e *Encoder) raw(x *tensor.Tensor) *tensor.Tensor {
-	cur := x
+// raw runs the conv stack on one image without output calibration,
+// writing the (C', H', W') feature map to dst.
+func (e *Encoder) raw(dst, x []float64) {
+	sc := e.scratch.Get().(*scratch)
 	for i := range e.layers {
-		cur = e.layers[i].forward(cur)
+		out := sc.next
+		if i == len(e.layers)-1 {
+			out = dst
+		}
+		e.layers[i].forward(out, x, sc)
+		x = out
 	}
-	return cur
+	e.scratch.Put(sc)
 }
 
 // OutShape returns the (C, H, W) of encoded feature maps.
@@ -188,20 +212,34 @@ func (e *Encoder) StyleDim() int { return 2 * e.outC }
 
 // Encode maps a (InChannels, H, W) image to its (C', H', W') feature map.
 func (e *Encoder) Encode(x *tensor.Tensor) (*tensor.Tensor, error) {
-	if x.Dims() != 3 || x.Dim(0) != e.cfg.InChannels || x.Dim(1) != e.cfg.H || x.Dim(2) != e.cfg.W {
-		return nil, fmt.Errorf("encoder: input shape %v, want (%d,%d,%d)", x.Shape(), e.cfg.InChannels, e.cfg.H, e.cfg.W)
+	out := tensor.New(e.outC, e.outH, e.outW)
+	if err := e.EncodeInto(out.Data(), x); err != nil {
+		return nil, err
 	}
-	out := e.raw(x)
+	return out, nil
+}
+
+// EncodeInto writes the (C', H', W') feature map of a (InChannels, H, W)
+// image to dst, which must hold exactly C'·H'·W' values. Its working
+// memory is pooled, so steady-state calls allocate nothing; it is the
+// path every other encode goes through.
+func (e *Encoder) EncodeInto(dst []float64, x *tensor.Tensor) error {
+	if x.Dims() != 3 || x.Dim(0) != e.cfg.InChannels || x.Dim(1) != e.cfg.H || x.Dim(2) != e.cfg.W {
+		return fmt.Errorf("encoder: input shape %v, want (%d,%d,%d)", x.Shape(), e.cfg.InChannels, e.cfg.H, e.cfg.W)
+	}
 	hw := e.outH * e.outW
-	data := out.Data()
+	if len(dst) != e.outC*hw {
+		return fmt.Errorf("encoder: output length %d, want %d", len(dst), e.outC*hw)
+	}
+	e.raw(dst, x.Data())
 	for ch := 0; ch < e.outC; ch++ {
 		shift, scale := e.outShift[ch], e.outScale[ch]
-		seg := data[ch*hw : (ch+1)*hw]
+		seg := dst[ch*hw : (ch+1)*hw]
 		for i, v := range seg {
 			seg[i] = (v - shift) * scale
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // EncodeAll encodes a batch of images, returning one feature map per input.
@@ -221,17 +259,15 @@ func (e *Encoder) EncodeAll(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 // the compact per-image descriptor used for FID computation in the privacy
 // analysis (the stand-in for InceptionV3 pool features).
 func (e *Encoder) PooledFeature(x *tensor.Tensor) ([]float64, error) {
-	f, err := e.Encode(x)
-	if err != nil {
+	c, hw := e.outC, e.outH*e.outW
+	f := make([]float64, c*hw)
+	if err := e.EncodeInto(f, x); err != nil {
 		return nil, err
 	}
-	c, h, w := e.outC, e.outH, e.outW
-	hw := h * w
 	out := make([]float64, c)
-	data := f.Data()
 	for ch := 0; ch < c; ch++ {
 		s := 0.0
-		for _, v := range data[ch*hw : (ch+1)*hw] {
+		for _, v := range f[ch*hw : (ch+1)*hw] {
 			s += v
 		}
 		out[ch] = s / float64(hw)
@@ -239,37 +275,60 @@ func (e *Encoder) PooledFeature(x *tensor.Tensor) ([]float64, error) {
 	return out, nil
 }
 
-func (l *convLayer) forward(x *tensor.Tensor) *tensor.Tensor {
-	h, w := x.Dim(1), x.Dim(2)
-	out := tensor.New(l.outC, h, w)
-	src := x.Data()
-	dst := out.Data()
+// forward runs one layer on src (inC×h×w) and writes its output — pooled
+// when the layer pools — to dst. It zero-pads src once into sc.pad so
+// the 3×3 loop needs no bounds branches. Padding cannot change a bit of
+// the result: a padded tap adds k·0 = ±0 to a per-pixel sum that starts
+// at +0, which under round-to-nearest never becomes −0, and adding ±0
+// to any other value is exact (DESIGN.md §5). Each pixel sums its taps
+// in ky-then-kx order before adding into the output, and input channels
+// accumulate in ascending order: the order of the unpadded reference
+// loop the tests compare against.
+func (l *convLayer) forward(dst, src []float64, sc *scratch) {
+	h, w := l.h, l.w
 	hw := h * w
+	pw := w + 2
+	phw := (h + 2) * pw
+	pad := sc.pad[:l.inC*phw]
+	clear(pad)
+	for in := 0; in < l.inC; in++ {
+		for y := 0; y < h; y++ {
+			copy(pad[in*phw+(y+1)*pw+1:][:w], src[in*hw+y*w:][:w])
+		}
+	}
+	conv := dst
+	if l.pool {
+		conv = sc.act[:l.outC*hw]
+	}
 	for o := 0; o < l.outC; o++ {
-		oseg := dst[o*hw : (o+1)*hw]
+		oseg := conv[o*hw : (o+1)*hw]
+		b := l.bias[o]
 		for i := range oseg {
-			oseg[i] = l.bias[o]
+			oseg[i] = b
 		}
 		for in := 0; in < l.inC; in++ {
-			iseg := src[in*hw : (in+1)*hw]
-			k := &l.w[o][in]
+			k := l.weights[(o*l.inC+in)*9:][:9]
+			k00, k01, k02 := k[0], k[1], k[2]
+			k10, k11, k12 := k[3], k[4], k[5]
+			k20, k21, k22 := k[6], k[7], k[8]
+			iseg := pad[in*phw : (in+1)*phw]
 			for y := 0; y < h; y++ {
-				for xx := 0; xx < w; xx++ {
+				orow := oseg[y*w : (y+1)*w]
+				r0 := iseg[y*pw:][:w+2]
+				r1 := iseg[(y+1)*pw:][:w+2]
+				r2 := iseg[(y+2)*pw:][:w+2]
+				for x := range orow {
 					s := 0.0
-					for ky := -1; ky <= 1; ky++ {
-						yy := y + ky
-						if yy < 0 || yy >= h {
-							continue
-						}
-						for kx := -1; kx <= 1; kx++ {
-							xc := xx + kx
-							if xc < 0 || xc >= w {
-								continue
-							}
-							s += k[ky+1][kx+1] * iseg[yy*w+xc]
-						}
-					}
-					oseg[y*w+xx] += s
+					s += k00 * r0[x]
+					s += k01 * r0[x+1]
+					s += k02 * r0[x+2]
+					s += k10 * r1[x]
+					s += k11 * r1[x+1]
+					s += k12 * r1[x+2]
+					s += k20 * r2[x]
+					s += k21 * r2[x+1]
+					s += k22 * r2[x+2]
+					orow[x] += s
 				}
 			}
 		}
@@ -282,21 +341,18 @@ func (l *convLayer) forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	if !l.pool {
-		return out
+		return
 	}
-	ph, pw := h/2, w/2
-	pooled := tensor.New(l.outC, ph, pw)
-	pd := pooled.Data()
-	phw := ph * pw
+	oh, ow := h/2, w/2
+	ohw := oh * ow
 	for o := 0; o < l.outC; o++ {
-		oseg := dst[o*hw : (o+1)*hw]
-		pseg := pd[o*phw : (o+1)*phw]
-		for y := 0; y < ph; y++ {
-			for xx := 0; xx < pw; xx++ {
+		oseg := conv[o*hw : (o+1)*hw]
+		pseg := dst[o*ohw : (o+1)*ohw]
+		for y := 0; y < oh; y++ {
+			for xx := 0; xx < ow; xx++ {
 				s := oseg[(2*y)*w+2*xx] + oseg[(2*y)*w+2*xx+1] + oseg[(2*y+1)*w+2*xx] + oseg[(2*y+1)*w+2*xx+1]
-				pseg[y*pw+xx] = s * 0.25
+				pseg[y*ow+xx] = s * 0.25
 			}
 		}
 	}
-	return pooled
 }

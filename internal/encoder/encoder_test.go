@@ -75,6 +75,10 @@ func TestEncodeShapeError(t *testing.T) {
 	if _, err := enc.Encode(tensor.New(3, 8, 8)); err == nil {
 		t.Fatal("wrong input shape should error")
 	}
+	c, h, w := enc.OutShape()
+	if err := enc.EncodeInto(make([]float64, c*h*w-1), tensor.New(3, 16, 16)); err == nil {
+		t.Fatal("short destination should error")
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

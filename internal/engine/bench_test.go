@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -72,5 +73,30 @@ func BenchmarkSweepCached(b *testing.B) {
 	b.StopTimer()
 	if got := e.Stats().RoundsExecuted; got != rounds {
 		b.Fatalf("cached sweep trained %d extra rounds", got-rounds)
+	}
+}
+
+// BenchmarkScenarioBuild measures one uncached scenario build — corpus
+// generation, encoder calibration, and encoding every client and test
+// image through the frozen encoder — at the Table-I "Small" PACS sizing
+// the benchrun train-grid and fleet-sweep workloads use (3 train
+// domains × 320 images over 20 clients, 260 test images), at the
+// per-job parallelism of a fleet worker (1) and of a 2-core node (2).
+func BenchmarkScenarioBuild(b *testing.B) {
+	spec := Spec{
+		Method: "FedAvg", Dataset: "PACS", GenSeed: 3,
+		Split:  SplitSpec{Name: "table1", Train: []int{0, 1, 2}, Test: []int{3}},
+		Lambda: 0.1, Clients: 20, SampleK: 4, Rounds: 12, PerDomain: 320, EvalPer: 260,
+		Seed: 5, Tag: "bench-scenario",
+	}
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := buildScenario(spec, par); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

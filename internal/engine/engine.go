@@ -221,7 +221,7 @@ func New(opts Options) (*Engine, error) {
 		sched:       newScheduler(workers, m, logger),
 		journal:     jl,
 		traces:      telemetry.NewTraceStore(0, 0),
-		scenarios:   newScenarioCache(opts.ScenarioCap),
+		scenarios:   newScenarioCache(opts.ScenarioCap, m),
 		parallelism: par,
 		precision:   opts.Precision,
 		metrics:     m,
@@ -695,14 +695,22 @@ func (e *Engine) BuildScenario(spec Spec) (*Scenario, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return e.scenarios.get(spec, e.parallelism)
+	sc, _, err := e.scenarios.get(spec, e.parallelism)
+	return sc, err
 }
 
 // runSpec executes one Spec: build (or reuse) the scenario, instantiate
 // the method, and run federated training with per-round progress events
 // and cancellation.
 func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*Result, error) {
-	sc, err := e.scenarios.get(spec, e.parallelism)
+	runSpan := j.RunSpanID()
+	scenarioStart := time.Now()
+	sc, hit, err := e.scenarios.get(spec, e.parallelism)
+	cache := "miss"
+	if hit {
+		cache = "hit"
+	}
+	e.span(j, runSpan, "scenario", scenarioStart, time.Now(), map[string]string{"cache": cache})
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +724,6 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 		return nil, err
 	}
 	start := time.Now()
-	runSpan := j.RunSpanID()
 	var model *nn.Model
 	var hist *fl.History
 	// pprof labels propagate to every goroutine fl.Run spawns (the
@@ -799,12 +806,19 @@ func (e *Engine) RequeueRemote(j *Job) bool { return e.sched.requeueRemote(j) }
 
 // RemoteProgress merges a worker's round progress into the job's event
 // stream, so SSE subscribers of a coordinator see leased cells advance
-// exactly like local ones.
+// exactly like local ones, and counts the rounds it newly covers into
+// engine_rounds_total and Stats.RoundsExecuted. Progress only moves
+// forward within a lease, so a re-sent heartbeat counts nothing, and a
+// completion reporting its final round counts the rounds finished after
+// the last heartbeat.
 func (e *Engine) RemoteProgress(j *Job, round, rounds int) {
-	if j == nil || round <= 0 {
+	if j == nil {
 		return
 	}
-	j.progress(round, rounds)
+	if n := int64(j.advanceRemote(round, rounds)); n > 0 {
+		e.rounds.Add(n)
+		e.metrics.rounds.Add(n)
+	}
 }
 
 // CompleteRemote settles a leased job with a remote outcome. A

@@ -101,6 +101,10 @@ type LeaseCompleteRequest struct {
 	// Abandoned returns the lease without an outcome (worker shutting
 	// down): the coordinator requeues the job for another node.
 	Abandoned bool `json:"abandoned,omitempty"`
+	// Round is the last round the worker trained under this lease (0
+	// when a store tier answered it), so rounds finished after the last
+	// heartbeat still count on the coordinator.
+	Round int `json:"round,omitempty"`
 	// Spans carries the worker's remaining unshipped spans for the
 	// lease's trace — the terminal flush of the heartbeat piggyback.
 	Spans []telemetry.Span `json:"spans,omitempty"`

@@ -30,6 +30,9 @@ type engineMetrics struct {
 	running    *telemetry.Gauge
 	queueWait  *telemetry.HistogramVec // method
 	runSeconds *telemetry.HistogramVec // method
+
+	scenarioBuild  *telemetry.Histogram
+	scenarioLookup *telemetry.CounterVec // result: hit|miss
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -55,6 +58,10 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Time from submission to a worker picking the job up, per method.", nil, "method"),
 		runSeconds: reg.HistogramVec("sched_run_seconds",
 			"Job execution wall-clock from dequeue to terminal state, per method.", nil, "method"),
+		scenarioBuild: reg.Histogram("engine_scenario_build_seconds",
+			"Wall-clock of building one scenario (data generation, encoding, partitioning) on a scenario-cache miss.", nil),
+		scenarioLookup: reg.CounterVec("engine_scenario_cache_total",
+			"Scenario-cache lookups by result: hit (built or being built by another job) or miss (this lookup builds it).", "result"),
 	}
 }
 

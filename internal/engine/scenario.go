@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/pardon-feddg/pardon/internal/dataset"
 	"github.com/pardon-feddg/pardon/internal/encoder"
@@ -127,40 +128,46 @@ type scenarioEntry struct {
 // cap. Evicted scenarios stay valid for jobs still holding them; they
 // are simply rebuilt on the next request.
 type scenarioCache struct {
-	mu  sync.Mutex
-	cap int
-	seq int64
-	m   map[string]*scenarioEntry
+	metrics *engineMetrics
+	mu      sync.Mutex
+	cap     int
+	seq     int64
+	m       map[string]*scenarioEntry
 }
 
-func newScenarioCache(capacity int) *scenarioCache {
+func newScenarioCache(capacity int, m *engineMetrics) *scenarioCache {
 	if capacity <= 0 {
 		capacity = 4
 	}
-	return &scenarioCache{cap: capacity, m: map[string]*scenarioEntry{}}
+	return &scenarioCache{metrics: m, cap: capacity, m: map[string]*scenarioEntry{}}
 }
 
 // get returns the Scenario for a Spec, building it at most once per
-// resident cache entry.
-func (c *scenarioCache) get(spec Spec, parallelism int) (*Scenario, error) {
+// resident cache entry. hit reports that this call did not build it: a
+// lookup that waits on another job's in-flight build is a hit.
+func (c *scenarioCache) get(spec Spec, parallelism int) (sc *Scenario, hit bool, err error) {
 	key, err := spec.scenarioKey()
 	if err != nil {
-		return nil, fmt.Errorf("engine: scenario key: %w", err)
+		return nil, false, fmt.Errorf("engine: scenario key: %w", err)
 	}
 	c.mu.Lock()
 	c.seq++
 	if e, ok := c.m[key]; ok {
 		e.last = c.seq
 		c.mu.Unlock()
+		c.metrics.scenarioLookup.With("hit").Inc()
 		<-e.ready
-		return e.sc, e.err
+		return e.sc, true, e.err
 	}
 	e := &scenarioEntry{ready: make(chan struct{}), last: c.seq}
 	c.m[key] = e
 	c.evictLocked(e)
 	c.mu.Unlock()
+	c.metrics.scenarioLookup.With("miss").Inc()
 
+	start := time.Now()
 	e.sc, e.err = buildScenario(spec, parallelism)
+	c.metrics.scenarioBuild.Observe(time.Since(start).Seconds())
 	close(e.ready)
 	if e.err != nil {
 		c.mu.Lock()
@@ -169,7 +176,7 @@ func (c *scenarioCache) get(spec Spec, parallelism int) (*Scenario, error) {
 		}
 		c.mu.Unlock()
 	}
-	return e.sc, e.err
+	return e.sc, false, e.err
 }
 
 // evictLocked drops least-recently-used completed entries until the

@@ -280,6 +280,21 @@ func (j *Job) progress(round, total int) {
 	j.emitLocked()
 }
 
+// advanceRemote moves a leased job's progress forward to round and
+// returns how many rounds that newly covers; a report at or behind the
+// current round (a re-sent heartbeat) returns 0 and emits nothing.
+func (j *Job) advanceRemote(round, total int) int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateRunning || round <= j.round {
+		return 0
+	}
+	n := round - j.round
+	j.round, j.rounds = round, total
+	j.emitLocked()
+	return n
+}
+
 // finishLocked moves the job to a terminal state; j.mu must be held.
 func (j *Job) finishLocked(state State, res *Result, err error) {
 	if j.state.Terminal() {
@@ -832,6 +847,8 @@ func (s *Scheduler) requeueRemote(j *Job) bool {
 	j.runSpan = ""
 	j.started = time.Time{}
 	j.cancel = nil
+	// The next lease trains from round 1 again; its rounds count anew.
+	j.round, j.rounds = 0, 0
 	j.emitLocked()
 	q := s.queueForLocked(j.Tenant)
 	heap.Push(q, j)

@@ -112,21 +112,21 @@ func (e *Env) Calibrate(capPer int, dss ...*dataset.Dataset) error {
 	}
 	var sum, sumSq float64
 	var n int
+	f := make([]float64, e.InputDim())
 	for _, ds := range dss {
 		limit := ds.Len()
 		if limit > capPer {
 			limit = capPer
 		}
 		for i := 0; i < limit; i++ {
-			f, err := e.Enc.Encode(ds.Samples[i].X)
-			if err != nil {
+			if err := e.Enc.EncodeInto(f, ds.Samples[i].X); err != nil {
 				return fmt.Errorf("fl: calibrate: %w", err)
 			}
-			for _, v := range f.Data() {
+			for _, v := range f {
 				sum += v
 				sumSq += v * v
 			}
-			n += f.Len()
+			n += len(f)
 		}
 	}
 	if n == 0 {
@@ -161,6 +161,8 @@ type Client struct {
 
 // NewClient encodes the client's data once and caches both the feature
 // maps (style extraction, AdaIN) and their flattened form (model input).
+// The feature maps are views into one per-client arena, encoded in
+// place.
 func NewClient(env *Env, id int, data *dataset.Dataset) (*Client, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("fl: client %d has no data", id)
@@ -168,17 +170,19 @@ func NewClient(env *Env, id int, data *dataset.Dataset) (*Client, error) {
 	c := &Client{ID: id, Data: data}
 	c.Features = make([]*tensor.Tensor, data.Len())
 	c.Labels = make([]int, data.Len())
-	in := env.InputDim()
+	ch, h, w := env.Enc.OutShape()
+	in := ch * h * w
+	arena := make([]float64, data.Len()*in)
 	c.FlatX = tensor.New(data.Len(), in)
 	dst := c.FlatX.Data()
 	for i, s := range data.Samples {
-		f, err := env.Enc.Encode(s.X)
-		if err != nil {
+		f := arena[i*in : (i+1)*in]
+		if err := env.Enc.EncodeInto(f, s.X); err != nil {
 			return nil, fmt.Errorf("fl: client %d sample %d: %w", id, i, err)
 		}
-		c.Features[i] = f
+		c.Features[i] = tensor.MustFromSlice(f, ch, h, w)
 		row := dst[i*in : (i+1)*in]
-		copy(row, f.Data())
+		copy(row, f)
 		env.NormalizeFeature(row)
 		c.Labels[i] = s.Y
 	}
@@ -275,12 +279,10 @@ func NewEvalSet(env *Env, data *dataset.Dataset) (*EvalSet, error) {
 	es := &EvalSet{X: tensor.New(data.Len(), in), Labels: make([]int, data.Len()), Domains: make([]int, data.Len())}
 	dst := es.X.Data()
 	for i, s := range data.Samples {
-		f, err := env.Enc.Encode(s.X)
-		if err != nil {
+		row := dst[i*in : (i+1)*in]
+		if err := env.Enc.EncodeInto(row, s.X); err != nil {
 			return nil, fmt.Errorf("fl: eval sample %d: %w", i, err)
 		}
-		row := dst[i*in : (i+1)*in]
-		copy(row, f.Data())
 		env.NormalizeFeature(row)
 		es.Labels[i] = s.Y
 		es.Domains[i] = s.Domain
