@@ -15,42 +15,26 @@ import (
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
+	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
 // trainCE is the plain local-SGD cross-entropy loop shared by FedAvg and
 // the server-side methods (FedGMA, FedDG-GA).
 func trainCE(env *fl.Env, c *fl.Client, global *nn.Model, round int, name string) (*nn.Model, error) {
-	model := global.Clone()
-	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
-	grads := model.NewGrads()
-	// Gradients and optimizer state are strictly local to this pass;
-	// recycle their arenas for the next client.
-	defer grads.Release()
-	defer opt.Release()
 	r := env.RNG.Stream(name, "train", strconv.Itoa(c.ID), strconv.Itoa(round))
 	// One activation set serves every batch; only a ragged final batch
 	// resizes it.
 	acts := &nn.Activations{}
-	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
-		for _, idx := range fl.Batches(c.Data.Len(), env.Hyper.BatchSize, r) {
-			x, y := c.Batch(idx)
-			if err := model.ForwardInto(acts, x); err != nil {
-				return nil, err
-			}
-			_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
-			if err != nil {
-				return nil, err
-			}
-			grads.Zero()
-			if err := model.Backward(acts, dLogits, nil, grads); err != nil {
-				return nil, err
-			}
-			if err := opt.Step(model, grads); err != nil {
-				return nil, err
-			}
+	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
+		if err := model.ForwardInto(acts, x); err != nil {
+			return err
 		}
-	}
-	return model, nil
+		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		if err != nil {
+			return err
+		}
+		return model.Backward(acts, dLogits, nil, grads)
+	})
 }
 
 // FedAvg is the naïve baseline: local cross-entropy, size-weighted

@@ -71,7 +71,7 @@ func TestAllBaselinesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
 		}
-		for _, v := range model.ParamVector() {
+		for _, v := range model.Vector() {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("%s produced non-finite weights", alg.Name())
 			}
@@ -179,7 +179,7 @@ func TestFedDGGAWeightAdjustment(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := 0.0
-	ov, pv := out.ParamVector(), plain.ParamVector()
+	ov, pv := out.Vector(), plain.Vector()
 	for i := range ov {
 		d := ov[i] - pv[i]
 		diff += d * d
@@ -239,7 +239,7 @@ func TestFedSRShrinksEmbeddings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		z, err := model.Embed(clients[0].FlatX)
+		z, err := model.Embed(clients[0].RowsInto(nil, clients[0].Len()))
 		if err != nil {
 			t.Fatal(err)
 		}

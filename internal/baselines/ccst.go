@@ -122,11 +122,6 @@ func (c *CCST) Setup(env *fl.Env, clients []*fl.Client) error {
 // LocalTrain implements fl.Algorithm: cross-entropy over the original
 // batch plus AugPerBatch views style-transferred to random foreign styles.
 func (c *CCST) LocalTrain(env *fl.Env, cl *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
-	model := global.Clone()
-	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
-	grads := model.NewGrads()
-	defer grads.Release()
-	defer opt.Release()
 	r := env.RNG.Stream("CCST", "train", strconv.Itoa(cl.ID), strconv.Itoa(round))
 
 	c.mu.RLock()
@@ -143,50 +138,43 @@ func (c *CCST) LocalTrain(env *fl.Env, cl *fl.Client, global *nn.Model, round in
 	in := env.InputDim()
 	acts := &nn.Activations{}
 	actsP := &nn.Activations{}
-	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
-		for _, idx := range fl.Batches(cl.Data.Len(), env.Hyper.BatchSize, r) {
-			x, y := cl.Batch(idx)
-			if err := model.ForwardInto(acts, x); err != nil {
-				return nil, err
-			}
-			_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
-			if err != nil {
-				return nil, err
-			}
-			grads.Zero()
-			if err := model.Backward(acts, dLogits, nil, grads); err != nil {
-				return nil, err
-			}
-			for v := 0; v < c.AugPerBatch && len(foreign) > 0; v++ {
-				xp := tensor.New(len(idx), in)
-				xpd := xp.Data()
-				for bi, i := range idx {
-					target := foreign[r.Intn(len(foreign))].S
-					tf, err := style.AdaIN(cl.Features[i], target)
-					if err != nil {
-						return nil, err
-					}
-					row := xpd[bi*in : (bi+1)*in]
-					copy(row, tf.Data())
-					env.NormalizeFeature(row)
-				}
-				if err := model.ForwardInto(actsP, xp); err != nil {
-					return nil, err
-				}
-				_, dLogitsP, err := loss.CrossEntropy(actsP.Logits, y)
+	return fl.LocalSGD(env, cl, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
+		if err := model.ForwardInto(acts, x); err != nil {
+			return err
+		}
+		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		if err != nil {
+			return err
+		}
+		if err := model.Backward(acts, dLogits, nil, grads); err != nil {
+			return err
+		}
+		for v := 0; v < c.AugPerBatch && len(foreign) > 0; v++ {
+			xp := tensor.New(len(idx), in)
+			xpd := xp.Data()
+			for bi, i := range idx {
+				target := foreign[r.Intn(len(foreign))].S
+				tf, err := style.AdaIN(cl.Features[i], target)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if err := model.Backward(actsP, dLogitsP, nil, grads); err != nil {
-					return nil, err
-				}
+				row := xpd[bi*in : (bi+1)*in]
+				copy(row, tf.Data())
+				env.NormalizeFeature(row)
 			}
-			if err := opt.Step(model, grads); err != nil {
-				return nil, err
+			if err := model.ForwardInto(actsP, xp); err != nil {
+				return err
+			}
+			_, dLogitsP, err := loss.CrossEntropy(actsP.Logits, y)
+			if err != nil {
+				return err
+			}
+			if err := model.Backward(actsP, dLogitsP, nil, grads); err != nil {
+				return err
 			}
 		}
-	}
-	return model, nil
+		return nil
+	})
 }
 
 // Aggregate implements fl.Algorithm (CCST uses plain FedAvg).

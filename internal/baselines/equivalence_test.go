@@ -10,7 +10,6 @@ import (
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
-	"github.com/pardon-feddg/pardon/internal/tensor"
 	"github.com/pardon-feddg/pardon/internal/testref"
 )
 
@@ -53,7 +52,7 @@ func legacyAverage(t *testing.T, models []*nn.Model, weights []float64) *nn.Mode
 func sizeWeights(parts []*fl.Client) []float64 {
 	w := make([]float64, len(parts))
 	for i, c := range parts {
-		w[i] = float64(c.Data.Len())
+		w[i] = float64(c.Len())
 	}
 	return w
 }
@@ -99,30 +98,30 @@ func TestFedAvgFamilyAggregationMatchesLegacy(t *testing.T) {
 	}
 }
 
-// legacyFedGMA is the pre-refactor FedGMA server step: ParamVector
-// copies, materialized per-client delta vectors, coordinate-outer loop.
+// legacyFedGMA is the pre-refactor FedGMA server step: flat parameter
+// vectors, materialized per-client delta vectors, coordinate-outer loop.
 func legacyFedGMA(t *testing.T, g *baselines.FedGMA, global *nn.Model, parts []*fl.Client, updates []*nn.Model) *nn.Model {
 	t.Helper()
-	gv := global.ParamVector()
+	gv := global.Vector()
 	n := len(gv)
 	deltas := make([][]float64, len(updates))
 	weights := make([]float64, len(updates))
 	totalW := 0.0
 	for i, u := range updates {
-		uv := u.ParamVector()
+		uv := u.Vector()
 		d := make([]float64, n)
 		for j := range d {
 			d[j] = uv[j] - gv[j]
 		}
 		deltas[i] = d
-		weights[i] = float64(parts[i].Data.Len())
+		weights[i] = float64(parts[i].Len())
 		totalW += weights[i]
 	}
 	for i := range weights {
 		weights[i] /= totalW
 	}
 	out := global.Clone()
-	ov := out.ParamVector()
+	ov := out.Vector()
 	for j := 0; j < n; j++ {
 		avg := 0.0
 		signSum := 0.0
@@ -179,13 +178,11 @@ func TestFedGMAAggregationMatchesLegacy(t *testing.T) {
 // legacyCELoss mirrors the pre-refactor ceLossOn helper.
 func legacyCELoss(t *testing.T, m *nn.Model, c *fl.Client, cap int) float64 {
 	t.Helper()
-	n := c.Data.Len()
+	n := c.Len()
 	if cap > 0 && n > cap {
 		n = cap
 	}
-	d := c.FlatX.Dim(1)
-	x := tensor.MustFromSlice(c.FlatX.Data()[:n*d], n, d)
-	acts, err := m.Forward(x)
+	acts, err := m.Forward(c.RowsInto(nil, n))
 	if err != nil {
 		t.Fatal(err)
 	}

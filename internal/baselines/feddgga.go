@@ -35,9 +35,10 @@ type FedDGGA struct {
 	avg     fl.Averager     // reused arena for the provisional FedAvg
 
 	// Aggregation scratch, reused across rounds (Aggregate holds mu):
-	// the loss evaluations' activations, the gap and weight buffers, and
-	// the output model, which the next round overwrites (fl.Run clones
-	// the final global).
+	// the loss evaluations' inputs and activations, the gap and weight
+	// buffers, and the output model, which the next round overwrites
+	// (fl.Run clones the final global).
+	x    *tensor.Tensor
 	acts nn.Activations
 	gaps []float64
 	ws   []float64
@@ -82,11 +83,16 @@ func (g *FedDGGA) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates 
 	}
 	gaps, ws := g.gaps[:len(parts)], g.ws[:len(parts)]
 	for i, c := range parts {
-		lGlobal, err := ceLossOn(&g.acts, provisional, c, g.EvalCap)
+		n := c.Len()
+		if g.EvalCap > 0 && n > g.EvalCap {
+			n = g.EvalCap
+		}
+		g.x = c.RowsInto(g.x, n)
+		lGlobal, err := ceLossOn(&g.acts, provisional, g.x, c.Labels[:n])
 		if err != nil {
 			return nil, err
 		}
-		lLocal, err := ceLossOn(&g.acts, updates[i], c, g.EvalCap)
+		lLocal, err := ceLossOn(&g.acts, updates[i], g.x, c.Labels[:n])
 		if err != nil {
 			return nil, err
 		}
@@ -132,18 +138,12 @@ func (g *FedDGGA) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates 
 	return g.out, nil
 }
 
-// ceLossOn evaluates mean cross-entropy of a model on up to cap samples of
-// the client's cached inputs, running the forward pass in acts.
-func ceLossOn(acts *nn.Activations, m *nn.Model, c *fl.Client, cap int) (float64, error) {
-	n := c.Data.Len()
-	if cap > 0 && n > cap {
-		n = cap
-	}
-	d := c.FlatX.Dim(1)
-	x := tensor.MustFromSlice(c.FlatX.Data()[:n*d], n, d)
+// ceLossOn evaluates mean cross-entropy of a model on inputs x with
+// labels y, running the forward pass in acts.
+func ceLossOn(acts *nn.Activations, m *nn.Model, x *tensor.Tensor, y []int) (float64, error) {
 	if err := m.ForwardInto(acts, x); err != nil {
 		return 0, err
 	}
-	l, _, err := loss.CrossEntropy(acts.Logits, c.Labels[:n])
+	l, _, err := loss.CrossEntropy(acts.Logits, y)
 	return l, err
 }

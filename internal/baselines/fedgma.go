@@ -65,7 +65,7 @@ func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, upda
 		if u.NumParams() != n {
 			return nil, fmt.Errorf("fedgma: update %d has %d params, want %d", i, u.NumParams(), n)
 		}
-		totalW += float64(parts[i].Data.Len())
+		totalW += float64(parts[i].Len())
 	}
 	if len(g.avg) != n {
 		g.avg = make([]float64, n)
@@ -77,7 +77,7 @@ func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, upda
 		}
 	}
 	for i, u := range updates {
-		w := float64(parts[i].Data.Len()) / totalW
+		w := float64(parts[i].Len()) / totalW
 		uv := u.Vector()
 		for j, v := range uv {
 			d := v - gv[j]

@@ -49,82 +49,68 @@ func (*FedSR) Name() string { return "FedSR" }
 // Setup implements fl.Algorithm (FedSR exchanges no extra signal).
 func (*FedSR) Setup(*fl.Env, []*fl.Client) error { return nil }
 
-// LocalTrain implements fl.Algorithm.
+// LocalTrain implements fl.Algorithm. The stacked regularizers make
+// FedSR's local objective stiff; the gradient is clipped at 5 so the
+// collapse stays a modelling failure, never a numeric one.
 func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
-	model := global.Clone()
-	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
-	// The stacked regularizers make FedSR's local objective stiff; clip
-	// so the collapse stays a modelling failure, never a numeric one.
-	opt.Clip = 5
-	grads := model.NewGrads()
-	defer grads.Release()
-	defer opt.Release()
 	r := env.RNG.Stream("FedSR", "train", strconv.Itoa(c.ID), strconv.Itoa(round))
-
-	// Class-conditional reference means from the client's local data,
-	// re-estimated once per round with the incoming global model.
-	classMeans, err := localClassMeans(model, c)
-	if err != nil {
-		return nil, err
-	}
-
 	acts := &nn.Activations{}
-	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
-		for _, idx := range fl.Batches(c.Data.Len(), env.Hyper.BatchSize, r) {
-			x, y := c.Batch(idx)
-			if err := model.ForwardInto(acts, x); err != nil {
-				return nil, err
-			}
-			// Probabilistic representation: z̃ = z + ε. The noise enters
-			// the classifier path through the logits recomputed below.
-			if f.NoiseStd > 0 {
-				zd := acts.Z.Data()
-				for i := range zd {
-					zd[i] += r.NormFloat64() * f.NoiseStd
-				}
-				// Recompute logits from the noisy embedding, in place:
-				// the clean logits are never consumed, so their buffer
-				// is reused instead of allocating a fresh tensor.
-				if err := model.RecomputeLogits(acts); err != nil {
-					return nil, err
-				}
-			}
-			_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
-			if err != nil {
-				return nil, err
-			}
-			dz := tensor.New(len(idx), model.Cfg.ZDim)
-			// L2R: α·‖z‖².
-			_, dzL2, _, err := loss.EmbedL2(acts.Z, nil)
-			if err != nil {
-				return nil, err
-			}
-			if err := tensor.AddScaledInto(dz, dz, f.L2RCoef, dzL2); err != nil {
-				return nil, err
-			}
-			// CMI surrogate: α·‖z − μ̂_y‖².
-			targets := tensor.New(len(idx), model.Cfg.ZDim)
-			td := targets.Data()
-			for bi, yy := range y {
-				copy(td[bi*model.Cfg.ZDim:(bi+1)*model.Cfg.ZDim], classMeans[yy])
-			}
-			_, dzCMI, err := loss.MeanSquared(acts.Z, targets)
-			if err != nil {
-				return nil, err
-			}
-			if err := tensor.AddScaledInto(dz, dz, f.CMICoef, dzCMI); err != nil {
-				return nil, err
-			}
-			grads.Zero()
-			if err := model.Backward(acts, dLogits, dz, grads); err != nil {
-				return nil, err
-			}
-			if err := opt.Step(model, grads); err != nil {
-				return nil, err
+	var classMeans [][]float64
+	return fl.LocalSGD(env, c, global, r, 5, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
+		// Class-conditional reference means from the client's local
+		// data, estimated once per round with the incoming global model
+		// (the clone before its first step).
+		if classMeans == nil {
+			var err error
+			if classMeans, _, err = localClassMeans(model, c, nil); err != nil {
+				return err
 			}
 		}
-	}
-	return model, nil
+		if err := model.ForwardInto(acts, x); err != nil {
+			return err
+		}
+		// Probabilistic representation: z̃ = z + ε. The noise enters
+		// the classifier path through the logits recomputed below.
+		if f.NoiseStd > 0 {
+			zd := acts.Z.Data()
+			for i := range zd {
+				zd[i] += r.NormFloat64() * f.NoiseStd
+			}
+			// Recompute logits from the noisy embedding, in place:
+			// the clean logits are never consumed, so their buffer
+			// is reused instead of allocating a fresh tensor.
+			if err := model.RecomputeLogits(acts); err != nil {
+				return err
+			}
+		}
+		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		if err != nil {
+			return err
+		}
+		dz := tensor.New(len(idx), model.Cfg.ZDim)
+		// L2R: α·‖z‖².
+		_, dzL2, _, err := loss.EmbedL2(acts.Z, nil)
+		if err != nil {
+			return err
+		}
+		if err := tensor.AddScaledInto(dz, dz, f.L2RCoef, dzL2); err != nil {
+			return err
+		}
+		// CMI surrogate: α·‖z − μ̂_y‖².
+		targets := tensor.New(len(idx), model.Cfg.ZDim)
+		td := targets.Data()
+		for bi, yy := range y {
+			copy(td[bi*model.Cfg.ZDim:(bi+1)*model.Cfg.ZDim], classMeans[yy])
+		}
+		_, dzCMI, err := loss.MeanSquared(acts.Z, targets)
+		if err != nil {
+			return err
+		}
+		if err := tensor.AddScaledInto(dz, dz, f.CMICoef, dzCMI); err != nil {
+			return err
+		}
+		return model.Backward(acts, dLogits, dz, grads)
+	})
 }
 
 // Aggregate implements fl.Algorithm (FedSR uses plain FedAvg).
@@ -133,11 +119,13 @@ func (f *FedSR) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates []
 }
 
 // localClassMeans embeds the client's whole dataset once and returns the
-// per-class mean embedding (zero vector for absent classes).
-func localClassMeans(model *nn.Model, c *fl.Client) ([][]float64, error) {
-	z, err := model.Embed(c.FlatX)
+// per-class mean embedding (zero vector for absent classes), plus the
+// input buffer x it gathered the client's rows into, for reuse.
+func localClassMeans(model *nn.Model, c *fl.Client, x *tensor.Tensor) ([][]float64, *tensor.Tensor, error) {
+	x = c.RowsInto(x, c.Len())
+	z, err := model.Embed(x)
 	if err != nil {
-		return nil, err
+		return nil, x, err
 	}
 	d := z.Dim(1)
 	means := make([][]float64, model.Cfg.Classes)
@@ -165,5 +153,5 @@ func localClassMeans(model *nn.Model, c *fl.Client) ([][]float64, error) {
 			means[y][k] *= inv
 		}
 	}
-	return means, nil
+	return means, x, nil
 }

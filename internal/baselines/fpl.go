@@ -64,11 +64,6 @@ func (f *FPL) Prototypes() *tensor.Tensor {
 
 // LocalTrain implements fl.Algorithm.
 func (f *FPL) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
-	model := global.Clone()
-	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
-	grads := model.NewGrads()
-	defer grads.Release()
-	defer opt.Release()
 	r := env.RNG.Stream("FPL", "train", strconv.Itoa(c.ID), strconv.Itoa(round))
 
 	f.mu.RLock()
@@ -76,34 +71,24 @@ func (f *FPL) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int)
 	f.mu.RUnlock()
 
 	acts := &nn.Activations{}
-	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
-		for _, idx := range fl.Batches(c.Data.Len(), env.Hyper.BatchSize, r) {
-			x, y := c.Batch(idx)
-			if err := model.ForwardInto(acts, x); err != nil {
-				return nil, err
-			}
-			_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
-			if err != nil {
-				return nil, err
-			}
-			var dz *tensor.Tensor
-			if protos != nil {
-				_, dzP, err := loss.ProtoContrast(acts.Z, y, protos, f.Tau)
-				if err != nil {
-					return nil, err
-				}
-				dz = dzP.Scale(f.ProtoCoef)
-			}
-			grads.Zero()
-			if err := model.Backward(acts, dLogits, dz, grads); err != nil {
-				return nil, err
-			}
-			if err := opt.Step(model, grads); err != nil {
-				return nil, err
-			}
+	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
+		if err := model.ForwardInto(acts, x); err != nil {
+			return err
 		}
-	}
-	return model, nil
+		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		if err != nil {
+			return err
+		}
+		var dz *tensor.Tensor
+		if protos != nil {
+			_, dzP, err := loss.ProtoContrast(acts.Z, y, protos, f.Tau)
+			if err != nil {
+				return err
+			}
+			dz = dzP.Scale(f.ProtoCoef)
+		}
+		return model.Backward(acts, dLogits, dz, grads)
+	})
 }
 
 // Aggregate implements fl.Algorithm: FedAvg for parameters, then the
@@ -117,8 +102,10 @@ func (f *FPL) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []
 	zdim := env.ModelCfg.ZDim
 	// Per-class prototype sets across participants.
 	perClass := make([][][]float64, classes)
+	var x *tensor.Tensor
 	for i, c := range parts {
-		means, err := localClassMeans(updates[i], c)
+		var means [][]float64
+		means, x, err = localClassMeans(updates[i], c, x)
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func TestDiagTransferredView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawRow := c0.FlatX.MustRow(0)
+	rawRow := c0.RowsInto(nil, 1)
 	trRow := tr.MustRow(0)
 	t.Logf("raw[0] norm=%.3f mean=%.3f | transferred[0] norm=%.3f mean=%.3f",
 		rawRow.Norm(), rawRow.Mean(), trRow.Norm(), trRow.Mean())
@@ -128,7 +128,7 @@ func stackClients(clients []*fl.Client, transferred bool, env *fl.Env, sg *style
 	var rows []*tensor.Tensor
 	var labels []int
 	for _, c := range clients {
-		src := c.FlatX
+		src := c.RowsInto(nil, c.Len())
 		if transferred {
 			tr, err := core.TransferAll(env, c.Features, sg)
 			if err != nil {

@@ -354,12 +354,6 @@ func TransferAll(env *fl.Env, features []*tensor.Tensor, sg *style.Style) (*tens
 // LocalTrain implements fl.Algorithm: SGD on Eq. 9 with style-transferred
 // positives (or the v3/v4 reductions).
 func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
-	model := global.Clone()
-	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
-	grads := model.NewGrads()
-	defer grads.Release()
-	defer opt.Release()
-
 	p.mu.RLock()
 	sg := p.interp
 	sampleStyles := p.sampleStyles[c.ID]
@@ -368,114 +362,100 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 	if p.opts.StyleTransfer && (sg == nil || sampleStyles == nil) {
 		return nil, fmt.Errorf("core: client %d has no style cache (Setup not run?)", c.ID)
 	}
-	in := c.FlatX.Dim(1)
+	in := env.InputDim()
 
 	r := env.RNG.Stream(p.Name(), "train", itoa(c.ID), itoa(round))
 	// Both views reuse one activation set each across every batch; the
 	// contrastive backward needs the two alive at once.
 	actsA := &nn.Activations{}
 	actsP := &nn.Activations{}
-	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
-		for _, idx := range fl.Batches(c.Data.Len(), env.Hyper.BatchSize, r) {
-			x, y := c.Batch(idx)
-			if err := model.ForwardInto(actsA, x); err != nil {
-				return nil, err
-			}
-			_, dLogits, err := loss.CrossEntropy(actsA.Logits, y)
-			if err != nil {
-				return nil, err
-			}
-			grads.Zero()
-
-			if p.opts.StyleTransfer {
-				// Interpolative transfer: each sample moves toward S_g by
-				// a fresh random amount t, so successive epochs cover the
-				// style path rather than one fixed frame.
-				xp := tensor.New(len(idx), in)
-				xpd := xp.Data()
-				for bi, i := range idx {
-					goal := sg
-					if p.opts.ForeignTargets && len(clientStyles) > 1 {
-						fs, err := style.FromVec(clientStyles[r.Intn(len(clientStyles))])
-						if err != nil {
-							return nil, err
-						}
-						goal = fs
-					}
-					t := p.opts.InterpLow + r.Float64()*(p.opts.InterpHigh-p.opts.InterpLow)
-					target, err := style.Interpolate(sampleStyles[i], goal, t)
-					if err != nil {
-						return nil, err
-					}
-					tf, err := style.AdaIN(c.Features[i], target)
-					if err != nil {
-						return nil, err
-					}
-					row := xpd[bi*in : (bi+1)*in]
-					copy(row, tf.Data())
-					env.NormalizeFeature(row)
-				}
-				if err := model.ForwardInto(actsP, xp); err != nil {
-					return nil, err
-				}
-				dzA := tensor.New(len(idx), model.Cfg.ZDim)
-				dzP := tensor.New(len(idx), model.Cfg.ZDim)
-				var dLogitsP *tensor.Tensor
-				if p.opts.TransferCE || !p.opts.Contrastive {
-					// The style-transferred view joins training as data.
-					// Both views are averaged so the total CE gradient
-					// scale matches single-view methods.
-					_, dLP, err := loss.CrossEntropy(actsP.Logits, y)
-					if err != nil {
-						return nil, err
-					}
-					dLogitsP = dLP
-					if !p.opts.SumViews {
-						dLogitsP.Scale(0.5)
-						dLogits.Scale(0.5)
-					}
-				}
-				if p.opts.Contrastive {
-					_, dzT, dzpT, err := loss.NormalizedTriplet(actsA.Z, actsP.Z, y, p.opts.Margin)
-					if err != nil {
-						return nil, err
-					}
-					if err := dzA.AddScaled(p.opts.Gamma1, dzT); err != nil {
-						return nil, err
-					}
-					if err := dzP.AddScaled(p.opts.Gamma1, dzpT); err != nil {
-						return nil, err
-					}
-				}
-				_, dzR, dzpR, err := loss.EmbedL2(actsA.Z, actsP.Z)
-				if err != nil {
-					return nil, err
-				}
-				if err := dzA.AddScaled(p.opts.Gamma2, dzR); err != nil {
-					return nil, err
-				}
-				if err := dzP.AddScaled(p.opts.Gamma2, dzpR); err != nil {
-					return nil, err
-				}
-				if err := model.Backward(actsA, dLogits, dzA, grads); err != nil {
-					return nil, err
-				}
-				if err := model.Backward(actsP, dLogitsP, dzP, grads); err != nil {
-					return nil, err
-				}
-			} else {
-				// v4: standard contrastive learning — positives are
-				// noise-augmented same-class samples from the batch.
-				if err := p.v4Backward(model, actsA, x, y, dLogits, grads, r); err != nil {
-					return nil, err
-				}
-			}
-			if err := opt.Step(model, grads); err != nil {
-				return nil, err
-			}
+	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
+		if err := model.ForwardInto(actsA, x); err != nil {
+			return err
 		}
-	}
-	return model, nil
+		_, dLogits, err := loss.CrossEntropy(actsA.Logits, y)
+		if err != nil {
+			return err
+		}
+		if p.opts.StyleTransfer {
+			// Interpolative transfer: each sample moves toward S_g by
+			// a fresh random amount t, so successive epochs cover the
+			// style path rather than one fixed frame.
+			xp := tensor.New(len(idx), in)
+			xpd := xp.Data()
+			for bi, i := range idx {
+				goal := sg
+				if p.opts.ForeignTargets && len(clientStyles) > 1 {
+					fs, err := style.FromVec(clientStyles[r.Intn(len(clientStyles))])
+					if err != nil {
+						return err
+					}
+					goal = fs
+				}
+				t := p.opts.InterpLow + r.Float64()*(p.opts.InterpHigh-p.opts.InterpLow)
+				target, err := style.Interpolate(sampleStyles[i], goal, t)
+				if err != nil {
+					return err
+				}
+				tf, err := style.AdaIN(c.Features[i], target)
+				if err != nil {
+					return err
+				}
+				row := xpd[bi*in : (bi+1)*in]
+				copy(row, tf.Data())
+				env.NormalizeFeature(row)
+			}
+			if err := model.ForwardInto(actsP, xp); err != nil {
+				return err
+			}
+			dzA := tensor.New(len(idx), model.Cfg.ZDim)
+			dzP := tensor.New(len(idx), model.Cfg.ZDim)
+			var dLogitsP *tensor.Tensor
+			if p.opts.TransferCE || !p.opts.Contrastive {
+				// The style-transferred view joins training as data.
+				// Both views are averaged so the total CE gradient
+				// scale matches single-view methods.
+				_, dLP, err := loss.CrossEntropy(actsP.Logits, y)
+				if err != nil {
+					return err
+				}
+				dLogitsP = dLP
+				if !p.opts.SumViews {
+					dLogitsP.Scale(0.5)
+					dLogits.Scale(0.5)
+				}
+			}
+			if p.opts.Contrastive {
+				_, dzT, dzpT, err := loss.NormalizedTriplet(actsA.Z, actsP.Z, y, p.opts.Margin)
+				if err != nil {
+					return err
+				}
+				if err := dzA.AddScaled(p.opts.Gamma1, dzT); err != nil {
+					return err
+				}
+				if err := dzP.AddScaled(p.opts.Gamma1, dzpT); err != nil {
+					return err
+				}
+			}
+			_, dzR, dzpR, err := loss.EmbedL2(actsA.Z, actsP.Z)
+			if err != nil {
+				return err
+			}
+			if err := dzA.AddScaled(p.opts.Gamma2, dzR); err != nil {
+				return err
+			}
+			if err := dzP.AddScaled(p.opts.Gamma2, dzpR); err != nil {
+				return err
+			}
+			if err := model.Backward(actsA, dLogits, dzA, grads); err != nil {
+				return err
+			}
+			return model.Backward(actsP, dLogitsP, dzP, grads)
+		}
+		// v4: standard contrastive learning — positives are
+		// noise-augmented same-class samples from the batch.
+		return p.v4Backward(model, actsA, x, y, dLogits, grads, r)
+	})
 }
 
 // v4Backward implements the PARDON-v4 ablation: an augmented view of the
@@ -507,7 +487,7 @@ func (p *PARDON) v4Backward(model *nn.Model, actsA *nn.Activations, x *tensor.Te
 		mates := byClass[yy]
 		posIdx[i] = mates[r.Intn(len(mates))]
 	}
-	zpSel := gatherEmbedRows(actsP.Z, posIdx)
+	zpSel := fl.GatherRows(actsP.Z, posIdx)
 	dzA := tensor.New(b, model.Cfg.ZDim)
 	dzPfull := tensor.New(b, model.Cfg.ZDim)
 	if p.opts.Contrastive {
@@ -535,16 +515,6 @@ func (p *PARDON) v4Backward(model *nn.Model, actsA *nn.Activations, x *tensor.Te
 		return err
 	}
 	return model.Backward(actsP, nil, dzPfull, grads)
-}
-
-func gatherEmbedRows(z *tensor.Tensor, idx []int) *tensor.Tensor {
-	d := z.Dim(1)
-	out := tensor.New(len(idx), d)
-	src, dst := z.Data(), out.Data()
-	for bi, i := range idx {
-		copy(dst[bi*d:(bi+1)*d], src[i*d:(i+1)*d])
-	}
-	return out
 }
 
 func scatterAddRows(dst, src *tensor.Tensor, idx []int, scale float64) {

@@ -249,7 +249,7 @@ func TestLocalTrainChangesModel(t *testing.T) {
 			t.Fatalf("%s returned the input model", variant)
 		}
 		diff := 0.0
-		ov, mv := out.ParamVector(), model.ParamVector()
+		ov, mv := out.Vector(), model.Vector()
 		for i := range ov {
 			d := ov[i] - mv[i]
 			diff += d * d

@@ -756,7 +756,9 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 	}
 	res := resultFromHistory(hash, spec.Method, hist)
 	if spec.KeepModel {
-		res.Model = model.ParamVector()
+		// fl.Run returns a fresh clone that dies with this call, so the
+		// Result can own its arena without a copy.
+		res.Model = model.Vector()
 	}
 	res.ElapsedSec = time.Since(start).Seconds()
 	// The trained model becomes a content-addressed checkpoint blob next
@@ -764,8 +766,10 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 	// (GET /v1/jobs/{id}/model, feddg -save-model). The write is
 	// best-effort: consumers already tolerate a missing blob (404 /
 	// skip), so a full disk must not discard a completed run's metrics.
+	// The span and the persist timer cover the marshal as well as the
+	// store write.
+	persistStart := time.Now()
 	if blob, err := model.MarshalBinary(); err == nil {
-		persistStart := time.Now()
 		_ = e.store.PutBlob(hash, blob)
 		j.addPersist(time.Since(persistStart))
 		e.span(j, runSpan, "checkpoint", persistStart, time.Now(),

@@ -893,13 +893,14 @@ func (s *Scheduler) completeRemote(j *Job, res *Result, jobErr error) bool {
 	finished, runSpan := j.finished, j.runSpan
 	j.mu.Unlock()
 	method := methodLabel(j)
+	// A late result for a requeued job has no run interval to record.
 	if !started.IsZero() {
 		s.recordSpanID(j, runSpan, j.rootSpan, "lease", started, finished,
 			map[string]string{"worker": worker, "state": string(state)})
+		s.metrics.runSeconds.With(method).Observe(runSec)
 	}
 	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
 		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
-	s.metrics.runSeconds.With(method).Observe(runSec)
 	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
 	// Drain cancellations stay live in the journal (same contract as the
 	// local worker loop): the job must re-enqueue on the next boot.

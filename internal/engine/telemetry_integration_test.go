@@ -258,3 +258,36 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline = %d", presp.StatusCode)
 	}
 }
+
+// TestLateRemoteResultRecordsNoRunTime pins the lease-expiry race: a
+// late result that settles a job requeued after its lease expired has
+// no run interval, so sched_run_seconds must not gain a 0 s sample.
+func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
+	// Workers: -1 — a dispatch-only coordinator, so the job stays queued
+	// after the requeue instead of being run locally.
+	e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased, ok := e.ClaimRemote("w1", nil, nil)
+	if !ok {
+		t.Fatal("queue empty, want a lease")
+	}
+	if !e.RequeueRemote(leased) {
+		t.Fatal("requeue of a leased job refused")
+	}
+	runs := e.sched.metrics.runSeconds.With("FedAvg")
+	before := runs.Count()
+	res := &Result{SpecHash: j.Key, Method: "FedAvg",
+		Stats: []RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.5}}, ElapsedSec: 0.01}
+	if err := e.CompleteRemote(leased, res, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if j.State() != StateDone {
+		t.Fatalf("late-settled job state = %s, want done", j.State())
+	}
+	if got := runs.Count(); got != before {
+		t.Fatalf("sched_run_seconds count = %d after a late result, want %d", got, before)
+	}
+}

@@ -90,16 +90,21 @@ type Env struct {
 }
 
 // NormalizeFeature applies the environment's fixed feature standardization
-// in place. All model inputs — client caches, eval sets, style-transferred
+// in place. All model inputs — client batches, eval sets, style-transferred
 // views — must pass through this so every code path sees one scale.
 func (e *Env) NormalizeFeature(data []float64) {
-	scale := e.FeatScale
+	standardize(data, data, e.FeatShift, e.FeatScale)
+}
+
+// standardize writes (src[i] − shift)·scale into dst[i], reading a zero
+// scale as 1: the one spelling of the input standardization, so
+// normalizing in place and while gathering rows produce the same bits.
+func standardize(dst, src []float64, shift, scale float64) {
 	if scale == 0 {
 		scale = 1
 	}
-	shift := e.FeatShift
-	for i := range data {
-		data[i] = (data[i] - shift) * scale
+	for i, v := range src {
+		dst[i] = (v - shift) * scale
 	}
 }
 
@@ -148,46 +153,47 @@ func (e *Env) InputDim() int {
 	return c * h * w
 }
 
-// Client is one federated participant: its private raw data plus the
-// cached frozen-encoder features every method trains on. Clients are
-// read-only during training and may be shared across algorithm runs.
+// Client is one federated participant: the cached frozen-encoder
+// features every method trains on. It keeps no raw images, and model
+// inputs are standardized as rows are gathered (BatchInto), so the
+// feature arena is the client's one resident copy of its data. Clients
+// are read-only during training and may be shared across algorithm runs.
 type Client struct {
 	ID       int
-	Data     *dataset.Dataset
 	Features []*tensor.Tensor // Φ(x), shape (C,H,W), one per sample
-	FlatX    *tensor.Tensor   // (n, C·H·W) model inputs
 	Labels   []int
+	// FeatShift and FeatScale are the environment's standardization at
+	// encode time.
+	FeatShift float64
+	FeatScale float64
 }
 
-// NewClient encodes the client's data once and caches both the feature
-// maps (style extraction, AdaIN) and their flattened form (model input).
-// The feature maps are views into one per-client arena, encoded in
-// place.
+// NewClient encodes the client's data once. The feature maps (style
+// extraction, AdaIN, and the rows of model inputs) are views into one
+// per-client arena, encoded in place.
 func NewClient(env *Env, id int, data *dataset.Dataset) (*Client, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("fl: client %d has no data", id)
 	}
-	c := &Client{ID: id, Data: data}
+	c := &Client{ID: id, FeatShift: env.FeatShift, FeatScale: env.FeatScale}
 	c.Features = make([]*tensor.Tensor, data.Len())
 	c.Labels = make([]int, data.Len())
 	ch, h, w := env.Enc.OutShape()
 	in := ch * h * w
 	arena := make([]float64, data.Len()*in)
-	c.FlatX = tensor.New(data.Len(), in)
-	dst := c.FlatX.Data()
 	for i, s := range data.Samples {
 		f := arena[i*in : (i+1)*in]
 		if err := env.Enc.EncodeInto(f, s.X); err != nil {
 			return nil, fmt.Errorf("fl: client %d sample %d: %w", id, i, err)
 		}
 		c.Features[i] = tensor.MustFromSlice(f, ch, h, w)
-		row := dst[i*in : (i+1)*in]
-		copy(row, f)
-		env.NormalizeFeature(row)
 		c.Labels[i] = s.Y
 	}
 	return c, nil
 }
+
+// Len returns the client's sample count.
+func (c *Client) Len() int { return len(c.Labels) }
 
 // NewClients builds clients 0..len(parts)-1 from partitioned datasets,
 // encoding in parallel.
@@ -218,19 +224,48 @@ func NewClients(env *Env, parts []*dataset.Dataset) ([]*Client, error) {
 	return clients, nil
 }
 
-// Batch gathers the rows at idx into a fresh (len(idx), In) tensor plus
-// the matching labels.
-func (c *Client) Batch(idx []int) (*tensor.Tensor, []int) {
-	in := c.FlatX.Dim(1)
-	src := c.FlatX.Data()
-	out := tensor.New(len(idx), in)
-	dst := out.Data()
-	labels := make([]int, len(idx))
-	for bi, i := range idx {
-		copy(dst[bi*in:(bi+1)*in], src[i*in:(i+1)*in])
-		labels[bi] = c.Labels[i]
+// BatchInto gathers the standardized model inputs of the samples at idx
+// into x and their labels into y, and returns both. x and y are reused
+// when they have room (a smaller batch re-views x's storage), so a loop
+// that feeds its buffers back allocates nothing per batch.
+func (c *Client) BatchInto(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int) {
+	in := c.Features[0].Len()
+	x = rowsOf(x, len(idx), in)
+	if cap(y) < len(idx) {
+		y = make([]int, len(idx))
 	}
-	return out, labels
+	y = y[:len(idx)]
+	dst := x.Data()
+	for bi, i := range idx {
+		standardize(dst[bi*in:(bi+1)*in], c.Features[i].Data(), c.FeatShift, c.FeatScale)
+		y[bi] = c.Labels[i]
+	}
+	return x, y
+}
+
+// RowsInto gathers the standardized inputs of the client's first n
+// samples into x (reused when it has room) and returns it; the matching
+// labels are c.Labels[:n].
+func (c *Client) RowsInto(x *tensor.Tensor, n int) *tensor.Tensor {
+	in := c.Features[0].Len()
+	x = rowsOf(x, n, in)
+	dst := x.Data()
+	for i, f := range c.Features[:n] {
+		standardize(dst[i*in:(i+1)*in], f.Data(), c.FeatShift, c.FeatScale)
+	}
+	return x
+}
+
+// rowsOf returns x when it is an (n, d) tensor, an (n, d) view of its
+// storage when that has room, else a fresh tensor.
+func rowsOf(x *tensor.Tensor, n, d int) *tensor.Tensor {
+	switch {
+	case x != nil && x.Dims() == 2 && x.Dim(0) == n && x.Dim(1) == d:
+		return x
+	case x != nil && cap(x.Data()) >= n*d:
+		return tensor.MustFromSlice(x.Data()[:n*d], n, d)
+	}
+	return tensor.New(n, d)
 }
 
 // GatherRows copies rows at idx from an (n, d) tensor into a new batch
@@ -261,6 +296,37 @@ func Batches(n, batchSize int, r *rand.Rand) [][]int {
 		out = append(out, perm[s:e])
 	}
 	return out
+}
+
+// LocalSGD is the local-training loop every method shares: it trains a
+// clone of global by SGD (gradient norm clipped at clip; 0 is off) for
+// Hyper.LocalEpochs over shuffled batches of c drawn from r, and returns
+// the clone. step adds one batch's gradients into grads, which are
+// zeroed before each call; the batch buffers x and y are reused across
+// batches, and the gradients and optimizer state are recycled on return.
+func LocalSGD(env *Env, c *Client, global *nn.Model, r *rand.Rand, clip float64,
+	step func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error) (*nn.Model, error) {
+	model := global.Clone()
+	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
+	opt.Clip = clip
+	grads := model.NewGrads()
+	defer grads.Release()
+	defer opt.Release()
+	var x *tensor.Tensor
+	var y []int
+	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
+		for _, idx := range Batches(c.Len(), env.Hyper.BatchSize, r) {
+			x, y = c.BatchInto(x, y, idx)
+			grads.Zero()
+			if err := step(model, grads, x, y, idx); err != nil {
+				return nil, err
+			}
+			if err := opt.Step(model, grads); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return model, nil
 }
 
 // EvalSet is a pre-encoded evaluation corpus (e.g. an unseen domain).
@@ -342,7 +408,7 @@ func (a *Averager) FedAvg(parts []*Client, updates []*nn.Model) (*nn.Model, erro
 	}
 	w := a.weights[:len(parts)]
 	for i, c := range parts {
-		w[i] = float64(c.Data.Len())
+		w[i] = float64(c.Len())
 	}
 	if a.out == nil || !a.out.Cfg.Equal(updates[0].Cfg) {
 		a.out = nn.NewLike(updates[0])

@@ -45,11 +45,11 @@ func TestNewClientCachesFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID != 3 || len(c.Features) != 12 || c.FlatX.Dim(0) != 12 {
+	if c.ID != 3 || len(c.Features) != 12 || c.Len() != 12 {
 		t.Fatalf("client = %+v", c)
 	}
-	if c.FlatX.Dim(1) != env.InputDim() {
-		t.Fatalf("flat width = %d", c.FlatX.Dim(1))
+	if c.Features[0].Len() != env.InputDim() {
+		t.Fatalf("feature width = %d", c.Features[0].Len())
 	}
 	if len(c.Labels) != 12 {
 		t.Fatal("labels missing")
@@ -76,7 +76,7 @@ func TestCalibrateNormalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Normalized inputs should be roughly zero-mean unit-variance.
-	m := c.FlatX.Mean()
+	m := c.RowsInto(nil, c.Len()).Mean()
 	if m < -0.5 || m > 0.5 {
 		t.Fatalf("normalized mean = %g", m)
 	}
@@ -109,18 +109,92 @@ func TestClientBatchGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := c.Batch([]int{2, 5})
+	x, y := c.BatchInto(nil, nil, []int{2, 5})
 	if x.Dim(0) != 2 || len(y) != 2 {
 		t.Fatalf("batch shapes %v %v", x.Shape(), y)
 	}
 	if y[0] != c.Labels[2] || y[1] != c.Labels[5] {
 		t.Fatal("labels misaligned")
 	}
-	in := c.FlatX.Dim(1)
-	for j := 0; j < in; j++ {
-		if x.At(0, j) != c.FlatX.At(2, j) {
+	all := c.RowsInto(nil, c.Len())
+	for j := 0; j < env.InputDim(); j++ {
+		if x.At(0, j) != all.At(2, j) || x.At(1, j) != all.At(5, j) {
 			t.Fatal("row content misaligned")
 		}
+	}
+	// A smaller batch re-views the same storage; a larger one grows it.
+	small, _ := c.BatchInto(x, y, []int{7})
+	if small.Dim(0) != 1 || &small.Data()[0] != &x.Data()[0] {
+		t.Fatal("ragged batch did not reuse the buffer")
+	}
+	if big, _ := c.BatchInto(small, y, []int{0, 1, 2}); big.Dim(0) != 3 {
+		t.Fatalf("grown batch shape %v", big.Shape())
+	}
+}
+
+// TestBatchIntoMatchesNormalizeFeature is the property behind dropping
+// the cached FlatX: every gathered row is bit-equal to Env.NormalizeFeature
+// applied to a copy of the sample's raw features, for random batches and
+// for a zero FeatScale (read as 1).
+func TestBatchIntoMatchesNormalizeFeature(t *testing.T) {
+	env, gen := testEnv(t)
+	ds, err := gen.GenerateDomain(2, 20, "prop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calibrated := *env
+	if err := calibrated.Calibrate(8, ds); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for _, e := range []*fl.Env{env, &calibrated} {
+		c, err := fl.NewClient(e, 0, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x *tensor.Tensor
+		var y []int
+		for trial := 0; trial < 20; trial++ {
+			idx := make([]int, 1+r.Intn(c.Len()))
+			for k := range idx {
+				idx[k] = r.Intn(c.Len())
+			}
+			x, y = c.BatchInto(x, y, idx)
+			in := e.InputDim()
+			for bi, i := range idx {
+				want := append([]float64(nil), c.Features[i].Data()...)
+				e.NormalizeFeature(want)
+				for j, v := range x.Data()[bi*in : (bi+1)*in] {
+					if math.Float64bits(v) != math.Float64bits(want[j]) {
+						t.Fatalf("scale %g: row %d (sample %d) col %d = %v, want %v", e.FeatScale, bi, i, j, v, want[j])
+					}
+				}
+				if y[bi] != c.Labels[i] {
+					t.Fatalf("label %d = %d, want %d", bi, y[bi], c.Labels[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBatchIntoSteadyStateAllocs guards the training loops' reuse: a
+// batch gathered into buffers that already fit allocates nothing.
+func TestBatchIntoSteadyStateAllocs(t *testing.T) {
+	env, gen := testEnv(t)
+	ds, err := gen.GenerateDomain(1, 16, "allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fl.NewClient(env, 0, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := []int{3, 1, 4, 1, 5, 9, 2, 6}
+	x, y := c.BatchInto(nil, nil, idx)
+	if allocs := testing.AllocsPerRun(50, func() {
+		x, y = c.BatchInto(x, y, idx)
+	}); allocs != 0 {
+		t.Fatalf("steady-state BatchInto: %v allocs, want 0", allocs)
 	}
 }
 
@@ -307,7 +381,7 @@ type legacyFedAvg struct {
 func (a *legacyFedAvg) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
 	weights := make([]float64, len(parts))
 	for i, c := range parts {
-		weights[i] = float64(c.Data.Len())
+		weights[i] = float64(c.Len())
 	}
 	return testref.LegacyWeightedAverage(updates, weights)
 }
@@ -437,7 +511,7 @@ func TestRunParallelismBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec := model.ParamVector()
+		vec := model.Vector()
 		if ref == nil {
 			ref = vec
 			continue

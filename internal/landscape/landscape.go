@@ -17,6 +17,7 @@ import (
 	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/rng"
+	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
 // Grid is a square loss surface around a model.
@@ -52,10 +53,12 @@ func LossSurface(model *nn.Model, clients []*fl.Client, steps int, radius float6
 	d1 := randomDirection(model, src.Stream("dir1"))
 	d2 := randomDirection(model, src.Stream("dir2"))
 
-	base := model.ParamVector()
+	// The probe is a clone, so the live vector stays the fixed centre.
+	base := model.Vector()
 	probe := model.Clone()
 	grid := &Grid{Radius: radius, Loss: make([][]float64, steps)}
 	vec := make([]float64, len(base))
+	var x *tensor.Tensor
 	for i := 0; i < steps; i++ {
 		grid.Loss[i] = make([]float64, steps)
 		a := radius * (2*float64(i)/float64(steps-1) - 1)
@@ -67,7 +70,7 @@ func LossSurface(model *nn.Model, clients []*fl.Client, steps int, radius float6
 			if err := probe.SetParamVector(vec); err != nil {
 				return nil, err
 			}
-			l, err := pooledLoss(probe, clients)
+			l, err := pooledLoss(probe, clients, &x)
 			if err != nil {
 				return nil, err
 			}
@@ -103,10 +106,12 @@ func randomDirection(model *nn.Model, r interface{ NormFloat64() float64 }) []fl
 	return out
 }
 
-func pooledLoss(m *nn.Model, clients []*fl.Client) (float64, error) {
+// pooledLoss gathers each client's inputs into the reused buffer *x.
+func pooledLoss(m *nn.Model, clients []*fl.Client, x **tensor.Tensor) (float64, error) {
 	total, n := 0.0, 0
 	for _, c := range clients {
-		acts, err := m.Forward(c.FlatX)
+		*x = c.RowsInto(*x, c.Len())
+		acts, err := m.Forward(*x)
 		if err != nil {
 			return 0, err
 		}
@@ -114,8 +119,8 @@ func pooledLoss(m *nn.Model, clients []*fl.Client) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		total += l * float64(c.Data.Len())
-		n += c.Data.Len()
+		total += l * float64(c.Len())
+		n += c.Len()
 	}
 	if n == 0 {
 		return 0, fmt.Errorf("landscape: no data")

@@ -259,21 +259,11 @@ func (m *Model) NumParams() int { return len(m.arena) }
 
 // Vector returns the live flat parameter vector — a zero-copy view of
 // the arena in canonical order. Mutations are visible to the model;
-// callers that need a snapshot must use ParamVector.
+// callers that need a snapshot copy it.
 func (m *Model) Vector() []float64 { return m.arena }
 
-// ParamVector returns a copy of the flat parameter vector (canonical
-// order). It is the compatibility shim over the arena for callers that
-// hold parameter snapshots (landscape probes, engine Results); hot paths
-// should use Vector, which does not allocate.
-func (m *Model) ParamVector() []float64 {
-	out := make([]float64, len(m.arena))
-	copy(out, m.arena)
-	return out
-}
-
-// SetParamVector writes a flat vector (from ParamVector/Vector of a
-// same-config model) back into the arena. It copies into the existing
+// SetParamVector writes a flat vector (from Vector of a same-config
+// model) back into the arena. It copies into the existing
 // storage and never allocates.
 func (m *Model) SetParamVector(v []float64) error {
 	if len(v) != len(m.arena) {

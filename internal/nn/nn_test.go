@@ -259,7 +259,7 @@ func TestBackwardDZExtraFiniteDifferences(t *testing.T) {
 
 func TestParamVectorRoundTrip(t *testing.T) {
 	m := smallModel(t, 7)
-	v := m.ParamVector()
+	v := m.Vector()
 	if len(v) != m.NumParams() {
 		t.Fatalf("vector len %d vs NumParams %d", len(v), m.NumParams())
 	}
@@ -280,16 +280,12 @@ func TestParamVectorRoundTrip(t *testing.T) {
 	}
 }
 
-// ParamVector must be a snapshot (the compatibility shim), Vector a live
-// view of the arena, and Params zero-copy views into it.
+// Vector must be a live view of the arena, and Params zero-copy views
+// into it.
 func TestVectorAliasing(t *testing.T) {
 	m := smallModel(t, 70)
-	snap := m.ParamVector()
 	live := m.Vector()
 	m.Params()[idxW1].Data()[0] += 42
-	if snap[0] == m.Vector()[0] {
-		t.Fatal("ParamVector must copy out of the arena")
-	}
 	if live[0] != m.Vector()[0] {
 		t.Fatal("Vector must alias the arena")
 	}
@@ -445,11 +441,11 @@ func TestSGDClip(t *testing.T) {
 	}
 	opt := nn.NewSGD(1, 0, 0)
 	opt.Clip = 1
-	before := m.ParamVector()
+	before := append([]float64(nil), m.Vector()...)
 	if err := opt.Step(m, g); err != nil {
 		t.Fatal(err)
 	}
-	after := m.ParamVector()
+	after := m.Vector()
 	moved := 0.0
 	for i := range before {
 		d := after[i] - before[i]
