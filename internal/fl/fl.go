@@ -103,6 +103,7 @@ func standardize(dst, src []float64, shift, scale float64) {
 	if scale == 0 {
 		scale = 1
 	}
+	dst = dst[:len(src)] // one bounds check for the whole loop
 	for i, v := range src {
 		dst[i] = (v - shift) * scale
 	}
