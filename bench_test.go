@@ -26,7 +26,6 @@ import (
 	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/synth"
 	"github.com/pardon-feddg/pardon/internal/tensor"
-	"github.com/pardon-feddg/pardon/internal/testref"
 )
 
 var logOnce sync.Map
@@ -451,19 +450,6 @@ func BenchmarkAggregateArena(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregateLegacy measures the pre-refactor reference: a fresh
-// clone per round, zeroed, accumulated tensor by tensor.
-func BenchmarkAggregateLegacy(b *testing.B) {
-	models, weights := benchAggregateModels(b, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := testref.LegacyWeightedAverage(models, weights); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkModelTrainStepReuse measures the fused forward/backward path
 // with activation and scratch reuse — the per-batch cost every local
 // training loop pays.
@@ -485,6 +471,46 @@ func BenchmarkModelTrainStepReuse(b *testing.B) {
 		grads.Zero()
 		if err := m.Backward(acts, dLogits, nil, grads); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrainStep times one whole local-training step on the
+// train-grid model: ForwardInto, then Backward into zeroed gradients,
+// then SGD.Step, as fl.LocalSGD runs them. Sub-benchmarks cover both
+// precisions and both batch sizes of a 48-sample client (a 32-row
+// batch, then a ragged 16-row one). Names are stable
+// (TrainStep/<dtype>/<rows>) for scripts/benchcmp.
+func BenchmarkTrainStep(b *testing.B) {
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		for _, rows := range []int{32, 16} {
+			b.Run(fmt.Sprintf("%s/%d", prec, rows), func(b *testing.B) {
+				cfg := nn.Config{In: 1024, Hidden: 64, ZDim: 32, Classes: 7, Precision: prec}
+				m, err := nn.New(cfg, rand.New(rand.NewSource(4)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				x := tensor.Randn(rand.New(rand.NewSource(5)), 1, rows, cfg.In)
+				dLogits := tensor.Randn(rand.New(rand.NewSource(6)), 0.1, rows, cfg.Classes)
+				grads := m.NewGrads()
+				h := fl.DefaultHyper()
+				opt := nn.NewSGD(h.LR, h.Momentum, h.WeightDecay)
+				acts := &nn.Activations{}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := m.ForwardInto(acts, x); err != nil {
+						b.Fatal(err)
+					}
+					grads.Zero()
+					if err := m.Backward(acts, dLogits, nil, grads); err != nil {
+						b.Fatal(err)
+					}
+					if err := opt.Step(m, grads); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

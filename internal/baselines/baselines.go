@@ -22,9 +22,9 @@ import (
 // the server-side methods (FedGMA, FedDG-GA).
 func trainCE(env *fl.Env, c *fl.Client, global *nn.Model, round int, name string) (*nn.Model, error) {
 	r := env.RNG.Stream(name, "train", strconv.Itoa(c.ID), strconv.Itoa(round))
-	// One activation set serves every batch; only a ragged final batch
-	// resizes it.
-	acts := &nn.Activations{}
+	// One activation set serves every batch, recycled across calls.
+	acts := nn.AcquireActivations()
+	defer acts.Release()
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err

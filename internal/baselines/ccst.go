@@ -136,8 +136,9 @@ func (c *CCST) LocalTrain(env *fl.Env, cl *fl.Client, global *nn.Model, round in
 	}
 
 	in := env.InputDim()
-	acts := &nn.Activations{}
-	actsP := &nn.Activations{}
+	acts, actsP := nn.AcquireActivations(), nn.AcquireActivations()
+	defer acts.Release()
+	defer actsP.Release()
 	return fl.LocalSGD(env, cl, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err

@@ -54,7 +54,8 @@ func (*FedSR) Setup(*fl.Env, []*fl.Client) error { return nil }
 // collapse stays a modelling failure, never a numeric one.
 func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
 	r := env.RNG.Stream("FedSR", "train", strconv.Itoa(c.ID), strconv.Itoa(round))
-	acts := &nn.Activations{}
+	acts := nn.AcquireActivations()
+	defer acts.Release()
 	var classMeans [][]float64
 	return fl.LocalSGD(env, c, global, r, 5, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		// Class-conditional reference means from the client's local

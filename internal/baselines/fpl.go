@@ -70,7 +70,8 @@ func (f *FPL) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int)
 	protos := f.protos
 	f.mu.RUnlock()
 
-	acts := &nn.Activations{}
+	acts := nn.AcquireActivations()
+	defer acts.Release()
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err

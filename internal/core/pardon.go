@@ -367,8 +367,9 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 	r := env.RNG.Stream(p.Name(), "train", itoa(c.ID), itoa(round))
 	// Both views reuse one activation set each across every batch; the
 	// contrastive backward needs the two alive at once.
-	actsA := &nn.Activations{}
-	actsP := &nn.Activations{}
+	actsA, actsP := nn.AcquireActivations(), nn.AcquireActivations()
+	defer actsA.Release()
+	defer actsP.Release()
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		if err := model.ForwardInto(actsA, x); err != nil {
 			return err

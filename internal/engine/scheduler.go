@@ -295,21 +295,43 @@ func (j *Job) advanceRemote(round, total int) int {
 	return n
 }
 
-// finishLocked moves the job to a terminal state; j.mu must be held.
-func (j *Job) finishLocked(state State, res *Result, err error) {
+// settleLocked moves the job to a terminal state without waking anyone,
+// and reports false, changing nothing, if it already was terminal. j.mu
+// must be held through publishLocked: every path that ends a job
+// accounts for it (run time, completion counter, spans) in between, so
+// whoever Wait or the event stream wakes reads counters that include
+// it.
+func (j *Job) settleLocked(state State, res *Result, err error) bool {
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.state = state
 	j.result = res
 	j.err = err
 	j.finished = time.Now()
+	return true
+}
+
+// publishLocked sends the terminal event and wakes every waiter and
+// subscriber of a job settleLocked has just settled; j.mu must be held.
+func (j *Job) publishLocked() {
 	j.emitLocked()
 	for _, ch := range j.subs {
 		close(ch)
 	}
 	j.subs = nil
 	close(j.done)
+}
+
+// outcome maps a run's error to the job's terminal state.
+func outcome(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, context.Canceled):
+		return StateCancelled
+	}
+	return StateFailed
 }
 
 // Scheduler owns the bounded worker pool and the fair-share queue:
@@ -572,13 +594,13 @@ func (s *Scheduler) cancel(id string) error {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.finishLocked(StateCancelled, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
-		finished := j.finished
-		j.mu.Unlock()
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, finished, nil)
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
+		j.settleLocked(StateCancelled, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
+		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.finished, nil)
+		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
 			map[string]string{"state": string(StateCancelled)})
 		s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
+		j.publishLocked()
+		j.mu.Unlock()
 		s.log.Info("engine: job cancelled while queued", "trace", j.TraceID, "job", j.ID)
 		// A deliberate cancel is terminal and must not replay; a cancel
 		// caused by the scheduler draining must.
@@ -672,27 +694,27 @@ func (s *Scheduler) worker() {
 
 		res, err := j.run(ctx, j)
 		cancel()
-
-		j.mu.Lock()
-		switch {
-		case err == nil:
-			j.finishLocked(StateDone, res, nil)
-		case errors.Is(err, context.Canceled):
-			j.finishLocked(StateCancelled, nil, err)
-		default:
-			j.finishLocked(StateFailed, nil, err)
+		if err != nil {
+			res = nil
 		}
+
+		// Account for the job before publishing its end: a waiter woken
+		// by Wait reads run time, completion count and spans at once.
+		j.mu.Lock()
+		settled := j.settleLocked(outcome(err), res, err)
 		state := j.state
 		runSec := j.finished.Sub(j.started).Seconds()
-		started, finished, runSpan := j.started, j.finished, j.runSpan
-		j.mu.Unlock()
-		s.recordSpanID(j, runSpan, j.rootSpan, "run", started, finished,
+		s.recordSpanID(j, j.runSpan, j.rootSpan, "run", j.started, j.finished,
 			map[string]string{"worker": "local", "state": string(state)})
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
+		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
 			map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
 		s.metrics.running.Dec()
 		s.metrics.runSeconds.With(method).Observe(runSec)
 		s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
+		if settled {
+			j.publishLocked()
+		}
+		j.mu.Unlock()
 		// Drain cancellations stay live in the journal so the job
 		// re-enqueues on the next boot; every other outcome is terminal.
 		if !(state == StateCancelled && s.isClosed()) {
@@ -824,12 +846,13 @@ func (s *Scheduler) requeueRemote(j *Job) bool {
 		j.mu.Lock()
 		finished := false
 		if j.state == StateRunning {
-			j.finishLocked(StateCancelled, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
+			j.settleLocked(StateCancelled, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
+			s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
+			j.publishLocked()
 			finished = true
 		}
 		j.mu.Unlock()
 		if finished {
-			s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
 			s.release(j)
 		}
 		return false
@@ -875,33 +898,29 @@ func (s *Scheduler) completeRemote(j *Job, res *Result, jobErr error) bool {
 		j.mu.Unlock()
 		return false
 	}
+	if jobErr != nil {
+		res = nil
+	}
 	worker := j.worker
 	started := j.started
-	switch {
-	case jobErr == nil:
-		j.finishLocked(StateDone, res, nil)
-	case errors.Is(jobErr, context.Canceled):
-		j.finishLocked(StateCancelled, nil, jobErr)
-	default:
-		j.finishLocked(StateFailed, nil, jobErr)
-	}
+	method := methodLabel(j)
+	// Account for the job before publishing its end, as the local
+	// worker loop does.
+	j.settleLocked(outcome(jobErr), res, jobErr)
 	state := j.state
 	runSec := 0.0
-	if !started.IsZero() {
-		runSec = j.finished.Sub(started).Seconds()
-	}
-	finished, runSpan := j.finished, j.runSpan
-	j.mu.Unlock()
-	method := methodLabel(j)
 	// A late result for a requeued job has no run interval to record.
 	if !started.IsZero() {
-		s.recordSpanID(j, runSpan, j.rootSpan, "lease", started, finished,
+		runSec = j.finished.Sub(started).Seconds()
+		s.recordSpanID(j, j.runSpan, j.rootSpan, "lease", started, j.finished,
 			map[string]string{"worker": worker, "state": string(state)})
 		s.metrics.runSeconds.With(method).Observe(runSec)
 	}
-	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, finished,
+	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
 		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
 	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
+	j.publishLocked()
+	j.mu.Unlock()
 	// Drain cancellations stay live in the journal (same contract as the
 	// local worker loop): the job must re-enqueue on the next boot.
 	if !(state == StateCancelled && s.isClosed()) {

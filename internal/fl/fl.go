@@ -231,11 +231,8 @@ func NewClients(env *Env, parts []*dataset.Dataset) ([]*Client, error) {
 // that feeds its buffers back allocates nothing per batch.
 func (c *Client) BatchInto(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor, []int) {
 	in := c.Features[0].Len()
-	x = rowsOf(x, len(idx), in)
-	if cap(y) < len(idx) {
-		y = make([]int, len(idx))
-	}
-	y = y[:len(idx)]
+	x = tensor.Fit2D(x, len(idx), in)
+	y = tensor.Fit(y, len(idx))
 	dst := x.Data()
 	for bi, i := range idx {
 		standardize(dst[bi*in:(bi+1)*in], c.Features[i].Data(), c.FeatShift, c.FeatScale)
@@ -249,24 +246,12 @@ func (c *Client) BatchInto(x *tensor.Tensor, y []int, idx []int) (*tensor.Tensor
 // labels are c.Labels[:n].
 func (c *Client) RowsInto(x *tensor.Tensor, n int) *tensor.Tensor {
 	in := c.Features[0].Len()
-	x = rowsOf(x, n, in)
+	x = tensor.Fit2D(x, n, in)
 	dst := x.Data()
 	for i, f := range c.Features[:n] {
 		standardize(dst[i*in:(i+1)*in], f.Data(), c.FeatShift, c.FeatScale)
 	}
 	return x
-}
-
-// rowsOf returns x when it is an (n, d) tensor, an (n, d) view of its
-// storage when that has room, else a fresh tensor.
-func rowsOf(x *tensor.Tensor, n, d int) *tensor.Tensor {
-	switch {
-	case x != nil && x.Dims() == 2 && x.Dim(0) == n && x.Dim(1) == d:
-		return x
-	case x != nil && cap(x.Data()) >= n*d:
-		return tensor.MustFromSlice(x.Data()[:n*d], n, d)
-	}
-	return tensor.New(n, d)
 }
 
 // GatherRows copies rows at idx from an (n, d) tensor into a new batch
@@ -299,12 +284,23 @@ func Batches(n, batchSize int, r *rand.Rand) [][]int {
 	return out
 }
 
+// batchBuf is LocalSGD's batch buffer: the gathered inputs and labels.
+type batchBuf struct {
+	x *tensor.Tensor
+	y []int
+}
+
+// batchPool recycles batch buffers across LocalSGD calls, so a pass
+// gathers into the rows an earlier pass allocated.
+var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
+
 // LocalSGD is the local-training loop every method shares: it trains a
 // clone of global by SGD (gradient norm clipped at clip; 0 is off) for
 // Hyper.LocalEpochs over shuffled batches of c drawn from r, and returns
 // the clone. step adds one batch's gradients into grads, which are
-// zeroed before each call; the batch buffers x and y are reused across
-// batches, and the gradients and optimizer state are recycled on return.
+// zeroed before each call. The batch buffers x and y are reused across
+// batches and recycled across calls, so step must not keep them; the
+// gradients and optimizer state are recycled on return.
 func LocalSGD(env *Env, c *Client, global *nn.Model, r *rand.Rand, clip float64,
 	step func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error) (*nn.Model, error) {
 	model := global.Clone()
@@ -313,13 +309,13 @@ func LocalSGD(env *Env, c *Client, global *nn.Model, r *rand.Rand, clip float64,
 	grads := model.NewGrads()
 	defer grads.Release()
 	defer opt.Release()
-	var x *tensor.Tensor
-	var y []int
+	buf := batchPool.Get().(*batchBuf)
+	defer batchPool.Put(buf)
 	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
 		for _, idx := range Batches(c.Len(), env.Hyper.BatchSize, r) {
-			x, y = c.BatchInto(x, y, idx)
+			buf.x, buf.y = c.BatchInto(buf.x, buf.y, idx)
 			grads.Zero()
-			if err := step(model, grads, x, y, idx); err != nil {
+			if err := step(model, grads, buf.x, buf.y, idx); err != nil {
 				return nil, err
 			}
 			if err := opt.Step(model, grads); err != nil {

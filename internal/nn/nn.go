@@ -304,8 +304,9 @@ func (m *Model) Forward(x *tensor.Tensor) (*Activations, error) {
 }
 
 // ForwardInto runs the full model on a batch X of shape (B, In), writing
-// into acts. Activation tensors already shaped for this batch size are
-// reused in place (zero allocations steady-state); others are allocated.
+// into acts. Activation buffers are reused in place whenever they have
+// room (tensor.Fit2D), so alternating batch sizes allocate only at the
+// largest size and steady state allocates nothing.
 // The caller must not reuse acts while a previous batch's activations are
 // still needed.
 func (m *Model) ForwardInto(acts *Activations, x *tensor.Tensor) error {
@@ -325,13 +326,13 @@ func (m *Model) ForwardInto(acts *Activations, x *tensor.Tensor) error {
 	cur := x
 	for i, ly := range m.layers {
 		w := ly.W.Dim(1)
-		acts.pre[i] = ensure2D(acts.pre[i], b, w)
+		acts.pre[i] = tensor.Fit2D(acts.pre[i], b, w)
 		if err := tensor.MatMulInto(acts.pre[i], cur, ly.W); err != nil {
 			return err
 		}
 		addRowVector(acts.pre[i], ly.B)
 		if ly.ReLU {
-			acts.out[i] = ensure2D(acts.out[i], b, w)
+			acts.out[i] = tensor.Fit2D(acts.out[i], b, w)
 			if err := tensor.ApplyInto(acts.out[i], acts.pre[i], relu); err != nil {
 				return err
 			}
@@ -364,14 +365,6 @@ func (m *Model) RecomputeLogits(acts *Activations) error {
 	return nil
 }
 
-// ensure2D returns t when it is already an (r,c) tensor, else a fresh one.
-func ensure2D(t *tensor.Tensor, r, c int) *tensor.Tensor {
-	if t != nil && t.Dims() == 2 && t.Dim(0) == r && t.Dim(1) == c {
-		return t
-	}
-	return tensor.New(r, c)
-}
-
 // Embed returns only the embedding Z for a batch (no classifier).
 func (m *Model) Embed(x *tensor.Tensor) (*tensor.Tensor, error) {
 	acts, err := m.Forward(x)
@@ -392,13 +385,10 @@ type Grads struct {
 	all    *tensor.Tensor
 	layers []Layer
 
-	// scratch holds Backward's temporaries: per-layer weight-gradient
-	// staging (fixed shapes) and the per-layer delta flows (reallocated
-	// only when the batch size changes).
-	scratch struct {
-		gW    []*tensor.Tensor
-		delta []*tensor.Tensor
-	}
+	// delta holds Backward's per-layer delta flows, grown only when the
+	// batch outgrows them. Weight gradients need no scratch: the
+	// aᵀ@b kernel adds them straight into the arena.
+	delta []*tensor.Tensor
 	// s32 is the float32 analog used by the F32 compute path
 	// (precision.go): weight-gradient staging, delta flows, and the
 	// narrowed loss gradient at the logits.
@@ -423,8 +413,7 @@ func (m *Model) NewGrads() *Grads {
 		all:    tensor.MustFromSlice(arena, len(arena)),
 		layers: bindLayers(m.Cfg, arena),
 	}
-	g.scratch.gW = make([]*tensor.Tensor, len(g.layers))
-	g.scratch.delta = make([]*tensor.Tensor, len(g.layers)-1)
+	g.delta = make([]*tensor.Tensor, len(g.layers)-1)
 	return g
 }
 
@@ -448,7 +437,7 @@ func (g *Grads) Params() []*tensor.Tensor {
 // prototype losses), also optional.
 func (m *Model) Backward(acts *Activations, dLogits, dZExtra *tensor.Tensor, grads *Grads) error {
 	nL := len(m.layers)
-	if len(acts.out) != nL || acts.out[nL-1] == nil {
+	if acts.X == nil || len(acts.out) != nL || acts.out[nL-1] == nil {
 		return fmt.Errorf("nn: Backward before a forward pass of this model")
 	}
 	if !grads.cfg.Equal(m.Cfg) {
@@ -458,21 +447,16 @@ func (m *Model) Backward(acts *Activations, dLogits, dZExtra *tensor.Tensor, gra
 		return m.backward32(acts, dLogits, dZExtra, grads)
 	}
 	b := acts.X.Dim(0)
-	sc := &grads.scratch
 	emb := nL - 2 // the embedding projection; layers[nL-1] is g
-	sc.delta[emb] = ensure2D(sc.delta[emb], b, m.Cfg.ZDim)
-	dZ := sc.delta[emb]
+	grads.delta[emb] = tensor.Fit2D(grads.delta[emb], b, m.Cfg.ZDim)
+	dZ := grads.delta[emb]
 	if dLogits != nil {
 		if dLogits.Dim(0) != b || dLogits.Dim(1) != m.Cfg.Classes {
 			return fmt.Errorf("nn: dLogits shape %v, want (%d,%d)", dLogits.Shape(), b, m.Cfg.Classes)
 		}
-		// Classifier grads, staged through the reusable scratch tensor.
+		// Classifier grads, added straight into the accumulator.
 		cls := m.layers[nL-1]
-		sc.gW[nL-1] = ensure2D(sc.gW[nL-1], m.Cfg.ZDim, m.Cfg.Classes)
-		if err := tensor.MatMulATBInto(sc.gW[nL-1], acts.Z, dLogits); err != nil {
-			return err
-		}
-		if err := grads.layers[nL-1].W.AddInPlace(sc.gW[nL-1]); err != nil {
+		if err := tensor.MatMulATBAddInto(grads.layers[nL-1].W, acts.Z, dLogits); err != nil {
 			return err
 		}
 		addColumnSums(grads.layers[nL-1].B, dLogits)
@@ -495,20 +479,15 @@ func (m *Model) Backward(acts *Activations, dLogits, dZExtra *tensor.Tensor, gra
 		if i > 0 {
 			input = acts.out[i-1]
 		}
-		inW, outW := m.layers[i].W.Dim(0), m.layers[i].W.Dim(1)
-		sc.gW[i] = ensure2D(sc.gW[i], inW, outW)
-		if err := tensor.MatMulATBInto(sc.gW[i], input, d); err != nil {
-			return err
-		}
-		if err := grads.layers[i].W.AddInPlace(sc.gW[i]); err != nil {
+		if err := tensor.MatMulATBAddInto(grads.layers[i].W, input, d); err != nil {
 			return err
 		}
 		addColumnSums(grads.layers[i].B, d)
 		if i == 0 {
 			break
 		}
-		sc.delta[i-1] = ensure2D(sc.delta[i-1], b, inW)
-		dPrev := sc.delta[i-1]
+		grads.delta[i-1] = tensor.Fit2D(grads.delta[i-1], b, m.layers[i].W.Dim(0))
+		dPrev := grads.delta[i-1]
 		if err := tensor.MatMulABTInto(dPrev, d, m.layers[i].W); err != nil {
 			return err
 		}
@@ -555,6 +534,7 @@ func (s *SGD) Step(m *Model, g *Grads) error {
 		s.vel = acquireVel(len(pd))
 	}
 	if s.Clip > 0 {
+		// The norm stays a scalar sum in ascending order.
 		total := 0.0
 		for _, v := range gd {
 			total += v * v
@@ -563,11 +543,7 @@ func (s *SGD) Step(m *Model, g *Grads) error {
 			g.all.Scale(s.Clip / norm)
 		}
 	}
-	vd := s.vel
-	for j := range pd {
-		vd[j] = s.Momentum*vd[j] - s.LR*(gd[j]+s.WeightDecay*pd[j])
-		pd[j] += vd[j]
-	}
+	tensor.MomentumStep(pd, s.vel, gd, s.Momentum, s.LR, s.WeightDecay)
 	return nil
 }
 

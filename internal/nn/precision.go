@@ -95,14 +95,6 @@ func (m *Model) syncShadow() {
 	tensor.NarrowInto(m.shadow.arena, m.arena)
 }
 
-// ensureF32 returns s when it already has length n, else a fresh slice.
-func ensureF32(s []float32, n int) []float32 {
-	if len(s) == n {
-		return s
-	}
-	return make([]float32, n)
-}
-
 // forward32 is ForwardInto's F32 body: float32 matmuls layer by layer,
 // then Z and the logits widened into the float64 tensors the losses
 // consume. Reuses acts' buffers across same-size batches like the
@@ -120,16 +112,16 @@ func (m *Model) forward32(acts *Activations, x *tensor.Tensor) error {
 		acts.out32 = make([][]float32, nL)
 	}
 	acts.X = x
-	acts.x32 = ensureF32(acts.x32, b*m.Cfg.In)
+	acts.x32 = tensor.Fit(acts.x32, b*m.Cfg.In)
 	tensor.NarrowInto(acts.x32, x.Data())
 	cur := acts.x32
 	for i, ly := range m.layers {
 		in, out := ly.W.Dim(0), ly.W.Dim(1)
-		acts.pre32[i] = ensureF32(acts.pre32[i], b*out)
+		acts.pre32[i] = tensor.Fit(acts.pre32[i], b*out)
 		tensor.MatMulF32(acts.pre32[i], cur, m.shadow.w[i], b, in, out)
 		addRowVector32(acts.pre32[i], m.shadow.b[i])
 		if ly.ReLU {
-			acts.out32[i] = ensureF32(acts.out32[i], b*out)
+			acts.out32[i] = tensor.Fit(acts.out32[i], b*out)
 			for j, v := range acts.pre32[i] {
 				if v < 0 {
 					v = 0
@@ -145,10 +137,10 @@ func (m *Model) forward32(acts *Activations, x *tensor.Tensor) error {
 	// for the hidden layers stays nil — Backward dispatches to
 	// backward32, which reads the float32 mirrors instead.
 	emb := nL - 2
-	acts.out[emb] = ensure2D(acts.out[emb], b, m.Cfg.ZDim)
+	acts.out[emb] = tensor.Fit2D(acts.out[emb], b, m.Cfg.ZDim)
 	acts.pre[emb] = acts.out[emb]
 	tensor.WidenInto(acts.out[emb].Data(), acts.out32[emb])
-	acts.out[nL-1] = ensure2D(acts.out[nL-1], b, m.Cfg.Classes)
+	acts.out[nL-1] = tensor.Fit2D(acts.out[nL-1], b, m.Cfg.Classes)
 	acts.pre[nL-1] = acts.out[nL-1]
 	tensor.WidenInto(acts.out[nL-1].Data(), acts.out32[nL-1])
 	acts.Z = acts.out[emb]
@@ -190,17 +182,17 @@ func (m *Model) backward32(acts *Activations, dLogits, dZExtra *tensor.Tensor, g
 		sc.delta = make([][]float32, nL-1)
 	}
 	emb := nL - 2
-	sc.delta[emb] = ensureF32(sc.delta[emb], b*m.Cfg.ZDim)
+	sc.delta[emb] = tensor.Fit(sc.delta[emb], b*m.Cfg.ZDim)
 	dZ := sc.delta[emb]
 	if dLogits != nil {
 		if dLogits.Dim(0) != b || dLogits.Dim(1) != m.Cfg.Classes {
 			return fmt.Errorf("nn: dLogits shape %v, want (%d,%d)", dLogits.Shape(), b, m.Cfg.Classes)
 		}
-		sc.dl = ensureF32(sc.dl, b*m.Cfg.Classes)
+		sc.dl = tensor.Fit(sc.dl, b*m.Cfg.Classes)
 		tensor.NarrowInto(sc.dl, dLogits.Data())
-		sc.gW[nL-1] = ensureF32(sc.gW[nL-1], m.Cfg.ZDim*m.Cfg.Classes)
+		sc.gW[nL-1] = tensor.Fit(sc.gW[nL-1], m.Cfg.ZDim*m.Cfg.Classes)
 		tensor.MatMulATBF32(sc.gW[nL-1], acts.out32[emb], sc.dl, b, m.Cfg.ZDim, m.Cfg.Classes)
-		widenAdd(grads.layers[nL-1].W.Data(), sc.gW[nL-1])
+		tensor.WidenAddInto(grads.layers[nL-1].W.Data(), sc.gW[nL-1])
 		addColumnSums32(grads.layers[nL-1].B.Data(), sc.dl)
 		tensor.MatMulABTF32(dZ, sc.dl, m.shadow.w[nL-1], b, m.Cfg.Classes, m.Cfg.ZDim)
 	} else {
@@ -224,14 +216,14 @@ func (m *Model) backward32(acts *Activations, dLogits, dZExtra *tensor.Tensor, g
 			input = acts.out32[i-1]
 		}
 		inW, outW := m.layers[i].W.Dim(0), m.layers[i].W.Dim(1)
-		sc.gW[i] = ensureF32(sc.gW[i], inW*outW)
+		sc.gW[i] = tensor.Fit(sc.gW[i], inW*outW)
 		tensor.MatMulATBF32(sc.gW[i], input, d, b, inW, outW)
-		widenAdd(grads.layers[i].W.Data(), sc.gW[i])
+		tensor.WidenAddInto(grads.layers[i].W.Data(), sc.gW[i])
 		addColumnSums32(grads.layers[i].B.Data(), d)
 		if i == 0 {
 			break
 		}
-		sc.delta[i-1] = ensureF32(sc.delta[i-1], b*inW)
+		sc.delta[i-1] = tensor.Fit(sc.delta[i-1], b*inW)
 		dPrev := sc.delta[i-1]
 		tensor.MatMulABTF32(dPrev, d, m.shadow.w[i], b, outW, inW)
 		if m.layers[i-1].ReLU {
@@ -245,13 +237,6 @@ func (m *Model) backward32(acts *Activations, dLogits, dZExtra *tensor.Tensor, g
 		d = dPrev
 	}
 	return nil
-}
-
-// widenAdd accumulates a float32 slice into a float64 accumulator.
-func widenAdd(dst []float64, src []float32) {
-	for i, v := range src {
-		dst[i] += float64(v)
-	}
 }
 
 // addRowVector32 adds a length-n vector to every row of a (m·n) slice.

@@ -23,6 +23,7 @@ var (
 	modelPools sync.Map // arena len -> *sync.Pool of *Model
 	gradsPools sync.Map // arena len -> *sync.Pool of *Grads
 	velPools   sync.Map // len -> *sync.Pool of *[]float64
+	actsPool   sync.Pool
 )
 
 func poolFor(m *sync.Map, n int) *sync.Pool {
@@ -96,6 +97,31 @@ func (s *SGD) Release() {
 	v := s.vel
 	s.vel = nil
 	poolFor(&velPools, len(v)).Put(&v)
+}
+
+// AcquireActivations returns an activation set for ForwardInto,
+// recycled from a released one when the pool has it: its buffers,
+// sized by an earlier pass, are reused in place (they fit any model,
+// growing when a batch outgrows them).
+func AcquireActivations() *Activations {
+	if a, ok := actsPool.Get().(*Activations); ok {
+		return a
+	}
+	return &Activations{}
+}
+
+// Release returns the activation buffers to the pool for a future
+// AcquireActivations. The caller must not touch a — or Z, Logits or any
+// other tensor read from it — afterwards.
+func (a *Activations) Release() {
+	if a == nil {
+		return
+	}
+	// Drop the caller's batch, and the views that mark a forward pass
+	// done, so a recycled set reads as fresh to Backward and
+	// RecomputeLogits.
+	a.X, a.Z, a.Logits = nil, nil, nil
+	actsPool.Put(a)
 }
 
 // acquireVel returns a zeroed velocity vector of length n.

@@ -84,3 +84,10 @@ func SetSIMD(on bool) (restore func()) {
 	useSIMD = on && haveSIMD
 	return func() { useSIMD = prev }
 }
+
+// MatMulATBF32AddInto adds aᵀ@b into out over float32 slices. Only the
+// float64 product accumulates in production; this hook runs the same
+// epilogue on the float32 tile and strips, so their add path is tested.
+func MatMulATBF32AddInto(out, a, b []float32, k, m, n int) {
+	atbTiled(tile4x16F32, 16, a, b, out, k, m, n, 0, m, true)
+}

@@ -65,11 +65,30 @@ func WidenInto(dst []float64, src []float32) {
 	}
 }
 
+// WidenAddInto accumulates src into dst element-wise: dst[i] +=
+// float64(src[i]). The widening is exact, and the add is the one the
+// scalar loop makes, four lanes at a time on SIMD.
+func WidenAddInto(dst []float64, src []float32) {
+	checkLen("widenadd dst", len(dst), len(src))
+	i := simdLen(len(src))
+	if i > 0 {
+		widenAddF32(&dst[0], &src[0], i)
+	}
+	for ; i < len(src); i++ {
+		dst[i] += float64(src[i])
+	}
+}
+
 // NarrowInto converts src to float32 element-wise, rounding to nearest
-// (ties to even); values outside the float32 range become ±Inf.
+// (ties to even); values outside the float32 range become ±Inf. The
+// SIMD conversion rounds under the same MXCSR mode as the scalar one.
 func NarrowInto(dst []float32, src []float64) {
 	checkLen("narrow dst", len(dst), len(src))
-	for i, v := range src {
-		dst[i] = float32(v)
+	i := simdLen(len(src))
+	if i > 0 {
+		narrowF64(&dst[0], &src[0], i)
+	}
+	for ; i < len(src); i++ {
+		dst[i] = float32(src[i])
 	}
 }

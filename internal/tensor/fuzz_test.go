@@ -15,16 +15,18 @@ import (
 // is the strongest one the kernels claim: bit-identical output, not
 // tolerance. The float64 kernels must reproduce the naive serial loops
 // exactly (the determinism contract that lets Parallelism stay outside
-// the content-address), and the float32 kernels must reproduce the
-// scalar float32 loops exactly (same loop order, same zero-skip
-// semantics). Besides ±0, both operands carry a few NaN, ±Inf,
+// the content-address), and MatMulATBAddInto, which accumulates into an
+// out of fuzzed values, the serial product plus one add per element.
+// The float32 kernels must reproduce the scalar float32 loops exactly
+// (same loop order, same zero-skip semantics). Besides ±0, both operands carry a few NaN, ±Inf,
 // subnormal and near-overflow entries, so the SIMD tiles' a != 0 mask
 // must drop exactly the terms the references skip.
 //
 // Shapes are folded into ranges that cross every blocking boundary: the
 // 4×8 and 4×16 SIMD tiles' and the 2×4 register strips' ragged tails on
 // all axes, the serial-vs-pool work threshold, and the per-worker row
-// split. The checked-in corpus under testdata/fuzz pins those edges; CI
+// split. The checked-in corpus under testdata/fuzz pins those edges
+// (the atb-accumulate entries at the accumulate epilogue's); CI
 // additionally runs a fixed-budget fuzz smoke so new mutations keep
 // probing them.
 func FuzzMatMulKernels(f *testing.F) {
@@ -99,6 +101,18 @@ func checkKernels(t *testing.T, r *rand.Rand, m, k, n int) {
 	bt32 := specialF32(r, n*k)
 	tensor.MatMulABTF32(out32, a32, bt32, m, k, n)
 	f32BitsEqual(t, "matmulABTF32", out32, abtRefF32(a32, bt32, m, k, n))
+
+	// The accumulate epilogue: aᵀ@b added into a non-zero out must equal
+	// the serial product plus one add per element.
+	acc := specialMatrix(r, m, n)
+	wantAcc := acc.Clone()
+	for i, v := range wantATB.Data() {
+		wantAcc.Data()[i] += v
+	}
+	if err := tensor.MatMulATBAddInto(acc, at, b); err != nil {
+		t.Fatal(err)
+	}
+	bitsEqual(t, "matmulATB accumulate", acc, wantAcc)
 }
 
 // Special operands: NaN, ±Inf, subnormals and near-overflow values.

@@ -165,10 +165,12 @@ func matMulRange(a, b, out []float64, k, n, lo, hi int) {
 	mmTiled(tile4x8F64, 8, a, b, out, k, n, lo, hi)
 }
 
-// matMulATBRange: out[i,j] = Σ_p a[p,i]·b[p,j] (a is k×m) for i in
-// [lo,hi). Assigns every cell, so out need not be zeroed.
+// matMulATBRange: out[i,j] += Σ_p a[p,i]·b[p,j] (a is k×m) for i in
+// [lo,hi). It accumulates, so callers that want assignment zero out
+// first: the gated sum starts at +0 and is never −0, so 0 + acc = acc
+// in every bit.
 func matMulATBRange(a, b, out []float64, k, m, n, lo, hi int) {
-	atbTiled(tile4x8F64, 8, a, b, out, k, m, n, lo, hi)
+	atbTiled(tile4x8F64, 8, a, b, out, k, m, n, lo, hi, true)
 }
 
 // matMulABTRange: out[i,j] = Σ_p a[i,p]·b[j,p] (b is n×k) for i in
@@ -315,8 +317,8 @@ func MatMulInto(out, a, b *Tensor) error {
 	return nil
 }
 
-// MatMulATB returns aᵀ@b for a of shape (k,m) and b of shape (k,n).
-// Used in backprop for weight gradients without materializing transposes.
+// MatMulATB returns aᵀ@b for a of shape (k,m) and b of shape (k,n),
+// computed without materializing the transpose.
 func MatMulATB(a, b *Tensor) (*Tensor, error) {
 	k, m, n, err := matMulATBDims(a, b)
 	if err != nil {
@@ -330,12 +332,28 @@ func MatMulATB(a, b *Tensor) (*Tensor, error) {
 // MatMulATBInto computes aᵀ@b into out (shape (m,n)), overwriting it. out
 // must not alias a or b.
 func MatMulATBInto(out, a, b *Tensor) error {
+	return matMulATBInto(out, a, b, true)
+}
+
+// MatMulATBAddInto adds aᵀ@b into out (shape (m,n)): out += aᵀ@b, one
+// add per element, bit-identical to computing the product and adding it
+// (backprop accumulates weight gradients this way without staging
+// them). out must not alias a or b.
+func MatMulATBAddInto(out, a, b *Tensor) error {
+	return matMulATBInto(out, a, b, false)
+}
+
+// matMulATBInto adds aᵀ@b into out, zeroing out first when zero is set.
+func matMulATBInto(out, a, b *Tensor, zero bool) error {
 	k, m, n, err := matMulATBDims(a, b)
 	if err != nil {
 		return err
 	}
 	if err := checkOut(out, m, n, "matmulATB"); err != nil {
 		return err
+	}
+	if zero {
+		out.Zero()
 	}
 	runMatMulATB(matMulATBRange, a.data, b.data, out.data, k, m, n)
 	return nil
@@ -444,6 +462,26 @@ func MatMulABTSerial(a, b *Tensor) (*Tensor, error) {
 }
 
 // --- fused element-wise helpers ---
+
+// MomentumStep applies one momentum-SGD update in place:
+//
+//	vel ← momentum·vel − lr·(grad + wd·param);  param ← param + vel
+//
+// Four lanes at a time on SIMD (simd.go), each operation rounded
+// separately as in the scalar loop, so the result is bit-identical on
+// either path. vel and grad must have param's length.
+func MomentumStep(param, vel, grad []float64, momentum, lr, wd float64) {
+	checkLen("momentum vel", len(vel), len(param))
+	checkLen("momentum grad", len(grad), len(param))
+	j := simdLen(len(param))
+	if j > 0 {
+		momentumStepF64(&param[0], &vel[0], &grad[0], j, momentum, lr, wd)
+	}
+	for ; j < len(param); j++ {
+		vel[j] = momentum*vel[j] - lr*(grad[j]+wd*param[j])
+		param[j] += vel[j]
+	}
+}
 
 // AddScaledInto computes dst = a + s·b element-wise in one pass. dst may
 // alias a and/or b (all three must share the shape), which turns the

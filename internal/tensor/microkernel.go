@@ -18,6 +18,8 @@
 // simd.go runs them on every full 4-row tile of MatMul and MatMulATB,
 // and these generic strips keep the ragged rows and columns, every
 // product on other architectures or CPUs without AVX, and MatMulABT.
+// The float64 aᵀ@b adds into its output (out += acc) in both places,
+// so Backward accumulates weight gradients in place.
 //
 // Two invariants carry over from the scalar kernels (DESIGN.md §5):
 //
@@ -31,6 +33,8 @@
 //     equals accumulating it into a zeroed element, bit for bit.
 //     Assignment in turn lets every panel make one write-only pass
 //     over its output rows — no zeroing pass, no read-modify-write.
+//     The float64 aᵀ@b is the exception: it adds into its output, the
+//     same one add a separate out += product pass would make.
 //   - Zero skipping is per a-element, exactly like the references:
 //     MatMul/MatMulATB gate each strip row on `a != 0` so a zero
 //     contributes no term (which matters when b holds NaN/Inf), while
@@ -144,40 +148,45 @@ func mmRowTail[T number](ai, b, oi []T, n, jlo int) {
 	}
 }
 
-// --- MatMulATB: out[i,j] = Σ_p a[p,i]·b[p,j], a is k×m, b is k×n ---
+// --- MatMulATB: out[i,j] (+)= Σ_p a[p,i]·b[p,j], a is k×m, b is k×n ---
+//
+// The aᵀ@b walk takes an add flag: with add set, each register
+// accumulator is added to the element already in out (out += acc, the
+// float64 weight-gradient path); without it, the element is assigned
+// as in mmPanel. Either way the element is written once, from a sum
+// reduced in ascending p.
 
-// atbPanel computes out rows [lo,hi) of aᵀ@b. Like mmPanel it assigns
-// every element exactly once from a register accumulator, so out need
-// not be zeroed. Output row i reads column i of a; the 2-row strip
-// loads the adjacent pair a[p,i], a[p,i+1] with one contiguous slice
-// per p.
-func atbPanel[T number](a, b, out []T, k, m, n, lo, hi int) {
+// atbPanel computes out rows [lo,hi) of aᵀ@b, assigning or adding each
+// element once from a register accumulator. Output row i reads column
+// i of a; the 2-row strip loads the adjacent pair a[p,i], a[p,i+1] with
+// one contiguous slice per p.
+func atbPanel[T number](a, b, out []T, k, m, n, lo, hi int, add bool) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
-		atbRowPair(a, b, out, k, m, n, i, 0)
+		atbRowPair(a, b, out, k, m, n, i, 0, add)
 	}
 	if i < hi {
-		atbRowTail(a, b, out[i*n:(i+1)*n], k, m, n, i)
+		atbRowTail(a, b, out[i*n:(i+1)*n], k, m, n, i, add)
 	}
 }
 
 // atbRowPair computes output columns [jlo,n) of rows i and i+1: 2×4
 // strips, then one accumulator pair per trailing column.
-func atbRowPair[T number](a, b, out []T, k, m, n, i, jlo int) {
+func atbRowPair[T number](a, b, out []T, k, m, n, i, jlo int, add bool) {
 	o0 := out[(i+0)*n : (i+1)*n]
 	o1 := out[(i+1)*n : (i+2)*n]
 	j := jlo
 	for ; j+4 <= n; j += 4 {
-		atb2x4(a, b, o0, o1, k, m, n, i, j)
+		atb2x4(a, b, o0, o1, k, m, n, i, j, add)
 	}
 	if j < n {
-		atbColTail(a, b, o0, o1, k, m, n, i, j)
+		atbColTail(a, b, o0, o1, k, m, n, i, j, add)
 	}
 }
 
 // atbRowTail computes the full output row i: 1×4 register strips, then
 // one accumulator per trailing column.
-func atbRowTail[T number](a, b, oi []T, k, m, n, i int) {
+func atbRowTail[T number](a, b, oi []T, k, m, n, i int, add bool) {
 	j := 0
 	for ; j+4 <= n; j += 4 {
 		var c0, c1, c2, c3 T
@@ -190,10 +199,7 @@ func atbRowTail[T number](a, b, oi []T, k, m, n, i int) {
 				c3 += v * bp[3]
 			}
 		}
-		oi[j+0] = c0
-		oi[j+1] = c1
-		oi[j+2] = c2
-		oi[j+3] = c3
+		store4(oi[j:j+4], c0, c1, c2, c3, add)
 	}
 	for ; j < n; j++ {
 		var c T
@@ -202,12 +208,12 @@ func atbRowTail[T number](a, b, oi []T, k, m, n, i int) {
 				c += v * b[p*n+j]
 			}
 		}
-		oi[j] = c
+		store1(&oi[j], c, add)
 	}
 }
 
 // atb2x4 accumulates the 2×4 output strip at rows i,i+1, columns j..j+3.
-func atb2x4[T number](a, b, o0, o1 []T, k, m, n, i, j int) {
+func atb2x4[T number](a, b, o0, o1 []T, k, m, n, i, j int, add bool) {
 	var c00, c01, c02, c03 T
 	var c10, c11, c12, c13 T
 	for p := 0; p < k; p++ {
@@ -227,20 +233,14 @@ func atb2x4[T number](a, b, o0, o1 []T, k, m, n, i, j int) {
 			c13 += v * b3
 		}
 	}
-	o0[j+0] = c00
-	o0[j+1] = c01
-	o0[j+2] = c02
-	o0[j+3] = c03
-	o1[j+0] = c10
-	o1[j+1] = c11
-	o1[j+2] = c12
-	o1[j+3] = c13
+	store4(o0[j:j+4], c00, c01, c02, c03, add)
+	store4(o1[j:j+4], c10, c11, c12, c13, add)
 }
 
 // atbColTail handles the ≤3 trailing output columns [jlo,n) for the
 // row pair i,i+1, one accumulator pair per column (ascending p, gated
 // per a element).
-func atbColTail[T number](a, b, o0, o1 []T, k, m, n, i, jlo int) {
+func atbColTail[T number](a, b, o0, o1 []T, k, m, n, i, jlo int, add bool) {
 	for j := jlo; j < n; j++ {
 		var c0, c1 T
 		for p := 0; p < k; p++ {
@@ -253,9 +253,35 @@ func atbColTail[T number](a, b, o0, o1 []T, k, m, n, i, jlo int) {
 				c1 += v * bv
 			}
 		}
-		o0[j] = c0
-		o1[j] = c1
+		store1(&o0[j], c0, add)
+		store1(&o1[j], c1, add)
 	}
+}
+
+// store4 writes four accumulators to o[0:4], adding them to the
+// elements there when add is set.
+func store4[T number](o []T, c0, c1, c2, c3 T, add bool) {
+	o = o[:4]
+	if add {
+		o[0] += c0
+		o[1] += c1
+		o[2] += c2
+		o[3] += c3
+		return
+	}
+	o[0] = c0
+	o[1] = c1
+	o[2] = c2
+	o[3] = c3
+}
+
+// store1 is store4 for one element.
+func store1[T number](o *T, c T, add bool) {
+	if add {
+		*o += c
+		return
+	}
+	*o = c
 }
 
 // --- MatMulABT: out[i,j] = Σ_p a[i,p]·b[j,p], a is m×k, b is n×k ---

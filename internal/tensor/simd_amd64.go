@@ -9,20 +9,34 @@ var haveSIMD = cpuHasAVX()
 // tile4x8F64 computes one 4×8 float64 output tile; see simd_amd64.s.
 //
 //go:noescape
-func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int)
+func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool)
 
 // tile4x16F32 computes one 4×16 float32 output tile; see simd_amd64.s.
 //
 //go:noescape
-func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int)
+func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool)
+
+// momentumStepF64, narrowF64 and widenAddF32 run the first n elements
+// (n a multiple of 4) of MomentumStep, NarrowInto and WidenAddInto; see
+// simd_amd64.s.
+//
+//go:noescape
+func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64)
+
+//go:noescape
+func narrowF64(dst *float32, src *float64, n int)
+
+//go:noescape
+func widenAddF32(dst *float64, src *float32, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
 // cpuHasAVX reports AVX support with YMM state enabled by the OS. The
-// tiles need nothing newer: VBROADCASTS[SD], VCMPP[SD], VANDP[SD],
-// VMULP[SD] and VADDP[SD] are all AVX1, and no FMA is used.
+// loops need nothing newer: VBROADCASTS[SD], VCMPP[SD], VANDP[SD],
+// VMULP[SD], VADDP[SD], VSUBPD, VCVTPD2PS and VCVTPS2PD are all AVX1,
+// and no FMA is used.
 func cpuHasAVX() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
 	_, _, ecx, _ := cpuid(1, 0)

@@ -5,10 +5,13 @@
 // SIMD register tiles for MatMul and MatMulATB (simd.go, DESIGN.md
 // §5 "kernel gen 3"). One body per dtype computes a 4-row output tile,
 //
-//	out[r*ldo + c] = Σ_{p<k} gate(a[r*aRowStride + p*aPStride]) · b[p*bPStride + c]
+//	acc[r][c] = Σ_{p<k} gate(a[r*aRowStride + p*aPStride]) · b[p*bPStride + c]
 //
-// for r < 4 and c < 8 (f64) or c < 16 (f32). Strides are in elements.
-// MatMul passes (aRowStride, aPStride) = (k, 1), MatMulATB (1, m).
+// for r < 4 and c < 8 (f64) or c < 16 (f32), and stores it as
+// out[r*ldo + c] = acc, or out[r*ldo + c] += acc when add is set (the
+// accumulate epilogue of MatMulATB, DESIGN.md §5 "kernel gen 4").
+// Strides are in elements. MatMul passes (aRowStride, aPStride) =
+// (k, 1), MatMulATB (1, m).
 //
 // Lanes run across output columns, so every element still reduces in
 // ascending p with a separately rounded multiply and add (no FMA). The
@@ -18,11 +21,15 @@
 // reference keeps. Adding +0 changes no accumulator bit because an
 // accumulator that starts at +0 never becomes −0 (DESIGN.md §5).
 //
+// With add set, the epilogue adds each accumulator to the element
+// already in out — the one add a separate out += acc pass would make —
+// before storing it.
+//
 // Registers: Y0–Y7 accumulators (row r in Y(2r), Y(2r+1)), Y8/Y9 the b
 // row, Y10 the broadcast a, Y11 its mask, Y12/Y13 products, Y14 zero.
 
-// func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int)
-TEXT ·tile4x8F64(SB), NOSPLIT, $0-64
+// func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool)
+TEXT ·tile4x8F64(SB), NOSPLIT, $0-65
 	MOVQ a+0(FP), SI
 	MOVQ aRowStride+8(FP), R8
 	MOVQ aPStride+16(FP), R9
@@ -95,6 +102,22 @@ loop64:
 	JNZ  loop64
 
 store64:
+	CMPB add+64(FP), $0
+	JEQ  assign64
+	MOVQ DX, AX
+	VADDPD (AX), Y0, Y0
+	VADDPD 32(AX), Y1, Y1
+	ADDQ R11, AX
+	VADDPD (AX), Y2, Y2
+	VADDPD 32(AX), Y3, Y3
+	ADDQ R11, AX
+	VADDPD (AX), Y4, Y4
+	VADDPD 32(AX), Y5, Y5
+	ADDQ R11, AX
+	VADDPD (AX), Y6, Y6
+	VADDPD 32(AX), Y7, Y7
+
+assign64:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	ADDQ    R11, DX
@@ -109,8 +132,8 @@ store64:
 	VZEROUPPER
 	RET
 
-// func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int)
-TEXT ·tile4x16F32(SB), NOSPLIT, $0-64
+// func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool)
+TEXT ·tile4x16F32(SB), NOSPLIT, $0-65
 	MOVQ a+0(FP), SI
 	MOVQ aRowStride+8(FP), R8
 	MOVQ aPStride+16(FP), R9
@@ -183,6 +206,22 @@ loop32:
 	JNZ  loop32
 
 store32:
+	CMPB add+64(FP), $0
+	JEQ  assign32
+	MOVQ DX, AX
+	VADDPS (AX), Y0, Y0
+	VADDPS 32(AX), Y1, Y1
+	ADDQ R11, AX
+	VADDPS (AX), Y2, Y2
+	VADDPS 32(AX), Y3, Y3
+	ADDQ R11, AX
+	VADDPS (AX), Y4, Y4
+	VADDPS 32(AX), Y5, Y5
+	ADDQ R11, AX
+	VADDPS (AX), Y6, Y6
+	VADDPS 32(AX), Y7, Y7
+
+assign32:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
 	ADDQ    R11, DX
@@ -194,6 +233,92 @@ store32:
 	ADDQ    R11, DX
 	VMOVUPS Y6, (DX)
 	VMOVUPS Y7, 32(DX)
+	VZEROUPPER
+	RET
+
+// Element-wise loops of the training step (simd.go, DESIGN.md §5
+// "kernel gen 4"). Each handles n elements, n a multiple of 4; the Go
+// caller runs the scalar loop over the tail. Every lane performs the
+// scalar loop's operations one by one, each rounded separately and
+// with the same first operand, so results match it bit for bit.
+
+// func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64)
+//
+//	vel = momentum·vel − lr·((wd·param) + grad); param = vel + param
+TEXT ·momentumStepF64(SB), NOSPLIT, $0-56
+	MOVQ         param+0(FP), SI
+	MOVQ         vel+8(FP), DI
+	MOVQ         grad+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSD momentum+32(FP), Y13
+	VBROADCASTSD lr+40(FP), Y14
+	VBROADCASTSD wd+48(FP), Y15
+	SHRQ         $2, CX
+	JZ           stepdone
+
+steploop:
+	VMOVUPD (SI), Y0
+	VMOVUPD (DI), Y1
+	VMULPD  Y1, Y13, Y2
+	VMULPD  Y0, Y15, Y3
+	VADDPD  (DX), Y3, Y3
+	VMULPD  Y14, Y3, Y3
+	VSUBPD  Y3, Y2, Y1
+	VMOVUPD Y1, (DI)
+	VADDPD  Y0, Y1, Y0
+	VMOVUPD Y0, (SI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     steploop
+
+stepdone:
+	VZEROUPPER
+	RET
+
+// func narrowF64(dst *float32, src *float64, n int)
+//
+//	dst = float32(src), rounded to nearest even under the default MXCSR
+TEXT ·narrowF64(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+	JZ   narrowdone
+
+narrowloop:
+	VCVTPD2PSY (SI), X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $32, SI
+	ADDQ       $16, DI
+	DECQ       CX
+	JNZ        narrowloop
+
+narrowdone:
+	VZEROUPPER
+	RET
+
+// func widenAddF32(dst *float64, src *float32, n int)
+//
+//	dst = float64(src) + dst
+TEXT ·widenAddF32(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+	JZ   widendone
+
+widenloop:
+	VCVTPS2PD (SI), Y0
+	VADDPD    (DI), Y0, Y0
+	VMOVUPD   Y0, (DI)
+	ADDQ      $16, SI
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       widenloop
+
+widendone:
 	VZEROUPPER
 	RET
 

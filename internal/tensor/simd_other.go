@@ -2,14 +2,26 @@
 
 package tensor
 
-// haveSIMD is false off amd64: the generic strips serve every product,
-// and the tiles below are never called.
+// haveSIMD is false off amd64: the generic strips and scalar loops
+// serve every call, and the SIMD routines below are never called.
 const haveSIMD = false
 
-func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int) {
+func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) {
 	panic("tensor: SIMD tile called without SIMD support")
 }
 
-func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int) {
+func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) {
 	panic("tensor: SIMD tile called without SIMD support")
+}
+
+func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64) {
+	panic("tensor: SIMD loop called without SIMD support")
+}
+
+func narrowF64(dst *float32, src *float64, n int) {
+	panic("tensor: SIMD loop called without SIMD support")
+}
+
+func widenAddF32(dst *float64, src *float32, n int) {
+	panic("tensor: SIMD loop called without SIMD support")
 }

@@ -1,0 +1,163 @@
+package tensor_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/pardon-feddg/pardon/internal/tensor"
+)
+
+// Property tests of the kernel gen 4 SIMD routines: each is run on the
+// SIMD path (where the CPU has it) and on the scalar path, at every
+// length 0–67 — so every 4-lane body is followed by every tail length —
+// and compared bit for bit with the scalar loop it replaces, on inputs
+// sprinkled with NaN, ±Inf, −0, subnormal and near-overflow values.
+
+// maxPropLen is the largest length the property tests try.
+const maxPropLen = 67
+
+// edge64 are the float64 inputs the SIMD lanes must treat exactly like
+// the scalar loop; the last two overflow a multiply or a narrowing.
+var edge64 = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	5e-324, -2.5e-310, 1e-40, -3e-45, math.MaxFloat64 / 2, -math.MaxFloat64, 4e38}
+
+// edgeSlice returns n values, about a third of them drawn from edge64
+// and the rest normal samples of spread scale.
+func edgeSlice(r *rand.Rand, n int, scale float64) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		if r.Intn(3) == 0 {
+			s[i] = edge64[r.Intn(len(edge64))]
+		} else {
+			s[i] = r.NormFloat64() * scale
+		}
+	}
+	return s
+}
+
+// bothPaths runs f once with the SIMD routines (where the CPU has them)
+// and once on the scalar loops.
+func bothPaths(t *testing.T, f func(t *testing.T, simd bool)) {
+	for _, simd := range []bool{true, false} {
+		if simd && !tensor.HaveSIMD {
+			continue
+		}
+		restore := tensor.SetSIMD(simd)
+		f(t, simd)
+		restore()
+	}
+}
+
+func sliceBitsEqual(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	bitsEqual(t, name, tensor.MustFromSlice(got, len(got)), tensor.MustFromSlice(want, len(want)))
+}
+
+func TestMomentumStepMatchesScalarLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	hypers := [][3]float64{{0.9, 0.05, 5e-4}, {0, 1, 0}, {0.5, math.MaxFloat64 / 4, 2}}
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			for _, h := range hypers {
+				mom, lr, wd := h[0], h[1], h[2]
+				p, v, g := edgeSlice(r, n, 1), edgeSlice(r, n, 0.1), edgeSlice(r, n, 10)
+				wantP := append([]float64(nil), p...)
+				wantV := append([]float64(nil), v...)
+				for j := range wantP {
+					wantV[j] = mom*wantV[j] - lr*(g[j]+wd*wantP[j])
+					wantP[j] += wantV[j]
+				}
+				tensor.MomentumStep(p, v, g, mom, lr, wd)
+				sliceBitsEqual(t, "momentum vel", v, wantV)
+				sliceBitsEqual(t, "momentum param", p, wantP)
+			}
+		}
+	})
+}
+
+func TestNarrowIntoMatchesScalarLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			// Wide spread: values round, underflow to float32
+			// subnormals or zero, and overflow to ±Inf.
+			src := edgeSlice(r, n, 1e30)
+			want := make([]float32, n)
+			for i, v := range src {
+				want[i] = float32(v)
+			}
+			got := make([]float32, n)
+			for i := range got {
+				got[i] = float32(i) // dirty: every element must be written
+			}
+			tensor.NarrowInto(got, src)
+			f32BitsEqual(t, "narrow", got, want)
+		}
+	})
+}
+
+func TestWidenAddIntoMatchesScalarLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			src := make([]float32, n)
+			for i, v := range edgeSlice(r, n, 1) {
+				src[i] = float32(v)
+			}
+			dst := edgeSlice(r, n, 1)
+			want := append([]float64(nil), dst...)
+			for i, v := range src {
+				want[i] += float64(v)
+			}
+			tensor.WidenAddInto(dst, src)
+			sliceBitsEqual(t, "widen-add", dst, want)
+		}
+	})
+}
+
+// TestMatMulATBAddIntoMatchesOneAdd pins the accumulate epilogue: out +=
+// aᵀ@b must equal the product computed alone, then added to out with
+// one add per element — on tiles, strips and tails, at every output
+// width 0–67, in float64 and (through a test hook) float32.
+func TestMatMulATBAddIntoMatchesOneAdd(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			for _, km := range [][2]int{{1, 4}, {9, 5}, {3, 8}, {2, 1}} {
+				k, m := km[0], km[1]
+				a := tensor.MustFromSlice(edgeSlice(r, k*m, 1), k, m)
+				b := tensor.MustFromSlice(edgeSlice(r, k*n, 1), k, n)
+				prod, err := tensor.MatMulATBSerial(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := tensor.MustFromSlice(edgeSlice(r, m*n, 1), m, n)
+				want := out.Clone()
+				for i, v := range prod.Data() {
+					want.Data()[i] += v
+				}
+				if err := tensor.MatMulATBAddInto(out, a, b); err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, "matmulATB accumulate", out, want)
+
+				a32, b32, out32 := narrowed(a.Data()), narrowed(b.Data()), narrowed(out.Data())
+				want32 := append([]float32(nil), out32...)
+				for i, v := range atbRefF32(a32, b32, k, m, n) {
+					want32[i] += v
+				}
+				tensor.MatMulATBF32AddInto(out32, a32, b32, k, m, n)
+				f32BitsEqual(t, "matmulATBF32 accumulate", out32, want32)
+			}
+		}
+	})
+}
+
+func narrowed(s []float64) []float32 {
+	out := make([]float32, len(s))
+	for i, v := range s {
+		out[i] = float32(v)
+	}
+	return out
+}

@@ -89,6 +89,34 @@ func RandUniform(r *rand.Rand, lo, hi float64, shape ...int) *Tensor {
 	return t
 }
 
+// Fit returns s[:n] when s has capacity for n elements, else a new
+// zeroed slice of length n. Reused storage keeps its stale contents, so
+// callers overwrite every element. Scratch buffers that alternate
+// between batch sizes (a 32-row batch, then a ragged 16-row one) are
+// allocated once, at the largest size.
+func Fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// Fit2D returns t when it is already an (r, c) tensor, else an (r, c)
+// tensor over Fit(t's storage, r·c). Only the small header is new when
+// the storage has room, so a buffer that alternates between batch sizes
+// stops allocating storage once it has held the largest. t must own its
+// storage: a view of part of a larger slice (Row, FromSlice) could grow
+// into the rest.
+func Fit2D(t *Tensor, r, c int) *Tensor {
+	if t == nil {
+		return New(r, c)
+	}
+	if len(t.shape) == 2 && t.shape[0] == r && t.shape[1] == c {
+		return t
+	}
+	return &Tensor{shape: []int{r, c}, data: Fit(t.data, r*c)}
+}
+
 // Shape returns the tensor's shape. The returned slice must not be mutated.
 func (t *Tensor) Shape() []int { return t.shape }
 
