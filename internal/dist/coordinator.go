@@ -508,18 +508,12 @@ func (c *Coordinator) Fleet() engine.FleetView {
 // and the slowest spans on record. `feddg top` polls this.
 func (c *Coordinator) Top() engine.TopView {
 	fleet := c.Fleet()
-	running := 0
-	for _, j := range c.eng.Jobs() {
-		if j.State() == engine.StateRunning {
-			running++
-		}
-	}
 	return engine.TopView{
 		Time:        time.Now(),
 		LeaseTTLSec: fleet.LeaseTTLSec,
 		Workers:     fleet.Workers,
 		QueueDepth:  c.eng.QueueDepths(),
-		Running:     running,
+		Running:     c.eng.RunningJobs(),
 		Stats:       c.eng.Stats(),
 		SlowSpans:   c.eng.Traces().Slowest(8),
 	}

@@ -205,3 +205,42 @@ func TestTopViewSurfacesFleetAndQueues(t *testing.T) {
 		t.Fatalf("stats.submitted = %d, want 2", top.Stats.Submitted)
 	}
 }
+
+// TestRunningCountsLeasedJobs: a leased job is running, so the
+// sched_running_jobs gauge counts it from claim to requeue or
+// completion, and /v1/top reports that same count.
+func TestRunningCountsLeasedJobs(t *testing.T) {
+	cl := newCluster(t, 5*time.Second)
+	gauge := cl.eng.Metrics().Gauge("sched_running_jobs", "")
+	j, err := cl.eng.Submit(tinySpec("FedAvg", 43), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := func() {
+		t.Helper()
+		if leased, ok := cl.eng.ClaimRemote("alpha", nil, nil); !ok || leased != j {
+			t.Fatalf("lease = %v, %v; want the submitted job", leased, ok)
+		}
+		if got := gauge.Value(); got != 1 {
+			t.Fatalf("sched_running_jobs = %d with one job leased, want 1", got)
+		}
+		if top := cl.coord.Top(); int64(top.Running) != gauge.Value() {
+			t.Fatalf("top running = %d, gauge = %d; want the same count", top.Running, gauge.Value())
+		}
+	}
+	claim()
+	if !cl.eng.RequeueRemote(j) {
+		t.Fatal("lease not requeued")
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("sched_running_jobs = %d after the requeue, want 0", got)
+	}
+	claim()
+	res := &engine.Result{SpecHash: j.Key, Method: "FedAvg"}
+	if err := cl.eng.CompleteRemote(j, res, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("sched_running_jobs = %d after the completion, want 0", got)
+	}
+}

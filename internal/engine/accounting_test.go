@@ -15,14 +15,15 @@ import (
 const accountedJobs = 300
 
 // accounted reads, right after Wait returned for the n-th job, the
-// instruments the scheduler records when a job ends — run time, the
-// completion counter, and the job's run (or lease) and root spans — and
-// describes the first one that does not include the job yet.
+// instruments the scheduler records when a job that ran ends — run
+// time, the completion counter for the state it ended in, and the job's
+// run (or lease) and root spans — and describes the first one that does
+// not include the job yet.
 func accounted(e *Engine, j *Job, method, runSpan string, n int) error {
 	if got := e.sched.metrics.runSeconds.With(method).Count(); got != int64(n) {
 		return fmt.Errorf("job %d: sched_run_seconds count = %d when Wait returned, want %d", n, got, n)
 	}
-	return counted(e, j, StateDone, runSpan, n)
+	return counted(e, j, j.State(), runSpan, n)
 }
 
 // counted is accounted without the run time, which a job that never
@@ -130,5 +131,42 @@ func TestCancelledJobAccountedBeforeWaitReturns(t *testing.T) {
 		if t.Failed() {
 			return
 		}
+	}
+}
+
+// TestDrainedLeaseAccountedBeforeWaitReturns is the same check for a
+// lease that ends while the scheduler drains: the requeue cannot put
+// the job back, so the job ends as cancelled, with its run time, lease
+// and root spans recorded like any other end. Each job needs its own
+// engine, since a drained scheduler takes no more work.
+func TestDrainedLeaseAccountedBeforeWaitReturns(t *testing.T) {
+	for n := 1; n <= accountedJobs; n++ {
+		e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+		j, err := e.Submit(tinySpec("FedAvg"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leased, ok := e.ClaimRemote("w1", nil, nil); !ok || leased != j {
+			t.Fatalf("job %d: lease = %v, %v; want the submitted job", n, leased, ok)
+		}
+		e.sched.close()
+		waited := make(chan struct{})
+		go func() {
+			defer close(waited)
+			if _, err := j.Wait(context.Background()); err == nil {
+				t.Error("Wait on a lease ended by draining returned no error")
+			}
+			if err := accounted(e, j, "FedAvg", "lease", 1); err != nil {
+				t.Errorf("engine %d: %v", n, err)
+			}
+		}()
+		if e.RequeueRemote(j) {
+			t.Fatalf("job %d: a draining scheduler requeued the lease", n)
+		}
+		<-waited
+		if t.Failed() {
+			return
+		}
+		e.Close()
 	}
 }

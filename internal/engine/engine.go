@@ -352,6 +352,11 @@ func (e *Engine) QueueDepths() map[string]int {
 	return out
 }
 
+// RunningJobs returns how many jobs are executing, locally or leased:
+// the sched_running_jobs gauge the scheduler's start, finish and
+// requeue edges keep.
+func (e *Engine) RunningJobs() int { return int(e.metrics.running.Value()) }
+
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	hits, misses := e.store.Counters()
@@ -741,11 +746,7 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 				Parallelism: spec.Parallelism,
 				Context:     ctx,
 				TraceID:     j.TraceID,
-				OnRound: func(round, total int) {
-					e.rounds.Add(1)
-					e.metrics.rounds.Inc()
-					j.progress(round, total)
-				},
+				OnRound:     func(round, total int) { e.advance(j, round, total) },
 				OnRoundEnd: func(round, total int, rs, re time.Time) {
 					e.span(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
 				},
@@ -806,20 +807,25 @@ func (e *Engine) ClaimRemote(worker string, prefer func(key string) bool, onCanc
 // RequeueRemote returns a leased job to the queue (lease expired,
 // worker lost, or worker abandoned it on shutdown); reports whether the
 // job was actually requeued.
-func (e *Engine) RequeueRemote(j *Job) bool { return e.sched.requeueRemote(j) }
+func (e *Engine) RequeueRemote(j *Job) bool { return e.sched.requeue(j) }
 
 // RemoteProgress merges a worker's round progress into the job's event
 // stream, so SSE subscribers of a coordinator see leased cells advance
-// exactly like local ones, and counts the rounds it newly covers into
-// engine_rounds_total and Stats.RoundsExecuted. Progress only moves
-// forward within a lease, so a re-sent heartbeat counts nothing, and a
-// completion reporting its final round counts the rounds finished after
-// the last heartbeat.
+// exactly like local ones. A completion reporting its final round
+// counts the rounds finished after the last heartbeat.
 func (e *Engine) RemoteProgress(j *Job, round, rounds int) {
-	if j == nil {
-		return
+	if j != nil {
+		e.advance(j, round, rounds)
 	}
-	if n := int64(j.advanceRemote(round, rounds)); n > 0 {
+}
+
+// advance moves a running job's progress forward and counts the rounds
+// it newly covers into engine_rounds_total and Stats.RoundsExecuted —
+// the one progress path of local runs and remote heartbeats. Progress
+// only moves forward within an attempt, so a re-sent heartbeat counts
+// nothing.
+func (e *Engine) advance(j *Job, round, rounds int) {
+	if n := int64(j.advance(round, rounds)); n > 0 {
 		e.rounds.Add(n)
 		e.metrics.rounds.Add(n)
 	}
@@ -850,6 +856,7 @@ func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) 
 		j.addPersist(time.Since(persistStart))
 		e.span(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
 	}
-	e.sched.completeRemote(j, res, jobErr)
+	j.mu.Lock()
+	e.sched.finish(j, res, jobErr)
 	return nil
 }

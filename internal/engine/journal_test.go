@@ -351,3 +351,21 @@ func TestJournalLeaseReplay(t *testing.T) {
 		t.Fatalf("checkpoint blob after reboot = %q/%v, want blob-a", blob, ok)
 	}
 }
+
+// TestRemoteClaimJournalsOneRecord: a remote claim is one lifecycle
+// edge and appends one journal record, the lease, which already implies
+// the start.
+func TestRemoteClaimJournalsOneRecord(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: -1, CacheDir: t.TempDir(), Metrics: telemetry.NewRegistry()})
+	if _, err := e.Submit(tinySpec("FedAvg"), 0); err != nil {
+		t.Fatal(err)
+	}
+	records := e.Metrics().Counter("journal_records_total", "")
+	before := records.Value()
+	if _, ok := e.ClaimRemote("w1", nil, nil); !ok {
+		t.Fatal("claim: queue empty, want a lease")
+	}
+	if got := records.Value() - before; got != 1 {
+		t.Fatalf("a remote claim appended %d journal records, want 1 (the lease)", got)
+	}
+}

@@ -53,7 +53,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 		queueDepth: reg.GaugeVec("sched_queue_depth",
 			"Jobs waiting for a scheduler worker, per tenant (includes cancelled-but-unreaped entries).", "tenant"),
 		running: reg.Gauge("sched_running_jobs",
-			"Jobs currently executing on scheduler workers."),
+			"Jobs currently executing, locally or leased."),
 		queueWait: reg.HistogramVec("sched_queue_wait_seconds",
 			"Time from submission to a worker picking the job up, per method.", nil, "method"),
 		runSeconds: reg.HistogramVec("sched_run_seconds",

@@ -92,7 +92,7 @@ type Job struct {
 	priority int
 	submits  int
 	cached   bool
-	worker   string // remote worker executing the job ("" = local pool)
+	worker   string // remote worker holding the job ("" = local pool)
 	runSpan  string // span ID of the current run/lease attempt
 	started  time.Time
 	finished time.Time
@@ -102,7 +102,7 @@ type Job struct {
 	result   *Result
 	err      error
 	subs     []chan Event
-	cancel   context.CancelFunc
+	cancel   func() // the holder's cancel hook while running
 	done     chan struct{}
 }
 
@@ -272,18 +272,11 @@ func (j *Job) emitLocked() {
 	}
 }
 
-// progress records a completed round and notifies subscribers.
-func (j *Job) progress(round, total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.round, j.rounds = round, total
-	j.emitLocked()
-}
-
-// advanceRemote moves a leased job's progress forward to round and
-// returns how many rounds that newly covers; a report at or behind the
-// current round (a re-sent heartbeat) returns 0 and emits nothing.
-func (j *Job) advanceRemote(round, total int) int {
+// advance moves a running job's progress forward to round and returns
+// how many rounds that newly covers, notifying subscribers. Local runs
+// and remote heartbeats report through it alike; a report at or behind
+// the current round (a re-sent heartbeat) returns 0 and emits nothing.
+func (j *Job) advance(round, total int) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning || round <= j.round {
@@ -297,10 +290,9 @@ func (j *Job) advanceRemote(round, total int) int {
 
 // settleLocked moves the job to a terminal state without waking anyone,
 // and reports false, changing nothing, if it already was terminal. j.mu
-// must be held through publishLocked: every path that ends a job
-// accounts for it (run time, completion counter, spans) in between, so
-// whoever Wait or the event stream wakes reads counters that include
-// it.
+// must be held through publishLocked: Scheduler.finish accounts for the
+// job (run time, completion counter, spans) in between, so whoever
+// Wait or the event stream wakes reads counters that include it.
 func (j *Job) settleLocked(state State, res *Result, err error) bool {
 	if j.state.Terminal() {
 		return false
@@ -486,9 +478,7 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 	j.run = run
 	j.state = StateQueued
 	s.inflight[key] = j
-	heap.Push(q, j)
-	s.queued++
-	s.metrics.queueDepth.With(tenant).Set(int64(q.Len()))
+	s.pushLocked(j)
 	s.cond.Signal()
 	s.log.Info("engine: job queued",
 		"trace", j.TraceID, "job", j.ID, "tenant", tenant, "method", methodLabel(j), "priority", priority, "key", key[:min(12, len(key))])
@@ -584,8 +574,9 @@ func (s *Scheduler) all() []*Job {
 }
 
 // cancel aborts a job: a queued job finishes immediately as Cancelled, a
-// running job has its context cancelled and finishes at the next round
-// boundary. Cancelling a terminal job is a no-op.
+// running job has its holder's cancel hook called — a local run stops at
+// the next round boundary, a lease is relayed to its worker. Cancelling a
+// terminal job is a no-op.
 func (s *Scheduler) cancel(id string) error {
 	j, ok := s.job(id)
 	if !ok {
@@ -594,20 +585,7 @@ func (s *Scheduler) cancel(id string) error {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		j.settleLocked(StateCancelled, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.finished, nil)
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
-			map[string]string{"state": string(StateCancelled)})
-		s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
-		j.publishLocked()
-		j.mu.Unlock()
-		s.log.Info("engine: job cancelled while queued", "trace", j.TraceID, "job", j.ID)
-		// A deliberate cancel is terminal and must not replay; a cancel
-		// caused by the scheduler draining must.
-		if !s.isClosed() {
-			s.journal.jobDone(j.Key, StateCancelled)
-		}
-		s.release(j)
+		s.finish(j, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
 	case StateRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -652,7 +630,124 @@ func (s *Scheduler) close() {
 	s.wg.Wait()
 }
 
-// worker is the dequeue-and-run loop of one pool worker.
+// pushLocked puts a job on its tenant's heap; s.mu must be held.
+func (s *Scheduler) pushLocked(j *Job) {
+	q := s.queueForLocked(j.Tenant)
+	heap.Push(q, j)
+	s.queued++
+	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
+}
+
+// localHolder is the holder name of the in-process worker pool, which
+// claims and settles jobs through the same lifecycle edges as a remote
+// worker holding a lease.
+const localHolder = "local"
+
+// attempt names a run attempt after the worker holding it ("" is the
+// local pool): its span — "run" locally, "lease" remotely; benchmark
+// traces and the cluster smoke test key on both names — and the holder
+// its span and log lines report.
+func attempt(worker string) (span, holder string) {
+	if worker == "" {
+		return "run", localHolder
+	}
+	return "lease", worker
+}
+
+// start is the claim edge, Queued→Running under holder (localHolder or
+// a remote worker's name). It mints the attempt's span ID and installs
+// cancel as the job's cancel hook, then writes the edge's one journal
+// record (start locally; remotely the lease, which implies the start),
+// the queue span, the queue wait, sched_running_jobs and the log line.
+// It reports false, changing nothing, for a job that is no longer
+// queued (cancelled while it sat in the heap).
+func (s *Scheduler) start(j *Job, holder string, cancel func()) bool {
+	j.mu.Lock()
+	if j.state != StateQueued {
+		j.mu.Unlock()
+		return false
+	}
+	j.state = StateRunning
+	j.started = time.Now()
+	j.runSpan = telemetry.NewSpanID()
+	if holder != localHolder {
+		j.worker = holder
+	}
+	j.cancel = cancel
+	started := j.started
+	s.metrics.running.Inc()
+	j.emitLocked()
+	j.mu.Unlock()
+	if holder == localHolder {
+		s.journal.jobStarted(j.Key)
+	} else {
+		s.journal.jobLeased(j.Key, holder)
+	}
+	method, queueSec := methodLabel(j), started.Sub(j.Created).Seconds()
+	s.recordSpan(j, j.rootSpan, "queue", j.Created, started, nil)
+	s.metrics.queueWait.With(method).Observe(queueSec)
+	s.log.Info("engine: job started",
+		"trace", j.TraceID, "job", j.ID, "tenant", j.Tenant, "holder", holder, "method", method, "queue_sec", queueSec)
+	return true
+}
+
+// finish is the settle edge and the one place a job ends: its local
+// run returned, its remote worker completed it, it was cancelled while
+// queued, or its lease ended while the scheduler drains. j.mu must be
+// held on entry, so the caller's state check and the settle are one
+// step; finish releases it. It reports false, changing nothing, if the
+// job already was terminal.
+//
+// Before waking the job's waiters it records the attempt's span, run
+// time and sched_running_jobs if the job was running (the queue span if
+// it never left the queue), the root job span and the completion
+// counter. Then it journals done — except for a cancel caused by
+// draining, which stays live so the next boot re-enqueues the job —
+// releases the lease edge, logs, and drops the job from the in-flight
+// index.
+func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
+	if err != nil {
+		res = nil
+	}
+	was := j.state
+	if !j.settleLocked(outcome(err), res, err) {
+		j.mu.Unlock()
+		return false
+	}
+	state, method := j.state, methodLabel(j)
+	holder, runSec := "", 0.0
+	if was == StateRunning {
+		var span string
+		span, holder = attempt(j.worker)
+		runSec = j.finished.Sub(j.started).Seconds()
+		s.recordSpanID(j, j.runSpan, j.rootSpan, span, j.started, j.finished,
+			map[string]string{"worker": holder, "state": string(state)})
+		s.metrics.runSeconds.With(method).Observe(runSec)
+		s.metrics.running.Dec()
+	} else {
+		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.finished, nil)
+	}
+	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
+		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
+	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
+	j.publishLocked()
+	j.mu.Unlock()
+	if !(state == StateCancelled && s.isClosed()) {
+		s.journal.jobDone(j.Key, state)
+	}
+	s.journal.leaseReleased(j.Key)
+	args := []any{"trace", j.TraceID, "job", j.ID, "holder", holder, "method", method, "state", state, "run_sec", runSec}
+	if err != nil {
+		s.log.Warn("engine: job finished", append(args, "error", err)...)
+	} else {
+		s.log.Info("engine: job finished", args...)
+	}
+	s.release(j)
+	return true
+}
+
+// worker is one pool worker, an in-process lease holder: wait for a
+// queued job, start it, run it, finish it.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -669,66 +764,13 @@ func (s *Scheduler) worker() {
 		if j == nil {
 			continue
 		}
-
 		ctx, cancel := context.WithCancel(context.Background())
-		j.mu.Lock()
-		if j.state != StateQueued { // cancelled while queued
-			j.mu.Unlock()
-			cancel()
-			continue
+		if s.start(j, localHolder, cancel) {
+			res, err := j.run(ctx, j)
+			j.mu.Lock()
+			s.finish(j, res, err)
 		}
-		j.state = StateRunning
-		j.started = time.Now()
-		j.runSpan = telemetry.NewSpanID()
-		j.cancel = cancel
-		j.emitLocked()
-		j.mu.Unlock()
-		s.journal.jobStarted(j.Key)
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.started, nil)
-		method := methodLabel(j)
-		s.metrics.queueWait.With(method).Observe(j.started.Sub(j.Created).Seconds())
-		s.metrics.running.Inc()
-		s.log.Info("engine: job started",
-			"trace", j.TraceID, "job", j.ID, "tenant", j.Tenant, "method", method,
-			"queue_sec", j.started.Sub(j.Created).Seconds())
-
-		res, err := j.run(ctx, j)
 		cancel()
-		if err != nil {
-			res = nil
-		}
-
-		// Account for the job before publishing its end: a waiter woken
-		// by Wait reads run time, completion count and spans at once.
-		j.mu.Lock()
-		settled := j.settleLocked(outcome(err), res, err)
-		state := j.state
-		runSec := j.finished.Sub(j.started).Seconds()
-		s.recordSpanID(j, j.runSpan, j.rootSpan, "run", j.started, j.finished,
-			map[string]string{"worker": "local", "state": string(state)})
-		s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
-			map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
-		s.metrics.running.Dec()
-		s.metrics.runSeconds.With(method).Observe(runSec)
-		s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
-		if settled {
-			j.publishLocked()
-		}
-		j.mu.Unlock()
-		// Drain cancellations stay live in the journal so the job
-		// re-enqueues on the next boot; every other outcome is terminal.
-		if !(state == StateCancelled && s.isClosed()) {
-			s.journal.jobDone(j.Key, state)
-		}
-		if err != nil {
-			s.log.Warn("engine: job finished",
-				"trace", j.TraceID, "job", j.ID, "method", method, "state", state,
-				"run_sec", runSec, "error", err)
-		} else {
-			s.log.Info("engine: job finished",
-				"trace", j.TraceID, "job", j.ID, "method", method, "state", state, "run_sec", runSec)
-		}
-		s.release(j)
 	}
 }
 
@@ -765,10 +807,7 @@ func (s *Scheduler) claimRemote(worker string, prefer func(key string) bool, onC
 			}
 		}
 		for _, fj := range funcJobs {
-			q := s.queueForLocked(fj.Tenant)
-			heap.Push(q, fj)
-			s.queued++
-			s.metrics.queueDepth.With(fj.Tenant).Set(int64(q.Len()))
+			s.pushLocked(fj)
 		}
 		if len(funcJobs) > 0 {
 			s.cond.Signal()
@@ -777,30 +816,13 @@ func (s *Scheduler) claimRemote(worker string, prefer func(key string) bool, onC
 		if j == nil {
 			return nil
 		}
-		j.mu.Lock()
-		if j.state != StateQueued { // cancelled while queued
-			j.mu.Unlock()
-			continue
-		}
-		j.state = StateRunning
-		j.started = time.Now()
-		j.worker = worker
-		j.runSpan = telemetry.NewSpanID()
+		var cancel func()
 		if onCancel != nil {
-			jj := j
-			j.cancel = func() { onCancel(jj) }
+			cancel = func() { onCancel(j) }
 		}
-		j.emitLocked()
-		queueSec := j.started.Sub(j.Created).Seconds()
-		j.mu.Unlock()
-		s.journal.jobStarted(j.Key)
-		s.journal.jobLeased(j.Key, worker)
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.started, nil)
-		method := methodLabel(j)
-		s.metrics.queueWait.With(method).Observe(queueSec)
-		s.log.Info("engine: job leased to worker",
-			"trace", j.TraceID, "job", j.ID, "worker", worker, "method", method, "queue_sec", queueSec)
-		return j
+		if s.start(j, worker, cancel) {
+			return j
+		}
 	}
 }
 
@@ -833,109 +855,42 @@ func (s *Scheduler) popPreferredLocked(prefer func(string) bool) *Job {
 	return best
 }
 
-// requeueRemote returns a remotely leased job to the queue — the lease
-// expired or its worker abandoned it — so another claimant (remote or
-// local) picks it up. A job no longer Running (settled by a late
-// completion, or cancelled) is left alone. On a draining scheduler the
-// job instead finishes as a drain-cancellation: its journal record
-// stays live and the next boot re-enqueues it.
-func (s *Scheduler) requeueRemote(j *Job) bool {
+// requeue is the remote-only edge Running→Queued: the lease expired or
+// its worker abandoned it, so the job goes back to its tenant's heap
+// for another claimant (remote or local), its lease span closes with
+// outcome "requeued" and its lease edge is released. A job that is not
+// leased (settled by a late completion, cancelled, or running locally)
+// is left alone. A draining scheduler takes nothing back: the lease
+// ends through finish as a drain cancellation instead.
+func (s *Scheduler) requeue(j *Job) bool {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		j.mu.Lock()
-		finished := false
-		if j.state == StateRunning {
-			j.settleLocked(StateCancelled, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
-			s.metrics.jobsCompleted.With(string(StateCancelled), j.Tenant).Inc()
-			j.publishLocked()
-			finished = true
-		}
-		j.mu.Unlock()
-		if finished {
-			s.release(j)
-		}
-		return false
-	}
 	j.mu.Lock()
 	if j.state != StateRunning || j.worker == "" {
 		j.mu.Unlock()
 		s.mu.Unlock()
 		return false
 	}
-	worker := j.worker
-	started, runSpan := j.started, j.runSpan
-	j.state = StateQueued
-	j.worker = ""
-	j.runSpan = ""
-	j.started = time.Time{}
-	j.cancel = nil
-	// The next lease trains from round 1 again; its rounds count anew.
-	j.round, j.rounds = 0, 0
-	j.emitLocked()
-	q := s.queueForLocked(j.Tenant)
-	heap.Push(q, j)
-	s.queued++
-	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
-	s.cond.Signal()
-	j.mu.Unlock()
-	s.mu.Unlock()
-	s.journal.leaseReleased(j.Key)
-	s.recordSpanID(j, runSpan, j.rootSpan, "lease", started, time.Now(),
-		map[string]string{"worker": worker, "outcome": "requeued"})
-	s.log.Info("engine: leased job requeued", "trace", j.TraceID, "job", j.ID, "worker", worker)
-	return true
-}
-
-// completeRemote settles a leased job with a remote outcome. It accepts
-// any non-terminal job: a still-leased job is the normal path, and a
-// job requeued after lease expiry can still be settled by the original
-// worker's late result (the queue pop skips non-queued jobs). Returns
-// false if the job was already terminal.
-func (s *Scheduler) completeRemote(j *Job, res *Result, jobErr error) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	if s.closed {
+		s.mu.Unlock()
+		s.finish(j, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
 		return false
 	}
-	if jobErr != nil {
-		res = nil
-	}
-	worker := j.worker
-	started := j.started
-	method := methodLabel(j)
-	// Account for the job before publishing its end, as the local
-	// worker loop does.
-	j.settleLocked(outcome(jobErr), res, jobErr)
-	state := j.state
-	runSec := 0.0
-	// A late result for a requeued job has no run interval to record.
-	if !started.IsZero() {
-		runSec = j.finished.Sub(started).Seconds()
-		s.recordSpanID(j, j.runSpan, j.rootSpan, "lease", started, j.finished,
-			map[string]string{"worker": worker, "state": string(state)})
-		s.metrics.runSeconds.With(method).Observe(runSec)
-	}
-	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
-		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
-	s.metrics.jobsCompleted.With(string(state), j.Tenant).Inc()
-	j.publishLocked()
+	span, holder := attempt(j.worker)
+	started, runSpan := j.started, j.runSpan
+	j.state = StateQueued
+	j.worker, j.runSpan, j.started, j.cancel = "", "", time.Time{}, nil
+	// The next attempt trains from round 1 again; its rounds count anew.
+	j.round, j.rounds = 0, 0
+	s.metrics.running.Dec()
+	j.emitLocked()
 	j.mu.Unlock()
-	// Drain cancellations stay live in the journal (same contract as the
-	// local worker loop): the job must re-enqueue on the next boot.
-	if !(state == StateCancelled && s.isClosed()) {
-		s.journal.jobDone(j.Key, state)
-	}
+	s.pushLocked(j)
+	s.cond.Signal()
+	s.mu.Unlock()
 	s.journal.leaseReleased(j.Key)
-	if jobErr != nil {
-		s.log.Warn("engine: remote job finished",
-			"trace", j.TraceID, "job", j.ID, "worker", worker, "method", method, "state", state,
-			"run_sec", runSec, "error", jobErr)
-	} else {
-		s.log.Info("engine: remote job finished",
-			"trace", j.TraceID, "job", j.ID, "worker", worker, "method", method, "state", state, "run_sec", runSec)
-	}
-	s.release(j)
+	s.recordSpanID(j, runSpan, j.rootSpan, span, started, time.Now(),
+		map[string]string{"worker": holder, "outcome": "requeued"})
+	s.log.Info("engine: leased job requeued", "trace", j.TraceID, "job", j.ID, "worker", holder)
 	return true
 }
 
