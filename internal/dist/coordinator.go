@@ -235,7 +235,8 @@ func (c *Coordinator) Claim(workerID string) (*engine.LeaseView, error) {
 	if len(names) > 1 {
 		prefer = func(key string) bool { return rendezvousOwner(key, names) == self }
 	}
-	j, ok := c.eng.ClaimRemote(self, prefer, c.onJobCancel)
+	ls := &leaseState{workerID: workerID, workerName: self}
+	j, ok := c.eng.ClaimRemote(self, prefer, func(j *engine.Job) { c.cancelLease(ls, j) })
 	if !ok {
 		return nil, nil
 	}
@@ -250,7 +251,7 @@ func (c *Coordinator) Claim(workerID string) (*engine.LeaseView, error) {
 		return nil, ErrUnknownWorker
 	}
 	now := time.Now()
-	ls := &leaseState{job: j, workerID: workerID, workerName: self, granted: now, expires: now.Add(c.ttl)}
+	ls.job, ls.granted, ls.expires = j, now, now.Add(c.ttl)
 	c.leases[j.ID] = ls
 	w.leases[j.ID] = ls
 	c.m.granted.With(self).Inc()
@@ -332,20 +333,17 @@ func (c *Coordinator) checkStragglers() {
 	}
 }
 
-// onJobCancel is installed as every leased job's cancel hook: a user
-// cancel marks the lease, the worker learns on its next heartbeat, and
-// the job settles when the worker confirms — or when the lease expires,
-// whichever first.
-func (c *Coordinator) onJobCancel(j *engine.Job) {
+// cancelLease is the cancel hook of a leased job j: a user cancel
+// marks its lease ls, the worker learns on its next heartbeat, and the
+// job settles when the worker confirms — or when the lease expires,
+// whichever first. Each claim binds the hook to its own lease before
+// the scheduler hands the job over, so a cancel that lands between the
+// claim and the lease's entry in the lease table still marks it.
+func (c *Coordinator) cancelLease(ls *leaseState, j *engine.Job) {
 	c.mu.Lock()
-	ls, ok := c.leases[j.ID]
-	if ok {
-		ls.cancelled = true
-	}
+	ls.cancelled = true
 	c.mu.Unlock()
-	if ok {
-		c.log.Info("dist: cancel relayed to lease", "job", j.ID, "worker", ls.workerName)
-	}
+	c.log.Info("dist: cancel relayed to lease", "job", j.ID, "worker", ls.workerName)
 }
 
 // Heartbeat renews a worker's liveness and every lease it reports,
@@ -572,7 +570,10 @@ func (c *Coordinator) reaper() {
 		c.checkStragglers()
 		for _, v := range victims {
 			c.settleLeaseStats(v.ls)
-			if v.ls.cancelled {
+			c.mu.Lock()
+			cancelled := v.ls.cancelled
+			c.mu.Unlock()
+			if cancelled {
 				_ = c.eng.CompleteRemote(v.ls.job, nil, nil,
 					fmt.Errorf("dist: job cancelled while leased to lost worker %s: %w", v.ls.workerName, context.Canceled))
 				c.m.completed.With(string(engine.StateCancelled)).Inc()

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"log/slog"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -245,6 +246,40 @@ func TestWorkerKillLeaseRequeuesOntoSurvivor(t *testing.T) {
 	}
 }
 
+// TestWorkerNamedLocalLeaseRequeues: a remote worker may call itself
+// "local", the holder name the coordinator's own pool reports. Its
+// claim is still a lease, so when the lease expires the job goes back
+// to the queue instead of staying Running with no one to finish it.
+func TestWorkerNamedLocalLeaseRequeues(t *testing.T) {
+	cl := newCluster(t, 100*time.Millisecond)
+	j, err := cl.eng.Submit(tinySpec("FedAvg", 11), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := cl.coord.Register(engine.WorkerRegisterRequest{Name: "local", Slots: 1, CodeVersion: engine.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := cl.coord.Claim(reg.WorkerID)
+	if err != nil || lease == nil || lease.JobID != j.ID {
+		t.Fatalf("claim = %+v, %v; want the submitted job", lease, err)
+	}
+	if got := j.Worker(); got != "local" {
+		t.Fatalf("leased job worker = %q, want local", got)
+	}
+	// The worker never heartbeats: the reaper requeues the lease.
+	requeued := func() int64 {
+		return cl.coord.m.requeued.With("expired").Value() + cl.coord.m.requeued.With("worker_lost").Value()
+	}
+	waitFor(t, 10*time.Second, "lease to requeue", func() bool { return requeued() > 0 })
+	if got := j.State(); got != engine.StateQueued {
+		t.Fatalf("job state after its lease was requeued = %s, want queued", got)
+	}
+	if got := j.Worker(); got != "" {
+		t.Fatalf("requeued job worker = %q, want none", got)
+	}
+}
+
 // TestLeasedJobCancelPropagates: a user cancel on the coordinator
 // reaches the worker through its heartbeat and the job settles
 // Cancelled — never silently requeued or completed.
@@ -263,6 +298,63 @@ func TestLeasedJobCancelPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 30*time.Second, "cancel to settle", func() bool { return j.State() == engine.StateCancelled })
+}
+
+// cancelOnClaim is a log handler that cancels a job the moment the
+// scheduler logs its start: after a claim took the job from the queue,
+// before the coordinator entered the lease in its table.
+type cancelOnClaim struct{ cancel func(jobID string) }
+
+func (h cancelOnClaim) Enabled(context.Context, slog.Level) bool { return true }
+func (h cancelOnClaim) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h cancelOnClaim) WithGroup(string) slog.Handler            { return h }
+func (h cancelOnClaim) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "engine: job started" {
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "job" {
+				h.cancel(a.Value.String())
+			}
+			return true
+		})
+	}
+	return nil
+}
+
+// TestCancelDuringClaimReachesWorker: a user cancel that lands between
+// the scheduler's claim and the coordinator's lease entry is still
+// relayed on the worker's next heartbeat, not dropped for want of a
+// lease to mark.
+func TestCancelDuringClaimReachesWorker(t *testing.T) {
+	var eng *engine.Engine
+	logger := slog.New(cancelOnClaim{cancel: func(id string) { _ = eng.Cancel(id) }})
+	eng, err := engine.New(engine.Options{Workers: -1, Metrics: telemetry.NewRegistry(), Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(eng, Options{LeaseTTL: 5 * time.Second})
+	t.Cleanup(func() {
+		coord.Close()
+		eng.Close()
+	})
+	j, err := eng.Submit(tinySpec("FedAvg", 13), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := coord.Register(engine.WorkerRegisterRequest{Name: "alpha", Slots: 1, CodeVersion: engine.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := coord.Claim(reg.WorkerID)
+	if err != nil || lease == nil || lease.JobID != j.ID {
+		t.Fatalf("claim = %+v, %v; want the submitted job", lease, err)
+	}
+	resp, err := coord.Heartbeat(reg.WorkerID, engine.WorkerHeartbeatRequest{Leases: []engine.LeaseProgress{{JobID: j.ID}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.Cancel, []string{j.ID}) {
+		t.Fatalf("heartbeat cancels %v, want [%s]", resp.Cancel, j.ID)
+	}
 }
 
 // TestTieredStoreAnswersWithoutTraining drives both cache tiers: a

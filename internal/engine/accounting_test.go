@@ -156,6 +156,9 @@ func TestDrainedLeaseAccountedBeforeWaitReturns(t *testing.T) {
 			if _, err := j.Wait(context.Background()); err == nil {
 				t.Error("Wait on a lease ended by draining returned no error")
 			}
+			if got := j.State(); got != StateCancelled {
+				t.Errorf("engine %d: drained lease ended %s, want cancelled", n, got)
+			}
 			if err := accounted(e, j, "FedAvg", "lease", 1); err != nil {
 				t.Errorf("engine %d: %v", n, err)
 			}
@@ -168,5 +171,43 @@ func TestDrainedLeaseAccountedBeforeWaitReturns(t *testing.T) {
 			return
 		}
 		e.Close()
+	}
+}
+
+// TestDrainedLeaseReleasesLeaseEdge is the journal half of a lease
+// ended by draining: the job journals no done record, so the next boot
+// re-enqueues it, but its lease edge is released, so that boot hands no
+// lease back to the worker that held it.
+func TestDrainedLeaseReleasesLeaseEdge(t *testing.T) {
+	dir := t.TempDir()
+	e1 := newTestEngine(t, Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	j, err := e1.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leased, ok := e1.ClaimRemote("w1", nil, nil); !ok || leased != j {
+		t.Fatalf("lease = %v, %v; want the submitted job", leased, ok)
+	}
+	if live := e1.journal.liveLeases(); live[j.Key] != "w1" {
+		t.Fatalf("live leases after the claim = %v, want {%.12s: w1}", live, j.Key)
+	}
+	e1.sched.close()
+	if e1.RequeueRemote(j) {
+		t.Fatal("a draining scheduler requeued the lease")
+	}
+	if got := j.State(); got != StateCancelled {
+		t.Fatalf("drained lease ended %s, want cancelled", got)
+	}
+	if live := e1.journal.liveLeases(); live != nil {
+		t.Fatalf("live leases after the drained lease ended = %v, want none", live)
+	}
+	e1.Close()
+
+	e2 := newTestEngine(t, Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if boot := e2.BootLeases(); len(boot) != 0 {
+		t.Fatalf("boot leases = %v, want none", boot)
+	}
+	if got := e2.journal.metrics.replayed.With("job").Value(); got != 1 {
+		t.Fatalf("journal_replayed_total{kind=job} = %d, want 1 (the drained job re-enqueued)", got)
 	}
 }

@@ -451,7 +451,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	// losing it. Duplicate submit records for a coalesced key compact
 	// away; a quota refusal below retracts the record.
 	e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp)
-	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), func(ctx context.Context, j *Job) (*Result, error) {
+	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, func(ctx context.Context, j *Job) (*Result, error) {
 		res, err := e.runSpec(ctx, j, sp, hash)
 		if err != nil {
 			return nil, err
@@ -514,7 +514,7 @@ func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFun
 		e.metrics.cacheHits.Inc()
 		return e.sched.completed(nil, key, priority, "", tenant, res), nil
 	}
-	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), func(ctx context.Context, j *Job) (*Result, error) {
+	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), time.Now(), func(ctx context.Context, j *Job) (*Result, error) {
 		res, err := fn(ctx)
 		if err != nil {
 			return nil, err

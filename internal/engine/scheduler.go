@@ -75,7 +75,8 @@ type Job struct {
 	// fair-share queue and labels its metrics; coalesced submissions from
 	// other tenants observe the first submitter's tenant.
 	Tenant string
-	// Created is the submission time.
+	// Created is the submission time: when the submission arrived,
+	// before it was validated and hashed.
 	Created time.Time
 
 	run     jobRunFunc
@@ -92,8 +93,9 @@ type Job struct {
 	priority int
 	submits  int
 	cached   bool
-	worker   string // remote worker holding the job ("" = local pool)
-	runSpan  string // span ID of the current run/lease attempt
+	worker   string    // remote worker holding the job ("" = local pool)
+	runSpan  string    // span ID of the current run/lease attempt
+	queued   time.Time // when the job last entered its queue: Created, or its last requeue
 	started  time.Time
 	finished time.Time
 	round    int
@@ -446,7 +448,7 @@ var ErrClosed = errors.New("engine: scheduler closed")
 // coalesced=true and nothing is enqueued (coalescing never consumes
 // quota). quota > 0 caps how many jobs the tenant may have queued; at
 // the cap the submission is refused with a *QuotaError.
-func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, run jobRunFunc) (j *Job, coalesced bool, err error) {
+func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, run jobRunFunc) (j *Job, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -474,7 +476,7 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 		s.log.Warn("engine: submission refused by queue quota", "trace", trace, "tenant", tenant, "quota", quota)
 		return nil, false, &QuotaError{Tenant: tenant, Limit: quota}
 	}
-	j = s.newJobLocked(spec, key, priority, trace, tenant)
+	j = s.newJobLocked(spec, key, priority, trace, tenant, arrived)
 	j.run = run
 	j.state = StateQueued
 	s.inflight[key] = j
@@ -489,7 +491,7 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 // submission is observable through the same job API as a live run.
 func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenant string, res *Result) *Job {
 	s.mu.Lock()
-	j := s.newJobLocked(spec, key, priority, trace, tenant)
+	j := s.newJobLocked(spec, key, priority, trace, tenant, time.Now())
 	j.state = StateDone
 	j.cached = true
 	j.result = res
@@ -504,10 +506,13 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 	return j
 }
 
-// newJobLocked allocates and registers a job; s.mu must be held. When
+// newJobLocked allocates and registers a job that arrived at the given
+// time; s.mu must be held. The job's root span starts at its arrival,
+// so it encloses the admission span, and its first queue span at its
+// registration here. When
 // the registry outgrows maxRetainedJobs, the oldest terminal jobs are
 // forgotten so a long-running server's job history stays bounded.
-func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string) *Job {
+func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string, arrived time.Time) *Job {
 	s.nextID++
 	s.nextSeq++
 	if tenant == "" {
@@ -519,8 +524,9 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		Spec:     spec,
 		TraceID:  telemetry.OrNewTraceID(trace),
 		Tenant:   tenant,
-		Created:  time.Now(),
+		Created:  arrived,
 		rootSpan: telemetry.NewSpanID(),
+		queued:   time.Now(),
 		seq:      s.nextSeq,
 		priority: priority,
 		submits:  1,
@@ -638,30 +644,28 @@ func (s *Scheduler) pushLocked(j *Job) {
 	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
 }
 
-// localHolder is the holder name of the in-process worker pool, which
-// claims and settles jobs through the same lifecycle edges as a remote
-// worker holding a lease.
-const localHolder = "local"
-
 // attempt names a run attempt after the worker holding it ("" is the
-// local pool): its span — "run" locally, "lease" remotely; benchmark
-// traces and the cluster smoke test key on both names — and the holder
-// its span and log lines report.
+// in-process pool): its span — "run" locally, "lease" remotely;
+// benchmark traces and the cluster smoke test key on both names — and
+// the holder its span and log lines report. Only the empty worker name
+// means the local pool, so a remote worker may call itself anything,
+// "local" included.
 func attempt(worker string) (span, holder string) {
 	if worker == "" {
-		return "run", localHolder
+		return "run", "local"
 	}
 	return "lease", worker
 }
 
-// start is the claim edge, Queued→Running under holder (localHolder or
-// a remote worker's name). It mints the attempt's span ID and installs
-// cancel as the job's cancel hook, then writes the edge's one journal
-// record (start locally; remotely the lease, which implies the start),
-// the queue span, the queue wait, sched_running_jobs and the log line.
-// It reports false, changing nothing, for a job that is no longer
-// queued (cancelled while it sat in the heap).
-func (s *Scheduler) start(j *Job, holder string, cancel func()) bool {
+// start is the claim edge, Queued→Running under worker ("" for the
+// local pool, else a remote worker's name). It mints the attempt's span
+// ID and installs cancel as the job's cancel hook, then writes the
+// edge's one journal record (start locally; remotely the lease, which
+// implies the start), the queue span, the queue wait,
+// sched_running_jobs and the log line. It reports false, changing
+// nothing, for a job that is no longer queued (cancelled while it sat
+// in the heap).
+func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 	j.mu.Lock()
 	if j.state != StateQueued {
 		j.mu.Unlock()
@@ -670,21 +674,20 @@ func (s *Scheduler) start(j *Job, holder string, cancel func()) bool {
 	j.state = StateRunning
 	j.started = time.Now()
 	j.runSpan = telemetry.NewSpanID()
-	if holder != localHolder {
-		j.worker = holder
-	}
+	j.worker = worker
 	j.cancel = cancel
-	started := j.started
+	queued, started := j.queued, j.started
 	s.metrics.running.Inc()
 	j.emitLocked()
 	j.mu.Unlock()
-	if holder == localHolder {
-		s.journal.jobStarted(j.Key)
+	if worker != "" {
+		s.journal.jobLeased(j.Key, worker)
 	} else {
-		s.journal.jobLeased(j.Key, holder)
+		s.journal.jobStarted(j.Key)
 	}
-	method, queueSec := methodLabel(j), started.Sub(j.Created).Seconds()
-	s.recordSpan(j, j.rootSpan, "queue", j.Created, started, nil)
+	_, holder := attempt(worker)
+	method, queueSec := methodLabel(j), started.Sub(queued).Seconds()
+	s.recordSpan(j, j.rootSpan, "queue", queued, started, nil)
 	s.metrics.queueWait.With(method).Observe(queueSec)
 	s.log.Info("engine: job started",
 		"trace", j.TraceID, "job", j.ID, "tenant", j.Tenant, "holder", holder, "method", method, "queue_sec", queueSec)
@@ -699,8 +702,9 @@ func (s *Scheduler) start(j *Job, holder string, cancel func()) bool {
 // job already was terminal.
 //
 // Before waking the job's waiters it records the attempt's span, run
-// time and sched_running_jobs if the job was running (the queue span if
-// it never left the queue), the root job span and the completion
+// time and sched_running_jobs if the job was running (else the span of
+// its current wait in the queue, which starts at its last requeue if it
+// had one), the root job span and the completion
 // counter. Then it journals done — except for a cancel caused by
 // draining, which stays live so the next boot re-enqueues the job —
 // releases the lease edge, logs, and drops the job from the in-flight
@@ -725,7 +729,7 @@ func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
 		s.metrics.runSeconds.With(method).Observe(runSec)
 		s.metrics.running.Dec()
 	} else {
-		s.recordSpan(j, j.rootSpan, "queue", j.Created, j.finished, nil)
+		s.recordSpan(j, j.rootSpan, "queue", j.queued, j.finished, nil)
 	}
 	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.finished,
 		map[string]string{"state": string(state), "method": method, "tenant": j.Tenant})
@@ -765,7 +769,7 @@ func (s *Scheduler) worker() {
 			continue
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		if s.start(j, localHolder, cancel) {
+		if s.start(j, "", cancel) {
 			res, err := j.run(ctx, j)
 			j.mu.Lock()
 			s.finish(j, res, err)
@@ -858,7 +862,8 @@ func (s *Scheduler) popPreferredLocked(prefer func(string) bool) *Job {
 // requeue is the remote-only edge Running→Queued: the lease expired or
 // its worker abandoned it, so the job goes back to its tenant's heap
 // for another claimant (remote or local), its lease span closes with
-// outcome "requeued" and its lease edge is released. A job that is not
+// outcome "requeued", its next queue span starts at the same instant
+// and its lease edge is released. A job that is not
 // leased (settled by a late completion, cancelled, or running locally)
 // is left alone. A draining scheduler takes nothing back: the lease
 // ends through finish as a drain cancellation instead.
@@ -876,8 +881,8 @@ func (s *Scheduler) requeue(j *Job) bool {
 		return false
 	}
 	span, holder := attempt(j.worker)
-	started, runSpan := j.started, j.runSpan
-	j.state = StateQueued
+	started, runSpan, now := j.started, j.runSpan, time.Now()
+	j.state, j.queued = StateQueued, now
 	j.worker, j.runSpan, j.started, j.cancel = "", "", time.Time{}, nil
 	// The next attempt trains from round 1 again; its rounds count anew.
 	j.round, j.rounds = 0, 0
@@ -888,7 +893,7 @@ func (s *Scheduler) requeue(j *Job) bool {
 	s.cond.Signal()
 	s.mu.Unlock()
 	s.journal.leaseReleased(j.Key)
-	s.recordSpanID(j, runSpan, j.rootSpan, span, started, time.Now(),
+	s.recordSpanID(j, runSpan, j.rootSpan, span, started, now,
 		map[string]string{"worker": holder, "outcome": "requeued"})
 	s.log.Info("engine: leased job requeued", "trace", j.TraceID, "job", j.ID, "worker", holder)
 	return true

@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
@@ -289,5 +291,24 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 	}
 	if got := runs.Count(); got != before {
 		t.Fatalf("sched_run_seconds count = %d after a late result, want %d", got, before)
+	}
+	// The wait before the claim, the lease and the wait after the
+	// requeue follow one another: no interval is counted twice.
+	var phases []telemetry.Span
+	for _, sp := range e.Traces().Trace(j.TraceID) {
+		if sp.Name == "queue" || sp.Name == "lease" {
+			phases = append(phases, sp)
+		}
+	}
+	sort.Slice(phases, func(a, b int) bool { return phases[a].Start.Before(phases[b].Start) })
+	if len(phases) != 3 || phases[0].Name != "queue" || phases[1].Name != "lease" || phases[2].Name != "queue" {
+		t.Fatalf("queue and lease spans = %v, want queue, lease, queue", phases)
+	}
+	for i := 1; i < len(phases); i++ {
+		// DurationSec is a float: allow its rounding, not an overlap.
+		prevEnd := phases[i-1].Start.Add(time.Duration(phases[i-1].DurationSec*float64(time.Second)) - time.Microsecond)
+		if phases[i].Start.Before(prevEnd) {
+			t.Fatalf("%s span starts before the %s span ends", phases[i].Name, phases[i-1].Name)
+		}
 	}
 }
