@@ -58,8 +58,9 @@ func (c *Client) Workers(ctx context.Context) (FleetView, error) {
 	return v, err
 }
 
-// PullLease asks the coordinator for one job lease. (nil, nil) means no
-// work is queued right now — idle briefly and pull again.
+// PullLease asks the coordinator for one job lease. The coordinator
+// holds the request until a job is queued or a third of the lease TTL
+// passes; (nil, nil) means the hold passed with no work — pull again.
 func (c *Client) PullLease(ctx context.Context, workerID string) (*LeaseView, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		c.base+"/v1/workers/"+url.PathEscape(workerID)+"/lease", nil)

@@ -146,11 +146,14 @@ func run() error {
 		fmt.Printf("[%s completed in %s]\n\n", exp, time.Since(start).Round(time.Millisecond))
 	}
 	if *saveModelFlag != "" {
-		n, err := saveModels(eng, *saveModelFlag)
+		n, missing, err := saveModels(eng, *saveModelFlag)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("[%d model checkpoints written under %s]\n", n, *saveModelFlag)
+		if missing > 0 {
+			fmt.Printf("[%d done jobs had no resident checkpoint: the store evicted them; -cache DIR keeps every one]\n", missing)
+		}
 	}
 	st := eng.Stats()
 	fmt.Printf("[engine: %d submitted, %d cache hits, %d rounds trained]\n",
@@ -162,12 +165,13 @@ func run() error {
 // Spec job of this invocation — cache hits included, since the blob is
 // stored content-addressed next to the memoized result — as
 // <method>-<address[:12]>.model files that nn.LoadModel (or any client
-// of GET /v1/jobs/{id}/model) can read back.
-func saveModels(eng *engine.Engine, dir string) (int, error) {
+// of GET /v1/jobs/{id}/model) can read back. It also counts the done
+// jobs whose checkpoint the store no longer holds: a memory-only store
+// keeps only its newest blobs, and a capped disk cache evicts too.
+func saveModels(eng *engine.Engine, dir string) (written, missing int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("save-model: %w", err)
+		return 0, 0, fmt.Errorf("save-model: %w", err)
 	}
-	written := 0
 	seen := map[string]bool{}
 	for _, j := range eng.Jobs() {
 		if j.Spec == nil || j.State() != engine.StateDone || seen[j.Key] {
@@ -176,18 +180,19 @@ func saveModels(eng *engine.Engine, dir string) (int, error) {
 		seen[j.Key] = true
 		blob, ok, err := eng.ModelBlob(j.Key)
 		if err != nil {
-			return written, fmt.Errorf("save-model: %s: %w", j.Key, err)
+			return written, missing, fmt.Errorf("save-model: %s: %w", j.Key, err)
 		}
 		if !ok {
+			missing++
 			continue
 		}
 		name := fmt.Sprintf("%s-%s.model", j.Spec.Method, j.Key[:12])
 		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
-			return written, fmt.Errorf("save-model: %w", err)
+			return written, missing, fmt.Errorf("save-model: %w", err)
 		}
 		written++
 	}
-	return written, nil
+	return written, missing, nil
 }
 
 // serve runs the experiment engine behind the HTTP/JSON job API until

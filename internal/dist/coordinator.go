@@ -55,6 +55,9 @@ var (
 	// ErrVersionSkew: a worker's CodeVersion differs from the
 	// coordinator's.
 	ErrVersionSkew = errors.New("dist: code version skew")
+	// ErrClosing: the coordinator is closing or its engine draining, so
+	// a pull can never be granted; the worker backs off and retries.
+	ErrClosing = errors.New("dist: coordinator closing")
 )
 
 // Options configures a Coordinator.
@@ -104,9 +107,11 @@ type Coordinator struct {
 	workers map[string]*workerState // by worker ID
 	leases  map[string]*leaseState  // by job ID
 	nextID  int64
-	closed  bool
 
-	stop     chan struct{}
+	// stopped ends when Close begins: the reaper exits and every held
+	// lease pull is released.
+	stopped  context.Context
+	stop     context.CancelFunc
 	reaperWG sync.WaitGroup
 }
 
@@ -130,8 +135,8 @@ func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 		stats:   newStragglerStats(),
 		workers: map[string]*workerState{},
 		leases:  map[string]*leaseState{},
-		stop:    make(chan struct{}),
 	}
+	c.stopped, c.stop = context.WithCancel(context.Background())
 	for key, worker := range eng.BootLeases() {
 		c.m.requeued.With("boot").Inc()
 		c.log.Info("dist: boot replay requeued leased job",
@@ -145,18 +150,11 @@ func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 // LeaseTTL returns the configured lease lifetime.
 func (c *Coordinator) LeaseTTL() time.Duration { return c.ttl }
 
-// Close stops the expiry reaper. Outstanding leases are left in place:
-// the engine's shutdown (or journal replay on the next boot) owns their
-// fate.
+// Close stops the expiry reaper and releases every held lease pull
+// with ErrClosing. Outstanding leases are left in place: the engine's
+// shutdown (or journal replay on the next boot) owns their fate.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.stop)
+	c.stop()
 	c.reaperWG.Wait()
 }
 
@@ -213,8 +211,15 @@ func rendezvousOwner(key string, names []string) string {
 // Claim leases the next job to a worker: shard-affine work first
 // (rendezvous hash of the content-address over the current fleet),
 // any queued work otherwise — an idle node never waits for its shard.
-// Returns (nil, nil) when the queue is empty.
-func (c *Coordinator) Claim(workerID string) (*engine.LeaseView, error) {
+//
+// On an empty queue Claim holds the pull, a long poll: it returns as
+// soon as a job is pushed and claimed, and with (nil, nil) once a third
+// of the lease TTL passes with nothing to claim. It returns ErrClosing
+// when the coordinator closes or the engine drains, and ctx's error,
+// claiming nothing, when ctx (the pull's request) ends first. A job
+// claimed just as ctx ended has no one to run it and goes straight
+// back to the queue.
+func (c *Coordinator) Claim(ctx context.Context, workerID string) (*engine.LeaseView, error) {
 	c.mu.Lock()
 	w, ok := c.workers[workerID]
 	if !ok {
@@ -235,20 +240,35 @@ func (c *Coordinator) Claim(workerID string) (*engine.LeaseView, error) {
 	if len(names) > 1 {
 		prefer = func(key string) bool { return rendezvousOwner(key, names) == self }
 	}
+	hold, release := context.WithTimeout(ctx, c.ttl/3)
+	defer release()
+	defer context.AfterFunc(c.stopped, release)()
 	ls := &leaseState{workerID: workerID, workerName: self}
-	j, ok := c.eng.ClaimRemote(self, prefer, func(j *engine.Job) { c.cancelLease(ls, j) })
+	j, ok := c.eng.ClaimRemote(hold, self, prefer, func(j *engine.Job) { c.cancelLease(ls, j) })
 	if !ok {
+		switch {
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case c.stopped.Err() != nil || c.eng.Draining():
+			return nil, ErrClosing
+		}
 		return nil, nil
 	}
 
 	c.mu.Lock()
-	if c.closed || c.workers[workerID] != w {
-		// The worker vanished (or the coordinator is closing) between the
-		// claim and the bookkeeping: hand the job straight back.
+	if gone := ctx.Err(); gone != nil || c.stopped.Err() != nil || c.workers[workerID] != w {
+		// The pull ended, the worker vanished or the coordinator is
+		// closing between the claim and the bookkeeping: hand the job
+		// straight back.
 		c.mu.Unlock()
-		c.eng.RequeueRemote(j)
-		c.m.requeued.With("worker_lost").Inc()
-		return nil, ErrUnknownWorker
+		reason, err := "pull_gone", gone
+		if gone == nil {
+			reason, err = "worker_lost", ErrUnknownWorker
+		}
+		if c.eng.RequeueRemote(j) {
+			c.m.requeued.With(reason).Inc()
+		}
+		return nil, err
 	}
 	now := time.Now()
 	ls.job, ls.granted, ls.expires = j, now, now.Add(c.ttl)
@@ -535,7 +555,7 @@ func (c *Coordinator) reaper() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.stopped.Done():
 			return
 		case <-t.C:
 		}

@@ -44,7 +44,14 @@ type cluster struct {
 
 func newCluster(t *testing.T, ttl time.Duration) *cluster {
 	t.Helper()
-	eng, err := engine.New(engine.Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+	return newClusterWith(t, ttl, engine.Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+}
+
+// newClusterWith is newCluster over a coordinator engine built from
+// opts (a journal, a logger).
+func newClusterWith(t *testing.T, ttl time.Duration, opts engine.Options) *cluster {
+	t.Helper()
+	eng, err := engine.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +81,9 @@ func (cl *cluster) addWorker(name string, weng *engine.Engine) *Worker {
 		}
 	}
 	w, err := NewWorker(WorkerOptions{
-		Name:     name,
-		Client:   client.New(cl.srv.URL),
-		Engine:   weng,
-		IdleWait: 25 * time.Millisecond,
+		Name:   name,
+		Client: client.New(cl.srv.URL),
+		Engine: weng,
 	})
 	if err != nil {
 		cl.t.Fatal(err)
@@ -260,7 +266,7 @@ func TestWorkerNamedLocalLeaseRequeues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := cl.coord.Claim(reg.WorkerID)
+	lease, err := cl.coord.Claim(context.Background(), reg.WorkerID)
 	if err != nil || lease == nil || lease.JobID != j.ID {
 		t.Fatalf("claim = %+v, %v; want the submitted job", lease, err)
 	}
@@ -344,7 +350,7 @@ func TestCancelDuringClaimReachesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := coord.Claim(reg.WorkerID)
+	lease, err := coord.Claim(context.Background(), reg.WorkerID)
 	if err != nil || lease == nil || lease.JobID != j.ID {
 		t.Fatalf("claim = %+v, %v; want the submitted job", lease, err)
 	}

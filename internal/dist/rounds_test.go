@@ -80,7 +80,7 @@ func TestRemoteRoundsCountedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lv, err := cl.coord.Claim(reg.WorkerID)
+	lv, err := cl.coord.Claim(context.Background(), reg.WorkerID)
 	if err != nil || lv == nil {
 		t.Fatalf("claim: lease %v, err %v", lv, err)
 	}

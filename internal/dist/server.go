@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -14,7 +15,7 @@ import (
 //
 //	POST /v1/workers                          register a worker node
 //	GET  /v1/workers                          fleet view
-//	POST /v1/workers/{id}/lease               pull one lease (204 = no work)
+//	POST /v1/workers/{id}/lease               pull one lease, held up to TTL/3 (204 = none came)
 //	POST /v1/workers/{id}/heartbeat           renew leases + report progress
 //	POST /v1/workers/{id}/jobs/{job}/complete settle a lease
 //	PUT  /v1/workers/{id}/jobs/{job}/model    upload the lease's checkpoint blob
@@ -67,6 +68,10 @@ func writeCoordError(w http.ResponseWriter, err error) {
 		engine.WriteError(w, http.StatusConflict, engine.ErrCodeLeaseLost, err.Error())
 	case errors.Is(err, ErrVersionSkew):
 		engine.WriteError(w, http.StatusConflict, engine.ErrCodeVersionSkew, err.Error())
+	case errors.Is(err, ErrClosing), errors.Is(err, context.Canceled):
+		// A pull the shutdown (or its own client) ended: nothing was
+		// leased, retry later.
+		engine.WriteError(w, http.StatusServiceUnavailable, engine.ErrCodeUnavailable, err.Error())
 	default:
 		engine.WriteError(w, http.StatusBadRequest, engine.ErrCodeBadRequest, err.Error())
 	}
@@ -94,8 +99,11 @@ func (c *Coordinator) handleTop(w http.ResponseWriter, _ *http.Request) {
 	engine.WriteJSON(w, http.StatusOK, c.Top())
 }
 
+// handleLease holds the pull until a lease is claimed or the hold ends
+// (see Claim): 204 means a third of the lease TTL passed with no work,
+// 503 that the pull ended without a lease and may be retried.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	lease, err := c.Claim(strings.TrimSpace(r.PathValue("id")))
+	lease, err := c.Claim(r.Context(), strings.TrimSpace(r.PathValue("id")))
 	if err != nil {
 		writeCoordError(w, err)
 		return

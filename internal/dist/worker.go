@@ -27,10 +27,6 @@ type WorkerOptions struct {
 	Engine *engine.Engine
 	// Slots bounds how many leases run concurrently (0 = 1).
 	Slots int
-	// IdleWait paces lease pulls when the coordinator has no work
-	// (0 = 500ms); the actual wait is jittered ±50% so a fleet never
-	// polls in lockstep.
-	IdleWait time.Duration
 	// Log receives the worker's structured log lines; nil uses
 	// slog.Default().
 	Log *slog.Logger
@@ -65,7 +61,6 @@ type Worker struct {
 	c     *client.Client
 	eng   *engine.Engine
 	slots int
-	idle  time.Duration
 	log   *slog.Logger
 	m     *workerMetrics
 
@@ -92,10 +87,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 	if slots <= 0 {
 		slots = 1
 	}
-	idle := opts.IdleWait
-	if idle <= 0 {
-		idle = 500 * time.Millisecond
-	}
 	log := opts.Log
 	if log == nil {
 		log = slog.Default()
@@ -105,7 +96,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		c:      opts.Client,
 		eng:    opts.Engine,
 		slots:  slots,
-		idle:   idle,
 		log:    log,
 		m:      newWorkerMetrics(opts.Engine.Metrics()),
 		active: map[string]*activeLease{},
@@ -119,6 +109,11 @@ func (w *Worker) workerID() string {
 	defer w.mu.Unlock()
 	return w.id
 }
+
+// retryBackoff paces a worker's retries after a failed registration
+// or lease pull. An empty pull needs no pacing: the coordinator held it
+// until its hold elapsed, so the worker pulls again at once.
+const retryBackoff = 500 * time.Millisecond
 
 // jitter spreads a wait ±50% so a fleet of workers never acts in
 // lockstep.
@@ -172,7 +167,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			w.log.Warn("dist: registration failed, retrying", "error", err)
-			if !w.sleep(ctx, w.idle) {
+			if !w.sleep(ctx, retryBackoff) {
 				return ctx.Err()
 			}
 			continue
@@ -183,6 +178,19 @@ func (w *Worker) Run(ctx context.Context) error {
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() { defer hbWG.Done(); w.heartbeatLoop(hbCtx) }()
+
+	// A held pull ends with the worker: on a graceful stop through ctx,
+	// and on a kill like a dead process's dropped connection, so the
+	// coordinator requeues anything claimed for it.
+	pullCtx, stopPull := context.WithCancel(ctx)
+	defer stopPull()
+	go func() {
+		select {
+		case <-w.killed:
+			stopPull()
+		case <-pullCtx.Done():
+		}
+	}()
 
 	var execWG sync.WaitGroup
 	sem := make(chan struct{}, w.slots)
@@ -195,11 +203,11 @@ loop:
 			break loop
 		case sem <- struct{}{}:
 		}
-		lease, err := w.c.PullLease(ctx, w.workerID())
+		lease, err := w.c.PullLease(pullCtx, w.workerID())
 		switch {
 		case err != nil:
 			<-sem
-			if ctx.Err() != nil {
+			if pullCtx.Err() != nil {
 				break loop
 			}
 			w.m.pulls.With("error").Inc()
@@ -212,15 +220,13 @@ loop:
 				continue
 			}
 			w.log.Warn("dist: lease pull failed", "error", err)
-			if !w.sleep(ctx, w.idle) {
+			if !w.sleep(ctx, retryBackoff) {
 				break loop
 			}
 		case lease == nil:
+			// The hold elapsed with no work: pull again at once.
 			<-sem
 			w.m.pulls.With("idle").Inc()
-			if !w.sleep(ctx, w.idle) {
-				break loop
-			}
 		default:
 			w.m.pulls.With("lease").Inc()
 			w.mu.Lock()

@@ -149,31 +149,115 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// A memory-only store must bound its blob map: a long-running
-// in-memory server sweeping many specs cannot grow without limit, and
-// an evicted blob is a 404, not an error.
+// TestStoreMemoryBlobsBounded: a memory-only store bounds the bytes of
+// the checkpoint blobs it keeps, not their count — a long-running
+// in-memory coordinator must not grow with its fleet's throughput, and
+// an evicted blob is a 404, not an error. The oldest writes go first,
+// the newest always stays, and a dropped blob's bytes leave the budget.
 func TestStoreMemoryBlobsBounded(t *testing.T) {
-	st, err := NewStore("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < memCacheCap+10; i++ {
-		if err := st.PutBlob(fmt.Sprintf("h%04d", i), []byte{byte(i)}); err != nil {
+	const budget = memBlobBudget
+	put := func(t *testing.T, st *Store, hash string, n int) {
+		t.Helper()
+		if err := st.PutBlob(hash, make([]byte, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st.mu.Lock()
-	n := len(st.blobs)
-	st.mu.Unlock()
-	if n > memCacheCap {
-		t.Fatalf("memory store holds %d blobs, cap is %d", n, memCacheCap)
+	// resident sums the held blobs and checks the running total agrees.
+	resident := func(t *testing.T, st *Store) int64 {
+		t.Helper()
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		var sum int64
+		for _, b := range st.blobs {
+			sum += int64(len(b))
+		}
+		if sum != st.blobBytes || len(st.blobOrder) != len(st.blobs) {
+			t.Fatalf("running total %d over %d ordered blobs, but %d bytes in %d blobs held",
+				st.blobBytes, len(st.blobOrder), sum, len(st.blobs))
+		}
+		return sum
 	}
-	if _, ok, _ := st.GetBlob("h0000"); ok {
-		t.Fatal("oldest blob survived past the cap")
+	held := func(t *testing.T, st *Store, want map[string]bool) {
+		t.Helper()
+		for h, w := range want {
+			if _, ok, _ := st.GetBlob(h); ok != w {
+				t.Fatalf("blob %s held = %v, want %v", h, ok, w)
+			}
+		}
 	}
-	if _, ok, _ := st.GetBlob(fmt.Sprintf("h%04d", memCacheCap+9)); !ok {
-		t.Fatal("newest blob was evicted")
+	newStore := func(t *testing.T) *Store {
+		t.Helper()
+		st, err := NewStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
+
+	t.Run("mixed sizes, oldest first", func(t *testing.T) {
+		st := newStore(t)
+		put(t, st, "a", budget/4)
+		put(t, st, "b", budget/8)
+		put(t, st, "c", budget/2)
+		if got := resident(t, st); got != budget*7/8 {
+			t.Fatalf("resident %d under the budget, want all %d bytes kept", got, budget*7/8)
+		}
+		// Rewriting a makes it the newest, so b is now the oldest.
+		put(t, st, "a", budget/4)
+		put(t, st, "d", budget/4) // 9/8: b goes, exactly the budget stays
+		held(t, st, map[string]bool{"a": true, "b": false, "c": true, "d": true})
+		put(t, st, "e", budget/2) // 3/2: c goes
+		held(t, st, map[string]bool{"a": true, "c": false, "d": true, "e": true})
+		put(t, st, "f", budget/8) // 9/8: a, the oldest, goes though d is as large
+		held(t, st, map[string]bool{"a": false, "d": true, "e": true, "f": true})
+		if got := resident(t, st); got != budget*7/8 {
+			t.Fatalf("resident %d, want %d", got, budget*7/8)
+		}
+	})
+
+	t.Run("newest kept alone over budget", func(t *testing.T) {
+		st := newStore(t)
+		put(t, st, "small", 1024)
+		put(t, st, "huge", budget+1)
+		held(t, st, map[string]bool{"small": false, "huge": true})
+		if got := resident(t, st); got != budget+1 {
+			t.Fatalf("resident %d, want the newest blob's %d", got, budget+1)
+		}
+		put(t, st, "next", 1024)
+		held(t, st, map[string]bool{"huge": false, "next": true})
+	})
+
+	t.Run("DropBlob releases its bytes", func(t *testing.T) {
+		st := newStore(t)
+		put(t, st, "a", budget/2)
+		put(t, st, "b", budget/2)
+		st.DropBlob("a")
+		if got := resident(t, st); got != budget/2 {
+			t.Fatalf("resident %d after the drop, want %d", got, budget/2)
+		}
+		// Exactly at the budget again: nothing is evicted.
+		put(t, st, "c", budget/2)
+		held(t, st, map[string]bool{"a": false, "b": true, "c": true})
+	})
+
+	t.Run("thousands of checkpoints", func(t *testing.T) {
+		st := newStore(t)
+		const cell = 543 << 10 // one Table-I checkpoint
+		const puts = 2000
+		for i := 0; i < puts; i++ {
+			put(t, st, fmt.Sprintf("h%05d", i), cell)
+			if got := resident(t, st); got > budget {
+				t.Fatalf("after put %d resident %d bytes, budget %d", i, got, budget)
+			}
+		}
+		st.mu.Lock()
+		n := len(st.blobs)
+		st.mu.Unlock()
+		if n != budget/cell {
+			t.Fatalf("store holds %d checkpoints, want the %d newest that fit", n, budget/cell)
+		}
+		held(t, st, map[string]bool{"h00000": false, fmt.Sprintf("h%05d", puts-n): true, fmt.Sprintf("h%05d", puts-1): true})
+	})
 }
 
 func TestStoreBlobMemoryAndDisk(t *testing.T) {

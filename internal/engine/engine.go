@@ -795,12 +795,15 @@ func (e *Engine) BootLeases() map[string]string { return e.bootLeases }
 // ClaimRemote leases the next queued job to a remote worker: the job
 // transitions to Running attributed to the worker, its journal gains a
 // lease edge, and subscribers see the start event exactly as they would
-// for a local run. prefer, when non-nil, picks shard-affine work first
-// (see Scheduler.claimRemote for its constraints); onCancel, when
-// non-nil, is invoked if a user cancels the job while leased, so the
-// coordinator can relay the cancel to the worker on its next heartbeat.
-func (e *Engine) ClaimRemote(worker string, prefer func(key string) bool, onCancel func(*Job)) (*Job, bool) {
-	j := e.sched.claimRemote(worker, prefer, onCancel)
+// for a local run. On an empty queue it waits until work is pushed,
+// ctx ends or the engine drains; only a claim reports true, and a ctx
+// that has ended claims nothing. prefer, when non-nil, picks
+// shard-affine work first (see Scheduler.claimRemote for its
+// constraints); onCancel, when non-nil, is invoked if a user cancels
+// the job while leased, so the coordinator can relay the cancel to the
+// worker on its next heartbeat.
+func (e *Engine) ClaimRemote(ctx context.Context, worker string, prefer func(key string) bool, onCancel func(*Job)) (*Job, bool) {
+	j := e.sched.claimRemote(ctx, worker, prefer, onCancel)
 	return j, j != nil
 }
 

@@ -26,10 +26,11 @@ type engineMetrics struct {
 	rounds        *telemetry.Counter
 	quotaRejected *telemetry.CounterVec // tenant
 
-	queueDepth *telemetry.GaugeVec // tenant
-	running    *telemetry.Gauge
-	queueWait  *telemetry.HistogramVec // method
-	runSeconds *telemetry.HistogramVec // method
+	queueDepth    *telemetry.GaugeVec // tenant
+	running       *telemetry.Gauge
+	claimsWaiting *telemetry.Gauge        // remote claims parked on an empty queue
+	queueWait     *telemetry.HistogramVec // method
+	runSeconds    *telemetry.HistogramVec // method
 
 	scenarioBuild  *telemetry.Histogram
 	scenarioLookup *telemetry.CounterVec // result: hit|miss
@@ -54,6 +55,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Jobs waiting for a scheduler worker, per tenant (includes cancelled-but-unreaped entries).", "tenant"),
 		running: reg.Gauge("sched_running_jobs",
 			"Jobs currently executing, locally or leased."),
+		claimsWaiting: reg.Gauge("sched_claims_waiting",
+			"Remote lease pulls held on an empty queue, waiting for work to be pushed."),
 		queueWait: reg.HistogramVec("sched_queue_wait_seconds",
 			"Time from submission to a worker picking the job up, per method.", nil, "method"),
 		runSeconds: reg.HistogramVec("sched_run_seconds",
@@ -116,7 +119,7 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 		corrupt: reg.Counter("store_corrupt_total",
 			"Cache entries that were unreadable or undecodable and degraded to a miss."),
 		evictions: reg.Counter("store_evictions_total",
-			"Cache files deleted by the disk-size cap's LRU sweep."),
+			"Cache files deleted by the disk-size cap's LRU sweep, and checkpoint blobs a memory-only store evicted over its byte budget."),
 		blobBytes: reg.Counter("store_blob_bytes_total",
 			"Bytes of model-checkpoint blobs written to the store."),
 	}

@@ -349,6 +349,7 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
+	wake     chan struct{}        // held remote claims wait on it; see wakeLocked
 	queues   map[string]*jobQueue // per-tenant priority heaps
 	rr       []string             // round-robin ring of tenants ever seen
 	rrNext   int                  // next ring slot to serve
@@ -364,7 +365,7 @@ type Scheduler struct {
 
 // newScheduler starts a scheduler with the given worker-pool size.
 func newScheduler(workers int, m *engineMetrics, log *slog.Logger) *Scheduler {
-	s := &Scheduler{metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{}}
+	s := &Scheduler{metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{}, wake: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -481,7 +482,6 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 	j.state = StateQueued
 	s.inflight[key] = j
 	s.pushLocked(j)
-	s.cond.Signal()
 	s.log.Info("engine: job queued",
 		"trace", j.TraceID, "job", j.ID, "tenant", tenant, "method", methodLabel(j), "priority", priority, "key", key[:min(12, len(key))])
 	return j, false, nil
@@ -628,6 +628,7 @@ func (s *Scheduler) close() {
 		running = append(running, j)
 	}
 	s.cond.Broadcast()
+	s.wakeLocked()
 	s.mu.Unlock()
 
 	for _, j := range running {
@@ -636,12 +637,29 @@ func (s *Scheduler) close() {
 	s.wg.Wait()
 }
 
-// pushLocked puts a job on its tenant's heap; s.mu must be held.
+// pushLocked puts a job on its tenant's heap and wakes one pool worker
+// and, for a Spec job, every held remote claim; s.mu must be held. A
+// func job has no wire form, so pushing one back wakes no remote
+// claimer that would only skim past it again.
 func (s *Scheduler) pushLocked(j *Job) {
 	q := s.queueForLocked(j.Tenant)
 	heap.Push(q, j)
 	s.queued++
 	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
+	s.cond.Signal()
+	if j.Spec != nil {
+		s.wakeLocked()
+	}
+}
+
+// wakeLocked releases every remote claim waiting on the queue, on a
+// push of a Spec job or when the scheduler drains, by closing the wake
+// channel and replacing it; s.mu must be held. A held lease pull
+// selects on the channel next to its request context, which a
+// sync.Cond cannot do.
+func (s *Scheduler) wakeLocked() {
+	close(s.wake)
+	s.wake = make(chan struct{})
 }
 
 // attempt names a run attempt after the worker holding it ("" is the
@@ -785,15 +803,19 @@ func (s *Scheduler) worker() {
 // fleet as a whole still drains every tenant). With no preferred job
 // the normal fair-share dequeue applies, so a worker never idles while
 // work is queued. onCancel, when non-nil, becomes the job's cancel
-// hook so a user cancel propagates to the lease. Returns nil when the
-// queue is empty or the scheduler is draining.
+// hook so a user cancel propagates to the lease.
+//
+// On an empty queue the claim waits for a push to wake it (a long
+// poll). It returns nil, claiming nothing, once ctx ends or the
+// scheduler drains; a ctx that has already ended claims nothing even
+// when work is queued.
 //
 // prefer runs with s.mu held: it must not block or call back into the
 // scheduler or engine.
-func (s *Scheduler) claimRemote(worker string, prefer func(key string) bool, onCancel func(*Job)) *Job {
+func (s *Scheduler) claimRemote(ctx context.Context, worker string, prefer func(key string) bool, onCancel func(*Job)) *Job {
 	for {
 		s.mu.Lock()
-		if s.closed || s.queued == 0 {
+		if s.closed || ctx.Err() != nil {
 			s.mu.Unlock()
 			return nil
 		}
@@ -813,13 +835,18 @@ func (s *Scheduler) claimRemote(worker string, prefer func(key string) bool, onC
 		for _, fj := range funcJobs {
 			s.pushLocked(fj)
 		}
-		if len(funcJobs) > 0 {
-			s.cond.Signal()
+		if j == nil {
+			wake := s.wake
+			s.metrics.claimsWaiting.Inc()
+			s.mu.Unlock()
+			select {
+			case <-ctx.Done():
+			case <-wake:
+			}
+			s.metrics.claimsWaiting.Dec()
+			continue
 		}
 		s.mu.Unlock()
-		if j == nil {
-			return nil
-		}
 		var cancel func()
 		if onCancel != nil {
 			cancel = func() { onCancel(j) }
@@ -890,7 +917,6 @@ func (s *Scheduler) requeue(j *Job) bool {
 	j.emitLocked()
 	j.mu.Unlock()
 	s.pushLocked(j)
-	s.cond.Signal()
 	s.mu.Unlock()
 	s.journal.leaseReleased(j.Key)
 	s.recordSpanID(j, runSpan, j.rootSpan, span, started, now,

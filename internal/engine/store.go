@@ -16,19 +16,26 @@ import (
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
-// memCacheCap bounds the in-memory entry count of a disk-backed Store;
-// beyond it the least-recently-used entries fall back to their disk
-// files, keeping a long-running server's memory flat. Memory-only
-// stores ("" dir) are never evicted — dropping an entry would lose it.
+// memCacheCap bounds the in-memory Result count of a disk-backed
+// Store; beyond it the least-recently-used entries fall back to their
+// disk files, keeping a long-running server's memory flat. Memory-only
+// stores ("" dir) never evict Results — dropping one would lose it.
 const memCacheCap = 256
+
+// memBlobBudget bounds the checkpoint bytes a memory-only Store keeps
+// resident: past it the oldest blobs are evicted. 64 MiB holds about
+// 120 Table-I checkpoints (543 KB each), eight 14-cell fleet sweeps, so
+// a coordinator's memory stays flat however fast its fleet trains.
+const memBlobBudget = 64 << 20
 
 // Store memoizes completed Results keyed by content-address. Entries
 // live in memory and, when a directory is configured, as one JSON file
 // per address, so a warm cache survives process restarts and repeated
 // table/figure regeneration is O(cache-hit). Next to each Result the
 // store can hold an opaque checkpoint blob (the trained model in the
-// nn binary format) under the same address. Store is safe for
-// concurrent use.
+// nn binary format) under the same address: on disk when a directory is
+// configured, else in memory within memBlobBudget bytes. Store is safe
+// for concurrent use.
 type Store struct {
 	dir     string
 	metrics *storeMetrics
@@ -38,10 +45,14 @@ type Store struct {
 	// are evicted until the total fits. See SetMaxBytes.
 	maxBytes int64
 
-	mu        sync.Mutex
-	mem       map[string]*Result
-	blobs     map[string][]byte // memory-only stores ("" dir) keep blobs here
-	blobOrder []string          // insertion order of blobs, for bounded eviction
+	mu    sync.Mutex
+	mem   map[string]*Result
+	blobs map[string][]byte // memory-only stores ("" dir) keep blobs here
+	// blobOrder lists the blobs oldest write first, for eviction;
+	// blobBytes is their resident total, at most memBlobBudget unless
+	// the newest blob alone exceeds it.
+	blobOrder []string
+	blobBytes int64
 	use       map[string]int64
 	// approx over-estimates the on-disk byte total (it grows with every
 	// write, including overwrites); the full directory scan in
@@ -255,23 +266,23 @@ func (s *Store) blobPath(hash string) string {
 
 // PutBlob stores an opaque checkpoint blob under a content-address,
 // next to the entry's Result. Disk writes are atomic (temp + rename).
-// Memory-only stores keep at most memCacheCap blobs (insertion-ordered
-// eviction): a long-running in-memory server must not grow without
-// bound, and a missing blob degrades to a 404, never an error.
+// A memory-only store keeps at most memBlobBudget blob bytes, evicting
+// the oldest writes first and always keeping the one just written:
+// a long-running in-memory server must not grow without bound, and a
+// missing blob degrades to a 404, never an error.
 func (s *Store) PutBlob(hash string, data []byte) error {
 	if s.dir == "" {
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		s.metrics.blobBytes.Add(int64(len(cp)))
 		s.mu.Lock()
-		if _, ok := s.blobs[hash]; !ok {
-			s.blobOrder = append(s.blobOrder, hash)
-		}
+		s.unlinkBlobLocked(hash)
 		s.blobs[hash] = cp
-		for len(s.blobs) > memCacheCap && len(s.blobOrder) > 0 {
-			victim := s.blobOrder[0]
-			s.blobOrder = s.blobOrder[1:]
-			delete(s.blobs, victim)
+		s.blobOrder = append(s.blobOrder, hash)
+		s.blobBytes += int64(len(cp))
+		for s.blobBytes > memBlobBudget && len(s.blobOrder) > 1 {
+			s.unlinkBlobLocked(s.blobOrder[0])
+			s.metrics.evictions.Inc()
 		}
 		s.mu.Unlock()
 		return nil
@@ -319,19 +330,27 @@ func (s *Store) GetBlob(hash string) ([]byte, bool, error) {
 }
 
 // DropBlob releases the in-memory copy of the checkpoint blob stored
-// under a content-address: a memory-only store forgets it, so a later
-// GetBlob misses. Disk-backed stores never hold blobs in memory, so
-// for them it is a no-op and the file stays.
+// under a content-address: a memory-only store forgets it and its bytes
+// leave the budget, so a later GetBlob misses. Disk-backed stores never
+// hold blobs in memory, so for them it is a no-op and the file stays.
 func (s *Store) DropBlob(hash string) {
 	if s.dir != "" {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.blobs[hash]; !ok {
+	s.unlinkBlobLocked(hash)
+	s.mu.Unlock()
+}
+
+// unlinkBlobLocked forgets a memory-only blob and its bytes, if held;
+// s.mu must be held.
+func (s *Store) unlinkBlobLocked(hash string) {
+	b, ok := s.blobs[hash]
+	if !ok {
 		return
 	}
 	delete(s.blobs, hash)
+	s.blobBytes -= int64(len(b))
 	for i, h := range s.blobOrder {
 		if h == hash {
 			s.blobOrder = append(s.blobOrder[:i], s.blobOrder[i+1:]...)

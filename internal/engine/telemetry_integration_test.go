@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -272,7 +273,7 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased, ok := e.ClaimRemote("w1", nil, nil)
+	leased, ok := e.ClaimRemote(context.Background(), "w1", nil, nil)
 	if !ok {
 		t.Fatal("queue empty, want a lease")
 	}
