@@ -3,11 +3,13 @@
 //
 // The coordinator wraps a (typically dispatch-only) Engine: jobs queue
 // through the normal submit paths, and registered workers pull them as
-// leases — heartbeat-renewed assignments with an expiry. Sweep cells
-// shard across the fleet by rendezvous-hashing their Spec
-// content-address, so the same cell lands on the same node run after
-// run (warm scenario caches), while an idle worker steals any queued
-// work rather than sit out its shard. A lease whose heartbeats stop —
+// leases — heartbeat-renewed assignments with an expiry. Claims keep
+// the engine's fair share across tenants and, within a tenant, are
+// scenario-affine: a worker takes the next cell on the scenario of its
+// latest lease, which its scenario cache already holds, else a cell on
+// a scenario no other worker is on, so each worker builds each of a
+// sweep's scenarios once at most; an idle worker still takes any queued
+// work rather than wait. A lease whose heartbeats stop —
 // worker crash, network partition — expires and the job requeues onto
 // the survivors; lease edges are journaled, so a coordinator restart
 // replays in-flight assignments as requeues. Worker progress merges
@@ -25,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"strings"
 	"sync"
@@ -188,29 +189,10 @@ func (c *Coordinator) Register(req engine.WorkerRegisterRequest) (engine.WorkerR
 	return engine.WorkerRegisterResponse{WorkerID: w.id, LeaseTTLSec: c.ttl.Seconds()}, nil
 }
 
-// rendezvousOwner picks the fleet member that owns a content-address:
-// the name with the highest FNV-1a score over (name, key). Every node
-// computes the same answer from the same member list, no coordination
-// or ring state needed, and a membership change only remaps the keys
-// the lost/gained node owned.
-func rendezvousOwner(key string, names []string) string {
-	best := ""
-	var bestScore uint64
-	for _, name := range names {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		h.Write([]byte(key))
-		if score := h.Sum64(); best == "" || score > bestScore || (score == bestScore && name < best) {
-			best, bestScore = name, score
-		}
-	}
-	return best
-}
-
-// Claim leases the next job to a worker: shard-affine work first
-// (rendezvous hash of the content-address over the current fleet),
-// any queued work otherwise — an idle node never waits for its shard.
+// Claim leases the next job to a worker: within the tenant whose turn
+// it is, work on the scenario of its latest lease first, then work on
+// a scenario no other worker holds, any queued work otherwise — an
+// idle node never waits (see engine.Engine.ClaimRemote).
 //
 // On an empty queue Claim holds the pull, a long poll: it returns as
 // soon as a job is pushed and claimed, and with (nil, nil) once a third
@@ -228,23 +210,13 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string) (*engine.Lease
 	}
 	w.lastSeen = time.Now()
 	self := w.name
-	names := make([]string, 0, len(c.workers))
-	for _, other := range c.workers {
-		names = append(names, other.name)
-	}
 	c.mu.Unlock()
 
-	// prefer runs under the scheduler's lock: pure hashing over the
-	// membership snapshot, no locks, no callbacks.
-	var prefer func(key string) bool
-	if len(names) > 1 {
-		prefer = func(key string) bool { return rendezvousOwner(key, names) == self }
-	}
 	hold, release := context.WithTimeout(ctx, c.ttl/3)
 	defer release()
 	defer context.AfterFunc(c.stopped, release)()
 	ls := &leaseState{workerID: workerID, workerName: self}
-	j, ok := c.eng.ClaimRemote(hold, self, prefer, func(j *engine.Job) { c.cancelLease(ls, j) })
+	j, ok := c.eng.ClaimRemote(hold, self, func(j *engine.Job) { c.cancelLease(ls, j) })
 	if !ok {
 		switch {
 		case ctx.Err() != nil:

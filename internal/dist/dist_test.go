@@ -443,41 +443,36 @@ func TestTieredStoreAnswersWithoutTraining(t *testing.T) {
 	}
 }
 
-// TestRendezvousOwner pins the sharding function: deterministic, total
-// over the fleet, and minimally disruptive under membership change (a
-// removed node's keys redistribute; everyone else's stay put).
-func TestRendezvousOwner(t *testing.T) {
-	names := []string{"alpha", "beta", "gamma"}
-	keys := make([]string, 60)
-	for i := range keys {
-		keys[i] = string(rune('a'+i%26)) + "-key-" + string(rune('0'+i%10))
+// TestClusterSweepBuildsEachScenarioOnce: two idle workers share one
+// 2-scenario × 7-method sweep by scenario. Their held pulls wake onto
+// different scenarios and each stays on its own, so the fleet builds
+// each scenario once, plus at most one build by a worker that runs out
+// of its own cells and takes one of the other's.
+func TestClusterSweepBuildsEachScenarioOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cl := newCluster(t, longPollTTL)
+	workers := []*Worker{cl.addWorker("alpha", nil), cl.addWorker("beta", nil)}
+	waitFor(t, heldPullBound, "both pulls to be held", func() bool { return cl.waiting() == 2 })
+	sw := engine.Sweep{
+		Base:    tinySpec("FedAvg", 1),
+		Methods: append([]string{"FedAvg"}, engine.MethodNames()...),
+		Seeds:   []engine.SeedSpec{{Seed: 1, GenSeed: 12}, {Seed: 2, GenSeed: 13}},
 	}
-	counts := map[string]int{}
-	owners := map[string]string{}
-	for _, k := range keys {
-		o := rendezvousOwner(k, names)
-		if o2 := rendezvousOwner(k, []string{"gamma", "alpha", "beta"}); o2 != o {
-			t.Fatalf("owner of %q depends on member order: %q vs %q", k, o, o2)
-		}
-		owners[k] = o
-		counts[o]++
+	b, err := cl.eng.SubmitSweep(sw, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, n := range names {
-		if counts[n] == 0 {
-			t.Fatalf("node %s owns no keys of %d — distribution %v", n, len(keys), counts)
-		}
-	}
-	// Drop beta: only beta's keys may change hands.
-	for _, k := range keys {
-		o := rendezvousOwner(k, []string{"alpha", "gamma"})
-		if owners[k] != "beta" && o != owners[k] {
-			t.Fatalf("key %q moved from %s to %s though its owner survived", k, owners[k], o)
-		}
-		if owners[k] == "beta" && o == "beta" {
-			t.Fatalf("key %q still owned by removed node", k)
+	for _, j := range b.Unique() {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("cell %.12s: %v", j.Key, err)
 		}
 	}
-	if rendezvousOwner("anything", nil) != "" {
-		t.Fatal("empty fleet must own nothing")
+	var misses int64
+	for _, w := range workers {
+		misses += w.eng.Metrics().CounterVec("engine_scenario_cache_total", "", "result").With("miss").Value()
+	}
+	if misses > 3 {
+		t.Fatalf("workers built %d scenarios for a 2-scenario sweep, want at most 3", misses)
 	}
 }

@@ -121,7 +121,7 @@ func TestPullEndedFirstClaimsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cl.eng.ClaimRemote(ctx, "alpha", nil, nil); ok {
+	if _, ok := cl.eng.ClaimRemote(ctx, "alpha", nil); ok {
 		t.Fatal("a claim with an ended context took a job")
 	}
 	if got := records.Value() - before; got != 1 {

@@ -218,7 +218,7 @@ func TestRunningCountsLeasedJobs(t *testing.T) {
 	}
 	claim := func() {
 		t.Helper()
-		if leased, ok := cl.eng.ClaimRemote(context.Background(), "alpha", nil, nil); !ok || leased != j {
+		if leased, ok := cl.eng.ClaimRemote(context.Background(), "alpha", nil); !ok || leased != j {
 			t.Fatalf("lease = %v, %v; want the submitted job", leased, ok)
 		}
 		if got := gauge.Value(); got != 1 {

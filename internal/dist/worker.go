@@ -16,8 +16,8 @@ import (
 
 // WorkerOptions configures a fleet worker node.
 type WorkerOptions struct {
-	// Name identifies the node to operators; keep it stable across
-	// restarts so shard assignment (rendezvous by name) stays put.
+	// Name identifies the node to operators and to the coordinator's
+	// scenario-affine claims, which remember each name's latest lease.
 	Name string
 	// Client talks to the coordinator (`-join` URL, plus API key when
 	// the coordinator authenticates).

@@ -105,12 +105,15 @@ func TestEncodeIntoMatchesReference(t *testing.T) {
 // FuzzEncodeInto drives the same property over fuzzer-chosen encoder
 // shapes: 1–3 layers of 1–9 channels on maps up to 12×12, pooling
 // wherever the map is even, both activations. The checked-in corpus
-// under testdata/fuzz pins 1×1 maps, single-channel stacks and deep
-// odd-sized ones; CI runs a fixed-budget fuzz smoke beyond it.
+// under testdata/fuzz pins 1×1 maps, single-channel stacks, deep
+// odd-sized ones, and maps whose padded planes (h·(w+2) lanes) leave
+// every SIMD tail length; CI runs a fixed-budget fuzz smoke beyond it.
 func FuzzEncodeInto(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(16), uint8(16), uint8(2), uint8(1), false)
 	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), true)
 	f.Add(int64(3), uint8(4), uint8(7), uint8(10), uint8(3), uint8(6), false)
+	f.Add(int64(4), uint8(2), uint8(6), uint8(4), uint8(1), uint8(0), false) // 7×5: 49 lanes
+	f.Add(int64(5), uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), true)  // 3×3: 15 lanes
 	f.Fuzz(func(t *testing.T, seed int64, inC, h, w, layers, poolBits uint8, relu bool) {
 		r := rand.New(rand.NewSource(seed))
 		cfg := encoder.Config{InChannels: int(inC)%4 + 1, H: int(h)%12 + 1, W: int(w)%12 + 1, Seed: uint64(seed)}

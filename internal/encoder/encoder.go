@@ -75,7 +75,7 @@ type convLayer struct {
 // state encoding allocates nothing.
 type scratch struct {
 	pad  []float64 // the current layer's input, zero-padded by one pixel
-	act  []float64 // a pooling layer's conv output before pooling
+	wide []float64 // the conv output at the padded row stride w+2
 	next []float64 // a hidden layer's output, the next layer's input
 }
 
@@ -117,7 +117,7 @@ func New(cfg Config) (*Encoder, error) {
 	}
 	src := rng.New(cfg.Seed)
 	e := &Encoder{cfg: cfg}
-	var padN, actN, nextN int
+	var padN, wideN, nextN int
 	inC, h, w := cfg.InChannels, cfg.H, cfg.W
 	for li, outC := range cfg.Channels {
 		r := src.StreamI("encoder-layer", li)
@@ -134,13 +134,13 @@ func New(cfg Config) (*Encoder, error) {
 			layer.bias[o] = r.NormFloat64() * 0.01
 		}
 		e.layers = append(e.layers, layer)
-		padN = max(padN, inC*(h+2)*(w+2))
+		padN = max(padN, inC*(h+2)*(w+2)+2)
+		wideN = max(wideN, outC*h*(w+2))
 		inC = outC
 		if layer.pool {
 			if h%2 != 0 || w%2 != 0 {
 				return nil, fmt.Errorf("encoder: layer %d pools an odd map %dx%d", li, h, w)
 			}
-			actN = max(actN, outC*h*w)
 			h, w = h/2, w/2
 		}
 		if li < len(cfg.Channels)-1 {
@@ -149,7 +149,7 @@ func New(cfg Config) (*Encoder, error) {
 	}
 	e.outC, e.outH, e.outW = inC, h, w
 	e.scratch.New = func() any {
-		return &scratch{pad: make([]float64, padN), act: make([]float64, actN), next: make([]float64, nextN)}
+		return &scratch{pad: make([]float64, padN), wide: make([]float64, wideN), next: make([]float64, nextN)}
 	}
 	e.calibrate(src)
 	return e, nil
@@ -276,61 +276,47 @@ func (e *Encoder) PooledFeature(x *tensor.Tensor) ([]float64, error) {
 }
 
 // forward runs one layer on src (inC×h×w) and writes its output — pooled
-// when the layer pools — to dst. It zero-pads src once into sc.pad so
-// the 3×3 loop needs no bounds branches. Padding cannot change a bit of
-// the result: a padded tap adds k·0 = ±0 to a per-pixel sum that starts
-// at +0, which under round-to-nearest never becomes −0, and adding ±0
-// to any other value is exact (DESIGN.md §5). Each pixel sums its taps
-// in ky-then-kx order before adding into the output, and input channels
-// accumulate in ascending order: the order of the unpadded reference
-// loop the tests compare against.
+// when the layer pools — to dst. It zero-pads src once into sc.pad and
+// convolves each (output, input) channel pair as one pass over the
+// padded plane (tensor.Conv3x3AddInto) into sc.wide, which holds the
+// output at the padded row stride w+2; the two pad columns of each
+// wide row are computed and then dropped. Padding cannot change a bit
+// of the result: a padded tap adds k·0 = ±0 to a per-pixel sum that
+// starts at +0, which under round-to-nearest never becomes −0, and
+// adding ±0 to any other value is exact (DESIGN.md §5). Each pixel sums
+// its taps in ky-then-kx order before adding into the output, and input
+// channels accumulate in ascending order: the order of the unpadded
+// reference loop the tests compare against.
 func (l *convLayer) forward(dst, src []float64, sc *scratch) {
 	h, w := l.h, l.w
 	hw := h * w
 	pw := w + 2
 	phw := (h + 2) * pw
-	pad := sc.pad[:l.inC*phw]
+	whw := h * pw
+	// Two slack values past the last plane let every plane's pass cover
+	// all h·(w+2) lanes, the last row's pad columns included.
+	pad := sc.pad[:l.inC*phw+2]
 	clear(pad)
 	for in := 0; in < l.inC; in++ {
 		for y := 0; y < h; y++ {
 			copy(pad[in*phw+(y+1)*pw+1:][:w], src[in*hw+y*w:][:w])
 		}
 	}
-	conv := dst
-	if l.pool {
-		conv = sc.act[:l.outC*hw]
-	}
-	for o := 0; o < l.outC; o++ {
-		oseg := conv[o*hw : (o+1)*hw]
-		b := l.bias[o]
+	wide := sc.wide[:l.outC*whw]
+	// Every plane starts at its bias, written before any plane is
+	// convolved: the kernel's vector loads of a plane then never wait on
+	// its scalar bias stores still in flight.
+	for o, b := range l.bias {
+		oseg := wide[o*whw : (o+1)*whw]
 		for i := range oseg {
 			oseg[i] = b
 		}
+	}
+	for o := 0; o < l.outC; o++ {
+		oseg := wide[o*whw : (o+1)*whw]
 		for in := 0; in < l.inC; in++ {
-			k := l.weights[(o*l.inC+in)*9:][:9]
-			k00, k01, k02 := k[0], k[1], k[2]
-			k10, k11, k12 := k[3], k[4], k[5]
-			k20, k21, k22 := k[6], k[7], k[8]
-			iseg := pad[in*phw : (in+1)*phw]
-			for y := 0; y < h; y++ {
-				orow := oseg[y*w : (y+1)*w]
-				r0 := iseg[y*pw:][:w+2]
-				r1 := iseg[(y+1)*pw:][:w+2]
-				r2 := iseg[(y+2)*pw:][:w+2]
-				for x := range orow {
-					s := 0.0
-					s += k00 * r0[x]
-					s += k01 * r0[x+1]
-					s += k02 * r0[x+2]
-					s += k10 * r1[x]
-					s += k11 * r1[x+1]
-					s += k12 * r1[x+2]
-					s += k20 * r2[x]
-					s += k21 * r2[x+1]
-					s += k22 * r2[x+2]
-					orow[x] += s
-				}
-			}
+			k := (*[9]float64)(l.weights[(o*l.inC+in)*9:])
+			tensor.Conv3x3AddInto(oseg, pad[in*phw:][:phw+2], pw, k)
 		}
 		if l.relu {
 			for i, v := range oseg {
@@ -341,16 +327,22 @@ func (l *convLayer) forward(dst, src []float64, sc *scratch) {
 		}
 	}
 	if !l.pool {
+		for o := 0; o < l.outC; o++ {
+			for y := 0; y < h; y++ {
+				copy(dst[o*hw+y*w:][:w], wide[o*whw+y*pw:][:w])
+			}
+		}
 		return
 	}
 	oh, ow := h/2, w/2
 	ohw := oh * ow
 	for o := 0; o < l.outC; o++ {
-		oseg := conv[o*hw : (o+1)*hw]
+		oseg := wide[o*whw : (o+1)*whw]
 		pseg := dst[o*ohw : (o+1)*ohw]
 		for y := 0; y < oh; y++ {
+			r0, r1 := oseg[(2*y)*pw:], oseg[(2*y+1)*pw:]
 			for xx := 0; xx < ow; xx++ {
-				s := oseg[(2*y)*w+2*xx] + oseg[(2*y)*w+2*xx+1] + oseg[(2*y+1)*w+2*xx] + oseg[(2*y+1)*w+2*xx+1]
+				s := r0[2*xx] + r0[2*xx+1] + r1[2*xx] + r1[2*xx+1]
 				pseg[y*ow+xx] = s * 0.25
 			}
 		}

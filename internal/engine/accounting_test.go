@@ -74,7 +74,7 @@ func TestRemoteJobAccountedBeforeWaitReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leased, ok := e.ClaimRemote(context.Background(), "w1", nil, nil)
+		leased, ok := e.ClaimRemote(context.Background(), "w1", nil)
 		if !ok || leased != j {
 			t.Fatalf("job %d: lease = %v, %v; want the submitted job", n, leased, ok)
 		}
@@ -146,7 +146,7 @@ func TestDrainedLeaseAccountedBeforeWaitReturns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if leased, ok := e.ClaimRemote(context.Background(), "w1", nil, nil); !ok || leased != j {
+		if leased, ok := e.ClaimRemote(context.Background(), "w1", nil); !ok || leased != j {
 			t.Fatalf("job %d: lease = %v, %v; want the submitted job", n, leased, ok)
 		}
 		e.sched.close()
@@ -185,7 +185,7 @@ func TestDrainedLeaseReleasesLeaseEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if leased, ok := e1.ClaimRemote(context.Background(), "w1", nil, nil); !ok || leased != j {
+	if leased, ok := e1.ClaimRemote(context.Background(), "w1", nil); !ok || leased != j {
 		t.Fatalf("lease = %v, %v; want the submitted job", leased, ok)
 	}
 	if live := e1.journal.liveLeases(); live[j.Key] != "w1" {

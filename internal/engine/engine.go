@@ -264,7 +264,7 @@ func (e *Engine) replayJournal() {
 		if rec.SweepTrace != "" && replayedSweep[rec.SweepTrace] {
 			continue // re-created as a cell of its replayed sweep
 		}
-		if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false); err != nil {
+		if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false, nil); err != nil {
 			e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
 			continue
 		}
@@ -379,7 +379,7 @@ func (e *Engine) Stats() Stats {
 // one exists, and otherwise enqueues at the given priority (higher runs
 // first).
 func (e *Engine) Submit(spec Spec, priority int) (*Job, error) {
-	return e.submit(spec, priority, "", "", "", false)
+	return e.submit(spec, priority, "", "", "", false, nil)
 }
 
 // SubmitTraced is Submit with a caller-supplied trace ID (the HTTP
@@ -387,7 +387,7 @@ func (e *Engine) Submit(spec Spec, priority int) (*Job, error) {
 // submission that coalesces onto an in-flight job observes that job's
 // original trace.
 func (e *Engine) SubmitTraced(spec Spec, priority int, traceID string) (*Job, error) {
-	return e.submit(spec, priority, traceID, "", "", false)
+	return e.submit(spec, priority, traceID, "", "", false, nil)
 }
 
 // SubmitAs is SubmitTraced with tenant attribution: the job joins that
@@ -395,7 +395,7 @@ func (e *Engine) SubmitTraced(spec Spec, priority int, traceID string) (*Job, er
 // quota refuses the submission with a *QuotaError). An empty tenant is
 // the anonymous tenant.
 func (e *Engine) SubmitAs(spec Spec, priority int, traceID, tenant string) (*Job, error) {
-	return e.submit(spec, priority, traceID, tenant, "", false)
+	return e.submit(spec, priority, traceID, tenant, "", false, nil)
 }
 
 // SubmitFresh is Submit minus the cache lookup: the run always executes
@@ -403,7 +403,7 @@ func (e *Engine) SubmitAs(spec Spec, priority int, traceID, tenant string) (*Job
 // consumer needs this machine's live measurement — e.g. the Fig. 4
 // wall-clock breakdown, which a cached result would report stale.
 func (e *Engine) SubmitFresh(spec Spec, priority int) (*Job, error) {
-	return e.submit(spec, priority, "", "", "", true)
+	return e.submit(spec, priority, "", "", "", true, nil)
 }
 
 // resolveSpec applies engine-wide defaults to a submitted Spec — today
@@ -417,7 +417,9 @@ func (e *Engine) resolveSpec(sp Spec) Spec {
 	return sp
 }
 
-func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace string, fresh bool) (*Job, error) {
+// submit is every Spec submission; b, when non-nil, is the enqueue
+// batch the job joins (see Scheduler.batch).
+func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace string, fresh bool, b *enqueueBatch) (*Job, error) {
 	submitStart := time.Now()
 	spec = e.resolveSpec(spec)
 	if err := spec.Validate(); err != nil {
@@ -451,7 +453,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	// losing it. Duplicate submit records for a coalesced key compact
 	// away; a quota refusal below retracts the record.
 	e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp)
-	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, func(ctx context.Context, j *Job) (*Result, error) {
+	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b, func(ctx context.Context, j *Job) (*Result, error) {
 		res, err := e.runSpec(ctx, j, sp, hash)
 		if err != nil {
 			return nil, err
@@ -514,7 +516,7 @@ func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFun
 		e.metrics.cacheHits.Inc()
 		return e.sched.completed(nil, key, priority, "", tenant, res), nil
 	}
-	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), time.Now(), func(ctx context.Context, j *Job) (*Result, error) {
+	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), time.Now(), nil, func(ctx context.Context, j *Job) (*Result, error) {
 		res, err := fn(ctx)
 		if err != nil {
 			return nil, err
@@ -579,35 +581,46 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 		specs:   specs,
 		jobs:    make([]*Job, len(specs)),
 	}
-	byHash := make(map[string]*Job, len(specs))
-	for i, sp := range specs {
-		hash, err := sp.Hash()
-		if err != nil {
-			b.Cancel()
-			e.journal.sweepDone(trace)
-			return nil, err
-		}
-		if j, ok := byHash[hash]; ok {
-			b.jobs[i] = j
-			continue
-		}
-		j, err := e.submit(sp, priority, fmt.Sprintf("%s-c%d", trace, i), tenant, trace, false)
-		if err != nil {
-			// A refused sweep was never accepted, so it is not owed a
-			// replay: settle the journal record before surfacing the error.
-			b.Cancel()
-			e.journal.sweepDone(trace)
-			return nil, err
-		}
-		byHash[hash] = j
-		b.jobs[i] = j
-		b.unique = append(b.unique, j)
+	// The cells enter the queue as one batch, so held remote claims wake
+	// once onto the whole sweep.
+	e.sched.batch(func(eb *enqueueBatch) { err = e.submitCells(b, priority, eb) })
+	if err != nil {
+		// A refused sweep was never accepted, so it is not owed a
+		// replay: settle the journal record before surfacing the error.
+		b.Cancel()
+		e.journal.sweepDone(trace)
+		return nil, err
 	}
 	e.registerBatch(b)
 	e.watchSweep(b)
 	e.log.Info("engine: sweep submitted",
 		"trace", trace, "sweep", b.ID, "tenant", tenant, "cells", len(specs), "jobs", len(b.unique))
 	return b, nil
+}
+
+// submitCells submits each unique cell of a new batch, in grid order,
+// and fills in b.jobs and b.unique; cells with equal content-addresses
+// share one job.
+func (e *Engine) submitCells(b *Batch, priority int, eb *enqueueBatch) error {
+	byHash := make(map[string]*Job, len(b.specs))
+	for i, sp := range b.specs {
+		hash, err := sp.Hash()
+		if err != nil {
+			return err
+		}
+		if j, ok := byHash[hash]; ok {
+			b.jobs[i] = j
+			continue
+		}
+		j, err := e.submit(sp, priority, fmt.Sprintf("%s-c%d", b.TraceID, i), b.Tenant, b.TraceID, false, eb)
+		if err != nil {
+			return err
+		}
+		byHash[hash] = j
+		b.jobs[i] = j
+		b.unique = append(b.unique, j)
+	}
+	return nil
 }
 
 // watchSweep journals the sweep's done-record once every unique cell
@@ -795,15 +808,16 @@ func (e *Engine) BootLeases() map[string]string { return e.bootLeases }
 // ClaimRemote leases the next queued job to a remote worker: the job
 // transitions to Running attributed to the worker, its journal gains a
 // lease edge, and subscribers see the start event exactly as they would
-// for a local run. On an empty queue it waits until work is pushed,
-// ctx ends or the engine drains; only a claim reports true, and a ctx
-// that has ended claims nothing. prefer, when non-nil, picks
-// shard-affine work first (see Scheduler.claimRemote for its
-// constraints); onCancel, when non-nil, is invoked if a user cancels
-// the job while leased, so the coordinator can relay the cancel to the
-// worker on its next heartbeat.
-func (e *Engine) ClaimRemote(ctx context.Context, worker string, prefer func(key string) bool, onCancel func(*Job)) (*Job, bool) {
-	j := e.sched.claimRemote(ctx, worker, prefer, onCancel)
+// for a local run. The tenant ring picks the tenant as for the local
+// pool; within it, work on the scenario of the worker's latest lease
+// comes first, then work on a scenario no other worker holds (see
+// Scheduler.claimRemote). On an empty queue it waits until work is
+// pushed, ctx ends or the engine drains; only a claim reports true, and
+// a ctx that has ended claims nothing. onCancel, when non-nil, is
+// invoked if a user cancels the job while leased, so the coordinator
+// can relay the cancel to the worker on its next heartbeat.
+func (e *Engine) ClaimRemote(ctx context.Context, worker string, onCancel func(*Job)) (*Job, bool) {
+	j := e.sched.claimRemote(ctx, worker, onCancel)
 	return j, j != nil
 }
 

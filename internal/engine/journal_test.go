@@ -282,7 +282,7 @@ func TestJournalLeaseReplay(t *testing.T) {
 	// Lease both jobs to a remote worker.
 	claimed := map[string]*Job{}
 	for i := 0; i < 2; i++ {
-		j, ok := e1.ClaimRemote(context.Background(), "w1", nil, nil)
+		j, ok := e1.ClaimRemote(context.Background(), "w1", nil)
 		if !ok {
 			t.Fatalf("claim %d: queue empty, want a lease", i)
 		}
@@ -327,7 +327,7 @@ func TestJournalLeaseReplay(t *testing.T) {
 	}
 
 	// The replayed B is queued and claimable by a (new) worker.
-	j2, ok := e2.ClaimRemote(context.Background(), "w2", nil, nil)
+	j2, ok := e2.ClaimRemote(context.Background(), "w2", nil)
 	if !ok {
 		t.Fatal("replayed leased job not claimable")
 	}
@@ -362,7 +362,7 @@ func TestRemoteClaimJournalsOneRecord(t *testing.T) {
 	}
 	records := e.Metrics().Counter("journal_records_total", "")
 	before := records.Value()
-	if _, ok := e.ClaimRemote(context.Background(), "w1", nil, nil); !ok {
+	if _, ok := e.ClaimRemote(context.Background(), "w1", nil); !ok {
 		t.Fatal("claim: queue empty, want a lease")
 	}
 	if got := records.Value() - before; got != 1 {

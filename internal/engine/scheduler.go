@@ -82,6 +82,10 @@ type Job struct {
 	run     jobRunFunc
 	seq     int64
 	heapIdx int
+	// scenario is the Spec's scenario key, computed under the
+	// scheduler's lock the first time a remote claim considers the job
+	// (see scenarioLocked); "" until then, and for func jobs.
+	scenario string
 
 	// rootSpan is the span ID of the job's root "job" span, minted at
 	// creation and immutable: every other span of the trace nests under
@@ -350,6 +354,7 @@ type Scheduler struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	wake     chan struct{}        // held remote claims wait on it; see wakeLocked
+	warm     map[string]string    // remote worker name → scenario key of its latest lease
 	queues   map[string]*jobQueue // per-tenant priority heaps
 	rr       []string             // round-robin ring of tenants ever seen
 	rrNext   int                  // next ring slot to serve
@@ -365,7 +370,8 @@ type Scheduler struct {
 
 // newScheduler starts a scheduler with the given worker-pool size.
 func newScheduler(workers int, m *engineMetrics, log *slog.Logger) *Scheduler {
-	s := &Scheduler{metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{}, wake: make(chan struct{})}
+	s := &Scheduler{metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
+		wake: make(chan struct{}), warm: map[string]string{}}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
 		s.wg.Add(1)
@@ -449,7 +455,7 @@ var ErrClosed = errors.New("engine: scheduler closed")
 // coalesced=true and nothing is enqueued (coalescing never consumes
 // quota). quota > 0 caps how many jobs the tenant may have queued; at
 // the cap the submission is refused with a *QuotaError.
-func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, run jobRunFunc) (j *Job, coalesced bool, err error) {
+func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, b *enqueueBatch, run jobRunFunc) (j *Job, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -481,7 +487,7 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 	j.run = run
 	j.state = StateQueued
 	s.inflight[key] = j
-	s.pushLocked(j)
+	s.pushLocked(j, b)
 	s.log.Info("engine: job queued",
 		"trace", j.TraceID, "job", j.ID, "tenant", tenant, "method", methodLabel(j), "priority", priority, "key", key[:min(12, len(key))])
 	return j, false, nil
@@ -638,18 +644,49 @@ func (s *Scheduler) close() {
 }
 
 // pushLocked puts a job on its tenant's heap and wakes one pool worker
-// and, for a Spec job, every held remote claim; s.mu must be held. A
-// func job has no wire form, so pushing one back wakes no remote
-// claimer that would only skim past it again.
-func (s *Scheduler) pushLocked(j *Job) {
+// and, for a Spec job, every held remote claim — at once, or when b
+// ends if the push belongs to an enqueue batch; s.mu must be held. A
+// func job has no wire form, so its push wakes no remote claimer, which
+// would only pass over it.
+func (s *Scheduler) pushLocked(j *Job, b *enqueueBatch) {
 	q := s.queueForLocked(j.Tenant)
 	heap.Push(q, j)
 	s.queued++
 	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
 	s.cond.Signal()
-	if j.Spec != nil {
+	switch {
+	case j.Spec == nil:
+	case b != nil:
+		b.wakeDue = true
+	default:
 		s.wakeLocked()
 	}
+}
+
+// enqueueBatch is a series of submits that wake held remote claims
+// once, after the last of them; see Scheduler.batch.
+type enqueueBatch struct {
+	wakeDue bool // a push of the batch owes held claims a wake; guarded by s.mu
+}
+
+// batch runs fn — a series of submits, each passing fn's batch to
+// submit — as one enqueue for held remote claims: the batch's pushes
+// wake no held claim until fn returns, and then one wake releases them
+// all onto the whole batch. A sweep enqueues through it, so claimers
+// woken by its cells all see every scenario the sweep brings and can
+// spread over them (claimRemote). Pushes outside the batch, local pool
+// workers and a claim that arrives while the batch is open are not
+// held back.
+func (s *Scheduler) batch(fn func(b *enqueueBatch)) {
+	b := &enqueueBatch{}
+	defer func() {
+		s.mu.Lock()
+		if b.wakeDue {
+			s.wakeLocked()
+		}
+		s.mu.Unlock()
+	}()
+	fn(b)
 }
 
 // wakeLocked releases every remote claim waiting on the queue, on a
@@ -796,45 +833,34 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// claimRemote leases the next queued job to a remote worker. prefer,
-// when non-nil, is consulted first: the highest-priority queued job
-// whose content-address it accepts is claimed regardless of tenant
-// fairness (shard affinity beats fair-share for remote pulls — the
-// fleet as a whole still drains every tenant). With no preferred job
-// the normal fair-share dequeue applies, so a worker never idles while
-// work is queued. onCancel, when non-nil, becomes the job's cancel
-// hook so a user cancel propagates to the lease.
+// claimRemote leases the next queued job to a remote worker, preferring
+// work whose scenario the fleet has already built. The tenant ring
+// picks the tenant, as for the local pool, so fair share holds across
+// tenants; among the tenant's queued Spec jobs of its top priority
+// level it claims, in FIFO order:
+//
+//  1. a job on the scenario of the worker's latest lease — the worker
+//     has that scenario cached;
+//  2. else a job on a scenario no other worker's latest lease holds —
+//     the worker builds a scenario nobody else is building;
+//  3. else the tenant's next job, so a worker never idles while work is
+//     queued.
+//
+// onCancel, when non-nil, becomes the job's cancel hook so a user
+// cancel propagates to the lease.
 //
 // On an empty queue the claim waits for a push to wake it (a long
 // poll). It returns nil, claiming nothing, once ctx ends or the
 // scheduler drains; a ctx that has already ended claims nothing even
 // when work is queued.
-//
-// prefer runs with s.mu held: it must not block or call back into the
-// scheduler or engine.
-func (s *Scheduler) claimRemote(ctx context.Context, worker string, prefer func(key string) bool, onCancel func(*Job)) *Job {
+func (s *Scheduler) claimRemote(ctx context.Context, worker string, onCancel func(*Job)) *Job {
 	for {
 		s.mu.Lock()
 		if s.closed || ctx.Err() != nil {
 			s.mu.Unlock()
 			return nil
 		}
-		j := s.popPreferredLocked(prefer)
-		var funcJobs []*Job
-		if j == nil {
-			// Func jobs (SubmitFunc, nil Spec) have no wire form and run
-			// only on the local pool: skim past them, then put them back.
-			for {
-				j = s.dequeueLocked()
-				if j == nil || j.Spec != nil {
-					break
-				}
-				funcJobs = append(funcJobs, j)
-			}
-		}
-		for _, fj := range funcJobs {
-			s.pushLocked(fj)
-		}
+		j := s.popRemoteLocked(worker)
 		if j == nil {
 			wake := s.wake
 			s.metrics.claimsWaiting.Inc()
@@ -846,6 +872,11 @@ func (s *Scheduler) claimRemote(ctx context.Context, worker string, prefer func(
 			s.metrics.claimsWaiting.Dec()
 			continue
 		}
+		// The worker's scenario moves with the pop, so a claim racing
+		// this one already sees it; a job cancelled while queued, which
+		// start refuses, moves it back.
+		prev, sc := s.warm[worker], s.scenarioLocked(j)
+		s.warm[worker] = sc
 		s.mu.Unlock()
 		var cancel func()
 		if onCancel != nil {
@@ -854,36 +885,106 @@ func (s *Scheduler) claimRemote(ctx context.Context, worker string, prefer func(
 		if s.start(j, worker, cancel) {
 			return j
 		}
+		s.mu.Lock()
+		if s.warm[worker] == sc {
+			s.warm[worker] = prev
+		}
+		s.mu.Unlock()
 	}
 }
 
-// popPreferredLocked removes the best (priority, then FIFO) queued job
-// whose content-address prefer accepts; s.mu must be held. Scanning the
-// raw heap slices is fine: priority writes are guarded by s.mu, and a
-// job cancelled-while-queued is filtered by the caller's state check.
-func (s *Scheduler) popPreferredLocked(prefer func(string) bool) *Job {
-	if prefer == nil {
-		return nil
+// scenarioLocked returns a Spec job's scenario key, computing it once
+// and caching it on the job; s.mu must be held. Only remote claims ask,
+// so local submits and cache hits never hash a scenario. A Spec whose
+// key cannot be computed gets "", which no rule treats as warm.
+func (s *Scheduler) scenarioLocked(j *Job) string {
+	if j.scenario == "" && j.Spec != nil {
+		j.scenario, _ = j.Spec.scenarioKey()
 	}
-	var best *Job
-	var bestQ *jobQueue
-	for _, q := range s.queues {
-		for _, j := range *q {
-			if j.Spec == nil || !prefer(j.Key) { // func jobs are local-only
-				continue
-			}
-			if best == nil || j.priority > best.priority || (j.priority == best.priority && j.seq < best.seq) {
-				best, bestQ = j, q
-			}
+	return j.scenario
+}
+
+// popRemoteLocked removes the job claimRemote leases to worker, or
+// returns nil when no Spec job is queued; s.mu must be held. It walks
+// the tenant ring as dequeueLocked does, passing over tenants whose
+// queues hold only func jobs (they have no wire form and run only on
+// the local pool), and advances the ring past the tenant it serves.
+// Scanning the raw heap slices is fine: priority writes are guarded by
+// s.mu, and a job cancelled-while-queued is filtered by start.
+func (s *Scheduler) popRemoteLocked(worker string) *Job {
+	n := len(s.rr)
+	for i := 0; i < n; i++ {
+		tenant := s.rr[(s.rrNext+i)%n]
+		q := s.queues[tenant]
+		j := s.pickLocked(*q, worker)
+		if j == nil {
+			continue
+		}
+		s.rrNext = (s.rrNext + i + 1) % n
+		heap.Remove(q, j.heapIdx)
+		s.queued--
+		s.metrics.queueDepth.With(tenant).Set(int64(q.Len()))
+		return j
+	}
+	return nil
+}
+
+// pickLocked applies claimRemote's rules to one tenant's queue: among
+// its Spec jobs of the top priority level, the oldest on worker's
+// scenario, else the oldest on a scenario no other worker holds, else
+// the oldest. It returns nil if q holds no Spec job; s.mu must be held.
+func (s *Scheduler) pickLocked(q jobQueue, worker string) *Job {
+	top, found := 0, false
+	for _, j := range q {
+		if j.Spec != nil && (!found || j.priority > top) {
+			top, found = j.priority, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil
 	}
-	heap.Remove(bestQ, best.heapIdx)
-	s.queued--
-	s.metrics.queueDepth.With(best.Tenant).Set(int64(bestQ.Len()))
-	return best
+	mine := s.warm[worker]
+	var same, cold, next *Job
+	older := func(j, than *Job) bool { return than == nil || j.seq < than.seq }
+	for _, j := range q {
+		if j.Spec == nil || j.priority != top {
+			continue
+		}
+		switch sc := s.scenarioLocked(j); {
+		case sc != "" && sc == mine:
+			if older(j, same) {
+				same = j
+			}
+		case !s.heldElsewhereLocked(sc, worker):
+			if older(j, cold) {
+				cold = j
+			}
+		}
+		if older(j, next) {
+			next = j
+		}
+	}
+	switch {
+	case same != nil:
+		return same
+	case cold != nil:
+		return cold
+	}
+	return next
+}
+
+// heldElsewhereLocked reports whether a worker other than worker has
+// scenario sc as its latest lease's; s.mu must be held.
+func (s *Scheduler) heldElsewhereLocked(sc, worker string) bool {
+	if sc == "" {
+		return false
+	}
+	for w, held := range s.warm {
+		if w != worker && held == sc {
+			return true
+		}
+	}
+	return false
 }
 
 // requeue is the remote-only edge Running→Queued: the lease expired or
@@ -916,7 +1017,7 @@ func (s *Scheduler) requeue(j *Job) bool {
 	s.metrics.running.Dec()
 	j.emitLocked()
 	j.mu.Unlock()
-	s.pushLocked(j)
+	s.pushLocked(j, nil)
 	s.mu.Unlock()
 	s.journal.leaseReleased(j.Key)
 	s.recordSpanID(j, runSpan, j.rootSpan, span, started, now,

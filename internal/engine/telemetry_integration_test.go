@@ -273,7 +273,7 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leased, ok := e.ClaimRemote(context.Background(), "w1", nil, nil)
+	leased, ok := e.ClaimRemote(context.Background(), "w1", nil)
 	if !ok {
 		t.Fatal("queue empty, want a lease")
 	}
@@ -310,6 +310,49 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 		prevEnd := phases[i-1].Start.Add(time.Duration(phases[i-1].DurationSec*float64(time.Second)) - time.Microsecond)
 		if phases[i].Start.Before(prevEnd) {
 			t.Fatalf("%s span starts before the %s span ends", phases[i].Name, phases[i-1].Name)
+		}
+	}
+}
+
+// TestQueuedTracesOutliveEndedOnes: a queued job's trace holds only its
+// submit span until its queue wait ends, so it is the least recently
+// written trace of all while ended traces pile up. More than
+// DefaultMaxTraces submissions — a few that stay queued on a
+// dispatch-only engine among many cache hits, each of which ends at
+// once — must still leave every queued job's submit span in place.
+func TestQueuedTracesOutliveEndedOnes(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+	var queued []*Job
+	for i := 0; i < telemetry.DefaultMaxTraces+16; i++ {
+		sp := tinySpec("FedAvg")
+		sp.Seed = uint64(i + 1)
+		if i%33 != 0 {
+			hash, err := e.resolveSpec(sp).Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Store().Put(hash, &Result{SpecHash: hash, Method: "FedAvg"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := e.Submit(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Cached() {
+			queued = append(queued, j)
+		}
+	}
+	if len(queued) != 16 {
+		t.Fatalf("%d jobs queued, want 16", len(queued))
+	}
+	for _, j := range queued {
+		submitted := false
+		for _, sp := range e.Traces().Trace(j.TraceID) {
+			submitted = submitted || sp.Name == "submit"
+		}
+		if j.State() != StateQueued || !submitted {
+			t.Fatalf("queued job %s (%s) lost its submit span to newer, ended traces", j.ID, j.State())
 		}
 	}
 }

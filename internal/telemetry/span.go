@@ -70,8 +70,8 @@ func (s Span) End() time.Time {
 // Defaults for NewTraceStore; exported so servers and tests agree on the
 // bounds they assert against.
 const (
-	// DefaultMaxTraces bounds distinct traces retained; beyond it the
-	// oldest-created trace is evicted whole.
+	// DefaultMaxTraces bounds distinct traces retained; beyond it one
+	// trace is evicted whole (see evictLocked).
 	DefaultMaxTraces = 512
 	// DefaultMaxSpans bounds spans per trace; beyond it the earliest-
 	// recorded span is overwritten ring-style, keeping the newest window
@@ -80,12 +80,46 @@ const (
 	DefaultMaxSpans = 512
 )
 
+// heatEpoch is the length, in writes to a store, of the epochs a
+// trace's heat is counted over: its writes in the epoch of its latest
+// write and in the one before. Two epochs hold 2·heatEpoch writes, so
+// at most heatEpoch traces are written twice within them: on a default
+// store, traces hotter than a single write fill at most half of it.
+const heatEpoch = 256
+
 // traceEntry is one trace's bounded span ring plus its dedup index.
 type traceEntry struct {
 	spans []Span          // ring buffer, appended until maxSpans then overwritten
 	next  int             // overwrite cursor once len(spans) == maxSpans
 	ids   map[string]bool // SpanIDs currently held (dedup for at-least-once shipping)
-	seq   int64           // creation order, for whole-trace eviction
+	seq   int64           // order of the latest write, for whole-trace eviction
+	heat  [2]int          // writes in the epoch of seq, and in the epoch before
+	ended bool            // a root span (ParentID "") was written: the job is over
+}
+
+// touch records a write to the trace as the store's seq-th.
+func (e *traceEntry) touch(seq int64) {
+	switch seq/heatEpoch - e.seq/heatEpoch {
+	case 0:
+		e.heat[0]++
+	case 1:
+		e.heat = [2]int{1, e.heat[0]}
+	default:
+		e.heat = [2]int{1, 0}
+	}
+	e.seq = seq
+}
+
+// heatAt is the trace's write count over the given epoch and the one
+// before it.
+func (e *traceEntry) heatAt(epoch int64) int {
+	switch epoch - e.seq/heatEpoch {
+	case 0:
+		return e.heat[0] + e.heat[1]
+	case 1:
+		return e.heat[0]
+	}
+	return 0
 }
 
 // TraceStore holds recent traces' spans, bounded in both dimensions.
@@ -127,12 +161,15 @@ func (t *TraceStore) Add(sp Span) bool {
 	e, ok := t.traces[sp.TraceID]
 	if !ok {
 		if len(t.traces) >= t.maxTraces {
-			t.evictOldestLocked()
+			t.evictLocked()
 		}
-		t.nextSeq++
-		e = &traceEntry{ids: map[string]bool{}, seq: t.nextSeq}
+		e = &traceEntry{ids: map[string]bool{}}
 		t.traces[sp.TraceID] = e
 	}
+	// Every write counts, a resent span included: it means the trace's
+	// job is still shipping.
+	t.nextSeq++
+	e.touch(t.nextSeq)
 	if e.ids[sp.SpanID] {
 		return false
 	}
@@ -144,16 +181,35 @@ func (t *TraceStore) Add(sp Span) bool {
 		e.next = (e.next + 1) % t.maxSpans
 	}
 	e.ids[sp.SpanID] = true
+	if sp.ParentID == "" {
+		e.ended = true
+	}
 	return true
 }
 
-// evictOldestLocked drops the earliest-created trace; t.mu must be held.
-func (t *TraceStore) evictOldestLocked() {
+// evictLocked drops one trace: among those that hold their root span
+// if any do, else among all, the coldest (fewest writes over the
+// current and previous heat epoch), least recently written first.
+//
+// The root (the "job" span) is written when a job ends, so a job still
+// queued or running — whose trace may go unwritten through a long
+// queue wait — outlives every ended trace. Heat keeps a trace that many
+// writers are still shipping to from being flushed by a run of writes
+// to other traces that happens to land after its latest write: each of
+// those traces would have to be written as often as it within the last
+// one to two epochs. Heat fades within two epochs, so a trace nobody
+// writes any more is evicted by recency like the rest. t.mu must be
+// held.
+func (t *TraceStore) evictLocked() {
+	epoch := t.nextSeq / heatEpoch
 	var victim string
-	var oldest int64 = -1
+	var v *traceEntry
+	vheat := 0
 	for id, e := range t.traces {
-		if oldest < 0 || e.seq < oldest {
-			victim, oldest = id, e.seq
+		h := e.heatAt(epoch)
+		if v == nil || (e.ended && !v.ended) ||
+			(e.ended == v.ended && (h < vheat || h == vheat && e.seq < v.seq)) {
+			victim, v, vheat = id, e, h
 		}
 	}
 	delete(t.traces, victim)

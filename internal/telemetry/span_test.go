@@ -76,6 +76,97 @@ func TestTraceStoreTraceEviction(t *testing.T) {
 	}
 }
 
+// TestTraceStoreEvictsLeastRecentlyWritten: eviction goes by last
+// write, not creation. A trace created first but written again after
+// newer traces were created is still live (a long job shipping its
+// rounds) and survives; the trace written longest ago goes instead.
+func TestTraceStoreEvictsLeastRecentlyWritten(t *testing.T) {
+	ts := NewTraceStore(3, 8)
+	ts.Add(mkSpan("old", 0))
+	ts.Add(mkSpan("t1", 1))
+	ts.Add(mkSpan("t1", 2))
+	ts.Add(mkSpan("t2", 3))
+	ts.Add(mkSpan("t2", 4))
+	ts.Add(mkSpan("old", 5))
+	ts.Add(mkSpan("t3", 6))
+	if got := len(ts.Trace("old")); got != 2 {
+		t.Fatalf("old trace holds %d spans after eviction, want both", got)
+	}
+	if ts.Trace("t1") != nil {
+		t.Fatal("least-recently-written trace t1 survived eviction")
+	}
+	// A resent span re-stamps its trace too: t2 outlives old now.
+	ts.Add(mkSpan("t2", 3))
+	ts.Add(mkSpan("t3", 7))
+	ts.Add(mkSpan("t4", 8))
+	if ts.Trace("t2") == nil || ts.Trace("old") != nil {
+		t.Fatal("a resent span did not count as a write")
+	}
+	if ts.Len() != 3 {
+		t.Fatalf("store holds %d traces, want 3", ts.Len())
+	}
+}
+
+// TestTraceStoreEvictsEndedTracesFirst: a trace that holds its root
+// span (its job ended) goes before any trace still without one,
+// however long ago the live trace was last written — a queued job's
+// trace is written once at submit and then not again until its queue
+// wait ends. Among ended traces, and once every trace is live, equally
+// written traces go least recently written first.
+func TestTraceStoreEvictsEndedTracesFirst(t *testing.T) {
+	child := func(trace string, n int) Span {
+		sp := mkSpan(trace, n)
+		sp.ParentID = "root"
+		return sp
+	}
+	ts := NewTraceStore(3, 8)
+	ts.Add(child("queued", 0))
+	for i := 0; i < 5; i++ {
+		ts.Add(mkSpan(fmt.Sprintf("hit-%d", i), 10+i))
+	}
+	if got := len(ts.Trace("queued")); got != 1 {
+		t.Fatalf("queued trace holds %d spans after a burst of ended traces, want 1", got)
+	}
+	if ts.Trace("hit-2") != nil || ts.Trace("hit-3") == nil || ts.Trace("hit-4") == nil {
+		t.Fatal("ended traces were not evicted least-recently-written first")
+	}
+
+	live := NewTraceStore(2, 8)
+	live.Add(child("a", 0))
+	live.Add(child("b", 1))
+	live.Add(child("a", 2))
+	live.Add(child("c", 3))
+	if live.Trace("b") != nil || live.Trace("a") == nil {
+		t.Fatal("with every trace live, the least-recently-written was not evicted")
+	}
+}
+
+// TestTraceStoreEvictsColdTracesFirst: a trace written more often over
+// the last heat epochs outlives less-written ones that were written
+// after it, so a run of writes to other traces cannot flush a trace
+// that is still being shipped to. Heat fades: two epochs of writes
+// elsewhere leave it to recency again.
+func TestTraceStoreEvictsColdTracesFirst(t *testing.T) {
+	ts := NewTraceStore(3, 8)
+	for i := 0; i < 3; i++ {
+		ts.Add(mkSpan("busy", i))
+	}
+	ts.Add(mkSpan("a", 3))
+	ts.Add(mkSpan("b", 4))
+	ts.Add(mkSpan("c", 5))
+	if ts.Trace("busy") == nil || ts.Trace("a") != nil {
+		t.Fatal("a run of single writes after the busy trace's latest one flushed it")
+	}
+	// Resent spans count as writes: b turns hot, busy and c go cold.
+	for i := 0; i < 2*heatEpoch; i++ {
+		ts.Add(mkSpan("b", 4))
+	}
+	ts.Add(mkSpan("d", 6))
+	if ts.Trace("busy") != nil || ts.Trace("b") == nil || ts.Trace("c") == nil {
+		t.Fatal("a trace unwritten for two heat epochs outlived the eviction")
+	}
+}
+
 // TestTraceStoreConcurrent hammers one bounded trace from parallel
 // writers (with deliberate SpanID overlap between them) while readers
 // iterate, asserting the bound holds and no span is double-counted.

@@ -483,6 +483,45 @@ func MomentumStep(param, vel, grad []float64, momentum, lr, wd float64) {
 	}
 }
 
+// Conv3x3AddInto adds one 3×3 convolution of a zero-padded plane into
+// dst. src is the plane at row stride `stride`; lane p of dst receives
+//
+//	s = +0 + k[0]·src[p] + k[1]·src[p+1] + k[2]·src[p+2]
+//	       + k[3]·src[p+stride] + … + k[8]·src[p+2·stride+2]
+//
+// summed in that order, then dst[p] += s. Lanes run along the padded
+// rows, so the two lanes per row that straddle the pad columns compute
+// values the caller drops. src must hold len(dst)+2·stride+2 values.
+// Four lanes at a time on SIMD (simd.go), each multiply and add rounded
+// separately as in the scalar loop, so the result is bit-identical on
+// either path.
+func Conv3x3AddInto(dst, src []float64, stride int, k *[9]float64) {
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	checkLen("conv3x3 src", len(src), n+2*stride+2)
+	j := simdLen(n)
+	if j > 0 {
+		conv3x3AddF64(&dst[0], &src[0], j, stride, k)
+	}
+	src = src[:n+2*stride+2]
+	r0, r1, r2 := src, src[stride:], src[2*stride:]
+	for ; j < n; j++ {
+		s := 0.0
+		s += k[0] * r0[j]
+		s += k[1] * r0[j+1]
+		s += k[2] * r0[j+2]
+		s += k[3] * r1[j]
+		s += k[4] * r1[j+1]
+		s += k[5] * r1[j+2]
+		s += k[6] * r2[j]
+		s += k[7] * r2[j+1]
+		s += k[8] * r2[j+2]
+		dst[j] += s
+	}
+}
+
 // AddScaledInto computes dst = a + s·b element-wise in one pass. dst may
 // alias a and/or b (all three must share the shape), which turns the
 // allocate-clone-axpy pattern into a single in-place sweep.

@@ -17,6 +17,9 @@ package tensor
 // and the scalar loop keeps the tail. MatMulATB's float64 path
 // accumulates (out += acc) in the tile epilogue and the strips alike,
 // so weight gradients land in their accumulator without a scratch pass.
+//
+// The frozen encoder's Conv3x3AddInto runs four lanes of a padded plane
+// at a time the same way (DESIGN.md §5 "The encoder conv on SIMD").
 
 // useSIMD selects the SIMD tiles and loops. It starts as haveSIMD (the
 // CPU check, made once at start-up); tests flip it to run the generic

@@ -29,12 +29,18 @@ func narrowF64(dst *float32, src *float64, n int)
 //go:noescape
 func widenAddF32(dst *float64, src *float32, n int)
 
+// conv3x3AddF64 runs the first n lanes (n a multiple of 4) of
+// Conv3x3AddInto; see simd_amd64.s.
+//
+//go:noescape
+func conv3x3AddF64(dst, src *float64, n, stride int, k *[9]float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
 // cpuHasAVX reports AVX support with YMM state enabled by the OS. The
-// loops need nothing newer: VBROADCASTS[SD], VCMPP[SD], VANDP[SD],
+// loops need nothing newer: VBROADCASTS[SD], VCMPP[SD], VANDP[SD], VXORPD,
 // VMULP[SD], VADDP[SD], VSUBPD, VCVTPD2PS and VCVTPS2PD are all AVX1,
 // and no FMA is used.
 func cpuHasAVX() bool {

@@ -322,6 +322,70 @@ widendone:
 	VZEROUPPER
 	RET
 
+// The encoder's 3×3 convolution (Conv3x3AddInto, DESIGN.md §5 "the
+// encoder conv"). Lanes run along a zero-padded plane at row stride
+// `stride`; each sums its nine taps from +0 in k[0]…k[8] order, one
+// separately rounded multiply and add per tap, then adds the sum into
+// dst with dst as the first operand, as the scalar dst[p] += s does.
+//
+// Registers: Y7–Y15 the broadcast taps, Y0 the sum, Y1 a product, Y2
+// the dst lanes; SI, R9 and R10 walk the plane's three rows.
+
+// func conv3x3AddF64(dst, src *float64, n, stride int, k *[9]float64)
+TEXT ·conv3x3AddF64(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVQ         stride+24(FP), R8
+	MOVQ         k+32(FP), AX
+	VBROADCASTSD (AX), Y7
+	VBROADCASTSD 8(AX), Y8
+	VBROADCASTSD 16(AX), Y9
+	VBROADCASTSD 24(AX), Y10
+	VBROADCASTSD 32(AX), Y11
+	VBROADCASTSD 40(AX), Y12
+	VBROADCASTSD 48(AX), Y13
+	VBROADCASTSD 56(AX), Y14
+	VBROADCASTSD 64(AX), Y15
+	LEAQ         (SI)(R8*8), R9
+	LEAQ         (R9)(R8*8), R10
+	SHRQ         $2, CX
+	JZ           convdone
+
+convloop:
+	VXORPD  Y0, Y0, Y0
+	VMULPD  (SI), Y7, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  8(SI), Y8, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  16(SI), Y9, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  (R9), Y10, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  8(R9), Y11, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  16(R9), Y12, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  (R10), Y13, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  8(R10), Y14, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  16(R10), Y15, Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD (DI), Y2
+	VADDPD  Y0, Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     convloop
+
+convdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

@@ -25,3 +25,7 @@ func narrowF64(dst *float32, src *float64, n int) {
 func widenAddF32(dst *float64, src *float32, n int) {
 	panic("tensor: SIMD loop called without SIMD support")
 }
+
+func conv3x3AddF64(dst, src *float64, n, stride int, k *[9]float64) {
+	panic("tensor: SIMD loop called without SIMD support")
+}

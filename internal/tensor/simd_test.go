@@ -161,3 +161,48 @@ func narrowed(s []float64) []float32 {
 	}
 	return out
 }
+
+// TestConv3x3AddIntoMatchesScalarLoop runs the encoder conv over every
+// lane count 1–67 at row strides from 1 to the default encoder's 18,
+// so the 4-lane body meets every tail length, against the per-lane sum
+// written out in tap order. k holds ±0 taps as well as edge values.
+// Every other case is a plane of ±0 under positive taps into a dst of
+// ±0, where only a sum that starts at +0 gets every sign bit right.
+func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	signedZeros := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = math.Copysign(0, float64(r.Intn(4)-3)) // −0 three times in four
+		}
+		return s
+	}
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 1; n <= maxPropLen; n++ {
+			for c, stride := range []int{1, 3, 7, 10, 18} {
+				var k [9]float64
+				copy(k[:], edgeSlice(r, 9, 1))
+				src := edgeSlice(r, n+2*stride+2, 1)
+				dst := edgeSlice(r, n, 1)
+				if (n+c)%2 == 0 {
+					for i := range k {
+						k[i] = math.Abs(r.NormFloat64()) + 0.5
+					}
+					src, dst = signedZeros(len(src)), signedZeros(n)
+				}
+				want := append([]float64(nil), dst...)
+				for p := range want {
+					s := 0.0
+					for ky := 0; ky < 3; ky++ {
+						for kx := 0; kx < 3; kx++ {
+							s += k[3*ky+kx] * src[p+ky*stride+kx]
+						}
+					}
+					want[p] += s
+				}
+				tensor.Conv3x3AddInto(dst, src, stride, &k)
+				sliceBitsEqual(t, "conv3x3", dst, want)
+			}
+		}
+	})
+}
