@@ -282,11 +282,6 @@ func (c *Client) doTraced(ctx context.Context, method, path, trace string, body,
 	return nil
 }
 
-// Health probes the server's liveness endpoint.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
 // Healthz fetches the server's health detail: serving/draining state
 // plus the build identity of the running binary.
 func (c *Client) Healthz(ctx context.Context) (HealthView, error) {

@@ -14,6 +14,7 @@ import (
 	"github.com/pardon-feddg/pardon/client"
 	"github.com/pardon-feddg/pardon/internal/engine"
 	"github.com/pardon-feddg/pardon/internal/nn"
+	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
 // tinySpec is a federated run small enough for unit tests.
@@ -38,7 +39,7 @@ func tinySpec(method string) client.Spec {
 // speaking to it.
 func newTestServer(t *testing.T) (*client.Client, *engine.Engine, *httptest.Server) {
 	t.Helper()
-	e, err := engine.New(engine.Options{Workers: 2})
+	e, err := engine.New(engine.Options{Workers: 2, Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestClientSubmitWaitModel(t *testing.T) {
 	c, _, _ := newTestServer(t)
 	ctx := testCtx(t)
 
-	if err := c.Health(ctx); err != nil {
+	if _, err := c.Healthz(ctx); err != nil {
 		t.Fatal(err)
 	}
 	view, err := c.Submit(ctx, tinySpec("FedAvg"), client.SubmitOptions{})
@@ -163,6 +164,69 @@ func TestClientSweep(t *testing.T) {
 	}
 	if again.Counts.Cached != 4 || e.Stats().RoundsExecuted != rounds {
 		t.Fatalf("resubmission not fully cached: %+v", again.Counts)
+	}
+}
+
+// TestClientCancelSweep drives the cancel routes of the SDK over a
+// sweep whose cells sit queued behind a job holding the only worker:
+// CancelSweep cancels the cell the sweep solely owns and leaves the cell
+// a standalone submission shares queued, and Cancel then cancels that
+// one.
+func TestClientCancelSweep(t *testing.T) {
+	e, err := engine.New(engine.Options{Workers: 1, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	srv := httptest.NewServer(engine.NewServer(e))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+	ctx := testCtx(t)
+
+	started, gate := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	if _, err := e.SubmitFunc(engine.FuncKey("client-cancel-gate"), 10, func(ctx context.Context) (*engine.Result, error) {
+		close(started)
+		select {
+		case <-gate:
+			return &engine.Result{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	shared, err := c.Submit(ctx, tinySpec("FedAvg"), client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := c.SubmitSweep(ctx, client.Sweep{Base: tinySpec(""), Methods: []string{"FedAvg", "PARDON"}}, client.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CancelSweep(ctx, view.ID); err != nil {
+		t.Fatal(err)
+	}
+	view, err = c.Sweep(ctx, view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]client.State{"FedAvg": client.StateQueued, "PARDON": client.StateCancelled}
+	if len(view.Jobs) != len(want) {
+		t.Fatalf("sweep jobs = %+v, want one per method", view.Jobs)
+	}
+	for _, jv := range view.Jobs {
+		if jv.State != want[jv.Method] {
+			t.Fatalf("after CancelSweep the %s cell is %s, want %s", jv.Method, jv.State, want[jv.Method])
+		}
+	}
+	if err := c.Cancel(ctx, shared.ID); err != nil {
+		t.Fatal(err)
+	}
+	if jv, err := c.Job(ctx, shared.ID); err != nil || jv.State != client.StateCancelled {
+		t.Fatalf("after Cancel the shared job is %+v (%v), want cancelled", jv, err)
 	}
 }
 

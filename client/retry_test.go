@@ -143,7 +143,7 @@ func TestAuthHeaderEverywhere(t *testing.T) {
 
 	c := New(srv.URL, WithAPIKey(key))
 	ctx := context.Background()
-	c.Health(ctx)
+	c.Healthz(ctx)
 	c.Stats(ctx)
 	c.Submit(ctx, Spec{}, SubmitOptions{})
 	c.Job(ctx, "job-1")

@@ -63,8 +63,8 @@ func TestClientAuthAgainstServer(t *testing.T) {
 		t.Fatalf("authed job view = %+v, want tenant bob done", view)
 	}
 	// The health probe stays open for unauthenticated checks.
-	if err := client.New(srv.URL).Health(ctx); err != nil {
-		t.Fatalf("keyless Health = %v, want open", err)
+	if _, err := client.New(srv.URL).Healthz(ctx); err != nil {
+		t.Fatalf("keyless Healthz = %v, want open", err)
 	}
 }
 

@@ -32,8 +32,6 @@ type (
 	LeaseCompleteRequest = engine.LeaseCompleteRequest
 	// WorkerView is one registered worker of the fleet view.
 	WorkerView = engine.WorkerView
-	// FleetView is the registered fleet.
-	FleetView = engine.FleetView
 )
 
 // Fleet error codes.
@@ -49,13 +47,6 @@ func (c *Client) RegisterWorker(ctx context.Context, req WorkerRegisterRequest) 
 	var resp WorkerRegisterResponse
 	err := c.do(ctx, http.MethodPost, "/v1/workers", req, &resp)
 	return resp, err
-}
-
-// Workers fetches the coordinator's registered fleet.
-func (c *Client) Workers(ctx context.Context) (FleetView, error) {
-	var v FleetView
-	err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &v)
-	return v, err
 }
 
 // PullLease asks the coordinator for one job lease. The coordinator
@@ -142,35 +133,4 @@ func (c *Client) StoreResult(ctx context.Context, key string) (res *Result, foun
 		return nil, false, err
 	}
 	return &r, true, nil
-}
-
-// StoreModel peer-fetches a checkpoint blob by content-address. etag,
-// when non-empty, is sent as If-None-Match: a match answers
-// notModified=true with no bytes transferred. The returned etag is the
-// blob's current strong ETag either way.
-func (c *Client) StoreModel(ctx context.Context, key, etag string) (blob []byte, newETag string, notModified bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/store/"+url.PathEscape(key)+"/model", nil)
-	if err != nil {
-		return nil, "", false, err
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	c.auth(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, "", false, err
-	}
-	defer resp.Body.Close()
-	newETag = resp.Header.Get("ETag")
-	switch {
-	case resp.StatusCode == http.StatusNotModified:
-		return nil, newETag, true, nil
-	case resp.StatusCode >= 400:
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		return nil, "", false, parseAPIErrorResp(resp, raw)
-	}
-	blob, err = io.ReadAll(resp.Body)
-	return blob, newETag, false, err
 }

@@ -54,7 +54,7 @@ func run() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	c := client.New(base)
-	if err := c.Health(ctx); err != nil {
+	if _, err := c.Healthz(ctx); err != nil {
 		return fmt.Errorf("server not healthy: %w", err)
 	}
 

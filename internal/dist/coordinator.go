@@ -298,9 +298,7 @@ func (c *Coordinator) settleLeaseStats(ls *leaseState) {
 	if ls.granted.IsZero() {
 		return
 	}
-	sec := time.Since(ls.granted).Seconds()
-	c.stats.observeLease(ls.workerName, sec)
-	c.m.leaseSeconds.With(ls.workerName).Observe(sec)
+	c.m.leaseSeconds.With(ls.workerName).Observe(time.Since(ls.granted).Seconds())
 }
 
 // checkStragglers re-evaluates the fleet's straggler verdicts (reaper

@@ -14,13 +14,11 @@ import (
 // Fleet routes, mounted onto the engine's v2 API surface:
 //
 //	POST /v1/workers                          register a worker node
-//	GET  /v1/workers                          fleet view
 //	POST /v1/workers/{id}/lease               pull one lease, held up to TTL/3 (204 = none came)
 //	POST /v1/workers/{id}/heartbeat           renew leases + report progress
 //	POST /v1/workers/{id}/jobs/{job}/complete settle a lease
 //	PUT  /v1/workers/{id}/jobs/{job}/model    upload the lease's checkpoint blob
 //	GET  /v1/store/{key}                      peer-fetch a cached Result
-//	GET  /v1/store/{key}/model                peer-fetch a checkpoint blob (ETag/If-None-Match)
 //	GET  /v1/top                              fleet dashboard snapshot (workers, queues, slow spans)
 //
 // Everything rides the server's normal middleware: with -api-keys set,
@@ -34,13 +32,11 @@ const maxUploadBytes = 256 << 20
 // Mount registers the fleet routes on an engine API server.
 func (c *Coordinator) Mount(s *engine.Server) {
 	s.Handle("POST /v1/workers", c.handleRegister)
-	s.Handle("GET /v1/workers", c.handleFleet)
 	s.Handle("POST /v1/workers/{id}/lease", c.handleLease)
 	s.Handle("POST /v1/workers/{id}/heartbeat", c.handleHeartbeat)
 	s.Handle("POST /v1/workers/{id}/jobs/{job}/complete", c.handleComplete)
 	s.Handle("PUT /v1/workers/{id}/jobs/{job}/model", c.handleModelUpload)
 	s.Handle("GET /v1/store/{key}", c.handleStoreResult)
-	s.Handle("GET /v1/store/{key}/model", c.handleStoreModel)
 	s.Handle("GET /v1/top", c.handleTop)
 }
 
@@ -88,10 +84,6 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	engine.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	engine.WriteJSON(w, http.StatusOK, c.Fleet())
 }
 
 // handleTop serves one dashboard snapshot; `feddg top` polls it.
@@ -178,20 +170,4 @@ func (c *Coordinator) handleStoreResult(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	engine.WriteJSON(w, http.StatusOK, res)
-}
-
-// handleStoreModel peer-serves a checkpoint blob by content-address
-// with the same conditional-GET semantics as the job model route.
-func (c *Coordinator) handleStoreModel(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimSpace(r.PathValue("key"))
-	blob, ok, err := c.eng.ModelBlob(key)
-	if err != nil {
-		engine.WriteError(w, http.StatusInternalServerError, engine.ErrCodeInternal, err.Error())
-		return
-	}
-	if !ok {
-		engine.WriteError(w, http.StatusNotFound, engine.ErrCodeNotFound, "no checkpoint blob for "+key)
-		return
-	}
-	engine.WriteBlob(w, r, blob)
 }

@@ -15,9 +15,9 @@ import (
 // transition, and the Slow flag in fleet/top views.
 
 const (
-	// stragglerWindow is how many recent round (and lease) durations are
-	// kept per worker. Small enough to react to a node going slow,
-	// large enough to ride out one outlier round.
+	// stragglerWindow is how many recent round durations are kept per
+	// worker. Small enough to react to a node going slow, large enough
+	// to ride out one outlier round.
 	stragglerWindow = 64
 	// stragglerMinSamples gates the verdict: no worker is judged before
 	// this many rounds, and no fleet median exists with fewer than two
@@ -32,7 +32,6 @@ const (
 type rollingWindow struct {
 	vals []float64
 	next int
-	full bool
 }
 
 func newRollingWindow() *rollingWindow {
@@ -44,7 +43,6 @@ func (r *rollingWindow) add(v float64) {
 		r.vals = append(r.vals, v)
 		return
 	}
-	r.full = true
 	r.vals[r.next] = v
 	r.next = (r.next + 1) % stragglerWindow
 }
@@ -73,14 +71,12 @@ func quantile(sorted []float64, q float64) float64 {
 type stragglerStats struct {
 	mu     sync.Mutex
 	rounds map[string]*rollingWindow // round-span durations, seconds
-	leases map[string]*rollingWindow // lease grant→settle latencies, seconds
 	slow   map[string]bool           // last evaluate() verdict
 }
 
 func newStragglerStats() *stragglerStats {
 	return &stragglerStats{
 		rounds: map[string]*rollingWindow{},
-		leases: map[string]*rollingWindow{},
 		slow:   map[string]bool{},
 	}
 }
@@ -92,17 +88,6 @@ func (s *stragglerStats) observeRound(worker string, sec float64) {
 	if !ok {
 		w = newRollingWindow()
 		s.rounds[worker] = w
-	}
-	w.add(sec)
-}
-
-func (s *stragglerStats) observeLease(worker string, sec float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, ok := s.leases[worker]
-	if !ok {
-		w = newRollingWindow()
-		s.leases[worker] = w
 	}
 	w.add(sec)
 }

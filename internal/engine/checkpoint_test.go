@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/pardon-feddg/pardon/internal/metrics"
 	"github.com/pardon-feddg/pardon/internal/nn"
+	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
 // TestSpecHiddenAffectsHashAndScenario pins the capacity-sweep contract:
@@ -187,7 +189,7 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 	}
 	newStore := func(t *testing.T) *Store {
 		t.Helper()
-		st, err := NewStore("")
+		st, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +263,7 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 }
 
 func TestStoreBlobMemoryAndDisk(t *testing.T) {
-	mem, err := NewStore("")
+	mem, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +279,7 @@ func TestStoreBlobMemoryAndDisk(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	disk, err := NewStore(dir)
+	disk, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestStoreBlobMemoryAndDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh store over the directory sees the blob.
-	disk2, err := NewStore(dir)
+	disk2, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestStoreBlobMemoryAndDisk(t *testing.T) {
 // evicted results cannot be resurrected from the in-memory map.
 func TestStoreCapEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
+	st, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestStoreCapEvictsLRU(t *testing.T) {
 	}
 
 	// Result entries are evicted from disk AND memory together.
-	st2, err := NewStore(t.TempDir())
+	st2, err := newStoreWith(t.TempDir(), telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +350,7 @@ func TestStoreCapEvictsLRU(t *testing.T) {
 // TestStoreDropBlob: a memory-only store forgets a dropped blob (and
 // keeps the others and the Result); a disk-backed store keeps its file.
 func TestStoreDropBlob(t *testing.T) {
-	mem, err := NewStore("")
+	mem, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +377,7 @@ func TestStoreDropBlob(t *testing.T) {
 		t.Fatalf("blob eviction order = %v, want [b]", mem.blobOrder)
 	}
 
-	disk, err := NewStore(t.TempDir())
+	disk, err := newStoreWith(t.TempDir(), telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pardon-feddg/pardon/internal/baselines"
@@ -99,11 +98,10 @@ type Options struct {
 	// can never serve its f32-trained results under an f64 address (or
 	// vice versa).
 	Precision string
-	// ScenarioCap bounds the resident built-scenario cache (0 = 4).
-	ScenarioCap int
 	// Metrics receives the engine's instruments; nil exports on the
-	// process-wide telemetry.Default() registry. Tests pass fresh
-	// registries so concurrent engines cannot share counters.
+	// process-wide telemetry.Default() registry. Stats reads these
+	// instruments, so engines sharing a registry share their counts;
+	// tests pass fresh registries to keep engines apart.
 	Metrics *telemetry.Registry
 	// Logger receives the engine's structured log lines (job lifecycle,
 	// cache anomalies — every line tagged with the job's trace ID); nil
@@ -144,11 +142,6 @@ type Engine struct {
 	precision   string // default Spec.Precision ("" = f64)
 	metrics     *engineMetrics
 	log         *slog.Logger
-
-	submitted atomic.Int64
-	cacheHits atomic.Int64
-	coalesced atomic.Int64
-	rounds    atomic.Int64
 
 	tenantMu sync.RWMutex
 	tenants  *Tenants // nil = auth off, no quotas
@@ -221,7 +214,7 @@ func New(opts Options) (*Engine, error) {
 		sched:       newScheduler(workers, m, logger),
 		journal:     jl,
 		traces:      telemetry.NewTraceStore(0, 0),
-		scenarios:   newScenarioCache(opts.ScenarioCap, m),
+		scenarios:   newScenarioCache(m),
 		parallelism: par,
 		precision:   opts.Precision,
 		metrics:     m,
@@ -357,17 +350,18 @@ func (e *Engine) QueueDepths() map[string]int {
 // requeue edges keep.
 func (e *Engine) RunningJobs() int { return int(e.metrics.running.Value()) }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats returns a snapshot of the engine's counters, read off the
+// engine_* and store_* instruments of its registry.
 func (e *Engine) Stats() Stats {
-	hits, misses := e.store.Counters()
+	m, sm := e.metrics, e.store.metrics
 	return Stats{
-		Submitted:      e.submitted.Load(),
-		CacheHits:      e.cacheHits.Load(),
-		Coalesced:      e.coalesced.Load(),
-		RoundsExecuted: e.rounds.Load(),
+		Submitted:      m.jobsSubmitted.Total(),
+		CacheHits:      m.cacheHits.Value(),
+		Coalesced:      m.jobsCoalesced.Value(),
+		RoundsExecuted: m.rounds.Value(),
 		StoreEntries:   e.store.Len(),
-		StoreHits:      hits,
-		StoreMisses:    misses,
+		StoreHits:      sm.hits.Value(),
+		StoreMisses:    sm.misses.Value(),
 		Jobs:           e.sched.count(),
 	}
 }
@@ -432,14 +426,12 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	if tenant == "" {
 		tenant = AnonymousTenant
 	}
-	e.submitted.Add(1)
 	e.metrics.jobsSubmitted.With(tenant).Inc()
 	sp := spec
 	if !fresh {
 		if res, ok, err := e.store.Get(hash); err != nil {
 			return nil, err
 		} else if ok {
-			e.cacheHits.Add(1)
 			e.metrics.cacheHits.Inc()
 			// A cached answer also settles any stale live journal record
 			// for this key (e.g. a crash after the Result was persisted
@@ -450,9 +442,12 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	}
 	// Write-ahead: the submission is journaled before the scheduler can
 	// accept it, so a crash between the two replays the job rather than
-	// losing it. Duplicate submit records for a coalesced key compact
+	// losing it, and a submission the journal could not make durable is
+	// refused. Duplicate submit records for a coalesced key compact
 	// away; a quota refusal below retracts the record.
-	e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp)
+	if err := e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp); err != nil {
+		return nil, err
+	}
 	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b, func(ctx context.Context, j *Job) (*Result, error) {
 		res, err := e.runSpec(ctx, j, sp, hash)
 		if err != nil {
@@ -467,7 +462,6 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 		return res, nil
 	})
 	if coalesced {
-		e.coalesced.Add(1)
 		e.metrics.jobsCoalesced.Inc()
 	} else if err == nil {
 		// The admission edge: validate + hash + journal + enqueue. A
@@ -507,12 +501,10 @@ func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFun
 	if tenant == "" {
 		tenant = AnonymousTenant
 	}
-	e.submitted.Add(1)
 	e.metrics.jobsSubmitted.With(tenant).Inc()
 	if res, ok, err := e.store.Get(key); err != nil {
 		return nil, err
 	} else if ok {
-		e.cacheHits.Add(1)
 		e.metrics.cacheHits.Inc()
 		return e.sched.completed(nil, key, priority, "", tenant, res), nil
 	}
@@ -529,7 +521,6 @@ func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFun
 		return res, nil
 	})
 	if coalesced {
-		e.coalesced.Add(1)
 		e.metrics.jobsCoalesced.Inc()
 	}
 	return j, err
@@ -557,7 +548,8 @@ func (e *Engine) SubmitSweepTraced(sw Sweep, priority int, traceID string) (*Bat
 // SubmitSweepAs is SubmitSweepTraced with tenant attribution. On a
 // disk-backed engine the whole sweep is journaled under its batch trace
 // before any cell is submitted, so a crash mid-sweep reconstitutes the
-// Batch — not just its surviving cells — on the next boot.
+// Batch — not just its surviving cells — on the next boot; a sweep the
+// journal could not make durable is refused.
 func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (*Batch, error) {
 	specs, err := sw.Expand()
 	if err != nil {
@@ -573,7 +565,9 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 		tenant = AnonymousTenant
 	}
 	trace := telemetry.OrNewTraceID(traceID)
-	e.journal.sweepSubmitted(trace, tenant, priority, sw)
+	if err := e.journal.sweepSubmitted(trace, tenant, priority, sw); err != nil {
+		return nil, err
+	}
 	b := &Batch{
 		eng:     e,
 		TraceID: trace,
@@ -759,8 +753,8 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 				Parallelism: spec.Parallelism,
 				Context:     ctx,
 				TraceID:     j.TraceID,
-				OnRound:     func(round, total int) { e.advance(j, round, total) },
-				OnRoundEnd: func(round, total int, rs, re time.Time) {
+				OnRound: func(round, total int, rs, re time.Time) {
+					e.advance(j, round, total)
 					e.span(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
 				},
 			})
@@ -837,13 +831,12 @@ func (e *Engine) RemoteProgress(j *Job, round, rounds int) {
 }
 
 // advance moves a running job's progress forward and counts the rounds
-// it newly covers into engine_rounds_total and Stats.RoundsExecuted —
+// it newly covers into engine_rounds_total (Stats.RoundsExecuted) —
 // the one progress path of local runs and remote heartbeats. Progress
 // only moves forward within an attempt, so a re-sent heartbeat counts
 // nothing.
 func (e *Engine) advance(j *Job, round, rounds int) {
 	if n := int64(j.advance(round, rounds)); n > 0 {
-		e.rounds.Add(n)
 		e.metrics.rounds.Add(n)
 	}
 }

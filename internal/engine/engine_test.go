@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
 // tinySpec is a federated run small enough for unit tests (two clients,
@@ -30,8 +33,13 @@ func tinySpec(method string) Spec {
 	}
 }
 
+// newTestEngine opens an engine closed at test end; one left without a
+// registry gets a fresh one, so its Stats count only its own work.
 func newTestEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewRegistry()
+	}
 	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +168,7 @@ func TestScenarioKeyIgnoresTrainingOnlyFields(t *testing.T) {
 }
 
 func TestStoreMemoryHitMiss(t *testing.T) {
-	st, err := NewStore("")
+	st, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +186,7 @@ func TestStoreMemoryHitMiss(t *testing.T) {
 	if got.Final().TestAcc != 0.5 {
 		t.Fatalf("wrong result: %+v", got)
 	}
-	hits, misses := st.Counters()
+	hits, misses := st.metrics.hits.Value(), st.metrics.misses.Value()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("counters = %d hits, %d misses; want 1, 1", hits, misses)
 	}
@@ -186,7 +194,7 @@ func TestStoreMemoryHitMiss(t *testing.T) {
 
 func TestStoreDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(dir)
+	st, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +203,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh store over the same directory sees the entry.
-	st2, err := NewStore(dir)
+	st2, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,5 +485,12 @@ func TestJobEvents(t *testing.T) {
 	}
 	if _, ok := <-late; ok {
 		t.Fatal("late subscription channel should be closed after the snapshot")
+	}
+}
+
+func TestTimingAverages(t *testing.T) {
+	var tm Timing
+	if tm.AvgLocalTrainSec() != 0 || tm.AvgAggregateSec() != 0 {
+		t.Fatal("zero-count averages should be 0")
 	}
 }

@@ -131,7 +131,8 @@ type WorkerView struct {
 	Slow bool `json:"slow,omitempty"`
 }
 
-// FleetView is the GET /v1/workers response: the registered fleet.
+// FleetView is the registered fleet (Coordinator.Fleet); GET /v1/top
+// serves its workers.
 type FleetView struct {
 	Workers     []WorkerView `json:"workers"`
 	LeaseTTLSec float64      `json:"lease_ttl_sec"`

@@ -24,13 +24,15 @@ const journalFileName = "journal.jsonl"
 // long-running server's journal would grow forever.
 const journalCompactEvery = 4096
 
-// Journal operations. A job (or sweep) appears as a `submit` record,
-// optionally a `start`, and a terminal `done`; replay re-enqueues every
-// submit without a matching done.
+// Journal operations. A job (or sweep) appears as a `submit` record and
+// a terminal `done`; replay re-enqueues every submit without a matching
+// done.
 const (
 	journalOpSubmit = "submit"
-	journalOpStart  = "start"
 	journalOpDone   = "done"
+	// journalOpStart is written by no current build; journals from
+	// earlier builds carry it, and load skips it.
+	journalOpStart = "start"
 	// lease/release record which remote worker holds a job. A live lease
 	// without a matching release tells a rebooted coordinator the job was
 	// assigned to a worker when the process died; replay re-enqueues it
@@ -70,12 +72,24 @@ type journalRecord struct {
 	At     time.Time `json:"at"`
 }
 
+// errJournal wraps a failed journal append. A submission whose record
+// failed was never made durable, so it is refused, not acknowledged.
+var errJournal = errors.New("engine: journal append failed")
+
+// journalFile is the journal's append handle: the journal file, or in
+// tests a stand-in that fails on demand.
+type journalFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // Journal is the engine's write-ahead job journal: an append-only JSONL
-// file of submit/start/done records, fsync'd per append, that lets a
-// rebooted engine re-enqueue every job and sweep that was queued or
-// running when the process died. Re-submission is idempotent — Specs
-// are content-addressed, so cells that completed before the crash are
-// answered from the Store with zero training.
+// file of submit, done, lease and release records, fsync'd per append,
+// that lets a rebooted engine re-enqueue every job and sweep that was
+// queued or running when the process died. Re-submission is idempotent
+// — Specs are content-addressed, so cells that completed before the
+// crash are answered from the Store with zero training.
 //
 // All methods are safe for concurrent use and safe on a nil receiver
 // (journaling off — memory-only engines).
@@ -85,7 +99,7 @@ type Journal struct {
 
 	mu      sync.Mutex
 	path    string
-	f       *os.File
+	f       journalFile              // nil once closed
 	jobs    map[string]journalRecord // live job submit records by content-address
 	sweeps  map[string]journalRecord // live sweep submit records by trace
 	leases  map[string]string        // live lease edges: job content-address → worker
@@ -179,8 +193,7 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 	case rec.Kind == journalKindSweep && rec.Op == journalOpDone:
 		delete(jl.sweeps, rec.Key)
 	case rec.Op == journalOpStart:
-		// Start records are observability only: a started-but-unfinished
-		// job replays exactly like a queued one.
+		// A started-but-unfinished job replays exactly like a queued one.
 	default:
 		jl.metrics.corrupt.Inc()
 		jl.log.Warn("engine: skipping malformed journal record", "op", rec.Op, "kind", rec.Kind, "key", rec.Key)
@@ -188,61 +201,75 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 	jl.metrics.live.Set(int64(len(jl.jobs) + len(jl.sweeps)))
 }
 
-// append writes one record and fsyncs it — the write-ahead guarantee:
-// once a submission is acknowledged, a crash cannot lose it.
-func (jl *Journal) appendLocked(rec journalRecord) {
+// appendLocked writes one record and fsyncs it — the write-ahead
+// guarantee: once a submission is acknowledged, a crash cannot lose it.
+// It returns an errJournal for a record that did not reach the disk,
+// including every append after Close. Only submit records act on the
+// error; done, lease and release records are best-effort, since replay
+// answers a job whose done was lost from the Store, and re-enqueues an
+// unsettled job whatever its lease records say.
+func (jl *Journal) appendLocked(rec journalRecord) error {
 	if jl.f == nil {
-		return // closed (or reopen-after-compaction failed): drop the write
+		return fmt.Errorf("%w: journal closed", errJournal)
 	}
 	rec.At = time.Now().UTC()
 	raw, err := json.Marshal(rec)
+	if err == nil {
+		_, err = jl.f.Write(append(raw, '\n'))
+	}
+	if err == nil {
+		err = jl.f.Sync()
+	}
 	if err != nil {
-		jl.log.Warn("engine: journal encode failed", "key", rec.Key, "error", err)
-		return
-	}
-	if _, err := jl.f.Write(append(raw, '\n')); err != nil {
-		jl.log.Warn("engine: journal append failed", "key", rec.Key, "error", err)
-		return
-	}
-	if err := jl.f.Sync(); err != nil {
-		jl.log.Warn("engine: journal fsync failed", "key", rec.Key, "error", err)
+		jl.log.Warn("engine: journal append failed", "op", rec.Op, "key", rec.Key, "error", err)
+		return fmt.Errorf("%w: %w", errJournal, err)
 	}
 	jl.metrics.records.Inc()
 	jl.appends++
 	if jl.appends >= jl.compactEvery {
 		jl.compactLocked()
 	}
+	return nil
+}
+
+// submitLocked folds a submit record into live (jl.jobs or jl.sweeps)
+// and appends it. A failed append undoes the fold and rewrites the file
+// from the live set, so the refused submission replays neither from
+// memory nor from a line that half reached the disk.
+func (jl *Journal) submitLocked(rec journalRecord, live map[string]journalRecord) error {
+	prev, had := live[rec.Key]
+	order := len(jl.order)
+	jl.applyLocked(rec)
+	err := jl.appendLocked(rec)
+	if err == nil {
+		return nil
+	}
+	if had {
+		live[rec.Key] = prev
+	} else {
+		delete(live, rec.Key)
+	}
+	jl.order = jl.order[:order]
+	jl.metrics.live.Set(int64(len(jl.jobs) + len(jl.sweeps)))
+	if jl.f != nil {
+		jl.compactLocked()
+	}
+	return err
 }
 
 // jobSubmitted journals a Spec submission (write-ahead: call before the
-// scheduler accepts the job).
-func (jl *Journal) jobSubmitted(key, trace, tenant string, priority int, sweepTrace string, spec Spec) {
+// scheduler accepts the job, and refuse the job on an error).
+func (jl *Journal) jobSubmitted(key, trace, tenant string, priority int, sweepTrace string, spec Spec) error {
 	if jl == nil {
-		return
+		return nil
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	rec := journalRecord{
+	return jl.submitLocked(journalRecord{
 		Op: journalOpSubmit, Kind: journalKindJob, Key: key,
 		Trace: trace, Tenant: tenant, Priority: priority,
 		SweepTrace: sweepTrace, Spec: &spec,
-	}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
-}
-
-// jobStarted journals a worker picking the job up. No-op for jobs the
-// journal does not know (ad-hoc func jobs, cache hits).
-func (jl *Journal) jobStarted(key string) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.jobs[key]; !ok {
-		return
-	}
-	jl.appendLocked(journalRecord{Op: journalOpStart, Kind: journalKindJob, Key: key})
+	}, jl.jobs)
 }
 
 // jobDone journals a job reaching a terminal state, releasing its live
@@ -314,19 +341,18 @@ func (jl *Journal) liveLeases() map[string]string {
 }
 
 // sweepSubmitted journals a sweep (keyed by batch trace) so a reboot
-// reconstitutes the whole Batch, not just its cells.
-func (jl *Journal) sweepSubmitted(trace, tenant string, priority int, sw Sweep) {
+// reconstitutes the whole Batch, not just its cells; on an error the
+// sweep must be refused.
+func (jl *Journal) sweepSubmitted(trace, tenant string, priority int, sw Sweep) error {
 	if jl == nil {
-		return
+		return nil
 	}
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	rec := journalRecord{
+	return jl.submitLocked(journalRecord{
 		Op: journalOpSubmit, Kind: journalKindSweep, Key: trace,
 		Trace: trace, Tenant: tenant, Priority: priority, Sweep: &sw,
-	}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
+	}, jl.sweeps)
 }
 
 // sweepDone journals every cell of a sweep reaching a terminal state.

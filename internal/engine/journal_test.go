@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,7 +223,10 @@ func TestJournalCorruptLineSkipAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("{\"op\":\"submit\",\"kind\":\"job\",\"key\":\"torn\n\x00\x01binary-noise\x02\n"); err != nil {
+	// A start record, as earlier builds wrote, is neither corrupt nor
+	// terminal; then a torn line and binary noise.
+	if _, err := f.WriteString("{\"op\":\"start\",\"kind\":\"job\",\"key\":\"survivor-key\"}\n" +
+		"{\"op\":\"submit\",\"kind\":\"job\",\"key\":\"torn\n\x00\x01binary-noise\x02\n"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -367,5 +374,89 @@ func TestRemoteClaimJournalsOneRecord(t *testing.T) {
 	}
 	if got := records.Value() - before; got != 1 {
 		t.Fatalf("a remote claim appended %d journal records, want 1 (the lease)", got)
+	}
+}
+
+// TestLocalRunJournalsTwoRecords: a local run appends exactly its submit
+// and its done record; the local start edge journals nothing.
+func TestLocalRunJournalsTwoRecords(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	// The done record lands after the job's waiters wake; it is applied
+	// and appended under one hold of the journal lock.
+	for deadline := time.Now().Add(10 * time.Second); e.journal.liveCount() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("done record never journaled")
+		}
+	}
+	var ops []string
+	for _, l := range journalLines(t, dir) {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, rec.Op)
+	}
+	if strings.Join(ops, ",") != "submit,done" {
+		t.Fatalf("a local run journaled %v, want [submit done]", ops)
+	}
+	if got := e.Metrics().Counter("journal_records_total", "").Value(); got != 2 {
+		t.Fatalf("journal_records_total = %d, want 2", got)
+	}
+}
+
+// unsyncedFile passes writes through to the journal file but fails
+// every fsync: a record reaches the file without being durable.
+type unsyncedFile struct{ *os.File }
+
+func (unsyncedFile) Sync() error { return errors.New("fsync: input/output error") }
+
+// TestSubmitRefusedWhenJournalFails: a job or sweep submission the
+// journal cannot make durable is answered 503 unavailable, is never
+// enqueued or counted as a journal record, and is not replayed by the
+// next boot on the same directory, though its line reached the file.
+func TestSubmitRefusedWhenJournalFails(t *testing.T) {
+	dir := t.TempDir()
+	e, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	for path, body := range map[string]any{
+		"/v1/jobs":   map[string]any{"spec": tinySpec("FedAvg")},
+		"/v1/sweeps": map[string]any{"sweep": tinySweep([]string{"FedAvg"}, 1, 2)},
+	} {
+		e.journal.mu.Lock()
+		if f, ok := e.journal.f.(*os.File); ok { // a failed append reopens the file
+			e.journal.f = unsyncedFile{f}
+		}
+		e.journal.mu.Unlock()
+		var env errorEnvelope
+		if code := postJSON(t, srv.Client(), srv.URL+path, body, &env); code != http.StatusServiceUnavailable || env.Err.Code != ErrCodeUnavailable {
+			t.Fatalf("POST %s with a failing journal = %d %+v, want 503 %s", path, code, env, ErrCodeUnavailable)
+		}
+	}
+	if n := len(e.Jobs()); n != 0 {
+		t.Fatalf("%d jobs enqueued by refused submissions, want 0", n)
+	}
+	if n := len(e.Batches()); n != 0 {
+		t.Fatalf("%d sweeps registered by a refused submission, want 0", n)
+	}
+	if got := e.Metrics().Counter("journal_records_total", "").Value(); got != 0 {
+		t.Fatalf("journal_records_total = %d for records that never reached the disk, want 0", got)
+	}
+	if n := e.journal.liveCount(); n != 0 {
+		t.Fatalf("journal holds %d live records after refused submissions, want 0", n)
+	}
+	e.Close()
+	e2 := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
+	if n := len(e2.Jobs()); n != 0 {
+		t.Fatalf("reboot replayed %d refused jobs, want 0", n)
 	}
 }

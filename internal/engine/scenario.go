@@ -125,21 +125,20 @@ type scenarioEntry struct {
 // scenarioCache memoizes built scenarios by scenario content-address so
 // a sweep of many methods over the same data encodes it once, with
 // singleflight semantics for concurrent jobs and LRU eviction beyond
-// cap. Evicted scenarios stay valid for jobs still holding them; they
-// are simply rebuilt on the next request.
+// scenarioCacheCap. Evicted scenarios stay valid for jobs still holding
+// them; they are simply rebuilt on the next request.
 type scenarioCache struct {
 	metrics *engineMetrics
 	mu      sync.Mutex
-	cap     int
 	seq     int64
 	m       map[string]*scenarioEntry
 }
 
-func newScenarioCache(capacity int, m *engineMetrics) *scenarioCache {
-	if capacity <= 0 {
-		capacity = 4
-	}
-	return &scenarioCache{metrics: m, cap: capacity, m: map[string]*scenarioEntry{}}
+// scenarioCacheCap bounds the resident built scenarios.
+const scenarioCacheCap = 4
+
+func newScenarioCache(m *engineMetrics) *scenarioCache {
+	return &scenarioCache{metrics: m, m: map[string]*scenarioEntry{}}
 }
 
 // get returns the Scenario for a Spec, building it at most once per
@@ -183,7 +182,7 @@ func (c *scenarioCache) get(spec Spec, parallelism int) (sc *Scenario, hit bool,
 // cache fits; the entry being inserted and entries still building are
 // kept. c.mu must be held.
 func (c *scenarioCache) evictLocked(keep *scenarioEntry) {
-	for len(c.m) > c.cap {
+	for len(c.m) > scenarioCacheCap {
 		var victimKey string
 		var victim *scenarioEntry
 		for k, e := range c.m {

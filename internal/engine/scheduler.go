@@ -714,10 +714,10 @@ func attempt(worker string) (span, holder string) {
 
 // start is the claim edge, Queued→Running under worker ("" for the
 // local pool, else a remote worker's name). It mints the attempt's span
-// ID and installs cancel as the job's cancel hook, then writes the
-// edge's one journal record (start locally; remotely the lease, which
-// implies the start), the queue span, the queue wait,
-// sched_running_jobs and the log line. It reports false, changing
+// ID and installs cancel as the job's cancel hook, then writes a
+// remote claim's lease record (a local start journals nothing: replay
+// treats a started job like a queued one), the queue span, the queue
+// wait, sched_running_jobs and the log line. It reports false, changing
 // nothing, for a job that is no longer queued (cancelled while it sat
 // in the heap).
 func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
@@ -737,8 +737,6 @@ func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 	j.mu.Unlock()
 	if worker != "" {
 		s.journal.jobLeased(j.Key, worker)
-	} else {
-		s.journal.jobStarted(j.Key)
 	}
 	_, holder := attempt(worker)
 	method, queueSec := methodLabel(j), started.Sub(queued).Seconds()

@@ -19,7 +19,6 @@ import (
 // Server exposes an Engine over HTTP/JSON — the `feddg serve` API. All
 // handlers use only the standard library.
 //
-//	GET    /healthz                 liveness probe
 //	GET    /v1/healthz              health + build info + serving/draining state
 //	GET    /v1/stats                engine counters
 //	POST   /v1/jobs                 submit a Spec ({"spec":…,"priority":n,"wait":bool})
@@ -30,18 +29,17 @@ import (
 //	                                until done, 404 when none was stored)
 //	GET    /v1/jobs/{id}/events     per-round progress as Server-Sent Events
 //	POST   /v1/jobs/{id}/cancel     cancel a job
-//	DELETE /v1/jobs/{id}            cancel a job
+//	GET    /v1/traces/{id}          every span recorded under a trace ID
 //	POST   /v1/sweeps               submit a parameter grid ({"sweep":…,"priority":n,"wait":bool})
 //	GET    /v1/sweeps               list sweeps, newest first (?state=…&limit=…&after=…)
 //	GET    /v1/sweeps/{id}          sweep status: aggregate counts + per-job views
 //	GET    /v1/sweeps/{id}/events   merged progress of all sweep jobs as SSE
 //	POST   /v1/sweeps/{id}/cancel   cancel every solely-owned sweep job
-//	DELETE /v1/sweeps/{id}          cancel every solely-owned sweep job
 //
 // Errors are a structured envelope {"error":{"code","message"}} (codes
 // below).
 //
-// With WithTenants configured, every route except the health probes
+// With WithTenants configured, every route except the health probe
 // requires `Authorization: Bearer <api-key>` (401 otherwise) and is
 // admission-controlled per tenant: a drained token bucket answers 429
 // with a Retry-After header, and a full queue quota answers 429 with
@@ -72,9 +70,8 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	// Health probes stay unauthenticated: load balancers and liveness
-	// checks do not carry API keys.
-	s.handleOpen("GET /healthz", s.handleHealth)
+	// The health probe stays unauthenticated: load balancers and
+	// liveness checks do not carry API keys.
 	s.handleOpen("GET /v1/healthz", s.handleHealthz)
 	s.handle("GET /v1/stats", s.handleStats)
 	s.handle("POST /v1/jobs", s.handleSubmit)
@@ -84,14 +81,12 @@ func NewServer(e *Engine, opts ...ServerOption) *Server {
 	s.handle("GET /v1/jobs/{id}/model", s.handleModel)
 	s.handle("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	s.handle("POST /v1/jobs/{id}/cancel", s.handleCancel)
-	s.handle("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.handle("GET /v1/traces/{id}", s.handleTrace)
 	s.handle("POST /v1/sweeps", s.handleSweepSubmit)
 	s.handle("GET /v1/sweeps", s.handleSweepList)
 	s.handle("GET /v1/sweeps/{id}", s.handleSweepStatus)
 	s.handle("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
 	s.handle("POST /v1/sweeps/{id}/cancel", s.handleSweepCancel)
-	s.handle("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
 	return s
 }
 
@@ -516,11 +511,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 // writeSubmitError maps a Submit/SubmitSweep failure to the wire. A
-// draining engine is a transient 503 and a full queue quota a transient
-// 429 — neither is the caller's fault; anything else is a spec or sweep
+// draining engine or a failed journal append is a transient 503 and a
+// full queue quota a transient 429 — neither is the caller's fault; anything else is a spec or sweep
 // the engine rejected.
 func writeSubmitError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrClosed) {
+	if errors.Is(err, ErrClosed) || errors.Is(err, errJournal) {
 		writeError(w, http.StatusServiceUnavailable, ErrCodeUnavailable, err.Error())
 		return
 	}
@@ -533,10 +528,6 @@ func writeSubmitError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, ErrCodeInvalidSpec, err.Error())
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // HealthView is the GET /v1/healthz body: whether the engine still
@@ -848,15 +839,10 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	writeBlob(w, r, blob)
 }
 
-// WriteBlob serves a blob with the conditional-GET semantics of
-// writeBlob — exported for Handle-registered extensions (the
-// coordinator's peer-fetch store routes).
-func WriteBlob(w http.ResponseWriter, r *http.Request, blob []byte) { writeBlob(w, r, blob) }
-
 // writeBlob serves a checkpoint blob with a strong ETag over its bytes,
-// honoring If-None-Match so a peer (or any caching client) that already
-// holds the bytes pays one round-trip and zero body transfer, and an
-// explicit Content-Length so receivers can preallocate and verify.
+// honoring If-None-Match so a caching client that already holds the
+// bytes pays one round-trip and zero body transfer, and an explicit
+// Content-Length so receivers can preallocate and verify.
 func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte) {
 	sum := sha256.Sum256(blob)
 	etag := `"` + hex.EncodeToString(sum[:]) + `"`

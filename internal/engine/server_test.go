@@ -58,7 +58,7 @@ func TestServeRoundTrip(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	if code := getJSON(t, client, srv.URL+"/healthz", nil); code != http.StatusOK {
+	if code := getJSON(t, client, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
 
@@ -242,8 +242,9 @@ func TestServeValidationAndErrors(t *testing.T) {
 	}
 }
 
-// TestServeCancel exercises DELETE /v1/jobs/{id} against a running job
-// and the 409 returned by /result while it is still in flight.
+// TestServeCancel exercises POST /v1/jobs/{id}/cancel (client.Cancel's
+// route) against a running job and the 409 returned by /result while it
+// is still in flight.
 func TestServeCancel(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	srv := httptest.NewServer(NewServer(e))
@@ -264,17 +265,8 @@ func TestServeCancel(t *testing.T) {
 	if code := getJSON(t, client, srv.URL+"/v1/jobs/"+j.ID+"/result", nil); code != http.StatusConflict {
 		t.Fatalf("running job result = %d, want 409", code)
 	}
-	req, err := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+j.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel = %d", resp.StatusCode)
+	if code := postJSON(t, client, srv.URL+"/v1/jobs/"+j.ID+"/cancel", nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel = %d", code)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for j.State() != StateCancelled {

@@ -61,8 +61,6 @@ type Store struct {
 	// syscalls per write.
 	approx int64
 	seq    int64
-	hits   int64
-	misses int64
 }
 
 // storeEnvelope is the on-disk record format.
@@ -73,14 +71,9 @@ type storeEnvelope struct {
 	Result      *Result   `json:"result"`
 }
 
-// NewStore opens a result store. dir == "" keeps results in memory only;
-// otherwise the directory is created if missing and existing entries
-// become visible immediately. Counters export on the process-default
-// telemetry registry; use newStoreWith to isolate them (tests).
-func NewStore(dir string) (*Store, error) {
-	return newStoreWith(dir, telemetry.Default(), slog.Default())
-}
-
+// newStoreWith opens a result store whose instruments export on reg.
+// dir == "" keeps results in memory only; otherwise the directory is
+// created if missing and existing entries become visible immediately.
 func newStoreWith(dir string, reg *telemetry.Registry, log *slog.Logger) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -144,7 +137,6 @@ func (s *Store) path(hash string) string {
 func (s *Store) Get(hash string) (*Result, bool, error) {
 	s.mu.Lock()
 	if r, ok := s.mem[hash]; ok {
-		s.hits++
 		s.touchLocked(hash)
 		s.mu.Unlock()
 		s.metrics.hits.Inc()
@@ -152,12 +144,12 @@ func (s *Store) Get(hash string) (*Result, bool, error) {
 	}
 	s.mu.Unlock()
 	if s.dir == "" {
-		s.miss()
+		s.metrics.misses.Inc()
 		return nil, false, nil
 	}
 	raw, err := os.ReadFile(s.path(hash))
 	if errors.Is(err, fs.ErrNotExist) {
-		s.miss()
+		s.metrics.misses.Inc()
 		return nil, false, nil
 	}
 	if err != nil {
@@ -181,23 +173,15 @@ func (s *Store) Get(hash string) (*Result, bool, error) {
 	}
 	if env.CodeVersion != CodeVersion {
 		// A stale-code entry is an expected miss, not corruption.
-		s.miss()
+		s.metrics.misses.Inc()
 		return nil, false, nil
 	}
 	s.mu.Lock()
 	s.mem[hash] = env.Result
-	s.hits++
 	s.touchLocked(hash)
 	s.mu.Unlock()
 	s.metrics.hits.Inc()
 	return env.Result, true, nil
-}
-
-func (s *Store) miss() {
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
-	s.metrics.misses.Inc()
 }
 
 // corrupt records an unreadable or undecodable cache entry: logged at
@@ -207,7 +191,7 @@ func (s *Store) corrupt(hash string, err error) {
 	s.metrics.corrupt.Inc()
 	s.log.Warn("engine: corrupt cache entry, treating as miss",
 		"key", hash, "path", s.path(hash), "error", err)
-	s.miss()
+	s.metrics.misses.Inc()
 }
 
 // Put memoizes a Result under a content-address. On-disk writes are
@@ -435,11 +419,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.mem)
-}
-
-// Counters returns the hit/miss totals since the store was opened.
-func (s *Store) Counters() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
 }

@@ -237,10 +237,7 @@ func TestServerAuth(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	// Health endpoints answer without a key (probes have none).
-	if code := getJSON(t, client, srv.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz with auth on = %d", code)
-	}
+	// The health endpoint answers without a key (probes have none).
 	if code := getJSON(t, client, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
 		t.Fatalf("v1 healthz with auth on = %d", code)
 	}

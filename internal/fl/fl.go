@@ -434,22 +434,6 @@ type Timing struct {
 	AggregateCount  int
 }
 
-// AvgLocalTrain returns mean local-training time per client per round.
-func (t Timing) AvgLocalTrain() time.Duration {
-	if t.LocalTrainCount == 0 {
-		return 0
-	}
-	return t.LocalTrain / time.Duration(t.LocalTrainCount)
-}
-
-// AvgAggregate returns mean aggregation time per round.
-func (t Timing) AvgAggregate() time.Duration {
-	if t.AggregateCount == 0 {
-		return 0
-	}
-	return t.Aggregate / time.Duration(t.AggregateCount)
-}
-
 // History is the full trace of one federated run.
 type History struct {
 	Stats  []RoundStats
@@ -478,15 +462,11 @@ type RunConfig struct {
 	// flight are finished, so determinism of completed rounds is kept.
 	Context context.Context
 	// OnRound, when non-nil, is invoked from the coordinating goroutine
-	// after every completed round with the 1-based round number and the
-	// total round count. It must not block for long: local training of
-	// the next round waits on it.
-	OnRound func(round, total int)
-	// OnRoundEnd, when non-nil, is invoked after OnRound with the round's
-	// wall-clock bounds (sampling through aggregation and eval). It feeds
-	// per-round spans into the engine's trace timeline; the same
-	// non-blocking contract as OnRound applies.
-	OnRoundEnd func(round, total int, start, end time.Time)
+	// after every completed round with the 1-based round number, the
+	// total round count and the round's wall-clock bounds (sampling
+	// through aggregation and eval). It must not block for long: local
+	// training of the next round waits on it.
+	OnRound func(round, total int, start, end time.Time)
 	// Parallelism bounds this run's local-training worker pool; 0 falls
 	// back to Env.Parallelism, then NumCPU. It is a pure scheduling
 	// knob: every stochastic choice draws from named rng streams and the
@@ -653,10 +633,7 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 			hist.Stats = append(hist.Stats, rs)
 		}
 		if cfg.OnRound != nil {
-			cfg.OnRound(round+1, cfg.Rounds)
-		}
-		if cfg.OnRoundEnd != nil {
-			cfg.OnRoundEnd(round+1, cfg.Rounds, roundStart, time.Now())
+			cfg.OnRound(round+1, cfg.Rounds, roundStart, time.Now())
 		}
 	}
 	if cfg.TraceID != "" {

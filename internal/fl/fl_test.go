@@ -479,13 +479,6 @@ func TestEvalSet(t *testing.T) {
 	}
 }
 
-func TestTimingAverages(t *testing.T) {
-	var tm fl.Timing
-	if tm.AvgLocalTrain() != 0 || tm.AvgAggregate() != 0 {
-		t.Fatal("zero-count averages should be 0")
-	}
-}
-
 // TestRunParallelismBitIdentical pins the kernel-layer determinism
 // guarantee end to end: a real training run (FedAvg local SGD through the
 // parallel matmul kernels) must produce bit-identical global parameters at

@@ -299,6 +299,17 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(v.r, renderLabels(v.f.keys, values)).c
 }
 
+// Total sums the counter over every label combination.
+func (v *CounterVec) Total() int64 {
+	v.r.mu.Lock()
+	defer v.r.mu.Unlock()
+	var n int64
+	for _, s := range v.f.ordered {
+		n += s.c.Value()
+	}
+	return n
+}
+
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.get(v.r, renderLabels(v.f.keys, values)).g

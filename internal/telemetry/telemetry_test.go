@@ -27,6 +27,18 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+func TestCounterVecTotal(t *testing.T) {
+	v := NewRegistry().CounterVec("test_jobs_total", "jobs", "tenant")
+	if got := v.Total(); got != 0 {
+		t.Fatalf("empty total = %d, want 0", got)
+	}
+	v.With("alice").Add(2)
+	v.With("bob").Inc()
+	if got := v.Total(); got != 3 {
+		t.Fatalf("total = %d, want 3", got)
+	}
+}
+
 func TestRegistrationIsIdempotent(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("test_total", "")
