@@ -11,8 +11,9 @@
 // sweep's scenarios once at most; an idle worker still takes any queued
 // work rather than wait. A lease whose heartbeats stop —
 // worker crash, network partition — expires and the job requeues onto
-// the survivors; lease edges are journaled, so a coordinator restart
-// replays in-flight assignments as requeues. Worker progress merges
+// the survivors. Leases are not journaled: a coordinator restart
+// re-enqueues every unsettled job from its journal, leased or not, and
+// the workers' old registrations are gone. Worker progress merges
 // into the job's normal event stream: an SSE subscriber cannot tell a
 // leased cell from a local one.
 //
@@ -71,7 +72,8 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// workerState is one registered worker.
+// workerState is one registered worker. Its leases are the entries
+// of the coordinator's lease table that carry its ID.
 type workerState struct {
 	id         string
 	name       string
@@ -79,7 +81,6 @@ type workerState struct {
 	registered time.Time
 	lastSeen   time.Time
 	completed  int64
-	leases     map[string]*leaseState // by job ID
 }
 
 // leaseState is one leased job.
@@ -116,9 +117,10 @@ type Coordinator struct {
 	reaperWG sync.WaitGroup
 }
 
-// NewCoordinator starts a coordinator over the engine. Lease edges the
-// engine's journal carried across the last restart are accounted as
-// requeues (reason "boot") — replay already re-enqueued their jobs.
+// NewCoordinator starts a coordinator over the engine. It starts with
+// no workers and no leases: jobs that were leased when a journaled
+// engine last stopped were replayed into its queue, unleased, before
+// the engine was handed over.
 func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
@@ -138,11 +140,6 @@ func NewCoordinator(eng *engine.Engine, opts Options) *Coordinator {
 		leases:  map[string]*leaseState{},
 	}
 	c.stopped, c.stop = context.WithCancel(context.Background())
-	for key, worker := range eng.BootLeases() {
-		c.m.requeued.With("boot").Inc()
-		c.log.Info("dist: boot replay requeued leased job",
-			"key", key[:min(12, len(key))], "worker", worker)
-	}
 	c.reaperWG.Add(1)
 	go c.reaper()
 	return c
@@ -180,7 +177,6 @@ func (c *Coordinator) Register(req engine.WorkerRegisterRequest) (engine.WorkerR
 		slots:      req.Slots,
 		registered: now,
 		lastSeen:   now,
-		leases:     map[string]*leaseState{},
 	}
 	c.workers[w.id] = w
 	c.m.workers.Set(int64(len(c.workers)))
@@ -245,9 +241,8 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string) (*engine.Lease
 	now := time.Now()
 	ls.job, ls.granted, ls.expires = j, now, now.Add(c.ttl)
 	c.leases[j.ID] = ls
-	w.leases[j.ID] = ls
 	c.m.granted.With(self).Inc()
-	c.m.workerLeases.With(self).Set(int64(len(w.leases)))
+	c.m.workerLeases.With(self).Inc()
 	c.mu.Unlock()
 
 	return &engine.LeaseView{
@@ -388,13 +383,11 @@ func (c *Coordinator) Heartbeat(workerID string, req engine.WorkerHeartbeatReque
 	return resp, nil
 }
 
-// dropLeaseLocked removes a lease from both indexes; c.mu must be held.
+// dropLeaseLocked removes a lease from the lease table; c.mu must be
+// held.
 func (c *Coordinator) dropLeaseLocked(ls *leaseState) {
 	delete(c.leases, ls.job.ID)
-	if w, ok := c.workers[ls.workerID]; ok {
-		delete(w.leases, ls.job.ID)
-		c.m.workerLeases.With(w.name).Set(int64(len(w.leases)))
-	}
+	c.m.workerLeases.With(ls.workerName).Dec()
 }
 
 // Complete settles a lease with the worker's outcome. The model blob,
@@ -471,6 +464,10 @@ func (c *Coordinator) LeaseHolder(jobID string) (*engine.Job, string, bool) {
 func (c *Coordinator) Fleet() engine.FleetView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	active := map[string]int{} // by worker ID
+	for _, ls := range c.leases {
+		active[ls.workerID]++
+	}
 	v := engine.FleetView{LeaseTTLSec: c.ttl.Seconds(), Workers: make([]engine.WorkerView, 0, len(c.workers))}
 	for _, w := range c.workers {
 		p50, p95, n := c.stats.roundQuantiles(w.name)
@@ -480,7 +477,7 @@ func (c *Coordinator) Fleet() engine.FleetView {
 			Slots:        w.slots,
 			Registered:   w.registered,
 			LastSeen:     w.lastSeen,
-			ActiveLeases: len(w.leases),
+			ActiveLeases: active[w.id],
 			Completed:    w.completed,
 			RoundP50Sec:  p50,
 			RoundP95Sec:  p95,
@@ -538,15 +535,17 @@ func (c *Coordinator) reaper() {
 		c.mu.Lock()
 		for id, w := range c.workers {
 			if now.Sub(w.lastSeen) > workerTTLFactor*c.ttl {
-				for _, ls := range w.leases {
-					victims = append(victims, victim{ls, "worker_lost"})
-					delete(c.leases, ls.job.ID)
+				held := len(victims)
+				for _, ls := range c.leases {
+					if ls.workerID == id {
+						victims = append(victims, victim{ls, "worker_lost"})
+						c.dropLeaseLocked(ls)
+					}
 				}
 				delete(c.workers, id)
 				c.m.workers.Set(int64(len(c.workers)))
-				c.m.workerLeases.With(w.name).Set(0)
 				c.log.Warn("dist: worker lost (no heartbeat)", "worker", w.name, "worker_id", id,
-					"silent", now.Sub(w.lastSeen).Seconds(), "leases", len(w.leases))
+					"silent", now.Sub(w.lastSeen).Seconds(), "leases", len(victims)-held)
 			}
 		}
 		for _, ls := range c.leases {

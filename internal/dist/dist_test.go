@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"log/slog"
 	"net/http/httptest"
 	"reflect"
@@ -283,6 +284,79 @@ func TestWorkerNamedLocalLeaseRequeues(t *testing.T) {
 	}
 	if got := j.Worker(); got != "" {
 		t.Fatalf("requeued job worker = %q, want none", got)
+	}
+}
+
+// TestCoordinatorRestartRequeuesLeasedJob: a journaled coordinator
+// restarted with a job leased forgets the lease and its worker; the job
+// replays queued, and a worker that registers anew claims it and
+// completes it. The fleet view and dist_worker_active_leases count the
+// new lease from grant to completion.
+func TestCoordinatorRestartRequeuesLeasedJob(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*engine.Engine, *Coordinator) {
+		t.Helper()
+		eng, err := engine.New(engine.Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := NewCoordinator(eng, Options{LeaseTTL: time.Minute})
+		t.Cleanup(func() {
+			coord.Close()
+			eng.Close()
+		})
+		return eng, coord
+	}
+	register := func(coord *Coordinator, name string) string {
+		t.Helper()
+		reg, err := coord.Register(engine.WorkerRegisterRequest{Name: name, Slots: 1, CodeVersion: engine.CodeVersion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg.WorkerID
+	}
+
+	eng1, coord1 := boot()
+	j, err := eng1.Submit(tinySpec("FedAvg", 12), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := register(coord1, "alpha")
+	lease, err := coord1.Claim(context.Background(), old)
+	if err != nil || lease == nil || lease.Key != j.Key {
+		t.Fatalf("claim = %+v, %v; want the submitted job", lease, err)
+	}
+	coord1.Close()
+	eng1.Close()
+
+	eng2, coord2 := boot()
+	beat := engine.WorkerHeartbeatRequest{Leases: []engine.LeaseProgress{{JobID: lease.JobID}}}
+	if _, err := coord2.Heartbeat(old, beat); !errors.Is(err, ErrUnknownWorker) {
+		t.Fatalf("old worker's heartbeat after the restart = %v, want %v", err, ErrUnknownWorker)
+	}
+	fresh := register(coord2, "beta")
+	relet, err := coord2.Claim(context.Background(), fresh)
+	if err != nil || relet == nil || relet.Key != j.Key {
+		t.Fatalf("claim after the restart = %+v, %v; want the replayed job", relet, err)
+	}
+	held := func(want int) {
+		t.Helper()
+		fleet := coord2.Fleet().Workers
+		if len(fleet) != 1 || fleet[0].ActiveLeases != want {
+			t.Fatalf("fleet = %+v, want beta alone holding %d leases", fleet, want)
+		}
+		if got := coord2.m.workerLeases.With("beta").Value(); got != int64(want) {
+			t.Fatalf(`dist_worker_active_leases{worker="beta"} = %d, want %d`, got, want)
+		}
+	}
+	held(1)
+	res := &engine.Result{SpecHash: relet.Key, Method: "FedAvg"}
+	if err := coord2.Complete(fresh, relet.JobID, engine.LeaseCompleteRequest{Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	held(0)
+	if replayed, ok := eng2.Job(relet.JobID); !ok || replayed.State() != engine.StateDone {
+		t.Fatalf("replayed job = %v, %v; want it done", replayed, ok)
 	}
 }
 

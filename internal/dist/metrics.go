@@ -12,7 +12,7 @@ type coordMetrics struct {
 	workerLeases *telemetry.GaugeVec   // worker name
 	granted      *telemetry.CounterVec // worker name
 	completed    *telemetry.CounterVec // state: done|failed|cancelled
-	requeued     *telemetry.CounterVec // reason: expired|worker_lost|abandoned|boot|pull_gone
+	requeued     *telemetry.CounterVec // reason: expired|worker_lost|abandoned|pull_gone
 	expired      *telemetry.Counter
 	heartbeats   *telemetry.Counter
 	workerSlow   *telemetry.GaugeVec     // worker name; 1 = straggler
@@ -31,7 +31,7 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 		completed: reg.CounterVec("dist_leases_completed_total",
 			"Leased jobs settled by their worker, by terminal state.", "state"),
 		requeued: reg.CounterVec("dist_leases_requeued_total",
-			"Leased jobs returned to the queue without an outcome, by reason (expired heartbeat, worker lost, worker abandoned on shutdown, coordinator reboot, lease pull gone before its answer).", "reason"),
+			"Leased jobs returned to the queue without an outcome, by reason (expired heartbeat, worker lost, worker abandoned on shutdown, lease pull gone before its answer). A coordinator restart's re-enqueues are counted by journal_replayed_total.", "reason"),
 		expired: reg.Counter("dist_leases_expired_total",
 			"Leases that outlived their TTL without a heartbeat."),
 		heartbeats: reg.Counter("dist_heartbeats_total",

@@ -24,7 +24,7 @@ func TestClusterJobTraceMergesWorkerSpans(t *testing.T) {
 	cl.addWorker("alpha", nil)
 
 	spec := tinySpec("FedAvg", 31)
-	j, err := cl.eng.SubmitTraced(spec, 0, "trace-dist-31")
+	j, err := cl.eng.SubmitAs(spec, 0, "trace-dist-31", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,21 @@ func TestClusterJobTraceMergesWorkerSpans(t *testing.T) {
 	if !sources["worker:alpha"] {
 		t.Fatalf("no worker spans in merged trace: %v", sources)
 	}
-	// Coordinator lifecycle + the worker's training timeline. The
-	// worker's local run/job roots may flush after the completion (they
-	// record once the local scheduler observes the finish), so the
-	// deterministic assertions stop at rounds, tier lookup, and upload.
+	// Coordinator lifecycle + the worker's training timeline, including
+	// the worker's local run and job spans: its scheduler records them
+	// before it wakes the waiter that ships the completion.
 	for _, name := range []string{"queue", "lease", "tier-lookup", "upload"} {
 		if _, ok := byName[name]; !ok {
 			t.Fatalf("merged trace is missing a %q span; have %v", name, spanNames(view.Spans))
+		}
+	}
+	for _, name := range []string{"run", "job"} {
+		found := false
+		for _, sp := range view.Spans {
+			found = found || (sp.Name == name && sp.Source == "worker:alpha")
+		}
+		if !found {
+			t.Fatalf("merged trace is missing the worker:alpha %q span; have %v", name, spanNames(view.Spans))
 		}
 	}
 	for r := 1; r <= spec.Rounds; r++ {

@@ -485,7 +485,7 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 
 	// Double miss: train locally under the lease's trace, so one grep
 	// follows the cell from coordinator submit to worker round loop.
-	j, err := w.eng.SubmitTraced(lv.Spec, lv.Priority, lv.TraceID)
+	j, err := w.eng.SubmitAs(lv.Spec, lv.Priority, lv.TraceID, "")
 	if err != nil {
 		w.complete(lv.JobID, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
 		return

@@ -174,11 +174,10 @@ func TestDrainedLeaseAccountedBeforeWaitReturns(t *testing.T) {
 	}
 }
 
-// TestDrainedLeaseReleasesLeaseEdge is the journal half of a lease
+// TestDrainedLeaseReplaysOnNextBoot is the journal half of a lease
 // ended by draining: the job journals no done record, so the next boot
-// re-enqueues it, but its lease edge is released, so that boot hands no
-// lease back to the worker that held it.
-func TestDrainedLeaseReleasesLeaseEdge(t *testing.T) {
+// re-enqueues it.
+func TestDrainedLeaseReplaysOnNextBoot(t *testing.T) {
 	dir := t.TempDir()
 	e1 := newTestEngine(t, Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
 	j, err := e1.Submit(tinySpec("FedAvg"), 0)
@@ -188,9 +187,6 @@ func TestDrainedLeaseReleasesLeaseEdge(t *testing.T) {
 	if leased, ok := e1.ClaimRemote(context.Background(), "w1", nil); !ok || leased != j {
 		t.Fatalf("lease = %v, %v; want the submitted job", leased, ok)
 	}
-	if live := e1.journal.liveLeases(); live[j.Key] != "w1" {
-		t.Fatalf("live leases after the claim = %v, want {%.12s: w1}", live, j.Key)
-	}
 	e1.sched.close()
 	if e1.RequeueRemote(j) {
 		t.Fatal("a draining scheduler requeued the lease")
@@ -198,15 +194,9 @@ func TestDrainedLeaseReleasesLeaseEdge(t *testing.T) {
 	if got := j.State(); got != StateCancelled {
 		t.Fatalf("drained lease ended %s, want cancelled", got)
 	}
-	if live := e1.journal.liveLeases(); live != nil {
-		t.Fatalf("live leases after the drained lease ended = %v, want none", live)
-	}
 	e1.Close()
 
 	e2 := newTestEngine(t, Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
-	if boot := e2.BootLeases(); len(boot) != 0 {
-		t.Fatalf("boot leases = %v, want none", boot)
-	}
 	if got := e2.journal.metrics.replayed.With("job").Value(); got != 1 {
 		t.Fatalf("journal_replayed_total{kind=job} = %d, want 1 (the drained job re-enqueued)", got)
 	}

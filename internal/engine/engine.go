@@ -150,13 +150,6 @@ type Engine struct {
 	batches    map[string]*Batch
 	batchOrder []string
 	nextBatch  int64
-
-	// bootLeases are the lease edges (job content-address → worker) that
-	// were live in the journal at boot: jobs a previous coordinator
-	// process had assigned to remote workers when it died. Replay has
-	// already re-enqueued the jobs; the coordinator reads this once to
-	// account for the implicit requeues.
-	bootLeases map[string]string
 }
 
 // New opens an Engine. A disk-backed engine (Options.CacheDir set)
@@ -235,13 +228,6 @@ func New(opts Options) (*Engine, error) {
 func (e *Engine) replayJournal() {
 	if e.journal == nil {
 		return
-	}
-	// Lease edges from the previous life are stale: their workers will
-	// re-register and re-pull. Capture them for the coordinator's requeue
-	// accounting, then sever them so the replayed jobs start unleased.
-	e.bootLeases = e.journal.liveLeases()
-	for key := range e.bootLeases {
-		e.journal.leaseReleased(key)
 	}
 	jobs, sweeps := e.journal.live()
 	replayedSweep := map[string]bool{}
@@ -376,18 +362,13 @@ func (e *Engine) Submit(spec Spec, priority int) (*Job, error) {
 	return e.submit(spec, priority, "", "", "", false, nil)
 }
 
-// SubmitTraced is Submit with a caller-supplied trace ID (the HTTP
-// layer's X-Request-ID). An empty or invalid ID mints a fresh one; a
-// submission that coalesces onto an in-flight job observes that job's
-// original trace.
-func (e *Engine) SubmitTraced(spec Spec, priority int, traceID string) (*Job, error) {
-	return e.submit(spec, priority, traceID, "", "", false, nil)
-}
-
-// SubmitAs is SubmitTraced with tenant attribution: the job joins that
-// tenant's fair-share queue and counts against its queue quota (a full
-// quota refuses the submission with a *QuotaError). An empty tenant is
-// the anonymous tenant.
+// SubmitAs is Submit with a caller-supplied trace ID (the HTTP layer's
+// X-Request-ID) and tenant attribution. An empty or invalid ID mints a
+// fresh one; a submission that coalesces onto an in-flight job observes
+// that job's original trace. The job joins the tenant's fair-share
+// queue and counts against its queue quota (a full quota refuses the
+// submission with a *QuotaError). An empty tenant is the anonymous
+// tenant.
 func (e *Engine) SubmitAs(spec Spec, priority int, traceID, tenant string) (*Job, error) {
 	return e.submit(spec, priority, traceID, tenant, "", false, nil)
 }
@@ -534,18 +515,14 @@ func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFun
 // aggregate state, per-cell results in grid order, a merged event
 // stream, and batch-wide cancellation.
 func (e *Engine) SubmitSweep(sw Sweep, priority int) (*Batch, error) {
-	return e.SubmitSweepTraced(sw, priority, "")
+	return e.SubmitSweepAs(sw, priority, "", "")
 }
 
-// SubmitSweepTraced is SubmitSweep with a caller-supplied trace ID. The
+// SubmitSweepAs is SubmitSweep with a caller-supplied trace ID and
+// tenant attribution (an empty tenant is the anonymous tenant). The
 // batch adopts (or mints) the ID and each freshly created cell job is
 // traced as "<batch-trace>-cN" (N the first grid cell the job answers),
-// so one grep for the batch trace follows every cell it spawned.
-func (e *Engine) SubmitSweepTraced(sw Sweep, priority int, traceID string) (*Batch, error) {
-	return e.SubmitSweepAs(sw, priority, traceID, "")
-}
-
-// SubmitSweepAs is SubmitSweepTraced with tenant attribution. On a
+// so one grep for the batch trace follows every cell it spawned. On a
 // disk-backed engine the whole sweep is journaled under its batch trace
 // before any cell is submitted, so a crash mid-sweep reconstitutes the
 // Batch — not just its surviving cells — on the next boot; a sweep the
@@ -792,24 +769,17 @@ func (e *Engine) ModelBlob(key string) ([]byte, bool, error) {
 	return e.store.GetBlob(key)
 }
 
-// BootLeases returns the lease edges (job content-address → worker
-// name) that were live in the journal when this engine booted — in-
-// flight remote assignments of the previous process. The replay has
-// already requeued those jobs; the coordinator consumes this once for
-// its requeue counters.
-func (e *Engine) BootLeases() map[string]string { return e.bootLeases }
-
 // ClaimRemote leases the next queued job to a remote worker: the job
-// transitions to Running attributed to the worker, its journal gains a
-// lease edge, and subscribers see the start event exactly as they would
-// for a local run. The tenant ring picks the tenant as for the local
-// pool; within it, work on the scenario of the worker's latest lease
-// comes first, then work on a scenario no other worker holds (see
-// Scheduler.claimRemote). On an empty queue it waits until work is
-// pushed, ctx ends or the engine drains; only a claim reports true, and
-// a ctx that has ended claims nothing. onCancel, when non-nil, is
-// invoked if a user cancels the job while leased, so the coordinator
-// can relay the cancel to the worker on its next heartbeat.
+// transitions to Running attributed to the worker and subscribers see
+// the start event exactly as they would for a local run. The tenant
+// ring picks the tenant as for the local pool; within it, work on the
+// scenario of the worker's latest lease comes first, then work on a
+// scenario no other worker holds (see Scheduler.claimRemote). On an
+// empty queue it waits until work is pushed, ctx ends or the engine
+// drains; only a claim reports true, and a ctx that has ended claims
+// nothing. onCancel, when non-nil, is invoked if a user cancels the job
+// while leased, so the coordinator can relay the cancel to the worker
+// on its next heartbeat.
 func (e *Engine) ClaimRemote(ctx context.Context, worker string, onCancel func(*Job)) (*Job, bool) {
 	j := e.sched.claimRemote(ctx, worker, onCancel)
 	return j, j != nil

@@ -26,20 +26,11 @@ const journalCompactEvery = 4096
 
 // Journal operations. A job (or sweep) appears as a `submit` record and
 // a terminal `done`; replay re-enqueues every submit without a matching
-// done.
+// done. Who holds a job meanwhile, locally or on a remote lease, is not
+// journaled: replay re-enqueues an unsettled job unleased either way.
 const (
 	journalOpSubmit = "submit"
 	journalOpDone   = "done"
-	// journalOpStart is written by no current build; journals from
-	// earlier builds carry it, and load skips it.
-	journalOpStart = "start"
-	// lease/release record which remote worker holds a job. A live lease
-	// without a matching release tells a rebooted coordinator the job was
-	// assigned to a worker when the process died; replay re-enqueues it
-	// and surfaces the stale assignment (Engine.BootLeases) so the
-	// coordinator can count the requeue.
-	journalOpLease   = "lease"
-	journalOpRelease = "release"
 )
 
 // Journal record kinds.
@@ -66,10 +57,8 @@ type journalRecord struct {
 	Spec       *Spec  `json:"spec,omitempty"`
 	Sweep      *Sweep `json:"sweep,omitempty"`
 	// State is the terminal state of a done record.
-	State State `json:"state,omitempty"`
-	// Worker names the remote worker of a lease record.
-	Worker string    `json:"worker,omitempty"`
-	At     time.Time `json:"at"`
+	State State     `json:"state,omitempty"`
+	At    time.Time `json:"at"`
 }
 
 // errJournal wraps a failed journal append. A submission whose record
@@ -85,9 +74,9 @@ type journalFile interface {
 }
 
 // Journal is the engine's write-ahead job journal: an append-only JSONL
-// file of submit, done, lease and release records, fsync'd per append,
-// that lets a rebooted engine re-enqueue every job and sweep that was
-// queued or running when the process died. Re-submission is idempotent
+// file of submit and done records, fsync'd per append, that lets a
+// rebooted engine re-enqueue every job and sweep that was queued or
+// running when the process died. Re-submission is idempotent
 // — Specs are content-addressed, so cells that completed before the
 // crash are answered from the Store with zero training.
 //
@@ -102,7 +91,6 @@ type Journal struct {
 	f       journalFile              // nil once closed
 	jobs    map[string]journalRecord // live job submit records by content-address
 	sweeps  map[string]journalRecord // live sweep submit records by trace
-	leases  map[string]string        // live lease edges: job content-address → worker
 	order   []string                 // submission order of live keys ("j:"/"s:" prefixed)
 	appends int                      // since the last compaction
 	// compactEvery is journalCompactEvery, overridable by tests.
@@ -122,7 +110,6 @@ func openJournal(dir string, m *journalMetrics, log *slog.Logger) (*Journal, err
 		path:         path,
 		jobs:         map[string]journalRecord{},
 		sweeps:       map[string]journalRecord{},
-		leases:       map[string]string{},
 		compactEvery: journalCompactEvery,
 	}
 	if err := jl.load(); err != nil {
@@ -180,11 +167,6 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 		jl.jobs[rec.Key] = rec
 	case rec.Kind == journalKindJob && rec.Op == journalOpDone:
 		delete(jl.jobs, rec.Key)
-		delete(jl.leases, rec.Key)
-	case rec.Kind == journalKindJob && rec.Op == journalOpLease && rec.Worker != "":
-		jl.leases[rec.Key] = rec.Worker
-	case rec.Kind == journalKindJob && rec.Op == journalOpRelease:
-		delete(jl.leases, rec.Key)
 	case rec.Kind == journalKindSweep && rec.Op == journalOpSubmit && rec.Sweep != nil:
 		if _, ok := jl.sweeps[rec.Key]; !ok {
 			jl.order = append(jl.order, "s:"+rec.Key)
@@ -192,8 +174,10 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 		jl.sweeps[rec.Key] = rec
 	case rec.Kind == journalKindSweep && rec.Op == journalOpDone:
 		delete(jl.sweeps, rec.Key)
-	case rec.Op == journalOpStart:
-		// A started-but-unfinished job replays exactly like a queued one.
+	case rec.Op == "start", rec.Op == "lease", rec.Op == "release":
+		// Earlier builds journaled a local start and a remote lease and
+		// its release; no current build does. A job started or leased but
+		// unfinished replays exactly like a queued one.
 	default:
 		jl.metrics.corrupt.Inc()
 		jl.log.Warn("engine: skipping malformed journal record", "op", rec.Op, "kind", rec.Kind, "key", rec.Key)
@@ -205,9 +189,8 @@ func (jl *Journal) applyLocked(rec journalRecord) {
 // guarantee: once a submission is acknowledged, a crash cannot lose it.
 // It returns an errJournal for a record that did not reach the disk,
 // including every append after Close. Only submit records act on the
-// error; done, lease and release records are best-effort, since replay
-// answers a job whose done was lost from the Store, and re-enqueues an
-// unsettled job whatever its lease records say.
+// error; done records are best-effort, since replay answers a job whose
+// done was lost from the Store.
 func (jl *Journal) appendLocked(rec journalRecord) error {
 	if jl.f == nil {
 		return fmt.Errorf("%w: journal closed", errJournal)
@@ -286,58 +269,6 @@ func (jl *Journal) jobDone(key string, state State) {
 	rec := journalRecord{Op: journalOpDone, Kind: journalKindJob, Key: key, State: state}
 	jl.applyLocked(rec)
 	jl.appendLocked(rec)
-}
-
-// jobLeased journals a remote worker acquiring the job's lease. No-op
-// for jobs the journal does not know.
-func (jl *Journal) jobLeased(key, worker string) {
-	if jl == nil || worker == "" {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.jobs[key]; !ok {
-		return
-	}
-	rec := journalRecord{Op: journalOpLease, Kind: journalKindJob, Key: key, Worker: worker}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
-}
-
-// leaseReleased journals a lease edge being severed without the job
-// finishing (requeue after expiry or abandonment; terminal outcomes are
-// released implicitly by their done record). No-op when no lease is
-// live for the key.
-func (jl *Journal) leaseReleased(key string) {
-	if jl == nil {
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, ok := jl.leases[key]; !ok {
-		return
-	}
-	rec := journalRecord{Op: journalOpRelease, Kind: journalKindJob, Key: key}
-	jl.applyLocked(rec)
-	jl.appendLocked(rec)
-}
-
-// liveLeases snapshots the live lease edges (job content-address →
-// worker name).
-func (jl *Journal) liveLeases() map[string]string {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if len(jl.leases) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(jl.leases))
-	for k, w := range jl.leases {
-		out[k] = w
-	}
-	return out
 }
 
 // sweepSubmitted journals a sweep (keyed by batch trace) so a reboot
@@ -426,16 +357,6 @@ func (jl *Journal) compactLocked() {
 		}
 		w.Write(raw)
 		w.WriteByte('\n')
-		// A live lease edge survives compaction right behind its job's
-		// submit record, so a coordinator restart still sees who held it.
-		if k[0] == 'j' {
-			if worker, ok := jl.leases[k[2:]]; ok {
-				if lraw, err := json.Marshal(journalRecord{Op: journalOpLease, Kind: journalKindJob, Key: k[2:], Worker: worker, At: time.Now().UTC()}); err == nil {
-					w.Write(lraw)
-					w.WriteByte('\n')
-				}
-			}
-		}
 		kept = append(kept, k)
 	}
 	if err := w.Flush(); err != nil {

@@ -74,7 +74,7 @@ func TestJournalCrashRecoveryMidSweep(t *testing.T) {
 
 	sw := Sweep{Base: tinySpec("FedAvg"), Seeds: []SeedSpec{{Seed: 1}, {Seed: 2}, {Seed: 3}, {Seed: 4}}}
 	const trace = "crash-sweep"
-	if _, err := e1.SubmitSweepTraced(sw, 0, trace); err != nil {
+	if _, err := e1.SubmitSweepAs(sw, 0, trace, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Live set at crash time: the sweep plus its three uncached cells
@@ -223,9 +223,11 @@ func TestJournalCorruptLineSkipAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A start record, as earlier builds wrote, is neither corrupt nor
-	// terminal; then a torn line and binary noise.
+	// Start, lease and release records, as earlier builds wrote, are
+	// neither corrupt nor terminal; then a torn line and binary noise.
 	if _, err := f.WriteString("{\"op\":\"start\",\"kind\":\"job\",\"key\":\"survivor-key\"}\n" +
+		"{\"op\":\"lease\",\"kind\":\"job\",\"key\":\"survivor-key\",\"worker\":\"w1\"}\n" +
+		"{\"op\":\"release\",\"kind\":\"job\",\"key\":\"survivor-key\",\"worker\":\"w1\"}\n" +
 		"{\"op\":\"submit\",\"kind\":\"job\",\"key\":\"torn\n\x00\x01binary-noise\x02\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +264,9 @@ func TestJournalCorruptLineSkipAndCount(t *testing.T) {
 
 // TestJournalLeaseReplay is the distributed half of the durability
 // contract: a coordinator crash with jobs leased to remote workers must
-// replay exactly the UNSETTLED leases — their jobs re-enqueue and their
-// lease edges surface through BootLeases — while a remotely completed
-// job answers from the cache with zero extra training rounds.
+// replay exactly the UNSETTLED leases — their jobs re-enqueue queued and
+// unleased — while a remotely completed job answers from the cache with
+// zero extra training rounds.
 func TestJournalLeaseReplay(t *testing.T) {
 	dir := t.TempDir()
 	// Workers: -1 — a dispatch-only coordinator; nothing runs locally,
@@ -320,14 +322,15 @@ func TestJournalLeaseReplay(t *testing.T) {
 	}
 	defer e2.Close()
 
-	// Only B's lease edge survives; A settled.
-	boot := e2.BootLeases()
-	if len(boot) != 1 || boot[jB.Key] != "w1" {
-		t.Fatalf("boot leases = %v, want {%.12s: w1}", boot, jB.Key)
+	// Only B replays, queued and held by no worker; A settled.
+	var replayed *Job
+	for _, j := range e2.Jobs() {
+		if j.Key == jB.Key {
+			replayed = j
+		}
 	}
-	// The boot severed the edges: a second crash would not replay them.
-	if live := e2.journal.liveLeases(); live != nil {
-		t.Fatalf("live leases after boot = %v, want none", live)
+	if replayed == nil || replayed.State() != StateQueued || replayed.Worker() != "" {
+		t.Fatalf("replayed leased job = %v, want it queued with no worker", replayed)
 	}
 	if got := e2.journal.metrics.replayed.With("job").Value(); got != 1 {
 		t.Fatalf("journal_replayed_total{kind=job} = %d, want 1 (only the leased job)", got)
@@ -359,36 +362,13 @@ func TestJournalLeaseReplay(t *testing.T) {
 	}
 }
 
-// TestRemoteClaimJournalsOneRecord: a remote claim is one lifecycle
-// edge and appends one journal record, the lease, which already implies
-// the start.
-func TestRemoteClaimJournalsOneRecord(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: -1, CacheDir: t.TempDir(), Metrics: telemetry.NewRegistry()})
-	if _, err := e.Submit(tinySpec("FedAvg"), 0); err != nil {
-		t.Fatal(err)
-	}
-	records := e.Metrics().Counter("journal_records_total", "")
-	before := records.Value()
-	if _, ok := e.ClaimRemote(context.Background(), "w1", nil); !ok {
-		t.Fatal("claim: queue empty, want a lease")
-	}
-	if got := records.Value() - before; got != 1 {
-		t.Fatalf("a remote claim appended %d journal records, want 1 (the lease)", got)
-	}
-}
-
-// TestLocalRunJournalsTwoRecords: a local run appends exactly its submit
-// and its done record; the local start edge journals nothing.
-func TestLocalRunJournalsTwoRecords(t *testing.T) {
-	dir := t.TempDir()
-	e := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
-	j, err := e.Submit(tinySpec("FedAvg"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	// The done record lands after the job's waiters wake; it is applied
-	// and appended under one hold of the journal lock.
+// requireSubmitDoneOnly waits for the settled job's done record, then
+// fails unless the journal holds exactly its submit and its done record,
+// each counted once by journal_records_total.
+func requireSubmitDoneOnly(t *testing.T, e *Engine, dir string) {
+	t.Helper()
+	// A local run's done record lands after the job's waiters wake; it
+	// is applied and appended under one hold of the journal lock.
 	for deadline := time.Now().Add(10 * time.Second); e.journal.liveCount() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("done record never journaled")
@@ -403,10 +383,106 @@ func TestLocalRunJournalsTwoRecords(t *testing.T) {
 		ops = append(ops, rec.Op)
 	}
 	if strings.Join(ops, ",") != "submit,done" {
-		t.Fatalf("a local run journaled %v, want [submit done]", ops)
+		t.Fatalf("the job journaled %v, want [submit done]", ops)
 	}
 	if got := e.Metrics().Counter("journal_records_total", "").Value(); got != 2 {
 		t.Fatalf("journal_records_total = %d, want 2", got)
+	}
+}
+
+// TestLocalRunJournalsTwoRecords: a local run appends exactly its submit
+// and its done record; the local start edge journals nothing.
+func TestLocalRunJournalsTwoRecords(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Workers: 1, CacheDir: dir})
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if got := j.State(); got != StateDone {
+		t.Fatalf("job ended %s, want %s", got, StateDone)
+	}
+	requireSubmitDoneOnly(t, e, dir)
+}
+
+// TestRemoteClaimJournalsOneRecord: from its claim on, a remotely run
+// job appends one journal record, its done. The claim itself appends
+// none: who holds a job is not journaled.
+func TestRemoteClaimJournalsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	e := newTestEngine(t, Options{Workers: -1, CacheDir: dir})
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := e.Metrics().Counter("journal_records_total", "")
+	before := records.Value()
+	if leased, ok := e.ClaimRemote(context.Background(), "w1", nil); !ok || leased != j {
+		t.Fatalf("claim = %v, %v; want the submitted job", leased, ok)
+	}
+	if got := records.Value() - before; got != 0 {
+		t.Fatalf("a remote claim appended %d journal records, want 0", got)
+	}
+	if err := e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.State(); got != StateDone {
+		t.Fatalf("job ended %s, want %s", got, StateDone)
+	}
+	if got := records.Value() - before; got != 1 {
+		t.Fatalf("a claimed job appended %d journal records, want 1 (the done)", got)
+	}
+	requireSubmitDoneOnly(t, e, dir)
+}
+
+// TestEveryJobJournalsSubmitAndDone: a remotely leased job appends
+// exactly its submit and its done record however often its lease was
+// requeued, and when it is cancelled while leased. The local run and
+// the plain claim-then-complete cases are TestLocalRunJournalsTwoRecords
+// and TestRemoteClaimJournalsOneRecord.
+func TestEveryJobJournalsSubmitAndDone(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		requeues int
+		cancel   bool
+		want     State
+	}{
+		{"remote requeued once", 1, false, StateDone},
+		{"remote requeued 3 times", 3, false, StateDone},
+		{"remote cancel", 0, true, StateCancelled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e := newTestEngine(t, Options{Workers: -1, CacheDir: dir})
+			j, err := e.Submit(tinySpec("FedAvg"), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i <= tc.requeues; i++ {
+				if leased, ok := e.ClaimRemote(context.Background(), "w1", nil); !ok || leased != j {
+					t.Fatalf("claim %d = %v, %v; want the submitted job", i, leased, ok)
+				}
+				if i < tc.requeues && !e.RequeueRemote(j) {
+					t.Fatalf("lease %d not requeued", i)
+				}
+			}
+			if tc.cancel {
+				if err := e.Cancel(j.ID); err != nil {
+					t.Fatal(err)
+				}
+				err = e.CompleteRemote(j, nil, nil, fmt.Errorf("worker confirmed cancel: %w", context.Canceled))
+			} else {
+				err = e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := j.State(); got != tc.want {
+				t.Fatalf("job ended %s, want %s", got, tc.want)
+			}
+			requireSubmitDoneOnly(t, e, dir)
+		})
 	}
 }
 

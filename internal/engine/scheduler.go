@@ -342,7 +342,7 @@ func outcome(err error) State {
 type Scheduler struct {
 	metrics *engineMetrics
 	log     *slog.Logger
-	// journal, when non-nil, receives started/terminal records for
+	// journal, when non-nil, receives the terminal records of
 	// journaled jobs. Jobs cancelled because the scheduler itself is
 	// draining are deliberately NOT journaled terminal: they must
 	// re-enqueue on the next boot.
@@ -714,12 +714,11 @@ func attempt(worker string) (span, holder string) {
 
 // start is the claim edge, Queued→Running under worker ("" for the
 // local pool, else a remote worker's name). It mints the attempt's span
-// ID and installs cancel as the job's cancel hook, then writes a
-// remote claim's lease record (a local start journals nothing: replay
-// treats a started job like a queued one), the queue span, the queue
-// wait, sched_running_jobs and the log line. It reports false, changing
-// nothing, for a job that is no longer queued (cancelled while it sat
-// in the heap).
+// ID and installs cancel as the job's cancel hook, then writes the
+// queue span, the queue wait, sched_running_jobs and the log line. It
+// journals nothing, local or remote: replay treats a started job like
+// a queued one. It reports false, changing nothing, for a job that is
+// no longer queued (cancelled while it sat in the heap).
 func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 	j.mu.Lock()
 	if j.state != StateQueued {
@@ -735,9 +734,6 @@ func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 	s.metrics.running.Inc()
 	j.emitLocked()
 	j.mu.Unlock()
-	if worker != "" {
-		s.journal.jobLeased(j.Key, worker)
-	}
 	_, holder := attempt(worker)
 	method, queueSec := methodLabel(j), started.Sub(queued).Seconds()
 	s.recordSpan(j, j.rootSpan, "queue", queued, started, nil)
@@ -757,11 +753,10 @@ func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 // Before waking the job's waiters it records the attempt's span, run
 // time and sched_running_jobs if the job was running (else the span of
 // its current wait in the queue, which starts at its last requeue if it
-// had one), the root job span and the completion
-// counter. Then it journals done — except for a cancel caused by
-// draining, which stays live so the next boot re-enqueues the job —
-// releases the lease edge, logs, and drops the job from the in-flight
-// index.
+// had one), the root job span and the completion counter. Then it
+// journals done — except for a cancel caused by draining, which stays
+// live so the next boot re-enqueues the job — logs, and drops the job
+// from the in-flight index.
 func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
 	if err != nil {
 		res = nil
@@ -792,7 +787,6 @@ func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
 	if !(state == StateCancelled && s.isClosed()) {
 		s.journal.jobDone(j.Key, state)
 	}
-	s.journal.leaseReleased(j.Key)
 	args := []any{"trace", j.TraceID, "job", j.ID, "holder", holder, "method", method, "state", state, "run_sec", runSec}
 	if err != nil {
 		s.log.Warn("engine: job finished", append(args, "error", err)...)
@@ -988,11 +982,11 @@ func (s *Scheduler) heldElsewhereLocked(sc, worker string) bool {
 // requeue is the remote-only edge Running→Queued: the lease expired or
 // its worker abandoned it, so the job goes back to its tenant's heap
 // for another claimant (remote or local), its lease span closes with
-// outcome "requeued", its next queue span starts at the same instant
-// and its lease edge is released. A job that is not
-// leased (settled by a late completion, cancelled, or running locally)
-// is left alone. A draining scheduler takes nothing back: the lease
-// ends through finish as a drain cancellation instead.
+// outcome "requeued" and its next queue span starts at the same
+// instant. A job that is not leased (settled by a late completion,
+// cancelled, or running locally) is left alone. A draining scheduler
+// takes nothing back: the lease ends through finish as a drain
+// cancellation instead.
 func (s *Scheduler) requeue(j *Job) bool {
 	s.mu.Lock()
 	j.mu.Lock()
@@ -1017,7 +1011,6 @@ func (s *Scheduler) requeue(j *Job) bool {
 	j.mu.Unlock()
 	s.pushLocked(j, nil)
 	s.mu.Unlock()
-	s.journal.leaseReleased(j.Key)
 	s.recordSpanID(j, runSpan, j.rootSpan, span, started, now,
 		map[string]string{"worker": holder, "outcome": "requeued"})
 	s.log.Info("engine: leased job requeued", "trace", j.TraceID, "job", j.ID, "worker", holder)

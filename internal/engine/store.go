@@ -210,25 +210,32 @@ func (s *Store) Put(hash string, r *Result) error {
 	if err != nil {
 		return fmt.Errorf("engine: encode cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("engine: write cache entry: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: write cache entry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: write cache entry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(hash)); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeFile(s.path(hash), raw); err != nil {
 		return fmt.Errorf("engine: write cache entry: %w", err)
 	}
 	s.noteWrite(hash+".json", int64(len(raw)))
 	return nil
+}
+
+// writeFile writes data to path atomically: a temp file in the store's
+// directory renamed over path, so concurrent readers never observe a
+// torn file. The temp file is removed if any step fails.
+func (s *Store) writeFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // noteWrite accounts for written bytes and triggers cap enforcement
@@ -271,21 +278,7 @@ func (s *Store) PutBlob(hash string, data []byte) error {
 		s.mu.Unlock()
 		return nil
 	}
-	tmp, err := os.CreateTemp(s.dir, "blob-*.tmp")
-	if err != nil {
-		return fmt.Errorf("engine: write checkpoint blob: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: write checkpoint blob: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("engine: write checkpoint blob: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.blobPath(hash)); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeFile(s.blobPath(hash), data); err != nil {
 		return fmt.Errorf("engine: write checkpoint blob: %w", err)
 	}
 	s.metrics.blobBytes.Add(int64(len(data)))
