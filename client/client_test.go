@@ -168,12 +168,13 @@ func TestClientSweep(t *testing.T) {
 }
 
 // TestClientCancelSweep drives the cancel routes of the SDK over a
-// sweep whose cells sit queued behind a job holding the only worker:
+// sweep whose cells sit queued on a dispatch-only engine:
 // CancelSweep cancels the cell the sweep solely owns and leaves the cell
 // a standalone submission shares queued, and Cancel then cancels that
 // one.
 func TestClientCancelSweep(t *testing.T) {
-	e, err := engine.New(engine.Options{Workers: 1, Metrics: telemetry.NewRegistry()})
+	// No local workers: every job stays queued until it is cancelled.
+	e, err := engine.New(engine.Options{Workers: -1, Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,21 +183,6 @@ func TestClientCancelSweep(t *testing.T) {
 	t.Cleanup(srv.Close)
 	c := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
 	ctx := testCtx(t)
-
-	started, gate := make(chan struct{}), make(chan struct{})
-	defer close(gate)
-	if _, err := e.SubmitFunc(engine.FuncKey("client-cancel-gate"), 10, func(ctx context.Context) (*engine.Result, error) {
-		close(started)
-		select {
-		case <-gate:
-			return &engine.Result{}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
 
 	shared, err := c.Submit(ctx, tinySpec("FedAvg"), client.SubmitOptions{})
 	if err != nil {
@@ -311,14 +297,14 @@ func TestClientEventsReconnect(t *testing.T) {
 	}
 }
 
-// TestClientJobsPagination pages the listing through the typed client.
+// TestClientJobsPagination pages the listing through the typed client:
+// one run and two cache hits of it make three done jobs.
 func TestClientJobsPagination(t *testing.T) {
 	c, e, _ := newTestServer(t)
 	ctx := testCtx(t)
 
 	for i := 0; i < 3; i++ {
-		j, err := e.SubmitFunc(engine.FuncKey("client-page", string(rune('a'+i))), 0,
-			func(context.Context) (*engine.Result, error) { return &engine.Result{}, nil })
+		j, err := e.Submit(tinySpec("FedAvg"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -255,7 +255,6 @@ func (c *Coordinator) Claim(ctx context.Context, workerID string) (*engine.Lease
 		// settle; handing its ID out lets the worker parent everything it
 		// ships under this claim.
 		SpanID: j.RunSpanID(),
-		TTLSec: c.ttl.Seconds(),
 	}, nil
 }
 

@@ -47,16 +47,18 @@ func counted(e *Engine, j *Job, state State, runSpan string, n int) error {
 // or poll in between.
 func TestLocalJobAccountedBeforeWaitReturns(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2, Metrics: telemetry.NewRegistry()})
-	noop := func(context.Context) (*Result, error) { return &Result{}, nil }
+	stubRuns(e, map[string]jobRunFunc{"noop": func(context.Context, *Job) (*Result, error) { return &Result{}, nil }})
 	for n := 1; n <= accountedJobs; n++ {
-		j, err := e.SubmitFunc(fmt.Sprintf("accounted-%d", n), 0, noop)
+		spec := stubSpec("noop")
+		spec.Seed = uint64(n)
+		j, err := e.Submit(spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if err := accounted(e, j, "func", "run", n); err != nil {
+		if err := accounted(e, j, "FedAvg", "run", n); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -190,35 +190,23 @@ func TestClaimPriorityBeatsWarmScenario(t *testing.T) {
 	}
 }
 
-// TestClaimSkipsFuncJobs: func jobs have no wire form, so a remote claim
-// never takes one — it takes a lower-priority Spec job past it, or
-// parks on a queue holding only func jobs. Neither kind of job pays for
-// a scenario key until a remote claim considers it.
-func TestClaimSkipsFuncJobs(t *testing.T) {
+// TestScenarioKeyHashedOnClaim: a job pays for its scenario key only
+// when a remote claim considers it — a submit computes none, a claim
+// computes and caches one.
+func TestScenarioKeyHashedOnClaim(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
-	fj, err := e.SubmitFunc("claim-func", 9, func(context.Context) (*Result, error) { return &Result{}, nil })
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sj, err := e.Submit(tinySpec("FedAvg"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sj.scenario != "" {
+	if j.scenario != "" {
 		t.Fatal("submit computed a scenario key")
 	}
-	if j := claim(t, e, "alpha"); j != sj {
-		t.Fatalf("claim took %s, want the Spec job", j.Key)
+	if got := claim(t, e, "alpha"); got != j {
+		t.Fatalf("claim took %s, want the submitted job", got.Key)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	got := holdClaim(t, e, ctx, "alpha", 1)
-	cancel()
-	if j := <-got; j != nil {
-		t.Fatalf("a claim on a queue of func jobs took %s", j.Key)
-	}
-	if fj.State() != StateQueued || fj.Worker() != "" || fj.scenario != "" {
-		t.Fatalf("func job %s on %q after remote claims, want queued, unclaimed and unhashed", fj.State(), fj.Worker())
+	if want := scenarioOf(t, j); j.scenario != want || want == "" {
+		t.Fatalf("claimed job's scenario key = %q, want %q", j.scenario, want)
 	}
 }
 

@@ -111,7 +111,7 @@ type Options struct {
 
 // Stats is a snapshot of engine counters.
 type Stats struct {
-	// Submitted counts Submit/SubmitFunc calls.
+	// Submitted counts Spec submissions (sweep cells included).
 	Submitted int64 `json:"submitted"`
 	// CacheHits counts submissions answered from the result store.
 	CacheHits int64 `json:"cache_hits"`
@@ -204,7 +204,6 @@ func New(opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		store:       store,
-		sched:       newScheduler(workers, m, logger),
 		journal:     jl,
 		traces:      telemetry.NewTraceStore(0, 0),
 		scenarios:   newScenarioCache(m),
@@ -214,6 +213,7 @@ func New(opts Options) (*Engine, error) {
 		log:         logger,
 		batches:     map[string]*Batch{},
 	}
+	e.sched = newScheduler(workers, m, logger, e.run)
 	e.sched.journal = jl
 	e.sched.traces = e.traces
 	e.replayJournal()
@@ -429,19 +429,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	if err := e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp); err != nil {
 		return nil, err
 	}
-	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b, func(ctx context.Context, j *Job) (*Result, error) {
-		res, err := e.runSpec(ctx, j, sp, hash)
-		if err != nil {
-			return nil, err
-		}
-		persistStart := time.Now()
-		if err := e.store.Put(hash, res); err != nil {
-			return nil, err
-		}
-		j.addPersist(time.Since(persistStart))
-		e.span(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
-		return res, nil
-	})
+	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b)
 	if coalesced {
 		e.metrics.jobsCoalesced.Inc()
 	} else if err == nil {
@@ -456,53 +444,6 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 		// (coalescing is checked first), so retracting the record cannot
 		// clobber a live submission's journal entry.
 		e.journal.jobDone(hash, StateCancelled)
-	}
-	return j, err
-}
-
-// JobFunc is an ad-hoc computation submitted with SubmitFunc.
-type JobFunc func(ctx context.Context) (*Result, error)
-
-// SubmitFunc schedules an arbitrary computation under an explicit
-// content-address (see FuncKey). It shares the queue, the worker pool,
-// cancellation, coalescing, and the result store with Spec jobs; use it
-// for experiments that are not a single federated run (e.g. the Fig. 8
-// style-transfer comparison).
-func (e *Engine) SubmitFunc(key string, priority int, fn JobFunc) (*Job, error) {
-	return e.SubmitFuncAs(key, priority, "", fn)
-}
-
-// SubmitFuncAs is SubmitFunc with tenant attribution (fair-share queue,
-// queue quota, metrics label). Func jobs are not journaled — their
-// closures cannot be reconstructed after a restart.
-func (e *Engine) SubmitFuncAs(key string, priority int, tenant string, fn JobFunc) (*Job, error) {
-	if key == "" {
-		return nil, fmt.Errorf("engine: SubmitFunc needs a content-address key")
-	}
-	if tenant == "" {
-		tenant = AnonymousTenant
-	}
-	e.metrics.jobsSubmitted.With(tenant).Inc()
-	if res, ok, err := e.store.Get(key); err != nil {
-		return nil, err
-	} else if ok {
-		e.metrics.cacheHits.Inc()
-		return e.sched.completed(nil, key, priority, "", tenant, res), nil
-	}
-	j, coalesced, err := e.sched.submit(nil, key, priority, "", tenant, e.tenantQuota(tenant), time.Now(), nil, func(ctx context.Context, j *Job) (*Result, error) {
-		res, err := fn(ctx)
-		if err != nil {
-			return nil, err
-		}
-		persistStart := time.Now()
-		if err := e.store.Put(key, res); err != nil {
-			return nil, err
-		}
-		j.addPersist(time.Since(persistStart))
-		return res, nil
-	})
-	if coalesced {
-		e.metrics.jobsCoalesced.Inc()
 	}
 	return j, err
 }
@@ -688,11 +629,12 @@ func (e *Engine) BuildScenario(spec Spec) (*Scenario, error) {
 	return sc, err
 }
 
-// runSpec executes one Spec: build (or reuse) the scenario, instantiate
-// the method, and run federated training with per-round progress events
-// and cancellation.
-func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*Result, error) {
-	runSpan := j.RunSpanID()
+// run executes a job's Spec, the scheduler's one run path: build (or
+// reuse) the scenario, instantiate the method, run federated training
+// with per-round progress events and cancellation, then persist the
+// Result and its checkpoint blob under the job's content-address.
+func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
+	spec, runSpan := *j.Spec, j.RunSpanID()
 	scenarioStart := time.Now()
 	sc, hit, err := e.scenarios.get(spec, e.parallelism)
 	cache := "miss"
@@ -729,7 +671,6 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 				// per-job parallelism (already in sc.Env) applies.
 				Parallelism: spec.Parallelism,
 				Context:     ctx,
-				TraceID:     j.TraceID,
 				OnRound: func(round, total int, rs, re time.Time) {
 					e.advance(j, round, total)
 					e.span(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
@@ -739,7 +680,7 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 	if err != nil {
 		return nil, err
 	}
-	res := resultFromHistory(hash, spec.Method, hist)
+	res := resultFromHistory(j.Key, spec.Method, hist)
 	if spec.KeepModel {
 		// fl.Run returns a fresh clone that dies with this call, so the
 		// Result can own its arena without a copy.
@@ -755,11 +696,17 @@ func (e *Engine) runSpec(ctx context.Context, j *Job, spec Spec, hash string) (*
 	// store write.
 	persistStart := time.Now()
 	if blob, err := model.MarshalBinary(); err == nil {
-		_ = e.store.PutBlob(hash, blob)
+		_ = e.store.PutBlob(j.Key, blob)
 		j.addPersist(time.Since(persistStart))
 		e.span(j, runSpan, "checkpoint", persistStart, time.Now(),
 			map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
 	}
+	persistStart = time.Now()
+	if err := e.store.Put(j.Key, res); err != nil {
+		return nil, err
+	}
+	j.addPersist(time.Since(persistStart))
+	e.span(j, runSpan, "persist", persistStart, time.Now(), nil)
 	return res, nil
 }
 

@@ -48,6 +48,26 @@ func newTestEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
+// stubRuns swaps e's job runner: a job whose Spec.Tag has an entry in
+// stubs runs that stub instead of training, and every other job trains
+// for real. Call it before e's first submission.
+func stubRuns(e *Engine, stubs map[string]jobRunFunc) {
+	e.sched.run = func(ctx context.Context, j *Job) (*Result, error) {
+		if stub, ok := stubs[j.Spec.Tag]; ok {
+			return stub(ctx, j)
+		}
+		return e.run(ctx, j)
+	}
+}
+
+// stubSpec is a tiny Spec tagged tag, so stubRuns can route it to a
+// stub; distinct tags are distinct content-addresses.
+func stubSpec(tag string) Spec {
+	sp := tinySpec("FedAvg")
+	sp.Tag = tag
+	return sp
+}
+
 func TestSpecCanonicalAndHashStable(t *testing.T) {
 	a := tinySpec("FedAvg")
 	b := tinySpec("FedAvg")
@@ -198,7 +218,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Result{Method: "PARDON", Values: map[string]float64{"x": 1.5}}
+	want := &Result{Method: "PARDON", Stats: []RoundStat{{Round: 3, TestAcc: 0.75}}}
 	if err := st.Put("cafe", want); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +231,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("expected persisted hit: ok=%v err=%v", ok, err)
 	}
-	if got.Values["x"] != 1.5 {
+	if got.Final() != want.Final() {
 		t.Fatalf("wrong persisted result: %+v", got)
 	}
 	// A torn entry is a miss, not an error.
@@ -237,26 +257,29 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 	block := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
-	mkJob := func(name string) JobFunc {
-		return func(context.Context) (*Result, error) {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return &Result{}, nil
-		}
-	}
-	gate, err := e.SubmitFunc(FuncKey("gate"), 0, func(context.Context) (*Result, error) {
-		<-block
+	record := func(_ context.Context, j *Job) (*Result, error) {
+		mu.Lock()
+		order = append(order, j.Spec.Tag)
+		mu.Unlock()
 		return &Result{}, nil
+	}
+	stubRuns(e, map[string]jobRunFunc{
+		"gate": func(context.Context, *Job) (*Result, error) {
+			<-block
+			return &Result{}, nil
+		},
+		"low":  record,
+		"high": record,
 	})
+	gate, err := e.Submit(stubSpec("gate"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := e.SubmitFunc(FuncKey("low"), 0, mkJob("low"))
+	low, err := e.Submit(stubSpec("low"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := e.SubmitFunc(FuncKey("high"), 10, mkJob("high"))
+	high, err := e.Submit(stubSpec("high"), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,18 +301,22 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 func TestSchedulerCancellation(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	started := make(chan struct{})
-	running, err := e.SubmitFunc(FuncKey("cancel-running"), 0, func(ctx context.Context) (*Result, error) {
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
+	stubRuns(e, map[string]jobRunFunc{
+		"cancel-running": func(ctx context.Context, _ *Job) (*Result, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+		"cancel-queued": func(context.Context, *Job) (*Result, error) {
+			t.Error("queued job should never run")
+			return &Result{}, nil
+		},
 	})
+	running, err := e.Submit(stubSpec("cancel-running"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := e.SubmitFunc(FuncKey("cancel-queued"), 0, func(context.Context) (*Result, error) {
-		t.Error("queued job should never run")
-		return &Result{}, nil
-	})
+	queued, err := e.Submit(stubSpec("cancel-queued"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +352,11 @@ func TestSchedulerCancellation(t *testing.T) {
 func TestSubmitCoalescesInflight(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	block := make(chan struct{})
-	gate, err := e.SubmitFunc(FuncKey("coalesce-gate"), 0, func(context.Context) (*Result, error) {
+	stubRuns(e, map[string]jobRunFunc{"coalesce-gate": func(context.Context, *Job) (*Result, error) {
 		<-block
 		return &Result{}, nil
-	})
+	}})
+	gate, err := e.Submit(stubSpec("coalesce-gate"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,6 @@ type LeaseView struct {
 	// worker ships back parent under it, so the merged timeline nests
 	// worker-side work inside the lease that caused it.
 	SpanID string `json:"span_id,omitempty"`
-	// TTLSec echoes the lease TTL so the worker can size its heartbeat
-	// interval without remembering registration state.
-	TTLSec float64 `json:"ttl_sec"`
 }
 
 // LeaseProgress is one lease's round progress inside a heartbeat.

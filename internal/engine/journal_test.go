@@ -43,34 +43,29 @@ func TestJournalCrashRecoveryMidSweep(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	e1, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e1.Close()
-
 	// Warm the cache with the sweep's first cell so recovery can prove
 	// the cached-cell path (hit, zero rounds) separately from the
 	// re-trained cells.
-	warm, err := e1.Submit(tinySpec("FedAvg"), 0)
+	e0, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := e0.Submit(tinySpec("FedAvg"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
+	e0.Close()
 
-	// Wedge the single worker so the sweep's fresh cells are still
-	// queued when the engine "crashes".
-	started := make(chan struct{})
-	if _, err := e1.SubmitFunc(FuncKey("crash-gate"), 0, func(ctx context.Context) (*Result, error) {
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}); err != nil {
+	// A dispatch-only engine trains nothing, so the sweep's fresh cells
+	// are still queued when it "crashes".
+	e1, err := New(Options{Workers: -1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	defer e1.Close()
 
 	sw := Sweep{Base: tinySpec("FedAvg"), Seeds: []SeedSpec{{Seed: 1}, {Seed: 2}, {Seed: 3}, {Seed: 4}}}
 	const trace = "crash-sweep"

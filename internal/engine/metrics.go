@@ -40,7 +40,7 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	return &engineMetrics{
 		reg: reg,
 		jobsSubmitted: reg.CounterVec("engine_jobs_submitted_total",
-			"Submit/SubmitFunc/sweep-cell submissions accepted by the engine, by tenant.", "tenant"),
+			"Spec submissions (sweep cells included) accepted by the engine, by tenant.", "tenant"),
 		jobsCompleted: reg.CounterVec("engine_jobs_completed_total",
 			"Jobs that reached a terminal state, by state (cache hits count as done) and tenant.", "state", "tenant"),
 		jobsCoalesced: reg.Counter("engine_jobs_coalesced_total",
@@ -68,14 +68,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 	}
 }
 
-// methodLabel bounds the per-method label dimension: Spec jobs carry
-// their table method name, ad-hoc SubmitFunc jobs share one bucket.
-func methodLabel(j *Job) string {
-	if j.Spec != nil {
-		return j.Spec.Method
-	}
-	return "func"
-}
+// methodLabel is a job's per-method label: its Spec's table method name.
+func methodLabel(j *Job) string { return j.Spec.Method }
 
 // journalMetrics bundles the write-ahead journal instruments.
 type journalMetrics struct {

@@ -40,13 +40,12 @@ func (t Timing) AvgAggregateSec() float64 {
 }
 
 // Result is the memoized outcome of a job: the run's evaluation history
-// and timing, plus — depending on the job — the trained model vector or
-// a bag of named scalars. Results are stored by Spec content-address, so
+// and timing, plus the trained model vector when the Spec asks for it.
+// Results are stored by Spec content-address, so
 // they must be fully reproducible from the Spec (wall-clock timing is
 // informational and exempt).
 type Result struct {
-	// SpecHash is the content-address of the producing Spec (empty for
-	// SubmitFunc jobs).
+	// SpecHash is the content-address of the producing Spec.
 	SpecHash string `json:"spec_hash,omitempty"`
 	// Method echoes the Spec's method name.
 	Method string `json:"method,omitempty"`
@@ -57,8 +56,6 @@ type Result struct {
 	// Model is the trained global model's parameter vector, present only
 	// when the Spec set KeepModel.
 	Model []float64 `json:"model,omitempty"`
-	// Values carries named scalar outputs of SubmitFunc jobs.
-	Values map[string]float64 `json:"values,omitempty"`
 	// ElapsedSec is the producing run's total wall-clock (informational;
 	// a cache hit returns the original run's value).
 	ElapsedSec float64 `json:"elapsed_sec"`

@@ -50,19 +50,19 @@ type Event struct {
 	Time   time.Time `json:"time"`
 }
 
-// jobRunFunc executes a job's work; the job is passed so the runner can
+// jobRunFunc executes a job's Spec; the job is passed so the runner can
 // emit progress events.
 type jobRunFunc func(ctx context.Context, j *Job) (*Result, error)
 
-// Job is one schedulable unit of work: a Spec (or an ad-hoc function)
-// with a content-address, a priority, and a lifecycle the scheduler
-// drives. All methods are safe for concurrent use.
+// Job is one schedulable unit of work: a Spec with a content-address, a
+// priority, and a lifecycle the scheduler drives. All methods are safe
+// for concurrent use.
 type Job struct {
 	// ID is the scheduler-unique job identifier.
 	ID string
-	// Key is the job's content-address (Spec hash or FuncKey).
+	// Key is the job's content-address, the Spec's hash.
 	Key string
-	// Spec is the job's experiment description (nil for SubmitFunc jobs).
+	// Spec is the job's experiment description.
 	Spec *Spec
 	// TraceID correlates everything this job touches — log lines, events,
 	// SSE frames, the fl run — with the submission that created it. It is
@@ -79,12 +79,11 @@ type Job struct {
 	// before it was validated and hashed.
 	Created time.Time
 
-	run     jobRunFunc
 	seq     int64
 	heapIdx int
 	// scenario is the Spec's scenario key, computed under the
 	// scheduler's lock the first time a remote claim considers the job
-	// (see scenarioLocked); "" until then, and for func jobs.
+	// (see scenarioLocked); "" until then.
 	scenario string
 
 	// rootSpan is the span ID of the job's root "job" span, minted at
@@ -97,9 +96,10 @@ type Job struct {
 	priority int
 	submits  int
 	cached   bool
-	worker   string    // remote worker holding the job ("" = local pool)
-	runSpan  string    // span ID of the current run/lease attempt
-	queued   time.Time // when the job last entered its queue: Created, or its last requeue
+	worker   string        // remote worker holding the job ("" = local pool)
+	runSpan  string        // span ID of the current run/lease attempt
+	queued   time.Time     // when the job last entered its queue: its registration, or its last requeue
+	waited   time.Duration // summed queue waits of every attempt, the queue spans' total
 	started  time.Time
 	finished time.Time
 	round    int
@@ -230,6 +230,8 @@ func (j *Job) addPersist(d time.Duration) {
 // and persisting the result. Zero-valued phases did not happen (a cache
 // hit neither queues nor runs).
 type JobTiming struct {
+	// QueueSec sums the job's waits in the queue, the intervals its
+	// queue spans cover: admission and requeued leases are not counted.
 	QueueSec   float64 `json:"queue_sec"`
 	RunSec     float64 `json:"run_sec"`
 	PersistSec float64 `json:"persist_sec,omitempty"`
@@ -240,7 +242,7 @@ type JobTiming struct {
 func (j *Job) timingLocked() JobTiming {
 	t := JobTiming{PersistSec: j.persist.Seconds()}
 	if !j.started.IsZero() {
-		t.QueueSec = j.started.Sub(j.Created).Seconds()
+		t.QueueSec = j.waited.Seconds()
 		end := j.finished
 		if end.IsZero() {
 			end = time.Now()
@@ -340,6 +342,7 @@ func outcome(err error) State {
 // content-address already queued or running coalesce onto the in-flight
 // job instead of duplicating work.
 type Scheduler struct {
+	run     jobRunFunc // runs each job the pool dequeues: Engine.run
 	metrics *engineMetrics
 	log     *slog.Logger
 	// journal, when non-nil, receives the terminal records of
@@ -369,8 +372,8 @@ type Scheduler struct {
 }
 
 // newScheduler starts a scheduler with the given worker-pool size.
-func newScheduler(workers int, m *engineMetrics, log *slog.Logger) *Scheduler {
-	s := &Scheduler{metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
+func newScheduler(workers int, m *engineMetrics, log *slog.Logger, run jobRunFunc) *Scheduler {
+	s := &Scheduler{run: run, metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
 		wake: make(chan struct{}), warm: map[string]string{}}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
@@ -455,7 +458,7 @@ var ErrClosed = errors.New("engine: scheduler closed")
 // coalesced=true and nothing is enqueued (coalescing never consumes
 // quota). quota > 0 caps how many jobs the tenant may have queued; at
 // the cap the submission is refused with a *QuotaError.
-func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, b *enqueueBatch, run jobRunFunc) (j *Job, coalesced bool, err error) {
+func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, b *enqueueBatch) (j *Job, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -484,7 +487,6 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 		return nil, false, &QuotaError{Tenant: tenant, Limit: quota}
 	}
 	j = s.newJobLocked(spec, key, priority, trace, tenant, arrived)
-	j.run = run
 	j.state = StateQueued
 	s.inflight[key] = j
 	s.pushLocked(j, b)
@@ -644,21 +646,17 @@ func (s *Scheduler) close() {
 }
 
 // pushLocked puts a job on its tenant's heap and wakes one pool worker
-// and, for a Spec job, every held remote claim — at once, or when b
-// ends if the push belongs to an enqueue batch; s.mu must be held. A
-// func job has no wire form, so its push wakes no remote claimer, which
-// would only pass over it.
+// and every held remote claim — at once, or when b ends if the push
+// belongs to an enqueue batch; s.mu must be held.
 func (s *Scheduler) pushLocked(j *Job, b *enqueueBatch) {
 	q := s.queueForLocked(j.Tenant)
 	heap.Push(q, j)
 	s.queued++
 	s.metrics.queueDepth.With(j.Tenant).Set(int64(q.Len()))
 	s.cond.Signal()
-	switch {
-	case j.Spec == nil:
-	case b != nil:
+	if b != nil {
 		b.wakeDue = true
-	default:
+	} else {
 		s.wakeLocked()
 	}
 }
@@ -690,10 +688,9 @@ func (s *Scheduler) batch(fn func(b *enqueueBatch)) {
 }
 
 // wakeLocked releases every remote claim waiting on the queue, on a
-// push of a Spec job or when the scheduler drains, by closing the wake
-// channel and replacing it; s.mu must be held. A held lease pull
-// selects on the channel next to its request context, which a
-// sync.Cond cannot do.
+// push or when the scheduler drains, by closing the wake channel and
+// replacing it; s.mu must be held. A held lease pull selects on the
+// channel next to its request context, which a sync.Cond cannot do.
 func (s *Scheduler) wakeLocked() {
 	close(s.wake)
 	s.wake = make(chan struct{})
@@ -727,6 +724,7 @@ func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
+	j.waited += j.started.Sub(j.queued)
 	j.runSpan = telemetry.NewSpanID()
 	j.worker = worker
 	j.cancel = cancel
@@ -817,7 +815,7 @@ func (s *Scheduler) worker() {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		if s.start(j, "", cancel) {
-			res, err := j.run(ctx, j)
+			res, err := s.run(ctx, j)
 			j.mu.Lock()
 			s.finish(j, res, err)
 		}
@@ -828,8 +826,8 @@ func (s *Scheduler) worker() {
 // claimRemote leases the next queued job to a remote worker, preferring
 // work whose scenario the fleet has already built. The tenant ring
 // picks the tenant, as for the local pool, so fair share holds across
-// tenants; among the tenant's queued Spec jobs of its top priority
-// level it claims, in FIFO order:
+// tenants; among the tenant's queued jobs of its top priority level it
+// claims, in FIFO order:
 //
 //  1. a job on the scenario of the worker's latest lease — the worker
 //     has that scenario cached;
@@ -885,22 +883,21 @@ func (s *Scheduler) claimRemote(ctx context.Context, worker string, onCancel fun
 	}
 }
 
-// scenarioLocked returns a Spec job's scenario key, computing it once
-// and caching it on the job; s.mu must be held. Only remote claims ask,
-// so local submits and cache hits never hash a scenario. A Spec whose
-// key cannot be computed gets "", which no rule treats as warm.
+// scenarioLocked returns a job's scenario key, computing it once and
+// caching it on the job; s.mu must be held. Only remote claims ask, so
+// local submits and cache hits never hash a scenario. A Spec whose key
+// cannot be computed gets "", which no rule treats as warm.
 func (s *Scheduler) scenarioLocked(j *Job) string {
-	if j.scenario == "" && j.Spec != nil {
+	if j.scenario == "" {
 		j.scenario, _ = j.Spec.scenarioKey()
 	}
 	return j.scenario
 }
 
 // popRemoteLocked removes the job claimRemote leases to worker, or
-// returns nil when no Spec job is queued; s.mu must be held. It walks
-// the tenant ring as dequeueLocked does, passing over tenants whose
-// queues hold only func jobs (they have no wire form and run only on
-// the local pool), and advances the ring past the tenant it serves.
+// returns nil when no job is queued; s.mu must be held. It walks the
+// tenant ring as dequeueLocked does, passing over tenants with empty
+// queues, and advances the ring past the tenant it serves.
 // Scanning the raw heap slices is fine: priority writes are guarded by
 // s.mu, and a job cancelled-while-queued is filtered by start.
 func (s *Scheduler) popRemoteLocked(worker string) *Job {
@@ -922,24 +919,18 @@ func (s *Scheduler) popRemoteLocked(worker string) *Job {
 }
 
 // pickLocked applies claimRemote's rules to one tenant's queue: among
-// its Spec jobs of the top priority level, the oldest on worker's
-// scenario, else the oldest on a scenario no other worker holds, else
-// the oldest. It returns nil if q holds no Spec job; s.mu must be held.
+// its jobs of the top priority level, the oldest on worker's scenario,
+// else the oldest on a scenario no other worker holds, else the oldest.
+// It returns nil if q is empty; s.mu must be held.
 func (s *Scheduler) pickLocked(q jobQueue, worker string) *Job {
-	top, found := 0, false
-	for _, j := range q {
-		if j.Spec != nil && (!found || j.priority > top) {
-			top, found = j.priority, true
-		}
-	}
-	if !found {
+	if len(q) == 0 {
 		return nil
 	}
-	mine := s.warm[worker]
+	top, mine := q[0].priority, s.warm[worker]
 	var same, cold, next *Job
 	older := func(j, than *Job) bool { return than == nil || j.seq < than.seq }
 	for _, j := range q {
-		if j.Spec == nil || j.priority != top {
+		if j.priority != top {
 			continue
 		}
 		switch sc := s.scenarioLocked(j); {

@@ -432,6 +432,7 @@ func (s *Server) view(j *Job, withResult bool) JobView {
 		Key:      j.Key,
 		State:    j.state,
 		Cached:   j.cached,
+		Method:   j.Spec.Method,
 		Priority: j.priority,
 		Round:    j.round,
 		Rounds:   j.rounds,
@@ -442,9 +443,6 @@ func (s *Server) view(j *Job, withResult bool) JobView {
 	}
 	tm := j.timingLocked()
 	v.Timing = &tm
-	if j.Spec != nil {
-		v.Method = j.Spec.Method
-	}
 	if !j.started.IsZero() {
 		t := j.started
 		v.Started = &t

@@ -124,7 +124,7 @@ func TestServeRoundTrip(t *testing.T) {
 
 // TestServeModelEndpoint drives GET /v1/jobs/{id}/model: a finished
 // Spec job serves its trained-model checkpoint as an octet stream that
-// nn.LoadModel decodes; func jobs, which store no model, return 404.
+// nn.LoadModel decodes; a job whose blob is gone returns 404 no_model.
 func TestServeModelEndpoint(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2})
 	srv := httptest.NewServer(NewServer(e))
@@ -197,20 +197,13 @@ func TestServeModelEndpoint(t *testing.T) {
 		t.Fatalf("stale conditional fetch = %d with %d bytes, want 200 with the blob", stale.StatusCode, len(body))
 	}
 
-	// A func job finishes without a checkpoint: 404, not 500.
-	fj, err := e.SubmitFunc(FuncKey("no-model"), 0, func(context.Context) (*Result, error) {
-		return &Result{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A done job whose checkpoint is gone: 404 no_model, not 500.
+	e.Store().DropBlob(done.Key)
+	var apiErr struct {
+		Error APIError `json:"error"`
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := fj.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if code := getJSON(t, client, srv.URL+"/v1/jobs/"+fj.ID+"/model", nil); code != http.StatusNotFound {
-		t.Fatalf("func-job model = %d, want 404", code)
+	if code := getJSON(t, client, srv.URL+"/v1/jobs/"+done.ID+"/model", &apiErr); code != http.StatusNotFound || apiErr.Error.Code != ErrCodeNoModel {
+		t.Fatalf("dropped-blob model = %d %+v, want 404 %s", code, apiErr.Error, ErrCodeNoModel)
 	}
 	if code := getJSON(t, client, srv.URL+"/v1/jobs/job-404/model", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown-job model = %d, want 404", code)
@@ -252,11 +245,12 @@ func TestServeCancel(t *testing.T) {
 	client := srv.Client()
 
 	started := make(chan struct{})
-	j, err := e.SubmitFunc(FuncKey("serve-cancel"), 0, func(ctx context.Context) (*Result, error) {
+	stubRuns(e, map[string]jobRunFunc{"serve-cancel": func(ctx context.Context, _ *Job) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	})
+	}})
+	j, err := e.Submit(stubSpec("serve-cancel"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -180,12 +179,27 @@ func TestServeListPagination(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
+	// One job held running so the state filter has two populations.
+	started := make(chan struct{})
+	block := make(chan struct{})
+	defer close(block)
+	stubRuns(e, map[string]jobRunFunc{
+		"page": func(context.Context, *Job) (*Result, error) { return &Result{}, nil },
+		"page-running": func(ctx context.Context, _ *Job) (*Result, error) {
+			close(started)
+			select {
+			case <-block:
+			case <-ctx.Done():
+			}
+			return &Result{}, nil
+		},
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i := 0; i < 5; i++ {
-		j, err := e.SubmitFunc(FuncKey("page", fmt.Sprint(i)), 0, func(context.Context) (*Result, error) {
-			return &Result{}, nil
-		})
+		spec := stubSpec("page")
+		spec.Seed = uint64(i)
+		j, err := e.Submit(spec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,18 +207,7 @@ func TestServeListPagination(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One job held running so the state filter has two populations.
-	started := make(chan struct{})
-	block := make(chan struct{})
-	defer close(block)
-	if _, err := e.SubmitFunc(FuncKey("page-running"), 0, func(ctx context.Context) (*Result, error) {
-		close(started)
-		select {
-		case <-block:
-		case <-ctx.Done():
-		}
-		return &Result{}, nil
-	}); err != nil {
+	if _, err := e.Submit(stubSpec("page-running"), 0); err != nil {
 		t.Fatal(err)
 	}
 	<-started

@@ -137,14 +137,6 @@ func (s Spec) Hash() (string, error) {
 	return hashParts("spec", string(c)), nil
 }
 
-// FuncKey builds a content-address for an ad-hoc job submitted with
-// SubmitFunc: kind names the computation, parts enumerate every input
-// that influences its output. CodeVersion is folded in.
-func FuncKey(kind string, parts ...string) string {
-	all := append([]string{"func", kind}, parts...)
-	return hashParts(all...)
-}
-
 func hashParts(parts ...string) string {
 	h := sha256.New()
 	for _, p := range parts {

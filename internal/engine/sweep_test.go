@@ -230,14 +230,15 @@ func TestBatchEventsMerged(t *testing.T) {
 func TestBatchCancel(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	gate := make(chan struct{})
-	if _, err := e.SubmitFunc(FuncKey("batch-cancel-gate"), 10, func(ctx context.Context) (*Result, error) {
+	stubRuns(e, map[string]jobRunFunc{"batch-cancel-gate": func(ctx context.Context, _ *Job) (*Result, error) {
 		select {
 		case <-gate:
 			return &Result{}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	}); err != nil {
+	}})
+	if _, err := e.Submit(stubSpec("batch-cancel-gate"), 10); err != nil {
 		t.Fatal(err)
 	}
 	sw := tinySweep([]string{"FedAvg", "PARDON"}, 1)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -311,6 +312,38 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 		if phases[i].Start.Before(prevEnd) {
 			t.Fatalf("%s span starts before the %s span ends", phases[i].Name, phases[i-1].Name)
 		}
+	}
+}
+
+// TestQueueSecCountsOnlyQueueWaits: a job's timing reports as its queue
+// time the waits its queue spans cover — not its admission before the
+// first wait, nor a lease it spent running before a requeue.
+func TestQueueSecCountsOnlyQueueWaits(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
+	j, err := e.Submit(tinySpec("FedAvg"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased := claim(t, e, "w1")
+	if !e.RequeueRemote(leased) {
+		t.Fatal("requeue of a leased job refused")
+	}
+	if claim(t, e, "w1") != j {
+		t.Fatal("second claim took another job")
+	}
+	var waits []float64
+	sum := 0.0
+	for _, sp := range e.Traces().Trace(j.TraceID) {
+		if sp.Name == "queue" {
+			waits = append(waits, sp.DurationSec)
+			sum += sp.DurationSec
+		}
+	}
+	if len(waits) != 2 {
+		t.Fatalf("queue spans = %v, want one per claim", waits)
+	}
+	if got := j.Timing().QueueSec; math.Abs(got-sum) > 1e-6 {
+		t.Fatalf("QueueSec = %.9f, want the queue spans' total %.9f (%v)", got, sum, waits)
 	}
 }
 

@@ -137,37 +137,43 @@ func TestFairShareScheduling(t *testing.T) {
 
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := e.SubmitFuncAs(FuncKey("gate"), 0, "alice", func(ctx context.Context) (*Result, error) {
-		close(started)
-		select {
-		case <-gate:
-			return &Result{}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}); err != nil {
+	// The single worker executes jobs strictly sequentially, so an
+	// append inside each job's run records the true run order.
+	var mu sync.Mutex
+	var order []string
+	ran := func(_ context.Context, j *Job) (*Result, error) {
+		mu.Lock()
+		order = append(order, j.Tenant)
+		mu.Unlock()
+		return &Result{}, nil
+	}
+	stubRuns(e, map[string]jobRunFunc{
+		"gate": func(ctx context.Context, _ *Job) (*Result, error) {
+			close(started)
+			select {
+			case <-gate:
+				return &Result{}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+		"ran": ran,
+	})
+	if _, err := e.SubmitAs(stubSpec("gate"), 0, "", "alice"); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 
-	// The single worker executes jobs strictly sequentially, so an
-	// append inside each job function records the true run order.
-	var mu sync.Mutex
-	var order []string
-	ran := func(tenant string) func(context.Context) (*Result, error) {
-		return func(ctx context.Context) (*Result, error) {
-			mu.Lock()
-			order = append(order, tenant)
-			mu.Unlock()
-			return &Result{}, nil
-		}
-	}
 	for i := 0; i < 120; i++ {
-		if _, err := e.SubmitFuncAs(FuncKey("alice-"+strconv.Itoa(i)), 0, "alice", ran("alice")); err != nil {
+		spec := stubSpec("ran")
+		spec.Seed = uint64(i)
+		if _, err := e.SubmitAs(spec, 0, "", "alice"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bob, err := e.SubmitFuncAs(FuncKey("bob-single"), 0, "bob", ran("bob"))
+	single := stubSpec("ran")
+	single.Seed = 120 // past alice's seeds, so it does not coalesce
+	bob, err := e.SubmitAs(single, 0, "", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +310,12 @@ func TestServerQueueQuota(t *testing.T) {
 	client := srv.Client()
 
 	started := make(chan struct{})
-	if _, err := e.SubmitFuncAs(FuncKey("quota-gate"), 0, "quota", func(ctx context.Context) (*Result, error) {
+	stubRuns(e, map[string]jobRunFunc{"quota-gate": func(ctx context.Context, _ *Job) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
-	}); err != nil {
+	}})
+	if _, err := e.SubmitAs(stubSpec("quota-gate"), 0, "", "quota"); err != nil {
 		t.Fatal(err)
 	}
 	<-started

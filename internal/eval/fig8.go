@@ -1,14 +1,11 @@
 package eval
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"github.com/pardon-feddg/pardon/internal/core"
 	"github.com/pardon-feddg/pardon/internal/encoder"
-	"github.com/pardon-feddg/pardon/internal/engine"
 	"github.com/pardon-feddg/pardon/internal/imageio"
 	"github.com/pardon-feddg/pardon/internal/report"
 	"github.com/pardon-feddg/pardon/internal/rng"
@@ -53,61 +50,9 @@ func (r *StyleTransferComparison) Table() *report.Table {
 // PACS domains are style-transferred by CCST (toward each of three target
 // clients' styles) and by PARDON (toward the fused interpolation style);
 // outDir, when non-empty, receives image grids of the decoded transfers.
-//
-// The computation runs as one engine func-job content-addressed by
-// (seed, outDir), so repeated regeneration of the metrics is a cache
-// hit. The image-grid artifacts are re-rendered whenever any are
-// missing under outDir, even on a hit, so the promise of artifacts
-// under -out always holds.
+// The computation trains nothing and takes milliseconds, so it runs
+// directly rather than as a cached engine job.
 func RunStyleTransferComparison(cfg Config, outDir string) (*StyleTransferComparison, error) {
-	key := engine.FuncKey("fig8-style-compare", fmt.Sprintf("seed=%d", cfg.Seed), "out="+outDir)
-	job, err := cfg.engine().SubmitFunc(key, 0, func(context.Context) (*engine.Result, error) {
-		r, err := styleTransferComparison(cfg, outDir)
-		if err != nil {
-			return nil, err
-		}
-		return &engine.Result{Values: map[string]float64{
-			"ccst_cross_target":   r.CCSTCrossTarget,
-			"pardon_cross_target": r.PARDONCrossTarget,
-			"ccst_leakage":        r.CCSTTargetLeakage,
-			"pardon_leakage":      r.PARDONTargetLeakage,
-		}}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := job.Wait(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	if outDir != "" && job.Cached() && !fig8ArtifactsExist(outDir) {
-		// The cached entry carries only the metrics; rebuild the grids.
-		if _, err := styleTransferComparison(cfg, outDir); err != nil {
-			return nil, err
-		}
-	}
-	return &StyleTransferComparison{
-		CCSTCrossTarget:     res.Values["ccst_cross_target"],
-		PARDONCrossTarget:   res.Values["pardon_cross_target"],
-		CCSTTargetLeakage:   res.Values["ccst_leakage"],
-		PARDONTargetLeakage: res.Values["pardon_leakage"],
-	}, nil
-}
-
-// fig8ArtifactsExist reports whether every image grid the runner
-// promises is present under outDir.
-func fig8ArtifactsExist(outDir string) bool {
-	for _, name := range []string{"fig8-sources.ppm", "fig8-ccst.ppm", "fig8-pardon.ppm"} {
-		if _, err := os.Stat(filepath.Join(outDir, name)); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// styleTransferComparison is the Fig. 8 computation body, executed by
-// the engine worker.
-func styleTransferComparison(cfg Config, outDir string) (*StyleTransferComparison, error) {
 	gen, err := synth.New(synth.PACSConfig(cfg.Seed + 11))
 	if err != nil {
 		return nil, err

@@ -17,7 +17,6 @@ package fl
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"math/rand"
 	"runtime"
@@ -474,11 +473,6 @@ type RunConfig struct {
 	// bit-identical results. Use it to bound one run's CPU while other
 	// runs (engine jobs) share the machine.
 	Parallelism int
-	// TraceID, when non-empty, tags this run's structured log lines so
-	// they correlate with the submission that started it (engine jobs
-	// thread their job trace here). Purely observational: it has no
-	// effect on the computation.
-	TraceID string
 	// Precision selects the compute dtype of the training hot path
 	// (nn.F64 default, nn.F32 opt-in). Unlike Parallelism this is NOT
 	// result-neutral: float32 rounds perturb the trajectory within the
@@ -539,12 +533,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		return nil, nil, err
 	}
 	hist := &History{}
-
-	runStart := time.Now()
-	if cfg.TraceID != "" {
-		slog.Debug("fl: run started", "trace", cfg.TraceID, "alg", alg.Name(),
-			"clients", len(clients), "rounds", cfg.Rounds, "sample_k", cfg.SampleK)
-	}
 
 	setupStart := time.Now()
 	if err := alg.Setup(env, clients); err != nil {
@@ -635,10 +623,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		if cfg.OnRound != nil {
 			cfg.OnRound(round+1, cfg.Rounds, roundStart, time.Now())
 		}
-	}
-	if cfg.TraceID != "" {
-		slog.Debug("fl: run finished", "trace", cfg.TraceID, "alg", alg.Name(),
-			"rounds", cfg.Rounds, "elapsed", time.Since(runStart))
 	}
 	// Detach the returned model from the algorithm's reused aggregation
 	// arena (Averager/FedGMA recycle their output across rounds — and
