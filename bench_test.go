@@ -605,6 +605,63 @@ func BenchmarkTrainShapeKernels(b *testing.B) {
 	}
 }
 
+// BenchmarkServerAggregate times the server step of the three methods
+// whose aggregation does more than a weighted average — FedGMA's masked
+// sweep, FedDG-GA's loss evaluations and FPL's class means — at the
+// train-grid shape: K = 4 participants of a 20-client PACS scenario
+// (320 samples per domain, 3 train domains) and the 1024-64-32-7
+// model, at both precisions. The updates are noise around one global
+// model. Names are stable (ServerAggregate/<method>/<dtype>) for
+// scripts/benchcmp.
+func BenchmarkServerAggregate(b *testing.B) {
+	eng, err := engine.New(engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	sc, err := eng.BuildScenario(engine.Spec{
+		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,
+		Split:  engine.SplitSpec{Name: "bench", Train: []int{0, 1, 2}},
+		Lambda: 0.1, Clients: 20, SampleK: 4, Rounds: 1, PerDomain: 320,
+		Seed: 1, Tag: "aggregate-bench",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := sc.Clients[:4]
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		env := *sc.Env
+		env.ModelCfg.Precision = prec
+		global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(7)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		updates := make([]*nn.Model, len(parts))
+		for i := range updates {
+			updates[i] = global.Clone()
+			r := rand.New(rand.NewSource(int64(8 + i)))
+			uv := updates[i].Vector()
+			for j := range uv {
+				uv[j] += r.NormFloat64() * 0.01
+			}
+		}
+		for _, method := range []string{"FedGMA", "FedDG-GA", "FPL"} {
+			alg, err := engine.NewAlgorithm(method)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(method+"/"+prec.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := alg.Aggregate(&env, global, parts, updates, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- Round-throughput macro-benchmark: one full federated round (client
 // sampling, parallel local training, aggregation) through the kernel
 // layer, the unit of work behind every table and figure ---

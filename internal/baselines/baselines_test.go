@@ -1,6 +1,7 @@
 package baselines_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -124,6 +125,26 @@ func TestFedGMAMasking(t *testing.T) {
 	}
 	if math.Abs(out.Vector()[1]-global.Vector()[1]) > 1e-9 {
 		t.Fatalf("disagreed coordinate not masked: moved %g", out.Vector()[1]-global.Vector()[1])
+	}
+}
+
+// FedGMA pairs parts[i] with updates[i], so a count mismatch is an
+// error, as it is for every FedAvg-based Aggregate: fewer parts than
+// updates used to panic on an index out of range, and extra parts were
+// silently ignored.
+func TestFedGMARejectsMismatchedInputs(t *testing.T) {
+	env, clients := buildClients(t, 3)
+	global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := []*nn.Model{global.Clone(), global.Clone()}
+	for _, parts := range [][]*fl.Client{clients[:1], clients[:3]} {
+		_, err := baselines.NewFedGMA().Aggregate(env, global, parts, updates, 0)
+		want := fmt.Sprintf("fl: %d participants vs %d updates", len(parts), len(updates))
+		if err == nil || err.Error() != want {
+			t.Fatalf("%d parts, %d updates: error %v, want %q", len(parts), len(updates), err, want)
+		}
 	}
 }
 

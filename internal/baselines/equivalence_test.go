@@ -1,6 +1,7 @@
 package baselines_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -169,6 +170,43 @@ func TestFedGMAAggregationMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitIdentical(t, g.Name()+"/round2", got2, want2)
+}
+
+// TestFedGMAEdgesMatchLegacy drives the bit selects of the fused sweep
+// through their edges: deltas of ±0, ±Inf and NaN, thresholds that are
+// zero, negative, NaN, infinite or met exactly, and a soft mask.
+func TestFedGMAEdgesMatchLegacy(t *testing.T) {
+	env, clients := buildClients(t, 4)
+	global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := perturbedUpdates(t, global, len(clients))
+	gv := global.Vector()
+	for i, u := range updates {
+		uv := u.Vector()
+		uv[10+i] = math.Inf(1)
+		uv[20+i] = math.Inf(-1)
+		uv[30] = math.NaN()
+		gv[40+i], uv[40+i] = 0, math.Copysign(0, -1) // a −0 delta
+		uv[50] = gv[50]                              // only participant 0 moves: agreement w0
+	}
+	updates[0].Vector()[50] += 1
+	total := 0.0
+	for _, c := range clients {
+		total += float64(c.Len())
+	}
+	w0 := float64(clients[0].Len()) / total // a threshold coordinate 50 meets exactly
+	for _, tau := range []float64{0.4, 0, math.Copysign(0, -1), -0.5, math.NaN(), math.Inf(1), w0, 1} {
+		g := baselines.NewFedGMA()
+		g.Tau, g.MaskedScale = tau, 0.3
+		want := legacyFedGMA(g, global, clients, updates)
+		got, err := g.Aggregate(env, global, clients, updates, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("FedGMA tau=%g", tau), got, want)
+	}
 }
 
 // legacyCELoss mirrors the pre-refactor ceLossOn helper.

@@ -35,14 +35,21 @@ type FedDGGA struct {
 	avg     fl.Averager     // reused arena for the provisional FedAvg
 
 	// Aggregation scratch, reused across rounds (Aggregate holds mu):
-	// the loss evaluations' inputs and activations, the gap and weight
-	// buffers, and the output model, which the next round overwrites
-	// (fl.Run clones the final global).
-	x    *tensor.Tensor
-	acts nn.Activations
-	gaps []float64
-	ws   []float64
-	out  *nn.Model
+	// every participant's evaluation rows stacked in x, participant i's
+	// at rows [offs[i], offs[i+1]), with views of them (xs) and of the
+	// provisional model's logits (logits); that forward's activations;
+	// one activation set per ForEach slot for the updates' forwards;
+	// the gap and weight buffers; and the output model, which the next
+	// round overwrites (fl.Run clones the final global).
+	x      *tensor.Tensor
+	offs   []int
+	xs     []*tensor.Tensor
+	logits []*tensor.Tensor
+	acts   nn.Activations
+	slots  []nn.Activations
+	gaps   []float64
+	ws     []float64
+	out    *nn.Model
 }
 
 var _ fl.Algorithm = (*FedDGGA)(nil)
@@ -64,7 +71,14 @@ func (*FedDGGA) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 }
 
 // Aggregate implements fl.Algorithm: generalization-adjusted weighting.
-func (g *FedDGGA) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
+//
+// The gaps take one forward of the provisional model over every
+// participant's evaluation rows stacked into one batch, each
+// participant's loss taken over its own rows of the logits (rows are
+// independent, so the bits match one forward per participant), and
+// one forward per update on env.ForEach. No model is forwarded from
+// two goroutines at once: a forward writes the model's float32 shadow.
+func (g *FedDGGA) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
@@ -82,21 +96,40 @@ func (g *FedDGGA) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates 
 		g.ws = make([]float64, len(parts))
 	}
 	gaps, ws := g.gaps[:len(parts)], g.ws[:len(parts)]
+	g.offs = tensor.Fit(g.offs, len(parts)+1)
+	g.offs[0] = 0
 	for i, c := range parts {
 		n := c.Len()
 		if g.EvalCap > 0 && n > g.EvalCap {
 			n = g.EvalCap
 		}
-		g.x = c.RowsInto(g.x, n)
-		lGlobal, err := ceLossOn(&g.acts, provisional, g.x, c.Labels[:n])
-		if err != nil {
+		g.offs[i+1] = g.offs[i] + n
+	}
+	g.x = tensor.Fit2D(g.x, g.offs[len(parts)], provisional.Cfg.In)
+	g.xs = rowViews(g.xs, g.x, g.offs)
+	for i, c := range parts {
+		c.RowsInto(g.xs[i], g.xs[i].Dim(0)) // fills the view in place
+	}
+	if err := provisional.ForwardInto(&g.acts, g.x); err != nil {
+		return nil, err
+	}
+	g.logits = rowViews(g.logits, g.acts.Logits, g.offs)
+	for i, c := range parts {
+		if gaps[i], _, err = loss.CrossEntropy(g.logits[i], c.Labels[:g.logits[i].Dim(0)]); err != nil {
 			return nil, err
 		}
-		lLocal, err := ceLossOn(&g.acts, updates[i], g.x, c.Labels[:n])
-		if err != nil {
-			return nil, err
-		}
-		gaps[i] = lGlobal - lLocal
+	}
+	if len(g.slots) < env.Slots() {
+		g.slots = make([]nn.Activations, env.Slots())
+	}
+	err = env.ForEach(len(parts), func(slot, i int) error {
+		x := g.xs[i]
+		lLocal, err := ceLossOn(&g.slots[slot], updates[i], x, parts[i].Labels[:x.Dim(0)])
+		gaps[i] -= lLocal
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	meanGap := 0.0
 	for _, gp := range gaps {
@@ -146,4 +179,21 @@ func ceLossOn(acts *nn.Activations, m *nn.Model, x *tensor.Tensor, y []int) (flo
 	}
 	l, _, err := loss.CrossEntropy(acts.Logits, y)
 	return l, err
+}
+
+// rowViews returns one view per participant of t's rows
+// [offs[i], offs[i+1]), reusing each view in vs that already covers
+// exactly those rows, so steady-state rounds build none.
+func rowViews(vs []*tensor.Tensor, t *tensor.Tensor, offs []int) []*tensor.Tensor {
+	d := t.Dim(1)
+	data := t.Data()
+	vs = tensor.Fit(vs, len(offs)-1)
+	for i := range vs {
+		rows := data[offs[i]*d : offs[i+1]*d]
+		v := vs[i]
+		if v == nil || v.Dim(1) != d || len(v.Data()) != len(rows) || &v.Data()[0] != &rows[0] {
+			vs[i] = tensor.MustFromSlice(rows, offs[i+1]-offs[i], d)
+		}
+	}
+	return vs
 }

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/nn"
@@ -23,11 +24,11 @@ type FedGMA struct {
 	MaskedScale float64
 
 	// Aggregation scratch, reused across rounds (Aggregate is invoked
-	// serially by the round coordinator): the weighted mean delta, the
-	// signed agreement mass per coordinate, and the output model.
-	avg     []float64
-	signSum []float64
-	out     *nn.Model
+	// serially by the round coordinator): the participants' weights and
+	// parameter vectors, and the output model.
+	ws  []float64
+	uvs [][]float64
+	out *nn.Model
 }
 
 var _ fl.Algorithm = (*FedGMA)(nil)
@@ -48,13 +49,18 @@ func (*FedGMA) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int
 	return trainCE(env, c, global, round, "FedGMA")
 }
 
-// Aggregate implements fl.Algorithm: gradient-masked averaging as two
-// flat sweeps over the parameter arenas. Pass one walks each update's
-// arena once, accumulating the weighted mean delta and the signed
-// agreement mass per coordinate; pass two writes the masked update. No
-// per-round allocation: the deltas are never materialized and the
-// scratch vectors and output arena are recycled.
+// Aggregate implements fl.Algorithm: gradient-masked averaging as one
+// sweep over the coordinates, with the K updates in the inner loop.
+// Each coordinate's weighted mean delta and signed agreement live in
+// registers, summed in participant order as the per-update passes did,
+// and both the sign term and the threshold select are bit selects: the
+// deltas' signs are random, so branches on them mispredict about half
+// the time. No per-round allocation: the deltas are never materialized
+// and the scratch and output arena are recycled.
 func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
+	if err := fl.CheckUpdates(parts, updates); err != nil {
+		return nil, err
+	}
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("fedgma: no updates")
 	}
@@ -67,44 +73,51 @@ func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, upda
 		}
 		totalW += float64(parts[i].Len())
 	}
-	if len(g.avg) != n {
-		g.avg = make([]float64, n)
-		g.signSum = make([]float64, n)
-	} else {
-		for j := range g.avg {
-			g.avg[j] = 0
-			g.signSum[j] = 0
-		}
-	}
+	ws, uvs := g.ws[:0], g.uvs[:0]
 	for i, u := range updates {
-		w := float64(parts[i].Len()) / totalW
-		uv := u.Vector()
-		for j, v := range uv {
-			d := v - gv[j]
-			g.avg[j] += w * d
-			switch {
-			case d > 0:
-				g.signSum[j] += w
-			case d < 0:
-				g.signSum[j] -= w
-			}
-		}
+		ws = append(ws, float64(parts[i].Len())/totalW)
+		uvs = append(uvs, u.Vector())
 	}
+	g.ws, g.uvs = ws, uvs
 
 	if g.out == nil || !g.out.Cfg.Equal(global.Cfg) {
 		g.out = nn.NewLike(global)
 	}
-	ov := g.out.Vector()
-	for j := 0; j < n; j++ {
-		agreement := g.signSum[j]
-		if agreement < 0 {
-			agreement = -agreement
+	ov := g.out.Vector()[:n]
+	// The threshold select compares bit patterns: for non-negative
+	// floats they order as integers. A Tau that is not positive (or is
+	// NaN) masks nothing, as agreement < Tau then never holds.
+	var tau int64
+	if g.Tau > 0 {
+		tau = int64(math.Float64bits(g.Tau))
+	}
+	keep := math.Float64bits(g.ServerLR)
+	masked := math.Float64bits(g.ServerLR * g.MaskedScale)
+	for j, g0 := range gv {
+		avg, sign := 0.0, 0.0
+		for i, uv := range uvs {
+			d := uv[j] - g0
+			w := ws[i]
+			avg += w * d
+			sign += signedWeight(d, w)
 		}
-		scale := g.ServerLR
-		if agreement < g.Tau {
-			scale *= g.MaskedScale
-		}
-		ov[j] = gv[j] + scale*g.avg[j]
+		agreement := math.Float64bits(sign) &^ signBit
+		below := uint64((int64(agreement) - tau) >> 63) // all ones when agreement < Tau
+		ov[j] = g0 + math.Float64frombits(keep&^below|masked&below)*avg
 	}
 	return g.out, nil
+}
+
+const signBit = 1 << 63
+
+// signedWeight returns w carrying d's sign, or +0 when d is ±0 or NaN:
+// the term a branch on d > 0 and d < 0 would add to the agreement (+0
+// changes no sum that starts at +0, as an ascending sum never rounds
+// to −0). w must be non-negative.
+func signedWeight(d, w float64) float64 {
+	bits := math.Float64bits(d)
+	mag := bits &^ signBit
+	zero := uint64(int64(mag-1) >> 63)                 // all ones when d is ±0
+	nan := uint64(int64(0x7ff0000000000000-mag) >> 63) // all ones when d is NaN
+	return math.Float64frombits((math.Float64bits(w) | bits&signBit) &^ (zero | nan))
 }

@@ -94,6 +94,9 @@ func (f *FPL) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int)
 
 // Aggregate implements fl.Algorithm: FedAvg for parameters, then the
 // cluster-and-average prototype rebuild from this round's participants.
+// Each participant's class means come from its own update's forward,
+// run on env.ForEach with a per-slot input buffer, and are collected in
+// participant order.
 func (f *FPL) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
 	global, err := f.avg.FedAvg(parts, updates)
 	if err != nil {
@@ -101,21 +104,25 @@ func (f *FPL) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []
 	}
 	classes := env.ModelCfg.Classes
 	zdim := env.ModelCfg.ZDim
+	means := make([][][]float64, len(parts))
+	xs := make([]*tensor.Tensor, env.Slots())
+	err = env.ForEach(len(parts), func(slot, i int) error {
+		var err error
+		means[i], xs[slot], err = localClassMeans(updates[i], parts[i], xs[slot])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	// Per-class prototype sets across participants.
 	perClass := make([][][]float64, classes)
-	var x *tensor.Tensor
 	for i, c := range parts {
-		var means [][]float64
-		means, x, err = localClassMeans(updates[i], c, x)
-		if err != nil {
-			return nil, err
-		}
 		counts := countLabels(c.Labels, classes)
 		for y := 0; y < classes; y++ {
 			if counts[y] == 0 {
 				continue
 			}
-			perClass[y] = append(perClass[y], means[y])
+			perClass[y] = append(perClass[y], means[i][y])
 		}
 	}
 	protos := tensor.New(classes, zdim)

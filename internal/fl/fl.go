@@ -12,6 +12,14 @@
 // Determinism: every stochastic choice draws from a named substream of the
 // environment's rng.Source keyed by (purpose, client, round), so runs are
 // bit-reproducible regardless of the worker pool's scheduling.
+//
+// Parallel work goes through one fan-out, Env.ForEach, bounded by
+// Env.Parallelism: client encoding (NewClients), the local phase of each
+// round, and the per-participant work inside an Aggregate (FedDG-GA's
+// loss evaluations, FPL's class means). Run hands every phase an env
+// whose Parallelism is the run's resolved bound, so RunConfig.Parallelism
+// caps them all. Each call of the fan-out writes only its own index's
+// result, so the output does not depend on the parallelism.
 package fl
 
 import (
@@ -21,6 +29,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/pardon-feddg/pardon/internal/dataset"
@@ -76,8 +85,9 @@ type Env struct {
 	ModelCfg nn.Config
 	Hyper    Hyper
 	RNG      *rng.Source
-	// Parallelism bounds the local-training worker pool; 0 means
-	// runtime.NumCPU().
+	// Parallelism bounds the goroutines of ForEach, which runs client
+	// encoding, local training and the parallel parts of aggregation;
+	// 0 means runtime.NumCPU().
 	Parallelism int
 	// FeatShift and FeatScale standardize flattened encoder features
 	// before they enter the model: x ← (x − FeatShift)·FeatScale. They
@@ -86,6 +96,74 @@ type Env struct {
 	// treated as 1 so the zero value is usable.
 	FeatShift float64
 	FeatScale float64
+}
+
+// Slots returns how many goroutines ForEach may run: Parallelism, or
+// runtime.NumCPU() when that is 0. ForEach's slot argument is below it,
+// so it sizes per-slot scratch.
+func (e *Env) Slots() int {
+	if e.Parallelism > 0 {
+		return e.Parallelism
+	}
+	return runtime.NumCPU()
+}
+
+// ForEach calls fn(slot, i) for every i in [0,n) on at most Slots()
+// goroutines, the caller's included, and returns when every call has.
+// Indices are handed out in ascending order; the goroutine that makes a
+// call passes its own slot, below Slots(), so fn may use per-slot
+// scratch without locking. Calls with distinct i must not write shared
+// state. Once a call fails no further index is handed out, and the
+// error returned is that of the lowest i that failed.
+func (e *Env) ForEach(n int, fn func(slot, i int) error) error {
+	par := e.Slots()
+	if par > n {
+		par = n
+	}
+	if par <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errAt  = n
+		first  error
+		wg     sync.WaitGroup
+	)
+	work := func(slot int) {
+		// Indices below a failed one were handed out before it, so
+		// they all run: the lowest failure is always seen.
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			if err := fn(slot, i); err != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, first = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}
+	}
+	wg.Add(par - 1)
+	for slot := 1; slot < par; slot++ {
+		go func(slot int) {
+			defer wg.Done()
+			work(slot)
+		}(slot)
+	}
+	work(0)
+	wg.Wait()
+	return first
 }
 
 // NormalizeFeature applies the environment's fixed feature standardization
@@ -196,30 +274,16 @@ func NewClient(env *Env, id int, data *dataset.Dataset) (*Client, error) {
 func (c *Client) Len() int { return len(c.Labels) }
 
 // NewClients builds clients 0..len(parts)-1 from partitioned datasets,
-// encoding in parallel.
+// encoding in parallel (ForEach).
 func NewClients(env *Env, parts []*dataset.Dataset) ([]*Client, error) {
 	clients := make([]*Client, len(parts))
-	errs := make([]error, len(parts))
-	par := env.Parallelism
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			clients[i], errs[i] = NewClient(env, i, parts[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := env.ForEach(len(parts), func(_, i int) error {
+		var err error
+		clients[i], err = NewClient(env, i, parts[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return clients, nil
 }
@@ -367,7 +431,10 @@ type Algorithm interface {
 	// returns it.
 	LocalTrain(env *Env, c *Client, global *nn.Model, round int) (*nn.Model, error)
 	// Aggregate merges the participants' updates into the next global
-	// model. updates[i] belongs to parts[i].
+	// model. updates[i] belongs to parts[i]. It may fan its own work out
+	// with env.ForEach, but must forward any one model from one
+	// goroutine at a time: a forward pass writes the model's float32
+	// shadow (nn.Model.ForwardInto).
 	Aggregate(env *Env, global *nn.Model, parts []*Client, updates []*nn.Model, round int) (*nn.Model, error)
 }
 
@@ -377,6 +444,15 @@ type Algorithm interface {
 func FedAvg(parts []*Client, updates []*nn.Model) (*nn.Model, error) {
 	var a Averager
 	return a.FedAvg(parts, updates)
+}
+
+// CheckUpdates reports the error an Aggregate returns when parts and
+// updates do not pair up one to one.
+func CheckUpdates(parts []*Client, updates []*nn.Model) error {
+	if len(parts) != len(updates) {
+		return fmt.Errorf("fl: %d participants vs %d updates", len(parts), len(updates))
+	}
+	return nil
 }
 
 // Averager is the reusable server-side FedAvg state: one output arena
@@ -393,8 +469,8 @@ type Averager struct {
 // output model. The accumulation is one fused arena axpy per client,
 // bit-identical to the historical per-tensor path.
 func (a *Averager) FedAvg(parts []*Client, updates []*nn.Model) (*nn.Model, error) {
-	if len(parts) != len(updates) {
-		return nil, fmt.Errorf("fl: %d participants vs %d updates", len(parts), len(updates))
+	if err := CheckUpdates(parts, updates); err != nil {
+		return nil, err
 	}
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("fl: average of zero updates")
@@ -466,8 +542,9 @@ type RunConfig struct {
 	// through aggregation and eval). It must not block for long: local
 	// training of the next round waits on it.
 	OnRound func(round, total int, start, end time.Time)
-	// Parallelism bounds this run's local-training worker pool; 0 falls
-	// back to Env.Parallelism, then NumCPU. It is a pure scheduling
+	// Parallelism bounds this run's goroutines (Env.ForEach: local
+	// training and aggregation); 0 falls back to Env.Parallelism, then
+	// NumCPU. It is a pure scheduling
 	// knob: every stochastic choice draws from named rng streams and the
 	// tensor kernels accumulate in a fixed order, so any value produces
 	// bit-identical results. Use it to bound one run's CPU while other
@@ -519,15 +596,19 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 	if err := cfg.Validate(len(clients)); err != nil {
 		return nil, nil, err
 	}
-	if cfg.Precision != env.ModelCfg.Precision {
-		// The precision knob rides on the model config so every Clone in
-		// the round loop inherits it; work on a copy of the env so the
-		// caller's stays untouched. Initialization draws in float64
-		// either way, so both precisions start from identical weights.
-		e := *env
-		e.ModelCfg.Precision = cfg.Precision
-		env = &e
+	// Work on a copy of the env so the caller's stays untouched. The
+	// precision knob rides on the model config so every Clone in the
+	// round loop inherits it; initialization draws in float64 either
+	// way, so both precisions start from identical weights. Parallelism
+	// becomes the run's resolved bound, which every ForEach of the run
+	// (local phase and aggregation) then keeps to.
+	e := *env
+	e.ModelCfg.Precision = cfg.Precision
+	if cfg.Parallelism > 0 {
+		e.Parallelism = cfg.Parallelism
 	}
+	e.Parallelism = e.Slots()
+	env = &e
 	global, err := nn.New(env.ModelCfg, env.RNG.Stream("model-init"))
 	if err != nil {
 		return nil, nil, err
@@ -539,14 +620,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		return nil, nil, fmt.Errorf("fl: %s setup: %w", alg.Name(), err)
 	}
 	hist.Timing.Setup = time.Since(setupStart)
-
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = env.Parallelism
-	}
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.Context != nil {
@@ -562,29 +635,23 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		}
 
 		updates := make([]*nn.Model, len(parts))
-		errs := make([]error, len(parts))
 		durs := make([]time.Duration, len(parts))
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for i, c := range parts {
-			wg.Add(1)
-			go func(i int, c *Client) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				t0 := time.Now()
-				updates[i], errs[i] = alg.LocalTrain(env, c, global, round)
-				durs[i] = time.Since(t0)
-			}(i, c)
-		}
-		wg.Wait()
-		for i, e := range errs {
-			if e != nil {
-				return nil, nil, fmt.Errorf("fl: %s round %d client %d: %w", alg.Name(), round, parts[i].ID, e)
+		err := env.ForEach(len(parts), func(_, i int) error {
+			t0 := time.Now()
+			u, err := alg.LocalTrain(env, parts[i], global, round)
+			updates[i], durs[i] = u, time.Since(t0)
+			if err != nil {
+				return fmt.Errorf("fl: %s round %d client %d: %w", alg.Name(), round, parts[i].ID, err)
 			}
-			hist.Timing.LocalTrain += durs[i]
-			hist.Timing.LocalTrainCount++
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
+		for _, d := range durs {
+			hist.Timing.LocalTrain += d
+		}
+		hist.Timing.LocalTrainCount += len(parts)
 
 		aggStart := time.Now()
 		global, err = alg.Aggregate(env, global, parts, updates, round)

@@ -1,9 +1,12 @@
 package fl_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/pardon-feddg/pardon/internal/baselines"
 	"github.com/pardon-feddg/pardon/internal/dataset"
@@ -517,5 +520,58 @@ func TestRunParallelismBitIdentical(t *testing.T) {
 				t.Fatalf("Parallelism=%d diverges at param %d: %g vs %g", par, i, vec[i], ref[i])
 			}
 		}
+	}
+}
+
+// TestForEach pins the fan-out's contract: no index runs twice, every
+// index up to the first failing one runs, no more goroutines than
+// Parallelism run at a time, each passes a slot below Slots() that no
+// other running call holds, and the error returned is the one of the
+// lowest failing index, whatever the schedule.
+func TestForEach(t *testing.T) {
+	for _, par := range []int{1, 2, 3, 8} {
+		env := &fl.Env{Parallelism: par}
+		const n = 40
+		var mu sync.Mutex
+		seen := make([]int, n)
+		busy := make([]bool, env.Slots())
+		running, peak := 0, 0
+		err := env.ForEach(n, func(slot, i int) error {
+			mu.Lock()
+			if slot < 0 || slot >= env.Slots() || busy[slot] {
+				mu.Unlock()
+				return fmt.Errorf("slot %d out of range or shared", slot)
+			}
+			busy[slot] = true
+			seen[i]++
+			running++
+			if running > peak {
+				peak = running
+			}
+			mu.Unlock()
+			time.Sleep(100 * time.Microsecond)
+			mu.Lock()
+			busy[slot] = false
+			running--
+			mu.Unlock()
+			if i%7 == 5 {
+				return fmt.Errorf("index %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 5" {
+			t.Fatalf("parallelism %d: error %v, want the lowest failing index 5", par, err)
+		}
+		for i, c := range seen {
+			if c > 1 || (i <= 5 && c != 1) {
+				t.Fatalf("parallelism %d: index %d ran %d times", par, i, c)
+			}
+		}
+		if peak > par {
+			t.Fatalf("parallelism %d: %d calls ran at once", par, peak)
+		}
+	}
+	if err := (&fl.Env{}).ForEach(0, func(int, int) error { return fmt.Errorf("called") }); err != nil {
+		t.Fatalf("empty ForEach: %v", err)
 	}
 }

@@ -19,14 +19,15 @@ import (
 // out of fuzzed values, the serial product plus one add per element.
 // The float32 kernels must reproduce the scalar float32 loops exactly
 // (same loop order, same zero-skip semantics). Besides ±0, both operands carry a few NaN, ±Inf,
-// subnormal and near-overflow entries, so the SIMD tiles' a != 0 mask
-// must drop exactly the terms the references skip.
+// subnormal and near-overflow entries, so a SIMD tile whose zero a
+// meets an Inf or NaN in b must fall back to the gated strips.
 //
 // Shapes are folded into ranges that cross every blocking boundary: the
 // 4×8 and 4×16 SIMD tiles' and the 2×4 register strips' ragged tails on
 // all axes, the serial-vs-pool work threshold, and the per-worker row
 // split. The checked-in corpus under testdata/fuzz pins those edges
-// (the atb-accumulate entries at the accumulate epilogue's); CI
+// (the atb-accumulate entries at the accumulate epilogue's, the
+// tile-nan-fallback entries at full tiles that fall back); CI
 // additionally runs a fixed-budget fuzz smoke so new mutations keep
 // probing them.
 func FuzzMatMulKernels(f *testing.F) {

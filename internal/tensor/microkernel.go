@@ -16,8 +16,9 @@
 // in assembly instead (simd_amd64.s, DESIGN.md §5 "kernel gen 3"),
 // where one vector register holds 4 f64 or 8 f32 accumulators:
 // simd.go runs them on every full 4-row tile of MatMul and MatMulATB,
-// and these generic strips keep the ragged rows and columns, every
-// product on other architectures or CPUs without AVX, and MatMulABT.
+// and these generic strips keep the ragged rows and columns, the blocks
+// of any tile that reports a NaN, every product on other architectures
+// or CPUs without AVX, and MatMulABT.
 // The float64 aᵀ@b adds into its output (out += acc) in both places,
 // so Backward accumulates weight gradients in place.
 //
@@ -61,27 +62,27 @@ type number interface{ ~float32 | ~float64 }
 func mmPanel[T number](a, b, out []T, k, n, lo, hi int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
-		mmRowPair(a, b, out, k, n, i, 0)
+		mmRowPair(a, b, out, k, n, i, 0, n)
 	}
 	if i < hi {
-		mmRowTail(a[i*k:(i+1)*k], b, out[i*n:(i+1)*n], n, 0)
+		mmRowTail(a[i*k:(i+1)*k], b, out[i*n:(i+1)*n], n, 0, n)
 	}
 }
 
-// mmRowPair computes output columns [jlo,n) of rows i and i+1: 2×4
+// mmRowPair computes output columns [jlo,jhi) of rows i and i+1: 2×4
 // strips, then the 1×4 and single-column tails of each row.
-func mmRowPair[T number](a, b, out []T, k, n, i, jlo int) {
+func mmRowPair[T number](a, b, out []T, k, n, i, jlo, jhi int) {
 	a0 := a[(i+0)*k : (i+1)*k]
 	a1 := a[(i+1)*k : (i+2)*k]
 	o0 := out[(i+0)*n : (i+1)*n]
 	o1 := out[(i+1)*n : (i+2)*n]
 	j := jlo
-	for ; j+4 <= n; j += 4 {
+	for ; j+4 <= jhi; j += 4 {
 		mm2x4(a0, a1, b, o0, o1, n, j)
 	}
-	if j < n {
-		mmRowTail(a0, b, o0, n, j)
-		mmRowTail(a1, b, o1, n, j)
+	if j < jhi {
+		mmRowTail(a0, b, o0, n, j, jhi)
+		mmRowTail(a1, b, o1, n, j, jhi)
 	}
 }
 
@@ -115,13 +116,13 @@ func mm2x4[T number](a0, a1, b, o0, o1 []T, n, j int) {
 	o1[j+3] = c13
 }
 
-// mmRowTail computes output columns [jlo,n) of one row: 1×4 register
-// strips while four columns remain, then one accumulator per trailing
-// column. Every element still reduces in ascending-p order gated on
-// the a element — the reference order — and is assigned once.
-func mmRowTail[T number](ai, b, oi []T, n, jlo int) {
+// mmRowTail computes output columns [jlo,jhi) of one row: 1×4
+// register strips while four columns remain, then one accumulator per
+// trailing column. Every element still reduces in ascending-p order
+// gated on the a element — the reference order — and is assigned once.
+func mmRowTail[T number](ai, b, oi []T, n, jlo, jhi int) {
 	j := jlo
-	for ; j+4 <= n; j += 4 {
+	for ; j+4 <= jhi; j += 4 {
 		var c0, c1, c2, c3 T
 		for p := 0; p < len(ai); p++ {
 			if v := ai[p]; v != 0 {
@@ -137,7 +138,7 @@ func mmRowTail[T number](ai, b, oi []T, n, jlo int) {
 		oi[j+2] = c2
 		oi[j+3] = c3
 	}
-	for ; j < n; j++ {
+	for ; j < jhi; j++ {
 		var c T
 		for p := 0; p < len(ai); p++ {
 			if av := ai[p]; av != 0 {
@@ -163,24 +164,24 @@ func mmRowTail[T number](ai, b, oi []T, n, jlo int) {
 func atbPanel[T number](a, b, out []T, k, m, n, lo, hi int, add bool) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
-		atbRowPair(a, b, out, k, m, n, i, 0, add)
+		atbRowPair(a, b, out, k, m, n, i, 0, n, add)
 	}
 	if i < hi {
 		atbRowTail(a, b, out[i*n:(i+1)*n], k, m, n, i, add)
 	}
 }
 
-// atbRowPair computes output columns [jlo,n) of rows i and i+1: 2×4
+// atbRowPair computes output columns [jlo,jhi) of rows i and i+1: 2×4
 // strips, then one accumulator pair per trailing column.
-func atbRowPair[T number](a, b, out []T, k, m, n, i, jlo int, add bool) {
+func atbRowPair[T number](a, b, out []T, k, m, n, i, jlo, jhi int, add bool) {
 	o0 := out[(i+0)*n : (i+1)*n]
 	o1 := out[(i+1)*n : (i+2)*n]
 	j := jlo
-	for ; j+4 <= n; j += 4 {
+	for ; j+4 <= jhi; j += 4 {
 		atb2x4(a, b, o0, o1, k, m, n, i, j, add)
 	}
-	if j < n {
-		atbColTail(a, b, o0, o1, k, m, n, i, j, add)
+	if j < jhi {
+		atbColTail(a, b, o0, o1, k, m, n, i, j, jhi, add)
 	}
 }
 
@@ -237,11 +238,11 @@ func atb2x4[T number](a, b, o0, o1 []T, k, m, n, i, j int, add bool) {
 	store4(o1[j:j+4], c10, c11, c12, c13, add)
 }
 
-// atbColTail handles the ≤3 trailing output columns [jlo,n) for the
+// atbColTail handles the ≤3 trailing output columns [jlo,jhi) for the
 // row pair i,i+1, one accumulator pair per column (ascending p, gated
 // per a element).
-func atbColTail[T number](a, b, o0, o1 []T, k, m, n, i, jlo int, add bool) {
-	for j := jlo; j < n; j++ {
+func atbColTail[T number](a, b, o0, o1 []T, k, m, n, i, jlo, jhi int, add bool) {
+	for j := jlo; j < jhi; j++ {
 		var c0, c1 T
 		for p := 0; p < k; p++ {
 			ap := a[p*m+i : p*m+i+2]

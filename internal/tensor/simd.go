@@ -4,11 +4,14 @@ package tensor
 // full 4-row tile of MatMul and MatMulATB runs on a hand-written SIMD
 // tile (simd_amd64.s): 4×8 in float64, 4×16 in float32. The generic
 // strips of microkernel.go compute everything else — the trailing
-// columns of those rows, the last hi−lo mod 4 rows, and every row on
-// other architectures or CPUs without AVX. Both paths reduce each
-// element in ascending p with a separately rounded multiply and add,
-// gated on a != 0, so they agree bit for bit with each other and with
-// the serial references.
+// columns of those rows, the last hi−lo mod 4 rows, every row on other
+// architectures or CPUs without AVX, and any tile that reports a NaN.
+// Both paths reduce each element in ascending p with a separately
+// rounded multiply and add. The strips skip terms with a == 0; the tile
+// adds them, which can change a result only by making it NaN (a zero
+// times ±Inf or NaN), so a NaN tile stores nothing and its block is
+// recomputed on the strips. Both therefore agree bit for bit with each
+// other and with the serial references.
 //
 // Kernel gen 4 adds the element-wise work of the training step
 // (DESIGN.md §5 "kernel gen 4"): MomentumStep, NarrowInto and
@@ -27,15 +30,17 @@ package tensor
 var useSIMD = haveSIMD
 
 // tileFunc is the signature of one SIMD tile: out[r*ldo+c] =
-// Σ_{p<k} gate(a[r*aRowStride+p*aPStride]) · b[p*bPStride+c] for r < 4
-// and c below the tile width, all strides in elements; with add set the
-// sum is added to out[r*ldo+c] instead.
-type tileFunc[T number] func(a *T, aRowStride, aPStride int, b *T, bPStride, k int, out *T, ldo int, add bool)
+// Σ_{p<k} a[r*aRowStride+p*aPStride] · b[p*bPStride+c] for r < 4 and c
+// below the tile width, all strides in elements; with add set the sum
+// is added to out[r*ldo+c] instead. It returns false, storing nothing,
+// when any sum is NaN.
+type tileFunc[T number] func(a *T, aRowStride, aPStride int, b *T, bPStride, k int, out *T, ldo int, add bool) bool
 
 // mmTiled computes out rows [lo,hi) of a@b (a is m×k, b is k×n):
 // tile on each full 4-row × w-column block, the generic strips on the
-// rest. The blank reads check, once per row block, that the slices
-// cover everything the tile touches.
+// rest and on any block whose tile reports a NaN. The blank reads
+// check, once per row block, that the slices cover everything the tile
+// touches.
 func mmTiled[T number](tile tileFunc[T], w int, a, b, out []T, k, n, lo, hi int) {
 	if nt := n - n%w; useSIMD && k > 0 && nt > 0 {
 		_ = b[(k-1)*n+nt-1]
@@ -43,10 +48,13 @@ func mmTiled[T number](tile tileFunc[T], w int, a, b, out []T, k, n, lo, hi int)
 			_ = a[(lo+4)*k-1]
 			_ = out[(lo+3)*n+nt-1]
 			for j := 0; j < nt; j += w {
-				tile(&a[lo*k], k, 1, &b[j], n, k, &out[lo*n+j], n, false)
+				if !tile(&a[lo*k], k, 1, &b[j], n, k, &out[lo*n+j], n, false) {
+					mmRowPair(a, b, out, k, n, lo, j, j+w)
+					mmRowPair(a, b, out, k, n, lo+2, j, j+w)
+				}
 			}
-			mmRowPair(a, b, out, k, n, lo, nt)
-			mmRowPair(a, b, out, k, n, lo+2, nt)
+			mmRowPair(a, b, out, k, n, lo, nt, n)
+			mmRowPair(a, b, out, k, n, lo+2, nt, n)
 		}
 	}
 	mmPanel(a, b, out, k, n, lo, hi)
@@ -62,10 +70,13 @@ func atbTiled[T number](tile tileFunc[T], w int, a, b, out []T, k, m, n, lo, hi 
 			_ = a[(k-1)*m+lo+3]
 			_ = out[(lo+3)*n+nt-1]
 			for j := 0; j < nt; j += w {
-				tile(&a[lo], 1, m, &b[j], n, k, &out[lo*n+j], n, add)
+				if !tile(&a[lo], 1, m, &b[j], n, k, &out[lo*n+j], n, add) {
+					atbRowPair(a, b, out, k, m, n, lo, j, j+w, add)
+					atbRowPair(a, b, out, k, m, n, lo+2, j, j+w, add)
+				}
 			}
-			atbRowPair(a, b, out, k, m, n, lo, nt, add)
-			atbRowPair(a, b, out, k, m, n, lo+2, nt, add)
+			atbRowPair(a, b, out, k, m, n, lo, nt, n, add)
+			atbRowPair(a, b, out, k, m, n, lo+2, nt, n, add)
 		}
 	}
 	atbPanel(a, b, out, k, m, n, lo, hi, add)

@@ -6,15 +6,17 @@ package tensor
 // Decided once at start-up; the generic strips serve everything else.
 var haveSIMD = cpuHasAVX()
 
-// tile4x8F64 computes one 4×8 float64 output tile; see simd_amd64.s.
+// tile4x8F64 computes one 4×8 float64 output tile and reports whether
+// it stored it (false: a NaN accumulator, out untouched); see
+// simd_amd64.s.
 //
 //go:noescape
-func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool)
+func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool
 
-// tile4x16F32 computes one 4×16 float32 output tile; see simd_amd64.s.
+// tile4x16F32 is tile4x8F64 for one 4×16 float32 output tile.
 //
 //go:noescape
-func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool)
+func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
 
 // momentumStepF64, narrowF64 and widenAddF32 run the first n elements
 // (n a multiple of 4) of MomentumStep, NarrowInto and WidenAddInto; see
@@ -40,9 +42,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // cpuHasAVX reports AVX support with YMM state enabled by the OS. The
-// loops need nothing newer: VBROADCASTS[SD], VCMPP[SD], VANDP[SD], VXORPD,
-// VMULP[SD], VADDP[SD], VSUBPD, VCVTPD2PS and VCVTPS2PD are all AVX1,
-// and no FMA is used.
+// loops need nothing newer: VBROADCASTS[SD], VMULP[SD], VADDP[SD],
+// VSUBPD, VXORP[SD], the tiles' NaN check (VCMPP[SD], VORP[SD],
+// VMOVMSKP[SD]), VCVTPD2PS and VCVTPS2PD are all AVX1, and no FMA is
+// used.
 func cpuHasAVX() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
 	_, _, ecx, _ := cpuid(1, 0)

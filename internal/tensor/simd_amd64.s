@@ -5,7 +5,7 @@
 // SIMD register tiles for MatMul and MatMulATB (simd.go, DESIGN.md
 // §5 "kernel gen 3"). One body per dtype computes a 4-row output tile,
 //
-//	acc[r][c] = Σ_{p<k} gate(a[r*aRowStride + p*aPStride]) · b[p*bPStride + c]
+//	acc[r][c] = Σ_{p<k} a[r*aRowStride + p*aPStride] · b[p*bPStride + c]
 //
 // for r < 4 and c < 8 (f64) or c < 16 (f32), and stores it as
 // out[r*ldo + c] = acc, or out[r*ldo + c] += acc when add is set (the
@@ -15,21 +15,28 @@
 //
 // Lanes run across output columns, so every element still reduces in
 // ascending p with a separately rounded multiply and add (no FMA). The
-// reference kernels skip a term when a == 0; here the product is
-// computed anyway and ANDed with an (a != 0) mask, so a skipped term
-// contributes +0. NEQ_UQ (predicate 4) is true for a NaN a, which the
-// reference keeps. Adding +0 changes no accumulator bit because an
-// accumulator that starts at +0 never becomes −0 (DESIGN.md §5).
+// reference kernels skip a term when a == 0; the tile adds every term
+// and checks for NaN instead. A term with a = ±0 and finite b is ±0,
+// which changes no accumulator bit: an accumulator that starts at +0
+// never becomes −0 (DESIGN.md §5). With b = ±Inf or NaN the term is
+// NaN, and a NaN stays in its accumulator to the end. So an
+// accumulator that ends non-NaN equals the gated sum bit for bit.
+// Before the epilogue the tile ORs an unordered compare of every
+// accumulator pair: if any lane is NaN it stores nothing and returns
+// false, and the Go caller recomputes the block on the gated strips.
+// Otherwise it stores and returns true.
 //
 // With add set, the epilogue adds each accumulator to the element
 // already in out — the one add a separate out += acc pass would make —
-// before storing it.
+// before storing it. The NaN check comes first, so a tile that falls
+// back has not touched out.
 //
 // Registers: Y0–Y7 accumulators (row r in Y(2r), Y(2r+1)), Y8/Y9 the b
-// row, Y10 the broadcast a, Y11 its mask, Y12/Y13 products, Y14 zero.
+// row, Y10 the broadcast a, Y12/Y13 products; after the loop Y8–Y11
+// hold the NaN masks.
 
-// func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool)
-TEXT ·tile4x8F64(SB), NOSPLIT, $0-65
+// func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool
+TEXT ·tile4x8F64(SB), NOSPLIT, $0-73
 	MOVQ a+0(FP), SI
 	MOVQ aRowStride+8(FP), R8
 	MOVQ aPStride+16(FP), R9
@@ -52,7 +59,6 @@ TEXT ·tile4x8F64(SB), NOSPLIT, $0-65
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	VXORPD Y14, Y14, Y14
 	TESTQ  CX, CX
 	JLE    store64
 
@@ -61,38 +67,26 @@ loop64:
 	VMOVUPD 32(DI), Y9
 
 	VBROADCASTSD (SI), Y10
-	VCMPPD       $4, Y14, Y10, Y11
 	VMULPD       Y8, Y10, Y12
 	VMULPD       Y9, Y10, Y13
-	VANDPD       Y11, Y12, Y12
-	VANDPD       Y11, Y13, Y13
 	VADDPD       Y12, Y0, Y0
 	VADDPD       Y13, Y1, Y1
 
 	VBROADCASTSD (SI)(R8*1), Y10
-	VCMPPD       $4, Y14, Y10, Y11
 	VMULPD       Y8, Y10, Y12
 	VMULPD       Y9, Y10, Y13
-	VANDPD       Y11, Y12, Y12
-	VANDPD       Y11, Y13, Y13
 	VADDPD       Y12, Y2, Y2
 	VADDPD       Y13, Y3, Y3
 
 	VBROADCASTSD (SI)(R8*2), Y10
-	VCMPPD       $4, Y14, Y10, Y11
 	VMULPD       Y8, Y10, Y12
 	VMULPD       Y9, Y10, Y13
-	VANDPD       Y11, Y12, Y12
-	VANDPD       Y11, Y13, Y13
 	VADDPD       Y12, Y4, Y4
 	VADDPD       Y13, Y5, Y5
 
 	VBROADCASTSD (SI)(R12*1), Y10
-	VCMPPD       $4, Y14, Y10, Y11
 	VMULPD       Y8, Y10, Y12
 	VMULPD       Y9, Y10, Y13
-	VANDPD       Y11, Y12, Y12
-	VANDPD       Y11, Y13, Y13
 	VADDPD       Y12, Y6, Y6
 	VADDPD       Y13, Y7, Y7
 
@@ -102,20 +96,30 @@ loop64:
 	JNZ  loop64
 
 store64:
-	CMPB add+64(FP), $0
-	JEQ  assign64
-	MOVQ DX, AX
-	VADDPD (AX), Y0, Y0
-	VADDPD 32(AX), Y1, Y1
-	ADDQ R11, AX
-	VADDPD (AX), Y2, Y2
-	VADDPD 32(AX), Y3, Y3
-	ADDQ R11, AX
-	VADDPD (AX), Y4, Y4
-	VADDPD 32(AX), Y5, Y5
-	ADDQ R11, AX
-	VADDPD (AX), Y6, Y6
-	VADDPD 32(AX), Y7, Y7
+	VCMPPD    $3, Y1, Y0, Y8
+	VCMPPD    $3, Y3, Y2, Y9
+	VCMPPD    $3, Y5, Y4, Y10
+	VCMPPD    $3, Y7, Y6, Y11
+	VORPD     Y9, Y8, Y8
+	VORPD     Y11, Y10, Y10
+	VORPD     Y10, Y8, Y8
+	VMOVMSKPD Y8, AX
+	TESTL     AX, AX
+	JNZ       nan64
+	CMPB      add+64(FP), $0
+	JEQ       assign64
+	MOVQ      DX, AX
+	VADDPD    (AX), Y0, Y0
+	VADDPD    32(AX), Y1, Y1
+	ADDQ      R11, AX
+	VADDPD    (AX), Y2, Y2
+	VADDPD    32(AX), Y3, Y3
+	ADDQ      R11, AX
+	VADDPD    (AX), Y4, Y4
+	VADDPD    32(AX), Y5, Y5
+	ADDQ      R11, AX
+	VADDPD    (AX), Y6, Y6
+	VADDPD    32(AX), Y7, Y7
 
 assign64:
 	VMOVUPD Y0, (DX)
@@ -130,10 +134,16 @@ assign64:
 	VMOVUPD Y6, (DX)
 	VMOVUPD Y7, 32(DX)
 	VZEROUPPER
+	MOVB    $1, ret+72(FP)
 	RET
 
-// func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool)
-TEXT ·tile4x16F32(SB), NOSPLIT, $0-65
+nan64:
+	VZEROUPPER
+	MOVB $0, ret+72(FP)
+	RET
+
+// func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
+TEXT ·tile4x16F32(SB), NOSPLIT, $0-73
 	MOVQ a+0(FP), SI
 	MOVQ aRowStride+8(FP), R8
 	MOVQ aPStride+16(FP), R9
@@ -156,7 +166,6 @@ TEXT ·tile4x16F32(SB), NOSPLIT, $0-65
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	VXORPS Y14, Y14, Y14
 	TESTQ  CX, CX
 	JLE    store32
 
@@ -165,38 +174,26 @@ loop32:
 	VMOVUPS 32(DI), Y9
 
 	VBROADCASTSS (SI), Y10
-	VCMPPS       $4, Y14, Y10, Y11
 	VMULPS       Y8, Y10, Y12
 	VMULPS       Y9, Y10, Y13
-	VANDPS       Y11, Y12, Y12
-	VANDPS       Y11, Y13, Y13
 	VADDPS       Y12, Y0, Y0
 	VADDPS       Y13, Y1, Y1
 
 	VBROADCASTSS (SI)(R8*1), Y10
-	VCMPPS       $4, Y14, Y10, Y11
 	VMULPS       Y8, Y10, Y12
 	VMULPS       Y9, Y10, Y13
-	VANDPS       Y11, Y12, Y12
-	VANDPS       Y11, Y13, Y13
 	VADDPS       Y12, Y2, Y2
 	VADDPS       Y13, Y3, Y3
 
 	VBROADCASTSS (SI)(R8*2), Y10
-	VCMPPS       $4, Y14, Y10, Y11
 	VMULPS       Y8, Y10, Y12
 	VMULPS       Y9, Y10, Y13
-	VANDPS       Y11, Y12, Y12
-	VANDPS       Y11, Y13, Y13
 	VADDPS       Y12, Y4, Y4
 	VADDPS       Y13, Y5, Y5
 
 	VBROADCASTSS (SI)(R12*1), Y10
-	VCMPPS       $4, Y14, Y10, Y11
 	VMULPS       Y8, Y10, Y12
 	VMULPS       Y9, Y10, Y13
-	VANDPS       Y11, Y12, Y12
-	VANDPS       Y11, Y13, Y13
 	VADDPS       Y12, Y6, Y6
 	VADDPS       Y13, Y7, Y7
 
@@ -206,20 +203,30 @@ loop32:
 	JNZ  loop32
 
 store32:
-	CMPB add+64(FP), $0
-	JEQ  assign32
-	MOVQ DX, AX
-	VADDPS (AX), Y0, Y0
-	VADDPS 32(AX), Y1, Y1
-	ADDQ R11, AX
-	VADDPS (AX), Y2, Y2
-	VADDPS 32(AX), Y3, Y3
-	ADDQ R11, AX
-	VADDPS (AX), Y4, Y4
-	VADDPS 32(AX), Y5, Y5
-	ADDQ R11, AX
-	VADDPS (AX), Y6, Y6
-	VADDPS 32(AX), Y7, Y7
+	VCMPPS    $3, Y1, Y0, Y8
+	VCMPPS    $3, Y3, Y2, Y9
+	VCMPPS    $3, Y5, Y4, Y10
+	VCMPPS    $3, Y7, Y6, Y11
+	VORPS     Y9, Y8, Y8
+	VORPS     Y11, Y10, Y10
+	VORPS     Y10, Y8, Y8
+	VMOVMSKPS Y8, AX
+	TESTL     AX, AX
+	JNZ       nan32
+	CMPB      add+64(FP), $0
+	JEQ       assign32
+	MOVQ      DX, AX
+	VADDPS    (AX), Y0, Y0
+	VADDPS    32(AX), Y1, Y1
+	ADDQ      R11, AX
+	VADDPS    (AX), Y2, Y2
+	VADDPS    32(AX), Y3, Y3
+	ADDQ      R11, AX
+	VADDPS    (AX), Y4, Y4
+	VADDPS    32(AX), Y5, Y5
+	ADDQ      R11, AX
+	VADDPS    (AX), Y6, Y6
+	VADDPS    32(AX), Y7, Y7
 
 assign32:
 	VMOVUPS Y0, (DX)
@@ -234,6 +241,12 @@ assign32:
 	VMOVUPS Y6, (DX)
 	VMOVUPS Y7, 32(DX)
 	VZEROUPPER
+	MOVB    $1, ret+72(FP)
+	RET
+
+nan32:
+	VZEROUPPER
+	MOVB $0, ret+72(FP)
 	RET
 
 // Element-wise loops of the training step (simd.go, DESIGN.md §5

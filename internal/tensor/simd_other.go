@@ -6,11 +6,11 @@ package tensor
 // serve every call, and the SIMD routines below are never called.
 const haveSIMD = false
 
-func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) {
+func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool {
 	panic("tensor: SIMD tile called without SIMD support")
 }
 
-func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) {
+func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool {
 	panic("tensor: SIMD tile called without SIMD support")
 }
 

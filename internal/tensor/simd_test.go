@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,6 +203,91 @@ func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
 				}
 				tensor.Conv3x3AddInto(dst, src, stride, &k)
 				sliceBitsEqual(t, "conv3x3", dst, want)
+			}
+		}
+	})
+}
+
+// TestTileNaNFallbackMatchesGate pins the SIMD tiles' NaN fallback. The
+// tiles add every a·b term, where the references skip a == 0, so a
+// zero a that meets ±Inf or NaN in b makes the tile's sum NaN while
+// the gated sum stays finite; the tile must then store nothing and
+// leave its block to the gated strips. Each case plants one such pair
+// (a = +0, −0 or NaN against b = +Inf, −Inf or NaN) inside a full
+// 4-row tile, among finite nonzero operands, and runs MatMul,
+// MatMulATBInto, MatMulATBAddInto into a non-zero out and the float32
+// forms against the serial references, on the SIMD tiles and on the
+// strips alone.
+func TestTileNaNFallbackMatchesGate(t *testing.T) {
+	const m, k, n = 8, 5, 19 // two row tiles; f64 tiles at columns 0 and 8, f32 at 0
+	r := rand.New(rand.NewSource(46))
+	nonzero := func(cnt int) []float64 {
+		s := make([]float64, cnt)
+		for i := range s {
+			s[i] = r.NormFloat64() + math.Copysign(0.25, r.NormFloat64())
+		}
+		return s
+	}
+	specialA := []float64{0, math.Copysign(0, -1), math.NaN()}
+	specialB := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for ci, sa := range specialA {
+			for cj, sb := range specialB {
+				row, p, col := (ci*3+cj)%m, (ci+cj)%k, (ci*5+cj*3)%16
+				name := fmt.Sprintf("a=%v b=%v simd=%v", sa, sb, simd)
+
+				ad, bd := nonzero(m*k), nonzero(k*n)
+				ad[row*k+p], bd[p*n+col] = sa, sb
+				a, b := tensor.MustFromSlice(ad, m, k), tensor.MustFromSlice(bd, k, n)
+				want, err := tensor.MatMulSerial(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tensor.MatMul(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, "matmul "+name, got, want)
+
+				atd := nonzero(k * m)
+				atd[p*m+row] = sa
+				at := tensor.MustFromSlice(atd, k, m)
+				wantATB, err := tensor.MatMulATBSerial(at, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := tensor.MustFromSlice(nonzero(m*n), m, n)
+				if err := tensor.MatMulATBInto(out, at, b); err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, "matmulATB "+name, out, wantATB)
+
+				acc := tensor.MustFromSlice(nonzero(m*n), m, n)
+				wantAcc := acc.Clone()
+				for i, v := range wantATB.Data() {
+					wantAcc.Data()[i] += v
+				}
+				if err := tensor.MatMulATBAddInto(acc, at, b); err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, "matmulATB accumulate "+name, acc, wantAcc)
+
+				a32, b32, at32 := narrowed(ad), narrowed(bd), narrowed(atd)
+				out32 := narrowed(nonzero(m * n))
+				tensor.MatMulF32(out32, a32, b32, m, k, n)
+				f32BitsEqual(t, "matmulF32 "+name, out32, mmRefF32(a32, b32, m, k, n))
+
+				wantATB32 := atbRefF32(at32, b32, k, m, n)
+				tensor.MatMulATBF32(out32, at32, b32, k, m, n)
+				f32BitsEqual(t, "matmulATBF32 "+name, out32, wantATB32)
+
+				acc32 := narrowed(nonzero(m * n))
+				wantAcc32 := append([]float32(nil), acc32...)
+				for i, v := range wantATB32 {
+					wantAcc32[i] += v
+				}
+				tensor.MatMulATBF32AddInto(acc32, at32, b32, k, m, n)
+				f32BitsEqual(t, "matmulATBF32 accumulate "+name, acc32, wantAcc32)
 			}
 		}
 	})
