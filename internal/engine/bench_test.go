@@ -100,3 +100,53 @@ func BenchmarkScenarioBuild(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCachedSubmitFullHistory prices one cache-hit submission —
+// the api-cached read path minus HTTP — against a history that never
+// fills ("empty": a fresh engine every 256 submissions, so neither the
+// job history nor the trace store reaches its bound) and against one
+// already holding maxRetainedJobs settled jobs ("full": every
+// submission forgets one job and evicts one trace). Both forget in
+// O(1), so the two should cost about the same.
+func BenchmarkCachedSubmitFullHistory(b *testing.B) {
+	open := func() (*Engine, Spec) {
+		e, err := New(Options{Workers: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e, cachedSpec(b, e, "bench-history")
+	}
+	submit := func(e *Engine, sp Spec) {
+		if j, err := e.Submit(sp, 0); err != nil || !j.Cached() {
+			b.Fatalf("cached submit: %v", err)
+		}
+	}
+	b.Run("history=empty", func(b *testing.B) {
+		e, sp := open()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%256 == 0 {
+				b.StopTimer()
+				e.Close()
+				e, sp = open()
+				b.StartTimer()
+			}
+			submit(e, sp)
+		}
+		b.StopTimer()
+		e.Close()
+	})
+	b.Run("history=full", func(b *testing.B) {
+		e, sp := open()
+		defer e.Close()
+		for i := 0; i < maxRetainedJobs; i++ {
+			submit(e, sp)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			submit(e, sp)
+		}
+	})
+}

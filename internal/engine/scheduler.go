@@ -13,9 +13,12 @@ import (
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
-// maxRetainedJobs bounds the terminal-job history a long-running
-// scheduler keeps for status queries; beyond it the oldest terminal
-// jobs are forgotten (their cached Results live on in the Store).
+// maxRetainedJobs bounds the job history a long-running scheduler keeps
+// for status queries. Beyond it the jobs that settled longest ago are
+// forgotten (their cached Results live on in the Store); queued and
+// running jobs are never forgotten. Settled jobs wait in a FIFO in the
+// order they settled, so a new job forgets the oldest ones by popping
+// its head: no scan of the history, and no job's mutex taken.
 const maxRetainedJobs = 4096
 
 // State is a job's lifecycle stage.
@@ -363,7 +366,8 @@ type Scheduler struct {
 	rrNext   int                  // next ring slot to serve
 	queued   int                  // total queued entries across all tenants
 	jobs     map[string]*Job      // by ID
-	order    []*Job               // submission order, for bounded retention
+	settled  []*Job               // settled jobs in the order they settled, from forgot on; see newJobLocked
+	forgot   int                  // settled[:forgot] are forgotten and nil, until newJobLocked compacts them away
 	inflight map[string]*Job      // by content-address, queued or running
 	nextID   int64
 	nextSeq  int64
@@ -505,6 +509,7 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 	j.result = res
 	j.finished = j.Created
 	close(j.done)
+	s.settled = append(s.settled, j)
 	s.mu.Unlock()
 	s.metrics.jobsCompleted.With(string(StateDone), tenant).Inc()
 	s.recordSpanID(j, j.rootSpan, "", "job", j.Created, j.Created,
@@ -518,8 +523,11 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 // time; s.mu must be held. The job's root span starts at its arrival,
 // so it encloses the admission span, and its first queue span at its
 // registration here. When
-// the registry outgrows maxRetainedJobs, the oldest terminal jobs are
-// forgotten so a long-running server's job history stays bounded.
+// the registry outgrows maxRetainedJobs, the jobs that settled longest
+// ago are forgotten so a long-running server's job history stays
+// bounded; the settled FIFO is compacted once its forgotten prefix
+// outgrows the rest, which keeps its backing array bounded at O(1)
+// amortized per job.
 func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string, arrived time.Time) *Job {
 	s.nextID++
 	s.nextSeq++
@@ -543,19 +551,15 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		done:     make(chan struct{}),
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-	if len(s.jobs) > maxRetainedJobs {
-		kept := s.order[:0]
-		excess := len(s.jobs) - maxRetainedJobs
-		for _, old := range s.order {
-			if excess > 0 && old.State().Terminal() {
-				delete(s.jobs, old.ID)
-				excess--
-				continue
-			}
-			kept = append(kept, old)
-		}
-		s.order = kept
+	for len(s.jobs) > maxRetainedJobs && s.forgot < len(s.settled) {
+		delete(s.jobs, s.settled[s.forgot].ID)
+		s.settled[s.forgot] = nil
+		s.forgot++
+	}
+	if s.forgot > len(s.settled)/2 {
+		n := copy(s.settled, s.settled[s.forgot:])
+		clear(s.settled[n:])
+		s.settled, s.forgot = s.settled[:n], 0
 	}
 	return j
 }
@@ -612,12 +616,15 @@ func (s *Scheduler) cancel(id string) error {
 	return nil
 }
 
-// release removes a terminal job from the in-flight index.
+// release removes a terminal job from the in-flight index and queues it
+// for forgetting (see newJobLocked). finish calls it once per job, after
+// settling it.
 func (s *Scheduler) release(j *Job) {
 	s.mu.Lock()
 	if s.inflight[j.Key] == j {
 		delete(s.inflight, j.Key)
 	}
+	s.settled = append(s.settled, j)
 	s.mu.Unlock()
 }
 

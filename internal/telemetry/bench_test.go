@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"io"
 	"testing"
 )
@@ -58,4 +59,37 @@ func BenchmarkTelemetryExposition(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTraceStoreAddFull prices starting a new trace — one cache
+// hit's root span — against a store with room ("empty": it is emptied
+// every 256 adds, so it never fills) and against one already holding
+// DefaultMaxTraces ended traces ("full": every add evicts one). Eviction
+// walks a recency list from its least recently written trace, so the
+// two should cost about the same.
+func BenchmarkTraceStoreAddFull(b *testing.B) {
+	root := func(i int) Span { return Span{TraceID: fmt.Sprint("t", i), SpanID: "root", Name: "job"} }
+	b.Run("store=empty", func(b *testing.B) {
+		ts := NewTraceStore(0, 0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%256 == 0 {
+				b.StopTimer()
+				ts = NewTraceStore(0, 0)
+				b.StartTimer()
+			}
+			ts.Add(root(i))
+		}
+	})
+	b.Run("store=full", func(b *testing.B) {
+		ts := NewTraceStore(0, 0)
+		for i := 0; i < DefaultMaxTraces; i++ {
+			ts.Add(root(-1 - i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ts.Add(root(i))
+		}
+	})
 }

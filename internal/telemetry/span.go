@@ -89,12 +89,45 @@ const heatEpoch = 256
 
 // traceEntry is one trace's bounded span ring plus its dedup index.
 type traceEntry struct {
+	id    string
 	spans []Span          // ring buffer, appended until maxSpans then overwritten
 	next  int             // overwrite cursor once len(spans) == maxSpans
 	ids   map[string]bool // SpanIDs currently held (dedup for at-least-once shipping)
 	seq   int64           // order of the latest write, for whole-trace eviction
 	heat  [2]int          // writes in the epoch of seq, and in the epoch before
 	ended bool            // a root span (ParentID "") was written: the job is over
+
+	older, newer *traceEntry // neighbours in the store's recency list of its class
+}
+
+// traceList is an intrusive recency list: the traces of one class
+// (ended or live) in the order of their latest write, least recently
+// written at head. Every write moves its trace to the tail, so seq
+// ascends from head to tail.
+type traceList struct{ head, tail *traceEntry }
+
+func (l *traceList) remove(e *traceEntry) {
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		l.head = e.newer
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		l.tail = e.older
+	}
+	e.older, e.newer = nil, nil
+}
+
+func (l *traceList) pushBack(e *traceEntry) {
+	e.older = l.tail
+	if l.tail != nil {
+		l.tail.newer = e
+	} else {
+		l.head = e
+	}
+	l.tail = e
 }
 
 // touch records a write to the trace as the store's seq-th.
@@ -133,6 +166,16 @@ type TraceStore struct {
 	maxSpans  int
 	nextSeq   int64
 	traces    map[string]*traceEntry
+	ended     traceList // traces that hold their root span
+	live      traceList // every other trace
+}
+
+// listOf returns the recency list of e's class; t.mu must be held.
+func (t *TraceStore) listOf(e *traceEntry) *traceList {
+	if e.ended {
+		return &t.ended
+	}
+	return &t.live
 }
 
 // NewTraceStore returns a store bounded to maxTraces traces of maxSpans
@@ -163,28 +206,31 @@ func (t *TraceStore) Add(sp Span) bool {
 		if len(t.traces) >= t.maxTraces {
 			t.evictLocked()
 		}
-		e = &traceEntry{ids: map[string]bool{}}
+		e = &traceEntry{id: sp.TraceID, ids: map[string]bool{}}
 		t.traces[sp.TraceID] = e
+	} else {
+		t.listOf(e).remove(e)
 	}
 	// Every write counts, a resent span included: it means the trace's
 	// job is still shipping.
 	t.nextSeq++
 	e.touch(t.nextSeq)
-	if e.ids[sp.SpanID] {
-		return false
+	added := !e.ids[sp.SpanID]
+	if added {
+		if len(e.spans) < t.maxSpans {
+			e.spans = append(e.spans, sp)
+		} else {
+			delete(e.ids, e.spans[e.next].SpanID)
+			e.spans[e.next] = sp
+			e.next = (e.next + 1) % t.maxSpans
+		}
+		e.ids[sp.SpanID] = true
+		if sp.ParentID == "" {
+			e.ended = true
+		}
 	}
-	if len(e.spans) < t.maxSpans {
-		e.spans = append(e.spans, sp)
-	} else {
-		delete(e.ids, e.spans[e.next].SpanID)
-		e.spans[e.next] = sp
-		e.next = (e.next + 1) % t.maxSpans
-	}
-	e.ids[sp.SpanID] = true
-	if sp.ParentID == "" {
-		e.ended = true
-	}
-	return true
+	t.listOf(e).pushBack(e)
+	return added
 }
 
 // evictLocked drops one trace: among those that hold their root span
@@ -200,19 +246,29 @@ func (t *TraceStore) Add(sp Span) bool {
 // one to two epochs. Heat fades within two epochs, so a trace nobody
 // writes any more is evicted by recency like the rest. t.mu must be
 // held.
+//
+// The victim is found by walking its class's recency list from the
+// least recently written trace, stopping at the first whose heat is at
+// most 1. That is exact: heat is 0 exactly when seq/heatEpoch is at
+// most epoch−2, so the zero-heat traces form a prefix of the list, and
+// any other trace has heat at least 1. So the first trace of heat ≤ 1
+// is the coldest, and the least recently written of the coldest. The
+// walk stops at the head whenever the least recently written trace is
+// cold, and is never longer than a scan of every trace.
 func (t *TraceStore) evictLocked() {
+	l := &t.live
+	if t.ended.head != nil {
+		l = &t.ended
+	}
 	epoch := t.nextSeq / heatEpoch
-	var victim string
-	var v *traceEntry
-	vheat := 0
-	for id, e := range t.traces {
-		h := e.heatAt(epoch)
-		if v == nil || (e.ended && !v.ended) ||
-			(e.ended == v.ended && (h < vheat || h == vheat && e.seq < v.seq)) {
-			victim, v, vheat = id, e, h
+	v, vheat := l.head, l.head.heatAt(epoch)
+	for e := l.head.newer; vheat > 1 && e != nil; e = e.newer {
+		if h := e.heatAt(epoch); h < vheat {
+			v, vheat = e, h
 		}
 	}
-	delete(t.traces, victim)
+	l.remove(v)
+	delete(t.traces, v.id)
 }
 
 // Trace returns the trace's spans sorted by start time (SpanID breaks

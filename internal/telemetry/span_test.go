@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +229,150 @@ func TestTraceStoreConcurrent(t *testing.T) {
 	}
 	if ts.Len() != 4 {
 		t.Fatalf("store holds %d traces, want cap 4", ts.Len())
+	}
+}
+
+// scanStore is the reference for the trace store's eviction: the victim
+// rule as a linear scan over every retained trace. It keeps only what
+// the rule reads, each trace's write order, heat and ended flag.
+type scanStore struct {
+	maxTraces int
+	nextSeq   int64
+	traces    map[string]*traceEntry
+	// skips counts evictions whose victim was not the least recently
+	// written trace of its class: heat chose it.
+	skips int
+}
+
+// add records a write and returns the trace it evicted for it, or "".
+func (s *scanStore) add(sp Span) (victim string) {
+	e, ok := s.traces[sp.TraceID]
+	if !ok {
+		if len(s.traces) >= s.maxTraces {
+			victim = s.evict()
+		}
+		e = &traceEntry{}
+		s.traces[sp.TraceID] = e
+	}
+	s.nextSeq++
+	e.touch(s.nextSeq)
+	// A resent root span was new once, so it set the flag already.
+	if sp.ParentID == "" {
+		e.ended = true
+	}
+	return victim
+}
+
+func (s *scanStore) evict() string {
+	epoch := s.nextSeq / heatEpoch
+	var victim string
+	var v *traceEntry
+	vheat := 0
+	for id, e := range s.traces {
+		h := e.heatAt(epoch)
+		if v == nil || (e.ended && !v.ended) ||
+			(e.ended == v.ended && (h < vheat || h == vheat && e.seq < v.seq)) {
+			victim, v, vheat = id, e, h
+		}
+	}
+	for _, e := range s.traces {
+		if e.ended == v.ended && e.seq < v.seq {
+			s.skips++
+			break
+		}
+	}
+	delete(s.traces, victim)
+	return victim
+}
+
+// TestTraceStoreEvictionMatchesLinearScan drives a TraceStore and the
+// linear-scan reference with one seeded random mix of writes — new
+// traces born ended or live, resent spans, root spans that end live
+// traces, and bursts from a few hot writers that change every couple of
+// heat epochs — and requires both to retain the same traces after every
+// Add. The walk over the recency lists must pick exactly the victim the
+// scan picks. Both start empty and evict on the same Adds, so the sets
+// stay equal exactly when the store no longer holds the reference's
+// victim; the whole sets are compared once per heat epoch besides.
+func TestTraceStoreEvictionMatchesLinearScan(t *testing.T) {
+	for _, maxTraces := range []int{4, 512} {
+		t.Run(fmt.Sprint("maxTraces=", maxTraces), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(maxTraces)))
+			ts := NewTraceStore(maxTraces, 8)
+			ref := &scanStore{maxTraces: maxTraces, traces: map[string]*traceEntry{}}
+			var ids []string // every trace created, newest last
+			hot := make([]string, 3)
+			span, gen := 0, -1
+			add := func(sp Span) {
+				span++
+				ts.Add(sp)
+				victim := ref.add(sp)
+				if len(ts.traces) != len(ref.traces) {
+					t.Fatalf("after %d adds: store holds %d traces, reference %d", span, len(ts.traces), len(ref.traces))
+				}
+				if victim != "" && ts.traces[victim] != nil {
+					t.Fatalf("after %d adds: the reference evicted %s, the store another trace", span, victim)
+				}
+				if span%heatEpoch != 0 {
+					return
+				}
+				for id := range ref.traces {
+					if ts.traces[id] == nil {
+						t.Fatalf("after %d adds: store evicted %s, which the reference keeps", span, id)
+					}
+				}
+			}
+			// recent picks a trace created lately, possibly evicted since
+			// (a write to it then creates it again).
+			recent := func() string {
+				return ids[len(ids)-1-rng.Intn(min(len(ids), 2*maxTraces))]
+			}
+			child := func(trace, id string) Span {
+				return Span{TraceID: trace, SpanID: id, ParentID: "root"}
+			}
+			for span < 40*heatEpoch {
+				if g := span / (2 * heatEpoch); g != gen {
+					gen = g
+					for i := range hot {
+						hot[i] = fmt.Sprintf("hot-%d-%d", gen, i)
+					}
+				}
+				switch r := rng.Intn(100); {
+				case r < 30 || len(ids) == 0:
+					id := fmt.Sprintf("t%d", len(ids))
+					ids = append(ids, id)
+					if rng.Intn(2) == 0 {
+						add(Span{TraceID: id, SpanID: "root"}) // a cache hit: born ended
+					} else {
+						add(child(id, "submit"))
+					}
+				case r < 50:
+					add(child(recent(), "submit")) // a resend
+				case r < 60:
+					add(Span{TraceID: recent(), SpanID: "root"}) // the job ends
+				case r < 85:
+					trace := hot[rng.Intn(len(hot))]
+					for n := 1 + rng.Intn(8); n > 0; n-- {
+						add(child(trace, fmt.Sprint("s", span)))
+					}
+				default:
+					add(child(recent(), fmt.Sprint("s", span)))
+				}
+			}
+			if ref.skips == 0 {
+				t.Fatal("no eviction passed over the least recently written trace: heat was never exercised")
+			}
+			n := 0
+			for _, l := range []traceList{ts.ended, ts.live} {
+				for e := l.head; e != nil; e = e.newer {
+					n++
+				}
+			}
+			if n != len(ts.traces) {
+				t.Fatalf("recency lists hold %d traces, the index %d", n, len(ts.traces))
+			}
+			t.Logf("%d adds, %d heat-chosen evictions", span, ref.skips)
+		})
 	}
 }
 
