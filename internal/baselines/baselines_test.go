@@ -195,7 +195,7 @@ func TestFedDGGAWeightAdjustment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The adjusted aggregate differs from plain FedAvg.
-	plain, err := fl.FedAvg([]*fl.Client{clients[0], clients[1]}, []*nn.Model{u1, u2})
+	plain, err := new(fl.Averager).FedAvg([]*fl.Client{clients[0], clients[1]}, []*nn.Model{u1, u2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"github.com/pardon-feddg/pardon/internal/core"
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/loss"
-	"github.com/pardon-feddg/pardon/internal/metrics"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/tensor"
@@ -107,15 +106,15 @@ func TestDiagTransferredView(t *testing.T) {
 			}
 			_ = in
 		}
-		trainAcc, err := metrics.Accuracy(m, trainX, trainY, 128)
+		trainAcc, err := fl.Accuracy(m, &fl.EvalSet{X: trainX, Labels: trainY})
 		if err != nil {
 			t.Fatal(err)
 		}
-		transAcc, err := metrics.Accuracy(m, transX, trainY, 128)
+		transAcc, err := fl.Accuracy(m, &fl.EvalSet{X: transX, Labels: trainY})
 		if err != nil {
 			t.Fatal(err)
 		}
-		testAcc, err := metrics.Accuracy(m, test.X, test.Labels, 128)
+		testAcc, err := fl.Accuracy(m, test)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +124,7 @@ func TestDiagTransferredView(t *testing.T) {
 
 func stackClients(clients []*fl.Client, transferred bool, env *fl.Env, sg *style.Style, t *testing.T) (*tensor.Tensor, []int) {
 	t.Helper()
-	var rows []*tensor.Tensor
+	var data []float64
 	var labels []int
 	for _, c := range clients {
 		src := c.RowsInto(nil, c.Len())
@@ -136,14 +135,8 @@ func stackClients(clients []*fl.Client, transferred bool, env *fl.Env, sg *style
 			}
 			src = tr
 		}
-		for i := 0; i < src.Dim(0); i++ {
-			rows = append(rows, src.MustRow(i))
-			labels = append(labels, c.Labels[i])
-		}
+		data = append(data, src.Data()...)
+		labels = append(labels, c.Labels[:src.Dim(0)]...)
 	}
-	x, err := tensor.Stack(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x, labels
+	return tensor.MustFromSlice(data, len(labels), len(data)/len(labels)), labels
 }

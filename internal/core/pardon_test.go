@@ -53,7 +53,9 @@ func randFeatures(r *rand.Rand, n int, shift float64) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, n)
 	for i := range out {
 		f := tensor.Randn(r, 1, 4, 4, 4)
-		f.Apply(func(v float64) float64 { return v + shift })
+		if err := tensor.ApplyInto(f, f, func(v float64) float64 { return v + shift }); err != nil {
+			panic(err)
+		}
 		out[i] = f
 	}
 	return out
@@ -180,7 +182,10 @@ func TestTransferAllAppliesStyle(t *testing.T) {
 		t.Fatalf("shape = %v", out.Shape())
 	}
 	// Row 0 reshaped must carry Sg's channel means.
-	row := out.MustRow(0).MustReshape(4, 4, 4)
+	row, err := out.MustRow(0).Reshape(4, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := style.Of(row)
 	if err != nil {
 		t.Fatal(err)

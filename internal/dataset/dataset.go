@@ -1,6 +1,6 @@
 // Package dataset defines the sample/dataset abstractions shared by the
 // whole reproduction: labeled tensors tagged with their source domain,
-// batching, shuffling, and the domain-split schemes (Leave-One-Domain-Out,
+// shuffling, merging, and the domain-split schemes (Leave-One-Domain-Out,
 // Leave-Two-Domains-Out) the paper evaluates under.
 package dataset
 
@@ -33,30 +33,11 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Clone returns a shallow copy (samples share tensors, the slice is new).
-func (d *Dataset) Clone() *Dataset {
-	cp := &Dataset{Samples: make([]Sample, len(d.Samples)), NumClasses: d.NumClasses}
-	copy(cp.Samples, d.Samples)
-	return cp
-}
-
 // Shuffle permutes the samples in place using r.
 func (d *Dataset) Shuffle(r *rand.Rand) {
 	r.Shuffle(len(d.Samples), func(i, j int) {
 		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
 	})
-}
-
-// Subset returns a dataset referencing the samples at the given indices.
-func (d *Dataset) Subset(indices []int) (*Dataset, error) {
-	out := &Dataset{Samples: make([]Sample, 0, len(indices)), NumClasses: d.NumClasses}
-	for _, i := range indices {
-		if i < 0 || i >= len(d.Samples) {
-			return nil, fmt.Errorf("dataset: subset index %d out of range [0,%d)", i, len(d.Samples))
-		}
-		out.Samples = append(out.Samples, d.Samples[i])
-	}
-	return out, nil
 }
 
 // Merge concatenates datasets that share a class space.
@@ -75,61 +56,6 @@ func Merge(parts ...*Dataset) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: merge part %d has %d classes, want %d", i, p.NumClasses, out.NumClasses)
 		}
 		out.Samples = append(out.Samples, p.Samples...)
-	}
-	return out, nil
-}
-
-// ClassCounts returns the per-class sample counts.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, s := range d.Samples {
-		if s.Y >= 0 && s.Y < d.NumClasses {
-			counts[s.Y]++
-		}
-	}
-	return counts
-}
-
-// Domains returns the sorted distinct domain ids present.
-func (d *Dataset) Domains() []int {
-	seen := map[int]bool{}
-	for _, s := range d.Samples {
-		seen[s.Domain] = true
-	}
-	out := make([]int, 0, len(seen))
-	for dom := range seen {
-		out = append(out, dom)
-	}
-	// insertion sort: domain counts are tiny
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// Batch is a contiguous view of samples used by local training.
-type Batch struct {
-	Samples []Sample
-}
-
-// Len returns the batch size.
-func (b Batch) Len() int { return len(b.Samples) }
-
-// Batches splits the dataset into batches of at most size samples, in the
-// dataset's current order (shuffle first for SGD).
-func (d *Dataset) Batches(size int) ([]Batch, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("dataset: batch size %d", size)
-	}
-	out := make([]Batch, 0, (len(d.Samples)+size-1)/size)
-	for i := 0; i < len(d.Samples); i += size {
-		end := i + size
-		if end > len(d.Samples) {
-			end = len(d.Samples)
-		}
-		out = append(out, Batch{Samples: d.Samples[i:end]})
 	}
 	return out, nil
 }
@@ -197,32 +123,4 @@ func domainName(names []string, d int) string {
 		return names[d]
 	}
 	return fmt.Sprintf("D%d", d)
-}
-
-// ByDomain partitions a dataset by the Domain tag.
-func (d *Dataset) ByDomain() map[int]*Dataset {
-	out := map[int]*Dataset{}
-	for _, s := range d.Samples {
-		ds, ok := out[s.Domain]
-		if !ok {
-			ds = &Dataset{NumClasses: d.NumClasses}
-			out[s.Domain] = ds
-		}
-		ds.Samples = append(ds.Samples, s)
-	}
-	return out
-}
-
-// SelectDomains concatenates the listed domain datasets from a
-// domain-indexed corpus.
-func SelectDomains(corpus map[int]*Dataset, domains []int) (*Dataset, error) {
-	parts := make([]*Dataset, 0, len(domains))
-	for _, d := range domains {
-		ds, ok := corpus[d]
-		if !ok {
-			return nil, fmt.Errorf("dataset: domain %d not in corpus", d)
-		}
-		parts = append(parts, ds)
-	}
-	return Merge(parts...)
 }

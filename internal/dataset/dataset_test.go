@@ -59,56 +59,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	ds := mk(5, 2, 0)
-	sub, err := ds.Subset([]int{4, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Len() != 2 || sub.Samples[0].X.Data()[0] != 4 {
-		t.Fatalf("subset = %+v", sub.Samples)
-	}
-	if _, err := ds.Subset([]int{9}); err == nil {
-		t.Fatal("out-of-range index should error")
-	}
-}
-
-func TestBatchesCoverAll(t *testing.T) {
-	ds := mk(10, 2, 0)
-	batches, err := ds.Batches(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batches) != 3 {
-		t.Fatalf("batches = %d", len(batches))
-	}
-	total := 0
-	for _, b := range batches {
-		total += b.Len()
-	}
-	if total != 10 {
-		t.Fatalf("covered %d samples", total)
-	}
-	if batches[2].Len() != 2 {
-		t.Fatalf("tail batch = %d", batches[2].Len())
-	}
-	if _, err := ds.Batches(0); err == nil {
-		t.Fatal("zero batch size should error")
-	}
-}
-
-func TestClassCountsAndDomains(t *testing.T) {
-	a, _ := dataset.Merge(mk(6, 3, 2), mk(3, 3, 0))
-	counts := a.ClassCounts()
-	if counts[0] != 3 || counts[1] != 3 || counts[2] != 3 {
-		t.Fatalf("counts = %v", counts)
-	}
-	doms := a.Domains()
-	if len(doms) != 2 || doms[0] != 0 || doms[1] != 2 {
-		t.Fatalf("domains = %v", doms)
-	}
-}
-
 func TestLODOSplits(t *testing.T) {
 	splits, err := dataset.LODOSplits(4, []string{"P", "A", "C", "S"})
 	if err != nil {
@@ -168,32 +118,5 @@ func TestLTDOSplits(t *testing.T) {
 	}
 	if _, err := dataset.LTDOSplits(2, nil); err == nil {
 		t.Fatal("LTDO with 2 domains should error")
-	}
-}
-
-func TestByDomainAndSelect(t *testing.T) {
-	all, _ := dataset.Merge(mk(4, 2, 0), mk(6, 2, 1), mk(2, 2, 5))
-	byDom := all.ByDomain()
-	if len(byDom) != 3 || byDom[1].Len() != 6 {
-		t.Fatalf("byDomain = %v", byDom)
-	}
-	sel, err := dataset.SelectDomains(byDom, []int{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Len() != 6 {
-		t.Fatalf("selected %d samples", sel.Len())
-	}
-	if _, err := dataset.SelectDomains(byDom, []int{9}); err == nil {
-		t.Fatal("missing domain should error")
-	}
-}
-
-func TestCloneShallow(t *testing.T) {
-	ds := mk(3, 2, 0)
-	cp := ds.Clone()
-	cp.Samples[0].Y = 99
-	if ds.Samples[0].Y == 99 {
-		t.Fatal("clone shares the samples slice header")
 	}
 }

@@ -206,10 +206,6 @@ func (e *Encoder) raw(dst, x []float64) {
 // OutShape returns the (C, H, W) of encoded feature maps.
 func (e *Encoder) OutShape() (c, h, w int) { return e.outC, e.outH, e.outW }
 
-// StyleDim returns the dimension (2·C) of style vectors extracted from
-// this encoder's features.
-func (e *Encoder) StyleDim() int { return 2 * e.outC }
-
 // Encode maps a (InChannels, H, W) image to its (C', H', W') feature map.
 func (e *Encoder) Encode(x *tensor.Tensor) (*tensor.Tensor, error) {
 	out := tensor.New(e.outC, e.outH, e.outW)
@@ -240,19 +236,6 @@ func (e *Encoder) EncodeInto(dst []float64, x *tensor.Tensor) error {
 		}
 	}
 	return nil
-}
-
-// EncodeAll encodes a batch of images, returning one feature map per input.
-func (e *Encoder) EncodeAll(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, len(xs))
-	for i, x := range xs {
-		f, err := e.Encode(x)
-		if err != nil {
-			return nil, fmt.Errorf("encoder: sample %d: %w", i, err)
-		}
-		out[i] = f
-	}
-	return out, nil
 }
 
 // PooledFeature returns the channel-wise mean of the encoded feature map —

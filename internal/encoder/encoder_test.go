@@ -20,9 +20,6 @@ func TestOutShape(t *testing.T) {
 	if c != 16 || h != 8 || w != 8 {
 		t.Fatalf("out shape = (%d,%d,%d), want (16,8,8)", c, h, w)
 	}
-	if enc.StyleDim() != 32 {
-		t.Fatalf("style dim = %d", enc.StyleDim())
-	}
 }
 
 func TestEncodeDeterministicAcrossInstances(t *testing.T) {
@@ -148,18 +145,12 @@ func TestDomainsSeparableInFeatureStats(t *testing.T) {
 func TestEncodeAllAndPooled(t *testing.T) {
 	enc, _ := encoder.New(encoder.DefaultConfig())
 	r := rand.New(rand.NewSource(2))
-	xs := []*tensor.Tensor{
-		tensor.Randn(r, 1, 3, 16, 16),
-		tensor.Randn(r, 1, 3, 16, 16),
-	}
-	fs, err := enc.EncodeAll(xs)
+	x := tensor.Randn(r, 1, 3, 16, 16)
+	f, err := enc.Encode(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 2 {
-		t.Fatalf("len = %d", len(fs))
-	}
-	p, err := enc.PooledFeature(xs[0])
+	p, err := enc.PooledFeature(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +162,7 @@ func TestEncodeAllAndPooled(t *testing.T) {
 	hw := h * w
 	for ch := 0; ch < c; ch++ {
 		m := 0.0
-		for _, v := range fs[0].Data()[ch*hw : (ch+1)*hw] {
+		for _, v := range f.Data()[ch*hw : (ch+1)*hw] {
 			m += v
 		}
 		m /= float64(hw)

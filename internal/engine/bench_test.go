@@ -3,6 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -149,4 +153,43 @@ func BenchmarkCachedSubmitFullHistory(b *testing.B) {
 			submit(e, sp)
 		}
 	})
+}
+
+// BenchmarkListJobsPage prices one GET /v1/jobs?limit=10 page, handler
+// only, against a history holding a page and a cursor's worth of jobs
+// ("empty": 16) and against one holding maxRetainedJobs ("full"). The
+// listing walks down from its cursor and stops one job past the page,
+// so the two should cost about the same.
+func BenchmarkListJobsPage(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		jobs int
+	}{{"history=empty", 16}, {"history=full", maxRetainedJobs}} {
+		b.Run(c.name, func(b *testing.B) {
+			// A discarded log keeps the 4096 cache-hit lines out of the
+			// benchmark's result lines.
+			e, err := New(Options{Workers: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			sp := cachedSpec(b, e, "bench-list")
+			for i := 0; i < c.jobs; i++ {
+				if _, err := e.Submit(sp, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			srv := NewServer(e)
+			req := httptest.NewRequest(http.MethodGet, "/v1/jobs?limit=10", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("GET /v1/jobs?limit=10 = %d", rec.Code)
+				}
+			}
+		})
+	}
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pardon-feddg/pardon/internal/metrics"
+	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
@@ -121,7 +121,7 @@ func TestModelCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := metrics.Accuracy(m, sc.Test.X, sc.Test.Labels, 64)
+	acc, err := fl.Accuracy(m, sc.Test)
 	if err != nil {
 		t.Fatal(err)
 	}

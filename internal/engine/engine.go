@@ -27,6 +27,7 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,7 +149,7 @@ type Engine struct {
 
 	batchMu    sync.Mutex
 	batches    map[string]*Batch
-	batchOrder []string
+	batchOrder []*Batch // retained batches in creation order
 	nextBatch  int64
 }
 
@@ -303,19 +304,6 @@ func (e *Engine) Store() *Store { return e.store }
 // GET /v1/traces/{id}.
 func (e *Engine) Traces() *telemetry.TraceStore { return e.traces }
 
-// span records one span on a job's trace with a fresh span ID.
-func (e *Engine) span(j *Job, parent, name string, start, end time.Time, attrs map[string]string) {
-	e.traces.Add(telemetry.Span{
-		TraceID:     j.TraceID,
-		SpanID:      telemetry.NewSpanID(),
-		ParentID:    parent,
-		Name:        name,
-		Start:       start,
-		DurationSec: end.Sub(start).Seconds(),
-		Attrs:       attrs,
-	})
-}
-
 // QueueDepths returns the scheduler's per-tenant queued-job counts —
 // the fleet dashboard's queue panel. Tenants with empty queues are
 // omitted.
@@ -436,7 +424,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 		// The admission edge: validate + hash + journal + enqueue. A
 		// coalesced submission records nothing — the trace belongs to the
 		// first submitter.
-		e.span(j, j.RootSpanID(), "submit", submitStart, time.Now(), nil)
+		e.sched.recordSpan(j, j.RootSpanID(), "submit", submitStart, time.Now(), nil)
 	}
 	var qerr *QuotaError
 	if errors.As(err, &qerr) {
@@ -563,28 +551,21 @@ func (e *Engine) registerBatch(b *Batch) {
 	e.batchMu.Lock()
 	defer e.batchMu.Unlock()
 	e.nextBatch++
-	b.ID = fmt.Sprintf("sweep-%d", e.nextBatch)
+	b.seq = e.nextBatch
+	b.ID = fmt.Sprintf("sweep-%d", b.seq)
 	b.Created = time.Now()
 	e.batches[b.ID] = b
-	e.batchOrder = append(e.batchOrder, b.ID)
+	e.batchOrder = append(e.batchOrder, b)
 	for len(e.batches) > maxRetainedBatches {
-		victim := ""
-		for _, id := range e.batchOrder {
-			if e.batches[id].Counts().Terminal() {
-				victim = id
+		victim := 0
+		for i, o := range e.batchOrder {
+			if o.Counts().Terminal() {
+				victim = i
 				break
 			}
 		}
-		if victim == "" {
-			victim = e.batchOrder[0]
-		}
-		delete(e.batches, victim)
-		for i, id := range e.batchOrder {
-			if id == victim {
-				e.batchOrder = append(e.batchOrder[:i], e.batchOrder[i+1:]...)
-				break
-			}
-		}
+		delete(e.batches, e.batchOrder[victim].ID)
+		e.batchOrder = slices.Delete(e.batchOrder, victim, victim+1)
 	}
 }
 
@@ -603,7 +584,7 @@ func (e *Engine) Batches() []*Batch {
 	defer e.batchMu.Unlock()
 	out := make([]*Batch, 0, len(e.batchOrder))
 	for i := len(e.batchOrder) - 1; i >= 0; i-- {
-		out = append(out, e.batches[e.batchOrder[i]])
+		out = append(out, e.batchOrder[i])
 	}
 	return out
 }
@@ -612,7 +593,7 @@ func (e *Engine) Batches() []*Batch {
 func (e *Engine) Job(id string) (*Job, bool) { return e.sched.job(id) }
 
 // Jobs returns every job the scheduler knows, newest first.
-func (e *Engine) Jobs() []*Job { return e.sched.all() }
+func (e *Engine) Jobs() []*Job { return e.sched.page(-1, "", 0) }
 
 // Cancel aborts a job by ID: immediately when queued, at the next round
 // boundary when running.
@@ -641,7 +622,7 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 	if hit {
 		cache = "hit"
 	}
-	e.span(j, runSpan, "scenario", scenarioStart, time.Now(), map[string]string{"cache": cache})
+	e.sched.recordSpan(j, runSpan, "scenario", scenarioStart, time.Now(), map[string]string{"cache": cache})
 	if err != nil {
 		return nil, err
 	}
@@ -673,7 +654,7 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 				Context:     ctx,
 				OnRound: func(round, total int, rs, re time.Time) {
 					e.advance(j, round, total)
-					e.span(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
+					e.sched.recordSpan(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)
 				},
 			})
 		})
@@ -698,7 +679,7 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 	if blob, err := model.MarshalBinary(); err == nil {
 		_ = e.store.PutBlob(j.Key, blob)
 		j.addPersist(time.Since(persistStart))
-		e.span(j, runSpan, "checkpoint", persistStart, time.Now(),
+		e.sched.recordSpan(j, runSpan, "checkpoint", persistStart, time.Now(),
 			map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
 	}
 	persistStart = time.Now()
@@ -706,7 +687,7 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 		return nil, err
 	}
 	j.addPersist(time.Since(persistStart))
-	e.span(j, runSpan, "persist", persistStart, time.Now(), nil)
+	e.sched.recordSpan(j, runSpan, "persist", persistStart, time.Now(), nil)
 	return res, nil
 }
 
@@ -781,7 +762,7 @@ func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) 
 			_ = e.store.PutBlob(j.Key, blob)
 		}
 		j.addPersist(time.Since(persistStart))
-		e.span(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
+		e.sched.recordSpan(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
 	}
 	j.mu.Lock()
 	e.sched.finish(j, res, jobErr)

@@ -180,10 +180,97 @@ func TestJobHistoryHeapSoak(t *testing.T) {
 	// Compaction keeps the FIFO's forgotten prefix no longer than the
 	// rest, and the rest is part of the history: the FIFO spans at most
 	// twice the history, give or take the releases still in flight.
+	// The creation order is compacted once its empty slots outnumber the
+	// retained jobs, so it too spans at most twice the history, and a
+	// forgotten job's slot lets go of the job.
 	e.sched.mu.Lock()
-	fifo := len(e.sched.settled)
+	fifo, order := len(e.sched.settled), len(e.sched.order)
+	held := 0
+	for _, o := range e.sched.order[:cap(e.sched.order)] {
+		if o.job != nil {
+			held++
+		}
+	}
 	e.sched.mu.Unlock()
+	if held != maxRetainedJobs {
+		t.Fatalf("creation order holds %d jobs for a history of %d", held, maxRetainedJobs)
+	}
 	if fifo > 2*maxRetainedJobs+8 {
 		t.Fatalf("settled FIFO spans %d slots for a history of %d", fifo, maxRetainedJobs)
+	}
+	if order > 2*maxRetainedJobs {
+		t.Fatalf("creation-ordered list spans %d slots for a history of %d", order, maxRetainedJobs)
+	}
+}
+
+// TestSweepHistoryEvictsOldestTerminal: once the engine holds
+// maxRetainedBatches sweeps, each new sweep forgets the oldest terminal
+// one. A sweep whose cell is still queued is not terminal, so however
+// old it is it stays retained; and the sweep listing pages over the
+// survivors newest first, its cursors stepping over the forgotten IDs.
+func TestSweepHistoryEvictsOldestTerminal(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: -1})
+	live, err := e.SubmitSweep(Sweep{Base: stubSpec("sweep-history-live")}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := Sweep{Base: cachedSpec(t, e, "sweep-history-hit")}
+	done := make([]*Batch, maxRetainedBatches+16)
+	for i := range done {
+		if done[i], err = e.SubmitSweep(hit, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !done[i].Counts().Terminal() {
+			t.Fatalf("cached sweep %d is not terminal: %+v", i, done[i].Counts())
+		}
+	}
+	// The live sweep holds one slot, so the oldest 17 cached sweeps are
+	// gone.
+	gone := len(done) - (maxRetainedBatches - 1)
+	for i, b := range done {
+		if _, ok := e.Batch(b.ID); ok != (i >= gone) {
+			t.Fatalf("sweep %d (%s): retained = %v, want %v", i, b.ID, ok, i >= gone)
+		}
+	}
+	if _, ok := e.Batch(live.ID); !ok || live.Counts().Terminal() {
+		t.Fatalf("live sweep %s: retained = %v, counts %+v", live.ID, ok, live.Counts())
+	}
+
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	client := srv.Client()
+	var listed []string
+	for after := ""; ; {
+		var page SweepList
+		url := srv.URL + "/v1/sweeps?limit=100"
+		if after != "" {
+			url += "&after=" + after
+		}
+		if code := getJSON(t, client, url, &page); code != http.StatusOK {
+			t.Fatalf("GET %s = %d", url, code)
+		}
+		for _, v := range page.Sweeps {
+			listed = append(listed, v.ID)
+		}
+		if after = page.Next; after == "" {
+			break
+		}
+	}
+	want := append([]*Batch{live}, done[gone:]...) // oldest first
+	if len(listed) != len(want) {
+		t.Fatalf("listing pages over %d sweeps, want %d", len(listed), len(want))
+	}
+	for i, id := range listed {
+		if w := want[len(want)-1-i].ID; id != w {
+			t.Fatalf("listing position %d is %s, want %s (newest first)", i, id, w)
+		}
+	}
+	// A cursor naming a forgotten sweep still resumes below it.
+	var tail SweepList
+	if code := getJSON(t, client, srv.URL+"/v1/sweeps?after="+done[gone/2].ID, &tail); code != http.StatusOK {
+		t.Fatalf("list after a forgotten ID = %d", code)
+	}
+	if len(tail.Sweeps) != 1 || tail.Sweeps[0].ID != live.ID || tail.Next != "" {
+		t.Fatalf("list after a forgotten ID = %+v, want only %s", tail, live.ID)
 	}
 }

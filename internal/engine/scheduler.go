@@ -82,7 +82,7 @@ type Job struct {
 	// before it was validated and hashed.
 	Created time.Time
 
-	seq     int64
+	seq     int64 // N of the "job-N" ID: creation order
 	heapIdx int
 	// scenario is the Spec's scenario key, computed under the
 	// scheduler's lock the first time a remote claim considers the job
@@ -366,11 +366,11 @@ type Scheduler struct {
 	rrNext   int                  // next ring slot to serve
 	queued   int                  // total queued entries across all tenants
 	jobs     map[string]*Job      // by ID
+	order    []orderEntry         // every job in creation order (ascending seq); see newJobLocked
 	settled  []*Job               // settled jobs in the order they settled, from forgot on; see newJobLocked
 	forgot   int                  // settled[:forgot] are forgotten and nil, until newJobLocked compacts them away
 	inflight map[string]*Job      // by content-address, queued or running
 	nextID   int64
-	nextSeq  int64
 	closed   bool
 	wg       sync.WaitGroup
 }
@@ -519,18 +519,33 @@ func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenan
 	return j
 }
 
+// orderEntry is a job's slot in the scheduler's creation order. A
+// forgotten job's slot keeps its seq, so the order stays searchable,
+// and drops the job, so the job is freed.
+type orderEntry struct {
+	seq int64
+	job *Job // nil once forgotten
+}
+
+// orderIndexLocked returns the index of the first slot of s.order whose
+// seq is at least seq; s.mu must be held.
+func (s *Scheduler) orderIndexLocked(seq int64) int {
+	return sort.Search(len(s.order), func(k int) bool { return s.order[k].seq >= seq })
+}
+
 // newJobLocked allocates and registers a job that arrived at the given
 // time; s.mu must be held. The job's root span starts at its arrival,
 // so it encloses the admission span, and its first queue span at its
 // registration here. When
 // the registry outgrows maxRetainedJobs, the jobs that settled longest
 // ago are forgotten so a long-running server's job history stays
-// bounded; the settled FIFO is compacted once its forgotten prefix
-// outgrows the rest, which keeps its backing array bounded at O(1)
-// amortized per job.
+// bounded. A forgotten job's slot in the creation order is found by
+// binary search and emptied. The settled FIFO is compacted once its
+// forgotten prefix outgrows the rest, and the creation order once its
+// empty slots outnumber the retained jobs, which keeps both backing
+// arrays bounded at O(1) amortized per job.
 func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string, arrived time.Time) *Job {
 	s.nextID++
-	s.nextSeq++
 	if tenant == "" {
 		tenant = AnonymousTenant
 	}
@@ -543,7 +558,7 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		Created:  arrived,
 		rootSpan: telemetry.NewSpanID(),
 		queued:   time.Now(),
-		seq:      s.nextSeq,
+		seq:      s.nextID,
 		priority: priority,
 		submits:  1,
 		state:    StateQueued,
@@ -551,8 +566,11 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		done:     make(chan struct{}),
 	}
 	s.jobs[j.ID] = j
+	s.order = append(s.order, orderEntry{seq: j.seq, job: j})
 	for len(s.jobs) > maxRetainedJobs && s.forgot < len(s.settled) {
-		delete(s.jobs, s.settled[s.forgot].ID)
+		old := s.settled[s.forgot]
+		delete(s.jobs, old.ID)
+		s.order[s.orderIndexLocked(old.seq)].job = nil
 		s.settled[s.forgot] = nil
 		s.forgot++
 	}
@@ -560,6 +578,16 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		n := copy(s.settled, s.settled[s.forgot:])
 		clear(s.settled[n:])
 		s.settled, s.forgot = s.settled[:n], 0
+	}
+	if len(s.order) > 2*len(s.jobs) {
+		kept := s.order[:0]
+		for _, o := range s.order {
+			if o.job != nil {
+				kept = append(kept, o)
+			}
+		}
+		clear(s.order[len(kept):])
+		s.order = kept
 	}
 	return j
 }
@@ -579,15 +607,27 @@ func (s *Scheduler) job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// all returns every retained job, newest first.
-func (s *Scheduler) all() []*Job {
+// page returns the retained jobs created before job-N for N = before
+// (all of them when before < 0), newest first, keeping only those in
+// the given state ("" keeps every state) and stopping after n of them
+// (n <= 0: no limit). It finds the cursor by binary search in the
+// creation order and walks down from it, so its cost follows the page,
+// not the history.
+func (s *Scheduler) page(before int64, state State, n int) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
+	i := len(s.order)
+	if before >= 0 {
+		i = s.orderIndexLocked(before)
+	}
+	var out []*Job
+	for i--; i >= 0 && (n <= 0 || len(out) < n); i-- {
+		j := s.order[i].job
+		if j == nil || (state != "" && j.State() != state) {
+			continue
+		}
 		out = append(out, j)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].seq > out[k].seq })
 	return out
 }
 

@@ -649,16 +649,6 @@ func parseListQuery(w http.ResponseWriter, r *http.Request, idPrefix string) (li
 	return lq, true
 }
 
-// beforeCursor reports whether an ordinal ID ("<prefix>N") is older
-// than the cursor (always true with no cursor set).
-func (lq listQuery) beforeCursor(id, idPrefix string) bool {
-	if lq.afterSeq < 0 {
-		return true
-	}
-	n, err := strconv.ParseInt(strings.TrimPrefix(id, idPrefix), 10, 64)
-	return err == nil && n < lq.afterSeq
-}
-
 // handleList pages through the job registry, newest first. ?state=
 // filters by lifecycle state, ?limit= caps the page size, and ?after=
 // resumes below a previous page's last job ID (the JobList.Next
@@ -668,20 +658,17 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	jobs := s.engine.Jobs() // newest first
-	list := JobList{Jobs: []JobView{}}
+	n := 0
+	if lq.limit > 0 {
+		n = lq.limit + 1 // one past the page tells whether there is more
+	}
+	jobs := s.engine.sched.page(lq.afterSeq, lq.state, n)
+	list := JobList{Jobs: make([]JobView, 0, len(jobs))}
+	if lq.limit > 0 && len(jobs) > lq.limit {
+		jobs = jobs[:lq.limit]
+		list.Next = jobs[lq.limit-1].ID
+	}
 	for _, j := range jobs {
-		if !lq.beforeCursor(j.ID, "job-") {
-			continue
-		}
-		if lq.state != "" && j.State() != lq.state {
-			continue
-		}
-		if lq.limit > 0 && len(list.Jobs) == lq.limit {
-			// One past the page: there is more, so hand out a cursor.
-			list.Next = list.Jobs[len(list.Jobs)-1].ID
-			break
-		}
 		list.Jobs = append(list.Jobs, s.view(j, false))
 	}
 	writeJSON(w, http.StatusOK, list)
@@ -699,7 +686,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	}
 	list := SweepList{Sweeps: []SweepView{}}
 	for _, b := range s.engine.Batches() { // newest first
-		if !lq.beforeCursor(b.ID, "sweep-") {
+		if lq.afterSeq >= 0 && b.seq >= lq.afterSeq {
 			continue
 		}
 		v := s.sweepView(b, false)

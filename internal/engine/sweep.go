@@ -197,6 +197,7 @@ type Batch struct {
 	// Created is the submission time.
 	Created time.Time
 
+	seq    int64 // N of the "sweep-N" ID
 	eng    *Engine
 	specs  []Spec // per cell, in grid order
 	jobs   []*Job // per cell; duplicate cells alias one *Job

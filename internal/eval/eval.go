@@ -32,7 +32,6 @@ import (
 
 	"github.com/pardon-feddg/pardon/internal/dataset"
 	"github.com/pardon-feddg/pardon/internal/engine"
-	"github.com/pardon-feddg/pardon/internal/fl"
 )
 
 // Scale selects experiment sizing.
@@ -129,10 +128,6 @@ func (c Config) engine() *engine.Engine {
 
 // MethodNames lists the six compared methods in the paper's table order.
 func MethodNames() []string { return engine.MethodNames() }
-
-// NewAlgorithm instantiates a method by table name. PARDON ablation
-// variants are addressed as "PARDON-v1" … "PARDON-v5".
-func NewAlgorithm(name string) (fl.Algorithm, error) { return engine.NewAlgorithm(name) }
 
 // flSizing bundles the FL-simulation knobs that vary with Scale.
 type flSizing struct {

@@ -3,6 +3,7 @@ package eval_test
 import (
 	"testing"
 
+	"github.com/pardon-feddg/pardon/internal/engine"
 	"github.com/pardon-feddg/pardon/internal/eval"
 )
 
@@ -25,7 +26,7 @@ func TestNewAlgorithmRegistry(t *testing.T) {
 	names := append(eval.MethodNames(), "FedAvg", "CCST-sample",
 		"PARDON-v1", "PARDON-v2", "PARDON-v3", "PARDON-v4", "PARDON-v5")
 	for _, n := range names {
-		alg, err := eval.NewAlgorithm(n)
+		alg, err := engine.NewAlgorithm(n)
 		if err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
@@ -33,10 +34,10 @@ func TestNewAlgorithmRegistry(t *testing.T) {
 			t.Fatalf("%s has empty name", n)
 		}
 	}
-	if _, err := eval.NewAlgorithm("Unknown"); err == nil {
+	if _, err := engine.NewAlgorithm("Unknown"); err == nil {
 		t.Fatal("unknown method should error")
 	}
-	if _, err := eval.NewAlgorithm("PARDON-v9"); err == nil {
+	if _, err := engine.NewAlgorithm("PARDON-v9"); err == nil {
 		t.Fatal("unknown variant should error")
 	}
 }

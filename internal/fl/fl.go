@@ -438,14 +438,6 @@ type Algorithm interface {
 	Aggregate(env *Env, global *nn.Model, parts []*Client, updates []*nn.Model, round int) (*nn.Model, error)
 }
 
-// FedAvg is the size-weighted parameter average (G = Σ n_i·G_i / Σ n_i)
-// that PARDON and most baselines aggregate with. It allocates a fresh
-// output model; round loops should hold an Averager instead.
-func FedAvg(parts []*Client, updates []*nn.Model) (*nn.Model, error) {
-	var a Averager
-	return a.FedAvg(parts, updates)
-}
-
 // CheckUpdates reports the error an Aggregate returns when parts and
 // updates do not pair up one to one.
 func CheckUpdates(parts []*Client, updates []*nn.Model) error {
@@ -465,8 +457,9 @@ type Averager struct {
 	out     *nn.Model
 }
 
-// FedAvg computes the size-weighted parameter average into the reused
-// output model. The accumulation is one fused arena axpy per client,
+// FedAvg computes the size-weighted parameter average
+// (G = Σ n_i·G_i / Σ n_i), the aggregation PARDON and most baselines
+// use, into the reused output model. The accumulation is one fused arena axpy per client,
 // bit-identical to the historical per-tensor path.
 func (a *Averager) FedAvg(parts []*Client, updates []*nn.Model) (*nn.Model, error) {
 	if err := CheckUpdates(parts, updates); err != nil {
@@ -674,13 +667,13 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		if last || (cfg.EvalEvery > 0 && (round+1)%cfg.EvalEvery == 0) {
 			rs := RoundStats{Round: round + 1}
 			if val != nil {
-				rs.ValAcc, err = accuracyOn(global, val)
+				rs.ValAcc, err = Accuracy(global, val)
 				if err != nil {
 					return nil, nil, err
 				}
 			}
 			if test != nil {
-				rs.TestAcc, err = accuracyOn(global, test)
+				rs.TestAcc, err = Accuracy(global, test)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -699,7 +692,10 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 
-func accuracyOn(m *nn.Model, es *EvalSet) (float64, error) {
+// Accuracy is the fraction of es's rows whose argmax logit (first
+// maximum on ties) equals the label, forwarding in batches of 128. Run
+// reports every RoundStats accuracy through it.
+func Accuracy(m *nn.Model, es *EvalSet) (float64, error) {
 	n := es.X.Dim(0)
 	d := es.X.Dim(1)
 	data := es.X.Data()

@@ -217,7 +217,7 @@ func TestFedAvgWeighting(t *testing.T) {
 	cb, _ := fl.NewClient(env, 1, dsB)
 	ma, _ := nn.New(env.ModelCfg, rand.New(rand.NewSource(1)))
 	mb, _ := nn.New(env.ModelCfg, rand.New(rand.NewSource(2)))
-	avg, err := fl.FedAvg([]*fl.Client{ca, cb}, []*nn.Model{ma, mb})
+	avg, err := new(fl.Averager).FedAvg([]*fl.Client{ca, cb}, []*nn.Model{ma, mb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestFedAvgWeighting(t *testing.T) {
 	if diff := avg.Vector()[0] - want; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("fedavg = %g, want %g", avg.Vector()[0], want)
 	}
-	if _, err := fl.FedAvg([]*fl.Client{ca}, nil); err == nil {
+	if _, err := new(fl.Averager).FedAvg([]*fl.Client{ca}, nil); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
@@ -249,7 +249,7 @@ func (a *countingAlg) LocalTrain(env *fl.Env, c *fl.Client, g *nn.Model, round i
 	return g.Clone(), nil
 }
 func (a *countingAlg) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
-	return fl.FedAvg(parts, updates)
+	return new(fl.Averager).FedAvg(parts, updates)
 }
 
 func TestRunSamplesKClientsPerRound(t *testing.T) {
@@ -479,6 +479,47 @@ func TestEvalSet(t *testing.T) {
 	}
 	if _, err := fl.NewEvalSet(env, &dataset.Dataset{NumClasses: 7}); err == nil {
 		t.Fatal("empty eval set should error")
+	}
+}
+
+// TestAccuracyArgmaxAcrossBatches rigs a 2-class model whose logits are
+// its inputs and scores 130 rows, so the last batch is ragged (128 + 2).
+// Ties resolve to the first maximum.
+func TestAccuracyArgmaxAcrossBatches(t *testing.T) {
+	m, err := nn.New(nn.Config{In: 2, Hidden: 2, ZDim: 2, Classes: 2}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Params is canonical W,B per layer: W1,B1,W2,B2,WC,BC.
+	for i, p := range m.Params() {
+		if i%2 == 0 {
+			copy(p.Data(), []float64{1, 0, 0, 1})
+		} else {
+			p.Zero()
+		}
+	}
+	// Row pattern (input, label): right, right, wrong, tie read as class 0.
+	pattern := []struct {
+		x     [2]float64
+		label int
+	}{{[2]float64{2, 1}, 0}, {[2]float64{1, 3}, 1}, {[2]float64{5, 0}, 1}, {[2]float64{4, 4}, 0}}
+	const n = 130
+	es := &fl.EvalSet{X: tensor.New(n, 2), Labels: make([]int, n)}
+	wrong := 0
+	for i := 0; i < n; i++ {
+		p := pattern[i%len(pattern)]
+		copy(es.X.Data()[2*i:], p.x[:])
+		es.Labels[i] = p.label
+		if i%len(pattern) == 2 {
+			wrong++
+		}
+	}
+	acc, err := fl.Accuracy(m, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float64(n-wrong) / n; acc != want {
+		t.Fatalf("accuracy = %g, want %g", acc, want)
 	}
 }
 

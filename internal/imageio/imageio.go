@@ -1,5 +1,5 @@
-// Package imageio writes the reproduction's tensors as portable anymap
-// images (PGM/PPM), used to dump the qualitative reconstruction and
+// Package imageio writes the reproduction's tensors as portable pixmap
+// images (PPM), used to dump the qualitative reconstruction and
 // style-transfer figures (Figs. 6–8) for visual inspection.
 package imageio
 
@@ -33,30 +33,6 @@ func WritePPM(path string, img *tensor.Tensor) error {
 		for c := 0; c < 3; c++ {
 			b.WriteByte(quantize(data[c*hw+i], lo, scale))
 		}
-	}
-	return writeFile(path, []byte(b.String()))
-}
-
-// WritePGM writes a single-channel (1,H,W) or (H,W) tensor as binary PGM.
-func WritePGM(path string, img *tensor.Tensor) error {
-	var h, w int
-	switch {
-	case img.Dims() == 2:
-		h, w = img.Dim(0), img.Dim(1)
-	case img.Dims() == 3 && img.Dim(0) == 1:
-		h, w = img.Dim(1), img.Dim(2)
-	default:
-		return fmt.Errorf("imageio: PGM needs (H,W) or (1,H,W), got %v", img.Shape())
-	}
-	lo, hi := minMax(img.Data())
-	scale := 0.0
-	if hi > lo {
-		scale = 255.0 / (hi - lo)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "P5\n%d %d\n255\n", w, h)
-	for _, v := range img.Data() {
-		b.WriteByte(quantize(v, lo, scale))
 	}
 	return writeFile(path, []byte(b.String()))
 }

@@ -35,23 +35,6 @@ func TestWritePPM(t *testing.T) {
 	}
 }
 
-func TestWritePGM(t *testing.T) {
-	dir := t.TempDir()
-	for _, img := range []*tensor.Tensor{tensor.New(4, 6), tensor.New(1, 4, 6)} {
-		path := filepath.Join(dir, "g.pgm")
-		if err := imageio.WritePGM(path, img); err != nil {
-			t.Fatal(err)
-		}
-		data, _ := os.ReadFile(path)
-		if !strings.HasPrefix(string(data), "P5\n6 4\n255\n") {
-			t.Fatalf("bad header: %q", data[:10])
-		}
-	}
-	if err := imageio.WritePGM(filepath.Join(dir, "bad.pgm"), tensor.New(2, 4, 6)); err == nil {
-		t.Fatal("2-channel PGM should error")
-	}
-}
-
 func TestWriteGrid(t *testing.T) {
 	dir := t.TempDir()
 	imgs := []*tensor.Tensor{

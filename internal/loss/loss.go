@@ -52,36 +52,35 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor,
 	return total * invB, grad, nil
 }
 
-// Triplet computes the paper's multi-domain triplet loss (Eq. 7) over a
-// batch. z holds anchor embeddings of the original samples; zp holds the
-// style-transferred embeddings of the same samples in the same order (so
-// zp[i] is the positive for anchor z[i]); the negatives of anchor i are
-// all zp[j] with labels[j] ≠ labels[i]:
+// NormalizedTriplet computes the paper's multi-domain triplet loss
+// (Eq. 7) over a batch of L2-normalized embeddings. z holds anchor
+// embeddings of the original samples; zp holds the style-transferred
+// embeddings of the same samples in the same order (so zp[i] is the
+// positive for anchor z[i]); the negatives of anchor i are all zp[j] with
+// labels[j] ≠ labels[i]. With u = z/‖z‖ and up = zp/‖zp‖:
 //
-//	L_T = (1/B) Σ_i max(0, ‖z_i − zp_i‖² − (1/|N_i|) Σ_{n∈N_i} ‖z_i − zp_n‖² + α)
+//	L_T = (1/B) Σ_i (‖u_i − up_i‖² − (1/|N_i|) Σ_{n∈N_i} ‖u_i − up_n‖² + α)
 //
-// It returns the mean loss and gradients with respect to z and zp.
-// Anchors with no negatives in the batch contribute nothing.
-//
-// This variant applies the conventional hinge max(0, ·) (FaceNet's form).
-// Note Eq. 7 as printed in the paper has no hinge; NormalizedTriplet
-// implements that literal unhinged form.
-func Triplet(z, zp *tensor.Tensor, labels []int, margin float64) (float64, *tensor.Tensor, *tensor.Tensor, error) {
-	return tripletImpl(z, zp, labels, margin, true)
-}
-
-func tripletImpl(z, zp *tensor.Tensor, labels []int, margin float64, hinged bool) (float64, *tensor.Tensor, *tensor.Tensor, error) {
+// This is Eq. 7 exactly as the paper prints it — no hinge: the positive
+// distance is always pulled down and the mean negative distance always
+// pushed up — and the normalization keeps distances in [0,4] so the
+// objective is bounded. Anchors with no negatives in the batch contribute
+// nothing. Gradients are propagated through the row normalization via
+// du/dz = (I − uuᵀ)/‖z‖ and returned with respect to the raw z and zp.
+func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (float64, *tensor.Tensor, *tensor.Tensor, error) {
 	if z.Dims() != 2 || zp.Dims() != 2 || !tensor.SameShape(z, zp) {
-		return 0, nil, nil, fmt.Errorf("loss: triplet shapes %v vs %v", z.Shape(), zp.Shape())
+		return 0, nil, nil, fmt.Errorf("loss: normalized triplet shapes %v vs %v", z.Shape(), zp.Shape())
 	}
 	b, d := z.Dim(0), z.Dim(1)
 	if len(labels) != b {
 		return 0, nil, nil, fmt.Errorf("loss: triplet %d labels for batch %d", len(labels), b)
 	}
-	dz := tensor.New(b, d)
-	dzp := tensor.New(b, d)
-	zd, zpd := z.Data(), zp.Data()
-	dzd, dzpd := dz.Data(), dzp.Data()
+	zn, zNorms := normalizeRows(z)
+	zpn, zpNorms := normalizeRows(zp)
+	dzn := tensor.New(b, d)
+	dzpn := tensor.New(b, d)
+	zd, zpd := zn.Data(), zpn.Data()
+	dzd, dzpd := dzn.Data(), dzpn.Data()
 	invB := 1.0 / float64(b)
 	total := 0.0
 	for i := 0; i < b; i++ {
@@ -112,11 +111,7 @@ func tripletImpl(z, zp *tensor.Tensor, labels []int, margin float64, hinged bool
 				neg += diff * diff * invN
 			}
 		}
-		val := pos - neg + margin
-		if hinged && val <= 0 {
-			continue // hinge inactive
-		}
-		total += val
+		total += pos - neg + margin
 		// Gradients (scaled by 1/B at the end):
 		//   d/dz_i   =  2(z_i − zp_i) − (2/|N|) Σ (z_i − zp_n)
 		//   d/dzp_i  = −2(z_i − zp_i)
@@ -138,30 +133,11 @@ func tripletImpl(z, zp *tensor.Tensor, labels []int, margin float64, hinged bool
 			}
 		}
 	}
-	dz.Scale(invB)
-	dzp.Scale(invB)
-	return total * invB, dz, dzp, nil
-}
-
-// NormalizedTriplet computes Eq. 7 exactly as the paper prints it — no
-// hinge: the positive distance is always pulled down and the mean negative
-// distance always pushed up — over L2-normalized embeddings so distances
-// live in [0,4] and the objective is bounded. Gradients are propagated
-// through the row normalization u = z/‖z‖ via du/dz = (I − uuᵀ)/‖z‖ and
-// returned with respect to the raw z and zp.
-func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (float64, *tensor.Tensor, *tensor.Tensor, error) {
-	if z.Dims() != 2 || zp.Dims() != 2 || !tensor.SameShape(z, zp) {
-		return 0, nil, nil, fmt.Errorf("loss: normalized triplet shapes %v vs %v", z.Shape(), zp.Shape())
-	}
-	zn, zNorms := normalizeRows(z)
-	zpn, zpNorms := normalizeRows(zp)
-	l, dzn, dzpn, err := tripletImpl(zn, zpn, labels, margin, false)
-	if err != nil {
-		return 0, nil, nil, err
-	}
+	dzn.Scale(invB)
+	dzpn.Scale(invB)
 	dz := backpropRowNorm(zn, dzn, zNorms)
 	dzp := backpropRowNorm(zpn, dzpn, zpNorms)
-	return l, dz, dzp, nil
+	return total * invB, dz, dzp, nil
 }
 
 // normalizeRows returns row-normalized u = z/max(‖z‖, ε) and the norms.

@@ -81,48 +81,6 @@ func TestCrossEntropyErrors(t *testing.T) {
 	}
 }
 
-func TestTripletHingeInactive(t *testing.T) {
-	// Anchors sit on their positives, far from negatives: hinge inactive.
-	z := tensor.MustFromSlice([]float64{0, 0, 10, 10}, 2, 2)
-	zp := z.Clone()
-	l, dz, dzp, err := loss.Triplet(z, zp, []int{0, 1}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l != 0 || dz.Norm() != 0 || dzp.Norm() != 0 {
-		t.Fatalf("inactive hinge gave l=%g |dz|=%g", l, dz.Norm())
-	}
-}
-
-func TestTripletGradientCheck(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	z := tensor.Randn(r, 1, 5, 3)
-	zp := tensor.Randn(r, 1, 5, 3)
-	labels := []int{0, 1, 0, 2, 1}
-	// Large margin keeps every hinge active so the gradient is smooth at
-	// the probe points.
-	_, dz, dzp, err := loss.Triplet(z, zp, labels, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	numZ := numGrad(z, func() float64 {
-		l, _, _, err := loss.Triplet(z, zp, labels, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	})
-	gradsClose(t, "triplet dz", dz, numZ)
-	numZp := numGrad(zp, func() float64 {
-		l, _, _, err := loss.Triplet(z, zp, labels, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	})
-	gradsClose(t, "triplet dzp", dzp, numZp)
-}
-
 func TestNormalizedTripletGradientCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	z := tensor.Randn(r, 2, 4, 3)
@@ -153,7 +111,7 @@ func TestNormalizedTripletGradientCheck(t *testing.T) {
 func TestTripletNoNegatives(t *testing.T) {
 	z := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	zp := z.Clone()
-	l, dz, _, err := loss.Triplet(z, zp, []int{1, 1}, 0.5)
+	l, dz, _, err := loss.NormalizedTriplet(z, zp, []int{1, 1}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,97 +1,12 @@
-// Package metrics provides evaluation utilities: classification accuracy,
-// per-domain accuracy, and confusion counts over trained models.
+// Package metrics provides the softmax posteriors that the privacy
+// evaluation scores. Classification accuracy is fl.Accuracy, the same
+// code that reports every round's accuracy.
 package metrics
 
 import (
-	"fmt"
-
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
-
-// Accuracy evaluates a model on inputs x (N, In) with the given labels,
-// forwarding in batches of batchSize to bound memory. Returns the fraction
-// of correct argmax predictions.
-func Accuracy(m *nn.Model, x *tensor.Tensor, labels []int, batchSize int) (float64, error) {
-	preds, err := Predict(m, x, batchSize)
-	if err != nil {
-		return 0, err
-	}
-	if len(preds) != len(labels) {
-		return 0, fmt.Errorf("metrics: %d predictions for %d labels", len(preds), len(labels))
-	}
-	if len(labels) == 0 {
-		return 0, fmt.Errorf("metrics: empty evaluation set")
-	}
-	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels)), nil
-}
-
-// Predict returns argmax class predictions for inputs x (N, In).
-func Predict(m *nn.Model, x *tensor.Tensor, batchSize int) ([]int, error) {
-	if x.Dims() != 2 {
-		return nil, fmt.Errorf("metrics: inputs must be 2-D, got %v", x.Shape())
-	}
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	n, d := x.Dim(0), x.Dim(1)
-	preds := make([]int, 0, n)
-	data := x.Data()
-	for start := 0; start < n; start += batchSize {
-		end := start + batchSize
-		if end > n {
-			end = n
-		}
-		batch := tensor.MustFromSlice(data[start*d:end*d], end-start, d)
-		acts, err := m.Forward(batch)
-		if err != nil {
-			return nil, err
-		}
-		c := acts.Logits.Dim(1)
-		ld := acts.Logits.Data()
-		for i := 0; i < end-start; i++ {
-			row := ld[i*c : (i+1)*c]
-			best, bi := row[0], 0
-			for j, v := range row {
-				if v > best {
-					best, bi = v, j
-				}
-			}
-			preds = append(preds, bi)
-		}
-	}
-	return preds, nil
-}
-
-// PerDomainAccuracy evaluates accuracy separately per domain tag.
-func PerDomainAccuracy(m *nn.Model, x *tensor.Tensor, labels, domains []int, batchSize int) (map[int]float64, error) {
-	preds, err := Predict(m, x, batchSize)
-	if err != nil {
-		return nil, err
-	}
-	if len(preds) != len(labels) || len(preds) != len(domains) {
-		return nil, fmt.Errorf("metrics: length mismatch preds=%d labels=%d domains=%d", len(preds), len(labels), len(domains))
-	}
-	correct := map[int]int{}
-	total := map[int]int{}
-	for i, p := range preds {
-		total[domains[i]]++
-		if p == labels[i] {
-			correct[domains[i]]++
-		}
-	}
-	out := make(map[int]float64, len(total))
-	for d, t := range total {
-		out[d] = float64(correct[d]) / float64(t)
-	}
-	return out, nil
-}
 
 // Posteriors returns softmax class posteriors for inputs x, used by the
 // Inception-Score analogue in the privacy evaluation.

@@ -29,71 +29,6 @@ func identModel(t *testing.T) *nn.Model {
 	return m
 }
 
-func TestPredictAndAccuracy(t *testing.T) {
-	m := identModel(t)
-	x := tensor.MustFromSlice([]float64{
-		2, 1, // class 0
-		1, 3, // class 1
-		5, 0, // class 0
-	}, 3, 2)
-	preds, err := metrics.Predict(m, x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 0}
-	for i := range want {
-		if preds[i] != want[i] {
-			t.Fatalf("pred[%d] = %d, want %d", i, preds[i], want[i])
-		}
-	}
-	acc, err := metrics.Accuracy(m, x, []int{0, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(acc-2.0/3) > 1e-12 {
-		t.Fatalf("accuracy = %g", acc)
-	}
-	if _, err := metrics.Accuracy(m, x, []int{0}, 2); err == nil {
-		t.Fatal("label count mismatch should error")
-	}
-}
-
-func TestPredictBatchingConsistent(t *testing.T) {
-	m := identModel(t)
-	r := rand.New(rand.NewSource(2))
-	x := tensor.Randn(r, 1, 17, 2)
-	p1, err := metrics.Predict(m, x, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := metrics.Predict(m, x, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatal("batch size changed predictions")
-		}
-	}
-}
-
-func TestPerDomainAccuracy(t *testing.T) {
-	m := identModel(t)
-	x := tensor.MustFromSlice([]float64{2, 1, 1, 3, 5, 0, 0, 5}, 4, 2)
-	labels := []int{0, 1, 1, 1}
-	domains := []int{7, 7, 9, 9}
-	per, err := metrics.PerDomainAccuracy(m, x, labels, domains, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if per[7] != 1.0 {
-		t.Fatalf("domain 7 acc = %g", per[7])
-	}
-	if per[9] != 0.5 {
-		t.Fatalf("domain 9 acc = %g", per[9])
-	}
-}
-
 func TestPosteriorsRowsSumToOne(t *testing.T) {
 	m := identModel(t)
 	x := tensor.Randn(rand.New(rand.NewSource(3)), 2, 9, 2)

@@ -208,7 +208,7 @@ func New(cfg Config, r *rand.Rand) (*Model, error) {
 }
 
 // NewLike returns a zero-parameter model with m's configuration — the
-// reusable destination for WeightedAverageInto and CopyFrom.
+// reusable destination for WeightedAverageInto.
 func NewLike(m *Model) *Model {
 	return newEmpty(m.Cfg)
 }
@@ -242,16 +242,6 @@ func (m *Model) Clone() *Model {
 	}
 	copy(cp.arena, m.arena)
 	return cp
-}
-
-// CopyFrom overwrites m's parameters with o's (same architecture
-// required) without allocating.
-func (m *Model) CopyFrom(o *Model) error {
-	if !m.Cfg.Equal(o.Cfg) {
-		return fmt.Errorf("nn: copy between configs %+v and %+v", o.Cfg, m.Cfg)
-	}
-	copy(m.arena, o.arena)
-	return nil
 }
 
 // NumParams returns the total scalar parameter count.
@@ -545,21 +535,6 @@ func (s *SGD) Step(m *Model, g *Grads) error {
 	}
 	tensor.MomentumStep(pd, s.vel, gd, s.Momentum, s.LR, s.WeightDecay)
 	return nil
-}
-
-// WeightedAverage returns the FedAvg combination Σ w_i·model_i of models
-// with the same configuration. Weights are normalized internally. The
-// accumulation is one fused axpy over each model's arena, bit-identical
-// to the historical per-tensor path.
-func WeightedAverage(models []*Model, weights []float64) (*Model, error) {
-	if len(models) == 0 {
-		return nil, fmt.Errorf("nn: average of zero models")
-	}
-	out := newEmpty(models[0].Cfg)
-	if err := WeightedAverageInto(out, models, weights); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WeightedAverageInto computes the normalized weighted average of the

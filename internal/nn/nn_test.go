@@ -306,8 +306,8 @@ func TestCloneIndependence(t *testing.T) {
 func TestWeightedAverage(t *testing.T) {
 	a := smallModel(t, 10)
 	b := smallModel(t, 11)
-	avg, err := nn.WeightedAverage([]*nn.Model{a, b}, []float64{3, 1})
-	if err != nil {
+	avg := nn.NewLike(a)
+	if err := nn.WeightedAverageInto(avg, []*nn.Model{a, b}, []float64{3, 1}); err != nil {
 		t.Fatal(err)
 	}
 	for pi := range avg.Params() {
@@ -319,13 +319,13 @@ func TestWeightedAverage(t *testing.T) {
 			}
 		}
 	}
-	if _, err := nn.WeightedAverage(nil, nil); err == nil {
+	if err := nn.WeightedAverageInto(avg, nil, nil); err == nil {
 		t.Fatal("empty average should error")
 	}
-	if _, err := nn.WeightedAverage([]*nn.Model{a}, []float64{0}); err == nil {
+	if err := nn.WeightedAverageInto(avg, []*nn.Model{a}, []float64{0}); err == nil {
 		t.Fatal("zero total weight should error")
 	}
-	if _, err := nn.WeightedAverage([]*nn.Model{a}, []float64{-1}); err == nil {
+	if err := nn.WeightedAverageInto(avg, []*nn.Model{a}, []float64{-1}); err == nil {
 		t.Fatal("negative weight should error")
 	}
 }
@@ -341,8 +341,8 @@ func TestWeightedAverageMatchesLegacyBitwise(t *testing.T) {
 		models = append(models, smallModel(t, int64(20+i)))
 		weights = append(weights, float64(1+i*3))
 	}
-	got, err := nn.WeightedAverage(models, weights)
-	if err != nil {
+	got := nn.NewLike(models[0])
+	if err := nn.WeightedAverageInto(got, models, weights); err != nil {
 		t.Fatal(err)
 	}
 	want, err := testref.LegacyWeightedAverage(models, weights)
@@ -384,23 +384,6 @@ func TestWeightedAverageIntoRejectsAliasedDst(t *testing.T) {
 	a, b := smallModel(t, 50), smallModel(t, 51)
 	if err := nn.WeightedAverageInto(a, []*nn.Model{a, b}, []float64{1, 1}); err == nil {
 		t.Fatal("aliased destination should error")
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a, b := smallModel(t, 60), smallModel(t, 61)
-	if err := a.CopyFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	av, bv := a.Vector(), b.Vector()
-	for i := range av {
-		if av[i] != bv[i] {
-			t.Fatal("CopyFrom mismatch")
-		}
-	}
-	deep, _ := nn.New(nn.Config{In: 6, ZDim: 4, Classes: 3, HiddenDims: []int{5, 5}}, rand.New(rand.NewSource(1)))
-	if err := a.CopyFrom(deep); err == nil {
-		t.Fatal("architecture mismatch should error")
 	}
 }
 

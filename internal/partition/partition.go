@@ -180,22 +180,3 @@ func SampleClients(n, k int, r *rand.Rand) []int {
 	sort.Ints(out)
 	return out
 }
-
-// MixtureWeights reports, for diagnostics and tests, the realized domain
-// mixture of a client dataset given the training-domain universe size m.
-func MixtureWeights(cd *dataset.Dataset, domainIndex map[int]int, m int) []float64 {
-	w := make([]float64, m)
-	if cd.Len() == 0 {
-		return w
-	}
-	for _, s := range cd.Samples {
-		if pos, ok := domainIndex[s.Domain]; ok {
-			w[pos]++
-		}
-	}
-	inv := 1.0 / float64(cd.Len())
-	for i := range w {
-		w[i] *= inv
-	}
-	return w
-}

@@ -149,21 +149,6 @@ func TestSampleClients(t *testing.T) {
 	}
 }
 
-func TestMixtureWeights(t *testing.T) {
-	ds := &dataset.Dataset{NumClasses: 2}
-	for i := 0; i < 8; i++ {
-		d := 0
-		if i < 2 {
-			d = 1
-		}
-		ds.Samples = append(ds.Samples, dataset.Sample{X: tensor.New(1), Y: 0, Domain: d})
-	}
-	w := partition.MixtureWeights(ds, map[int]int{0: 0, 1: 1}, 2)
-	if w[0] != 0.75 || w[1] != 0.25 {
-		t.Fatalf("weights = %v", w)
-	}
-}
-
 // Property: for any λ and client count that fits, partitioning assigns
 // every sample exactly once and every client meets the minimum.
 func TestPartitionProperty(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned ASCII tables and
-// CSV, the output format of every table/figure regenerator.
+// Package report renders experiment results as aligned ASCII tables, the
+// output format of every table/figure regenerator.
 package report
 
 import (
@@ -70,32 +70,6 @@ func (t *Table) Render() string {
 		b.WriteString("note: ")
 		b.WriteString(n)
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (quotes around cells
-// containing commas).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
 	}
 	return b.String()
 }

@@ -45,21 +45,6 @@ func TestAddRowPadsShortRows(t *testing.T) {
 	}
 }
 
-func TestCSVQuoting(t *testing.T) {
-	tb := &report.Table{Header: []string{"A", "B"}}
-	tb.AddRow(`with,comma`, `with"quote`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"with,comma"`) {
-		t.Fatalf("comma not quoted: %s", csv)
-	}
-	if !strings.Contains(csv, `"with""quote"`) {
-		t.Fatalf("quote not escaped: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "A,B\n") {
-		t.Fatalf("header missing: %s", csv)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if got := report.Pct(0.7102); got != "71.02%" {
 		t.Fatalf("Pct = %q", got)

@@ -45,11 +45,6 @@ func (s *Source) StreamI(name string, i int) *rand.Rand {
 	return s.Stream(name, strconv.Itoa(i))
 }
 
-// StreamII is Stream with two trailing integer keys, e.g. (client, round).
-func (s *Source) StreamII(name string, i, j int) *rand.Rand {
-	return s.Stream(name, strconv.Itoa(i), strconv.Itoa(j))
-}
-
 // Child derives a new Source whose streams are independent of the parent's.
 func (s *Source) Child(parts ...string) *Source {
 	h := fnv.New64a()

@@ -1,5 +1,5 @@
 // Package stats provides the statistical machinery the reproduction needs:
-// scalar summaries (mean, std, median, quantiles), multivariate Gaussian
+// the median and coordinate-wise median/mean vectors, multivariate Gaussian
 // fitting, a symmetric eigendecomposition (cyclic Jacobi), principal matrix
 // square roots, and the Fréchet distance between Gaussians — the core of
 // the FID metric used by the paper's privacy evaluation (Table IV).
@@ -15,41 +15,6 @@ import (
 // ErrEmpty is returned by summaries of empty samples.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)), nil
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // Median returns the sample median of xs. For even-length samples it is the
 // midpoint of the two central order statistics. xs is not modified.
 func Median(xs []float64) (float64, error) {
@@ -64,31 +29,6 @@ func Median(xs []float64) (float64, error) {
 		return cp[n/2], nil
 	}
 	return 0.5 * (cp[n/2-1] + cp[n/2]), nil
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g outside [0,1]", q)
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	if len(cp) == 1 {
-		return cp[0], nil
-	}
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac, nil
 }
 
 // MedianVector returns the coordinate-wise median of a set of equal-length

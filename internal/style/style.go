@@ -123,24 +123,6 @@ func Mean(styles []*Style) (*Style, error) {
 	return FromVec(m)
 }
 
-// Median returns the coordinate-wise median of a set of styles — the
-// robust aggregation PARDON uses for the global interpolation style
-// (Eq. 5).
-func Median(styles []*Style) (*Style, error) {
-	if len(styles) == 0 {
-		return nil, ErrNoStyles
-	}
-	vecs := make([][]float64, len(styles))
-	for i, s := range styles {
-		vecs[i] = s.Vec()
-	}
-	m, err := stats.MedianVector(vecs)
-	if err != nil {
-		return nil, fmt.Errorf("style: %w", err)
-	}
-	return FromVec(m)
-}
-
 // OfConcat computes the channel-wise (μ, σ) of the concatenation of the
 // selected feature maps (the paper's Eq. 2): statistics pool over all
 // pixels of all member samples, so between-sample variation contributes

@@ -119,12 +119,6 @@ func IWildCamConfig(seed uint64, numDomains, numClasses, classesPerDomain int) C
 	}
 }
 
-// IWildCamPaperScale returns the paper-scale IWildCam shape:
-// 323 domains, 182 classes.
-func IWildCamPaperScale(seed uint64) Config {
-	return IWildCamConfig(seed, 323, 182, 12)
-}
-
 // IWildCamSplit partitions domain ids into train/val/test blocks with the
 // same proportions as the paper (243/32/48 at paper scale).
 func IWildCamSplit(numDomains int) (train, val, test []int) {

@@ -272,20 +272,6 @@ func (g *Generator) GenerateDomain(d, n int, seedTag string) (*dataset.Dataset, 
 	return out, nil
 }
 
-// Corpus generates samplesPerDomain samples for every domain, keyed by
-// domain id.
-func (g *Generator) Corpus(samplesPerDomain int, seedTag string) (map[int]*dataset.Dataset, error) {
-	out := make(map[int]*dataset.Dataset, len(g.specs))
-	for d := range g.specs {
-		ds, err := g.GenerateDomain(d, samplesPerDomain, seedTag)
-		if err != nil {
-			return nil, err
-		}
-		out[d] = ds
-	}
-	return out, nil
-}
-
 // smoothPattern draws a per-pixel Gaussian field and box-blurs it `passes`
 // times, then normalizes each channel to zero mean / unit std — a cheap
 // low-frequency pattern generator.

@@ -152,13 +152,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	return out
 }
 
-// Bounds returns the histogram's upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 {
-	out := make([]float64, len(h.bounds))
-	copy(out, h.bounds)
-	return out
-}
-
 // series is one labeled instrument within a family.
 type series struct {
 	labels string // rendered `{k="v",…}` or ""

@@ -48,14 +48,6 @@ func MatMulABTF32(out, a, b []float32, m, k, n int) {
 	runMatMulABT(a, b, out, m, k, n)
 }
 
-// AddScaledF32 computes dst[i] = a[i] + s·b[i]; dst may alias a and/or
-// b. The float32 analog of AddScaledInto.
-func AddScaledF32(dst, a []float32, s float32, b []float32) {
-	checkLen("addscaledF32 a", len(a), len(dst))
-	checkLen("addscaledF32 b", len(b), len(dst))
-	addScaled(dst, a, s, b)
-}
-
 // WidenInto converts src to float64 element-wise. Exact: every float32
 // is representable as a float64.
 func WidenInto(dst []float64, src []float32) {

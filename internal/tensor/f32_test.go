@@ -203,25 +203,6 @@ func TestF32MatchesF64WithinTolerance(t *testing.T) {
 	}
 }
 
-func TestAddScaledF32(t *testing.T) {
-	a := []float32{1, 2, 3, 4, 5}
-	b := []float32{10, 20, 30, 40, 50}
-	dst := make([]float32, 5)
-	tensor.AddScaledF32(dst, a, 0.5, b)
-	want := []float32{6, 12, 18, 24, 30}
-	for i, v := range dst {
-		if v != want[i] {
-			t.Fatalf("dst[%d] = %g, want %g", i, v, want[i])
-		}
-	}
-	// Aliasing dst==a is the in-place axpy, like AddScaledInto.
-	tensor.AddScaledF32(a, a, 1, b)
-	if a[4] != 55 {
-		t.Fatalf("aliased axpy = %v", a)
-	}
-	assertPanics(t, "short b", func() { tensor.AddScaledF32(dst, a, 1, b[:3]) })
-}
-
 func TestWidenNarrow(t *testing.T) {
 	src := []float32{1.5, -2.25, float32(math.Inf(1)), float32(math.NaN()), float32(math.Copysign(0, -1))}
 	dst := make([]float64, len(src))
@@ -304,7 +285,6 @@ func testKernelSteadyStateAllocs(t *testing.T) {
 		tensor.MatMulF32(out32, a32, b32, m, k, n)
 		tensor.MatMulATBF32(out32, a32, b32, k, m, n)
 		tensor.MatMulABTF32(out32, a32, b32, m, k, n)
-		tensor.AddScaledF32(out32, out32, 0.5, b32)
 	}); allocs != 0 {
 		t.Fatalf("serial f32 kernels allocated %.1f objects/op, want 0", allocs)
 	}

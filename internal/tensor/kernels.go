@@ -534,8 +534,8 @@ func AddScaledInto(dst, a *Tensor, s float64, b *Tensor) error {
 }
 
 // ApplyInto computes dst[i] = f(src[i]) in one pass. dst may alias src;
-// with a preallocated dst it fuses Clone+Apply into a single sweep with
-// no allocation.
+// with a preallocated dst it fuses a Clone and an element-wise map into
+// a single sweep with no allocation.
 func ApplyInto(dst, src *Tensor, f func(float64) float64) error {
 	if !SameShape(dst, src) {
 		return fmt.Errorf("tensor: applyinto shape mismatch %v vs %v", dst.shape, src.shape)

@@ -80,15 +80,6 @@ func Randn(r *rand.Rand, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform fills a new tensor with Uniform(lo, hi) samples drawn from r.
-func RandUniform(r *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = lo + r.Float64()*(hi-lo)
-	}
-	return t
-}
-
 // Fit returns s[:n] when s has capacity for n elements, else a new
 // zeroed slice of length n. Reused storage keeps its stale contents, so
 // callers overwrite every element. Scratch buffers that alternate
@@ -153,15 +144,6 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	return &Tensor{shape: cp, data: t.data}, nil
 }
 
-// MustReshape is Reshape that panics on element-count mismatch.
-func (t *Tensor) MustReshape(shape ...int) *Tensor {
-	r, err := t.Reshape(shape...)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 {
 	return t.data[t.offset(idx)]
@@ -223,17 +205,6 @@ func (t *Tensor) SubInPlace(o *Tensor) error {
 	return nil
 }
 
-// MulInPlace computes the Hadamard product t *= o.
-func (t *Tensor) MulInPlace(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("tensor: mul shape mismatch %v vs %v", t.shape, o.shape)
-	}
-	for i := range t.data {
-		t.data[i] *= o.data[i]
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place, and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.data {
@@ -251,34 +222,6 @@ func (t *Tensor) AddScaled(s float64, o *Tensor) error {
 		t.data[i] += s * o.data[i]
 	}
 	return nil
-}
-
-// Add returns a+b as a new tensor.
-func Add(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("tensor: add shape mismatch %v vs %v", a.shape, b.shape)
-	}
-	out := a.Clone()
-	_ = out.AddInPlace(b)
-	return out, nil
-}
-
-// Sub returns a-b as a new tensor.
-func Sub(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("tensor: sub shape mismatch %v vs %v", a.shape, b.shape)
-	}
-	out := a.Clone()
-	_ = out.SubInPlace(b)
-	return out, nil
-}
-
-// Apply replaces every element x with f(x), in place, and returns t.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
 }
 
 // Zero resets all elements to 0.
@@ -343,56 +286,12 @@ func SquaredDistance(a, b *Tensor) (float64, error) {
 	return s, nil
 }
 
-// CosineSimilarity returns the cosine of the angle between flat vectors a
-// and b, or 0 when either has zero norm.
-func CosineSimilarity(a, b *Tensor) (float64, error) {
-	dot, err := Dot(a, b)
-	if err != nil {
-		return 0, err
-	}
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0, nil
-	}
-	return dot / (na * nb), nil
-}
-
-// ArgMax returns the index of the maximum element of the flattened tensor,
-// or -1 for an empty tensor. Ties resolve to the first maximum.
-func (t *Tensor) ArgMax() int {
-	if len(t.data) == 0 {
-		return -1
-	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
 // --- matrix operations (2-D tensors) ---
 //
 // The matrix products (MatMul, MatMulATB, MatMulABT and their Into/Serial
 // variants) live in kernels.go: parallel cache-blocked kernels with a
 // serial fallback, bit-identical to the naive reference at any
 // parallelism.
-
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func (t *Tensor) Transpose2D() (*Tensor, error) {
-	if t.Dims() != 2 {
-		return nil, fmt.Errorf("tensor: transpose needs a 2-D tensor, got %v", t.shape)
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = t.data[i*n+j]
-		}
-	}
-	return out, nil
-}
 
 // Row returns a view of row i of a 2-D tensor as a 1-D tensor.
 func (t *Tensor) Row(i int) (*Tensor, error) {
@@ -473,23 +372,6 @@ func Softmax(logits *Tensor) (*Tensor, error) {
 		for j := range orow {
 			orow[j] *= inv
 		}
-	}
-	return out, nil
-}
-
-// Stack concatenates 1-D tensors of equal length into a 2-D (len(rows), n)
-// tensor, copying the data.
-func Stack(rows []*Tensor) (*Tensor, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("tensor: Stack of zero rows")
-	}
-	n := rows[0].Len()
-	out := New(len(rows), n)
-	for i, r := range rows {
-		if r.Len() != n {
-			return nil, fmt.Errorf("tensor: Stack row %d has length %d, want %d", i, r.Len(), n)
-		}
-		copy(out.data[i*n:(i+1)*n], r.data)
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@ package pardon
 
 // This file is the public facade of the library: external modules cannot
 // import internal/ packages, so the types and constructors a downstream
-// user needs are re-exported here under stable names. Examples of use are
-// in examples/ (quickstart first) and every experiment in internal/eval
-// is built from exactly this surface.
+// user needs are re-exported here under stable names. pardon_api_test.go
+// runs a federated round through this surface alone. The programs inside
+// this module (examples/, cmd/ and the experiments in internal/eval)
+// import the internal packages directly; the facade names the same types
+// and functions.
 
 import (
 	"math/rand"
