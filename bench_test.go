@@ -11,6 +11,8 @@ package pardon_test
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"sync"
 	"testing"
@@ -30,15 +32,23 @@ import (
 
 var logOnce sync.Map
 
+// quietEngine returns an engine that logs nothing, so no job log line
+// lands among the benchmark result lines.
+func quietEngine(b *testing.B) *engine.Engine {
+	b.Helper()
+	eng, err := engine.New(engine.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // freshEvalConfig gives a benchmark iteration its own engine so every
 // iteration measures training, not content-address cache hits on the
 // process-wide default engine.
 func freshEvalConfig(b *testing.B, seed uint64) (eval.Config, func()) {
 	b.Helper()
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := quietEngine(b)
 	return eval.Config{Scale: eval.Small, Seed: seed, Engine: eng}, eng.Close
 }
 
@@ -614,20 +624,9 @@ func BenchmarkTrainShapeKernels(b *testing.B) {
 // model. Names are stable (ServerAggregate/<method>/<dtype>) for
 // scripts/benchcmp.
 func BenchmarkServerAggregate(b *testing.B) {
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := quietEngine(b)
 	defer eng.Close()
-	sc, err := eng.BuildScenario(engine.Spec{
-		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,
-		Split:  engine.SplitSpec{Name: "bench", Train: []int{0, 1, 2}},
-		Lambda: 0.1, Clients: 20, SampleK: 4, Rounds: 1, PerDomain: 320,
-		Seed: 1, Tag: "aggregate-bench",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc := trainGridScenario(b, eng, "aggregate-bench")
 	parts := sc.Clients[:4]
 	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
 		env := *sc.Env
@@ -662,16 +661,82 @@ func BenchmarkServerAggregate(b *testing.B) {
 	}
 }
 
+// trainGridScenario builds the train-grid shape: a 20-client PACS
+// scenario (320 samples per domain, 3 train domains) and the
+// 1024-64-32-7 model.
+func trainGridScenario(b *testing.B, eng *engine.Engine, tag string) *engine.Scenario {
+	b.Helper()
+	sc, err := eng.BuildScenario(engine.Spec{
+		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,
+		Split:  engine.SplitSpec{Name: "bench", Train: []int{0, 1, 2}},
+		Lambda: 0.1, Clients: 20, SampleK: 4, Rounds: 1, PerDomain: 320,
+		Seed: 1, Tag: tag,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc
+}
+
+// BenchmarkLocalTrain times one client's local pass (LocalTrain, one
+// epoch over its batches) for each Table-I method at the train-grid
+// shape, at both precisions: the unit the round's local phase repeats.
+// The global model is synced as fl.Run syncs it, and FPL trains
+// against prototypes from one aggregated round. Names are stable
+// (LocalTrain/<method>/<dtype>) for scripts/benchcmp.
+func BenchmarkLocalTrain(b *testing.B) {
+	eng := quietEngine(b)
+	defer eng.Close()
+	sc := trainGridScenario(b, eng, "local-train-bench")
+	parts := sc.Clients[:4]
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		env := *sc.Env
+		env.ModelCfg.Precision = prec
+		for _, method := range append([]string{"FedAvg"}, engine.MethodNames()...) {
+			alg, err := engine.NewAlgorithm(method)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := alg.Setup(&env, sc.Clients); err != nil {
+				b.Fatal(err)
+			}
+			global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(7)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			updates := make([]*nn.Model, len(parts))
+			for i, c := range parts {
+				if updates[i], err = alg.LocalTrain(&env, c, global, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next, err := alg.Aggregate(&env, global, parts, updates, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			global = next.Clone()
+			global.SyncShadow()
+			b.Run(method+"/"+prec.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m, err := alg.LocalTrain(&env, parts[i%len(parts)], global, 1+i)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.Release()
+				}
+			})
+		}
+	}
+}
+
 // --- Round-throughput macro-benchmark: one full federated round (client
 // sampling, parallel local training, aggregation) through the kernel
 // layer, the unit of work behind every table and figure ---
 
 func benchRoundThroughput(b *testing.B, prec nn.Precision) {
 	b.Helper()
-	eng, err := engine.New(engine.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := quietEngine(b)
 	defer eng.Close()
 	spec := engine.Spec{
 		Method: "FedAvg", Dataset: "PACS", GenSeed: 1,

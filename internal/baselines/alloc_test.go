@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/baselines"
+	"github.com/pardon-feddg/pardon/internal/core"
+	"github.com/pardon-feddg/pardon/internal/dataset"
 	"github.com/pardon-feddg/pardon/internal/encoder"
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/nn"
@@ -18,23 +20,24 @@ import (
 // drop puts at random, so recycled buffers reallocate by design there.
 var raceEnabled bool
 
-// localTrainByteBound is the most a warm FedAvg LocalTrain call may
-// allocate. With the train-grid model (1024 → 64 → 32 → 7) one batch of
-// inputs is 256 KiB, a 16-row hidden activation 8 KiB and the model
-// 543 KB, so any of them reallocated per call breaks the bound. What
-// remains, about 13 KiB, is the call's RNG stream (8 KiB), the loss
-// layer's softmax and logit gradients (5 KiB), the shuffled batch
-// indices and the kernel dispatches' closures.
+// localTrainByteBound is the most a warm LocalTrain call may allocate.
+// With the train-grid model (1024 → 64 → 32 → 7) one batch of inputs
+// is 256 KiB, a 16-row hidden activation 8 KiB, an embedding gradient
+// 8 KiB and the model 543 KB, so any of them reallocated per call
+// breaks the bound. What remains is the call's RNG stream (8 KiB), the
+// shuffled batch indices, the kernel dispatches' closures and, for
+// FedSR, its class means.
 const localTrainByteBound = 16 << 10
 
 // TestLocalTrainReusesBuffers is the allocation guard of the local
-// training step: after one warm-up call, FedAvg's LocalTrain on a
+// training step: after one warm-up call, LocalTrain of FedAvg, FedSR,
+// FPL (with prototypes set by an aggregation), CCST and PARDON on a
 // 48-sample client (a 32-row batch, then a 16-row one) recycles its
-// model clone, gradients, optimizer state, activations and batch rows,
-// at both precisions. The collector is off and the test runs on one P
-// while it measures, so the recycling pools (sync.Pool hands an item
-// back only on the P that released it, or after a steal) keep and
-// return what the previous call released.
+// model arena, gradients, optimizer state, activations, batch rows and
+// loss-head buffers, at both precisions. The collector is off and the
+// test runs on one P while it measures, so the recycling pools
+// (sync.Pool hands an item back only on the P that released it, or
+// after a steal) keep and return what the previous call released.
 func TestLocalTrainReusesBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop puts")
@@ -47,11 +50,25 @@ func TestLocalTrainReusesBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := gen.GenerateDomain(0, 48, "alloc")
-	if err != nil {
-		t.Fatal(err)
+	var dss []*dataset.Dataset
+	for d := 0; d < 2; d++ {
+		ds, err := gen.GenerateDomain(d, 48, "alloc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dss = append(dss, ds)
 	}
 	c, h, w := enc.OutShape()
+	methods := []struct {
+		name string
+		alg  func() fl.Algorithm
+	}{
+		{"FedAvg", func() fl.Algorithm { return &baselines.FedAvg{} }},
+		{"FedSR", func() fl.Algorithm { return baselines.NewFedSR() }},
+		{"FPL", func() fl.Algorithm { return baselines.NewFPL() }},
+		{"CCST", func() fl.Algorithm { return baselines.NewCCST() }},
+		{"PARDON", func() fl.Algorithm { return core.New(core.DefaultOptions()) }},
+	}
 	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
 		t.Run(prec.String(), func(t *testing.T) {
 			env := &fl.Env{
@@ -60,39 +77,62 @@ func TestLocalTrainReusesBuffers(t *testing.T) {
 				Hyper:    fl.DefaultHyper(),
 				RNG:      rng.New(3),
 			}
-			if err := env.Calibrate(32, ds); err != nil {
+			if err := env.Calibrate(32, dss...); err != nil {
 				t.Fatal(err)
 			}
-			client, err := fl.NewClient(env, 0, ds)
+			clients, err := fl.NewClients(env, dss)
 			if err != nil {
 				t.Fatal(err)
 			}
-			global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			alg := &baselines.FedAvg{}
-			train := func(round int) {
-				m, err := alg.LocalTrain(env, client, global, round)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Release()
-			}
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			train(0)
-			const calls = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for round := 1; round <= calls; round++ {
-				train(round)
-			}
-			runtime.ReadMemStats(&after)
-			perCall := (after.TotalAlloc - before.TotalAlloc) / calls
-			t.Logf("%s LocalTrain: %d B/call", prec, perCall)
-			if perCall > localTrainByteBound {
-				t.Fatalf("%s LocalTrain allocated %d B/call after warm-up, want ≤ %d", prec, perCall, localTrainByteBound)
+			for _, m := range methods {
+				t.Run(m.name, func(t *testing.T) {
+					alg := m.alg()
+					if err := alg.Setup(env, clients); err != nil {
+						t.Fatal(err)
+					}
+					global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					// One aggregated round first, so FPL trains against
+					// prototypes; the global is its output.
+					updates := make([]*nn.Model, len(clients))
+					for i, cl := range clients {
+						if updates[i], err = alg.LocalTrain(env, cl, global, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					next, err := alg.Aggregate(env, global, clients, updates, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					global = next.Clone()
+					for _, u := range updates {
+						u.Release()
+					}
+					train := func(round int) {
+						m, err := alg.LocalTrain(env, clients[0], global, round)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m.Release()
+					}
+					defer debug.SetGCPercent(debug.SetGCPercent(-1))
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+					train(1)
+					const calls = 20
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					for round := 2; round < 2+calls; round++ {
+						train(round)
+					}
+					runtime.ReadMemStats(&after)
+					perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+					t.Logf("%s %s LocalTrain: %d B/call", prec, m.name, perCall)
+					if perCall > localTrainByteBound {
+						t.Fatalf("%s %s LocalTrain allocated %d B/call after warm-up, want ≤ %d", prec, m.name, perCall, localTrainByteBound)
+					}
+				})
 			}
 		})
 	}

@@ -11,12 +11,28 @@ package baselines
 
 import (
 	"strconv"
+	"sync"
 
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
+
+// trainBufs are the loss-head buffers of one LocalTrain call, recycled
+// across calls (bufsPool), so a warm call allocates none of them: the
+// loss scratch of the cross-entropy heads (ce) and of the others
+// (head), CCST's style-transferred rows (xp), FedSR's embedding
+// gradient and class-mean targets (dz, targets), and the rows and
+// activations of FedSR's class means (meanX, meanActs).
+type trainBufs struct {
+	ce, head        loss.Scratch
+	xp, dz, targets *tensor.Tensor
+	meanX           *tensor.Tensor
+	meanActs        nn.Activations
+}
+
+var bufsPool = sync.Pool{New: func() any { return new(trainBufs) }}
 
 // trainCE is the plain local-SGD cross-entropy loop shared by FedAvg and
 // the server-side methods (FedGMA, FedDG-GA).
@@ -25,11 +41,13 @@ func trainCE(env *fl.Env, c *fl.Client, global *nn.Model, round int, name string
 	// One activation set serves every batch, recycled across calls.
 	acts := nn.AcquireActivations()
 	defer acts.Release()
+	bufs := bufsPool.Get().(*trainBufs)
+	defer bufsPool.Put(bufs)
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err
 		}
-		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		_, dLogits, err := bufs.ce.CrossEntropy(acts.Logits, y)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/pardon-feddg/pardon/internal/fl"
-	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/tensor"
@@ -99,11 +98,7 @@ func (c *CCST) Setup(env *fl.Env, clients []*fl.Client) error {
 				n = len(cl.Features)
 			}
 			for _, i := range r.Perm(len(cl.Features))[:n] {
-				s, err := style.Of(cl.Features[i])
-				if err != nil {
-					return fmt.Errorf("ccst: client %d sample %d: %w", cl.ID, i, err)
-				}
-				bank = append(bank, BankEntry{Owner: cl.ID, S: s})
+				bank = append(bank, BankEntry{Owner: cl.ID, S: cl.Styles[i].Clone()})
 			}
 		default:
 			s, err := style.OfConcat(cl.Features, nil)
@@ -139,11 +134,13 @@ func (c *CCST) LocalTrain(env *fl.Env, cl *fl.Client, global *nn.Model, round in
 	acts, actsP := nn.AcquireActivations(), nn.AcquireActivations()
 	defer acts.Release()
 	defer actsP.Release()
+	bufs := bufsPool.Get().(*trainBufs)
+	defer bufsPool.Put(bufs)
 	return fl.LocalSGD(env, cl, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err
 		}
-		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		_, dLogits, err := bufs.ce.CrossEntropy(acts.Logits, y)
 		if err != nil {
 			return err
 		}
@@ -151,22 +148,22 @@ func (c *CCST) LocalTrain(env *fl.Env, cl *fl.Client, global *nn.Model, round in
 			return err
 		}
 		for v := 0; v < c.AugPerBatch && len(foreign) > 0; v++ {
-			xp := tensor.New(len(idx), in)
-			xpd := xp.Data()
+			// Each row is the sample re-styled from its stored
+			// statistics, standardized in place.
+			bufs.xp = tensor.Fit2D(bufs.xp, len(idx), in)
+			xpd := bufs.xp.Data()
 			for bi, i := range idx {
 				target := foreign[r.Intn(len(foreign))].S
-				tf, err := style.AdaIN(cl.Features[i], target)
-				if err != nil {
+				row := xpd[bi*in : (bi+1)*in]
+				if err := style.AdaINInto(row, cl.Features[i], &cl.Styles[i], target); err != nil {
 					return err
 				}
-				row := xpd[bi*in : (bi+1)*in]
-				copy(row, tf.Data())
 				env.NormalizeFeature(row)
 			}
-			if err := model.ForwardInto(actsP, xp); err != nil {
+			if err := model.ForwardInto(actsP, bufs.xp); err != nil {
 				return err
 			}
-			_, dLogitsP, err := loss.CrossEntropy(actsP.Logits, y)
+			_, dLogitsP, err := bufs.ce.CrossEntropy(actsP.Logits, y)
 			if err != nil {
 				return err
 			}

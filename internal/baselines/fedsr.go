@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"github.com/pardon-feddg/pardon/internal/fl"
-	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
@@ -56,14 +55,16 @@ func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 	r := env.RNG.Stream("FedSR", "train", strconv.Itoa(c.ID), strconv.Itoa(round))
 	acts := nn.AcquireActivations()
 	defer acts.Release()
+	bufs := bufsPool.Get().(*trainBufs)
+	defer bufsPool.Put(bufs)
 	var classMeans [][]float64
 	return fl.LocalSGD(env, c, global, r, 5, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		// Class-conditional reference means from the client's local
 		// data, estimated once per round with the incoming global model
-		// (the clone before its first step).
+		// (the model of the first batch, before any step).
 		if classMeans == nil {
 			var err error
-			if classMeans, _, err = localClassMeans(model, c, nil); err != nil {
+			if classMeans, bufs.meanX, err = localClassMeans(model, c, bufs.meanX, &bufs.meanActs); err != nil {
 				return err
 			}
 		}
@@ -84,13 +85,15 @@ func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 				return err
 			}
 		}
-		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		_, dLogits, err := bufs.ce.CrossEntropy(acts.Logits, y)
 		if err != nil {
 			return err
 		}
-		dz := tensor.New(len(idx), model.Cfg.ZDim)
+		bufs.dz = tensor.Fit2D(bufs.dz, len(idx), model.Cfg.ZDim)
+		dz := bufs.dz
+		dz.Zero()
 		// L2R: α·‖z‖².
-		_, dzL2, _, err := loss.EmbedL2(acts.Z, nil)
+		_, dzL2, _, err := bufs.head.EmbedL2(acts.Z, nil)
 		if err != nil {
 			return err
 		}
@@ -98,12 +101,13 @@ func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 			return err
 		}
 		// CMI surrogate: α·‖z − μ̂_y‖².
-		targets := tensor.New(len(idx), model.Cfg.ZDim)
+		bufs.targets = tensor.Fit2D(bufs.targets, len(idx), model.Cfg.ZDim)
+		targets := bufs.targets
 		td := targets.Data()
 		for bi, yy := range y {
 			copy(td[bi*model.Cfg.ZDim:(bi+1)*model.Cfg.ZDim], classMeans[yy])
 		}
-		_, dzCMI, err := loss.MeanSquared(acts.Z, targets)
+		_, dzCMI, err := bufs.head.MeanSquared(acts.Z, targets)
 		if err != nil {
 			return err
 		}
@@ -119,15 +123,16 @@ func (f *FedSR) Aggregate(_ *fl.Env, _ *nn.Model, parts []*fl.Client, updates []
 	return f.avg.FedAvg(parts, updates)
 }
 
-// localClassMeans embeds the client's whole dataset once and returns the
-// per-class mean embedding (zero vector for absent classes), plus the
-// input buffer x it gathered the client's rows into, for reuse.
-func localClassMeans(model *nn.Model, c *fl.Client, x *tensor.Tensor) ([][]float64, *tensor.Tensor, error) {
+// localClassMeans embeds the client's whole dataset once, forwarding
+// in acts, and returns the per-class mean embedding (zero vector for
+// absent classes), plus the input buffer x it gathered the client's
+// rows into, for reuse.
+func localClassMeans(model *nn.Model, c *fl.Client, x *tensor.Tensor, acts *nn.Activations) ([][]float64, *tensor.Tensor, error) {
 	x = c.RowsInto(x, c.Len())
-	z, err := model.Embed(x)
-	if err != nil {
+	if err := model.ForwardInto(acts, x); err != nil {
 		return nil, x, err
 	}
+	z := acts.Z
 	d := z.Dim(1)
 	means := make([][]float64, model.Cfg.Classes)
 	counts := make([]int, model.Cfg.Classes)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/pardon-feddg/pardon/internal/finch"
 	"github.com/pardon-feddg/pardon/internal/fl"
-	"github.com/pardon-feddg/pardon/internal/loss"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
@@ -33,6 +32,10 @@ type FPL struct {
 	protos *tensor.Tensor // (Classes, ZDim); zero rows = unobserved class
 
 	avg fl.Averager
+	// slots holds one activation set per ForEach slot for Aggregate's
+	// class-mean forwards, reused across rounds (Aggregate is invoked
+	// serially by the round coordinator).
+	slots []nn.Activations
 }
 
 var _ fl.Algorithm = (*FPL)(nil)
@@ -72,17 +75,19 @@ func (f *FPL) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int)
 
 	acts := nn.AcquireActivations()
 	defer acts.Release()
+	bufs := bufsPool.Get().(*trainBufs)
+	defer bufsPool.Put(bufs)
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, _ []int) error {
 		if err := model.ForwardInto(acts, x); err != nil {
 			return err
 		}
-		_, dLogits, err := loss.CrossEntropy(acts.Logits, y)
+		_, dLogits, err := bufs.ce.CrossEntropy(acts.Logits, y)
 		if err != nil {
 			return err
 		}
 		var dz *tensor.Tensor
 		if protos != nil {
-			_, dzP, err := loss.ProtoContrast(acts.Z, y, protos, f.Tau)
+			_, dzP, err := bufs.head.ProtoContrast(acts.Z, y, protos, f.Tau)
 			if err != nil {
 				return err
 			}
@@ -106,9 +111,12 @@ func (f *FPL) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []
 	zdim := env.ModelCfg.ZDim
 	means := make([][][]float64, len(parts))
 	xs := make([]*tensor.Tensor, env.Slots())
+	if len(f.slots) < env.Slots() {
+		f.slots = make([]nn.Activations, env.Slots())
+	}
 	err = env.ForEach(len(parts), func(slot, i int) error {
 		var err error
-		means[i], xs[slot], err = localClassMeans(updates[i], parts[i], xs[slot])
+		means[i], xs[slot], err = localClassMeans(updates[i], parts[i], xs[slot], &f.slots[slot])
 		return err
 	})
 	if err != nil {

@@ -125,12 +125,23 @@ type PARDON struct {
 	mu           sync.RWMutex
 	interp       *style.Style
 	clientStyles [][]float64
-	// sampleStyles caches each client's per-sample styles so the
-	// per-batch interpolative transfer does not recompute them.
-	sampleStyles map[int][]*style.Style
 
 	avg fl.Averager
 }
+
+// trainBufs are the loss-head buffers of one LocalTrain call, recycled
+// across calls (bufsPool), so a warm call allocates none of them: the
+// loss scratch of the original view's cross-entropy (a), of the
+// transferred view's (p) and of the embedding heads (head); the
+// transferred rows (xp); the two embedding gradients (dzA, dzP); and
+// the interpolated target style.
+type trainBufs struct {
+	a, p, head   loss.Scratch
+	xp, dzA, dzP *tensor.Tensor
+	target       style.Style
+}
+
+var bufsPool = sync.Pool{New: func() any { return new(trainBufs) }}
 
 var _ fl.Algorithm = (*PARDON)(nil)
 
@@ -139,7 +150,7 @@ func New(opts Options) *PARDON {
 	if opts.InterpHigh == 0 {
 		opts.InterpLow, opts.InterpHigh = 0.5, 1.0
 	}
-	return &PARDON{opts: opts, sampleStyles: map[int][]*style.Style{}}
+	return &PARDON{opts: opts}
 }
 
 // Name implements fl.Algorithm.
@@ -176,10 +187,10 @@ func (p *PARDON) ClientStyles() [][]float64 {
 }
 
 // Setup implements fl.Algorithm: the one-time style exchange. Every client
-// computes its abstracted style locally; the server fuses them into S_g;
-// clients precompute their style-transferred views. This happens once
-// before training, which is why client sampling cannot bias S_g — the
-// paper's robustness argument.
+// computes its abstracted style locally; the server fuses them into S_g.
+// This happens once before training, which is why client sampling cannot
+// bias S_g — the paper's robustness argument. The per-sample styles the
+// local transfer starts from are the clients' own (fl.Client.Styles).
 func (p *PARDON) Setup(env *fl.Env, clients []*fl.Client) error {
 	if !p.opts.StyleTransfer {
 		return nil // v4 exchanges nothing
@@ -197,23 +208,9 @@ func (p *PARDON) Setup(env *fl.Env, clients []*fl.Client) error {
 		return fmt.Errorf("core: interpolation style: %w", err)
 	}
 
-	sampleStyles := make(map[int][]*style.Style, len(clients))
-	for _, c := range clients {
-		ss := make([]*style.Style, len(c.Features))
-		for i, f := range c.Features {
-			s, err := style.Of(f)
-			if err != nil {
-				return fmt.Errorf("core: client %d sample %d style: %w", c.ID, i, err)
-			}
-			ss[i] = s
-		}
-		sampleStyles[c.ID] = ss
-	}
-
 	p.mu.Lock()
 	p.interp = sg
 	p.clientStyles = styles
-	p.sampleStyles = sampleStyles
 	p.mu.Unlock()
 	return nil
 }
@@ -356,11 +353,10 @@ func TransferAll(env *fl.Env, features []*tensor.Tensor, sg *style.Style) (*tens
 func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
 	p.mu.RLock()
 	sg := p.interp
-	sampleStyles := p.sampleStyles[c.ID]
 	clientStyles := p.clientStyles
 	p.mu.RUnlock()
-	if p.opts.StyleTransfer && (sg == nil || sampleStyles == nil) {
-		return nil, fmt.Errorf("core: client %d has no style cache (Setup not run?)", c.ID)
+	if p.opts.StyleTransfer && sg == nil {
+		return nil, fmt.Errorf("core: client %d has no interpolation style (Setup not run?)", c.ID)
 	}
 	in := env.InputDim()
 
@@ -370,19 +366,24 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 	actsA, actsP := nn.AcquireActivations(), nn.AcquireActivations()
 	defer actsA.Release()
 	defer actsP.Release()
+	bufs := bufsPool.Get().(*trainBufs)
+	defer bufsPool.Put(bufs)
 	return fl.LocalSGD(env, c, global, r, 0, func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error {
 		if err := model.ForwardInto(actsA, x); err != nil {
 			return err
 		}
-		_, dLogits, err := loss.CrossEntropy(actsA.Logits, y)
+		_, dLogits, err := bufs.a.CrossEntropy(actsA.Logits, y)
 		if err != nil {
 			return err
 		}
 		if p.opts.StyleTransfer {
 			// Interpolative transfer: each sample moves toward S_g by
 			// a fresh random amount t, so successive epochs cover the
-			// style path rather than one fixed frame.
-			xp := tensor.New(len(idx), in)
+			// style path rather than one fixed frame. Each row is
+			// re-styled from the sample's stored statistics and
+			// standardized in place.
+			bufs.xp = tensor.Fit2D(bufs.xp, len(idx), in)
+			xp := bufs.xp
 			xpd := xp.Data()
 			for bi, i := range idx {
 				goal := sg
@@ -394,29 +395,29 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 					goal = fs
 				}
 				t := p.opts.InterpLow + r.Float64()*(p.opts.InterpHigh-p.opts.InterpLow)
-				target, err := style.Interpolate(sampleStyles[i], goal, t)
-				if err != nil {
-					return err
-				}
-				tf, err := style.AdaIN(c.Features[i], target)
-				if err != nil {
+				if err := style.InterpolateInto(&bufs.target, &c.Styles[i], goal, t); err != nil {
 					return err
 				}
 				row := xpd[bi*in : (bi+1)*in]
-				copy(row, tf.Data())
+				if err := style.AdaINInto(row, c.Features[i], &c.Styles[i], &bufs.target); err != nil {
+					return err
+				}
 				env.NormalizeFeature(row)
 			}
 			if err := model.ForwardInto(actsP, xp); err != nil {
 				return err
 			}
-			dzA := tensor.New(len(idx), model.Cfg.ZDim)
-			dzP := tensor.New(len(idx), model.Cfg.ZDim)
+			bufs.dzA = tensor.Fit2D(bufs.dzA, len(idx), model.Cfg.ZDim)
+			bufs.dzP = tensor.Fit2D(bufs.dzP, len(idx), model.Cfg.ZDim)
+			dzA, dzP := bufs.dzA, bufs.dzP
+			dzA.Zero()
+			dzP.Zero()
 			var dLogitsP *tensor.Tensor
 			if p.opts.TransferCE || !p.opts.Contrastive {
 				// The style-transferred view joins training as data.
 				// Both views are averaged so the total CE gradient
 				// scale matches single-view methods.
-				_, dLP, err := loss.CrossEntropy(actsP.Logits, y)
+				_, dLP, err := bufs.p.CrossEntropy(actsP.Logits, y)
 				if err != nil {
 					return err
 				}
@@ -427,7 +428,7 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 				}
 			}
 			if p.opts.Contrastive {
-				_, dzT, dzpT, err := loss.NormalizedTriplet(actsA.Z, actsP.Z, y, p.opts.Margin)
+				_, dzT, dzpT, err := bufs.head.NormalizedTriplet(actsA.Z, actsP.Z, y, p.opts.Margin)
 				if err != nil {
 					return err
 				}
@@ -438,7 +439,7 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 					return err
 				}
 			}
-			_, dzR, dzpR, err := loss.EmbedL2(actsA.Z, actsP.Z)
+			_, dzR, dzpR, err := bufs.head.EmbedL2(actsA.Z, actsP.Z)
 			if err != nil {
 				return err
 			}

@@ -53,8 +53,9 @@ func randFeatures(r *rand.Rand, n int, shift float64) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, n)
 	for i := range out {
 		f := tensor.Randn(r, 1, 4, 4, 4)
-		if err := tensor.ApplyInto(f, f, func(v float64) float64 { return v + shift }); err != nil {
-			panic(err)
+		d := f.Data()
+		for j := range d {
+			d[j] += shift
 		}
 		out[i] = f
 	}

@@ -10,6 +10,10 @@ import (
 	"testing"
 )
 
+// quietLog discards every log line, so the engines built here print no
+// job log among the benchmark result lines.
+var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
+
 // sweepSpecs is a reduced method×seed sweep (the shape of one Table I
 // scheme) used to measure engine throughput.
 func sweepSpecs() []Spec {
@@ -47,7 +51,7 @@ func runSweep(b *testing.B, e *Engine) {
 func BenchmarkSweepCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := New(Options{})
+		e, err := New(Options{Logger: quietLog})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +67,7 @@ func BenchmarkSweepCold(b *testing.B) {
 // store: every job is a content-address hit and zero rounds train. The
 // cold/cached ratio is the engine's memoization payoff.
 func BenchmarkSweepCached(b *testing.B) {
-	e, err := New(Options{})
+	e, err := New(Options{Logger: quietLog})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func BenchmarkScenarioBuild(b *testing.B) {
 // O(1), so the two should cost about the same.
 func BenchmarkCachedSubmitFullHistory(b *testing.B) {
 	open := func() (*Engine, Spec) {
-		e, err := New(Options{Workers: -1})
+		e, err := New(Options{Workers: -1, Logger: quietLog})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +172,7 @@ func BenchmarkListJobsPage(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			// A discarded log keeps the 4096 cache-hit lines out of the
 			// benchmark's result lines.
-			e, err := New(Options{Workers: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			e, err := New(Options{Workers: -1, Logger: quietLog})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -37,6 +37,7 @@ import (
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/partition"
 	"github.com/pardon-feddg/pardon/internal/rng"
+	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
@@ -180,10 +181,7 @@ func standardize(dst, src []float64, shift, scale float64) {
 	if scale == 0 {
 		scale = 1
 	}
-	dst = dst[:len(src)] // one bounds check for the whole loop
-	for i, v := range src {
-		dst[i] = (v - shift) * scale
-	}
+	tensor.AffineInto(dst, src, shift, scale)
 }
 
 // Calibrate estimates FeatShift/FeatScale from up to capPer samples of
@@ -239,7 +237,12 @@ func (e *Env) InputDim() int {
 type Client struct {
 	ID       int
 	Features []*tensor.Tensor // Φ(x), shape (C,H,W), one per sample
-	Labels   []int
+	// Styles[i] is the channel-wise style of Features[i], exactly as
+	// style.Of computes it; every Mu and Sigma is a view into one
+	// per-client arena. The style-transfer methods (PARDON, CCST) read
+	// it instead of recomputing a sample's statistics per batch.
+	Styles []style.Style
+	Labels []int
 	// FeatShift and FeatScale are the environment's standardization at
 	// encode time.
 	FeatShift float64
@@ -248,23 +251,31 @@ type Client struct {
 
 // NewClient encodes the client's data once. The feature maps (style
 // extraction, AdaIN, and the rows of model inputs) are views into one
-// per-client arena, encoded in place.
+// per-client arena, encoded in place, and each sample's style is
+// computed once into a second arena.
 func NewClient(env *Env, id int, data *dataset.Dataset) (*Client, error) {
 	if data.Len() == 0 {
 		return nil, fmt.Errorf("fl: client %d has no data", id)
 	}
 	c := &Client{ID: id, FeatShift: env.FeatShift, FeatScale: env.FeatScale}
 	c.Features = make([]*tensor.Tensor, data.Len())
+	c.Styles = make([]style.Style, data.Len())
 	c.Labels = make([]int, data.Len())
 	ch, h, w := env.Enc.OutShape()
 	in := ch * h * w
 	arena := make([]float64, data.Len()*in)
+	stats := make([]float64, data.Len()*2*ch)
 	for i, s := range data.Samples {
 		f := arena[i*in : (i+1)*in]
 		if err := env.Enc.EncodeInto(f, s.X); err != nil {
 			return nil, fmt.Errorf("fl: client %d sample %d: %w", id, i, err)
 		}
 		c.Features[i] = tensor.MustFromSlice(f, ch, h, w)
+		st := stats[2*i*ch : 2*(i+1)*ch]
+		c.Styles[i] = style.Style{Mu: st[:ch:ch], Sigma: st[ch:]}
+		if err := style.OfInto(&c.Styles[i], c.Features[i]); err != nil {
+			return nil, fmt.Errorf("fl: client %d sample %d: %w", id, i, err)
+		}
 		c.Labels[i] = s.Y
 	}
 	return c, nil
@@ -357,34 +368,63 @@ type batchBuf struct {
 // gathers into the rows an earlier pass allocated.
 var batchPool = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// LocalSGD is the local-training loop every method shares: it trains a
-// clone of global by SGD (gradient norm clipped at clip; 0 is off) for
+// LocalSGD is the local-training loop every method shares: it trains
+// from global by SGD (gradient norm clipped at clip; 0 is off) for
 // Hyper.LocalEpochs over shuffled batches of c drawn from r, and returns
-// the clone. step adds one batch's gradients into grads, which are
-// zeroed before each call. The batch buffers x and y are reused across
-// batches and recycled across calls, so step must not keep them; the
-// gradients and optimizer state are recycled on return.
+// the trained model. step adds one batch's gradients into grads, which
+// are all zero at each call, and must not modify model's parameters.
+// The first batch's step runs on global itself, and the first SGD step
+// reads global and writes its iterate into a recycled arena
+// (nn.SGD.StepFrom), so global is never cloned or written: concurrent
+// calls may share one global whose float32 shadow is synced
+// (nn.Model.SyncShadow). Later steps run on the returned model, each
+// one sweep that also clears the gradients for the next batch. The
+// batch buffers x and y are reused across batches and recycled across
+// calls, so step must not keep them; the gradients and optimizer state
+// are recycled on return.
 func LocalSGD(env *Env, c *Client, global *nn.Model, r *rand.Rand, clip float64,
 	step func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error) (*nn.Model, error) {
-	model := global.Clone()
+	return localSGD(env, c, global, r, clip, step)
+}
+
+// localSGD is LocalSGD's body. It is a variable only so that this
+// package's tests can swap in the historical loop (clone, zero the
+// gradients per batch, step) as an oracle and train every method
+// through both (export_test.go).
+var localSGD = sweepLocalSGD
+
+func sweepLocalSGD(env *Env, c *Client, global *nn.Model, r *rand.Rand, clip float64,
+	step func(model *nn.Model, grads *nn.Grads, x *tensor.Tensor, y, idx []int) error) (*nn.Model, error) {
 	opt := nn.NewSGD(env.Hyper.LR, env.Hyper.Momentum, env.Hyper.WeightDecay)
 	opt.Clip = clip
-	grads := model.NewGrads()
+	grads := global.NewGrads()
 	defer grads.Release()
 	defer opt.Release()
 	buf := batchPool.Get().(*batchBuf)
 	defer batchPool.Put(buf)
+	model := global
 	for epoch := 0; epoch < env.Hyper.LocalEpochs; epoch++ {
 		for _, idx := range Batches(c.Len(), env.Hyper.BatchSize, r) {
 			buf.x, buf.y = c.BatchInto(buf.x, buf.y, idx)
-			grads.Zero()
-			if err := step(model, grads, buf.x, buf.y, idx); err != nil {
-				return nil, err
+			err := step(model, grads, buf.x, buf.y, idx)
+			if err == nil {
+				if model == global {
+					model, err = opt.StepFrom(global, grads)
+				} else {
+					err = opt.Step(model, grads)
+				}
 			}
-			if err := opt.Step(model, grads); err != nil {
+			if err != nil {
+				if model != global {
+					model.Release()
+				}
 				return nil, err
 			}
 		}
+	}
+	if model == global {
+		// No batch ran: the pass returns the global's parameters.
+		return global.Clone(), nil
 	}
 	return model, nil
 }
@@ -427,14 +467,17 @@ type Algorithm interface {
 	// style, CCST's style banks); its cost is the "one-time cost" of the
 	// paper's Fig. 4.
 	Setup(env *Env, clients []*Client) error
-	// LocalTrain trains a copy of the global model on client c and
-	// returns it.
+	// LocalTrain trains from the global model on client c and returns
+	// the result, a model of its own; global is only read (LocalSGD),
+	// so concurrent calls share it. Run syncs its shadow first.
 	LocalTrain(env *Env, c *Client, global *nn.Model, round int) (*nn.Model, error)
 	// Aggregate merges the participants' updates into the next global
 	// model. updates[i] belongs to parts[i]. It may fan its own work out
-	// with env.ForEach, but must forward any one model from one
-	// goroutine at a time: a forward pass writes the model's float32
-	// shadow (nn.Model.ForwardInto).
+	// with env.ForEach, but must never forward a model with a stale
+	// float32 shadow from two goroutines: such a forward narrows the
+	// shadow, writing the model (nn.Model.SyncShadow). An update comes
+	// back from its last SGD step with a fresh shadow; a model the
+	// aggregation has just written is stale until synced.
 	Aggregate(env *Env, global *nn.Model, parts []*Client, updates []*nn.Model, round int) (*nn.Model, error)
 }
 
@@ -627,6 +670,10 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 			parts[i] = clients[id]
 		}
 
+		// The clients' first forwards read the global concurrently, so
+		// its float32 shadow is narrowed here, once, and they only read
+		// it.
+		global.SyncShadow()
 		updates := make([]*nn.Model, len(parts))
 		durs := make([]time.Duration, len(parts))
 		err := env.ForEach(len(parts), func(_, i int) error {
@@ -656,7 +703,7 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 		// Aggregate has consumed the client updates (every implementation
 		// reads them within the call and returns an arena it owns), so
 		// their parameter arenas can be recycled into the next round's
-		// clones. Guard against an algorithm echoing an update back.
+		// first steps. Guard against an algorithm echoing an update back.
 		for _, u := range updates {
 			if u != global {
 				u.Release()

@@ -14,6 +14,7 @@ import (
 	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/nn"
 	"github.com/pardon-feddg/pardon/internal/rng"
+	"github.com/pardon-feddg/pardon/internal/style"
 	"github.com/pardon-feddg/pardon/internal/synth"
 	"github.com/pardon-feddg/pardon/internal/tensor"
 	"github.com/pardon-feddg/pardon/internal/testref"
@@ -614,5 +615,88 @@ func TestForEach(t *testing.T) {
 	}
 	if err := (&fl.Env{}).ForEach(0, func(int, int) error { return fmt.Errorf("called") }); err != nil {
 		t.Fatalf("empty ForEach: %v", err)
+	}
+}
+
+// TestSyncedGlobalForwardsFromEverySlot checks the fan-out rule of the
+// float32 shadow under the race detector: once synced, the global model
+// is only read, so every ForEach slot may forward it and train from it
+// (LocalTrain's first batch runs on it) at the same time. The logits
+// and the trained models must equal the ones computed one at a time.
+func TestSyncedGlobalForwardsFromEverySlot(t *testing.T) {
+	base, clients := makeClients(t, 4, 24)
+	for _, prec := range []nn.Precision{nn.F64, nn.F32} {
+		env := *base
+		env.Parallelism = 4
+		env.ModelCfg.Precision = prec
+		global, err := nn.New(env.ModelCfg, rand.New(rand.NewSource(8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		global.SyncShadow()
+		x := clients[0].RowsInto(nil, 24)
+		alg := &baselines.FedAvg{}
+		const n = 12
+		run := func(slot, i int, logits [][]float64, models [][]float64) error {
+			var acts nn.Activations
+			if err := global.ForwardInto(&acts, x); err != nil {
+				return err
+			}
+			logits[i] = append([]float64(nil), acts.Logits.Data()...)
+			u, err := alg.LocalTrain(&env, clients[i%len(clients)], global, i)
+			if err != nil {
+				return err
+			}
+			models[i] = append([]float64(nil), u.Vector()...)
+			u.Release()
+			return nil
+		}
+		// The concurrent pass runs first, on the shadow synced above.
+		gotL, gotM := make([][]float64, n), make([][]float64, n)
+		if err := env.ForEach(n, func(slot, i int) error { return run(slot, i, gotL, gotM) }); err != nil {
+			t.Fatal(err)
+		}
+		wantL, wantM := make([][]float64, n), make([][]float64, n)
+		for i := 0; i < n; i++ {
+			if err := run(0, i, wantL, wantM); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			for _, pair := range [][2][]float64{{gotL[i], wantL[i]}, {gotM[i], wantM[i]}} {
+				for j := range pair[1] {
+					if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
+						t.Fatalf("%s index %d: element %d differs when run concurrently", prec, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewClientStylesMatchStyleOf pins the client's style arena to
+// style.Of of each feature map, bit for bit.
+func TestNewClientStylesMatchStyleOf(t *testing.T) {
+	_, clients := makeClients(t, 1, 9)
+	c := clients[0]
+	if len(c.Styles) != c.Len() {
+		t.Fatalf("%d styles for %d samples", len(c.Styles), c.Len())
+	}
+	for i, f := range c.Features {
+		want, err := style.Of(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := c.Styles[i]
+		for _, pair := range [][2][]float64{{got.Mu, want.Mu}, {got.Sigma, want.Sigma}} {
+			if len(pair[0]) != len(pair[1]) {
+				t.Fatalf("sample %d: %d channels, want %d", i, len(pair[0]), len(pair[1]))
+			}
+			for ch := range pair[1] {
+				if math.Float64bits(pair[0][ch]) != math.Float64bits(pair[1][ch]) {
+					t.Fatalf("sample %d channel %d: %g, want %g", i, ch, pair[0][ch], pair[1][ch])
+				}
+			}
+		}
 	}
 }

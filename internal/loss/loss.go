@@ -5,7 +5,9 @@
 //
 // Every function returns both the scalar loss (mean over the batch) and
 // analytic gradients with respect to its tensor inputs, computed in closed
-// form; internal/nn propagates those through the network.
+// form; internal/nn propagates those through the network. Each is also a
+// method of Scratch, which writes the gradients and temporaries into
+// reused buffers, so a training loop allocates nothing per batch.
 package loss
 
 import (
@@ -15,9 +17,40 @@ import (
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
+// Scratch holds the reusable outputs and temporaries of the loss
+// functions. Its methods compute exactly what the package functions of
+// the same names do, bit for bit, but write into buffers kept here
+// instead of allocating them: every gradient a method returns is valid
+// until the next method call on the same Scratch. The zero value is
+// ready to use; a Scratch must not be shared across goroutines.
+type Scratch struct {
+	a, b, c, d, e, f *tensor.Tensor
+	norms, norms2    []float64
+	neg              []int
+	live             []bool
+	logits, probs    []float64
+}
+
+// buf fits *t to an (r, c) tensor with stale contents.
+func buf(t **tensor.Tensor, r, c int) *tensor.Tensor {
+	*t = tensor.Fit2D(*t, r, c)
+	return *t
+}
+
+// zeroed fits *t to an (r, c) tensor of +0, as tensor.New would return.
+func zeroed(t **tensor.Tensor, r, c int) *tensor.Tensor {
+	buf(t, r, c).Zero()
+	return *t
+}
+
 // CrossEntropy computes mean softmax cross-entropy over a batch and its
 // gradient at the logits: dL/dlogits = (softmax − onehot)/B.
 func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
+	return new(Scratch).CrossEntropy(logits, labels)
+}
+
+// CrossEntropy is the package CrossEntropy into s.
+func (s *Scratch) CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
 	if logits.Dims() != 2 {
 		return 0, nil, fmt.Errorf("loss: CE needs 2-D logits, got %v", logits.Shape())
 	}
@@ -25,13 +58,14 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor,
 	if len(labels) != b {
 		return 0, nil, fmt.Errorf("loss: CE %d labels for batch %d", len(labels), b)
 	}
-	probs, err := tensor.Softmax(logits)
-	if err != nil {
+	// The softmax becomes the gradient in place: each row reads its
+	// label's probability before subtracting the one-hot from it.
+	grad := buf(&s.a, b, c)
+	if err := tensor.SoftmaxInto(grad, logits); err != nil {
 		return 0, nil, err
 	}
-	grad := probs.Clone()
 	gd := grad.Data()
-	pd := probs.Data()
+	pd := gd
 	total := 0.0
 	invB := 1.0 / float64(b)
 	for i := 0; i < b; i++ {
@@ -68,6 +102,11 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor,
 // nothing. Gradients are propagated through the row normalization via
 // du/dz = (I − uuᵀ)/‖z‖ and returned with respect to the raw z and zp.
 func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (float64, *tensor.Tensor, *tensor.Tensor, error) {
+	return new(Scratch).NormalizedTriplet(z, zp, labels, margin)
+}
+
+// NormalizedTriplet is the package NormalizedTriplet into s.
+func (s *Scratch) NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (float64, *tensor.Tensor, *tensor.Tensor, error) {
 	if z.Dims() != 2 || zp.Dims() != 2 || !tensor.SameShape(z, zp) {
 		return 0, nil, nil, fmt.Errorf("loss: normalized triplet shapes %v vs %v", z.Shape(), zp.Shape())
 	}
@@ -75,10 +114,10 @@ func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (floa
 	if len(labels) != b {
 		return 0, nil, nil, fmt.Errorf("loss: triplet %d labels for batch %d", len(labels), b)
 	}
-	zn, zNorms := normalizeRows(z)
-	zpn, zpNorms := normalizeRows(zp)
-	dzn := tensor.New(b, d)
-	dzpn := tensor.New(b, d)
+	zn, zNorms := normalizeRows(buf(&s.a, b, d), &s.norms, z)
+	zpn, zpNorms := normalizeRows(buf(&s.b, b, d), &s.norms2, zp)
+	dzn := zeroed(&s.c, b, d)
+	dzpn := zeroed(&s.d, b, d)
 	zd, zpd := zn.Data(), zpn.Data()
 	dzd, dzpd := dzn.Data(), dzpn.Data()
 	invB := 1.0 / float64(b)
@@ -93,12 +132,13 @@ func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (floa
 			pos += diff * diff
 		}
 		// Negative set.
-		var negIdx []int
+		negIdx := s.neg[:0]
 		for j := 0; j < b; j++ {
 			if labels[j] != labels[i] {
 				negIdx = append(negIdx, j)
 			}
 		}
+		s.neg = negIdx
 		if len(negIdx) == 0 {
 			continue
 		}
@@ -135,16 +175,19 @@ func NormalizedTriplet(z, zp *tensor.Tensor, labels []int, margin float64) (floa
 	}
 	dzn.Scale(invB)
 	dzpn.Scale(invB)
-	dz := backpropRowNorm(zn, dzn, zNorms)
-	dzp := backpropRowNorm(zpn, dzpn, zpNorms)
+	dz := backpropRowNorm(buf(&s.e, b, d), zn, dzn, zNorms)
+	dzp := backpropRowNorm(buf(&s.f, b, d), zpn, dzpn, zpNorms)
 	return total * invB, dz, dzp, nil
 }
 
-// normalizeRows returns row-normalized u = z/max(‖z‖, ε) and the norms.
-func normalizeRows(z *tensor.Tensor) (*tensor.Tensor, []float64) {
+// normalizeRows writes the row-normalized u = z/max(‖z‖, ε) into out (z's
+// shape) and the norms into *norms, reused when it has room, and
+// returns both.
+func normalizeRows(out *tensor.Tensor, np *[]float64, z *tensor.Tensor) (*tensor.Tensor, []float64) {
 	b, d := z.Dim(0), z.Dim(1)
-	out := z.Clone()
-	norms := make([]float64, b)
+	copy(out.Data(), z.Data())
+	*np = tensor.Fit(*np, b)
+	norms := *np
 	od := out.Data()
 	for i := 0; i < b; i++ {
 		row := od[i*d : (i+1)*d]
@@ -165,10 +208,10 @@ func normalizeRows(z *tensor.Tensor) (*tensor.Tensor, []float64) {
 	return out, norms
 }
 
-// backpropRowNorm maps gradients at u = z/‖z‖ back to z.
-func backpropRowNorm(u, du *tensor.Tensor, norms []float64) *tensor.Tensor {
+// backpropRowNorm writes the gradients at u = z/‖z‖, mapped back to z,
+// into out (u's shape) and returns it.
+func backpropRowNorm(out, u, du *tensor.Tensor, norms []float64) *tensor.Tensor {
 	b, d := u.Dim(0), u.Dim(1)
-	out := tensor.New(b, d)
 	ud, dud, od := u.Data(), du.Data(), out.Data()
 	for i := 0; i < b; i++ {
 		urow := ud[i*d : (i+1)*d]
@@ -190,16 +233,24 @@ func backpropRowNorm(u, du *tensor.Tensor, norms []float64) *tensor.Tensor {
 // L_reg = (1/B) Σ_i (‖z_i‖² + ‖zp_i‖²), and its gradients. zp may be nil
 // (FedSR uses the single-view form).
 func EmbedL2(z, zp *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor, error) {
+	return new(Scratch).EmbedL2(z, zp)
+}
+
+// EmbedL2 is the package EmbedL2 into s.
+func (s *Scratch) EmbedL2(z, zp *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor, error) {
 	if z.Dims() != 2 {
 		return 0, nil, nil, fmt.Errorf("loss: EmbedL2 needs 2-D z, got %v", z.Shape())
 	}
-	b := z.Dim(0)
+	b, d := z.Dim(0), z.Dim(1)
 	invB := 1.0 / float64(b)
-	scale := func(v float64) float64 { return v * (2 * invB) }
+	k := 2 * invB
 	total := 0.0
 	// Single fused sweep per operand instead of clone-then-scale.
-	dz := tensor.New(z.Shape()...)
-	_ = tensor.ApplyInto(dz, z, scale)
+	dz := buf(&s.e, b, d)
+	dd := dz.Data()
+	for i, v := range z.Data() {
+		dd[i] = v * k
+	}
 	for _, v := range z.Data() {
 		total += v * v
 	}
@@ -208,8 +259,11 @@ func EmbedL2(z, zp *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor, err
 		if !tensor.SameShape(z, zp) {
 			return 0, nil, nil, fmt.Errorf("loss: EmbedL2 shapes %v vs %v", z.Shape(), zp.Shape())
 		}
-		dzp = tensor.New(zp.Shape()...)
-		_ = tensor.ApplyInto(dzp, zp, scale)
+		dzp = buf(&s.f, b, d)
+		pd := dzp.Data()
+		for i, v := range zp.Data() {
+			pd[i] = v * k
+		}
 		for _, v := range zp.Data() {
 			total += v * v
 		}
@@ -229,16 +283,24 @@ func EmbedL2(z, zp *tensor.Tensor) (float64, *tensor.Tensor, *tensor.Tensor, err
 // respect to the raw z (prototypes are server-fixed constants during
 // local training).
 func ProtoContrast(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau float64) (float64, *tensor.Tensor, error) {
-	zn, norms := normalizeRows(z)
-	pn, _ := normalizeRows(protos)
-	l, dzn, err := protoContrastRaw(zn, labels, pn, tau)
+	return new(Scratch).ProtoContrast(z, labels, protos, tau)
+}
+
+// ProtoContrast is the package ProtoContrast into s.
+func (s *Scratch) ProtoContrast(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau float64) (float64, *tensor.Tensor, error) {
+	if z.Dims() != 2 || protos.Dims() != 2 {
+		return 0, nil, fmt.Errorf("loss: ProtoContrast shapes %v, %v", z.Shape(), protos.Shape())
+	}
+	zn, norms := normalizeRows(buf(&s.a, z.Dim(0), z.Dim(1)), &s.norms, z)
+	pn, _ := normalizeRows(buf(&s.b, protos.Dim(0), protos.Dim(1)), &s.norms2, protos)
+	l, dzn, err := s.protoContrastRaw(zn, labels, pn, tau)
 	if err != nil {
 		return 0, nil, err
 	}
-	return l, backpropRowNorm(zn, dzn, norms), nil
+	return l, backpropRowNorm(buf(&s.e, zn.Dim(0), zn.Dim(1)), zn, dzn, norms), nil
 }
 
-func protoContrastRaw(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau float64) (float64, *tensor.Tensor, error) {
+func (s *Scratch) protoContrastRaw(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau float64) (float64, *tensor.Tensor, error) {
 	if z.Dims() != 2 || protos.Dims() != 2 {
 		return 0, nil, fmt.Errorf("loss: ProtoContrast shapes %v, %v", z.Shape(), protos.Shape())
 	}
@@ -254,7 +316,9 @@ func protoContrastRaw(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau
 		return 0, nil, fmt.Errorf("loss: tau %g", tau)
 	}
 	// Identify live prototypes.
-	live := make([]bool, c)
+	s.live = tensor.Fit(s.live, c)
+	live := s.live
+	clear(live)
 	pd := protos.Data()
 	anyLive := false
 	for cc := 0; cc < c; cc++ {
@@ -267,15 +331,18 @@ func protoContrastRaw(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau
 			}
 		}
 	}
+	dz := zeroed(&s.c, b, d)
 	if !anyLive {
-		return 0, tensor.New(b, d), nil
+		return 0, dz, nil
 	}
-	dz := tensor.New(b, d)
 	zd, dzd := z.Data(), dz.Data()
 	total := 0.0
 	used := 0
-	logits := make([]float64, c)
-	probs := make([]float64, c)
+	s.logits = tensor.Fit(s.logits, c)
+	s.probs = tensor.Fit(s.probs, c)
+	logits, probs := s.logits, s.probs
+	clear(logits)
+	clear(probs)
 	for i := 0; i < b; i++ {
 		y := labels[i]
 		if y < 0 || y >= c || !live[y] {
@@ -347,12 +414,17 @@ func protoContrastRaw(z *tensor.Tensor, labels []int, protos *tensor.Tensor, tau
 // targets plus the gradient with respect to z — the alignment penalty used
 // by FedSR's CMI surrogate.
 func MeanSquared(z, targets *tensor.Tensor) (float64, *tensor.Tensor, error) {
-	if !tensor.SameShape(z, targets) {
+	return new(Scratch).MeanSquared(z, targets)
+}
+
+// MeanSquared is the package MeanSquared into s.
+func (s *Scratch) MeanSquared(z, targets *tensor.Tensor) (float64, *tensor.Tensor, error) {
+	if !tensor.SameShape(z, targets) || z.Dims() != 2 {
 		return 0, nil, fmt.Errorf("loss: MeanSquared shapes %v vs %v", z.Shape(), targets.Shape())
 	}
 	b := z.Dim(0)
 	invB := 1.0 / float64(b)
-	dz := tensor.New(z.Dim(0), z.Dim(1))
+	dz := buf(&s.e, z.Dim(0), z.Dim(1))
 	zd, td, dzd := z.Data(), targets.Data(), dz.Data()
 	total := 0.0
 	for i := range zd {

@@ -203,3 +203,80 @@ func TestMeanSquared(t *testing.T) {
 		t.Fatal("shape mismatch should error")
 	}
 }
+
+// TestScratchReuseMatchesFresh runs every loss head on one reused
+// Scratch over alternating batch sizes, so its buffers hold the previous
+// call's values (and outgrown storage) when reused, and checks each
+// result bit for bit against a fresh Scratch: no head may depend on a
+// buffer's prior contents.
+func TestScratchReuseMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	const d, classes = 6, 4
+	protos := tensor.Randn(r, 1, classes, d)
+	copy(protos.Data()[2*d:3*d], make([]float64, d)) // one dead prototype
+	var s loss.Scratch
+	same := func(name string, got, want *tensor.Tensor) {
+		t.Helper()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: nil mismatch", name)
+		}
+		if got == nil {
+			return
+		}
+		gd, wd := got.Data(), want.Data()
+		if len(gd) != len(wd) {
+			t.Fatalf("%s: length %d vs %d", name, len(gd), len(wd))
+		}
+		for i := range gd {
+			if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
+				t.Fatalf("%s: element %d is %g, want %g", name, i, gd[i], wd[i])
+			}
+		}
+	}
+	for _, b := range []int{8, 3, 8, 5, 1, 8} {
+		z, zp := tensor.Randn(r, 1, b, d), tensor.Randn(r, 1, b, d)
+		logits := tensor.Randn(r, 2, b, classes)
+		labels := make([]int, b)
+		for i := range labels {
+			labels[i] = r.Intn(classes)
+		}
+		lg, g, err := s.CrossEntropy(logits, labels)
+		lw, w, err2 := new(loss.Scratch).CrossEntropy(logits, labels)
+		if err != nil || err2 != nil || lg != lw {
+			t.Fatalf("CE b=%d: %v %v %g %g", b, err, err2, lg, lw)
+		}
+		same("CE", g, w)
+
+		lg, g1, g2, err := s.NormalizedTriplet(z, zp, labels, 0.5)
+		lw, w1, w2, err2 := new(loss.Scratch).NormalizedTriplet(z, zp, labels, 0.5)
+		if err != nil || err2 != nil || lg != lw {
+			t.Fatalf("triplet b=%d: %v %v %g %g", b, err, err2, lg, lw)
+		}
+		same("triplet dz", g1, w1)
+		same("triplet dzp", g2, w2)
+
+		for _, second := range []*tensor.Tensor{zp, nil} {
+			lg, g1, g2, err = s.EmbedL2(z, second)
+			lw, w1, w2, err2 = new(loss.Scratch).EmbedL2(z, second)
+			if err != nil || err2 != nil || lg != lw {
+				t.Fatalf("EmbedL2 b=%d: %v %v %g %g", b, err, err2, lg, lw)
+			}
+			same("EmbedL2 dz", g1, w1)
+			same("EmbedL2 dzp", g2, w2)
+		}
+
+		lg, g, err = s.ProtoContrast(z, labels, protos, 0.5)
+		lw, w, err2 = new(loss.Scratch).ProtoContrast(z, labels, protos, 0.5)
+		if err != nil || err2 != nil || lg != lw {
+			t.Fatalf("ProtoContrast b=%d: %v %v %g %g", b, err, err2, lg, lw)
+		}
+		same("ProtoContrast", g, w)
+
+		lg, g, err = s.MeanSquared(z, zp)
+		lw, w, err2 = new(loss.Scratch).MeanSquared(z, zp)
+		if err != nil || err2 != nil || lg != lw {
+			t.Fatalf("MeanSquared b=%d: %v %v %g %g", b, err, err2, lg, lw)
+		}
+		same("MeanSquared", g, w)
+	}
+}

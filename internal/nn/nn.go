@@ -156,11 +156,20 @@ type Model struct {
 	all    *tensor.Tensor // 1-D view over the whole arena
 	layers []Layer
 	// shadow is the float32 mirror the F32 compute path multiplies
-	// against; a derived cache re-narrowed from the master arena at each
-	// forward pass, never authoritative (see precision.go).
+	// against: a derived cache of the master arena, never authoritative
+	// (see precision.go). The SGD step that changes the master writes
+	// it and marks it fresh; every other way the arena can change marks
+	// it stale, and a forward narrows only a stale shadow.
 	shadow struct {
 		arena []float32
 		w, b  [][]float32
+		fresh bool
+	}
+	// sum is WeightedAverageInto's scratch when m is its destination:
+	// the normalized weights and the inputs' arenas.
+	sum struct {
+		ws   []float64
+		srcs [][]float64
 	}
 }
 
@@ -171,6 +180,7 @@ func newEmpty(cfg Config) *Model {
 		for i := range m.arena {
 			m.arena[i] = 0
 		}
+		m.shadow.fresh = false
 		return m
 	}
 	arena := make([]float64, cfg.arenaLen())
@@ -214,17 +224,25 @@ func NewLike(m *Model) *Model {
 }
 
 // Layers returns the layer stack (views into the arena; mutations are
-// visible to the model). The returned slice must not be modified.
-func (m *Model) Layers() []Layer { return m.layers }
+// visible to the model, so the float32 shadow is marked stale). The
+// returned slice must not be modified.
+func (m *Model) Layers() []Layer {
+	m.shadow.fresh = false
+	return m.layers
+}
 
 // Classifier returns the unified-classifier layer g (the last of the
-// stack): views into the arena.
-func (m *Model) Classifier() Layer { return m.layers[len(m.layers)-1] }
+// stack): views into the arena, so the shadow is marked stale.
+func (m *Model) Classifier() Layer {
+	m.shadow.fresh = false
+	return m.layers[len(m.layers)-1]
+}
 
 // Params returns the parameter tensors in canonical order (W then B,
 // layer by layer — for the single-hidden-layer config this is the
 // historical W1,B1,W2,B2,WC,BC order).
 func (m *Model) Params() []*tensor.Tensor {
+	m.shadow.fresh = false
 	out := make([]*tensor.Tensor, 0, 2*len(m.layers))
 	for _, ly := range m.layers {
 		out = append(out, ly.W, ly.B)
@@ -241,6 +259,7 @@ func (m *Model) Clone() *Model {
 		cp = newEmpty(m.Cfg)
 	}
 	copy(cp.arena, m.arena)
+	cp.shadow.fresh = false
 	return cp
 }
 
@@ -248,9 +267,13 @@ func (m *Model) Clone() *Model {
 func (m *Model) NumParams() int { return len(m.arena) }
 
 // Vector returns the live flat parameter vector — a zero-copy view of
-// the arena in canonical order. Mutations are visible to the model;
-// callers that need a snapshot copy it.
-func (m *Model) Vector() []float64 { return m.arena }
+// the arena in canonical order. Mutations are visible to the model, so
+// the float32 shadow is marked stale; callers that need a snapshot copy
+// it.
+func (m *Model) Vector() []float64 {
+	m.shadow.fresh = false
+	return m.arena
+}
 
 // SetParamVector writes a flat vector (from Vector of a same-config
 // model) back into the arena. It copies into the existing
@@ -260,6 +283,7 @@ func (m *Model) SetParamVector(v []float64) error {
 		return fmt.Errorf("nn: param vector length %d, want %d", len(v), len(m.arena))
 	}
 	copy(m.arena, v)
+	m.shadow.fresh = false
 	return nil
 }
 
@@ -320,13 +344,11 @@ func (m *Model) ForwardInto(acts *Activations, x *tensor.Tensor) error {
 		if err := tensor.MatMulInto(acts.pre[i], cur, ly.W); err != nil {
 			return err
 		}
-		addRowVector(acts.pre[i], ly.B)
 		if ly.ReLU {
 			acts.out[i] = tensor.Fit2D(acts.out[i], b, w)
-			if err := tensor.ApplyInto(acts.out[i], acts.pre[i], relu); err != nil {
-				return err
-			}
+			addBiasReLU(acts.pre[i].Data(), acts.out[i].Data(), ly.B.Data())
 		} else {
+			addRowVector(acts.pre[i], ly.B)
 			acts.out[i] = acts.pre[i]
 		}
 		cur = acts.out[i]
@@ -347,7 +369,7 @@ func (m *Model) RecomputeLogits(acts *Activations) error {
 	if m.Cfg.Precision == F32 {
 		return m.recomputeLogits32(acts)
 	}
-	cls := m.Classifier()
+	cls := m.layers[len(m.layers)-1]
 	if err := tensor.MatMulInto(acts.Logits, acts.Z, cls.W); err != nil {
 		return err
 	}
@@ -375,6 +397,10 @@ type Grads struct {
 	all    *tensor.Tensor
 	layers []Layer
 
+	// clean reports that the arena is all +0: set by Zero and by the SGD
+	// step, which clears the gradients it consumes, and cleared by
+	// Backward. A recycled Grads that is clean needs no zeroing pass.
+	clean bool
 	// delta holds Backward's per-layer delta flows, grown only when the
 	// batch outgrows them. Weight gradients need no scratch: the
 	// aᵀ@b kernel adds them straight into the arena.
@@ -393,7 +419,9 @@ type Grads struct {
 // same-config Grads (arena plus backprop scratch) when one is pooled.
 func (m *Model) NewGrads() *Grads {
 	if g := acquireGrads(m.Cfg, len(m.arena)); g != nil {
-		g.Zero()
+		if !g.clean {
+			g.Zero()
+		}
 		return g
 	}
 	arena := make([]float64, len(m.arena))
@@ -402,17 +430,23 @@ func (m *Model) NewGrads() *Grads {
 		arena:  arena,
 		all:    tensor.MustFromSlice(arena, len(arena)),
 		layers: bindLayers(m.Cfg, arena),
+		clean:  true,
 	}
 	g.delta = make([]*tensor.Tensor, len(g.layers)-1)
 	return g
 }
 
 // Zero resets all gradient accumulators in one arena sweep.
-func (g *Grads) Zero() { g.all.Zero() }
+func (g *Grads) Zero() {
+	g.all.Zero()
+	g.clean = true
+}
 
 // Params returns gradient tensors in the same canonical order as
-// Model.Params.
+// Model.Params: views into the arena, which may then be written, so
+// the arena is no longer known to be clean.
 func (g *Grads) Params() []*tensor.Tensor {
+	g.clean = false
 	out := make([]*tensor.Tensor, 0, 2*len(g.layers))
 	for _, ly := range g.layers {
 		out = append(out, ly.W, ly.B)
@@ -433,6 +467,7 @@ func (m *Model) Backward(acts *Activations, dLogits, dZExtra *tensor.Tensor, gra
 	if !grads.cfg.Equal(m.Cfg) {
 		return fmt.Errorf("nn: grads built for config %+v, model has %+v", grads.cfg, m.Cfg)
 	}
+	grads.clean = false
 	if m.Cfg.Precision == F32 {
 		return m.backward32(acts, dLogits, dZExtra, grads)
 	}
@@ -506,6 +541,9 @@ type SGD struct {
 	// Clip bounds the global gradient norm before the update (0 = off).
 	Clip float64
 	vel  []float64
+	// rest reports that vel holds no velocity yet (a recycled vector
+	// with stale contents): the next step reads it as +0.
+	rest bool
 }
 
 // NewSGD constructs an optimizer for one model instance. Clipping is off
@@ -514,26 +552,60 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
-// Step applies one update: v ← m·v − lr·(g + wd·θ); θ ← θ + v.
+// Step applies one update in place: v ← m·v − lr·(g + wd·θ); θ ← θ + v.
+// It clears g for the next batch and, for an F32 model, narrows the new
+// parameters into the float32 shadow in the same sweep.
 func (s *SGD) Step(m *Model, g *Grads) error {
+	return s.step(m, nil, g)
+}
+
+// StepFrom applies one update to src's parameters like Step, but writes
+// the result into a model drawn from the recycling pool and returns it;
+// src is only read. It is the first step of a local pass: the pass
+// starts from the global model without cloning it.
+func (s *SGD) StepFrom(src *Model, g *Grads) (*Model, error) {
+	dst := acquireModel(src.Cfg)
+	if dst == nil {
+		dst = newEmpty(src.Cfg)
+	}
+	if err := s.step(dst, src.arena, g); err != nil {
+		dst.Release()
+		return nil, err
+	}
+	return dst, nil
+}
+
+// step is one sweep of tensor.SGDStep over the arena: src (nil: m's own
+// parameters) stepped into m, the clip factor applied to the gradients
+// as they are read. The clip norm stays a scalar sum in ascending
+// order.
+func (s *SGD) step(m *Model, src []float64, g *Grads) error {
 	pd, gd := m.arena, g.arena
 	if len(pd) != len(gd) {
 		return fmt.Errorf("nn: sgd param count %d vs grad count %d", len(pd), len(gd))
 	}
 	if len(s.vel) != len(pd) {
 		s.vel = acquireVel(len(pd))
+		s.rest = true
 	}
+	scale := 1.0
 	if s.Clip > 0 {
-		// The norm stays a scalar sum in ascending order.
 		total := 0.0
 		for _, v := range gd {
 			total += v * v
 		}
 		if norm := math.Sqrt(total); norm > s.Clip {
-			g.all.Scale(s.Clip / norm)
+			scale = s.Clip / norm
 		}
 	}
-	tensor.MomentumStep(pd, s.vel, gd, s.Momentum, s.LR, s.WeightDecay)
+	var shadow []float32
+	if m.Cfg.Precision == F32 {
+		shadow = m.shadowArena()
+	}
+	tensor.SGDStep{Momentum: s.Momentum, LR: s.LR, WeightDecay: s.WeightDecay, GradScale: scale, FromRest: s.rest}.Apply(pd, src, s.vel, gd, shadow)
+	s.rest = false
+	m.shadow.fresh = shadow != nil
+	g.clean = true
 	return nil
 }
 
@@ -565,20 +637,36 @@ func WeightedAverageInto(dst *Model, models []*Model, weights []float64) error {
 			return fmt.Errorf("nn: average destination aliases model %d", i)
 		}
 	}
-	dst.all.Zero()
+	ws, srcs := dst.sum.ws[:0], dst.sum.srcs[:0]
 	for i, m := range models {
-		if err := tensor.AddScaledInto(dst.all, dst.all, weights[i]/total, m.all); err != nil {
-			return err
-		}
+		ws = append(ws, weights[i]/total)
+		srcs = append(srcs, m.arena)
 	}
+	tensor.WeightedSumInto(dst.arena, srcs, ws)
+	clear(srcs) // hold no reference to the inputs' arenas
+	dst.sum.ws, dst.sum.srcs = ws, srcs
+	dst.shadow.fresh = false
 	return nil
 }
 
-func relu(x float64) float64 {
-	if x < 0 {
-		return 0
+// addBiasReLU adds the length-n bias to every row of the (m·n)
+// pre-activation pre, in place, and writes the ReLU of the sum into
+// out, in one loop. pre keeps the pre-activation for Backward's ReLU
+// gate.
+func addBiasReLU(pre, out, bias []float64) {
+	n := len(bias)
+	out = out[:len(pre)]
+	for o := 0; o < len(pre); o += n {
+		row, orow := pre[o:o+n], out[o:o+n]
+		for j, b := range bias {
+			v := row[j] + b
+			row[j] = v
+			if v < 0 {
+				v = 0
+			}
+			orow[j] = v
+		}
 	}
-	return x
 }
 
 // addRowVector adds a length-n vector to every row of an (m,n) tensor.

@@ -7,11 +7,12 @@
 //   - The float64 arena stays authoritative. Aggregation, serialization
 //     hashes, FedGMA's sign masks, SGD momentum, and every algorithm
 //     keep their exact float64 semantics.
-//   - Each forward pass re-narrows the arena into a float32 shadow and
-//     runs the matmul-heavy forward/backward through the float32
-//     micro-kernels (tensor.MatMulF32 and friends) at half the memory
-//     bandwidth. Narrowing is O(params) against O(batch·params) matmul
-//     work, so the conversion is noise.
+//   - The arena is narrowed into a float32 shadow, and the matmul-heavy
+//     forward/backward runs through the float32 micro-kernels
+//     (tensor.MatMulF32 and friends) at half the memory bandwidth. The
+//     SGD step that changes the master writes the shadow in the same
+//     sweep (tensor.SGDStep); any other change marks it stale, and a
+//     forward pass narrows only a stale shadow.
 //   - Losses stay float64: the embedding Z and the logits are widened
 //     after the forward pass (exact — every float32 is a float64), so
 //     loss.* code is precision-blind. Gradients narrow back to float32
@@ -83,16 +84,32 @@ func bind32(cfg Config, arena []float32) (w, b [][]float32) {
 	return w, b
 }
 
-// syncShadow re-narrows the master arena into the float32 shadow. Called
-// at the top of every forward pass, so external parameter mutation
-// (Vector, SetParamVector, SGD steps, aggregation) can never leave the
-// shadow stale.
-func (m *Model) syncShadow() {
+// shadowArena returns the float32 shadow's storage, allocating it (and
+// its per-layer views) on first use.
+func (m *Model) shadowArena() []float32 {
 	if len(m.shadow.arena) != len(m.arena) {
 		m.shadow.arena = make([]float32, len(m.arena))
 		m.shadow.w, m.shadow.b = bind32(m.Cfg, m.shadow.arena)
 	}
-	tensor.NarrowInto(m.shadow.arena, m.arena)
+	return m.shadow.arena
+}
+
+// SyncShadow re-narrows the master arena into the float32 shadow of an
+// F32 model when the shadow is stale; it does nothing for an F64 model
+// or a fresh shadow. The shadow goes stale whenever the arena can have
+// changed outside an SGD step (New, Clone, Vector, Params, Layers,
+// Classifier, SetParamVector, UnmarshalBinary, WeightedAverageInto),
+// and every forward pass calls SyncShadow first, so a forward never
+// reads a stale shadow. A forward of a stale model therefore writes the
+// model: never forward a model with a stale shadow from two goroutines.
+// Sync it first (fl.Run does, once per round, before the local
+// fan-out), after which concurrent forwards only read it.
+func (m *Model) SyncShadow() {
+	if m.Cfg.Precision != F32 || m.shadow.fresh {
+		return
+	}
+	tensor.NarrowInto(m.shadowArena(), m.arena)
+	m.shadow.fresh = true
 }
 
 // forward32 is ForwardInto's F32 body: float32 matmuls layer by layer,
@@ -100,7 +117,7 @@ func (m *Model) syncShadow() {
 // consume. Reuses acts' buffers across same-size batches like the
 // float64 path.
 func (m *Model) forward32(acts *Activations, x *tensor.Tensor) error {
-	m.syncShadow()
+	m.SyncShadow()
 	b := x.Dim(0)
 	nL := len(m.layers)
 	if len(acts.pre) != nL {
@@ -169,7 +186,7 @@ func (m *Model) recomputeLogits32(acts *Activations) error {
 // backward32 is Backward's F32 body: loss gradients narrow at the
 // logits/embedding boundary, flow through float32 matmuls against the
 // shadow weights, and widen as they accumulate into the float64 Grads
-// arena. Relies on the shadow synced by this batch's forward pass.
+// arena. Relies on the shadow this batch's forward pass read.
 func (m *Model) backward32(acts *Activations, dLogits, dZExtra *tensor.Tensor, grads *Grads) error {
 	nL := len(m.layers)
 	if len(acts.out32) != nL || acts.out32[nL-1] == nil {

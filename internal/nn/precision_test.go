@@ -333,3 +333,68 @@ func TestV1CheckpointStillLoads(t *testing.T) {
 		}
 	}
 }
+
+// TestShadowWrittenByStepAndResyncedWhenStale pins the freshness rule of
+// the float32 shadow: an SGD step (in place or from a source model)
+// leaves the shadow equal to the narrowed master arena and fresh, so the
+// next forward reads it as it is; a write through Vector marks it
+// stale, and the next forward narrows it again.
+func TestShadowWrittenByStepAndResyncedWhenStale(t *testing.T) {
+	_, m, x, y := pairedModels(t, 5)
+	narrowed := func(m *Model) []float32 {
+		out := make([]float32, len(m.arena))
+		tensor.NarrowInto(out, m.arena)
+		return out
+	}
+	requireShadow := func(name string, m *Model) {
+		t.Helper()
+		if !m.shadow.fresh {
+			t.Fatalf("%s: shadow is stale", name)
+		}
+		want := narrowed(m)
+		for i, v := range m.shadow.arena {
+			if math.Float32bits(v) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: shadow[%d] = %g, want %g", name, i, v, want[i])
+			}
+		}
+	}
+	grads := m.NewGrads()
+	opt := NewSGD(0.1, 0.9, 1e-3)
+	backward := func(m *Model) {
+		t.Helper()
+		acts, err := m.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Backward(acts, softmaxGrad(acts.Logits, y), nil, grads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backward(m)
+	requireShadow("first forward", m)
+	src := append([]float64(nil), m.arena...)
+	next, err := opt.StepFrom(m, grads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range m.arena {
+		if math.Float64bits(v) != math.Float64bits(src[i]) {
+			t.Fatalf("StepFrom wrote its source at %d", i)
+		}
+	}
+	requireShadow("after StepFrom", next)
+	if !grads.clean {
+		t.Fatal("the step left the gradients dirty")
+	}
+	backward(next)
+	if err := opt.Step(next, grads); err != nil {
+		t.Fatal(err)
+	}
+	requireShadow("after Step", next)
+	next.Vector()[0] += 1
+	if next.shadow.fresh {
+		t.Fatal("a write through Vector left the shadow fresh")
+	}
+	backward(next)
+	requireShadow("forward after a write", next)
+}

@@ -1,8 +1,8 @@
 // Arena recycling: Model and Grads objects (and SGD velocity vectors)
 // are the dominant steady-state allocations of a federated round — every
-// sampled client clones the global model, builds a gradient arena plus
-// backprop scratch, and grows an optimizer velocity, all sized at
-// NumParams. Recycling them across rounds (and runs) removes both the
+// sampled client's first SGD step writes a fresh parameter arena
+// (SGD.StepFrom), and the client builds a gradient arena plus backprop
+// scratch and grows an optimizer velocity, all sized at NumParams. Recycling them across rounds (and runs) removes both the
 // allocator's zeroing pass over each fresh arena and the GC pressure of
 // megabytes of short-lived slices per round.
 //
@@ -88,8 +88,8 @@ func (g *Grads) Release() {
 }
 
 // Release returns the optimizer's velocity vector to the pool. The
-// optimizer itself stays usable; its next Step starts from zero
-// momentum, so release only at the end of a local training pass.
+// optimizer itself stays usable; its next Step starts from rest (zero
+// velocity), so release only at the end of a local training pass.
 func (s *SGD) Release() {
 	if s == nil || len(s.vel) == 0 {
 		return
@@ -124,14 +124,12 @@ func (a *Activations) Release() {
 	actsPool.Put(a)
 }
 
-// acquireVel returns a zeroed velocity vector of length n.
+// acquireVel returns a velocity vector of length n. A recycled one keeps
+// its stale contents: the first step after it reads the velocity as +0
+// (tensor.SGDStep.FromRest), so no zeroing pass is needed.
 func acquireVel(n int) []float64 {
 	if v := poolFor(&velPools, n).Get(); v != nil {
-		s := *(v.(*[]float64))
-		for i := range s {
-			s[i] = 0
-		}
-		return s
+		return *(v.(*[]float64))
 	}
 	return make([]float64, n)
 }

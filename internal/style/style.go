@@ -63,6 +63,17 @@ func Of(feature *tensor.Tensor) (*Style, error) {
 	return &Style{Mu: mu, Sigma: sigma}, nil
 }
 
+// OfInto writes the style of a (C,H,W) feature map into dst, whose Mu
+// and Sigma must already have length C: Of without the allocation, for
+// callers that keep many styles in one arena.
+func OfInto(dst *Style, feature *tensor.Tensor) error {
+	if feature.Dims() != 3 || feature.Dim(0) != dst.Channels() || len(dst.Sigma) != dst.Channels() {
+		return fmt.Errorf("style: feature shape %v for a %d-channel style", feature.Shape(), dst.Channels())
+	}
+	tensor.ChannelStatsInto(dst.Mu, dst.Sigma, feature.Data(), Eps)
+	return nil
+}
+
 // Clone returns a deep copy of s.
 func (s *Style) Clone() *Style {
 	cp := &Style{Mu: make([]float64, len(s.Mu)), Sigma: make([]float64, len(s.Sigma))}
@@ -80,29 +91,45 @@ func AdaIN(content *tensor.Tensor, target *Style) (*tensor.Tensor, error) {
 	if content.Dims() != 3 {
 		return nil, fmt.Errorf("style: AdaIN needs a (C,H,W) tensor, got shape %v", content.Shape())
 	}
-	c, h, w := content.Dim(0), content.Dim(1), content.Dim(2)
-	if target.Channels() != c {
-		return nil, fmt.Errorf("style: AdaIN channel mismatch: content %d vs style %d", c, target.Channels())
-	}
-	mu, sigma, err := tensor.ChannelStats(content, Eps)
+	src, err := Of(content)
 	if err != nil {
 		return nil, err
 	}
-	out := tensor.New(c, h, w)
-	hw := h * w
+	out := tensor.New(content.Shape()...)
+	if err := AdaINInto(out.Data(), content, src, target); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AdaINInto writes AdaIN(content, target) into dst (content's length),
+// reading the content's own style from srcStats — the precomputed
+// Of(content) — instead of recomputing it, and allocating nothing. The
+// bits equal AdaIN's.
+func AdaINInto(dst []float64, content *tensor.Tensor, srcStats, target *Style) error {
+	if content.Dims() != 3 {
+		return fmt.Errorf("style: AdaIN needs a (C,H,W) tensor, got shape %v", content.Shape())
+	}
+	c := content.Dim(0)
+	if target.Channels() != c || srcStats.Channels() != c {
+		return fmt.Errorf("style: AdaIN channel mismatch: content %d vs styles %d, %d", c, srcStats.Channels(), target.Channels())
+	}
 	src := content.Data()
-	dst := out.Data()
+	if len(dst) != len(src) {
+		return fmt.Errorf("style: AdaIN destination length %d, want %d", len(dst), len(src))
+	}
+	hw := len(src) / c
 	for ch := 0; ch < c; ch++ {
-		scale := target.Sigma[ch] / sigma[ch]
+		scale := target.Sigma[ch] / srcStats.Sigma[ch]
 		shift := target.Mu[ch]
-		m := mu[ch]
+		m := srcStats.Mu[ch]
 		seg := src[ch*hw : (ch+1)*hw]
 		oseg := dst[ch*hw : (ch+1)*hw]
 		for i, v := range seg {
 			oseg[i] = scale*(v-m) + shift
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Mean returns the arithmetic mean of a set of styles — used for cluster
@@ -176,15 +203,26 @@ func OfConcat(features []*tensor.Tensor, idx []int) (*Style, error) {
 // — the path between a sample's own style and the global interpolation
 // style that PARDON's transferred views are drawn from.
 func Interpolate(a, b *Style, t float64) (*Style, error) {
-	if a.Channels() != b.Channels() {
-		return nil, fmt.Errorf("style: interpolate channel mismatch %d vs %d", a.Channels(), b.Channels())
-	}
-	out := &Style{Mu: make([]float64, len(a.Mu)), Sigma: make([]float64, len(a.Sigma))}
-	for i := range a.Mu {
-		out.Mu[i] = (1-t)*a.Mu[i] + t*b.Mu[i]
-		out.Sigma[i] = (1-t)*a.Sigma[i] + t*b.Sigma[i]
+	out := &Style{}
+	if err := InterpolateInto(out, a, b, t); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// InterpolateInto writes Interpolate(a, b, t) into dst, reusing dst's
+// Mu and Sigma storage when it has room.
+func InterpolateInto(dst, a, b *Style, t float64) error {
+	if a.Channels() != b.Channels() {
+		return fmt.Errorf("style: interpolate channel mismatch %d vs %d", a.Channels(), b.Channels())
+	}
+	dst.Mu = tensor.Fit(dst.Mu, len(a.Mu))
+	dst.Sigma = tensor.Fit(dst.Sigma, len(a.Sigma))
+	for i := range a.Mu {
+		dst.Mu[i] = (1-t)*a.Mu[i] + t*b.Mu[i]
+		dst.Sigma[i] = (1-t)*a.Sigma[i] + t*b.Sigma[i]
+	}
+	return nil
 }
 
 // Distance returns the Euclidean distance between two styles in vector

@@ -463,23 +463,107 @@ func MatMulABTSerial(a, b *Tensor) (*Tensor, error) {
 
 // --- fused element-wise helpers ---
 
-// MomentumStep applies one momentum-SGD update in place:
+// SGDStep holds the constants of one momentum-SGD update (Apply).
+type SGDStep struct {
+	Momentum, LR, WeightDecay float64
+	// GradScale multiplies every gradient before the update: a clip
+	// factor, or 1.
+	GradScale float64
+	// FromRest reads the velocity as +0 instead of loading it, so a
+	// recycled velocity buffer needs no zeroing pass before the first
+	// step.
+	FromRest bool
+}
+
+// Apply runs one momentum-SGD update as a single sweep over the arena:
 //
-//	vel ← momentum·vel − lr·(grad + wd·param);  param ← param + vel
+//	v = momentum·vel − lr·(grad·GradScale + wd·src);  param = src + v
 //
-// Four lanes at a time on SIMD (simd.go), each operation rounded
-// separately as in the scalar loop, so the result is bit-identical on
-// either path. vel and grad must have param's length.
-func MomentumStep(param, vel, grad []float64, momentum, lr, wd float64) {
-	checkLen("momentum vel", len(vel), len(param))
-	checkLen("momentum grad", len(grad), len(param))
-	j := simdLen(len(param))
-	if j > 0 {
-		momentumStepF64(&param[0], &vel[0], &grad[0], j, momentum, lr, wd)
+// and then vel = v, grad = +0 (cleared for the next batch) and, when
+// shadow is non-nil, shadow = float32(param). src nil means param, an
+// update in place; otherwise src is only read, so the first step of a
+// local pass can read the global model and write a recycled arena.
+// Every operation is rounded separately, in the order of the two-pass
+// form (scale the gradient, then step), so the result is bit-identical
+// to it; four lanes at a time on SIMD (simd.go), the scalar loop
+// keeping the tail. src, vel, grad and shadow (when non-nil) must have
+// param's length.
+func (s SGDStep) Apply(param, src, vel, grad []float64, shadow []float32) {
+	n := len(param)
+	if src == nil {
+		src = param
 	}
-	for ; j < len(param); j++ {
-		vel[j] = momentum*vel[j] - lr*(grad[j]+wd*param[j])
-		param[j] += vel[j]
+	checkLen("sgd src", len(src), n)
+	checkLen("sgd vel", len(vel), n)
+	checkLen("sgd grad", len(grad), n)
+	if shadow != nil {
+		checkLen("sgd shadow", len(shadow), n)
+	}
+	j := simdLen(n)
+	if j > 0 {
+		var sh *float32
+		if shadow != nil {
+			sh = &shadow[0]
+		}
+		sgdStepF64(&param[0], &src[0], &vel[0], &grad[0], sh, j, s.Momentum, s.LR, s.WeightDecay, s.GradScale, s.FromRest)
+	}
+	for ; j < n; j++ {
+		v := 0.0
+		if !s.FromRest {
+			v = vel[j]
+		}
+		// The conversions forbid fusing a multiply into the next add.
+		g := float64(grad[j] * s.GradScale)
+		v = float64(s.Momentum*v) - float64(s.LR*float64(g+float64(s.WeightDecay*src[j])))
+		vel[j] = v
+		param[j] = src[j] + v
+		grad[j] = 0
+		if shadow != nil {
+			shadow[j] = float32(param[j])
+		}
+	}
+}
+
+// AffineInto writes (src[i] − shift)·scale into dst[i], the subtract
+// and the multiply rounded separately; four lanes at a time on SIMD.
+// dst may alias src and must be at least as long.
+func AffineInto(dst, src []float64, shift, scale float64) {
+	dst = dst[:len(src)]
+	j := simdLen(len(src))
+	if j > 0 {
+		affineF64(&dst[0], &src[0], j, shift, scale)
+	}
+	for ; j < len(src); j++ {
+		dst[j] = float64(src[j]-shift) * scale
+	}
+}
+
+// WeightedSumInto writes Σ_k ws[k]·srcs[k][i] into dst[i], each element
+// summed from +0 in k order with a separately rounded multiply and add
+// per term: the bits of zeroing dst and then running one axpy pass
+// (AddScaledInto) per input, in one sweep. Four lanes at a time on
+// SIMD. Every srcs[k] must have dst's length, and ws must have one
+// weight per input; no input may alias dst.
+func WeightedSumInto(dst []float64, srcs [][]float64, ws []float64) {
+	checkLen("weighted-sum weights", len(ws), len(srcs))
+	for _, s := range srcs {
+		checkLen("weighted-sum input", len(s), len(dst))
+	}
+	j := simdLen(len(dst))
+	if j > 0 {
+		var s0 *[]float64
+		var w0 *float64
+		if len(srcs) > 0 {
+			s0, w0 = &srcs[0], &ws[0]
+		}
+		weightedSumF64(&dst[0], s0, w0, len(srcs), j)
+	}
+	for ; j < len(dst); j++ {
+		acc := 0.0
+		for k, s := range srcs {
+			acc += float64(ws[k] * s[j])
+		}
+		dst[j] = acc
 	}
 }
 
@@ -530,28 +614,5 @@ func AddScaledInto(dst, a *Tensor, s float64, b *Tensor) error {
 		return fmt.Errorf("tensor: addscaledinto shape mismatch %v, %v, %v", dst.shape, a.shape, b.shape)
 	}
 	addScaled(dst.data, a.data, s, b.data)
-	return nil
-}
-
-// ApplyInto computes dst[i] = f(src[i]) in one pass. dst may alias src;
-// with a preallocated dst it fuses a Clone and an element-wise map into
-// a single sweep with no allocation.
-func ApplyInto(dst, src *Tensor, f func(float64) float64) error {
-	if !SameShape(dst, src) {
-		return fmt.Errorf("tensor: applyinto shape mismatch %v vs %v", dst.shape, src.shape)
-	}
-	dd, sd := dst.data, src.data
-	i := 0
-	for ; i+4 <= len(dd); i += 4 {
-		d := dd[i : i+4]
-		s := sd[i : i+4]
-		d[0] = f(s[0])
-		d[1] = f(s[1])
-		d[2] = f(s[2])
-		d[3] = f(s[3])
-	}
-	for ; i < len(dd); i++ {
-		dd[i] = f(sd[i])
-	}
 	return nil
 }

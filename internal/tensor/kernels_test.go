@@ -277,32 +277,6 @@ func TestAddScaledInto(t *testing.T) {
 	}
 }
 
-func TestApplyInto(t *testing.T) {
-	src := tensor.MustFromSlice([]float64{-1, 0, 2}, 3)
-	dst := tensor.Full(7, 3)
-	relu := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		return x
-	}
-	if err := tensor.ApplyInto(dst, src, relu); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0, 2}
-	for i, v := range dst.Data() {
-		if v != want[i] {
-			t.Fatalf("dst[%d] = %g, want %g", i, v, want[i])
-		}
-	}
-	if src.Data()[0] != -1 {
-		t.Fatal("ApplyInto mutated src")
-	}
-	if err := tensor.ApplyInto(dst, tensor.New(4), relu); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 // TestBinaryOpShapeChecks covers the Dot/SquaredDistance fix: equal
 // element counts with different shapes must be rejected, consistently
 // with the other binary ops.

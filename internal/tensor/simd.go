@@ -14,12 +14,20 @@ package tensor
 // other and with the serial references.
 //
 // Kernel gen 4 adds the element-wise work of the training step
-// (DESIGN.md §5 "kernel gen 4"): MomentumStep, NarrowInto and
-// WidenAddInto run four lanes at a time through the same AVX check,
-// each lane repeating the scalar loop's separately rounded operations,
-// and the scalar loop keeps the tail. MatMulATB's float64 path
-// accumulates (out += acc) in the tile epilogue and the strips alike,
-// so weight gradients land in their accumulator without a scratch pass.
+// (DESIGN.md §5 "kernel gen 4"): NarrowInto and WidenAddInto run four
+// lanes at a time through the same AVX check, each lane repeating the
+// scalar loop's separately rounded operations, and the scalar loop
+// keeps the tail. MatMulATB's float64 path accumulates (out += acc) in
+// the tile epilogue and the strips alike, so weight gradients land in
+// their accumulator without a scratch pass.
+//
+// Kernel gen 5 (DESIGN.md §5 "kernel gen 5") makes each SGD step one
+// sweep over the parameter arena (SGDStep.Apply: read a source arena or
+// the parameters, the velocity or +0, and the gradient times a clip
+// factor; write parameters, velocity, a cleared gradient and the
+// float32 shadow), and adds the input standardization (AffineInto) and
+// the K-input weighted sum of aggregation (WeightedSumInto) on the same
+// four-lane pattern.
 //
 // The frozen encoder's Conv3x3AddInto runs four lanes of a padded plane
 // at a time the same way (DESIGN.md §5 "The encoder conv on SIMD").

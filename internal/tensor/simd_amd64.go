@@ -18,12 +18,19 @@ func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k in
 //go:noescape
 func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
 
-// momentumStepF64, narrowF64 and widenAddF32 run the first n elements
-// (n a multiple of 4) of MomentumStep, NarrowInto and WidenAddInto; see
-// simd_amd64.s.
+// sgdStepF64, affineF64, weightedSumF64, narrowF64 and widenAddF32
+// run the first n elements (n a multiple of 4) of SGDStep.Apply,
+// AffineInto, WeightedSumInto, NarrowInto and WidenAddInto; see
+// simd_amd64.s. shadow may be nil.
 //
 //go:noescape
-func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64)
+func sgdStepF64(param, src, vel, grad *float64, shadow *float32, n int, momentum, lr, wd, gscale float64, rest bool)
+
+//go:noescape
+func affineF64(dst, src *float64, n int, shift, scale float64)
+
+//go:noescape
+func weightedSumF64(dst *float64, srcs *[]float64, ws *float64, k, n int)
 
 //go:noescape
 func narrowF64(dst *float32, src *float64, n int)

@@ -250,43 +250,141 @@ nan32:
 	RET
 
 // Element-wise loops of the training step (simd.go, DESIGN.md §5
-// "kernel gen 4"). Each handles n elements, n a multiple of 4; the Go
-// caller runs the scalar loop over the tail. Every lane performs the
-// scalar loop's operations one by one, each rounded separately and
-// with the same first operand, so results match it bit for bit.
+// "kernel gen 4" and "kernel gen 5"). Each handles n elements, n a
+// multiple of 4; the Go caller runs the scalar loop over the tail.
+// Every lane performs the scalar loop's operations one by one, each
+// rounded separately and with the same first operand, so results
+// match it bit for bit.
 
-// func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64)
+// func sgdStepF64(param, src, vel, grad *float64, shadow *float32, n int, momentum, lr, wd, gscale float64, rest bool)
 //
-//	vel = momentum·vel − lr·((wd·param) + grad); param = vel + param
-TEXT ·momentumStepF64(SB), NOSPLIT, $0-56
-	MOVQ         param+0(FP), SI
-	MOVQ         vel+8(FP), DI
-	MOVQ         grad+16(FP), DX
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD momentum+32(FP), Y13
-	VBROADCASTSD lr+40(FP), Y14
-	VBROADCASTSD wd+48(FP), Y15
+//	v = momentum·vel − lr·((wd·src) + grad·gscale); param = v + src;
+//	vel = v; grad = +0; shadow = float32(param) when shadow != nil
+//
+// With rest set the velocity reads as +0 (Y11) and is not loaded.
+// Registers: Y12–Y15 the broadcast constants, Y11 +0, Y0 θ, Y1 the
+// velocity, Y2–Y4 the products.
+TEXT ·sgdStepF64(SB), NOSPLIT, $0-81
+	MOVQ         param+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         vel+16(FP), R8
+	MOVQ         grad+24(FP), DX
+	MOVQ         shadow+32(FP), R9
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD momentum+48(FP), Y12
+	VBROADCASTSD lr+56(FP), Y13
+	VBROADCASTSD wd+64(FP), Y14
+	VBROADCASTSD gscale+72(FP), Y15
+	MOVBQZX      rest+80(FP), AX
+	VXORPD       Y11, Y11, Y11
 	SHRQ         $2, CX
-	JZ           stepdone
+	JZ           sgddone
 
-steploop:
+sgdloop:
 	VMOVUPD (SI), Y0
-	VMOVUPD (DI), Y1
-	VMULPD  Y1, Y13, Y2
-	VMULPD  Y0, Y15, Y3
-	VADDPD  (DX), Y3, Y3
-	VMULPD  Y14, Y3, Y3
+	VMOVAPD Y11, Y1
+	TESTQ   AX, AX
+	JNZ     sgdvel
+	VMOVUPD (R8), Y1
+
+sgdvel:
+	VMULPD  Y1, Y12, Y2
+	VMULPD  Y0, Y14, Y3
+	VMOVUPD (DX), Y4
+	VMULPD  Y15, Y4, Y4
+	VADDPD  Y4, Y3, Y3
+	VMULPD  Y13, Y3, Y3
 	VSUBPD  Y3, Y2, Y1
-	VMOVUPD Y1, (DI)
+	VMOVUPD Y1, (R8)
 	VADDPD  Y0, Y1, Y0
-	VMOVUPD Y0, (SI)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y11, (DX)
+	TESTQ   R9, R9
+	JZ      sgdnext
+	VCVTPD2PSY Y0, X5
+	VMOVUPS X5, (R9)
+	ADDQ    $16, R9
+
+sgdnext:
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  sgdloop
+
+sgddone:
+	VZEROUPPER
+	RET
+
+// func affineF64(dst, src *float64, n int, shift, scale float64)
+//
+//	dst = (src − shift)·scale
+TEXT ·affineF64(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD shift+24(FP), Y14
+	VBROADCASTSD scale+32(FP), Y15
+	SHRQ         $2, CX
+	JZ           affinedone
+
+affineloop:
+	VMOVUPD (SI), Y0
+	VSUBPD  Y14, Y0, Y0
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)
 	ADDQ    $32, SI
 	ADDQ    $32, DI
-	ADDQ    $32, DX
 	DECQ    CX
-	JNZ     steploop
+	JNZ     affineloop
 
-stepdone:
+affinedone:
+	VZEROUPPER
+	RET
+
+// func weightedSumF64(dst *float64, srcs *[]float64, ws *float64, k, n int)
+//
+//	dst = +0 + ws[0]·srcs[0] + ws[1]·srcs[1] + … + ws[k−1]·srcs[k−1]
+//
+// summed in that order, one separately rounded multiply and add per
+// input. srcs points at k slice headers (24 bytes apart); R9 is the
+// byte offset of the current four lanes in every input and in dst.
+TEXT ·weightedSumF64(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ srcs+8(FP), SI
+	MOVQ ws+16(FP), DX
+	MOVQ k+24(FP), R8
+	MOVQ n+32(FP), CX
+	XORQ R9, R9
+	SHRQ $2, CX
+	JZ   wsumdone
+
+wsumloop:
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R10
+	MOVQ   DX, R11
+	MOVQ   R8, R12
+	TESTQ  R12, R12
+	JZ     wsumstore
+
+wsumterm:
+	MOVQ         (R10), AX
+	VBROADCASTSD (R11), Y1
+	VMULPD       (AX)(R9*1), Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	ADDQ         $24, R10
+	ADDQ         $8, R11
+	DECQ         R12
+	JNZ          wsumterm
+
+wsumstore:
+	VMOVUPD Y0, (DI)(R9*1)
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     wsumloop
+
+wsumdone:
 	VZEROUPPER
 	RET
 

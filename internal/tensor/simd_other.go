@@ -14,7 +14,15 @@ func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k i
 	panic("tensor: SIMD tile called without SIMD support")
 }
 
-func momentumStepF64(param, vel, grad *float64, n int, momentum, lr, wd float64) {
+func sgdStepF64(param, src, vel, grad *float64, shadow *float32, n int, momentum, lr, wd, gscale float64, rest bool) {
+	panic("tensor: SIMD loop called without SIMD support")
+}
+
+func affineF64(dst, src *float64, n int, shift, scale float64) {
+	panic("tensor: SIMD loop called without SIMD support")
+}
+
+func weightedSumF64(dst *float64, srcs *[]float64, ws *float64, k, n int) {
 	panic("tensor: SIMD loop called without SIMD support")
 }
 

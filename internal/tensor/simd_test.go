@@ -55,12 +55,18 @@ func sliceBitsEqual(t *testing.T, name string, got, want []float64) {
 	bitsEqual(t, name, tensor.MustFromSlice(got, len(got)), tensor.MustFromSlice(want, len(want)))
 }
 
+// momentumHypers are the (momentum, lr, wd) triples of the step tests;
+// the last overflows the update.
+var momentumHypers = [][3]float64{{0.9, 0.05, 5e-4}, {0, 1, 0}, {0.5, math.MaxFloat64 / 4, 2}}
+
+// TestMomentumStepMatchesScalarLoop pins the in-place update (no source
+// arena, velocity loaded, gradient multiplier 1, no shadow) to the
+// historical scalar loop, and checks the sweep clears the gradient.
 func TestMomentumStepMatchesScalarLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	hypers := [][3]float64{{0.9, 0.05, 5e-4}, {0, 1, 0}, {0.5, math.MaxFloat64 / 4, 2}}
 	bothPaths(t, func(t *testing.T, simd bool) {
 		for n := 0; n <= maxPropLen; n++ {
-			for _, h := range hypers {
+			for _, h := range momentumHypers {
 				mom, lr, wd := h[0], h[1], h[2]
 				p, v, g := edgeSlice(r, n, 1), edgeSlice(r, n, 0.1), edgeSlice(r, n, 10)
 				wantP := append([]float64(nil), p...)
@@ -69,9 +75,135 @@ func TestMomentumStepMatchesScalarLoop(t *testing.T) {
 					wantV[j] = mom*wantV[j] - lr*(g[j]+wd*wantP[j])
 					wantP[j] += wantV[j]
 				}
-				tensor.MomentumStep(p, v, g, mom, lr, wd)
+				tensor.SGDStep{Momentum: mom, LR: lr, WeightDecay: wd, GradScale: 1}.Apply(p, nil, v, g, nil)
 				sliceBitsEqual(t, "momentum vel", v, wantV)
 				sliceBitsEqual(t, "momentum param", p, wantP)
+				sliceBitsEqual(t, "momentum grad", g, make([]float64, n))
+			}
+		}
+	})
+}
+
+// TestSGDStepFusedFormsMatchTwoPasses covers every form of the fused
+// sweep against the passes it replaces: the gradient scaled in its own
+// pass (the clip), the source arena copied into param first (the
+// clone), a velocity of +0 for FromRest (the zeroed buffer), the
+// historical step, the gradient zeroed, and the shadow narrowed by
+// NarrowInto. Destinations start dirty, so every element must be
+// written.
+func TestSGDStepFusedFormsMatchTwoPasses(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			for _, h := range momentumHypers {
+				for _, scale := range []float64{1, 0.37, 5e-324, math.Inf(1)} {
+					for form := 0; form < 8; form++ {
+						fromSrc, rest, shadowed := form&1 != 0, form&2 != 0, form&4 != 0
+						name := fmt.Sprintf("n=%d hyper=%v scale=%g src=%v rest=%v shadow=%v simd=%v", n, h, scale, fromSrc, rest, shadowed, simd)
+						step := tensor.SGDStep{Momentum: h[0], LR: h[1], WeightDecay: h[2], GradScale: scale, FromRest: rest}
+						src, vel, grad := edgeSlice(r, n, 1), edgeSlice(r, n, 0.1), edgeSlice(r, n, 10)
+						param := src
+						if fromSrc {
+							param = edgeSlice(r, n, 3)
+						}
+						srcBefore := append([]float64(nil), src...)
+
+						wantP := append([]float64(nil), src...)
+						wantV := append([]float64(nil), vel...)
+						if rest {
+							wantV = make([]float64, n)
+						}
+						wantG := append([]float64(nil), grad...)
+						for j := range wantG {
+							wantG[j] *= scale
+						}
+						for j := range wantP {
+							wantV[j] = h[0]*wantV[j] - h[1]*(wantG[j]+h[2]*wantP[j])
+							wantP[j] += wantV[j]
+						}
+						wantS := make([]float32, n)
+						tensor.NarrowInto(wantS, wantP)
+
+						var shadow []float32
+						if shadowed {
+							shadow = make([]float32, n)
+							for i := range shadow {
+								shadow[i] = float32(i) + 0.5
+							}
+						}
+						var srcArg []float64
+						if fromSrc {
+							srcArg = src
+						}
+						step.Apply(param, srcArg, vel, grad, shadow)
+						sliceBitsEqual(t, name+" param", param, wantP)
+						sliceBitsEqual(t, name+" vel", vel, wantV)
+						sliceBitsEqual(t, name+" grad", grad, make([]float64, n))
+						if fromSrc {
+							sliceBitsEqual(t, name+" src untouched", src, srcBefore)
+						}
+						if shadowed {
+							f32BitsEqual(t, name+" shadow", shadow, wantS)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAffineIntoMatchesScalarLoop pins the standardization kernel to
+// (v − shift)·scale, in place and into a dirty destination.
+func TestAffineIntoMatchesScalarLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	pairs := [][2]float64{{0.25, 3.5}, {0, 1}, {-1e300, 1e10}, {math.Inf(1), 2}, {1, math.NaN()}}
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			for _, sc := range pairs {
+				src := edgeSlice(r, n, 4)
+				want := make([]float64, n)
+				for i, v := range src {
+					want[i] = (v - sc[0]) * sc[1]
+				}
+				dst := edgeSlice(r, n+3, 1)
+				tensor.AffineInto(dst, src, sc[0], sc[1])
+				sliceBitsEqual(t, "affine", dst[:n], want)
+				tensor.AffineInto(src, src, sc[0], sc[1])
+				sliceBitsEqual(t, "affine in place", src, want)
+			}
+		}
+	})
+}
+
+// TestWeightedSumIntoMatchesAxpyPasses pins the K-input sum to zeroing
+// the destination and then one AddScaledInto pass per input, in input
+// order, for K from 0 to 6, with signed-zero inputs mixed in (only a
+// sum that starts at +0 gets their sign right).
+func TestWeightedSumIntoMatchesAxpyPasses(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	bothPaths(t, func(t *testing.T, simd bool) {
+		for n := 0; n <= maxPropLen; n++ {
+			for k := 0; k <= 6; k++ {
+				srcs := make([][]float64, k)
+				ws := make([]float64, k)
+				for i := range srcs {
+					srcs[i] = edgeSlice(r, n, 1)
+					if r.Intn(3) == 0 {
+						for j := range srcs[i] {
+							srcs[i][j] = math.Copysign(0, -1)
+						}
+					}
+					ws[i] = edgeSlice(r, 1, 0.5)[0]
+				}
+				want := tensor.New(n)
+				for i, s := range srcs {
+					if err := tensor.AddScaledInto(want, want, ws[i], tensor.MustFromSlice(s, n)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dst := edgeSlice(r, n, 1)
+				tensor.WeightedSumInto(dst, srcs, ws)
+				sliceBitsEqual(t, fmt.Sprintf("weighted sum n=%d k=%d", n, k), dst, want.Data())
 			}
 		}
 	})

@@ -323,12 +323,24 @@ func ChannelStats(t *Tensor, eps float64) (mu, sigma []float64, err error) {
 	if t.Dims() != 3 {
 		return nil, nil, fmt.Errorf("tensor: ChannelStats needs a 3-D (C,H,W) tensor, got %v", t.shape)
 	}
-	c, h, w := t.shape[0], t.shape[1], t.shape[2]
-	hw := h * w
-	mu = make([]float64, c)
-	sigma = make([]float64, c)
+	mu = make([]float64, t.shape[0])
+	sigma = make([]float64, t.shape[0])
+	ChannelStatsInto(mu, sigma, t.data, eps)
+	return mu, sigma, nil
+}
+
+// ChannelStatsInto is ChannelStats over a flat (C, H·W) map without the
+// allocation: C is len(mu), which sigma must match, and H·W is
+// len(data)/C.
+func ChannelStatsInto(mu, sigma, data []float64, eps float64) {
+	c := len(mu)
+	checkLen("channel-stats sigma", len(sigma), c)
+	if c == 0 {
+		return
+	}
+	hw := len(data) / c
 	for ch := 0; ch < c; ch++ {
-		seg := t.data[ch*hw : (ch+1)*hw]
+		seg := data[ch*hw : (ch+1)*hw]
 		m := 0.0
 		for _, v := range seg {
 			m += v
@@ -343,7 +355,6 @@ func ChannelStats(t *Tensor, eps float64) (mu, sigma []float64, err error) {
 		mu[ch] = m
 		sigma[ch] = math.Sqrt(va + eps)
 	}
-	return mu, sigma, nil
 }
 
 // Softmax writes the softmax of each row of a 2-D tensor into a new tensor.
@@ -351,8 +362,20 @@ func Softmax(logits *Tensor) (*Tensor, error) {
 	if logits.Dims() != 2 {
 		return nil, fmt.Errorf("tensor: Softmax needs a 2-D tensor, got %v", logits.shape)
 	}
+	out := New(logits.shape[0], logits.shape[1])
+	if err := SoftmaxInto(out, logits); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SoftmaxInto writes the softmax of each row of a 2-D tensor into out,
+// which must have its shape and must not alias it.
+func SoftmaxInto(out, logits *Tensor) error {
+	if logits.Dims() != 2 || !SameShape(out, logits) {
+		return fmt.Errorf("tensor: SoftmaxInto shapes %v, %v", out.shape, logits.shape)
+	}
 	m, n := logits.shape[0], logits.shape[1]
-	out := New(m, n)
 	for i := 0; i < m; i++ {
 		row := logits.data[i*n : (i+1)*n]
 		orow := out.data[i*n : (i+1)*n]
@@ -373,7 +396,7 @@ func Softmax(logits *Tensor) (*Tensor, error) {
 			orow[j] *= inv
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // String renders a compact description, useful in test failures.
