@@ -576,35 +576,46 @@ func BenchmarkMicroKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainShapeKernels times the two products that dominate local
+// BenchmarkTrainShapeKernels times the products that dominate local
 // training: layer 0's forward X(32×1024)·W₀(1024×64) and its weight
-// gradient Xᵀ·δ with δ of shape 32×64, in both dtypes. Sub-benchmark
-// names are stable (TrainShapeKernels/<op>/<dtype>) for scripts/benchcmp.
+// gradient Xᵀ·δ with δ of shape 32×64, and the largest delta-flow
+// product, δ₁(32×32)·W₁ᵀ with W₁ of shape 64×32, in both dtypes.
+// Sub-benchmark names are stable (TrainShapeKernels/<op>/<dtype>) for
+// scripts/benchcmp.
 func BenchmarkTrainShapeKernels(b *testing.B) {
-	const batch, in, hidden = 32, 1024, 64
+	const batch, in, hidden, zdim = 32, 1024, 64, 32
 	x, w := benchKernelOperands(40, 41, batch, in, hidden)
 	_, delta := benchKernelOperands(42, 43, 1, batch, hidden)
+	d1, w1 := benchKernelOperands(44, 45, batch, zdim, hidden)
+	w1 = tensor.MustFromSlice(w1.Data(), hidden, zdim) // W₁ is 64×32
 	x32 := make([]float32, batch*in)
 	w32 := make([]float32, in*hidden)
 	d32 := make([]float32, batch*hidden)
+	d132 := make([]float32, batch*zdim)
+	w132 := make([]float32, hidden*zdim)
 	tensor.NarrowInto(x32, x.Data())
 	tensor.NarrowInto(w32, w.Data())
 	tensor.NarrowInto(d32, delta.Data())
+	tensor.NarrowInto(d132, d1.Data())
+	tensor.NarrowInto(w132, w1.Data())
 	out := tensor.New(batch, hidden)
 	gw := tensor.New(in, hidden)
 	out32 := make([]float32, batch*hidden)
 	gw32 := make([]float32, in*hidden)
 	for _, c := range []struct {
-		name string
-		run  func() error
+		name  string
+		flops int64
+		run   func() error
 	}{
-		{"MatMul/f64", func() error { return tensor.MatMulInto(out, x, w) }},
-		{"MatMul/f32", func() error { tensor.MatMulF32(out32, x32, w32, batch, in, hidden); return nil }},
-		{"ATB/f64", func() error { return tensor.MatMulATBInto(gw, x, delta) }},
-		{"ATB/f32", func() error { tensor.MatMulATBF32(gw32, x32, d32, batch, in, hidden); return nil }},
+		{"MatMul/f64", 2 * batch * in * hidden, func() error { return tensor.MatMulInto(out, x, w) }},
+		{"MatMul/f32", 2 * batch * in * hidden, func() error { tensor.MatMulF32(out32, x32, w32, batch, in, hidden); return nil }},
+		{"ATB/f64", 2 * batch * in * hidden, func() error { return tensor.MatMulATBInto(gw, x, delta) }},
+		{"ATB/f32", 2 * batch * in * hidden, func() error { tensor.MatMulATBF32(gw32, x32, d32, batch, in, hidden); return nil }},
+		{"ABT/f64", 2 * batch * zdim * hidden, func() error { return tensor.MatMulABTInto(out, d1, w1) }},
+		{"ABT/f32", 2 * batch * zdim * hidden, func() error { tensor.MatMulABTF32(out32, d132, w132, batch, zdim, hidden); return nil }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(2 * batch * in * hidden) // flops per product, as in MicroKernels
+			b.SetBytes(c.flops) // flops per product, as in MicroKernels
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := c.run(); err != nil {

@@ -39,8 +39,10 @@ func MatMulABTWithSplits(a, b *Tensor, bounds []int) (*Tensor, error) {
 		return nil, err
 	}
 	out := New(m, n)
+	bt, spare := transposeB(tiles().w64, btSpares64, b.data, m, k, n)
+	defer releaseB(btSpares64, spare)
 	for i := 0; i+1 < len(bounds); i++ {
-		matMulABTRange(a.data, b.data, out.data, k, n, bounds[i], bounds[i+1])
+		matMulABTRange(a.data, b.data, bt, out.data, k, n, bounds[i], bounds[i+1])
 	}
 	return out, nil
 }
@@ -66,28 +68,74 @@ func MatMulATBF32WithSplits(out, a, b []float32, k, m, n int, bounds []int) {
 
 // MatMulABTF32WithSplits is MatMulF32WithSplits for the a@bᵀ kernel.
 func MatMulABTF32WithSplits(out, a, b []float32, k, n int, bounds []int) {
+	bt, spare := transposeB(tiles().w32, btSpares32, b, bounds[len(bounds)-1], k, n)
+	defer releaseB(btSpares32, spare)
 	for i := 0; i+1 < len(bounds); i++ {
-		abtPanel(a, b, out, k, n, bounds[i], bounds[i+1])
+		matMulABTRangeF32(a, b, bt, out, k, n, bounds[i], bounds[i+1])
 	}
 }
 
 // HaveSIMD reports whether this CPU runs the SIMD tiles at all.
-var HaveSIMD = haveSIMD
+var HaveSIMD = haveTier >= tierYMM
 
-// SetSIMD selects the SIMD tiles (where the CPU has them) or, with
-// on == false, the generic strips for every product, and returns a
-// func that restores the previous choice. It is the only way to run
-// the generic path on an AVX machine. Not safe to call while kernels
-// run on other goroutines.
+// SetSIMD selects the widest tier the CPU has or, with on == false, the
+// generic strips for every product, and returns a func that restores
+// the previous choice. Not safe to call while kernels run on other
+// goroutines.
 func SetSIMD(on bool) (restore func()) {
-	prev := useSIMD
-	useSIMD = on && haveSIMD
-	return func() { useSIMD = prev }
+	if on {
+		return SetTier(haveTier)
+	}
+	return SetTier(tierStrips)
 }
+
+// Tier is a kernel dispatch tier: the generic strips, the AVX (ymm)
+// tiles or the AVX-512 (zmm) tiles.
+type Tier = tier
+
+func (t tier) String() string {
+	return [...]string{tierStrips: "strips", tierYMM: "ymm", tierZMM: "zmm"}[t]
+}
+
+const (
+	TierStrips = tierStrips
+	TierYMM    = tierYMM
+	TierZMM    = tierZMM
+)
+
+// HaveTier is the widest tier this CPU and OS support, the one the
+// kernels start on.
+var HaveTier Tier = haveTier
+
+// Tiers lists every tier this CPU runs, widest first, strips last.
+func Tiers() []Tier {
+	var ts []Tier
+	for t := haveTier; t >= tierStrips; t-- {
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// SetTier selects tier t, which must be one this CPU runs, and returns
+// a func that restores the previous tier. Not safe to call while
+// kernels run on other goroutines.
+func SetTier(t Tier) (restore func()) {
+	if t > haveTier {
+		panic("tensor: SetTier above the CPU's tier " + haveTier.String())
+	}
+	prev := liveTier
+	liveTier = t
+	return func() { liveTier = prev }
+}
+
+// ZMMUsable exposes the AVX-512 dispatch predicate.
+var ZMMUsable = zmmUsable
 
 // MatMulATBF32AddInto adds aᵀ@b into out over float32 slices. Only the
 // float64 product accumulates in production; this hook runs the same
-// epilogue on the float32 tile and strips, so their add path is tested.
+// epilogue on the live float32 tile and the strips, so their add path
+// is tested.
 func MatMulATBF32AddInto(out, a, b []float32, k, m, n int) {
-	atbTiled(tile4x16F32, 16, a, b, out, k, m, n, 0, m, true)
+	t := tiles()
+	atbTiled(t.f32, t.w32, a, b, out, k, m, n, 0, m, true)
 }

@@ -45,7 +45,7 @@ func MatMulABTF32(out, a, b []float32, m, k, n int) {
 	checkLen("matmulABTF32 a", len(a), m*k)
 	checkLen("matmulABTF32 b", len(b), n*k)
 	checkLen("matmulABTF32 out", len(out), m*n)
-	runMatMulABT(a, b, out, m, k, n)
+	runMatMulABT(matMulABTRangeF32, tiles().w32, btSpares32, a, b, out, m, k, n)
 }
 
 // WidenInto converts src to float64 element-wise. Exact: every float32

@@ -260,10 +260,13 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 }
 
 func testKernelSteadyStateAllocs(t *testing.T) {
-	const m, k, n = 16, 16, 16 // madds 4096 < serialFlopCutoff, full SIMD tiles
+	// madds 8192 < serialFlopCutoff; full tiles of every width on the
+	// n axis, so MatMulABT transposes b through its free list.
+	const m, k, n = 16, 16, 32
 	r := rand.New(rand.NewSource(24))
 	a := randMatrix(r, m, k)
 	b := randMatrix(r, k, n)
+	bt := randMatrix(r, n, k)
 	out := tensor.New(m, n)
 	a32 := randF32(r, m*k)
 	b32 := randF32(r, k*n)
@@ -278,8 +281,11 @@ func testKernelSteadyStateAllocs(t *testing.T) {
 		if err := tensor.MatMulATBInto(out, a, b); err != nil {
 			t.Fatal(err)
 		}
+		if err := tensor.MatMulABTInto(out, a, bt); err != nil {
+			t.Fatal(err)
+		}
 	}); allocs != 0 {
-		t.Fatalf("serial MatMulInto/MatMulATBInto allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("serial MatMulInto/MatMulATBInto/MatMulABTInto allocated %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		tensor.MatMulF32(out32, a32, b32, m, k, n)

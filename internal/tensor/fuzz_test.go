@@ -10,24 +10,26 @@ import (
 
 // FuzzMatMulKernels drives the blocked kernels — all three float64
 // products and the float32 kernel set — against their scalar references
-// on fuzzer-chosen shapes and data, once on the SIMD tiles (where the
-// CPU has them) and once on the generic strips. The property under test
-// is the strongest one the kernels claim: bit-identical output, not
-// tolerance. The float64 kernels must reproduce the naive serial loops
-// exactly (the determinism contract that lets Parallelism stay outside
-// the content-address), and MatMulATBAddInto, which accumulates into an
-// out of fuzzed values, the serial product plus one add per element.
-// The float32 kernels must reproduce the scalar float32 loops exactly
-// (same loop order, same zero-skip semantics). Besides ±0, both operands carry a few NaN, ±Inf,
-// subnormal and near-overflow entries, so a SIMD tile whose zero a
-// meets an Inf or NaN in b must fall back to the gated strips.
+// on fuzzer-chosen shapes and data, on every kernel tier the CPU has:
+// the AVX-512 and AVX tiles where it has them, and the generic strips.
+// The property under test is the strongest one the kernels claim:
+// bit-identical output, not tolerance. The float64 kernels must
+// reproduce the naive serial loops exactly (the determinism contract
+// that lets Parallelism stay outside the content-address), and
+// MatMulATBAddInto, which accumulates into an out of fuzzed values, the
+// serial product plus one add per element. The float32 kernels must
+// reproduce the scalar float32 loops exactly (same loop order, same
+// zero-skip semantics). Besides ±0, both operands carry a few NaN,
+// ±Inf, subnormal and near-overflow entries, so a SIMD tile whose zero
+// a meets an Inf or NaN in b must fall back to the gated strips.
 //
 // Shapes are folded into ranges that cross every blocking boundary: the
-// 4×8 and 4×16 SIMD tiles' and the 2×4 register strips' ragged tails on
-// all axes, the serial-vs-pool work threshold, and the per-worker row
-// split. The checked-in corpus under testdata/fuzz pins those edges
-// (the atb-accumulate entries at the accumulate epilogue's, the
-// tile-nan-fallback entries at full tiles that fall back); CI
+// 4×8, 4×16 and 4×32 SIMD tiles' and the 2×4 register strips' ragged
+// tails on all axes, the serial-vs-pool work threshold, and the
+// per-worker row split. The checked-in corpus under testdata/fuzz pins
+// those edges (the atb-accumulate entries at the accumulate epilogue's,
+// the tile-nan-fallback entries at full tiles that fall back, the
+// zmm-tile-edges entries one off either side of the AVX-512 widths); CI
 // additionally runs a fixed-budget fuzz smoke so new mutations keep
 // probing them.
 func FuzzMatMulKernels(f *testing.F) {
@@ -41,14 +43,9 @@ func FuzzMatMulKernels(f *testing.F) {
 		m := int(m16)%64 + 1
 		k := int(k16)%768 + 1
 		n := int(n16)%640 + 1
-		for _, simd := range []bool{true, false} {
-			if simd && !tensor.HaveSIMD {
-				continue
-			}
-			restore := tensor.SetSIMD(simd)
+		eachTier(t, func(t *testing.T, _ tensor.Tier) {
 			checkKernels(t, rand.New(rand.NewSource(seed)), m, k, n)
-			restore()
-		}
+		})
 	})
 }
 

@@ -9,13 +9,14 @@
 //     while b streams contiguously. Each pool task owns a disjoint panel,
 //     so workers never write the same element and need no synchronization
 //     beyond the completion WaitGroup.
-//   - Register-blocked micro-kernels. Inside each panel, MatMul and
-//     MatMulATB run every full 4-row tile on an AVX SIMD tile where the
-//     CPU has one (simd.go, simd_amd64.s); the rest, and MatMulABT, walk
-//     2-row × 4-column output strips with manually unrolled accumulators
-//     in locals (microkernel.go), with the scalar row loop as the tail
-//     for ragged edges. The float32 entry points (f32.go) share the
-//     generic strip bodies and have their own, wider SIMD tile.
+//   - Register-blocked micro-kernels. Inside each panel, all three
+//     products run every full 4-row tile on a SIMD tile where the CPU
+//     has one, AVX-512 or AVX (simd.go, simd_amd64.s); MatMulABT first
+//     transposes b once per call so the MatMul tile can read it. The
+//     rest walks 2-row × 4-column output strips with manually unrolled
+//     accumulators in locals (microkernel.go), with the scalar row loop
+//     as the tail for ragged edges. The float32 entry points (f32.go)
+//     share the generic strip bodies and have their own, wider tiles.
 //   - Fixed accumulation order. Every output element accumulates its k terms
 //     in ascending-p order no matter how rows are split across workers, so
 //     results are bit-identical to the serial reference kernels at any
@@ -162,7 +163,8 @@ func parallelRows(rows int, body func(lo, hi int)) {
 // Assigns every cell, so out need not be zeroed. Skips a-zeros like
 // the serial reference.
 func matMulRange(a, b, out []float64, k, n, lo, hi int) {
-	mmTiled(tile4x8F64, 8, a, b, out, k, n, lo, hi)
+	t := tiles()
+	mmTiled(t.f64, t.w64, a, b, b, out, k, n, lo, hi, mmRowPair[float64], mmPanel[float64])
 }
 
 // matMulATBRange: out[i,j] += Σ_p a[p,i]·b[p,j] (a is k×m) for i in
@@ -170,13 +172,17 @@ func matMulRange(a, b, out []float64, k, n, lo, hi int) {
 // first: the gated sum starts at +0 and is never −0, so 0 + acc = acc
 // in every bit.
 func matMulATBRange(a, b, out []float64, k, m, n, lo, hi int) {
-	atbTiled(tile4x8F64, 8, a, b, out, k, m, n, lo, hi, true)
+	t := tiles()
+	atbTiled(t.f64, t.w64, a, b, out, k, m, n, lo, hi, true)
 }
 
 // matMulABTRange: out[i,j] = Σ_p a[i,p]·b[j,p] (b is n×k) for i in
-// [lo,hi). Assigns every cell, so out need not be zeroed.
-func matMulABTRange(a, b, out []float64, k, n, lo, hi int) {
-	abtPanel(a, b, out, k, n, lo, hi)
+// [lo,hi), on the MatMul tile over bt, b transposed (k×n), when bt is
+// non-nil, and on the dense strips alone otherwise. Assigns every cell,
+// so out need not be zeroed.
+func matMulABTRange(a, b, bt, out []float64, k, n, lo, hi int) {
+	t := tiles()
+	mmTiled(t.f64, t.w64, a, b, bt, out, k, n, lo, hi, abtRowPair[float64], abtPanel[float64])
 }
 
 // kernelStart/kernelDone bracket one kernel dispatch for telemetry.
@@ -209,8 +215,8 @@ func dispatch(rows int, body func(lo, hi int)) {
 // its full row range — serially below the work cutoff (panel called
 // directly, allocation-free), across the pool above it. Generic over
 // the dtype seam, so the float64 tensor entry points and the float32
-// slice entry points share them; MatMul and MatMulATB pass their
-// dtype's row-range kernel, which picks that dtype's SIMD tile.
+// slice entry points share them; each passes its dtype's row-range
+// kernel, which picks that dtype's live SIMD tile.
 
 func runMatMul[T number](panel func(a, b, out []T, k, n, lo, hi int), a, b, out []T, m, k, n int) {
 	if m*k*n < serialFlopCutoff {
@@ -232,14 +238,19 @@ func runMatMulATB[T number](panel func(a, b, out []T, k, m, n, lo, hi int), a, b
 	dispatch(m, func(lo, hi int) { panel(a, b, out, k, m, n, lo, hi) })
 }
 
-func runMatMulABT[T number](a, b, out []T, m, k, n int) {
+// runMatMulABT also takes the live tile width w (0 without tiles) and
+// its dtype's free list: when a full 4×w tile fits, it transposes b
+// once for the whole call, so every panel's tile reads bᵀ.
+func runMatMulABT[T number](panel func(a, b, bt, out []T, k, n, lo, hi int), w int, spares chan *[]T, a, b, out []T, m, k, n int) {
+	bt, spare := transposeB(w, spares, b, m, k, n)
+	defer releaseB(spares, spare)
 	if m*k*n < serialFlopCutoff {
 		start := kernelStart()
-		abtPanel(a, b, out, k, n, 0, m)
+		panel(a, b, bt, out, k, n, 0, m)
 		kernelDone(start, true)
 		return
 	}
-	dispatch(m, func(lo, hi int) { abtPanel(a, b, out, k, n, lo, hi) })
+	dispatch(m, func(lo, hi int) { panel(a, b, bt, out, k, n, lo, hi) })
 }
 
 // --- shape validation shared by the public entry points ---
@@ -367,7 +378,7 @@ func MatMulABT(a, b *Tensor) (*Tensor, error) {
 		return nil, err
 	}
 	out := New(m, n)
-	runMatMulABT(a.data, b.data, out.data, m, k, n)
+	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a.data, b.data, out.data, m, k, n)
 	return out, nil
 }
 
@@ -381,7 +392,7 @@ func MatMulABTInto(out, a, b *Tensor) error {
 	if err := checkOut(out, m, n, "matmulABT"); err != nil {
 		return err
 	}
-	runMatMulABT(a.data, b.data, out.data, m, k, n)
+	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a.data, b.data, out.data, m, k, n)
 	return nil
 }
 

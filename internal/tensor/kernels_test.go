@@ -45,19 +45,24 @@ func bitsEqual(t *testing.T, name string, got, want *tensor.Tensor) {
 	}
 }
 
-// bothKernelPaths runs f once on the SIMD tiles (skipped on a CPU
-// without them) and once with the generic strips forced, so every
-// kernel property holds on both paths.
+// bothKernelPaths runs f on every kernel tier the CPU has: "simd" on
+// the widest tiles (skipped on a CPU without them), "ymm" on the AVX
+// tiles where AVX-512 is the widest, and "generic" with the strips
+// forced, so every kernel property holds on every path.
 func bothKernelPaths(t *testing.T, f func(t *testing.T)) {
-	for _, path := range []struct {
+	paths := []struct {
 		name string
-		simd bool
-	}{{"simd", true}, {"generic", false}} {
+		tier tensor.Tier
+	}{{"simd", tensor.HaveTier}, {"ymm", tensor.TierYMM}, {"generic", tensor.TierStrips}}
+	for _, path := range paths {
+		if path.name == "ymm" && tensor.HaveTier != tensor.TierZMM {
+			continue
+		}
 		t.Run(path.name, func(t *testing.T) {
-			if path.simd && !tensor.HaveSIMD {
+			if path.name == "simd" && !tensor.HaveSIMD {
 				t.Skip("this CPU has no SIMD tiles")
 			}
-			defer tensor.SetSIMD(path.simd)()
+			defer tensor.SetTier(path.tier)()
 			f(t)
 		})
 	}
@@ -89,12 +94,17 @@ var kernelShapes = []struct{ m, k, n int }{
 	{11, 513, 520}, // large panels with odd row count
 	{24, 300, 875}, // large panels with n%4 ≠ 0 tails
 	// Tile-edge shapes: one off either side of the 4-row × 8-column
-	// (f64) and 4-row × 16-column (f32) SIMD tiles.
+	// (f64) and 4-row × 16-column (f32) AVX tiles, and of the 4×16 (f64)
+	// and 4×32 (f32) AVX-512 ones.
 	{3, 9, 8},
 	{4, 9, 16},
 	{5, 33, 15},
 	{7, 64, 17},
 	{13, 31, 24},
+	{8, 7, 31},
+	{4, 12, 32},
+	{9, 20, 33},
+	{12, 3, 48},
 	{32, 1024, 64}, // the training shape: layer-0 X·W₀ and Xᵀ·δ
 }
 

@@ -13,12 +13,12 @@
 // room for the loop state. Wider Go tiles (4×4, 2×8, 4×8, 8×8) spill
 // accumulators to the stack every iteration and benchmark at or below
 // the scalar row kernel (numbers in DESIGN.md §5). The wide tiles live
-// in assembly instead (simd_amd64.s, DESIGN.md §5 "kernel gen 3"),
-// where one vector register holds 4 f64 or 8 f32 accumulators:
-// simd.go runs them on every full 4-row tile of MatMul and MatMulATB,
-// and these generic strips keep the ragged rows and columns, the blocks
-// of any tile that reports a NaN, every product on other architectures
-// or CPUs without AVX, and MatMulABT.
+// in assembly instead (simd_amd64.s, DESIGN.md §5 "kernel gen 3" and
+// "kernel gen 6"), where one vector register holds 4 or 8 f64, or 8 or
+// 16 f32, accumulators: simd.go runs them on every full 4-row tile of
+// the three products, and these generic strips keep the ragged rows and
+// columns, the blocks of any tile that reports a NaN, and every product
+// on other architectures or CPUs without AVX.
 // The float64 aᵀ@b adds into its output (out += acc) in both places,
 // so Backward accumulates weight gradients in place.
 //
@@ -292,39 +292,48 @@ func store1[T number](o *T, c T, add bool) {
 func abtPanel[T number](a, b, out []T, k, n, lo, hi int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
-		a0 := a[(i+0)*k : (i+1)*k]
-		a1 := a[(i+1)*k : (i+2)*k]
-		o0 := out[(i+0)*n : (i+1)*n]
-		o1 := out[(i+1)*n : (i+2)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			abt2x4(a0, a1,
-				b[(j+0)*k:(j+1)*k], b[(j+1)*k:(j+2)*k],
-				b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
-				o0, o1, j)
-		}
-		for ; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var c0, c1 T
-			for p := 0; p < len(bj); p++ {
-				c0 += a0[p] * bj[p]
-				c1 += a1[p] * bj[p]
-			}
-			o0[j] = c0
-			o1[j] = c1
-		}
+		abtRowPair(a, b, out, k, n, i, 0, n)
 	}
 	if i < hi {
-		ai := a[i*k : (i+1)*k]
-		oi := out[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			var c T
-			for p := 0; p < len(bj); p++ {
-				c += ai[p] * bj[p]
-			}
-			oi[j] = c
+		abtRowTail(a[i*k:(i+1)*k], b, out[i*n:(i+1)*n], k)
+	}
+}
+
+// abtRowPair computes output columns [jlo,jhi) of rows i and i+1: 2×4
+// strips, then one accumulator pair per trailing column.
+func abtRowPair[T number](a, b, out []T, k, n, i, jlo, jhi int) {
+	a0 := a[(i+0)*k : (i+1)*k]
+	a1 := a[(i+1)*k : (i+2)*k]
+	o0 := out[(i+0)*n : (i+1)*n]
+	o1 := out[(i+1)*n : (i+2)*n]
+	j := jlo
+	for ; j+4 <= jhi; j += 4 {
+		abt2x4(a0, a1,
+			b[(j+0)*k:(j+1)*k], b[(j+1)*k:(j+2)*k],
+			b[(j+2)*k:(j+3)*k], b[(j+3)*k:(j+4)*k],
+			o0, o1, j)
+	}
+	for ; j < jhi; j++ {
+		bj := b[j*k : (j+1)*k]
+		var c0, c1 T
+		for p := 0; p < len(bj); p++ {
+			c0 += a0[p] * bj[p]
+			c1 += a1[p] * bj[p]
 		}
+		o0[j] = c0
+		o1[j] = c1
+	}
+}
+
+// abtRowTail computes one output row, one accumulator per column.
+func abtRowTail[T number](ai, b, oi []T, k int) {
+	for j := range oi {
+		bj := b[j*k : (j+1)*k]
+		var c T
+		for p := 0; p < len(bj); p++ {
+			c += ai[p] * bj[p]
+		}
+		oi[j] = c
 	}
 }
 

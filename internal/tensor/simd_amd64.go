@@ -2,9 +2,9 @@
 
 package tensor
 
-// haveSIMD reports whether this CPU runs the AVX tiles of simd_amd64.s.
-// Decided once at start-up; the generic strips serve everything else.
-var haveSIMD = cpuHasAVX()
+// haveTier is the widest kernel tier this CPU and its OS support,
+// decided once at start-up (simd.go).
+var haveTier = cpuTier()
 
 // tile4x8F64 computes one 4×8 float64 output tile and reports whether
 // it stored it (false: a NaN accumulator, out untouched); see
@@ -17,6 +17,15 @@ func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k in
 //
 //go:noescape
 func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
+
+// tile4x16F64 and tile4x32F32 are the AVX-512 forms of tile4x8F64 and
+// tile4x16F32, twice as wide.
+//
+//go:noescape
+func tile4x16F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool
+
+//go:noescape
+func tile4x32F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
 
 // sgdStepF64, affineF64, weightedSumF64, narrowF64 and widenAddF32
 // run the first n elements (n a multiple of 4) of SGDStep.Apply,
@@ -47,6 +56,25 @@ func conv3x3AddF64(dst, src *float64, n, stride int, k *[9]float64)
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
+
+// cpuTier returns tierZMM when the CPU has AVX512F and the OS saves
+// its state, else tierYMM when it has AVX, else tierStrips. CPUID leaf
+// 7 is read only where leaf 0 reports it, and XCR0 only after
+// cpuHasAVX has seen OSXSAVE.
+func cpuTier() tier {
+	if !cpuHasAVX() {
+		return tierStrips
+	}
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return tierYMM
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	xcr0, _ := xgetbv()
+	if zmmUsable(ebx7, xcr0) {
+		return tierZMM
+	}
+	return tierYMM
+}
 
 // cpuHasAVX reports AVX support with YMM state enabled by the OS. The
 // loops need nothing newer: VBROADCASTS[SD], VMULP[SD], VADDP[SD],

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// SIMD register tiles for MatMul and MatMulATB (simd.go, DESIGN.md
-// §5 "kernel gen 3"). One body per dtype computes a 4-row output tile,
+// SIMD register tiles for MatMul, MatMulATB and MatMulABT (simd.go,
+// DESIGN.md §5 "kernel gen 3"). One body per dtype computes a 4-row
+// output tile,
 //
 //	acc[r][c] = Σ_{p<k} a[r*aRowStride + p*aPStride] · b[p*bPStride + c]
 //
@@ -11,20 +12,21 @@
 // out[r*ldo + c] = acc, or out[r*ldo + c] += acc when add is set (the
 // accumulate epilogue of MatMulATB, DESIGN.md §5 "kernel gen 4").
 // Strides are in elements. MatMul passes (aRowStride, aPStride) =
-// (k, 1), MatMulATB (1, m).
+// (k, 1), MatMulATB (1, m), and MatMulABT MatMul's over bᵀ.
 //
 // Lanes run across output columns, so every element still reduces in
 // ascending p with a separately rounded multiply and add (no FMA). The
-// reference kernels skip a term when a == 0; the tile adds every term
-// and checks for NaN instead. A term with a = ±0 and finite b is ±0,
+// MatMul and MatMulATB references skip a term when a == 0 (MatMulABT's
+// has no gate, which the tile matches as it is); the tile adds every
+// term and checks for NaN instead. A term with a = ±0 and finite b is ±0,
 // which changes no accumulator bit: an accumulator that starts at +0
 // never becomes −0 (DESIGN.md §5). With b = ±Inf or NaN the term is
 // NaN, and a NaN stays in its accumulator to the end. So an
 // accumulator that ends non-NaN equals the gated sum bit for bit.
 // Before the epilogue the tile ORs an unordered compare of every
 // accumulator pair: if any lane is NaN it stores nothing and returns
-// false, and the Go caller recomputes the block on the gated strips.
-// Otherwise it stores and returns true.
+// false, and the Go caller recomputes the block on the strips (gated,
+// or MatMulABT's dense ones). Otherwise it stores and returns true.
 //
 // With add set, the epilogue adds each accumulator to the element
 // already in out — the one add a separate out += acc pass would make —
@@ -245,6 +247,228 @@ assign32:
 	RET
 
 nan32:
+	VZEROUPPER
+	MOVB $0, ret+72(FP)
+	RET
+
+// Kernel gen 6 (DESIGN.md §5 "kernel gen 6"): the same tiles on
+// 512-bit registers, 4×16 in float64 and 4×32 in float32, for CPUs with
+// AVX512F and ZMM state enabled by the OS (simd_amd64.go). The
+// signature, the reduction, the epilogue and the NaN contract are the
+// gen-3 tiles' above; each instruction is the zmm form of the ymm one.
+// Only AVX512F is needed: VPXORQ clears the accumulators (VXORPD on
+// zmm is AVX512DQ), and the NaN check compares into opmask registers,
+// ORs them with KORW and tests them with KORTESTW.
+//
+// Registers: Z0–Z7 accumulators (row r in Z(2r), Z(2r+1)), Z8/Z9 the b
+// row, Z10 the broadcast a, Z12/Z13 products, K1–K4 the NaN masks.
+
+// func tile4x16F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool
+TEXT ·tile4x16F64(SB), NOSPLIT, $0-73
+	MOVQ a+0(FP), SI
+	MOVQ aRowStride+8(FP), R8
+	MOVQ aPStride+16(FP), R9
+	MOVQ b+24(FP), DI
+	MOVQ bPStride+32(FP), R10
+	MOVQ k+40(FP), CX
+	MOVQ out+48(FP), DX
+	MOVQ ldo+56(FP), R11
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	LEAQ (R8)(R8*2), R12
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ  CX, CX
+	JLE    zstore64
+
+zloop64:
+	VMOVUPD (DI), Z8
+	VMOVUPD 64(DI), Z9
+
+	VBROADCASTSD (SI), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z0, Z0
+	VADDPD       Z13, Z1, Z1
+
+	VBROADCASTSD (SI)(R8*1), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z2, Z2
+	VADDPD       Z13, Z3, Z3
+
+	VBROADCASTSD (SI)(R8*2), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z4, Z4
+	VADDPD       Z13, Z5, Z5
+
+	VBROADCASTSD (SI)(R12*1), Z10
+	VMULPD       Z8, Z10, Z12
+	VMULPD       Z9, Z10, Z13
+	VADDPD       Z12, Z6, Z6
+	VADDPD       Z13, Z7, Z7
+
+	ADDQ R9, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  zloop64
+
+zstore64:
+	VCMPPD   $3, Z1, Z0, K1
+	VCMPPD   $3, Z3, Z2, K2
+	VCMPPD   $3, Z5, Z4, K3
+	VCMPPD   $3, Z7, Z6, K4
+	KORW     K2, K1, K1
+	KORW     K4, K3, K3
+	KORTESTW K3, K1
+	JNZ      znan64
+	CMPB     add+64(FP), $0
+	JEQ      zassign64
+	MOVQ     DX, AX
+	VADDPD   (AX), Z0, Z0
+	VADDPD   64(AX), Z1, Z1
+	ADDQ     R11, AX
+	VADDPD   (AX), Z2, Z2
+	VADDPD   64(AX), Z3, Z3
+	ADDQ     R11, AX
+	VADDPD   (AX), Z4, Z4
+	VADDPD   64(AX), Z5, Z5
+	ADDQ     R11, AX
+	VADDPD   (AX), Z6, Z6
+	VADDPD   64(AX), Z7, Z7
+
+zassign64:
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPD Z2, (DX)
+	VMOVUPD Z3, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPD Z4, (DX)
+	VMOVUPD Z5, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPD Z6, (DX)
+	VMOVUPD Z7, 64(DX)
+	VZEROUPPER
+	MOVB    $1, ret+72(FP)
+	RET
+
+znan64:
+	VZEROUPPER
+	MOVB $0, ret+72(FP)
+	RET
+
+// func tile4x32F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool
+TEXT ·tile4x32F32(SB), NOSPLIT, $0-73
+	MOVQ a+0(FP), SI
+	MOVQ aRowStride+8(FP), R8
+	MOVQ aPStride+16(FP), R9
+	MOVQ b+24(FP), DI
+	MOVQ bPStride+32(FP), R10
+	MOVQ k+40(FP), CX
+	MOVQ out+48(FP), DX
+	MOVQ ldo+56(FP), R11
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	SHLQ $2, R11
+	LEAQ (R8)(R8*2), R12
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ  CX, CX
+	JLE    zstore32
+
+zloop32:
+	VMOVUPS (DI), Z8
+	VMOVUPS 64(DI), Z9
+
+	VBROADCASTSS (SI), Z10
+	VMULPS       Z8, Z10, Z12
+	VMULPS       Z9, Z10, Z13
+	VADDPS       Z12, Z0, Z0
+	VADDPS       Z13, Z1, Z1
+
+	VBROADCASTSS (SI)(R8*1), Z10
+	VMULPS       Z8, Z10, Z12
+	VMULPS       Z9, Z10, Z13
+	VADDPS       Z12, Z2, Z2
+	VADDPS       Z13, Z3, Z3
+
+	VBROADCASTSS (SI)(R8*2), Z10
+	VMULPS       Z8, Z10, Z12
+	VMULPS       Z9, Z10, Z13
+	VADDPS       Z12, Z4, Z4
+	VADDPS       Z13, Z5, Z5
+
+	VBROADCASTSS (SI)(R12*1), Z10
+	VMULPS       Z8, Z10, Z12
+	VMULPS       Z9, Z10, Z13
+	VADDPS       Z12, Z6, Z6
+	VADDPS       Z13, Z7, Z7
+
+	ADDQ R9, SI
+	ADDQ R10, DI
+	DECQ CX
+	JNZ  zloop32
+
+zstore32:
+	VCMPPS   $3, Z1, Z0, K1
+	VCMPPS   $3, Z3, Z2, K2
+	VCMPPS   $3, Z5, Z4, K3
+	VCMPPS   $3, Z7, Z6, K4
+	KORW     K2, K1, K1
+	KORW     K4, K3, K3
+	KORTESTW K3, K1
+	JNZ      znan32
+	CMPB     add+64(FP), $0
+	JEQ      zassign32
+	MOVQ     DX, AX
+	VADDPS   (AX), Z0, Z0
+	VADDPS   64(AX), Z1, Z1
+	ADDQ     R11, AX
+	VADDPS   (AX), Z2, Z2
+	VADDPS   64(AX), Z3, Z3
+	ADDQ     R11, AX
+	VADDPS   (AX), Z4, Z4
+	VADDPS   64(AX), Z5, Z5
+	ADDQ     R11, AX
+	VADDPS   (AX), Z6, Z6
+	VADDPS   64(AX), Z7, Z7
+
+zassign32:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPS Z2, (DX)
+	VMOVUPS Z3, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, 64(DX)
+	ADDQ    R11, DX
+	VMOVUPS Z6, (DX)
+	VMOVUPS Z7, 64(DX)
+	VZEROUPPER
+	MOVB    $1, ret+72(FP)
+	RET
+
+znan32:
 	VZEROUPPER
 	MOVB $0, ret+72(FP)
 	RET

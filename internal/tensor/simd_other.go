@@ -2,15 +2,23 @@
 
 package tensor
 
-// haveSIMD is false off amd64: the generic strips and scalar loops
-// serve every call, and the SIMD routines below are never called.
-const haveSIMD = false
+// haveTier is tierStrips off amd64: the generic strips and scalar
+// loops serve every call, and the SIMD routines below are never called.
+const haveTier = tierStrips
 
 func tile4x8F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool {
 	panic("tensor: SIMD tile called without SIMD support")
 }
 
 func tile4x16F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool {
+	panic("tensor: SIMD tile called without SIMD support")
+}
+
+func tile4x16F64(a *float64, aRowStride, aPStride int, b *float64, bPStride, k int, out *float64, ldo int, add bool) bool {
+	panic("tensor: SIMD tile called without SIMD support")
+}
+
+func tile4x32F32(a *float32, aRowStride, aPStride int, b *float32, bPStride, k int, out *float32, ldo int, add bool) bool {
 	panic("tensor: SIMD tile called without SIMD support")
 }
 

@@ -50,6 +50,22 @@ func bothPaths(t *testing.T, f func(t *testing.T, simd bool)) {
 	}
 }
 
+// eachTier runs f on every kernel tier this CPU has, widest first and
+// the generic strips last, and names the tier of a failure.
+func eachTier(t *testing.T, f func(t *testing.T, tier tensor.Tier)) {
+	for _, tier := range tensor.Tiers() {
+		func() {
+			defer tensor.SetTier(tier)()
+			defer func() {
+				if t.Failed() {
+					t.Logf("on kernel tier %v", tier)
+				}
+			}()
+			f(t, tier)
+		}()
+	}
+}
+
 func sliceBitsEqual(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	bitsEqual(t, name, tensor.MustFromSlice(got, len(got)), tensor.MustFromSlice(want, len(want)))
@@ -252,10 +268,11 @@ func TestWidenAddIntoMatchesScalarLoop(t *testing.T) {
 // TestMatMulATBAddIntoMatchesOneAdd pins the accumulate epilogue: out +=
 // aᵀ@b must equal the product computed alone, then added to out with
 // one add per element — on tiles, strips and tails, at every output
-// width 0–67, in float64 and (through a test hook) float32.
+// width 0–67, in float64 and (through a test hook) float32, on every
+// tier the CPU has.
 func TestMatMulATBAddIntoMatchesOneAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
-	bothPaths(t, func(t *testing.T, simd bool) {
+	eachTier(t, func(t *testing.T, _ tensor.Tier) {
 		for n := 0; n <= maxPropLen; n++ {
 			for _, km := range [][2]int{{1, 4}, {9, 5}, {3, 8}, {2, 1}} {
 				k, m := km[0], km[1]
@@ -348,10 +365,15 @@ func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
 // (a = +0, −0 or NaN against b = +Inf, −Inf or NaN) inside a full
 // 4-row tile, among finite nonzero operands, and runs MatMul,
 // MatMulATBInto, MatMulATBAddInto into a non-zero out and the float32
-// forms against the serial references, on the SIMD tiles and on the
-// strips alone.
+// forms against the serial references, on every tier the CPU has.
+// MatMulABT runs its tile on bᵀ but has no gate: there the planted pair
+// makes the reference NaN too, and the block must fall back to the
+// dense ABT strips, which keep it NaN, not to the gated ones.
 func TestTileNaNFallbackMatchesGate(t *testing.T) {
-	const m, k, n = 8, 5, 19 // two row tiles; f64 tiles at columns 0 and 8, f32 at 0
+	// Two row tiles. Every planted column (< 16) lies in the first tile
+	// of every width: f64 tiles at columns 0, 8, 16, 24 (ymm) or 0, 16
+	// (zmm), f32 at 0, 16 (ymm) or 0 (zmm).
+	const m, k, n = 8, 5, 35
 	r := rand.New(rand.NewSource(46))
 	nonzero := func(cnt int) []float64 {
 		s := make([]float64, cnt)
@@ -362,11 +384,11 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 	}
 	specialA := []float64{0, math.Copysign(0, -1), math.NaN()}
 	specialB := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
-	bothPaths(t, func(t *testing.T, simd bool) {
+	eachTier(t, func(t *testing.T, tier tensor.Tier) {
 		for ci, sa := range specialA {
 			for cj, sb := range specialB {
 				row, p, col := (ci*3+cj)%m, (ci+cj)%k, (ci*5+cj*3)%16
-				name := fmt.Sprintf("a=%v b=%v simd=%v", sa, sb, simd)
+				name := fmt.Sprintf("a=%v b=%v tier=%v", sa, sb, tier)
 
 				ad, bd := nonzero(m*k), nonzero(k*n)
 				ad[row*k+p], bd[p*n+col] = sa, sb
@@ -420,7 +442,77 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 				}
 				tensor.MatMulATBF32AddInto(acc32, at32, b32, k, m, n)
 				f32BitsEqual(t, "matmulATBF32 accumulate "+name, acc32, wantAcc32)
+
+				btd := nonzero(n * k)
+				btd[col*k+p] = sb
+				bt := tensor.MustFromSlice(btd, n, k)
+				wantABT, err := tensor.MatMulABTSerial(a, bt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !math.IsNaN(wantABT.Data()[row*n+col]) {
+					t.Fatalf("abt %s: reference element is %g, want NaN", name, wantABT.Data()[row*n+col])
+				}
+				outABT := tensor.MustFromSlice(nonzero(m*n), m, n)
+				if err := tensor.MatMulABTInto(outABT, a, bt); err != nil {
+					t.Fatal(err)
+				}
+				bitsEqual(t, "matmulABT "+name, outABT, wantABT)
+
+				bt32 := narrowed(btd)
+				tensor.MatMulABTF32(out32, a32, bt32, m, k, n)
+				f32BitsEqual(t, "matmulABTF32 "+name, out32, abtRefF32(a32, bt32, m, k, n))
 			}
 		}
 	})
+}
+
+// TestZMMDispatchPredicate pins the AVX-512 start-up check to CPUID leaf
+// 7's AVX512F bit and the five XCR0 state bits it needs. An OS that
+// leaves any ZMM state disabled must keep the AVX tier even on a CPU
+// that reports AVX512F: zmm code would raise SIGILL there.
+func TestZMMDispatchPredicate(t *testing.T) {
+	const (
+		avx512f = 1 << 16
+		// Other leaf-7 EBX bits (AVX2, AVX512DQ) say nothing about zmm.
+		avx2, avx512dq            = 1 << 5, 1 << 17
+		x87, sse, avx             = 1 << 0, 1 << 1, 1 << 2
+		opmask, zmmHi256, hi16ZMM = 1 << 5, 1 << 6, 1 << 7
+		full                      = x87 | sse | avx | opmask | zmmHi256 | hi16ZMM
+	)
+	for _, c := range []struct {
+		name      string
+		ebx, xcr0 uint32
+		want      bool
+	}{
+		{"avx512f with all zmm state", avx512f, full, true},
+		{"extra cpu bits", avx512f | avx2 | avx512dq, full | 1<<9, true},
+		{"no avx512f", avx2 | avx512dq, full, false},
+		{"nothing", 0, 0, false},
+		{"avx512f, os saves only ymm state", avx512f, x87 | sse | avx, false},
+		{"avx512f, no opmask state", avx512f, full &^ opmask, false},
+		{"avx512f, no upper-zmm state", avx512f, full &^ zmmHi256, false},
+		{"avx512f, no high-zmm state", avx512f, full &^ hi16ZMM, false},
+		{"avx512f, no ymm state", avx512f, full &^ avx, false},
+		{"avx512f, no xmm state", avx512f, full &^ sse, false},
+		{"zmm state without avx512f", 0, full, false},
+	} {
+		if got := tensor.ZMMUsable(c.ebx, c.xcr0); got != c.want {
+			t.Errorf("%s: zmmUsable(%#x, %#x) = %v, want %v", c.name, c.ebx, c.xcr0, got, c.want)
+		}
+	}
+}
+
+// TestKernelTier logs the tier the kernels start on, so a CI log shows
+// which tiles its runner used, and checks that Tiers lists it first and
+// the strips last.
+func TestKernelTier(t *testing.T) {
+	ts := tensor.Tiers()
+	t.Logf("kernel tier: %v (tiers this CPU runs: %v)", tensor.HaveTier, ts)
+	if ts[0] != tensor.HaveTier || ts[len(ts)-1] != tensor.TierStrips {
+		t.Fatalf("have %v, tiers %v", tensor.HaveTier, ts)
+	}
+	if tensor.HaveSIMD != (tensor.HaveTier != tensor.TierStrips) {
+		t.Fatalf("HaveSIMD %v at tier %v", tensor.HaveSIMD, tensor.HaveTier)
+	}
 }
