@@ -534,20 +534,23 @@ func BenchmarkTrainStep(b *testing.B) {
 func BenchmarkMicroKernels(b *testing.B) {
 	products := []struct {
 		name string
-		f64  func(out, a, bm *tensor.Tensor) error
+		f64  func(out, a, bm []float64, s int)
 		f32  func(out, a, bm []float32, s int)
 	}{
-		{"MatMul", tensor.MatMulInto,
+		{"MatMul",
+			func(out, a, bm []float64, s int) { tensor.MatMulF64(out, a, bm, s, s, s) },
 			func(out, a, bm []float32, s int) { tensor.MatMulF32(out, a, bm, s, s, s) }},
-		{"ATB", tensor.MatMulATBInto,
+		{"ATB",
+			func(out, a, bm []float64, s int) { clear(out); tensor.MatMulATBAddF64(out, a, bm, s, s, s) },
 			func(out, a, bm []float32, s int) { tensor.MatMulATBF32(out, a, bm, s, s, s) }},
-		{"ABT", tensor.MatMulABTInto,
+		{"ABT",
+			func(out, a, bm []float64, s int) { tensor.MatMulABTF64(out, a, bm, s, s, s) },
 			func(out, a, bm []float32, s int) { tensor.MatMulABTF32(out, a, bm, s, s, s) }},
 	}
 	for _, p := range products {
 		for _, size := range []int{64, 256, 1024} {
 			a, bm := benchKernelOperands(30, 31, size, size, size)
-			out := tensor.New(size, size)
+			out := make([]float64, size*size)
 			// 2·m·k·n flops per product; reported so ns/op comparisons
 			// across sizes reduce to a flop rate.
 			flops := int64(2) * int64(size) * int64(size) * int64(size)
@@ -555,9 +558,7 @@ func BenchmarkMicroKernels(b *testing.B) {
 				b.SetBytes(flops)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if err := p.f64(out, a, bm); err != nil {
-						b.Fatal(err)
-					}
+					p.f64(out, a.Data(), bm.Data(), size)
 				}
 			})
 			a32 := make([]float32, size*size)
@@ -598,29 +599,27 @@ func BenchmarkTrainShapeKernels(b *testing.B) {
 	tensor.NarrowInto(d32, delta.Data())
 	tensor.NarrowInto(d132, d1.Data())
 	tensor.NarrowInto(w132, w1.Data())
-	out := tensor.New(batch, hidden)
-	gw := tensor.New(in, hidden)
+	out := make([]float64, batch*hidden)
+	gw := make([]float64, in*hidden)
 	out32 := make([]float32, batch*hidden)
 	gw32 := make([]float32, in*hidden)
 	for _, c := range []struct {
 		name  string
 		flops int64
-		run   func() error
+		run   func()
 	}{
-		{"MatMul/f64", 2 * batch * in * hidden, func() error { return tensor.MatMulInto(out, x, w) }},
-		{"MatMul/f32", 2 * batch * in * hidden, func() error { tensor.MatMulF32(out32, x32, w32, batch, in, hidden); return nil }},
-		{"ATB/f64", 2 * batch * in * hidden, func() error { return tensor.MatMulATBInto(gw, x, delta) }},
-		{"ATB/f32", 2 * batch * in * hidden, func() error { tensor.MatMulATBF32(gw32, x32, d32, batch, in, hidden); return nil }},
-		{"ABT/f64", 2 * batch * zdim * hidden, func() error { return tensor.MatMulABTInto(out, d1, w1) }},
-		{"ABT/f32", 2 * batch * zdim * hidden, func() error { tensor.MatMulABTF32(out32, d132, w132, batch, zdim, hidden); return nil }},
+		{"MatMul/f64", 2 * batch * in * hidden, func() { tensor.MatMulF64(out, x.Data(), w.Data(), batch, in, hidden) }},
+		{"MatMul/f32", 2 * batch * in * hidden, func() { tensor.MatMulF32(out32, x32, w32, batch, in, hidden) }},
+		{"ATB/f64", 2 * batch * in * hidden, func() { clear(gw); tensor.MatMulATBAddF64(gw, x.Data(), delta.Data(), batch, in, hidden) }},
+		{"ATB/f32", 2 * batch * in * hidden, func() { tensor.MatMulATBF32(gw32, x32, d32, batch, in, hidden) }},
+		{"ABT/f64", 2 * batch * zdim * hidden, func() { tensor.MatMulABTF64(out, d1.Data(), w1.Data(), batch, zdim, hidden) }},
+		{"ABT/f32", 2 * batch * zdim * hidden, func() { tensor.MatMulABTF32(out32, d132, w132, batch, zdim, hidden) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(c.flops) // flops per product, as in MicroKernels
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := c.run(); err != nil {
-					b.Fatal(err)
-				}
+				c.run()
 			}
 		})
 	}

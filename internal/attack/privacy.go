@@ -387,7 +387,7 @@ func trainProbeClassifier(enc *encoder.Encoder, victims []*dataset.Dataset, seed
 	if va < 1e-12 {
 		va = 1e-12
 	}
-	scale := 1.0 / sqrtf(va)
+	scale := 1.0 / math.Sqrt(va)
 	for i := range xd {
 		xd[i] = (xd[i] - mean) * scale
 	}
@@ -433,8 +433,6 @@ func trainProbeClassifier(enc *encoder.Encoder, victims []*dataset.Dataset, seed
 	}
 	return m, mean, scale, nil
 }
-
-func sqrtf(x float64) float64 { return math.Sqrt(x) }
 
 // dumpGrids writes the Fig. 6/7 qualitative grids for one domain.
 func dumpGrids(outDir string, attackIdx int, victims *dataset.Dataset, dec *Decoder, sampleStyles, clientStyles [][]float64) error {

@@ -360,7 +360,7 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 	}
 	in := env.InputDim()
 
-	r := env.RNG.Stream(p.Name(), "train", itoa(c.ID), itoa(round))
+	r := env.RNG.Stream(p.Name(), "train", strconv.Itoa(c.ID), strconv.Itoa(round))
 	// Both views reuse one activation set each across every batch; the
 	// contrastive backward needs the two alive at once.
 	actsA, actsP := nn.AcquireActivations(), nn.AcquireActivations()
@@ -547,5 +547,3 @@ func coarsestMeaningful(res *finch.Result) finch.Partition {
 	}
 	return res.Last()
 }
-
-func itoa(i int) string { return strconv.Itoa(i) }

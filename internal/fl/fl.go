@@ -219,7 +219,7 @@ func (e *Env) Calibrate(capPer int, dss ...*dataset.Dataset) error {
 		va = 1e-12
 	}
 	e.FeatShift = mean
-	e.FeatScale = 1.0 / sqrt(va)
+	e.FeatScale = 1.0 / math.Sqrt(va)
 	return nil
 }
 
@@ -736,8 +736,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 	// across runs, if the caller reuses the algorithm instance).
 	return global.Clone(), hist, nil
 }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }
 
 // Accuracy is the fraction of es's rows whose argmax logit (first
 // maximum on ties) equals the label, forwarding in batches of 128. Run

@@ -162,7 +162,6 @@ type Model struct {
 	// it stale, and a forward narrows only a stale shadow.
 	shadow struct {
 		arena []float32
-		w, b  [][]float32
 		fresh bool
 	}
 	// sum is WeightedAverageInto's scratch when m is its destination:
@@ -288,22 +287,16 @@ func (m *Model) SetParamVector(v []float64) error {
 }
 
 // Activations caches a forward pass for backprop. The per-layer buffers
-// are reused across same-size batches by ForwardInto.
+// are reused across batches by ForwardInto, one set per precision
+// (walk.go), so one Activations serves models of either precision.
 type Activations struct {
 	X *tensor.Tensor // (B, In)
-	// pre[i]/out[i] are layer i's pre-activation and output; for layers
-	// without ReLU they alias the same tensor.
-	pre []*tensor.Tensor
-	out []*tensor.Tensor
 	// Z is the embedding (the output of the second-to-last layer) and
-	// Logits the classifier output; both alias entries of out.
+	// Logits the classifier output, in float64 for either precision.
 	Z      *tensor.Tensor // (B, ZDim)
 	Logits *tensor.Tensor // (B, Classes)
-	// Float32 mirrors used by the F32 compute path (precision.go): the
-	// narrowed input and per-layer pre-activations/outputs. Z and Logits
-	// above are then widened copies, so loss code sees float64 either way.
-	x32          []float32
-	pre32, out32 [][]float32
+	f64    pass[float64]
+	f32    pass[float32]
 }
 
 // Forward runs the full model on a batch X of shape (B, In), allocating
@@ -319,7 +312,7 @@ func (m *Model) Forward(x *tensor.Tensor) (*Activations, error) {
 
 // ForwardInto runs the full model on a batch X of shape (B, In), writing
 // into acts. Activation buffers are reused in place whenever they have
-// room (tensor.Fit2D), so alternating batch sizes allocate only at the
+// room (tensor.Fit), so alternating batch sizes allocate only at the
 // largest size and steady state allocates nothing.
 // The caller must not reuse acts while a previous batch's activations are
 // still needed.
@@ -327,54 +320,72 @@ func (m *Model) ForwardInto(acts *Activations, x *tensor.Tensor) error {
 	if x.Dims() != 2 || x.Dim(1) != m.Cfg.In {
 		return fmt.Errorf("nn: input shape %v, want (B,%d)", x.Shape(), m.Cfg.In)
 	}
-	if m.Cfg.Precision == F32 {
-		return m.forward32(acts, x)
-	}
-	b := x.Dim(0)
-	nL := len(m.layers)
-	if len(acts.pre) != nL {
-		acts.pre = make([]*tensor.Tensor, nL)
-		acts.out = make([]*tensor.Tensor, nL)
-	}
+	b, nL := x.Dim(0), len(m.layers)
 	acts.X = x
-	cur := x
-	for i, ly := range m.layers {
-		w := ly.W.Dim(1)
-		acts.pre[i] = tensor.Fit2D(acts.pre[i], b, w)
-		if err := tensor.MatMulInto(acts.pre[i], cur, ly.W); err != nil {
-			return err
-		}
-		if ly.ReLU {
-			acts.out[i] = tensor.Fit2D(acts.out[i], b, w)
-			addBiasReLU(acts.pre[i].Data(), acts.out[i].Data(), ly.B.Data())
-		} else {
-			addRowVector(acts.pre[i], ly.B)
-			acts.out[i] = acts.pre[i]
-		}
-		cur = acts.out[i]
+	if m.Cfg.Precision == F32 {
+		m.SyncShadow()
+		p := &acts.f32
+		p.x = tensor.Fit(p.x, x.Len())
+		tensor.NarrowInto(p.x, x.Data())
+		forward(f32Kernels, m.layers, m.shadow.arena, p, b)
+		p.z = widen(p.z, p.out[nL-2], b, m.Cfg.ZDim)
+		p.logits = widen(p.logits, p.out[nL-1], b, m.Cfg.Classes)
+		acts.Z, acts.Logits = p.z, p.logits
+		return nil
 	}
-	acts.Z = acts.out[nL-2]
-	acts.Logits = acts.out[nL-1]
+	p := &acts.f64
+	p.x = x.Data()
+	forward(f64Kernels, m.layers, m.arena, p, b)
+	p.z = view(p.z, p.out[nL-2], b, m.Cfg.ZDim)
+	p.logits = view(p.logits, p.out[nL-1], b, m.Cfg.Classes)
+	acts.Z, acts.Logits = p.z, p.logits
 	return nil
+}
+
+// view returns t when it already views s as an (r, c) tensor, else a
+// new header over s.
+func view(t *tensor.Tensor, s []float64, r, c int) *tensor.Tensor {
+	if t != nil && t.Dim(0) == r && t.Dim(1) == c && (len(s) == 0 || &t.Data()[0] == &s[0]) {
+		return t
+	}
+	return tensor.MustFromSlice(s, r, c)
+}
+
+// widen returns src widened into t's storage, refitted to (r, c).
+func widen(t *tensor.Tensor, src []float32, r, c int) *tensor.Tensor {
+	t = tensor.Fit2D(t, r, c)
+	tensor.WidenInto(t.Data(), src)
+	return t
 }
 
 // RecomputeLogits refreshes acts.Logits from acts.Z in place — for
 // methods that perturb the embedding after a forward pass (FedSR's
 // probabilistic representation) and need logits of the perturbed Z
-// without reallocating.
+// without reallocating. An F32 pass narrows the perturbed Z first and
+// widens the new logits.
 func (m *Model) RecomputeLogits(acts *Activations) error {
-	if acts.Z == nil || acts.Logits == nil {
+	if !acts.ranBy(m) {
 		return fmt.Errorf("nn: RecomputeLogits before a forward pass")
 	}
+	b, nL := acts.X.Dim(0), len(m.layers)
 	if m.Cfg.Precision == F32 {
-		return m.recomputeLogits32(acts)
+		p := &acts.f32
+		tensor.NarrowInto(p.out[nL-2], acts.Z.Data())
+		logits(f32Kernels, m.layers, m.shadow.arena, p, b)
+		tensor.WidenInto(acts.Logits.Data(), p.out[nL-1])
+		return nil
 	}
-	cls := m.layers[len(m.layers)-1]
-	if err := tensor.MatMulInto(acts.Logits, acts.Z, cls.W); err != nil {
-		return err
-	}
-	addRowVector(acts.Logits, cls.B)
+	logits(f64Kernels, m.layers, m.arena, &acts.f64, b)
 	return nil
+}
+
+// ranBy reports whether a holds a forward pass of m's precision and
+// shape that a.Z still points at.
+func (a *Activations) ranBy(m *Model) bool {
+	if m.Cfg.Precision == F32 {
+		return a.f32.ran(a, m.layers)
+	}
+	return a.f64.ran(a, m.layers)
 }
 
 // Embed returns only the embedding Z for a batch (no classifier).
@@ -401,18 +412,10 @@ type Grads struct {
 	// step, which clears the gradients it consumes, and cleared by
 	// Backward. A recycled Grads that is clean needs no zeroing pass.
 	clean bool
-	// delta holds Backward's per-layer delta flows, grown only when the
-	// batch outgrows them. Weight gradients need no scratch: the
-	// aᵀ@b kernel adds them straight into the arena.
-	delta []*tensor.Tensor
-	// s32 is the float32 analog used by the F32 compute path
-	// (precision.go): weight-gradient staging, delta flows, and the
-	// narrowed loss gradient at the logits.
-	s32 struct {
-		gW    [][]float32
-		delta [][]float32
-		dl    []float32
-	}
+	// s64/s32 are Backward's scratch for each precision (walk.go). An F64
+	// pass adds weight gradients straight into the arena.
+	s64 backprop[float64]
+	s32 backprop[float32]
 }
 
 // NewGrads allocates zeroed gradients for m, recycling a released
@@ -425,15 +428,13 @@ func (m *Model) NewGrads() *Grads {
 		return g
 	}
 	arena := make([]float64, len(m.arena))
-	g := &Grads{
+	return &Grads{
 		cfg:    m.Cfg,
 		arena:  arena,
 		all:    tensor.MustFromSlice(arena, len(arena)),
 		layers: bindLayers(m.Cfg, arena),
 		clean:  true,
 	}
-	g.delta = make([]*tensor.Tensor, len(g.layers)-1)
-	return g
 }
 
 // Zero resets all gradient accumulators in one arena sweep.
@@ -458,77 +459,45 @@ func (g *Grads) Params() []*tensor.Tensor {
 // dLogits is the loss gradient at the logits (may be nil when the pass
 // contributes only embedding-space losses); dZExtra is an additional
 // gradient injected directly at the embedding (triplet, regularizer,
-// prototype losses), also optional.
+// prototype losses), also optional. An F32 pass narrows dLogits and
+// dZExtra and widens its gradients into the float64 arena.
 func (m *Model) Backward(acts *Activations, dLogits, dZExtra *tensor.Tensor, grads *Grads) error {
-	nL := len(m.layers)
-	if acts.X == nil || len(acts.out) != nL || acts.out[nL-1] == nil {
+	if !acts.ranBy(m) {
 		return fmt.Errorf("nn: Backward before a forward pass of this model")
 	}
 	if !grads.cfg.Equal(m.Cfg) {
 		return fmt.Errorf("nn: grads built for config %+v, model has %+v", grads.cfg, m.Cfg)
 	}
+	b := acts.X.Dim(0)
+	if dLogits != nil && !is2D(dLogits, b, m.Cfg.Classes) {
+		return fmt.Errorf("nn: dLogits shape %v, want (%d,%d)", dLogits.Shape(), b, m.Cfg.Classes)
+	}
+	if dZExtra != nil && !is2D(dZExtra, b, m.Cfg.ZDim) {
+		return fmt.Errorf("nn: dZExtra: shape %v, want (%d,%d)", dZExtra.Shape(), b, m.Cfg.ZDim)
+	}
 	grads.clean = false
 	if m.Cfg.Precision == F32 {
-		return m.backward32(acts, dLogits, dZExtra, grads)
+		s := &grads.s32
+		var dl []float32
+		if dLogits != nil {
+			s.dl = tensor.Fit(s.dl, dLogits.Len())
+			tensor.NarrowInto(s.dl, dLogits.Data())
+			dl = s.dl
+		}
+		backward(f32Kernels, m.layers, m.shadow.arena, &acts.f32, dl, dLogits != nil, dZExtra, grads.arena, s, b)
+		return nil
 	}
-	b := acts.X.Dim(0)
-	emb := nL - 2 // the embedding projection; layers[nL-1] is g
-	grads.delta[emb] = tensor.Fit2D(grads.delta[emb], b, m.Cfg.ZDim)
-	dZ := grads.delta[emb]
+	var dl []float64
 	if dLogits != nil {
-		if dLogits.Dim(0) != b || dLogits.Dim(1) != m.Cfg.Classes {
-			return fmt.Errorf("nn: dLogits shape %v, want (%d,%d)", dLogits.Shape(), b, m.Cfg.Classes)
-		}
-		// Classifier grads, added straight into the accumulator.
-		cls := m.layers[nL-1]
-		if err := tensor.MatMulATBAddInto(grads.layers[nL-1].W, acts.Z, dLogits); err != nil {
-			return err
-		}
-		addColumnSums(grads.layers[nL-1].B, dLogits)
-		if err := tensor.MatMulABTInto(dZ, dLogits, cls.W); err != nil {
-			return err
-		}
-	} else {
-		dZ.Zero()
+		dl = dLogits.Data()
 	}
-	if dZExtra != nil {
-		if err := dZ.AddInPlace(dZExtra); err != nil {
-			return fmt.Errorf("nn: dZExtra: %w", err)
-		}
-	}
-	// Walk the extractor stack top-down: embedding projection, then each
-	// hidden layer with its ReLU gate.
-	d := dZ
-	for i := emb; i >= 0; i-- {
-		input := acts.X
-		if i > 0 {
-			input = acts.out[i-1]
-		}
-		if err := tensor.MatMulATBAddInto(grads.layers[i].W, input, d); err != nil {
-			return err
-		}
-		addColumnSums(grads.layers[i].B, d)
-		if i == 0 {
-			break
-		}
-		grads.delta[i-1] = tensor.Fit2D(grads.delta[i-1], b, m.layers[i].W.Dim(0))
-		dPrev := grads.delta[i-1]
-		if err := tensor.MatMulABTInto(dPrev, d, m.layers[i].W); err != nil {
-			return err
-		}
-		if m.layers[i-1].ReLU {
-			// ReLU gate on the producing layer's pre-activation.
-			hp := acts.pre[i-1].Data()
-			dd := dPrev.Data()
-			for j := range dd {
-				if hp[j] <= 0 {
-					dd[j] = 0
-				}
-			}
-		}
-		d = dPrev
-	}
+	backward(f64Kernels, m.layers, m.arena, &acts.f64, dl, dLogits != nil, dZExtra, grads.arena, &grads.s64, b)
 	return nil
+}
+
+// is2D reports whether t has shape (r, c).
+func is2D(t *tensor.Tensor, r, c int) bool {
+	return t.Dims() == 2 && t.Dim(0) == r && t.Dim(1) == c
 }
 
 // SGD is a momentum SGD optimizer with decoupled weight decay and
@@ -647,49 +616,4 @@ func WeightedAverageInto(dst *Model, models []*Model, weights []float64) error {
 	dst.sum.ws, dst.sum.srcs = ws, srcs
 	dst.shadow.fresh = false
 	return nil
-}
-
-// addBiasReLU adds the length-n bias to every row of the (m·n)
-// pre-activation pre, in place, and writes the ReLU of the sum into
-// out, in one loop. pre keeps the pre-activation for Backward's ReLU
-// gate.
-func addBiasReLU(pre, out, bias []float64) {
-	n := len(bias)
-	out = out[:len(pre)]
-	for o := 0; o < len(pre); o += n {
-		row, orow := pre[o:o+n], out[o:o+n]
-		for j, b := range bias {
-			v := row[j] + b
-			row[j] = v
-			if v < 0 {
-				v = 0
-			}
-			orow[j] = v
-		}
-	}
-}
-
-// addRowVector adds a length-n vector to every row of an (m,n) tensor.
-func addRowVector(t *tensor.Tensor, v *tensor.Tensor) {
-	rows, cols := t.Dim(0), t.Dim(1)
-	td, vd := t.Data(), v.Data()
-	for i := 0; i < rows; i++ {
-		row := td[i*cols : (i+1)*cols]
-		for j := range row {
-			row[j] += vd[j]
-		}
-	}
-}
-
-// addColumnSums adds the column sums of a (m,n) tensor into a length-n
-// accumulator (bias gradients).
-func addColumnSums(acc *tensor.Tensor, t *tensor.Tensor) {
-	rows, cols := t.Dim(0), t.Dim(1)
-	td, ad := t.Data(), acc.Data()
-	for i := 0; i < rows; i++ {
-		row := td[i*cols : (i+1)*cols]
-		for j := range row {
-			ad[j] += row[j]
-		}
-	}
 }

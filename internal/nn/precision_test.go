@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,12 +216,10 @@ func TestF32RecomputeLogits(t *testing.T) {
 	// The recomputed logits must match a fresh classifier pass over the
 	// perturbed Z within f32 tolerance.
 	cls := m32.Classifier()
-	want := tensor.New(x.Dim(0), m32.Cfg.Classes)
-	if err := tensor.MatMulInto(want, acts.Z, cls.W); err != nil {
-		t.Fatal(err)
-	}
-	addRowVector(want, cls.B)
-	wd, gd := want.Data(), acts.Logits.Data()
+	wd := make([]float64, x.Dim(0)*m32.Cfg.Classes)
+	tensor.MatMulF64(wd, acts.Z.Data(), cls.W.Data(), x.Dim(0), m32.Cfg.ZDim, m32.Cfg.Classes)
+	addRowVector(wd, cls.B.Data())
+	gd := acts.Logits.Data()
 	for i := range wd {
 		if math.Abs(wd[i]-gd[i]) > 1e-4 {
 			t.Fatalf("recomputed logit %d: %g vs f64 reference %g", i, gd[i], wd[i])
@@ -397,4 +396,77 @@ func TestShadowWrittenByStepAndResyncedWhenStale(t *testing.T) {
 	}
 	backward(next)
 	requireShadow("forward after a write", next)
+}
+
+// TestActivationsReuseAcrossPrecisions alternates one pooled
+// Activations between an F64 and an F32 model and between batches of 32
+// and 17 rows. Z, the logits, the logits recomputed from a perturbed Z,
+// and the gradients must stay bit-equal to those of fresh activations,
+// a model of the other precision must refuse the pass, and Release must
+// drop every reference to the caller's batch.
+func TestActivationsReuseAcrossPrecisions(t *testing.T) {
+	m64, m32, x, y := pairedModels(t, 32)
+	x17 := tensor.MustFromSlice(x.Data()[:17*m64.Cfg.In], 17, m64.Cfg.In)
+	r := rand.New(rand.NewSource(12))
+	bits := func(name string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s[%d] = %g, want %g", name, i, got[i], want[i])
+			}
+		}
+	}
+	// run makes one forward/recompute/backward cycle, returning the
+	// gradient arena.
+	run := func(m *Model, acts *Activations, x, dZ *tensor.Tensor, y []int) (z, logits, recomputed, grad []float64) {
+		t.Helper()
+		if err := m.ForwardInto(acts, x); err != nil {
+			t.Fatal(err)
+		}
+		z = append([]float64(nil), acts.Z.Data()...)
+		logits = append([]float64(nil), acts.Logits.Data()...)
+		g := m.NewGrads()
+		defer g.Release()
+		if err := m.Backward(acts, softmaxGrad(acts.Logits, y), dZ, g); err != nil {
+			t.Fatal(err)
+		}
+		for i := range acts.Z.Data() {
+			acts.Z.Data()[i] *= 1.5
+		}
+		if err := m.RecomputeLogits(acts); err != nil {
+			t.Fatal(err)
+		}
+		recomputed = append([]float64(nil), acts.Logits.Data()...)
+		return z, logits, recomputed, append([]float64(nil), g.arena...)
+	}
+	acts := AcquireActivations()
+	for step, c := range []struct {
+		m *Model
+		x *tensor.Tensor
+	}{{m64, x}, {m32, x17}, {m32, x}, {m64, x17}, {m64, x}, {m32, x}, {m64, x17}, {m32, x17}} {
+		b := c.x.Dim(0)
+		dZ := tensor.Randn(r, 1, b, c.m.Cfg.ZDim)
+		name := fmt.Sprintf("step %d (%v, %d rows)", step, c.m.Cfg.Precision, b)
+		z, logits, recomputed, grad := run(c.m, acts, c.x, dZ, y[:b])
+		wz, wl, wr, wg := run(c.m, &Activations{}, c.x, dZ, y[:b])
+		bits(name+" Z", z, wz)
+		bits(name+" logits", logits, wl)
+		bits(name+" recomputed logits", recomputed, wr)
+		bits(name+" grads", grad, wg)
+		other := m32
+		if c.m == m32 {
+			other = m64
+		}
+		if err := other.Backward(acts, nil, dZ, other.NewGrads()); err == nil {
+			t.Fatalf("%s: a %v model ran Backward on a %v pass", name, other.Cfg.Precision, c.m.Cfg.Precision)
+		}
+		if step == 3 {
+			acts.Release()
+			if acts.X != nil || acts.f64.x != nil {
+				t.Fatal("Release kept a reference to the caller's batch")
+			}
+			acts = AcquireActivations()
+		}
+	}
+	acts.Release()
 }

@@ -117,10 +117,11 @@ func (a *Activations) Release() {
 	if a == nil {
 		return
 	}
-	// Drop the caller's batch, and the views that mark a forward pass
-	// done, so a recycled set reads as fresh to Backward and
-	// RecomputeLogits.
+	// Drop the caller's batch (X, and the F64 pass's view of its
+	// storage), and the views that mark a forward pass done, so a
+	// recycled set reads as fresh to Backward and RecomputeLogits.
 	a.X, a.Z, a.Logits = nil, nil, nil
+	a.f64.x = nil
 	actsPool.Put(a)
 }
 

@@ -131,11 +131,11 @@ func SetTier(t Tier) (restore func()) {
 // ZMMUsable exposes the AVX-512 dispatch predicate.
 var ZMMUsable = zmmUsable
 
-// MatMulATBF32AddInto adds aᵀ@b into out over float32 slices. Only the
+// MatMulATBAddF32 adds aᵀ@b into out over float32 slices. Only the
 // float64 product accumulates in production; this hook runs the same
 // epilogue on the live float32 tile and the strips, so their add path
 // is tested.
-func MatMulATBF32AddInto(out, a, b []float32, k, m, n int) {
+func MatMulATBAddF32(out, a, b []float32, k, m, n int) {
 	t := tiles()
 	atbTiled(t.f32, t.w32, a, b, out, k, m, n, 0, m, true)
 }

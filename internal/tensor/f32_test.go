@@ -267,25 +267,17 @@ func testKernelSteadyStateAllocs(t *testing.T) {
 	a := randMatrix(r, m, k)
 	b := randMatrix(r, k, n)
 	bt := randMatrix(r, n, k)
-	out := tensor.New(m, n)
+	out := make([]float64, m*n)
 	a32 := randF32(r, m*k)
 	b32 := randF32(r, k*n)
 	out32 := make([]float32, m*n)
-	if err := tensor.MatMulInto(out, a, b); err != nil {
-		t.Fatal(err)
-	}
+	tensor.MatMulF64(out, a.Data(), b.Data(), m, k, n)
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := tensor.MatMulInto(out, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := tensor.MatMulATBInto(out, a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := tensor.MatMulABTInto(out, a, bt); err != nil {
-			t.Fatal(err)
-		}
+		tensor.MatMulF64(out, a.Data(), b.Data(), m, k, n)
+		tensor.MatMulATBAddF64(out, a.Data(), b.Data(), k, m, n)
+		tensor.MatMulABTF64(out, a.Data(), bt.Data(), m, k, n)
 	}); allocs != 0 {
-		t.Fatalf("serial MatMulInto/MatMulATBInto/MatMulABTInto allocated %.1f objects/op, want 0", allocs)
+		t.Fatalf("serial MatMulF64/MatMulATBAddF64/MatMulABTF64 allocated %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		tensor.MatMulF32(out32, a32, b32, m, k, n)

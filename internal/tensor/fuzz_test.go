@@ -16,7 +16,7 @@ import (
 // bit-identical output, not tolerance. The float64 kernels must
 // reproduce the naive serial loops exactly (the determinism contract
 // that lets Parallelism stay outside the content-address), and
-// MatMulATBAddInto, which accumulates into an out of fuzzed values, the
+// MatMulATBAddF64, which accumulates into an out of fuzzed values, the
 // serial product plus one add per element. The float32 kernels must
 // reproduce the scalar float32 loops exactly (same loop order, same
 // zero-skip semantics). Besides ±0, both operands carry a few NaN,
@@ -107,9 +107,7 @@ func checkKernels(t *testing.T, r *rand.Rand, m, k, n int) {
 	for i, v := range wantATB.Data() {
 		wantAcc.Data()[i] += v
 	}
-	if err := tensor.MatMulATBAddInto(acc, at, b); err != nil {
-		t.Fatal(err)
-	}
+	tensor.MatMulATBAddF64(acc.Data(), at.Data(), b.Data(), k, m, n)
 	bitsEqual(t, "matmulATB accumulate", acc, wantAcc)
 }
 

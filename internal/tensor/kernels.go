@@ -15,8 +15,8 @@
 //     transposes b once per call so the MatMul tile can read it. The
 //     rest walks 2-row × 4-column output strips with manually unrolled
 //     accumulators in locals (microkernel.go), with the scalar row loop
-//     as the tail for ragged edges. The float32 entry points (f32.go)
-//     share the generic strip bodies and have their own, wider tiles.
+//     as the tail for ragged edges. The slice entry points (slices.go)
+//     share these kernels per dtype; float32 has its own, wider tiles.
 //   - Fixed accumulation order. Every output element accumulates its k terms
 //     in ascending-p order no matter how rows are split across workers, so
 //     results are bit-identical to the serial reference kernels at any
@@ -214,9 +214,9 @@ func dispatch(rows int, body func(lo, hi int)) {
 // runMatMul/runMatMulATB/runMatMulABT execute one blocked kernel over
 // its full row range — serially below the work cutoff (panel called
 // directly, allocation-free), across the pool above it. Generic over
-// the dtype seam, so the float64 tensor entry points and the float32
-// slice entry points share them; each passes its dtype's row-range
-// kernel, which picks that dtype's live SIMD tile.
+// the dtype seam, so the allocating Tensor entry points and the slice
+// entry points of both dtypes share them; each passes its dtype's
+// row-range kernel, which picks that dtype's live SIMD tile.
 
 func runMatMul[T number](panel func(a, b, out []T, k, n, lo, hi int), a, b, out []T, m, k, n int) {
 	if m*k*n < serialFlopCutoff {
@@ -291,13 +291,6 @@ func matMulABTDims(a, b *Tensor) (m, k, n int, err error) {
 	return m, k, n, nil
 }
 
-func checkOut(out *Tensor, r, c int, name string) error {
-	if out.Dims() != 2 || out.shape[0] != r || out.shape[1] != c {
-		return fmt.Errorf("tensor: %s out shape %v, want (%d,%d)", name, out.shape, r, c)
-	}
-	return nil
-}
-
 // --- public kernels ---
 
 // MatMul returns a@b for a of shape (m,k) and b of shape (k,n), computed
@@ -313,21 +306,6 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// MatMulInto computes a@b into out (shape (m,n)), overwriting it. out must
-// not alias a or b. Reusing out across batches removes the per-call
-// allocation of MatMul.
-func MatMulInto(out, a, b *Tensor) error {
-	m, k, n, err := matMulDims(a, b)
-	if err != nil {
-		return err
-	}
-	if err := checkOut(out, m, n, "matmul"); err != nil {
-		return err
-	}
-	runMatMul(matMulRange, a.data, b.data, out.data, m, k, n)
-	return nil
-}
-
 // MatMulATB returns aᵀ@b for a of shape (k,m) and b of shape (k,n),
 // computed without materializing the transpose.
 func MatMulATB(a, b *Tensor) (*Tensor, error) {
@@ -340,36 +318,6 @@ func MatMulATB(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// MatMulATBInto computes aᵀ@b into out (shape (m,n)), overwriting it. out
-// must not alias a or b.
-func MatMulATBInto(out, a, b *Tensor) error {
-	return matMulATBInto(out, a, b, true)
-}
-
-// MatMulATBAddInto adds aᵀ@b into out (shape (m,n)): out += aᵀ@b, one
-// add per element, bit-identical to computing the product and adding it
-// (backprop accumulates weight gradients this way without staging
-// them). out must not alias a or b.
-func MatMulATBAddInto(out, a, b *Tensor) error {
-	return matMulATBInto(out, a, b, false)
-}
-
-// matMulATBInto adds aᵀ@b into out, zeroing out first when zero is set.
-func matMulATBInto(out, a, b *Tensor, zero bool) error {
-	k, m, n, err := matMulATBDims(a, b)
-	if err != nil {
-		return err
-	}
-	if err := checkOut(out, m, n, "matmulATB"); err != nil {
-		return err
-	}
-	if zero {
-		out.Zero()
-	}
-	runMatMulATB(matMulATBRange, a.data, b.data, out.data, k, m, n)
-	return nil
-}
-
 // MatMulABT returns a@bᵀ for a of shape (m,k) and b of shape (n,k).
 // Used in backprop for input gradients without materializing transposes.
 func MatMulABT(a, b *Tensor) (*Tensor, error) {
@@ -380,20 +328,6 @@ func MatMulABT(a, b *Tensor) (*Tensor, error) {
 	out := New(m, n)
 	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a.data, b.data, out.data, m, k, n)
 	return out, nil
-}
-
-// MatMulABTInto computes a@bᵀ into out (shape (m,n)), overwriting it. out
-// must not alias a or b.
-func MatMulABTInto(out, a, b *Tensor) error {
-	m, k, n, err := matMulABTDims(a, b)
-	if err != nil {
-		return err
-	}
-	if err := checkOut(out, m, n, "matmulABT"); err != nil {
-		return err
-	}
-	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a.data, b.data, out.data, m, k, n)
-	return nil
 }
 
 // --- serial reference kernels ---

@@ -212,8 +212,10 @@ func testSplitInvariant(t *testing.T, m, k, n int) {
 	}
 }
 
-// TestMatMulIntoVariants checks the Into kernels against their allocating
-// forms, including that a dirty reused output buffer is fully overwritten.
+// TestMatMulIntoVariants checks the slice entries of the float64
+// products against their allocating forms: MatMulF64 and MatMulABTF64
+// fully overwrite a dirty reused output buffer, and MatMulATBAddF64
+// into a zeroed one is MatMulATB.
 func TestMatMulIntoVariants(t *testing.T) {
 	bothKernelPaths(t, testMatMulIntoVariants)
 }
@@ -229,37 +231,25 @@ func testMatMulIntoVariants(t *testing.T) {
 	dirty := func() *tensor.Tensor { return tensor.Full(999, m, n) }
 
 	out := dirty()
-	if err := tensor.MatMulInto(out, a, b); err != nil {
-		t.Fatal(err)
-	}
+	tensor.MatMulF64(out.Data(), a.Data(), b.Data(), m, k, n)
 	want, _ := tensor.MatMul(a, b)
-	bitsEqual(t, "matmulinto", out, want)
+	bitsEqual(t, "matmulF64", out, want)
 
-	out = dirty()
-	if err := tensor.MatMulATBInto(out, at, b); err != nil {
-		t.Fatal(err)
-	}
+	out = tensor.New(m, n)
+	tensor.MatMulATBAddF64(out.Data(), at.Data(), b.Data(), k, m, n)
 	want, _ = tensor.MatMulATB(at, b)
-	bitsEqual(t, "matmulATBinto", out, want)
+	bitsEqual(t, "matmulATBAddF64", out, want)
 
 	out = dirty()
-	if err := tensor.MatMulABTInto(out, a, bt); err != nil {
-		t.Fatal(err)
-	}
+	tensor.MatMulABTF64(out.Data(), a.Data(), bt.Data(), m, k, n)
 	want, _ = tensor.MatMulABT(a, bt)
-	bitsEqual(t, "matmulABTinto", out, want)
+	bitsEqual(t, "matmulABTF64", out, want)
 
-	// Wrong output shape must be rejected, not silently written.
-	bad := tensor.New(m+1, n)
-	if err := tensor.MatMulInto(bad, a, b); err == nil {
-		t.Fatal("MatMulInto accepted wrong out shape")
-	}
-	if err := tensor.MatMulATBInto(bad, at, b); err == nil {
-		t.Fatal("MatMulATBInto accepted wrong out shape")
-	}
-	if err := tensor.MatMulABTInto(bad, a, bt); err == nil {
-		t.Fatal("MatMulABTInto accepted wrong out shape")
-	}
+	// A wrong output length must be rejected, not silently written.
+	bad := make([]float64, (m+1)*n)
+	assertPanics(t, "MatMulF64 out", func() { tensor.MatMulF64(bad, a.Data(), b.Data(), m, k, n) })
+	assertPanics(t, "MatMulATBAddF64 out", func() { tensor.MatMulATBAddF64(bad, at.Data(), b.Data(), k, m, n) })
+	assertPanics(t, "MatMulABTF64 out", func() { tensor.MatMulABTF64(bad, a.Data(), bt.Data(), m, k, n) })
 }
 
 func TestAddScaledInto(t *testing.T) {
@@ -287,19 +277,13 @@ func TestAddScaledInto(t *testing.T) {
 	}
 }
 
-// TestBinaryOpShapeChecks covers the Dot/SquaredDistance fix: equal
+// TestBinaryOpShapeChecks covers the SquaredDistance fix: equal
 // element counts with different shapes must be rejected, consistently
 // with the other binary ops.
 func TestBinaryOpShapeChecks(t *testing.T) {
 	a := tensor.New(2, 3)
 	b := tensor.New(3, 2)
-	if _, err := tensor.Dot(a, b); err == nil {
-		t.Fatal("Dot accepted (2,3) vs (3,2)")
-	}
 	if _, err := tensor.SquaredDistance(a, b); err == nil {
 		t.Fatal("SquaredDistance accepted (2,3) vs (3,2)")
-	}
-	if _, err := tensor.Dot(tensor.New(2, 3), tensor.New(2, 3)); err != nil {
-		t.Fatal(err)
 	}
 }

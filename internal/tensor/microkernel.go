@@ -1,6 +1,6 @@
 // Micro-kernel layer: register-blocked inner loops shared by the
-// float64 tensor kernels (kernels.go) and the float32 slice kernels
-// (f32.go). The panel entry points (mmPanel/atbPanel/abtPanel) compute
+// float64 kernels (kernels.go) and the float32 ones (simd.go), behind
+// the Tensor and slice entry points (slices.go). The panel entry points (mmPanel/atbPanel/abtPanel) compute
 // a contiguous range of output rows — the unit the worker pool hands
 // out — by walking the output in 2-row × 4-column register strips
 // whose accumulators live in named locals, so each a/b element loaded

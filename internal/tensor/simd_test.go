@@ -265,8 +265,8 @@ func TestWidenAddIntoMatchesScalarLoop(t *testing.T) {
 	})
 }
 
-// TestMatMulATBAddIntoMatchesOneAdd pins the accumulate epilogue: out +=
-// aᵀ@b must equal the product computed alone, then added to out with
+// TestMatMulATBAddIntoMatchesOneAdd pins the accumulate epilogue of
+// MatMulATBAddF64: out += aᵀ@b must equal the product computed alone, then added to out with
 // one add per element — on tiles, strips and tails, at every output
 // width 0–67, in float64 and (through a test hook) float32, on every
 // tier the CPU has.
@@ -287,9 +287,7 @@ func TestMatMulATBAddIntoMatchesOneAdd(t *testing.T) {
 				for i, v := range prod.Data() {
 					want.Data()[i] += v
 				}
-				if err := tensor.MatMulATBAddInto(out, a, b); err != nil {
-					t.Fatal(err)
-				}
+				tensor.MatMulATBAddF64(out.Data(), a.Data(), b.Data(), k, m, n)
 				bitsEqual(t, "matmulATB accumulate", out, want)
 
 				a32, b32, out32 := narrowed(a.Data()), narrowed(b.Data()), narrowed(out.Data())
@@ -297,7 +295,7 @@ func TestMatMulATBAddIntoMatchesOneAdd(t *testing.T) {
 				for i, v := range atbRefF32(a32, b32, k, m, n) {
 					want32[i] += v
 				}
-				tensor.MatMulATBF32AddInto(out32, a32, b32, k, m, n)
+				tensor.MatMulATBAddF32(out32, a32, b32, k, m, n)
 				f32BitsEqual(t, "matmulATBF32 accumulate", out32, want32)
 			}
 		}
@@ -364,7 +362,7 @@ func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
 // leave its block to the gated strips. Each case plants one such pair
 // (a = +0, −0 or NaN against b = +Inf, −Inf or NaN) inside a full
 // 4-row tile, among finite nonzero operands, and runs MatMul,
-// MatMulATBInto, MatMulATBAddInto into a non-zero out and the float32
+// MatMulATBAddF64 into a zeroed and into a non-zero out, and the float32
 // forms against the serial references, on every tier the CPU has.
 // MatMulABT runs its tile on bᵀ but has no gate: there the planted pair
 // makes the reference NaN too, and the block must fall back to the
@@ -410,10 +408,8 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out := tensor.MustFromSlice(nonzero(m*n), m, n)
-				if err := tensor.MatMulATBInto(out, at, b); err != nil {
-					t.Fatal(err)
-				}
+				out := tensor.New(m, n)
+				tensor.MatMulATBAddF64(out.Data(), atd, bd, k, m, n)
 				bitsEqual(t, "matmulATB "+name, out, wantATB)
 
 				acc := tensor.MustFromSlice(nonzero(m*n), m, n)
@@ -421,9 +417,7 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 				for i, v := range wantATB.Data() {
 					wantAcc.Data()[i] += v
 				}
-				if err := tensor.MatMulATBAddInto(acc, at, b); err != nil {
-					t.Fatal(err)
-				}
+				tensor.MatMulATBAddF64(acc.Data(), atd, bd, k, m, n)
 				bitsEqual(t, "matmulATB accumulate "+name, acc, wantAcc)
 
 				a32, b32, at32 := narrowed(ad), narrowed(bd), narrowed(atd)
@@ -440,7 +434,7 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 				for i, v := range wantATB32 {
 					wantAcc32[i] += v
 				}
-				tensor.MatMulATBF32AddInto(acc32, at32, b32, k, m, n)
+				tensor.MatMulATBAddF32(acc32, at32, b32, k, m, n)
 				f32BitsEqual(t, "matmulATBF32 accumulate "+name, acc32, wantAcc32)
 
 				btd := nonzero(n * k)
@@ -454,9 +448,7 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 					t.Fatalf("abt %s: reference element is %g, want NaN", name, wantABT.Data()[row*n+col])
 				}
 				outABT := tensor.MustFromSlice(nonzero(m*n), m, n)
-				if err := tensor.MatMulABTInto(outABT, a, bt); err != nil {
-					t.Fatal(err)
-				}
+				tensor.MatMulABTF64(outABT.Data(), ad, btd, m, k, n)
 				bitsEqual(t, "matmulABT "+name, outABT, wantABT)
 
 				bt32 := narrowed(btd)

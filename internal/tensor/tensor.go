@@ -194,17 +194,6 @@ func (t *Tensor) AddInPlace(o *Tensor) error {
 	return nil
 }
 
-// SubInPlace computes t -= o.
-func (t *Tensor) SubInPlace(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("tensor: sub shape mismatch %v vs %v", t.shape, o.shape)
-	}
-	for i := range t.data {
-		t.data[i] -= o.data[i]
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place, and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.data {
@@ -248,19 +237,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.data))
-}
-
-// Dot returns the inner product of a and b viewed as flat vectors.
-// Like the other binary ops, the operands must share a shape.
-func Dot(a, b *Tensor) (float64, error) {
-	if !SameShape(a, b) {
-		return 0, fmt.Errorf("tensor: dot shape mismatch %v vs %v", a.shape, b.shape)
-	}
-	s := 0.0
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s, nil
 }
 
 // Norm returns the Euclidean norm of t viewed as a flat vector.
