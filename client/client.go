@@ -304,9 +304,6 @@ type SubmitOptions struct {
 	// Wait blocks the call until the work is terminal and inlines
 	// results into the returned view.
 	Wait bool
-	// Parallelism bounds each job's local-training worker pool (0 =
-	// server default); an execution hint that never changes results.
-	Parallelism int
 	// TraceID, when non-empty, is sent as X-Request-ID so the server
 	// adopts it as the job's (or sweep's) trace — the submission then
 	// correlates with the caller's own logs. Invalid IDs (empty, over
@@ -353,7 +350,7 @@ func (c *Client) postRetry(ctx context.Context, path, trace string, body, out an
 // submissions (429) retry automatically, honoring the server's
 // Retry-After, up to maxSubmitRetries times within ctx's lifetime.
 func (c *Client) Submit(ctx context.Context, spec Spec, opts SubmitOptions) (JobView, error) {
-	req := engine.SubmitRequest{Spec: spec, Priority: opts.Priority, Wait: opts.Wait, Parallelism: opts.Parallelism}
+	req := engine.SubmitRequest{Spec: spec, Priority: opts.Priority, Wait: opts.Wait}
 	var view JobView
 	err := c.postRetry(ctx, "/v1/jobs", opts.TraceID, req, &view)
 	return view, err
@@ -365,7 +362,7 @@ func (c *Client) Submit(ctx context.Context, spec Spec, opts SubmitOptions) (Job
 // job is terminal and results are inlined. Like Submit, 429s retry
 // automatically with Retry-After pacing.
 func (c *Client) SubmitSweep(ctx context.Context, sw Sweep, opts SubmitOptions) (SweepView, error) {
-	req := engine.SweepRequest{Sweep: sw, Priority: opts.Priority, Wait: opts.Wait, Parallelism: opts.Parallelism}
+	req := engine.SweepRequest{Sweep: sw, Priority: opts.Priority, Wait: opts.Wait}
 	var view SweepView
 	err := c.postRetry(ctx, "/v1/sweeps", opts.TraceID, req, &view)
 	return view, err

@@ -13,8 +13,8 @@
 //	       [-lease-ttl 15s] [-dispatch-only]
 //	feddg serve -worker -join URL [-worker-name NAME] [-slots N]
 //	       [-api-key KEY] [-cache DIR] [-metrics-addr ADDR]
-//	feddg submit -spec FILE|- [-server URL] [-api-key KEY] [-wait] [-priority N] [-parallelism N]
-//	feddg sweep  -sweep FILE|- [-server URL] [-api-key KEY] [-wait] [-watch] [-priority N] [-parallelism N]
+//	feddg submit -spec FILE|- [-server URL] [-api-key KEY] [-wait] [-priority N]
+//	feddg sweep  -sweep FILE|- [-server URL] [-api-key KEY] [-wait] [-watch] [-priority N]
 //	feddg watch  ID [-server URL] [-api-key KEY]
 //	feddg trace  job-N|TRACE_ID [-server URL] [-api-key KEY]
 //	feddg top    [-server URL] [-api-key KEY] [-interval 2s] [-once]
@@ -487,7 +487,6 @@ func submitCmd(args []string) error {
 		specFlag = fs.String("spec", "", "Spec JSON file (- = stdin)")
 		waitFlag = fs.Bool("wait", false, "block until the job is terminal and print its result")
 		prioFlag = fs.Int("priority", 0, "queue priority (higher runs first)")
-		parFlag  = fs.Int("parallelism", 0, "per-job local-training goroutines (0 = server default)")
 		precFlag = fs.String("precision", "", "compute dtype override (f64|f32); empty keeps the spec's own setting")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -509,8 +508,7 @@ func submitCmd(args []string) error {
 	// Submit async and wait client-side: client.Wait survives transport
 	// drops (SSE with reconnect, polling fallback), where a single
 	// server-side wait=true request would die with the connection.
-	view, err := c.Submit(ctx, spec,
-		client.SubmitOptions{Priority: *prioFlag, Parallelism: *parFlag})
+	view, err := c.Submit(ctx, spec, client.SubmitOptions{Priority: *prioFlag})
 	if err != nil {
 		return err
 	}
@@ -537,7 +535,6 @@ func sweepCmd(args []string) error {
 		waitFlag  = fs.Bool("wait", false, "block until every sweep job is terminal and print results")
 		watchFlag = fs.Bool("watch", false, "stream live per-round progress while waiting (implies -wait)")
 		prioFlag  = fs.Int("priority", 0, "queue priority (higher runs first)")
-		parFlag   = fs.Int("parallelism", 0, "per-job local-training goroutines (0 = server default)")
 		precsFlag = fs.String("precisions", "", "comma-separated precision axis (e.g. f64,f32) overriding the sweep's own")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -559,8 +556,7 @@ func sweepCmd(args []string) error {
 	// Submit async; -wait/-watch then block client-side, where the SDK
 	// reconnects across transport drops instead of dying with a single
 	// long-lived wait=true request.
-	view, err := c.SubmitSweep(ctx, sw,
-		client.SubmitOptions{Priority: *prioFlag, Parallelism: *parFlag})
+	view, err := c.SubmitSweep(ctx, sw, client.SubmitOptions{Priority: *prioFlag})
 	if err != nil {
 		return err
 	}

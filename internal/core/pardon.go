@@ -44,18 +44,6 @@ type Options struct {
 	// False reproduces v4: standard contrastive learning whose positive
 	// anchors are augmented same-class samples, no interpolation style.
 	StyleTransfer bool
-	// TransferCE additionally trains cross-entropy on the
-	// style-transferred view (the transferred data "added to the
-	// training" that Table V's v3 row describes); the triplet loss then
-	// shapes the shared embedding on top of it.
-	TransferCE bool
-	// ForeignTargets switches the transfer target from the interpolation
-	// style to a random other client's style (CCST-like); used by the
-	// ablation benches to isolate the effect of PARDON's fused target.
-	ForeignTargets bool
-	// SumViews disables the ½-averaging of the two CE views so both
-	// contribute at full strength (CCST-style accumulation).
-	SumViews bool
 	// InterpLow and InterpHigh bound the per-sample interpolation weight
 	// t ~ U(InterpLow, InterpHigh) used when producing the transferred
 	// view: the AdaIN target is (1−t)·S(x) + t·S_g. t=1 is the pure
@@ -81,8 +69,6 @@ func DefaultOptions() Options {
 		GlobalClustering: true,
 		Contrastive:      true,
 		StyleTransfer:    true,
-		TransferCE:       true,
-		SumViews:         true,
 		InterpLow:        0.5,
 		InterpHigh:       1.0,
 		Gamma1:           0.5,
@@ -353,7 +339,6 @@ func TransferAll(env *fl.Env, features []*tensor.Tensor, sg *style.Style) (*tens
 func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int) (*nn.Model, error) {
 	p.mu.RLock()
 	sg := p.interp
-	clientStyles := p.clientStyles
 	p.mu.RUnlock()
 	if p.opts.StyleTransfer && sg == nil {
 		return nil, fmt.Errorf("core: client %d has no interpolation style (Setup not run?)", c.ID)
@@ -386,16 +371,8 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 			xp := bufs.xp
 			xpd := xp.Data()
 			for bi, i := range idx {
-				goal := sg
-				if p.opts.ForeignTargets && len(clientStyles) > 1 {
-					fs, err := style.FromVec(clientStyles[r.Intn(len(clientStyles))])
-					if err != nil {
-						return err
-					}
-					goal = fs
-				}
 				t := p.opts.InterpLow + r.Float64()*(p.opts.InterpHigh-p.opts.InterpLow)
-				if err := style.InterpolateInto(&bufs.target, &c.Styles[i], goal, t); err != nil {
+				if err := style.InterpolateInto(&bufs.target, &c.Styles[i], sg, t); err != nil {
 					return err
 				}
 				row := xpd[bi*in : (bi+1)*in]
@@ -412,20 +389,11 @@ func (p *PARDON) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round i
 			dzA, dzP := bufs.dzA, bufs.dzP
 			dzA.Zero()
 			dzP.Zero()
-			var dLogitsP *tensor.Tensor
-			if p.opts.TransferCE || !p.opts.Contrastive {
-				// The style-transferred view joins training as data.
-				// Both views are averaged so the total CE gradient
-				// scale matches single-view methods.
-				_, dLP, err := bufs.p.CrossEntropy(actsP.Logits, y)
-				if err != nil {
-					return err
-				}
-				dLogitsP = dLP
-				if !p.opts.SumViews {
-					dLogitsP.Scale(0.5)
-					dLogits.Scale(0.5)
-				}
+			// The style-transferred view joins training as data: Eq. 9's
+			// CE term sums over both views at full strength.
+			_, dLogitsP, err := bufs.p.CrossEntropy(actsP.Logits, y)
+			if err != nil {
+				return err
 			}
 			if p.opts.Contrastive {
 				_, dzT, dzpT, err := bufs.head.NormalizedTriplet(actsA.Z, actsP.Z, y, p.opts.Margin)

@@ -10,12 +10,13 @@ import (
 
 // TestAggregationParallelismInvariant pins the server steps that fan
 // out over fl.Env.ForEach — FedGMA, FedDG-GA and FPL — to one result
-// whatever the run's Parallelism. Each method trains at both precisions
-// with K = 4 sampled participants, once at Parallelism 1 and once at 2,
-// on separate engines (Parallelism is outside the content-address, so
-// one engine would serve the second run from its cache). The checkpoint
-// blobs must match each other and the digests recorded before the
-// fan-out existed. TestCheckpointBlobsGolden samples only K = 2.
+// whatever the engine's per-job Parallelism. Each method trains at both
+// precisions with K = 4 sampled participants, once on an engine built
+// with Parallelism 1 and once on one built with 2 (the bound is outside
+// the content-address, so one engine would serve the second run from its
+// cache). The checkpoint blobs must match each other and the digests
+// recorded before the fan-out existed. TestCheckpointBlobsGolden samples
+// only K = 2.
 func TestAggregationParallelismInvariant(t *testing.T) {
 	want := map[string]string{
 		"FedGMA/f64":   "53e5e1aafb5b2bf8e65864510d9d1d3165da52d348eb806402a40a9f52cbadbc",
@@ -28,13 +29,12 @@ func TestAggregationParallelismInvariant(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 	for _, par := range []int{1, 2} {
-		e := newTestEngine(t, Options{Workers: 1})
+		e := newTestEngine(t, Options{Workers: 1, Parallelism: par})
 		for _, method := range []string{"FedGMA", "FPL", "FedDG-GA"} {
 			for _, prec := range []string{"f64", "f32"} {
 				spec := tinySpec(method)
 				spec.Clients, spec.SampleK = 4, 4
 				spec.Precision = prec
-				spec.Parallelism = par
 				spec.Tag = "aggregation-parallelism"
 				j, err := e.Submit(spec, 0)
 				if err != nil {

@@ -16,8 +16,8 @@ import (
 )
 
 // TestSpecHiddenAffectsHashAndScenario pins the capacity-sweep contract:
-// Hidden is part of the content-address (unlike Parallelism) and flows
-// into the built scenario's model configuration.
+// Hidden is part of the content-address and flows into the built
+// scenario's model configuration.
 func TestSpecHiddenAffectsHashAndScenario(t *testing.T) {
 	base := tinySpec("FedAvg")
 	hBase, err := base.Hash()

@@ -648,10 +648,7 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 				SampleK:   spec.SampleK,
 				EvalEvery: spec.EvalEvery,
 				Precision: prec,
-				// Per-job CPU bound: the spec's hint wins, else the engine-wide
-				// per-job parallelism (already in sc.Env) applies.
-				Parallelism: spec.Parallelism,
-				Context:     ctx,
+				Context:   ctx,
 				OnRound: func(round, total int, rs, re time.Time) {
 					e.advance(j, round, total)
 					e.sched.recordSpan(j, runSpan, fmt.Sprintf("round-%d", round), rs, re, nil)

@@ -317,11 +317,6 @@ type SubmitRequest struct {
 	// Wait blocks the request until the job is terminal and inlines the
 	// result into the response.
 	Wait bool `json:"wait"`
-	// Parallelism bounds the job's local-training worker pool (0 =
-	// engine default). It rides outside the spec object because it is
-	// an execution hint that never changes the result or the spec's
-	// content-address (see Spec.Parallelism).
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // SweepRequest is the POST /v1/sweeps body.
@@ -331,10 +326,6 @@ type SweepRequest struct {
 	// Wait blocks the request until every sweep job is terminal and
 	// inlines per-job results into the response.
 	Wait bool `json:"wait"`
-	// Parallelism bounds each sweep job's local-training worker pool
-	// (0 = engine default); like SubmitRequest.Parallelism it is an
-	// execution hint outside the content-address.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // JobView is the wire representation of a job.
@@ -559,7 +550,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	req.Spec.Parallelism = req.Parallelism
 	// Adopt the client's X-Request-ID as the job's trace when it passes
 	// validation (minted otherwise), and echo the winning ID back so the
 	// client can grep server logs for it either way.
@@ -585,7 +575,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	req.Sweep.Base.Parallelism = req.Parallelism
 	b, err := s.engine.SubmitSweepAs(req.Sweep, req.Priority, r.Header.Get("X-Request-ID"), tenantFrom(r))
 	if err != nil {
 		writeSubmitError(w, err)

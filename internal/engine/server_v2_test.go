@@ -296,6 +296,18 @@ func TestServeBodyHardening(t *testing.T) {
 	if code != http.StatusBadRequest || env.Err.Code != ErrCodeBadRequest {
 		t.Fatalf("unknown sweep field = %d %+v", code, env)
 	}
+	// The per-request parallelism hint is gone: a valid submit or sweep
+	// that still carries it is refused, not trained with it dropped.
+	spec, _ := json.Marshal(tinySpec("FedAvg"))
+	sweep, _ := json.Marshal(tinySweep([]string{"FedAvg"}, 1))
+	for path, body := range map[string]string{
+		"/v1/jobs":   `{"spec":` + string(spec) + `,"parallelism":2}`,
+		"/v1/sweeps": `{"sweep":` + string(sweep) + `,"parallelism":2}`,
+	} {
+		if code, env := post(path, body); code != http.StatusBadRequest || env.Err.Code != ErrCodeBadRequest {
+			t.Fatalf("%s with parallelism = %d %+v", path, code, env)
+		}
+	}
 
 	huge := `{"spec":{},"priority":` + strings.Repeat("1", maxBodyBytes) + `}`
 	code, env = post("/v1/jobs", huge)

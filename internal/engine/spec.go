@@ -82,29 +82,20 @@ type Spec struct {
 	ClassesPerDomain int
 	// Hidden optionally overrides the model's hidden-layer stack (widths
 	// of the ReLU layers before the embedding projection; empty = the
-	// default single defaultHiddenWidth-wide layer). Unlike Parallelism
-	// it changes what the Spec computes, so it IS part of the canonical
-	// encoding and the content-address — scenarios can sweep model
-	// capacity and each depth memoizes separately. Spellings that
-	// compute the same model (nil, [], and [defaultHiddenWidth]) are
-	// normalized before hashing, so they share one address.
+	// default single defaultHiddenWidth-wide layer). It changes what the
+	// Spec computes, so it is part of the canonical encoding and the
+	// content-address — scenarios can sweep model capacity and each
+	// depth memoizes separately. Spellings that compute the same model
+	// (nil, [], and [defaultHiddenWidth]) are normalized before hashing,
+	// so they share one address.
 	Hidden []int
 	// Precision selects the training compute dtype: "" or "f64" (the
 	// default, normalized to "" before hashing) or "f32", which runs
 	// forward/backward through the float32 micro-kernels against float64
-	// master weights (nn/precision.go). Unlike Parallelism it perturbs
-	// the trajectory, so it IS part of the canonical encoding — f32 and
-	// f64 runs of the same experiment memoize separately.
+	// master weights (nn/precision.go). It perturbs the trajectory, so
+	// it is part of the canonical encoding — f32 and f64 runs of the
+	// same experiment memoize separately.
 	Precision string
-	// Parallelism bounds the job's local-training worker pool (0 adopts
-	// the engine default). It is an execution hint, not part of the
-	// experiment: the kernels' fixed accumulation order makes results
-	// bit-identical at any parallelism, so the field is excluded from
-	// the canonical encoding (json:"-") and does NOT change the Spec's
-	// content-address. Two submissions differing only here coalesce
-	// onto one job. The HTTP API carries it in the submit request body,
-	// outside the spec object.
-	Parallelism int `json:"-"`
 }
 
 // defaultHiddenWidth is the hidden-layer width a Spec without a Hidden
@@ -184,9 +175,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Lambda < 0 {
 		return fmt.Errorf("engine: negative lambda %g", s.Lambda)
-	}
-	if s.Parallelism < 0 {
-		return fmt.Errorf("engine: negative parallelism %d", s.Parallelism)
 	}
 	if _, err := nn.ParsePrecision(s.Precision); err != nil {
 		return fmt.Errorf("engine: %w", err)

@@ -27,7 +27,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"github.com/pardon-feddg/pardon/internal/dataset"
@@ -63,11 +62,6 @@ type Config struct {
 	Seed uint64
 	// Seeds averages results over this many seeds (default 1).
 	Seeds int
-	// Parallelism bounds the TOTAL training goroutines across all
-	// concurrently scheduled runs (0 = NumCPU). It only takes effect on
-	// the engine it creates: the shared default engine adopts the first
-	// caller's value; an explicit Engine carries its own sizing.
-	Parallelism int
 	// Engine schedules and caches the federated runs. When nil a shared
 	// in-memory default is used, so plain library calls still shard
 	// across a worker pool; cmd/feddg wires a disk-backed engine here.
@@ -92,31 +86,15 @@ var (
 )
 
 // engine returns the configured engine, or the process-wide in-memory
-// default. The default is created on first use and shared by every
-// later Config, so its sizing is taken from that first caller; pass an
-// explicit Engine to control it per run. A non-zero Parallelism is
-// honored as a bound on TOTAL training goroutines, as it was before
-// runs were sharded: the worker pool and the per-job pool are sized so
-// their product does not exceed it.
+// default, created on first use with the engine's own sizing; pass an
+// explicit Engine to bound its CPU.
 func (c Config) engine() *engine.Engine {
 	if c.Engine != nil {
 		return c.Engine
 	}
 	defaultEngineOnce.Do(func() {
-		opts := engine.Options{}
-		if c.Parallelism > 0 {
-			workers := c.Parallelism
-			if half := runtime.NumCPU() / 2; workers > half && half >= 1 {
-				workers = half
-			}
-			opts.Workers = workers
-			opts.Parallelism = c.Parallelism / workers
-			if opts.Parallelism < 1 {
-				opts.Parallelism = 1
-			}
-		}
 		var err error
-		defaultEngine, err = engine.New(opts)
+		defaultEngine, err = engine.New(engine.Options{})
 		if err != nil {
 			// Only a disk-backed store can fail to open, and the default
 			// is memory-only.

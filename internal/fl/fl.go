@@ -17,7 +17,7 @@
 // Env.Parallelism: client encoding (NewClients), the local phase of each
 // round, and the per-participant work inside an Aggregate (FedDG-GA's
 // loss evaluations, FPL's class means). Run hands every phase an env
-// whose Parallelism is the run's resolved bound, so RunConfig.Parallelism
+// whose Parallelism is resolved (Slots), so the caller's Env.Parallelism
 // caps them all. Each call of the fan-out writes only its own index's
 // result, so the output does not depend on the parallelism.
 package fl
@@ -578,16 +578,8 @@ type RunConfig struct {
 	// through aggregation and eval). It must not block for long: local
 	// training of the next round waits on it.
 	OnRound func(round, total int, start, end time.Time)
-	// Parallelism bounds this run's goroutines (Env.ForEach: local
-	// training and aggregation); 0 falls back to Env.Parallelism, then
-	// NumCPU. It is a pure scheduling
-	// knob: every stochastic choice draws from named rng streams and the
-	// tensor kernels accumulate in a fixed order, so any value produces
-	// bit-identical results. Use it to bound one run's CPU while other
-	// runs (engine jobs) share the machine.
-	Parallelism int
 	// Precision selects the compute dtype of the training hot path
-	// (nn.F64 default, nn.F32 opt-in). Unlike Parallelism this is NOT
+	// (nn.F64 default, nn.F32 opt-in). Unlike Env.Parallelism this is NOT
 	// result-neutral: float32 rounds perturb the trajectory within the
 	// tolerance documented in nn/precision.go, so it is part of a run's
 	// identity (the engine hashes it into job IDs).
@@ -606,9 +598,6 @@ func (c RunConfig) Validate(numClients int) error {
 	}
 	if c.EvalEvery < 0 {
 		return fmt.Errorf("fl: EvalEvery %d, want ≥ 0", c.EvalEvery)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("fl: parallelism %d, want ≥ 0", c.Parallelism)
 	}
 	if c.Precision > nn.F32 {
 		return fmt.Errorf("fl: unknown precision %d", c.Precision)
@@ -640,9 +629,6 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 	// (local phase and aggregation) then keeps to.
 	e := *env
 	e.ModelCfg.Precision = cfg.Precision
-	if cfg.Parallelism > 0 {
-		e.Parallelism = cfg.Parallelism
-	}
 	e.Parallelism = e.Slots()
 	env = &e
 	global, err := nn.New(env.ModelCfg, env.RNG.Stream("model-init"))

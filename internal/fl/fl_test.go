@@ -527,7 +527,7 @@ func TestAccuracyArgmaxAcrossBatches(t *testing.T) {
 // TestRunParallelismBitIdentical pins the kernel-layer determinism
 // guarantee end to end: a real training run (FedAvg local SGD through the
 // parallel matmul kernels) must produce bit-identical global parameters at
-// every RunConfig.Parallelism setting.
+// every Env.Parallelism setting.
 func TestRunParallelismBitIdentical(t *testing.T) {
 	env, gen := testEnv(t)
 	var parts []*dataset.Dataset
@@ -544,8 +544,10 @@ func TestRunParallelismBitIdentical(t *testing.T) {
 	}
 	var ref []float64
 	for _, par := range []int{1, 3} {
-		model, _, err := fl.Run(env, &baselines.FedAvg{}, clients, nil, nil,
-			fl.RunConfig{Rounds: 2, SampleK: 3, Parallelism: par})
+		e := *env
+		e.Parallelism = par
+		model, _, err := fl.Run(&e, &baselines.FedAvg{}, clients, nil, nil,
+			fl.RunConfig{Rounds: 2, SampleK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 // The property under test is the strongest one the kernels claim:
 // bit-identical output, not tolerance. The float64 kernels must
 // reproduce the naive serial loops exactly (the determinism contract
-// that lets Parallelism stay outside the content-address), and
+// that lets the CPU bounds stay outside the content-address), and
 // MatMulATBAddF64, which accumulates into an out of fuzzed values, the
 // serial product plus one add per element. The float32 kernels must
 // reproduce the scalar float32 loops exactly (same loop order, same

@@ -23,8 +23,8 @@
 //     parallelism — the property that keeps the engine's content-addressed
 //     result cache sound.
 //   - Shared worker pool. One pool of GOMAXPROCS goroutines (started on
-//     first use) serves every kernel call in the process; per-run knobs
-//     (fl.RunConfig.Parallelism, engine Spec.Parallelism) bound how many
+//     first use) serves every kernel call in the process; fl.Env.Parallelism
+//     (set per engine by engine.Options.Parallelism) bounds how many
 //     training goroutines feed it, while the pool itself bounds total
 //     kernel CPU at GOMAXPROCS.
 //   - Serial threshold. Products below serialFlopCutoff multiply-adds run

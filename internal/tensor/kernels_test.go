@@ -157,7 +157,7 @@ func testKernelsBitIdenticalToSerial(t *testing.T) {
 
 // TestKernelsSplitInvariant proves the result does not depend on how rows
 // are partitioned across workers, including degenerate and uneven splits —
-// the property that makes Parallelism a pure scheduling knob.
+// the property that makes the CPU bounds pure scheduling knobs.
 func TestKernelsSplitInvariant(t *testing.T) {
 	for _, s := range []struct{ m, k, n int }{
 		{37, 41, 23},   // 2×4 strips with ragged tails on both axes

@@ -183,17 +183,6 @@ func SameShape(a, b *Tensor) bool {
 
 // --- elementwise arithmetic ---
 
-// AddInPlace computes t += o.
-func (t *Tensor) AddInPlace(o *Tensor) error {
-	if !SameShape(t, o) {
-		return fmt.Errorf("tensor: add shape mismatch %v vs %v", t.shape, o.shape)
-	}
-	for i := range t.data {
-		t.data[i] += o.data[i]
-	}
-	return nil
-}
-
 // Scale multiplies every element by s, in place, and returns t.
 func (t *Tensor) Scale(s float64) *Tensor {
 	for i := range t.data {
