@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -117,20 +116,4 @@ func (c *Client) UploadLeaseModel(ctx context.Context, workerID, jobID string, b
 		return parseAPIErrorResp(resp, raw)
 	}
 	return nil
-}
-
-// StoreResult peer-fetches a cached Result by content-address from the
-// coordinator's store; found=false (without error) when the key is not
-// cached there.
-func (c *Client) StoreResult(ctx context.Context, key string) (res *Result, found bool, err error) {
-	var r Result
-	err = c.do(ctx, http.MethodGet, "/v1/store/"+url.PathEscape(key), nil, &r)
-	if err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.NotFound() {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return &r, true, nil
 }

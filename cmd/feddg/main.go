@@ -210,7 +210,6 @@ func serve(args []string) error {
 		cacheMaxFlag = fs.Int64("cache-max-bytes", 0, "disk-cache size cap in bytes, LRU-by-mtime eviction (0 = unbounded)")
 		workersFlag  = fs.Int("workers", 0, "engine worker-pool size (0 = NumCPU/2)")
 		parFlag      = fs.Int("parallelism", 0, "per-job local-training goroutines (0 = NumCPU/workers); a pure CPU bound, never changes results")
-		precFlag     = fs.String("precision", "", "default compute dtype (f64|f32) for specs that don't set one; part of each job's identity, unlike -parallelism")
 		apiKeysFlag  = fs.String("api-keys", "", "tenant API-key JSON file; when set the API requires Authorization: Bearer and applies per-tenant rate limits and queue quotas")
 		leaseTTLFlag = fs.Duration("lease-ttl", dist.DefaultLeaseTTL, "fleet lease TTL: a leased job whose worker stops heartbeating this long is requeued")
 		dispatchFlag = fs.Bool("dispatch-only", false, "run no local training workers; jobs execute only on joined -worker nodes")
@@ -239,7 +238,7 @@ func serve(args []string) error {
 		return serveWorker(workerConfig{
 			join: *joinFlag, name: *nameFlag, slots: *slotsFlag, apiKey: *apiKeyFlag,
 			cacheDir: *cacheFlag, cacheMax: *cacheMaxFlag, workers: *workersFlag,
-			parallelism: *parFlag, precision: *precFlag,
+			parallelism: *parFlag,
 			metricsAddr: *metricsFlag, logLevel: *logLevelFlag,
 		})
 	}
@@ -264,7 +263,7 @@ func serve(args []string) error {
 	if *dispatchFlag {
 		engWorkers = -1 // no local pool: only joined fleet workers execute
 	}
-	eng, err := engine.New(engine.Options{Workers: engWorkers, CacheDir: *cacheFlag, CacheMaxBytes: *cacheMaxFlag, Parallelism: *parFlag, Precision: *precFlag})
+	eng, err := engine.New(engine.Options{Workers: engWorkers, CacheDir: *cacheFlag, CacheMaxBytes: *cacheMaxFlag, Parallelism: *parFlag})
 	if err != nil {
 		return err
 	}
@@ -344,11 +343,11 @@ func serve(args []string) error {
 
 // workerConfig carries the `feddg serve -worker` flag values.
 type workerConfig struct {
-	join, name, apiKey            string
-	slots, workers, parallelism   int
-	cacheDir, precision, logLevel string
-	cacheMax                      int64
-	metricsAddr                   string
+	join, name, apiKey          string
+	slots, workers, parallelism int
+	cacheDir, logLevel          string
+	cacheMax                    int64
+	metricsAddr                 string
 }
 
 // serveWorker runs one fleet worker node: a local engine plus a pull
@@ -376,7 +375,7 @@ func serveWorker(cfg workerConfig) error {
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
 	eng, err := engine.New(engine.Options{Workers: cfg.workers, CacheDir: cfg.cacheDir,
-		CacheMaxBytes: cfg.cacheMax, Parallelism: cfg.parallelism, Precision: cfg.precision})
+		CacheMaxBytes: cfg.cacheMax, Parallelism: cfg.parallelism})
 	if err != nil {
 		return err
 	}
@@ -487,7 +486,6 @@ func submitCmd(args []string) error {
 		specFlag = fs.String("spec", "", "Spec JSON file (- = stdin)")
 		waitFlag = fs.Bool("wait", false, "block until the job is terminal and print its result")
 		prioFlag = fs.Int("priority", 0, "queue priority (higher runs first)")
-		precFlag = fs.String("precision", "", "compute dtype override (f64|f32); empty keeps the spec's own setting")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -499,9 +497,6 @@ func submitCmd(args []string) error {
 	var spec client.Spec
 	if err := readJSONArg(*specFlag, &spec); err != nil {
 		return fmt.Errorf("read spec: %w", err)
-	}
-	if *precFlag != "" {
-		spec.Precision = *precFlag
 	}
 	ctx := context.Background()
 	c := rf.newClient()
@@ -535,7 +530,6 @@ func sweepCmd(args []string) error {
 		waitFlag  = fs.Bool("wait", false, "block until every sweep job is terminal and print results")
 		watchFlag = fs.Bool("watch", false, "stream live per-round progress while waiting (implies -wait)")
 		prioFlag  = fs.Int("priority", 0, "queue priority (higher runs first)")
-		precsFlag = fs.String("precisions", "", "comma-separated precision axis (e.g. f64,f32) overriding the sweep's own")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -547,9 +541,6 @@ func sweepCmd(args []string) error {
 	var sw client.Sweep
 	if err := readJSONArg(*sweepFlag, &sw); err != nil {
 		return fmt.Errorf("read sweep: %w", err)
-	}
-	if *precsFlag != "" {
-		sw.Precisions = strings.Split(*precsFlag, ",")
 	}
 	ctx := context.Background()
 	c := rf.newClient()

@@ -18,10 +18,12 @@
 // leased cell from a local one.
 //
 // Workers (`feddg serve -worker -join URL`) run the same engine
-// in-process: the Store is their local tier, the coordinator's
-// /v1/store routes the peer tier, and only a miss in both trains the
-// cell. Results and model checkpoints upload back under the same
-// content-address, so every node's cache stays write-once-read-many.
+// in-process: a leased cell whose content-address their own Store
+// already holds answers from it, and only a miss trains the cell.
+// Results and model checkpoints upload back under the lease's
+// content-address, so every node's cache stays write-once-read-many; a
+// completion whose Result carries another address fails the job and
+// stores nothing.
 package dist
 
 import (
@@ -392,7 +394,9 @@ func (c *Coordinator) dropLeaseLocked(ls *leaseState) {
 // Complete settles a lease with the worker's outcome. The model blob,
 // if any, was uploaded beforehand (PUT …/model), so a successful result
 // persists blob and metrics under one content-address before the job
-// finishes. An abandoned lease requeues its job instead.
+// finishes. A Result whose SpecHash is not the lease's key (a worker
+// that trained some other Spec) fails the job instead and is not
+// stored. An abandoned lease requeues its job.
 func (c *Coordinator) Complete(workerID, jobID string, req engine.LeaseCompleteRequest) error {
 	c.mu.Lock()
 	w, ok := c.workers[workerID]
@@ -428,15 +432,21 @@ func (c *Coordinator) Complete(workerID, jobID string, req engine.LeaseCompleteR
 		}
 		return nil
 	case req.Cancelled:
-		err := c.eng.CompleteRemote(ls.job, nil, nil, fmt.Errorf("dist: worker %s confirmed cancel: %w", ls.workerName, context.Canceled))
+		err := c.eng.CompleteRemote(ls.job, nil, fmt.Errorf("dist: worker %s confirmed cancel: %w", ls.workerName, context.Canceled))
 		c.m.completed.With(string(engine.StateCancelled)).Inc()
 		return err
 	case req.Error != "":
-		err := c.eng.CompleteRemote(ls.job, nil, nil, fmt.Errorf("dist: worker %s: %s", ls.workerName, req.Error))
+		err := c.eng.CompleteRemote(ls.job, nil, fmt.Errorf("dist: worker %s: %s", ls.workerName, req.Error))
+		c.m.completed.With(string(engine.StateFailed)).Inc()
+		return err
+	case req.Result != nil && req.Result.SpecHash != ls.job.Key:
+		err := fmt.Errorf("dist: worker %s returned a result for %q on the lease for %s",
+			ls.workerName, req.Result.SpecHash, ls.job.Key)
+		_ = c.eng.CompleteRemote(ls.job, nil, err)
 		c.m.completed.With(string(engine.StateFailed)).Inc()
 		return err
 	case req.Result != nil:
-		if err := c.eng.CompleteRemote(ls.job, req.Result, nil, nil); err != nil {
+		if err := c.eng.CompleteRemote(ls.job, req.Result, nil); err != nil {
 			return err
 		}
 		c.m.completed.With(string(engine.StateDone)).Inc()
@@ -562,7 +572,7 @@ func (c *Coordinator) reaper() {
 			cancelled := v.ls.cancelled
 			c.mu.Unlock()
 			if cancelled {
-				_ = c.eng.CompleteRemote(v.ls.job, nil, nil,
+				_ = c.eng.CompleteRemote(v.ls.job, nil,
 					fmt.Errorf("dist: job cancelled while leased to lost worker %s: %w", v.ls.workerName, context.Canceled))
 				c.m.completed.With(string(engine.StateCancelled)).Inc()
 				continue

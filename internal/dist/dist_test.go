@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -437,83 +439,103 @@ func TestCancelDuringClaimReachesWorker(t *testing.T) {
 	}
 }
 
-// TestTieredStoreAnswersWithoutTraining drives both cache tiers: a
-// worker whose LOCAL store already holds the leased content-address
-// answers from tier 1, and a fresh worker finding the result in the
-// COORDINATOR's store answers from tier 2 — zero training rounds either
-// way.
+// TestTieredStoreAnswersWithoutTraining: a worker whose local store
+// already holds the leased content-address answers from that tier, with
+// zero training rounds.
 func TestTieredStoreAnswersWithoutTraining(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	fake := func(key string) *engine.Result {
-		return &engine.Result{SpecHash: key, Method: "FedAvg",
-			Stats: []engine.RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.25}}, ElapsedSec: 0.01}
-	}
-
-	// Tier 2 (peer): job queued on a cold coordinator, result lands in
-	// the coordinator's store before any worker joins (the race the peer
-	// tier exists for).
 	cl := newCluster(t, 2*time.Second)
-	peerSpec := tinySpec("FedAvg", 21)
-	peerKey, err := peerSpec.Hash()
+	spec := tinySpec("FedAvg", 22)
+	key, err := spec.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := cl.eng.Submit(peerSpec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.eng.Store().Put(peerKey, fake(peerKey)); err != nil {
-		t.Fatal(err)
-	}
-	w := cl.addWorker("alpha", nil)
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Stats, fake(peerKey).Stats) {
-		t.Fatalf("peer-tier result stats = %+v, want the stored result", res.Stats)
-	}
-	if got := w.m.tierLookups.With("peer").Value(); got != 1 {
-		t.Fatalf("dist_tier_lookups_total{peer} = %d, want 1", got)
-	}
-	if st := w.eng.Stats(); st.RoundsExecuted != 0 {
-		t.Fatalf("worker trained %d rounds, want 0 (peer tier hit)", st.RoundsExecuted)
-	}
-
-	// Tier 1 (local): a second cluster, but the worker node arrives with
-	// the content-address already in its local store.
-	cl2 := newCluster(t, 2*time.Second)
-	localSpec := tinySpec("FedAvg", 22)
-	localKey, err := localSpec.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := &engine.Result{SpecHash: key, Method: "FedAvg",
+		Stats: []engine.RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.25}}, ElapsedSec: 0.01}
 	weng, err := engine.New(engine.Options{Workers: 1, Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := weng.Store().Put(localKey, fake(localKey)); err != nil {
+	if err := weng.Store().Put(key, stored); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := cl2.eng.Submit(localSpec, 0)
+	j, err := cl.eng.Submit(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := cl2.addWorker("beta", weng)
-	res2, err := j2.Wait(ctx)
+	w := cl.addWorker("beta", weng)
+	res, err := j.Wait(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res2.Stats, fake(localKey).Stats) {
-		t.Fatalf("local-tier result stats = %+v, want the stored result", res2.Stats)
+	if !reflect.DeepEqual(res.Stats, stored.Stats) {
+		t.Fatalf("local-tier result stats = %+v, want the stored result", res.Stats)
 	}
-	if got := w2.m.tierLookups.With("local").Value(); got != 1 {
+	if got := w.m.tierLookups.With("local").Value(); got != 1 {
 		t.Fatalf("dist_tier_lookups_total{local} = %d, want 1", got)
 	}
 	if st := weng.Stats(); st.RoundsExecuted != 0 {
 		t.Fatalf("warm worker trained %d rounds, want 0 (local tier hit)", st.RoundsExecuted)
+	}
+}
+
+// TestCompleteRefusesForeignResult: a lease completed over HTTP with a
+// Result for another Spec (a worker that trained something else under
+// the lease) is answered 400 bad_request, fails the job with an error
+// naming the worker and both addresses, and stores nothing under
+// either address.
+func TestCompleteRefusesForeignResult(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := newCluster(t, 5*time.Second)
+	c := client.New(cl.srv.URL)
+	reg, err := c.RegisterWorker(ctx, client.WorkerRegisterRequest{Name: "rogue", CodeVersion: engine.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The f32 twin is what a worker still honouring an engine-wide
+	// precision default would train; an empty address is foreign too.
+	other := tinySpec("FedAvg", 31)
+	other.Precision = "f32"
+	otherKey, err := other.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seed    uint64
+		foreign string
+	}{{31, otherKey}, {32, ""}} {
+		j, err := cl.eng.Submit(tinySpec("FedAvg", tc.seed), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lv, err := c.PullLease(ctx, reg.WorkerID)
+		if err != nil || lv == nil || lv.JobID != j.ID {
+			t.Fatalf("pull: lease %v, err %v, want job %s", lv, err, j.ID)
+		}
+		res := &engine.Result{SpecHash: tc.foreign, Method: "FedAvg"}
+		err = c.CompleteLease(ctx, reg.WorkerID, lv.JobID, client.LeaseCompleteRequest{Result: res})
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != client.ErrCodeBadRequest {
+			t.Fatalf("completion with result %q answered %v, want 400 %s", tc.foreign, err, client.ErrCodeBadRequest)
+		}
+		if j.State() != engine.StateFailed {
+			t.Fatalf("job state after a foreign result = %s, want failed", j.State())
+		}
+		_, jobErr := j.Wait(ctx)
+		for _, want := range []string{"rogue", j.Key, `"` + tc.foreign + `"`} {
+			if jobErr == nil || !strings.Contains(jobErr.Error(), want) {
+				t.Fatalf("job error %v, want it to name %q", jobErr, want)
+			}
+		}
+		if _, ok, _ := cl.eng.Store().Get(j.Key); ok {
+			t.Fatalf("coordinator store holds %.12s after a foreign result", j.Key)
+		}
+		if _, ok, _ := cl.eng.Store().Get(otherKey); ok {
+			t.Fatalf("coordinator store holds the foreign %.12s", otherKey)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func newCoordMetrics(reg *telemetry.Registry) *coordMetrics {
 // workerMetrics bundles the worker-side instruments, exported on the
 // worker engine's registry.
 type workerMetrics struct {
-	tierLookups *telemetry.CounterVec // tier: local|peer|miss
+	tierLookups *telemetry.CounterVec // tier: local|miss
 	pulls       *telemetry.CounterVec // outcome: lease|idle (the hold elapsed)|error
 	completions *telemetry.CounterVec // outcome: done|failed|cancelled|abandoned
 }

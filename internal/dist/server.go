@@ -18,7 +18,6 @@ import (
 //	POST /v1/workers/{id}/heartbeat           renew leases + report progress
 //	POST /v1/workers/{id}/jobs/{job}/complete settle a lease
 //	PUT  /v1/workers/{id}/jobs/{job}/model    upload the lease's checkpoint blob
-//	GET  /v1/store/{key}                      peer-fetch a cached Result
 //	GET  /v1/top                              fleet dashboard snapshot (workers, queues, slow spans)
 //
 // Everything rides the server's normal middleware: with -api-keys set,
@@ -36,7 +35,6 @@ func (c *Coordinator) Mount(s *engine.Server) {
 	s.Handle("POST /v1/workers/{id}/heartbeat", c.handleHeartbeat)
 	s.Handle("POST /v1/workers/{id}/jobs/{job}/complete", c.handleComplete)
 	s.Handle("PUT /v1/workers/{id}/jobs/{job}/model", c.handleModelUpload)
-	s.Handle("GET /v1/store/{key}", c.handleStoreResult)
 	s.Handle("GET /v1/top", c.handleTop)
 }
 
@@ -154,20 +152,4 @@ func (c *Coordinator) handleModelUpload(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	engine.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleStoreResult peer-serves a cached Result by content-address —
-// the second tier of a worker's store lookup.
-func (c *Coordinator) handleStoreResult(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimSpace(r.PathValue("key"))
-	res, ok, err := c.eng.Store().Get(key)
-	if err != nil {
-		engine.WriteError(w, http.StatusInternalServerError, engine.ErrCodeInternal, err.Error())
-		return
-	}
-	if !ok {
-		engine.WriteError(w, http.StatusNotFound, engine.ErrCodeNotFound, "no cached result for "+key)
-		return
-	}
-	engine.WriteJSON(w, http.StatusOK, res)
 }

@@ -245,7 +245,7 @@ func TestRunningCountsLeasedJobs(t *testing.T) {
 	}
 	claim()
 	res := &engine.Result{SpecHash: j.Key, Method: "FedAvg"}
-	if err := cl.eng.CompleteRemote(j, res, nil, nil); err != nil {
+	if err := cl.eng.CompleteRemote(j, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := gauge.Value(); got != 0 {

@@ -53,9 +53,9 @@ type activeLease struct {
 }
 
 // Worker is one fleet node: it registers with the coordinator, pulls
-// leased Specs, executes them through its local engine (after the
-// tiered local-store / peer-store lookups), streams progress back via
-// heartbeats, and uploads results + model checkpoints.
+// leased Specs, executes them through its local engine (after a
+// local-store lookup), streams progress back via heartbeats, and
+// uploads results + model checkpoints.
 type Worker struct {
 	name  string
 	c     *client.Client
@@ -437,9 +437,8 @@ func (w *Worker) applyInstructions(resp engine.WorkerHeartbeatResponse) {
 }
 
 // execute runs one lease end-to-end: verify the content-address, try
-// the local store tier, then the coordinator's peer tier, and only on a
-// double miss train the Spec on the local engine; then upload the
-// checkpoint blob and settle the lease.
+// the local store tier, and only on a miss train the Spec on the local
+// engine; then upload the checkpoint blob and settle the lease.
 func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	defer func() {
 		w.mu.Lock()
@@ -448,11 +447,11 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	}()
 
 	// The cheap end-to-end guard: the Spec must hash to the lease key on
-	// THIS binary too, or the fleet has version/default skew and this
-	// node would poison the content-addressed caches.
+	// THIS binary too, or the fleet has version skew and this node
+	// would poison the content-addressed caches.
 	hash, err := lv.Spec.Hash()
 	if err == nil && hash != lv.Key {
-		err = fmt.Errorf("spec hashes to %.12s here but the lease says %.12s — version or default skew", hash, lv.Key)
+		err = fmt.Errorf("spec hashes to %.12s here but the lease says %.12s — version skew", hash, lv.Key)
 	}
 	if err != nil {
 		w.log.Error("dist: refusing lease", "job", lv.JobID, "error", err)
@@ -460,7 +459,7 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 		return
 	}
 
-	// Tier 1: local disk/memory store.
+	// The local tier: this node's disk or memory store.
 	tierStart := time.Now()
 	if res, ok, _ := w.eng.Store().Get(lv.Key); ok {
 		w.m.tierLookups.With("local").Inc()
@@ -469,22 +468,11 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 		w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done")
 		return
 	}
-	// Tier 2: peer fetch from the coordinator's store. (The coordinator
-	// checked its own cache at submit, but results can land between the
-	// submit and this lease — another worker finishing the same address,
-	// an upload against an expired lease.)
-	if res, found, err := w.c.StoreResult(ctx, lv.Key); err == nil && found {
-		w.m.tierLookups.With("peer").Inc()
-		w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "peer"})
-		_ = w.eng.Store().Put(lv.Key, res) // warm the local tier
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done")
-		return
-	}
 	w.m.tierLookups.With("miss").Inc()
 	w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "miss"})
 
-	// Double miss: train locally under the lease's trace, so one grep
-	// follows the cell from coordinator submit to worker round loop.
+	// Miss: train locally under the lease's trace, so one grep follows
+	// the cell from coordinator submit to worker round loop.
 	j, err := w.eng.SubmitAs(lv.Spec, lv.Priority, lv.TraceID, "")
 	if err != nil {
 		w.complete(lv.JobID, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")

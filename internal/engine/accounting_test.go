@@ -93,7 +93,7 @@ func TestRemoteJobAccountedBeforeWaitReturns(t *testing.T) {
 		}()
 		res := &Result{SpecHash: j.Key, Method: "FedAvg",
 			Stats: []RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.5}}, ElapsedSec: 0.01}
-		if err := e.CompleteRemote(leased, res, nil, nil); err != nil {
+		if err := e.CompleteRemote(leased, res, nil); err != nil {
 			t.Fatal(err)
 		}
 		<-waited

@@ -93,12 +93,6 @@ type Options struct {
 	// means ceil(NumCPU/Workers), so a full worker pool totals about
 	// NumCPU training goroutines instead of NumCPU per job.
 	Parallelism int
-	// Precision is the engine-wide default compute dtype ("", "f64" or
-	// "f32") adopted by submitted Specs whose own Precision is empty.
-	// Resolution happens before hashing, so an engine defaulting to f32
-	// can never serve its f32-trained results under an f64 address (or
-	// vice versa).
-	Precision string
 	// Metrics receives the engine's instruments; nil exports on the
 	// process-wide telemetry.Default() registry. Stats reads these
 	// instruments, so engines sharing a registry share their counts;
@@ -140,7 +134,6 @@ type Engine struct {
 	traces      *telemetry.TraceStore
 	scenarios   *scenarioCache
 	parallelism int
-	precision   string // default Spec.Precision ("" = f64)
 	metrics     *engineMetrics
 	log         *slog.Logger
 
@@ -193,9 +186,6 @@ func New(opts Options) (*Engine, error) {
 		par = (runtime.NumCPU() + max(workers, 1) - 1) / max(workers, 1)
 	}
 	m := newEngineMetrics(reg)
-	if _, err := nn.ParsePrecision(opts.Precision); err != nil {
-		return nil, fmt.Errorf("engine: default precision: %w", err)
-	}
 	var jl *Journal
 	if opts.CacheDir != "" {
 		jl, err = openJournal(opts.CacheDir, newJournalMetrics(reg), logger)
@@ -209,7 +199,6 @@ func New(opts Options) (*Engine, error) {
 		traces:      telemetry.NewTraceStore(0, 0),
 		scenarios:   newScenarioCache(m),
 		parallelism: par,
-		precision:   opts.Precision,
 		metrics:     m,
 		log:         logger,
 		batches:     map[string]*Batch{},
@@ -369,22 +358,10 @@ func (e *Engine) SubmitFresh(spec Spec, priority int) (*Job, error) {
 	return e.submit(spec, priority, "", "", "", true, nil)
 }
 
-// resolveSpec applies engine-wide defaults to a submitted Spec — today
-// just the precision: an empty Precision adopts the server default.
-// Resolution precedes hashing, so the default is part of the job's
-// identity and cached results never cross precision boundaries.
-func (e *Engine) resolveSpec(sp Spec) Spec {
-	if sp.Precision == "" {
-		sp.Precision = e.precision
-	}
-	return sp
-}
-
 // submit is every Spec submission; b, when non-nil, is the enqueue
 // batch the job joins (see Scheduler.batch).
 func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace string, fresh bool, b *enqueueBatch) (*Job, error) {
 	submitStart := time.Now()
-	spec = e.resolveSpec(spec)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -396,7 +373,6 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 		tenant = AnonymousTenant
 	}
 	e.metrics.jobsSubmitted.With(tenant).Inc()
-	sp := spec
 	if !fresh {
 		if res, ok, err := e.store.Get(hash); err != nil {
 			return nil, err
@@ -406,7 +382,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 			// for this key (e.g. a crash after the Result was persisted
 			// but before the done-record landed).
 			e.journal.jobDone(hash, StateDone)
-			return e.sched.completed(&sp, hash, priority, trace, tenant, res), nil
+			return e.sched.completed(&spec, hash, priority, trace, tenant, res), nil
 		}
 	}
 	// Write-ahead: the submission is journaled before the scheduler can
@@ -414,10 +390,10 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	// losing it, and a submission the journal could not make durable is
 	// refused. Duplicate submit records for a coalesced key compact
 	// away; a quota refusal below retracts the record.
-	if err := e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, sp); err != nil {
+	if err := e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, spec); err != nil {
 		return nil, err
 	}
-	j, coalesced, err := e.sched.submit(&sp, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b)
+	j, coalesced, err := e.sched.submit(&spec, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b)
 	if coalesced {
 		e.metrics.jobsCoalesced.Inc()
 	} else if err == nil {
@@ -460,12 +436,6 @@ func (e *Engine) SubmitSweepAs(sw Sweep, priority int, traceID, tenant string) (
 	specs, err := sw.Expand()
 	if err != nil {
 		return nil, err
-	}
-	// Resolve engine defaults before the dedup hashing below, so the
-	// batch's recorded specs, the dedup map, and the submitted jobs all
-	// agree on the effective precision.
-	for i := range specs {
-		specs[i] = e.resolveSpec(specs[i])
 	}
 	if tenant == "" {
 		tenant = AnonymousTenant
@@ -737,14 +707,14 @@ func (e *Engine) advance(j *Job, round, rounds int) {
 }
 
 // CompleteRemote settles a leased job with a remote outcome. A
-// successful result (and its optional model checkpoint blob) is
-// persisted to the Store under the job's content-address before the job
-// finishes, preserving the invariant that a Done job's result is
-// cached. jobErr wrapping context.Canceled marks the job Cancelled; any
+// successful result is persisted to the Store under the job's
+// content-address before the job finishes, preserving the invariant
+// that a Done job's result is cached (its checkpoint blob, if any, was
+// uploaded beforehand). jobErr wrapping context.Canceled marks the job Cancelled; any
 // other error marks it Failed. Late completions — the lease expired and
 // the job was requeued but not yet re-claimed — are accepted: the work
 // is done, content-addressing makes the outcome identical.
-func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) error {
+func (e *Engine) CompleteRemote(j *Job, res *Result, jobErr error) error {
 	if jobErr == nil {
 		if res == nil {
 			return fmt.Errorf("engine: remote completion of job %s carries neither result nor error", j.ID)
@@ -752,11 +722,6 @@ func (e *Engine) CompleteRemote(j *Job, res *Result, blob []byte, jobErr error) 
 		persistStart := time.Now()
 		if err := e.store.Put(j.Key, res); err != nil {
 			return err
-		}
-		if len(blob) > 0 {
-			// Best-effort, like the local path: a full disk must not
-			// discard a completed run's metrics.
-			_ = e.store.PutBlob(j.Key, blob)
 		}
 		j.addPersist(time.Since(persistStart))
 		e.sched.recordSpan(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)

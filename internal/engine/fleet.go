@@ -88,7 +88,9 @@ type WorkerHeartbeatResponse struct {
 // LeaseCompleteRequest is the POST /v1/workers/{id}/jobs/{job}/complete
 // body — exactly one of the four outcomes.
 type LeaseCompleteRequest struct {
-	// Result is the successful outcome (persisted under the lease key).
+	// Result is the successful outcome, persisted under the lease key;
+	// its SpecHash must be that key, else the job finishes Failed and
+	// nothing is stored.
 	Result *Result `json:"result,omitempty"`
 	// Error is a failure message; the job finishes Failed.
 	Error string `json:"error,omitempty"`
@@ -99,7 +101,7 @@ type LeaseCompleteRequest struct {
 	// down): the coordinator requeues the job for another node.
 	Abandoned bool `json:"abandoned,omitempty"`
 	// Round is the last round the worker trained under this lease (0
-	// when a store tier answered it), so rounds finished after the last
+	// when its local store answered it), so rounds finished after the last
 	// heartbeat still count on the coordinator.
 	Round int `json:"round,omitempty"`
 	// Spans carries the worker's remaining unshipped spans for the

@@ -19,7 +19,7 @@ import (
 func cachedSpec(tb testing.TB, e *Engine, tag string) Spec {
 	tb.Helper()
 	sp := stubSpec(tag)
-	hash, err := e.resolveSpec(sp).Hash()
+	hash, err := sp.Hash()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -299,11 +299,14 @@ func TestJournalLeaseReplay(t *testing.T) {
 		t.Fatalf("leased job worker = %q, want w1", got)
 	}
 
-	// The worker finishes A (with a checkpoint blob), then the
+	// The worker uploads A's checkpoint blob and finishes A, then the
 	// coordinator "crashes" with B still leased.
+	if err := e1.Store().PutBlob(jA.Key, []byte("blob-a")); err != nil {
+		t.Fatal(err)
+	}
 	resA := &Result{SpecHash: jA.Key, Method: "FedAvg",
 		Stats: []RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.5}}, ElapsedSec: 0.01}
-	if err := e1.CompleteRemote(claimed[jA.Key], resA, []byte("blob-a"), nil); err != nil {
+	if err := e1.CompleteRemote(claimed[jA.Key], resA, nil); err != nil {
 		t.Fatal(err)
 	}
 	if jA.State() != StateDone {
@@ -419,7 +422,7 @@ func TestRemoteClaimJournalsOneRecord(t *testing.T) {
 	if got := records.Value() - before; got != 0 {
 		t.Fatalf("a remote claim appended %d journal records, want 0", got)
 	}
-	if err := e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil, nil); err != nil {
+	if err := e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.State(); got != StateDone {
@@ -466,9 +469,9 @@ func TestEveryJobJournalsSubmitAndDone(t *testing.T) {
 				if err := e.Cancel(j.ID); err != nil {
 					t.Fatal(err)
 				}
-				err = e.CompleteRemote(j, nil, nil, fmt.Errorf("worker confirmed cancel: %w", context.Canceled))
+				err = e.CompleteRemote(j, nil, fmt.Errorf("worker confirmed cancel: %w", context.Canceled))
 			} else {
-				err = e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil, nil)
+				err = e.CompleteRemote(j, &Result{SpecHash: j.Key, Method: "FedAvg"}, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -76,41 +76,6 @@ func TestSweepPrecisionAxis(t *testing.T) {
 	}
 }
 
-// TestEngineDefaultPrecision runs the same Spec on an f32-default engine
-// and checks (a) the job's key matches an explicitly-f32 Spec (the
-// default is resolved before hashing) and (b) the run completes with a
-// sane accuracy, i.e. the f32 path trains end-to-end through the engine.
-func TestEngineDefaultPrecision(t *testing.T) {
-	e := newTestEngine(t, Options{Workers: 1, Precision: "f32"})
-	spec := tinySpec("FedAvg")
-	j, err := e.Submit(spec, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit := tinySpec("FedAvg")
-	explicit.Precision = "f32"
-	wantKey, err := explicit.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Key != wantKey {
-		t.Errorf("default-precision job key %q, want explicit-f32 key %q", j.Key, wantKey)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc := res.Final().TestAcc; acc <= 0 || acc > 1 {
-		t.Errorf("f32 run test accuracy %g outside (0,1]", acc)
-	}
-
-	if _, err := New(Options{Precision: "f31"}); err == nil {
-		t.Error("engine accepted an invalid default precision")
-	}
-}
-
 // TestPrecisionPerturbsButTracksF64 compares a full f64 run against the
 // identical f32 run at the Result level: the accuracies must be close
 // (the tolerance contract) but the Specs memoize under different keys.

@@ -285,7 +285,7 @@ func TestLateRemoteResultRecordsNoRunTime(t *testing.T) {
 	before := runs.Count()
 	res := &Result{SpecHash: j.Key, Method: "FedAvg",
 		Stats: []RoundStat{{Round: 1, ValAcc: 0.5, TestAcc: 0.5}}, ElapsedSec: 0.01}
-	if err := e.CompleteRemote(leased, res, nil, nil); err != nil {
+	if err := e.CompleteRemote(leased, res, nil); err != nil {
 		t.Fatal(err)
 	}
 	if j.State() != StateDone {
@@ -360,7 +360,7 @@ func TestQueuedTracesOutliveEndedOnes(t *testing.T) {
 		sp := tinySpec("FedAvg")
 		sp.Seed = uint64(i + 1)
 		if i%33 != 0 {
-			hash, err := e.resolveSpec(sp).Hash()
+			hash, err := sp.Hash()
 			if err != nil {
 				t.Fatal(err)
 			}
