@@ -152,7 +152,7 @@ func run() error {
 		}
 		fmt.Printf("[%d model checkpoints written under %s]\n", n, *saveModelFlag)
 		if missing > 0 {
-			fmt.Printf("[%d done jobs had no resident checkpoint: the store evicted them; -cache DIR keeps every one]\n", missing)
+			fmt.Printf("[%d done jobs had no resident checkpoint: the store evicted them; -cache DIR without -cache-max-bytes keeps every one]\n", missing)
 		}
 	}
 	st := eng.Stats()

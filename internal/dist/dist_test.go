@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -16,8 +17,7 @@ import (
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
-// tinySpec is a federated run small enough for cluster tests; KeepModel
-// is on so the checkpoint upload path is exercised end to end.
+// tinySpec is a federated run small enough for cluster tests.
 func tinySpec(method string, seed uint64) engine.Spec {
 	return engine.Spec{
 		Method:    method,
@@ -32,7 +32,6 @@ func tinySpec(method string, seed uint64) engine.Spec {
 		EvalPer:   12,
 		Seed:      seed,
 		Tag:       "dist-test",
-		KeepModel: true,
 	}
 }
 
@@ -120,7 +119,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 
 // TestClusterSweepMatchesSingleNode is the acceptance bar for the fleet:
 // the same sweep through two workers produces byte-identical results —
-// evaluation stats, model vectors, and checkpoint blobs — to a
+// evaluation stats and checkpoint blobs — to a
 // single-node engine. (Wall-clock timing fields are exempt by the
 // Result contract.) It also pins the workers' memory: once a blob is
 // uploaded, no memory-only worker store still holds it.
@@ -176,9 +175,6 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.Stats, ref.Stats) {
 			t.Fatalf("cell %.12s stats diverge:\n cluster %+v\n solo    %+v", j.Key, res.Stats, ref.Stats)
-		}
-		if !reflect.DeepEqual(res.Model, ref.Model) {
-			t.Fatalf("cell %.12s model vector diverges", j.Key)
 		}
 		blob, ok, err := cl.eng.ModelBlob(j.Key)
 		if err != nil || !ok {
@@ -536,6 +532,55 @@ func TestCompleteRefusesForeignResult(t *testing.T) {
 		if _, ok, _ := cl.eng.Store().Get(otherKey); ok {
 			t.Fatalf("coordinator store holds the foreign %.12s", otherKey)
 		}
+	}
+}
+
+// TestCompletionBodyLimit: a completion is a small JSON body, decoded
+// under the same 1 MiB limit as registration and heartbeat, so a larger
+// one is refused with 400 and leaves the lease held. The checkpoint
+// upload keeps its own, larger limit: a blob of the same size is stored.
+func TestCompletionBodyLimit(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := newCluster(t, 5*time.Second)
+	c := client.New(cl.srv.URL)
+	reg, err := c.RegisterWorker(ctx, client.WorkerRegisterRequest{Name: "big", CodeVersion: engine.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := cl.eng.Submit(tinySpec("FedAvg", 41), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := c.PullLease(ctx, reg.WorkerID)
+	if err != nil || lv == nil || lv.JobID != j.ID {
+		t.Fatalf("pull: lease %v, err %v, want job %s", lv, err, j.ID)
+	}
+	big := client.LeaseCompleteRequest{Result: &engine.Result{SpecHash: j.Key, Method: "FedAvg"}}
+	for i := 0; i < 1<<15; i++ {
+		big.Result.Stats = append(big.Result.Stats, engine.RoundStat{Round: i + 1, ValAcc: 0.5, TestAcc: 0.5})
+	}
+	raw, err := json.Marshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) <= 1<<20 {
+		t.Fatalf("completion body is %d bytes, want over 1 MiB", len(raw))
+	}
+	err = c.CompleteLease(ctx, reg.WorkerID, lv.JobID, big)
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != client.ErrCodeBadRequest {
+		t.Fatalf("%d-byte completion answered %v, want 400 %s", len(raw), err, client.ErrCodeBadRequest)
+	}
+	if j.State() != engine.StateRunning {
+		t.Fatalf("job state after a refused completion = %s, want running", j.State())
+	}
+	blob := make([]byte, len(raw))
+	if err := c.UploadLeaseModel(ctx, reg.WorkerID, lv.JobID, blob); err != nil {
+		t.Fatalf("%d-byte model upload: %v", len(blob), err)
+	}
+	if got, ok, err := cl.eng.ModelBlob(j.Key); err != nil || !ok || len(got) != len(blob) {
+		t.Fatalf("stored blob: %d bytes, ok=%v err=%v, want %d bytes", len(got), ok, err, len(blob))
 	}
 }
 

@@ -38,19 +38,23 @@ func (c *Coordinator) Mount(s *engine.Server) {
 	s.Handle("GET /v1/top", c.handleTop)
 }
 
-// decodeInto reads a JSON body with strict fields, writing the error
-// response itself on failure. limit caps the body: registration and
-// heartbeat bodies are small, but a lease completion carries the full
-// Result — including a KeepModel run's parameter vector as JSON — and
-// gets the blob-sized allowance.
-func decodeInto(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+// serveJSON answers a JSON call: it decodes a body of at most 1 MiB with
+// strict fields into a Req, runs fn, and writes its answer or its error.
+// No body carries a model: the checkpoint arrives by PUT …/model.
+func serveJSON[Req, Resp any](w http.ResponseWriter, r *http.Request, fn func(Req) (Resp, error)) {
+	var req Req
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		engine.WriteError(w, http.StatusBadRequest, engine.ErrCodeBadRequest, "bad request body: "+err.Error())
-		return false
+		return
 	}
-	return true
+	resp, err := fn(req)
+	if err != nil {
+		writeCoordError(w, err)
+		return
+	}
+	engine.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeCoordError maps coordinator errors onto the structured envelope.
@@ -72,16 +76,7 @@ func writeCoordError(w http.ResponseWriter, err error) {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req engine.WorkerRegisterRequest
-	if !decodeInto(w, r, &req, 1<<20) {
-		return
-	}
-	resp, err := c.Register(req)
-	if err != nil {
-		writeCoordError(w, err)
-		return
-	}
-	engine.WriteJSON(w, http.StatusOK, resp)
+	serveJSON(w, r, c.Register)
 }
 
 // handleTop serves one dashboard snapshot; `feddg top` polls it.
@@ -106,28 +101,16 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req engine.WorkerHeartbeatRequest
-	if !decodeInto(w, r, &req, 1<<20) {
-		return
-	}
-	resp, err := c.Heartbeat(strings.TrimSpace(r.PathValue("id")), req)
-	if err != nil {
-		writeCoordError(w, err)
-		return
-	}
-	engine.WriteJSON(w, http.StatusOK, resp)
+	serveJSON(w, r, func(req engine.WorkerHeartbeatRequest) (engine.WorkerHeartbeatResponse, error) {
+		return c.Heartbeat(strings.TrimSpace(r.PathValue("id")), req)
+	})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req engine.LeaseCompleteRequest
-	if !decodeInto(w, r, &req, maxUploadBytes) {
-		return
-	}
-	if err := c.Complete(strings.TrimSpace(r.PathValue("id")), strings.TrimSpace(r.PathValue("job")), req); err != nil {
-		writeCoordError(w, err)
-		return
-	}
-	engine.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serveJSON(w, r, func(req engine.LeaseCompleteRequest) (map[string]string, error) {
+		err := c.Complete(strings.TrimSpace(r.PathValue("id")), strings.TrimSpace(r.PathValue("job")), req)
+		return map[string]string{"status": "ok"}, err
+	})
 }
 
 // handleModelUpload stores a leased job's checkpoint blob under its

@@ -230,14 +230,19 @@ func (e *Engine) replayJournal() {
 		e.journal.metrics.replayed.With("sweep").Inc()
 	}
 	for _, rec := range jobs {
-		if rec.SweepTrace != "" && replayedSweep[rec.SweepTrace] {
-			continue // re-created as a cell of its replayed sweep
+		// A cell of a replayed sweep is re-created by its sweep.
+		if rec.SweepTrace == "" || !replayedSweep[rec.SweepTrace] {
+			if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false, nil); err != nil {
+				e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
+				continue
+			}
+			e.journal.metrics.replayed.With("job").Inc()
 		}
-		if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false, nil); err != nil {
-			e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
-			continue
+		// Replay journaled the Spec under its current address; nothing
+		// else settles a record keyed by an older build's address.
+		if key, err := rec.Spec.Hash(); err == nil && key != rec.Key {
+			e.journal.jobDone(rec.Key, StateCancelled)
 		}
-		e.journal.metrics.replayed.With("job").Inc()
 	}
 	if len(jobs) > 0 || len(sweeps) > 0 {
 		e.log.Info("engine: journal replayed", "jobs", len(jobs), "sweeps", len(sweeps))
@@ -629,11 +634,6 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 		return nil, err
 	}
 	res := resultFromHistory(j.Key, spec.Method, hist)
-	if spec.KeepModel {
-		// fl.Run returns a fresh clone that dies with this call, so the
-		// Result can own its arena without a copy.
-		res.Model = model.Vector()
-	}
 	res.ElapsedSec = time.Since(start).Seconds()
 	// The trained model becomes a content-addressed checkpoint blob next
 	// to the Result, so cached re-runs return metrics AND the model

@@ -113,9 +113,6 @@ func TestSpecHashSensitivity(t *testing.T) {
 	s.Rounds++
 	mutations["rounds"] = s
 	s = tinySpec("FedAvg")
-	s.KeepModel = true
-	mutations["keepmodel"] = s
-	s = tinySpec("FedAvg")
 	s.Lambda = 0.2
 	mutations["lambda"] = s
 	s = tinySpec("FedAvg")
@@ -168,7 +165,6 @@ func TestScenarioKeyIgnoresTrainingOnlyFields(t *testing.T) {
 	b := tinySpec("PARDON")
 	b.Rounds = 7
 	b.EvalEvery = 1
-	b.KeepModel = true
 	ka, err := a.scenarioKey()
 	if err != nil {
 		t.Fatal(err)

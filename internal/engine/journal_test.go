@@ -534,3 +534,76 @@ func TestSubmitRefusedWhenJournalFails(t *testing.T) {
 		t.Fatalf("reboot replayed %d refused jobs, want 0", n)
 	}
 }
+
+// TestJournalReplaySettlesMovedAddress boots twice over a journal whose
+// records were keyed by another build's addresses: a standalone job and
+// a sweep cell. The first boot re-runs both under their current
+// addresses and must settle the old records too, so the second boot
+// replays nothing and compacts the journal to empty.
+func TestJournalReplaySettlesMovedAddress(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := tinySweep([]string{"FedAvg"}, 2)
+	cells, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.jobSubmitted("old-address", "tr-job", "", 0, "", tinySpec("FedAvg")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.sweepSubmitted("old-sweep", "", 0, sw); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.jobSubmitted("old-cell", "old-sweep-c0", "", 0, "old-sweep", cells[0]); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	e1, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e1.Close()
+	if got := e1.journal.metrics.replayed.With("job").Value(); got != 1 {
+		t.Fatalf("boot 1 replayed %d jobs, want 1", got)
+	}
+	for _, j := range e1.Jobs() {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The sweep watcher writes the sweep's done record asynchronously.
+	for {
+		e1.journal.mu.Lock()
+		_, live := e1.journal.sweeps["old-sweep"]
+		e1.journal.mu.Unlock()
+		if !live {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("replayed sweep never settled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	e1.Close()
+
+	e2, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if got := e2.journal.metrics.replayed.With("job").Value(); got != 0 {
+		t.Fatalf("boot 2 replayed %d jobs, want 0", got)
+	}
+	if got := e2.journal.liveCount(); got != 0 {
+		t.Fatalf("boot 2 journal has %d live records, want 0", got)
+	}
+	if got := len(journalLines(t, dir)); got != 0 {
+		t.Fatalf("boot 2 journal has %d lines after compaction, want 0", got)
+	}
+}

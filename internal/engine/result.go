@@ -40,10 +40,11 @@ func (t Timing) AvgAggregateSec() float64 {
 }
 
 // Result is the memoized outcome of a job: the run's evaluation history
-// and timing, plus the trained model vector when the Spec asks for it.
-// Results are stored by Spec content-address, so
-// they must be fully reproducible from the Spec (wall-clock timing is
-// informational and exempt).
+// and timing. The trained model is not part of it; it is stored as the
+// checkpoint blob under the same content-address (Engine.ModelBlob).
+// Results are stored by Spec content-address, so they must be fully
+// reproducible from the Spec (wall-clock timing is informational and
+// exempt).
 type Result struct {
 	// SpecHash is the content-address of the producing Spec.
 	SpecHash string `json:"spec_hash,omitempty"`
@@ -53,9 +54,6 @@ type Result struct {
 	Stats []RoundStat `json:"stats,omitempty"`
 	// Timing is the phase wall-clock breakdown of the producing run.
 	Timing Timing `json:"timing"`
-	// Model is the trained global model's parameter vector, present only
-	// when the Spec set KeepModel.
-	Model []float64 `json:"model,omitempty"`
 	// ElapsedSec is the producing run's total wall-clock (informational;
 	// a cache hit returns the original run's value).
 	ElapsedSec float64 `json:"elapsed_sec"`

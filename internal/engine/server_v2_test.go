@@ -296,16 +296,22 @@ func TestServeBodyHardening(t *testing.T) {
 	if code != http.StatusBadRequest || env.Err.Code != ErrCodeBadRequest {
 		t.Fatalf("unknown sweep field = %d %+v", code, env)
 	}
-	// The per-request parallelism hint is gone: a valid submit or sweep
-	// that still carries it is refused, not trained with it dropped.
+	// The per-request parallelism hint and the Spec's model-retention
+	// flag are gone: a valid submit or sweep that still carries either is
+	// refused, not run with it dropped.
 	spec, _ := json.Marshal(tinySpec("FedAvg"))
 	sweep, _ := json.Marshal(tinySweep([]string{"FedAvg"}, 1))
-	for path, body := range map[string]string{
-		"/v1/jobs":   `{"spec":` + string(spec) + `,"parallelism":2}`,
-		"/v1/sweeps": `{"sweep":` + string(sweep) + `,"parallelism":2}`,
+	keepModel := func(raw []byte) string {
+		return strings.Replace(string(raw), `"Method":`, `"KeepModel":true,"Method":`, 1)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"spec":` + string(spec) + `,"parallelism":2}`},
+		{"/v1/sweeps", `{"sweep":` + string(sweep) + `,"parallelism":2}`},
+		{"/v1/jobs", `{"spec":` + keepModel(spec) + `}`},
+		{"/v1/sweeps", `{"sweep":` + keepModel(sweep) + `}`},
 	} {
-		if code, env := post(path, body); code != http.StatusBadRequest || env.Err.Code != ErrCodeBadRequest {
-			t.Fatalf("%s with parallelism = %d %+v", path, code, env)
+		if code, env := post(c.path, c.body); code != http.StatusBadRequest || env.Err.Code != ErrCodeBadRequest {
+			t.Fatalf("%s %s = %d %+v", c.path, c.body, code, env)
 		}
 	}
 

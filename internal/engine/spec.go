@@ -20,7 +20,10 @@ import (
 //
 // v3: Spec grew the hash-affecting Precision knob and the model
 // checkpoint format gained a dtype byte (PDNM v2).
-const CodeVersion = "pardon-engine/3"
+//
+// v4: Spec lost its model-retention flag, which moved every canonical
+// encoding; the checkpoint blob is a run's only model.
+const CodeVersion = "pardon-engine/4"
 
 // SplitSpec names the train/val/test domain indices of an evaluation
 // scheme. It mirrors dataset.Split minus the free-text comment, which
@@ -40,7 +43,9 @@ type SplitSpec struct {
 // rng streams — so a Spec's content-address can memoize its Result.
 //
 // Field order is load-bearing: Canonical marshals the struct in
-// declaration order. Append new fields at the end and bump CodeVersion.
+// declaration order. Append new fields at the end and bump CodeVersion;
+// removing a field also changes every encoding, so it bumps CodeVersion
+// too.
 type Spec struct {
 	// Method is a table name accepted by NewAlgorithm (e.g. "PARDON",
 	// "FedSR", "PARDON-v3").
@@ -71,10 +76,6 @@ type Spec struct {
 	Seed uint64
 	// Tag isolates scenario randomness between schemes sharing a Seed.
 	Tag string
-	// KeepModel stores the trained global model's parameter vector in
-	// the Result (needed by consumers that analyze the model itself,
-	// e.g. the Fig. 1 loss-landscape probe).
-	KeepModel bool
 	// NumDomains, NumClasses and ClassesPerDomain size the IWildCam
 	// preset; they are ignored (and must be zero) for the others.
 	NumDomains       int
@@ -198,14 +199,13 @@ func (s Spec) genConfig() (synth.Config, error) {
 // scenarioKey is the content-address of the Spec's scenario — the built
 // environment, clients, and eval sets — which is shared by every method
 // evaluated on the same data. Fields that only affect training (method,
-// round count, sampling, eval cadence, model retention) are masked out.
+// round count, sampling, eval cadence, precision) are masked out.
 func (s Spec) scenarioKey() (string, error) {
 	sc := s
 	sc.Method = "FedAvg" // any valid method; masked out of the scenario
 	sc.Rounds = 1
 	sc.SampleK = 1
 	sc.EvalEvery = 0
-	sc.KeepModel = false
 	sc.Precision = "" // compute dtype never changes the data
 	c, err := sc.Canonical()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pardon-feddg/pardon/internal/engine"
 	"github.com/pardon-feddg/pardon/internal/eval"
+	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
 func TestParseScale(t *testing.T) {
@@ -120,5 +121,49 @@ func TestStyleTransferComparisonSmoke(t *testing.T) {
 	if res.CCSTTargetLeakage >= res.PARDONTargetLeakage {
 		t.Errorf("CCST leakage %g should be below PARDON's %g (CCST outputs match target styles)",
 			res.CCSTTargetLeakage, res.PARDONTargetLeakage)
+	}
+}
+
+// TestRunLandscapeSmoke runs Fig. 1 end to end. Its models come from the
+// checkpoint blobs, so a second run whose cached Results lost their
+// blobs must re-train both cells and render the same table.
+func TestRunLandscapeSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig1 run is not short")
+	}
+	eng, err := engine.New(engine.Options{Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	cfg := eval.Config{Scale: eval.Small, Seed: 1, Engine: eng}
+	res, err := eval.RunLandscape(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := res.Table()
+	if len(table.Rows) != 2 || table.Rows[0][0] != "Naive (FedAvg)" || table.Rows[1][0] != "PARDON" {
+		t.Fatalf("fig1 rows = %q, want FedAvg then PARDON", table.Rows)
+	}
+	want := table.Render()
+
+	jobs := eng.Jobs()
+	if len(jobs) != 2 {
+		t.Fatalf("fig1 ran %d jobs, want 2", len(jobs))
+	}
+	for _, j := range jobs {
+		eng.Store().DropBlob(j.Key)
+	}
+	rounds := eng.Stats().RoundsExecuted
+	again, err := eval.RunLandscape(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Table().Render(); got != want {
+		t.Fatalf("fig1 without blobs rendered\n%s\nwant\n%s", got, want)
+	}
+	if eng.Stats().RoundsExecuted != 2*rounds {
+		t.Fatalf("rounds after the blob-less re-run = %d, want %d (both cells re-trained once)",
+			eng.Stats().RoundsExecuted, 2*rounds)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -56,51 +57,37 @@ func RunLandscape(cfg Config, outDir string) (*LandscapeResult, error) {
 	split := dataset.Split{Name: "fig1", Train: []int{0, 1}, Test: []int{3}}
 	eng := cfg.engine()
 
-	// Both training runs go through the engine as one method-axis sweep
-	// with KeepModel, so the trained global models come back with the
-	// (cacheable) results; the landscape probes below need the scenario
-	// itself, which the engine shares from its scenario cache.
-	base := flSpec(spec.Name, spec.Gen.Seed, split, 0.0, sz, "", cfg.Seed, 0, "fig1")
-	base.KeepModel = true
+	// Both training runs go through the engine as one method-axis sweep,
+	// so they are cached; the trained global models are read back from
+	// their checkpoint blobs. The landscape probes below need the
+	// scenario itself, which the engine shares from its scenario cache.
+	base := flSpec(spec.Name, spec.Gen.Seed, split, 0.0, sz, "FedAvg", cfg.Seed, 0, "fig1")
 	sw := engine.Sweep{Base: base, Methods: []string{"FedAvg", "PARDON"}}
 	results, err := sweepResults(eng, sw)
 	if err != nil {
 		return nil, err
 	}
-	scenarioSpec := base
-	scenarioSpec.Method = "FedAvg"
-	sc, err := eng.BuildScenario(scenarioSpec)
+	sc, err := eng.BuildScenario(base)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &LandscapeResult{}
-	for i, method := range []string{"FedAvg", "PARDON"} {
-		model, err := nn.New(sc.Env.ModelCfg, sc.Env.RNG.Stream("model-init"))
+	var sharp, sep [2]float64
+	for i, method := range sw.Methods {
+		cell := base
+		cell.Method = method
+		model, err := trainedModel(eng, cell, results[i].SpecHash)
 		if err != nil {
-			return nil, err
-		}
-		if err := model.SetParamVector(results[i].Model); err != nil {
 			return nil, fmt.Errorf("eval: fig1 %s model: %w", method, err)
 		}
 		grid, err := landscape.LossSurface(model, sc.Clients, 13, 0.5, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		sep, err := landscape.SeparationScore(model, sc.Test, sc.Gen.Config().NumClasses)
-		if err != nil {
+		if sep[i], err = landscape.SeparationScore(model, sc.Test, sc.Gen.Config().NumClasses); err != nil {
 			return nil, err
 		}
-		switch method {
-		case "FedAvg":
-			res.NaiveSharpness = grid.Sharpness()
-			res.NaiveSeparation = sep
-			res.NaiveAcc = results[i].Final().TestAcc
-		default:
-			res.PARDONSharpness = grid.Sharpness()
-			res.PARDONSeparation = sep
-			res.PARDONAcc = results[i].Final().TestAcc
-		}
+		sharp[i] = grid.Sharpness()
 		if outDir != "" {
 			if err := os.MkdirAll(outDir, 0o755); err != nil {
 				return nil, err
@@ -111,5 +98,32 @@ func RunLandscape(cfg Config, outDir string) (*LandscapeResult, error) {
 			}
 		}
 	}
-	return res, nil
+	return &LandscapeResult{
+		NaiveSharpness: sharp[0], PARDONSharpness: sharp[1],
+		NaiveSeparation: sep[0], PARDONSeparation: sep[1],
+		NaiveAcc: results[0].Final().TestAcc, PARDONAcc: results[1].Final().TestAcc,
+	}, nil
+}
+
+// trainedModel loads the checkpoint blob stored under key, the address
+// of spec. A cached Result can outlive its blob (a capped disk cache
+// evicts by mtime and the blob is the older file; a memory store evicts
+// past its blob budget), so a missing blob re-runs the cell fresh.
+func trainedModel(eng *engine.Engine, spec engine.Spec, key string) (*nn.Model, error) {
+	blob, ok, err := eng.ModelBlob(key)
+	if err == nil && !ok {
+		var job *engine.Job
+		if job, err = eng.SubmitFresh(spec, 0); err == nil {
+			if _, err = job.Wait(context.Background()); err == nil {
+				blob, ok, err = eng.ModelBlob(key)
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("no checkpoint blob for %.12s", key)
+	}
+	return nn.LoadModel(blob)
 }
