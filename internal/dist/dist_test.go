@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +55,13 @@ func newCluster(t *testing.T, ttl time.Duration) *cluster {
 // opts (a journal, a logger).
 func newClusterWith(t *testing.T, ttl time.Duration, opts engine.Options) *cluster {
 	t.Helper()
+	return newClusterWrapped(t, ttl, opts, nil)
+}
+
+// newClusterWrapped is newClusterWith whose HTTP API is served through
+// wrap, when non-nil, so a test can fail chosen requests.
+func newClusterWrapped(t *testing.T, ttl time.Duration, opts engine.Options, wrap func(http.Handler) http.Handler) *cluster {
+	t.Helper()
 	eng, err := engine.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +69,11 @@ func newClusterWith(t *testing.T, ttl time.Duration, opts engine.Options) *clust
 	coord := NewCoordinator(eng, Options{LeaseTTL: ttl})
 	api := engine.NewServer(eng)
 	coord.Mount(api)
-	srv := httptest.NewServer(api)
+	var h http.Handler = api
+	if wrap != nil {
+		h = wrap(api)
+	}
+	srv := httptest.NewServer(h)
 	t.Cleanup(func() {
 		srv.Close()
 		coord.Close()
@@ -121,8 +134,9 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // the same sweep through two workers produces byte-identical results —
 // evaluation stats and checkpoint blobs — to a
 // single-node engine. (Wall-clock timing fields are exempt by the
-// Result contract.) It also pins the workers' memory: once a blob is
-// uploaded, no memory-only worker store still holds it.
+// Result contract.) It also pins the workers' memory: once the
+// coordinator has acknowledged a cell's completion, no memory-only
+// worker store still holds the uploaded blob.
 func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -183,13 +197,19 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 		if string(blob) != string(wantBlob[j.Key]) {
 			t.Fatalf("cell %.12s checkpoint blob diverges (%d vs %d bytes)", j.Key, len(blob), len(wantBlob[j.Key]))
 		}
-		// The worker drops its copy before it completes the lease, so by
-		// now neither worker holds the blob — but the result stays.
+		// The worker drops its copy once the coordinator acknowledges the
+		// completion, which lands just after the job settles here; the
+		// result stays.
+		waitFor(t, 10*time.Second, fmt.Sprintf("the workers to drop the blob of cell %.12s", j.Key), func() bool {
+			for _, w := range workers {
+				if _, ok, _ := w.eng.ModelBlob(j.Key); ok {
+					return false
+				}
+			}
+			return true
+		})
 		trainedOn := 0
 		for _, w := range workers {
-			if _, ok, _ := w.eng.ModelBlob(j.Key); ok {
-				t.Fatalf("worker %s still holds the uploaded blob of cell %.12s", w.name, j.Key)
-			}
 			if _, ok, _ := w.eng.Store().Get(j.Key); ok {
 				trainedOn++
 			}
@@ -474,6 +494,59 @@ func TestTieredStoreAnswersWithoutTraining(t *testing.T) {
 	}
 	if st := weng.Stats(); st.RoundsExecuted != 0 {
 		t.Fatalf("warm worker trained %d rounds, want 0 (local tier hit)", st.RoundsExecuted)
+	}
+}
+
+// TestUnacknowledgedCompletionAnswersFromLocalTier: a worker whose
+// done completion never reached the coordinator keeps the cell's blob
+// as well as its Result. When the lease expires and the job is leased
+// to it again, its local tier answers without training a second time;
+// only after that completion is acknowledged does the worker drop the
+// blob, and the Result stays.
+func TestUnacknowledgedCompletionAnswersFromLocalTier(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var lost atomic.Bool
+	cl := newClusterWrapped(t, time.Second, engine.Options{Workers: -1, Metrics: telemetry.NewRegistry()},
+		func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/complete") && lost.CompareAndSwap(false, true) {
+					engine.WriteError(w, http.StatusServiceUnavailable, engine.ErrCodeUnavailable, "completion lost")
+					return
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+	spec := tinySpec("FedAvg", 51)
+	j, err := cl.eng.Submit(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cl.addWorker("alpha", nil)
+	if _, err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !lost.Load() {
+		t.Fatal("no completion was lost")
+	}
+	if got := cl.coord.m.requeued.With("expired").Value(); got != 1 {
+		t.Fatalf("dist_leases_requeued_total{expired} = %d, want 1", got)
+	}
+	if local, miss := w.m.tierLookups.With("local").Value(), w.m.tierLookups.With("miss").Value(); local != 1 || miss != 1 {
+		t.Fatalf("tier lookups: %d local, %d miss; want 1 and 1", local, miss)
+	}
+	if got := w.eng.Stats().RoundsExecuted; got != int64(spec.Rounds) {
+		t.Fatalf("worker trained %d rounds, want %d (one run, then the local tier)", got, spec.Rounds)
+	}
+	if _, ok, err := cl.eng.ModelBlob(j.Key); err != nil || !ok {
+		t.Fatalf("coordinator checkpoint: ok=%v err=%v", ok, err)
+	}
+	waitFor(t, 10*time.Second, "the worker to drop the acknowledged blob", func() bool {
+		_, ok, _ := w.eng.ModelBlob(j.Key)
+		return !ok
+	})
+	if _, ok, _ := w.eng.Store().Get(j.Key); !ok {
+		t.Fatal("the worker dropped the cell's Result")
 	}
 }
 

@@ -464,8 +464,7 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	if res, ok, _ := w.eng.Store().Get(lv.Key); ok {
 		w.m.tierLookups.With("local").Inc()
 		w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "local"})
-		w.uploadAndDrop(ctx, lv)
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done")
+		w.uploadAndComplete(ctx, lv, res)
 		return
 	}
 	w.m.tierLookups.With("miss").Inc()
@@ -522,8 +521,7 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 		// The coordinator requeued this job elsewhere; nothing to say.
 		w.m.completions.With("abandoned").Inc()
 	case runErr == nil:
-		w.uploadAndDrop(ctx, lv)
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done")
+		w.uploadAndComplete(ctx, lv, res)
 	case coordCancelled:
 		w.complete(lv.JobID, engine.LeaseCompleteRequest{Cancelled: true}, "cancelled")
 	case errors.Is(runErr, context.Canceled):
@@ -534,36 +532,47 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	}
 }
 
-// uploadAndDrop pushes the lease's checkpoint blob, if the local store
-// holds one, to the coordinator, best-effort: a missing blob upstream
+// uploadAndComplete settles a lease with its Result, after pushing
+// the lease's checkpoint blob, if the local store holds one, to the
+// coordinator. The upload is best-effort: a missing blob upstream
 // degrades GET /model to 404, never the result. Once the coordinator
-// has it, the local in-memory copy is released, so a memory-only
-// worker's footprint does not grow with every cell it trains. The
-// local Result stays, and a later re-lease of the key answers from it
-// and skips the upload.
-func (w *Worker) uploadAndDrop(ctx context.Context, lv engine.LeaseView) {
+// has acknowledged both, the local in-memory blob is released
+// (Store.DropBlob), so a memory-only worker's footprint does not grow
+// with every cell it trains. The local Result stays, and a later
+// re-lease of the key answers from it. A blob whose upload or
+// completion failed stays too, so that re-lease can upload it again.
+func (w *Worker) uploadAndComplete(ctx context.Context, lv engine.LeaseView, res *engine.Result) {
+	uploaded := w.upload(ctx, lv)
+	if w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done") && uploaded {
+		w.eng.Store().DropBlob(lv.Key)
+	}
+}
+
+// upload pushes the lease's checkpoint blob to the coordinator and
+// reports whether it arrived; with no local blob it reports false.
+func (w *Worker) upload(ctx context.Context, lv engine.LeaseView) bool {
 	blob, ok, _ := w.eng.ModelBlob(lv.Key)
 	if !ok {
-		return
+		return false
 	}
 	start := time.Now()
 	err := w.c.UploadLeaseModel(ctx, w.workerID(), lv.JobID, blob)
 	w.span(lv, "upload", start, time.Now(), map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
 	if err != nil {
 		w.log.Warn("dist: model upload failed", "job", lv.JobID, "error", err)
-		return
+		return false
 	}
-	w.eng.Store().DropBlob(lv.Key)
+	return true
 }
 
-// complete settles a lease on the coordinator. It runs on a short
-// detached context so a worker shutting down can still deliver its
-// abandon/cancel messages; failures are logged — the lease TTL is the
-// backstop.
-func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome string) {
+// complete settles a lease on the coordinator and reports whether the
+// coordinator acknowledged it. It runs on a short detached context so a
+// worker shutting down can still deliver its abandon/cancel messages;
+// failures are logged — the lease TTL is the backstop.
+func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome string) bool {
 	select {
 	case <-w.killed:
-		return // a "dead" worker says nothing
+		return false // a "dead" worker says nothing
 	default:
 	}
 	// Terminal span flush: whatever the heartbeat has not confirmed yet
@@ -579,7 +588,8 @@ func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome
 	defer cancel()
 	if err := w.c.CompleteLease(ctx, w.workerID(), jobID, req); err != nil {
 		w.log.Warn("dist: lease completion failed", "job", jobID, "outcome", outcome, "error", err)
-		return
+		return false
 	}
 	w.m.completions.With(outcome).Inc()
+	return true
 }

@@ -191,8 +191,8 @@ func TestClaimPriorityBeatsWarmScenario(t *testing.T) {
 }
 
 // TestScenarioKeyHashedOnClaim: a job pays for its scenario key only
-// when a remote claim considers it — a submit computes none, a claim
-// computes and caches one.
+// when a remote claim or a scenario-cache eviction considers it — a
+// submit computes none, a claim computes and caches one.
 func TestScenarioKeyHashedOnClaim(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: -1, Metrics: telemetry.NewRegistry()})
 	j, err := e.Submit(tinySpec("FedAvg"), 0)

@@ -197,7 +197,6 @@ func New(opts Options) (*Engine, error) {
 		store:       store,
 		journal:     jl,
 		traces:      telemetry.NewTraceStore(0, 0),
-		scenarios:   newScenarioCache(m),
 		parallelism: par,
 		metrics:     m,
 		log:         logger,
@@ -206,6 +205,9 @@ func New(opts Options) (*Engine, error) {
 	e.sched = newScheduler(workers, m, logger, e.run)
 	e.sched.journal = jl
 	e.sched.traces = e.traces
+	// One resident scenario per pool slot, plus whatever queued or
+	// running jobs still need, up to maxResidentScenarios.
+	e.scenarios = newScenarioCache(m, max(workers, 1), e.sched.scenariosWanted)
 	e.replayJournal()
 	return e, nil
 }
@@ -213,8 +215,10 @@ func New(opts Options) (*Engine, error) {
 // replayJournal re-enqueues the journal's live submissions at boot:
 // sweeps first (a replayed sweep re-creates its cell jobs), then
 // standalone jobs whose sweep — if any — did not replay. Replay errors
-// are logged and skipped, never fatal: one Spec that no longer
-// validates must not keep the server down.
+// are logged, never fatal: one Spec that no longer validates must not
+// keep the server down. Such a record is settled failed, so it is not
+// retried on every boot; only a record the journal itself could not
+// re-append stays live for the next one.
 func (e *Engine) replayJournal() {
 	if e.journal == nil {
 		return
@@ -224,6 +228,9 @@ func (e *Engine) replayJournal() {
 	for _, rec := range sweeps {
 		if _, err := e.SubmitSweepAs(*rec.Sweep, rec.Priority, rec.Trace, rec.Tenant); err != nil {
 			e.log.Warn("engine: journal sweep replay failed", "trace", rec.Trace, "error", err)
+			if !errors.Is(err, errJournal) {
+				e.journal.sweepDone(rec.Key)
+			}
 			continue
 		}
 		replayedSweep[rec.Key] = true
@@ -234,6 +241,9 @@ func (e *Engine) replayJournal() {
 		if rec.SweepTrace == "" || !replayedSweep[rec.SweepTrace] {
 			if _, err := e.submit(*rec.Spec, rec.Priority, rec.Trace, rec.Tenant, rec.SweepTrace, false, nil); err != nil {
 				e.log.Warn("engine: journal job replay failed", "trace", rec.Trace, "key", rec.Key, "error", err)
+				if !errors.Is(err, errJournal) {
+					e.journal.jobDone(rec.Key, StateFailed)
+				}
 				continue
 			}
 			e.journal.metrics.replayed.With("job").Inc()

@@ -607,3 +607,43 @@ func TestJournalReplaySettlesMovedAddress(t *testing.T) {
 		t.Fatalf("boot 2 journal has %d lines after compaction, want 0", got)
 	}
 }
+
+// TestJournalReplaySettlesInvalidSpec boots three times over a journal
+// holding a job and a sweep whose Specs no longer validate (an unknown
+// method). The first boot cannot replay them and settles both failed,
+// so no record is live after it and later boots neither retry nor warn
+// again: one warning each over three boots.
+func TestJournalReplaySettlesInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := openJournal(dir, newJournalMetrics(telemetry.NewRegistry()), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.jobSubmitted("bad-key", "tr-bad", "", 0, "", tinySpec("NoSuchMethod")); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.sweepSubmitted("bad-sweep", "", 0, tinySweep([]string{"NoSuchMethod"}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+
+	var logs strings.Builder
+	logger := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	for boot := 1; boot <= 3; boot++ {
+		e, err := New(Options{Workers: 1, CacheDir: dir, Metrics: telemetry.NewRegistry(), Logger: logger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := e.journal.liveCount()
+		jobs := len(e.Jobs())
+		e.Close()
+		if live != 0 || jobs != 0 {
+			t.Fatalf("boot %d: %d live journal records and %d jobs, want 0 and 0", boot, live, jobs)
+		}
+	}
+	for _, msg := range []string{"journal job replay failed", "journal sweep replay failed"} {
+		if n := strings.Count(logs.String(), msg); n != 1 {
+			t.Fatalf("%q logged %d times over three boots, want 1:\n%s", msg, n, logs.String())
+		}
+	}
+}

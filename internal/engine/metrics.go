@@ -32,8 +32,9 @@ type engineMetrics struct {
 	queueWait     *telemetry.HistogramVec // method
 	runSeconds    *telemetry.HistogramVec // method
 
-	scenarioBuild  *telemetry.Histogram
-	scenarioLookup *telemetry.CounterVec // result: hit|miss
+	scenarioBuild     *telemetry.Histogram
+	scenarioLookup    *telemetry.CounterVec // result: hit|miss
+	scenariosResident *telemetry.Gauge
 }
 
 func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
@@ -65,6 +66,8 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 			"Wall-clock of building one scenario (data generation, encoding, partitioning) on a scenario-cache miss.", nil),
 		scenarioLookup: reg.CounterVec("engine_scenario_cache_total",
 			"Scenario-cache lookups by result: hit (built or being built by another job) or miss (this lookup builds it).", "result"),
+		scenariosResident: reg.Gauge("engine_scenarios_resident",
+			"Scenarios the scenario cache holds, built or being built."),
 	}
 }
 

@@ -124,21 +124,35 @@ type scenarioEntry struct {
 
 // scenarioCache memoizes built scenarios by scenario content-address so
 // a sweep of many methods over the same data encodes it once, with
-// singleflight semantics for concurrent jobs and LRU eviction beyond
-// scenarioCacheCap. Evicted scenarios stay valid for jobs still holding
-// them; they are simply rebuilt on the next request.
+// singleflight semantics for concurrent jobs. A built scenario stays
+// resident only while queued work needs it: on a miss the cache evicts
+// the least-recently-used built scenarios that no queued or running job
+// of the engine wants, until at most one per pool slot remains. Past
+// maxResidentScenarios it evicts wanted ones too, so a queue of many
+// distinct scenarios cannot keep them all. Evicted scenarios stay valid
+// for jobs still holding them; they are simply rebuilt on the next
+// request.
 type scenarioCache struct {
 	metrics *engineMetrics
-	mu      sync.Mutex
-	seq     int64
-	m       map[string]*scenarioEntry
+	// slots is the engine's pool size, at least 1: how many scenarios
+	// the cache keeps once no job wants the others.
+	slots int
+	// wanted returns the scenario keys of the engine's queued and
+	// running jobs (Scheduler.scenariosWanted).
+	wanted func() map[string]bool
+
+	mu  sync.Mutex
+	seq int64
+	m   map[string]*scenarioEntry
 }
 
-// scenarioCacheCap bounds the resident built scenarios.
-const scenarioCacheCap = 4
+// maxResidentScenarios bounds the built scenarios the cache holds
+// whatever the queue wants (about 10 MB each at Table-I size); entries
+// still building may exceed it.
+const maxResidentScenarios = 4
 
-func newScenarioCache(m *engineMetrics) *scenarioCache {
-	return &scenarioCache{metrics: m, m: map[string]*scenarioEntry{}}
+func newScenarioCache(m *engineMetrics, slots int, wanted func() map[string]bool) *scenarioCache {
+	return &scenarioCache{metrics: m, slots: slots, wanted: wanted, m: map[string]*scenarioEntry{}}
 }
 
 // get returns the Scenario for a Spec, building it at most once per
@@ -149,19 +163,12 @@ func (c *scenarioCache) get(spec Spec, parallelism int) (sc *Scenario, hit bool,
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: scenario key: %w", err)
 	}
-	c.mu.Lock()
-	c.seq++
-	if e, ok := c.m[key]; ok {
-		e.last = c.seq
-		c.mu.Unlock()
+	e, build := c.lookup(key)
+	if !build {
 		c.metrics.scenarioLookup.With("hit").Inc()
 		<-e.ready
 		return e.sc, true, e.err
 	}
-	e := &scenarioEntry{ready: make(chan struct{}), last: c.seq}
-	c.m[key] = e
-	c.evictLocked(e)
-	c.mu.Unlock()
 	c.metrics.scenarioLookup.With("miss").Inc()
 
 	start := time.Now()
@@ -173,20 +180,50 @@ func (c *scenarioCache) get(spec Spec, parallelism int) (sc *Scenario, hit bool,
 		if c.m[key] == e {
 			delete(c.m, key)
 		}
+		c.metrics.scenariosResident.Set(int64(len(c.m)))
 		c.mu.Unlock()
 	}
 	return e.sc, false, e.err
 }
 
-// evictLocked drops least-recently-used completed entries until the
-// cache fits; the entry being inserted and entries still building are
-// kept. c.mu must be held.
-func (c *scenarioCache) evictLocked(keep *scenarioEntry) {
-	for len(c.m) > scenarioCacheCap {
+// lookup returns key's entry and marks it used. On a miss it inserts a
+// new entry, evicts for it and reports build: the caller must build
+// the scenario and close the entry's ready channel. Eviction runs
+// before the build, so the old data is freed before the new allocates.
+func (c *scenarioCache) lookup(key string) (e *scenarioEntry, build bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	if e, ok := c.m[key]; ok {
+		e.last = c.seq
+		return e, false
+	}
+	// The wanted set takes the scheduler's lock, so it is read with the
+	// cache's released; another job may insert key meanwhile.
+	c.mu.Unlock()
+	wanted := c.wanted()
+	c.mu.Lock()
+	if e, ok := c.m[key]; ok {
+		e.last = c.seq
+		return e, false
+	}
+	e = &scenarioEntry{ready: make(chan struct{}), last: c.seq}
+	c.m[key] = e
+	c.shrinkLocked(c.slots, wanted)
+	c.shrinkLocked(maxResidentScenarios, nil)
+	c.metrics.scenariosResident.Set(int64(len(c.m)))
+	return e, true
+}
+
+// shrinkLocked drops least-recently-used built entries whose key is not
+// in spare until at most n remain or none is left to drop; entries
+// still building are kept. c.mu must be held.
+func (c *scenarioCache) shrinkLocked(n int, spare map[string]bool) {
+	for len(c.m) > n {
 		var victimKey string
 		var victim *scenarioEntry
 		for k, e := range c.m {
-			if e == keep {
+			if spare[k] {
 				continue
 			}
 			select {

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
@@ -58,5 +61,166 @@ func TestScenarioCacheInstruments(t *testing.T) {
 	}
 	if hit, n := m.scenarioLookup.With("hit").Value(), m.scenarioBuild.Count(); hit != 2 || n != 1 {
 		t.Fatalf("after a resident lookup: %d hits, %d builds; want 2 and 1", hit, n)
+	}
+}
+
+// residencySweep is a 1-round sweep of methods over the scenario of
+// seed: every cell shares that one scenario, and sweeps on different
+// seeds share none.
+func residencySweep(seed uint64, methods ...string) Sweep {
+	base := tinySpec("")
+	base.Rounds = 1
+	return Sweep{Base: base, Methods: methods, Seeds: []SeedSpec{{Seed: seed}}}
+}
+
+// waitSweep waits for every cell of a sweep.
+func waitSweep(t *testing.T, b *Batch) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if _, err := b.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScenarioResidentOnePerSlot: a single-slot engine runs six sweeps
+// one after another, each on a scenario of its own. Each sweep builds
+// its scenario once, and once it is done no queued work needs it, so
+// the next sweep's build evicts it: at most one scenario is resident
+// after every sweep, where a fixed cap would keep the dead ones.
+func TestScenarioResidentOnePerSlot(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	m := e.metrics
+	for seed := uint64(1); seed <= 6; seed++ {
+		b, err := e.SubmitSweep(residencySweep(seed, "FedAvg", "FedSR"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSweep(t, b)
+		if n := m.scenariosResident.Value(); n > 1 {
+			t.Fatalf("after sweep %d: %d scenarios resident, want at most 1", seed, n)
+		}
+	}
+	if n := m.scenarioBuild.Count(); n != 6 {
+		t.Fatalf("6 sweeps on 6 scenarios built %d, want 6", n)
+	}
+}
+
+// TestInterleavedTenantsKeepBothScenarios: two tenants queue a 3-cell
+// sweep each, on two scenarios, behind a single worker. The tenant ring
+// alternates them, so every cell switches scenario; a cache of one
+// scenario would rebuild on each of the six. Both scenarios stay
+// resident while queued cells need them, so each is built once.
+func TestInterleavedTenantsKeepBothScenarios(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	gate, started := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var order []uint64 // the seed, and so the scenario, of each run
+	e.sched.run = func(ctx context.Context, j *Job) (*Result, error) {
+		if j.Spec.Tag == "gate" {
+			close(started)
+			select {
+			case <-gate:
+				return &Result{}, nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		mu.Lock()
+		order = append(order, j.Spec.Seed)
+		mu.Unlock()
+		return e.run(ctx, j)
+	}
+	// The gate holds the worker until both sweeps are queued.
+	if _, err := e.SubmitAs(stubSpec("gate"), 0, "", "alice"); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	var sweeps []*Batch
+	for i, tenant := range []string{"alice", "bob"} {
+		b, err := e.SubmitSweepAs(residencySweep(uint64(i+1), "FedAvg", "FedSR", "FPL"), 0, "", tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps = append(sweeps, b)
+	}
+	close(gate)
+	for _, b := range sweeps {
+		waitSweep(t, b)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 1; i < len(order); i++ {
+		if order[i] == order[i-1] {
+			t.Fatalf("run order by seed %v: the tenant ring did not alternate the scenarios", order)
+		}
+	}
+	if n := e.metrics.scenarioBuild.Count(); n != 2 {
+		t.Fatalf("two interleaved 3-cell sweeps on 2 scenarios built %d, want 2", n)
+	}
+}
+
+// TestTableGridBuildsEachScenarioOnce: a Table-I-shaped grid, every
+// method over three seeds, builds each of its three scenarios exactly
+// once at one and at two pool slots, and leaves no more scenarios
+// resident than slots.
+func TestTableGridBuildsEachScenarioOnce(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			e := newTestEngine(t, Options{Workers: workers})
+			sw := residencySweep(1, append([]string{"FedAvg"}, MethodNames()...)...)
+			sw.Seeds = []SeedSpec{{Seed: 1}, {Seed: 2}, {Seed: 3}}
+			b, err := e.SubmitSweep(sw, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitSweep(t, b)
+			if n := e.metrics.scenarioBuild.Count(); n != 3 {
+				t.Fatalf("grid over 3 scenarios built %d, want 3", n)
+			}
+			if n := e.metrics.scenariosResident.Value(); n > int64(workers) {
+				t.Fatalf("%d scenarios resident after the grid, want at most %d", n, workers)
+			}
+		})
+	}
+}
+
+// TestScenarioResidentCeiling: a single-slot engine runs one sweep of
+// two precisions over six seeds. Precision is not part of the scenario
+// key and seeds nest inside precisions, so every one of the six
+// scenarios stays wanted until the f32 cells run; the cache still
+// holds at most maxResidentScenarios of them at any time.
+func TestScenarioResidentCeiling(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	c := e.scenarios
+	var peak int
+	wanted := c.wanted
+	c.wanted = func() map[string]bool {
+		// Entries are added only under the lock that evicts, so the
+		// count before each insert and at the end covers every state.
+		c.mu.Lock()
+		peak = max(peak, len(c.m))
+		c.mu.Unlock()
+		return wanted()
+	}
+	sw := residencySweep(1, "FedAvg")
+	sw.Precisions = []string{"f64", "f32"}
+	sw.Seeds = nil
+	for seed := uint64(1); seed <= 6; seed++ {
+		sw.Seeds = append(sw.Seeds, SeedSpec{Seed: seed})
+	}
+	b, err := e.SubmitSweep(sw, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, b)
+	c.mu.Lock()
+	peak = max(peak, len(c.m))
+	c.mu.Unlock()
+	if peak > maxResidentScenarios {
+		t.Fatalf("%d scenarios resident at peak, want at most %d", peak, maxResidentScenarios)
+	}
+	if n := e.metrics.scenarioBuild.Count(); n < 6 {
+		t.Fatalf("a sweep over 6 scenarios built %d, want at least 6", n)
 	}
 }

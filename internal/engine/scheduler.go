@@ -85,8 +85,8 @@ type Job struct {
 	seq     int64 // N of the "job-N" ID: creation order
 	heapIdx int
 	// scenario is the Spec's scenario key, computed under the
-	// scheduler's lock the first time a remote claim considers the job
-	// (see scenarioLocked); "" until then.
+	// scheduler's lock the first time a remote claim or a scenario
+	// eviction considers the job (see scenarioLocked); "" until then.
 	scenario string
 
 	// rootSpan is the span ID of the job's root "job" span, minted at
@@ -931,14 +931,27 @@ func (s *Scheduler) claimRemote(ctx context.Context, worker string, onCancel fun
 }
 
 // scenarioLocked returns a job's scenario key, computing it once and
-// caching it on the job; s.mu must be held. Only remote claims ask, so
-// local submits and cache hits never hash a scenario. A Spec whose key
-// cannot be computed gets "", which no rule treats as warm.
+// caching it on the job; s.mu must be held. Only remote claims and
+// scenario-cache evictions ask, so submits and cache hits never hash a
+// scenario. A Spec whose key cannot be computed gets "", which no rule
+// treats as warm and no cache entry is keyed by.
 func (s *Scheduler) scenarioLocked(j *Job) string {
 	if j.scenario == "" {
 		j.scenario, _ = j.Spec.scenarioKey()
 	}
 	return j.scenario
+}
+
+// scenariosWanted returns the scenario keys of every queued or running
+// job: the scenarios the engine's scenario cache must not evict.
+func (s *Scheduler) scenariosWanted() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	wanted := make(map[string]bool, len(s.inflight))
+	for _, j := range s.inflight {
+		wanted[s.scenarioLocked(j)] = true
+	}
+	return wanted
 }
 
 // popRemoteLocked removes the job claimRemote leases to worker, or
