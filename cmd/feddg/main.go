@@ -10,9 +10,9 @@
 //	feddg -version
 //	feddg serve  [-addr :8080] [-metrics-addr ADDR] [-log-level LEVEL]
 //	       [-cache DIR] [-cache-max-bytes N] [-workers N] [-api-keys FILE]
-//	       [-lease-ttl 15s] [-dispatch-only]
+//	       [-lease-ttl 15s] [-dispatch-only] [-parallelism N]
 //	feddg serve -worker -join URL [-worker-name NAME] [-slots N]
-//	       [-api-key KEY] [-cache DIR] [-metrics-addr ADDR]
+//	       [-api-key KEY] [-metrics-addr ADDR] [-log-level LEVEL]
 //	feddg submit -spec FILE|- [-server URL] [-api-key KEY] [-wait] [-priority N]
 //	feddg sweep  -sweep FILE|- [-server URL] [-api-key KEY] [-wait] [-watch] [-priority N]
 //	feddg watch  ID [-server URL] [-api-key KEY]
@@ -28,15 +28,17 @@
 // `feddg serve` exposes the v2 experiment API (jobs, sweeps, SSE event
 // streams, model checkpoints) over HTTP/JSON and shuts down gracefully
 // on SIGINT/SIGTERM. The same server is a fleet coordinator: `feddg
-// serve -worker -join URL` nodes register with it, pull job leases
-// (sharded by content-address), execute them on their local engine,
-// and upload results + checkpoints; the coordinator requeues the
-// leases of crashed workers after -lease-ttl without a heartbeat, and
+// serve -worker -join URL` nodes register with it, pull job leases,
+// execute them on a memory-only local engine whose pool is -slots, and
+// upload results + checkpoints; the coordinator requeues the leases of
+// crashed workers after -lease-ttl without a heartbeat, and
 // -dispatch-only turns off local execution so the coordinator only
-// schedules. With -metrics-addr it additionally serves the
-// operational endpoints (Prometheus /metrics, /debug/pprof/*,
-// /v1/healthz) on a second listener that operators can keep off the
-// public network. With -api-keys the API requires Authorization: Bearer
+// schedules. A worker keeps no cache and no journal: the coordinator
+// holds every result it uploads. Each serve flag belongs to one mode,
+// and the other mode refuses it by name. With -metrics-addr it
+// additionally serves the operational endpoints (Prometheus /metrics,
+// /debug/pprof/*, /v1/healthz) on a second listener that operators can
+// keep off the public network. With -api-keys the API requires Authorization: Bearer
 // keys from the named-tenant JSON file and applies per-tenant rate
 // limits and queue quotas; with a cache directory the engine journals
 // every submission and replays unfinished work on restart. `feddg
@@ -55,6 +57,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,7 +81,8 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	// -h prints the usage and succeeds, as it did under flag.ExitOnError.
+	if err := run(); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "feddg:", err)
 		os.Exit(1)
 	}
@@ -104,21 +108,32 @@ func run() error {
 			return topCmd(os.Args[2:])
 		}
 	}
+	return expCmd(os.Args[1:])
+}
+
+// expCmd regenerates the experiments -exp names on a local engine.
+func expCmd(args []string) error {
+	fs := flag.NewFlagSet("feddg", flag.ContinueOnError)
 	var (
-		expFlag       = flag.String("exp", "", "experiment id (table1..table5, fig1, fig3..fig8, all)")
-		scaleFlag     = flag.String("scale", "small", "experiment scale: small|paper")
-		seedFlag      = flag.Uint64("seed", 1, "root random seed")
-		seedsFlag     = flag.Int("seeds", 1, "number of seeds to average")
-		outFlag       = flag.String("out", "out", "output directory for figure artifacts")
-		cacheFlag     = flag.String("cache", "", "result-cache directory (empty = in-memory only)")
-		cacheMaxFlag  = flag.Int64("cache-max-bytes", 0, "disk-cache size cap in bytes, LRU-by-mtime eviction (0 = unbounded)")
-		workersFlag   = flag.Int("workers", 0, "engine worker-pool size (0 = NumCPU/2)")
-		saveModelFlag = flag.String("save-model", "", "directory receiving each run's trained-model checkpoint (cached runs included)")
+		expFlag       = fs.String("exp", "", "experiment id (table1..table5, fig1, fig3..fig8, all)")
+		scaleFlag     = fs.String("scale", "small", "experiment scale: small|paper")
+		seedFlag      = fs.Uint64("seed", 1, "root random seed")
+		seedsFlag     = fs.Int("seeds", 1, "number of seeds to average")
+		outFlag       = fs.String("out", "out", "output directory for figure artifacts")
+		cacheFlag     = fs.String("cache", "", "result-cache directory (empty = in-memory only)")
+		cacheMaxFlag  = fs.Int64("cache-max-bytes", 0, "disk-cache size cap in bytes, LRU-by-mtime eviction (0 = unbounded)")
+		workersFlag   = fs.Int("workers", 0, "engine worker-pool size (0 = NumCPU/2)")
+		saveModelFlag = fs.String("save-model", "", "directory receiving each run's trained-model checkpoint (cached runs included)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *expFlag == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("missing -exp")
+	}
+	if *workersFlag < 0 {
+		return fmt.Errorf("-workers %d: the pool size cannot be negative", *workersFlag)
 	}
 	scale, err := eval.ParseScale(*scaleFlag)
 	if err != nil {
@@ -195,11 +210,21 @@ func saveModels(eng *engine.Engine, dir string) (written, missing int, err error
 	return written, missing, nil
 }
 
-// serve runs the experiment engine behind the HTTP/JSON job API until
-// the process receives SIGINT or SIGTERM, then drains gracefully:
-// in-flight requests (including SSE streams, whose contexts derive from
-// the signal context) get shutdownGrace to finish before the listener
-// is forced closed, and the engine cancels any still-running jobs.
+// coordinatorFlags and workerFlags name the serve flags only one mode
+// reads; the other mode refuses each by name rather than ignore it.
+var (
+	coordinatorFlags = []string{"addr", "api-keys", "lease-ttl", "dispatch-only",
+		"cache", "cache-max-bytes", "workers", "parallelism"}
+	workerFlags = []string{"join", "worker-name", "slots", "api-key"}
+)
+
+// serve runs the experiment engine behind the HTTP/JSON job API, or
+// with -worker a fleet worker node, until the process receives SIGINT
+// or SIGTERM; every flag is checked before anything is created. A
+// coordinator then drains gracefully: in-flight requests (including SSE
+// streams, whose contexts derive from the signal context) get
+// shutdownGrace to finish before the listener is forced closed, and the
+// engine cancels any still-running jobs.
 func serve(args []string) error {
 	fs := flag.NewFlagSet("feddg serve", flag.ContinueOnError)
 	var (
@@ -216,33 +241,33 @@ func serve(args []string) error {
 		workerFlag   = fs.Bool("worker", false, "run as a fleet worker node instead of a coordinator (requires -join)")
 		joinFlag     = fs.String("join", "", "coordinator base URL to join as a worker")
 		nameFlag     = fs.String("worker-name", "", "stable worker node name for shard assignment and metrics (default: hostname)")
-		slotsFlag    = fs.Int("slots", 1, "worker mode: concurrent leases to execute")
+		slotsFlag    = fs.Int("slots", 1, "worker mode: concurrent leases to execute, the worker engine's pool size")
 		apiKeyFlag   = fs.String("api-key", os.Getenv("FEDDG_API_KEY"), "worker mode: API key sent to the coordinator (default $FEDDG_API_KEY)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	unread, mode := workerFlags, "without -worker"
 	if *workerFlag {
-		// A worker node defaults to its own cache directory so a
-		// coordinator and a worker sharing a working directory don't
-		// share (and corrupt) one journal.
-		cacheSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "cache" {
-				cacheSet = true
-			}
-		})
-		if !cacheSet {
-			*cacheFlag = "feddg-worker-cache"
-		}
-		return serveWorker(workerConfig{
-			join: *joinFlag, name: *nameFlag, slots: *slotsFlag, apiKey: *apiKeyFlag,
-			cacheDir: *cacheFlag, cacheMax: *cacheMaxFlag, workers: *workersFlag,
-			parallelism: *parFlag,
-			metricsAddr: *metricsFlag, logLevel: *logLevelFlag,
-		})
+		unread, mode = coordinatorFlags, "by a -worker node"
 	}
-	if *cacheMaxFlag > 0 && *cacheFlag == "" {
+	for _, name := range unread {
+		if set[name] {
+			return fmt.Errorf("-%s is not read %s", name, mode)
+		}
+	}
+	switch {
+	case *workerFlag && *joinFlag == "":
+		return fmt.Errorf("-worker needs -join URL (the coordinator's API address)")
+	case *workerFlag && *slotsFlag < 1:
+		return fmt.Errorf("-slots %d: a worker runs at least one lease at a time", *slotsFlag)
+	case *workersFlag < 0:
+		return fmt.Errorf("-workers %d: the pool size cannot be negative (-dispatch-only runs no local pool)", *workersFlag)
+	case *dispatchFlag && set["workers"]:
+		return fmt.Errorf("-dispatch-only runs no local pool, so -workers has nothing to size")
+	case *cacheMaxFlag > 0 && *cacheFlag == "":
 		return fmt.Errorf("-cache-max-bytes caps the disk cache and needs -cache DIR")
 	}
 	var tenants *engine.Tenants
@@ -259,6 +284,13 @@ func serve(args []string) error {
 	// The engine logs through slog.Default(); a text handler at the
 	// chosen threshold makes every line grep-able by trace ID.
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if *workerFlag {
+		return serveWorker(ctx, workerConfig{join: *joinFlag, name: *nameFlag, apiKey: *apiKeyFlag,
+			slots: *slotsFlag, metricsAddr: *metricsFlag})
+	}
+
 	engWorkers := *workersFlag
 	if *dispatchFlag {
 		engWorkers = -1 // no local pool: only joined fleet workers execute
@@ -274,8 +306,6 @@ func serve(args []string) error {
 	}
 
 	const shutdownGrace = 10 * time.Second
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var serverOpts []engine.ServerOption
 	if tenants != nil {
 		serverOpts = append(serverOpts, engine.WithTenants(tenants))
@@ -300,22 +330,9 @@ func serve(args []string) error {
 	if tenants != nil {
 		log.Printf("feddg serve: API-key auth on, tenants: %s", strings.Join(tenants.Names(), ", "))
 	}
-
-	// The ops listener is separate so metrics and profiles can stay on a
-	// loopback or cluster-internal address while the API faces clients.
-	var ops *http.Server
-	if *metricsFlag != "" {
-		ops = &http.Server{
-			Addr:        *metricsFlag,
-			Handler:     engine.NewOpsMux(eng),
-			BaseContext: func(net.Listener) context.Context { return ctx },
-		}
-		go func() {
-			if err := ops.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("feddg serve: ops listener: %v", err)
-			}
-		}()
-		log.Printf("feddg serve: ops endpoints (metrics, pprof, healthz) on %s", *metricsFlag)
+	if ops := serveOps(ctx, *metricsFlag, eng, "feddg serve"); ops != nil {
+		// A scrape that outlives the API drain is not worth waiting on.
+		defer ops.Close()
 	}
 
 	select {
@@ -331,36 +348,49 @@ func serve(args []string) error {
 		log.Printf("feddg serve: graceful shutdown incomplete: %v", err)
 		_ = srv.Close()
 	}
-	if ops != nil {
-		// A scrape that outlives the API drain is not worth waiting on.
-		_ = ops.Close()
-	}
-	// The deferred eng.Close() cancels pending and running jobs and
-	// drains the worker pool before the process exits. The deferred
-	// coord.Close() runs first, stopping the lease reaper.
+	// The deferred ops.Close(), coord.Close() and eng.Close() run in
+	// that order: the reaper stops, then the engine cancels pending and
+	// running jobs and drains the worker pool before the process exits.
 	return nil
+}
+
+// serveOps starts the ops listener (metrics, pprof, healthz) on addr,
+// apart from the API so it can stay on a loopback or cluster-internal
+// address; with addr "" it starts none and returns nil.
+func serveOps(ctx context.Context, addr string, eng *engine.Engine, who string) *http.Server {
+	if addr == "" {
+		return nil
+	}
+	ops := &http.Server{
+		Addr:        addr,
+		Handler:     engine.NewOpsMux(eng),
+		BaseContext: func(net.Listener) context.Context { return ctx },
+	}
+	go func() {
+		if err := ops.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			log.Printf("%s: ops listener: %v", who, err)
+		}
+	}()
+	log.Printf("%s: ops endpoints (metrics, pprof, healthz) on %s", who, addr)
+	return ops
 }
 
 // workerConfig carries the `feddg serve -worker` flag values.
 type workerConfig struct {
-	join, name, apiKey          string
-	slots, workers, parallelism int
-	cacheDir, logLevel          string
-	cacheMax                    int64
-	metricsAddr                 string
+	join, name, apiKey string
+	slots              int
+	metricsAddr        string
 }
 
-// serveWorker runs one fleet worker node: a local engine plus a pull
-// loop against the coordinator at -join, until SIGINT/SIGTERM. On a
-// graceful stop in-flight leases are abandoned back to the coordinator
-// so their jobs requeue immediately instead of waiting out the TTL.
-func serveWorker(cfg workerConfig) error {
-	if cfg.join == "" {
-		return fmt.Errorf("-worker needs -join URL (the coordinator's API address)")
-	}
-	if cfg.cacheMax > 0 && cfg.cacheDir == "" {
-		return fmt.Errorf("-cache-max-bytes caps the disk cache and needs -cache DIR")
-	}
+// serveWorker runs one fleet worker node until ctx ends: a pull loop
+// against the coordinator at -join over a memory-only engine whose pool
+// is -slots, so each lease trains with ceil(NumCPU/slots) goroutines.
+// The node keeps no cache dir and no journal, since the coordinator
+// holds every result it uploads; a killed node has nothing to replay.
+// On a graceful stop in-flight leases are abandoned back to the
+// coordinator so their jobs requeue immediately instead of waiting out
+// the TTL.
+func serveWorker(ctx context.Context, cfg workerConfig) error {
 	name := cfg.name
 	if name == "" {
 		host, err := os.Hostname()
@@ -369,13 +399,7 @@ func serveWorker(cfg workerConfig) error {
 		}
 		name = host
 	}
-	var level slog.Level
-	if err := level.UnmarshalText([]byte(cfg.logLevel)); err != nil {
-		return fmt.Errorf("-log-level %q: %w", cfg.logLevel, err)
-	}
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
-	eng, err := engine.New(engine.Options{Workers: cfg.workers, CacheDir: cfg.cacheDir,
-		CacheMaxBytes: cfg.cacheMax, Parallelism: cfg.parallelism})
+	eng, err := engine.New(engine.Options{Workers: cfg.slots})
 	if err != nil {
 		return err
 	}
@@ -393,31 +417,11 @@ func serveWorker(cfg workerConfig) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Same split as the coordinator: ops endpoints (worker-side metrics,
-	// pprof) on their own listener.
-	var ops *http.Server
-	if cfg.metricsAddr != "" {
-		ops = &http.Server{
-			Addr:        cfg.metricsAddr,
-			Handler:     engine.NewOpsMux(eng),
-			BaseContext: func(net.Listener) context.Context { return ctx },
-		}
-		go func() {
-			if err := ops.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("feddg worker: ops listener: %v", err)
-			}
-		}()
-		log.Printf("feddg worker: ops endpoints (metrics, pprof, healthz) on %s", cfg.metricsAddr)
+	if ops := serveOps(ctx, cfg.metricsAddr, eng, "feddg worker"); ops != nil {
+		defer ops.Close()
 	}
-	log.Printf("feddg worker: %s node %q joining %s (%d slot(s))", telemetry.Build(), name, cfg.join, max(cfg.slots, 1))
-	err = w.Run(ctx)
-	if ops != nil {
-		_ = ops.Close()
-	}
-	if err != nil && ctx.Err() == nil {
+	log.Printf("feddg worker: %s node %q joining %s (%d slot(s))", telemetry.Build(), name, cfg.join, cfg.slots)
+	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		return err
 	}
 	log.Printf("feddg worker: node %q stopped", name)

@@ -59,7 +59,7 @@ func printWaterfall(view client.TraceView) {
 		if t0.IsZero() || sp.Start.Before(t0) {
 			t0 = sp.Start
 		}
-		if end := spanEnd(sp); end.After(t1) {
+		if end := sp.End(); end.After(t1) {
 			t1 = end
 		}
 	}
@@ -108,10 +108,6 @@ func printWaterfall(view client.TraceView) {
 		}
 	}
 	walk("", 0)
-}
-
-func spanEnd(sp client.Span) time.Time {
-	return sp.Start.Add(time.Duration(sp.DurationSec * float64(time.Second)))
 }
 
 // topCmd polls GET /v1/top and renders a live fleet dashboard: workers

@@ -18,12 +18,14 @@
 // leased cell from a local one.
 //
 // Workers (`feddg serve -worker -join URL`) run the same engine
-// in-process: a leased cell whose content-address their own Store
-// already holds answers from it, and only a miss trains the cell.
-// Results and model checkpoints upload back under the lease's
-// content-address, so every node's cache stays write-once-read-many; a
-// completion whose Result carries another address fails the job and
-// stores nothing.
+// in-process, memory-only and sized by their slots: a leased cell whose
+// content-address their own Store already holds answers from it, and
+// only a miss trains the cell. A worker keeps no journal and no cache
+// dir; heartbeats and the completion read a lease's round from its
+// local job. Results and model checkpoints upload back under the
+// lease's content-address, so the coordinator's cache stays
+// write-once-read-many; a completion whose Result carries another
+// address fails the job and stores nothing.
 package dist
 
 import (

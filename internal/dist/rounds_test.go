@@ -110,3 +110,28 @@ func TestRemoteRoundsCountedOnce(t *testing.T) {
 		t.Fatalf("after completion: %d rounds counted, want %d", got, spec.Rounds)
 	}
 }
+
+// TestHeartbeatRelaysLocalRounds: while a leased cell trains, each
+// heartbeat carries the round the worker's local job has reached, so
+// the coordinator's job advances before the completion arrives.
+func TestHeartbeatRelaysLocalRounds(t *testing.T) {
+	cl := newCluster(t, 300*time.Millisecond)
+	cl.addWorker("alpha", nil)
+	spec := tinySpec("FedAvg", 11)
+	spec.Rounds = 5000 // seconds of training: heartbeats land mid-run
+	j, err := cl.eng.Submit(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "a heartbeat to relay a round", func() bool {
+		if j.State().Terminal() {
+			t.Fatalf("job ended %s before any heartbeat relayed a round", j.State())
+		}
+		round, rounds := j.Progress()
+		return round > 0 && rounds == spec.Rounds
+	})
+	if err := cl.eng.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "cancel to settle", func() bool { return j.State() == engine.StateCancelled })
+}

@@ -35,11 +35,10 @@ type WorkerOptions struct {
 // activeLease is one lease this worker is executing.
 type activeLease struct {
 	lease engine.LeaseView
-	// localID is the job ID on the worker's local engine (not the
-	// coordinator's), once training started.
-	localID string
-	round   int
-	rounds  int
+	// job is the lease's run on the worker's local engine, once
+	// training started; its Progress is the round that heartbeats and
+	// the completion report.
+	job *engine.Job
 	// coordCancelled: the coordinator relayed a user cancel; the local
 	// job is being aborted and the completion reports Cancelled.
 	coordCancelled bool
@@ -213,7 +212,7 @@ loop:
 			w.m.pulls.With("error").Inc()
 			if isUnknownWorker(err) {
 				w.log.Warn("dist: coordinator dropped registration, re-registering")
-				w.abandonAllLocal()
+				w.abortAllLocal(true)
 				if rerr := w.register(ctx); rerr != nil {
 					w.log.Warn("dist: re-registration failed", "error", rerr)
 				}
@@ -229,15 +228,16 @@ loop:
 			w.m.pulls.With("idle").Inc()
 		default:
 			w.m.pulls.With("lease").Inc()
+			al := &activeLease{lease: *lease, shipped: map[string]bool{}}
 			w.mu.Lock()
-			w.active[lease.JobID] = &activeLease{lease: *lease, shipped: map[string]bool{}}
+			w.active[lease.JobID] = al
 			w.mu.Unlock()
 			execWG.Add(1)
-			go func(lv engine.LeaseView) {
+			go func() {
 				defer execWG.Done()
 				defer func() { <-sem }()
-				w.execute(ctx, lv)
-			}(*lease)
+				w.execute(ctx, al)
+			}()
 		}
 	}
 
@@ -247,7 +247,7 @@ loop:
 	select {
 	case <-w.killed:
 	default:
-		w.cancelAllLocal()
+		w.abortAllLocal(false)
 	}
 	execWG.Wait()
 	stopHB()
@@ -265,36 +265,22 @@ func isUnknownWorker(err error) bool {
 	return errors.As(err, &ae) && ae.Code == engine.ErrCodeUnknownWorker
 }
 
-// cancelAllLocal aborts every active lease's local job (graceful stop).
-func (w *Worker) cancelAllLocal() {
+// abortAllLocal cancels every active lease's local job: on a graceful
+// stop, where each executor hands its lease back, or with forgotten set
+// once the coordinator has dropped this worker's registration, where
+// each executor sees the unknown flag and completes nothing.
+func (w *Worker) abortAllLocal(forgotten bool) {
 	w.mu.Lock()
-	ids := make([]string, 0, len(w.active))
+	jobs := make([]*engine.Job, 0, len(w.active))
 	for _, al := range w.active {
-		if al.localID != "" {
-			ids = append(ids, al.localID)
+		al.unknown = al.unknown || forgotten
+		if al.job != nil {
+			jobs = append(jobs, al.job)
 		}
 	}
 	w.mu.Unlock()
-	for _, id := range ids {
-		_ = w.eng.Cancel(id)
-	}
-}
-
-// abandonAllLocal drops every active lease without completing (the
-// coordinator already forgot us): local jobs are cancelled and the
-// executors see the unknown flag.
-func (w *Worker) abandonAllLocal() {
-	w.mu.Lock()
-	ids := make([]string, 0, len(w.active))
-	for _, al := range w.active {
-		al.unknown = true
-		if al.localID != "" {
-			ids = append(ids, al.localID)
-		}
-	}
-	w.mu.Unlock()
-	for _, id := range ids {
-		_ = w.eng.Cancel(id)
+	for _, j := range jobs {
+		_ = w.eng.Cancel(j.ID)
 	}
 }
 
@@ -326,7 +312,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		var sent []sentSpans
 		for jobID, al := range w.active {
 			spans, spanIDs := w.pendingSpansLocked(al)
-			progress = append(progress, engine.LeaseProgress{JobID: jobID, Round: al.round, Rounds: al.rounds, Spans: spans})
+			lp := engine.LeaseProgress{JobID: jobID, Spans: spans}
+			if al.job != nil {
+				lp.Round, lp.Rounds = al.job.Progress()
+			}
+			progress = append(progress, lp)
 			if len(spanIDs) > 0 {
 				sent = append(sent, sentSpans{al, spanIDs})
 			}
@@ -337,7 +327,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			if ctx.Err() == nil {
 				w.log.Warn("dist: heartbeat failed", "error", err)
 				if isUnknownWorker(err) {
-					w.abandonAllLocal()
+					w.abortAllLocal(true)
 					if rerr := w.register(ctx); rerr != nil {
 						w.log.Warn("dist: re-registration failed", "error", rerr)
 					}
@@ -411,38 +401,41 @@ func (w *Worker) pendingSpansLocked(al *activeLease) ([]telemetry.Span, []string
 // local runs the user cancelled upstream; unknown abandons leases the
 // coordinator requeued elsewhere.
 func (w *Worker) applyInstructions(resp engine.WorkerHeartbeatResponse) {
-	var cancelLocal []string
+	var cancelLocal []*engine.Job
 	w.mu.Lock()
 	for _, jobID := range resp.Cancel {
 		if al, ok := w.active[jobID]; ok && !al.coordCancelled {
 			al.coordCancelled = true
-			if al.localID != "" {
-				cancelLocal = append(cancelLocal, al.localID)
+			if al.job != nil {
+				cancelLocal = append(cancelLocal, al.job)
 			}
 		}
 	}
 	for _, jobID := range resp.Unknown {
 		if al, ok := w.active[jobID]; ok && !al.unknown {
 			al.unknown = true
-			if al.localID != "" {
-				cancelLocal = append(cancelLocal, al.localID)
+			if al.job != nil {
+				cancelLocal = append(cancelLocal, al.job)
 			}
 			w.log.Warn("dist: lease lost (expired upstream), aborting local run", "job", jobID)
 		}
 	}
 	w.mu.Unlock()
-	for _, id := range cancelLocal {
-		_ = w.eng.Cancel(id)
+	for _, j := range cancelLocal {
+		_ = w.eng.Cancel(j.ID)
 	}
 }
 
 // execute runs one lease end-to-end: verify the content-address, try
 // the local store tier, and only on a miss train the Spec on the local
 // engine; then upload the checkpoint blob and settle the lease.
-func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
+func (w *Worker) execute(ctx context.Context, al *activeLease) {
+	lv := al.lease
 	defer func() {
 		w.mu.Lock()
-		delete(w.active, lv.JobID)
+		if w.active[lv.JobID] == al { // not a newer lease of the same job
+			delete(w.active, lv.JobID)
+		}
 		w.mu.Unlock()
 	}()
 
@@ -455,16 +448,16 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	}
 	if err != nil {
 		w.log.Error("dist: refusing lease", "job", lv.JobID, "error", err)
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
+		w.complete(al, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
 		return
 	}
 
-	// The local tier: this node's disk or memory store.
+	// The local tier: this node's own Store.
 	tierStart := time.Now()
 	if res, ok, _ := w.eng.Store().Get(lv.Key); ok {
 		w.m.tierLookups.With("local").Inc()
 		w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "local"})
-		w.uploadAndComplete(ctx, lv, res)
+		w.uploadAndComplete(ctx, al, res)
 		return
 	}
 	w.m.tierLookups.With("miss").Inc()
@@ -474,46 +467,22 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 	// the cell from coordinator submit to worker round loop.
 	j, err := w.eng.SubmitAs(lv.Spec, lv.Priority, lv.TraceID, "")
 	if err != nil {
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
+		w.complete(al, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
 		return
 	}
 	w.mu.Lock()
-	if al, ok := w.active[lv.JobID]; ok {
-		al.localID = j.ID
-		// Instructions that raced ahead of the local submit apply now.
-		if al.coordCancelled || al.unknown {
-			w.mu.Unlock()
-			_ = w.eng.Cancel(j.ID)
-		} else {
-			w.mu.Unlock()
-		}
-	} else {
-		w.mu.Unlock()
+	al.job = j
+	// Instructions that raced ahead of the local submit apply now.
+	abort := al.coordCancelled || al.unknown
+	w.mu.Unlock()
+	if abort {
+		_ = w.eng.Cancel(j.ID)
 	}
 
-	// Relay round progress into the heartbeat snapshot.
-	events := j.Subscribe()
-	progressDone := make(chan struct{})
-	go func() {
-		defer close(progressDone)
-		for ev := range events {
-			if ev.Round > 0 {
-				w.mu.Lock()
-				if al, ok := w.active[lv.JobID]; ok {
-					al.round, al.rounds = ev.Round, ev.Rounds
-				}
-				w.mu.Unlock()
-			}
-		}
-	}()
 	res, runErr := j.Wait(context.Background()) // terminal even on cancel; ctx aborts via eng.Cancel
-	<-progressDone
 
 	w.mu.Lock()
-	var coordCancelled, unknown bool
-	if al, ok := w.active[lv.JobID]; ok {
-		coordCancelled, unknown = al.coordCancelled, al.unknown
-	}
+	coordCancelled, unknown := al.coordCancelled, al.unknown
 	w.mu.Unlock()
 
 	switch {
@@ -521,14 +490,14 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 		// The coordinator requeued this job elsewhere; nothing to say.
 		w.m.completions.With("abandoned").Inc()
 	case runErr == nil:
-		w.uploadAndComplete(ctx, lv, res)
+		w.uploadAndComplete(ctx, al, res)
 	case coordCancelled:
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Cancelled: true}, "cancelled")
+		w.complete(al, engine.LeaseCompleteRequest{Cancelled: true}, "cancelled")
 	case errors.Is(runErr, context.Canceled):
 		// Cancelled locally (graceful shutdown): hand the job back.
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Abandoned: true}, "abandoned")
+		w.complete(al, engine.LeaseCompleteRequest{Abandoned: true}, "abandoned")
 	default:
-		w.complete(lv.JobID, engine.LeaseCompleteRequest{Error: runErr.Error()}, "failed")
+		w.complete(al, engine.LeaseCompleteRequest{Error: runErr.Error()}, "failed")
 	}
 }
 
@@ -541,10 +510,10 @@ func (w *Worker) execute(ctx context.Context, lv engine.LeaseView) {
 // with every cell it trains. The local Result stays, and a later
 // re-lease of the key answers from it. A blob whose upload or
 // completion failed stays too, so that re-lease can upload it again.
-func (w *Worker) uploadAndComplete(ctx context.Context, lv engine.LeaseView, res *engine.Result) {
-	uploaded := w.upload(ctx, lv)
-	if w.complete(lv.JobID, engine.LeaseCompleteRequest{Result: res}, "done") && uploaded {
-		w.eng.Store().DropBlob(lv.Key)
+func (w *Worker) uploadAndComplete(ctx context.Context, al *activeLease, res *engine.Result) {
+	uploaded := w.upload(ctx, al.lease)
+	if w.complete(al, engine.LeaseCompleteRequest{Result: res}, "done") && uploaded {
+		w.eng.Store().DropBlob(al.lease.Key)
 	}
 }
 
@@ -569,7 +538,7 @@ func (w *Worker) upload(ctx context.Context, lv engine.LeaseView) bool {
 // coordinator acknowledged it. It runs on a short detached context so a
 // worker shutting down can still deliver its abandon/cancel messages;
 // failures are logged — the lease TTL is the backstop.
-func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome string) bool {
+func (w *Worker) complete(al *activeLease, req engine.LeaseCompleteRequest, outcome string) bool {
 	select {
 	case <-w.killed:
 		return false // a "dead" worker says nothing
@@ -579,11 +548,12 @@ func (w *Worker) complete(jobID string, req engine.LeaseCompleteRequest, outcome
 	// rides the completion, so short jobs still arrive with a full
 	// worker-side timeline.
 	w.mu.Lock()
-	if al, ok := w.active[jobID]; ok {
-		req.Spans, _ = w.pendingSpansLocked(al)
-		req.Round = al.round
+	req.Spans, _ = w.pendingSpansLocked(al)
+	if al.job != nil {
+		req.Round, _ = al.job.Progress()
 	}
 	w.mu.Unlock()
+	jobID := al.lease.JobID
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := w.c.CompleteLease(ctx, w.workerID(), jobID, req); err != nil {

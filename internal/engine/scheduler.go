@@ -154,6 +154,14 @@ func (j *Job) State() State {
 	return j.state
 }
 
+// Progress returns the last round the job finished and its total
+// rounds; both are 0 until its first round ends.
+func (j *Job) Progress() (round, rounds int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.round, j.rounds
+}
+
 // Cached reports whether the job was satisfied from the result store
 // without running.
 func (j *Job) Cached() bool {
