@@ -357,69 +357,59 @@ func BenchmarkClientStyle(b *testing.B) {
 // serial reference (the ≥2× CI acceptance target at GOMAXPROCS≥4 reads
 // the 256³ pair) ---
 
-func benchKernelOperands(seed1, seed2 int64, m, k, n int) (*tensor.Tensor, *tensor.Tensor) {
-	a := tensor.Randn(rand.New(rand.NewSource(seed1)), 1, m, k)
-	bm := tensor.Randn(rand.New(rand.NewSource(seed2)), 1, k, n)
-	return a, bm
+func benchKernelOperands(seed1, seed2 int64, m, k, n int) (a, bm, out []float64) {
+	a = tensor.Randn(rand.New(rand.NewSource(seed1)), 1, m*k).Data()
+	bm = tensor.Randn(rand.New(rand.NewSource(seed2)), 1, k*n).Data()
+	return a, bm, make([]float64, m*n)
 }
 
 func BenchmarkMatMul256Serial(b *testing.B) {
-	a, bm := benchKernelOperands(10, 11, 256, 256, 256)
+	a, bm, out := benchKernelOperands(10, 11, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMulSerial(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulSerial(out, a, bm, 256, 256, 256)
 	}
 }
 
 func BenchmarkMatMul256Parallel(b *testing.B) {
-	a, bm := benchKernelOperands(10, 11, 256, 256, 256)
+	a, bm, out := benchKernelOperands(10, 11, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMul(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulF64(out, a, bm, 256, 256, 256)
 	}
 }
 
 func BenchmarkMatMulATB256Serial(b *testing.B) {
-	a, bm := benchKernelOperands(12, 13, 256, 256, 256)
+	a, bm, out := benchKernelOperands(12, 13, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMulATBSerial(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulATBSerial(out, a, bm, 256, 256, 256)
 	}
 }
 
+// The float64 aᵀ@b entry adds into out, as Backward adds weight
+// gradients; the serial reference assigns.
 func BenchmarkMatMulATB256Parallel(b *testing.B) {
-	a, bm := benchKernelOperands(12, 13, 256, 256, 256)
+	a, bm, out := benchKernelOperands(12, 13, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMulATB(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulATBAddF64(out, a, bm, 256, 256, 256)
 	}
 }
 
 func BenchmarkMatMulABT256Serial(b *testing.B) {
-	a, bm := benchKernelOperands(14, 15, 256, 256, 256)
+	a, bm, out := benchKernelOperands(14, 15, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMulABTSerial(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulABTSerial(out, a, bm, 256, 256, 256)
 	}
 }
 
 func BenchmarkMatMulABT256Parallel(b *testing.B) {
-	a, bm := benchKernelOperands(14, 15, 256, 256, 256)
+	a, bm, out := benchKernelOperands(14, 15, 256, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tensor.MatMulABT(a, bm); err != nil {
-			b.Fatal(err)
-		}
+		tensor.MatMulABTF64(out, a, bm, 256, 256, 256)
 	}
 }
 
@@ -549,8 +539,7 @@ func BenchmarkMicroKernels(b *testing.B) {
 	}
 	for _, p := range products {
 		for _, size := range []int{64, 256, 1024} {
-			a, bm := benchKernelOperands(30, 31, size, size, size)
-			out := make([]float64, size*size)
+			a, bm, out := benchKernelOperands(30, 31, size, size, size)
 			// 2·m·k·n flops per product; reported so ns/op comparisons
 			// across sizes reduce to a flop rate.
 			flops := int64(2) * int64(size) * int64(size) * int64(size)
@@ -558,14 +547,14 @@ func BenchmarkMicroKernels(b *testing.B) {
 				b.SetBytes(flops)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					p.f64(out, a.Data(), bm.Data(), size)
+					p.f64(out, a, bm, size)
 				}
 			})
 			a32 := make([]float32, size*size)
 			b32 := make([]float32, size*size)
 			o32 := make([]float32, size*size)
-			tensor.NarrowInto(a32, a.Data())
-			tensor.NarrowInto(b32, bm.Data())
+			tensor.NarrowInto(a32, a)
+			tensor.NarrowInto(b32, bm)
 			b.Run(fmt.Sprintf("%s/f32/%d", p.name, size), func(b *testing.B) {
 				b.SetBytes(flops)
 				b.ReportAllocs()
@@ -585,21 +574,19 @@ func BenchmarkMicroKernels(b *testing.B) {
 // scripts/benchcmp.
 func BenchmarkTrainShapeKernels(b *testing.B) {
 	const batch, in, hidden, zdim = 32, 1024, 64, 32
-	x, w := benchKernelOperands(40, 41, batch, in, hidden)
-	_, delta := benchKernelOperands(42, 43, 1, batch, hidden)
-	d1, w1 := benchKernelOperands(44, 45, batch, zdim, hidden)
-	w1 = tensor.MustFromSlice(w1.Data(), hidden, zdim) // W₁ is 64×32
+	x, w, out := benchKernelOperands(40, 41, batch, in, hidden)
+	_, delta, _ := benchKernelOperands(42, 43, 1, batch, hidden)
+	d1, w1, _ := benchKernelOperands(44, 45, batch, zdim, hidden) // w1 read as W₁, 64×32
 	x32 := make([]float32, batch*in)
 	w32 := make([]float32, in*hidden)
 	d32 := make([]float32, batch*hidden)
 	d132 := make([]float32, batch*zdim)
 	w132 := make([]float32, hidden*zdim)
-	tensor.NarrowInto(x32, x.Data())
-	tensor.NarrowInto(w32, w.Data())
-	tensor.NarrowInto(d32, delta.Data())
-	tensor.NarrowInto(d132, d1.Data())
-	tensor.NarrowInto(w132, w1.Data())
-	out := make([]float64, batch*hidden)
+	tensor.NarrowInto(x32, x)
+	tensor.NarrowInto(w32, w)
+	tensor.NarrowInto(d32, delta)
+	tensor.NarrowInto(d132, d1)
+	tensor.NarrowInto(w132, w1)
 	gw := make([]float64, in*hidden)
 	out32 := make([]float32, batch*hidden)
 	gw32 := make([]float32, in*hidden)
@@ -608,11 +595,11 @@ func BenchmarkTrainShapeKernels(b *testing.B) {
 		flops int64
 		run   func()
 	}{
-		{"MatMul/f64", 2 * batch * in * hidden, func() { tensor.MatMulF64(out, x.Data(), w.Data(), batch, in, hidden) }},
+		{"MatMul/f64", 2 * batch * in * hidden, func() { tensor.MatMulF64(out, x, w, batch, in, hidden) }},
 		{"MatMul/f32", 2 * batch * in * hidden, func() { tensor.MatMulF32(out32, x32, w32, batch, in, hidden) }},
-		{"ATB/f64", 2 * batch * in * hidden, func() { clear(gw); tensor.MatMulATBAddF64(gw, x.Data(), delta.Data(), batch, in, hidden) }},
+		{"ATB/f64", 2 * batch * in * hidden, func() { clear(gw); tensor.MatMulATBAddF64(gw, x, delta, batch, in, hidden) }},
 		{"ATB/f32", 2 * batch * in * hidden, func() { tensor.MatMulATBF32(gw32, x32, d32, batch, in, hidden) }},
-		{"ABT/f64", 2 * batch * zdim * hidden, func() { tensor.MatMulABTF64(out, d1.Data(), w1.Data(), batch, zdim, hidden) }},
+		{"ABT/f64", 2 * batch * zdim * hidden, func() { tensor.MatMulABTF64(out, d1, w1, batch, zdim, hidden) }},
 		{"ABT/f32", 2 * batch * zdim * hidden, func() { tensor.MatMulABTF32(out32, d132, w132, batch, zdim, hidden) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -97,7 +97,7 @@ func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 		if err != nil {
 			return err
 		}
-		if err := tensor.AddScaledInto(dz, dz, f.L2RCoef, dzL2); err != nil {
+		if err := dz.AddScaled(f.L2RCoef, dzL2); err != nil {
 			return err
 		}
 		// CMI surrogate: α·‖z − μ̂_y‖².
@@ -111,7 +111,7 @@ func (f *FedSR) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 		if err != nil {
 			return err
 		}
-		if err := tensor.AddScaledInto(dz, dz, f.CMICoef, dzCMI); err != nil {
+		if err := dz.AddScaled(f.CMICoef, dzCMI); err != nil {
 			return err
 		}
 		return model.Backward(acts, dLogits, dz, grads)

@@ -497,6 +497,29 @@ func TestTieredStoreAnswersWithoutTraining(t *testing.T) {
 	}
 }
 
+// TestTrainedLeaseLooksUpStoreOnce: a worker that trains one cell asks
+// its Store for the key once, inside the engine's submit, and counts
+// the lease as one tier miss.
+func TestTrainedLeaseLooksUpStoreOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := newCluster(t, 2*time.Second)
+	j, err := cl.eng.Submit(tinySpec("FedAvg", 61), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cl.addWorker("gamma", nil)
+	if _, err := j.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.eng.Stats(); st.StoreMisses != 1 || st.Submitted != 1 {
+		t.Fatalf("worker store misses = %d, submissions = %d; want 1 and 1", st.StoreMisses, st.Submitted)
+	}
+	if local, miss := w.m.tierLookups.With("local").Value(), w.m.tierLookups.With("miss").Value(); local != 0 || miss != 1 {
+		t.Fatalf("tier lookups: %d local, %d miss; want 0 and 1", local, miss)
+	}
+}
+
 // TestUnacknowledgedCompletionAnswersFromLocalTier: a worker whose
 // done completion never reached the coordinator keeps the cell's blob
 // as well as its Result. When the lease expires and the job is leased

@@ -426,9 +426,10 @@ func (w *Worker) applyInstructions(resp engine.WorkerHeartbeatResponse) {
 	}
 }
 
-// execute runs one lease end-to-end: verify the content-address, try
-// the local store tier, and only on a miss train the Spec on the local
-// engine; then upload the checkpoint blob and settle the lease.
+// execute runs one lease end-to-end: verify the content-address and
+// submit the Spec to the local engine, which answers from its Store
+// (the local tier) or, on a miss, trains it; then upload the checkpoint
+// blob and settle the lease.
 func (w *Worker) execute(ctx context.Context, al *activeLease) {
 	lv := al.lease
 	defer func() {
@@ -452,22 +453,24 @@ func (w *Worker) execute(ctx context.Context, al *activeLease) {
 		return
 	}
 
-	// The local tier: this node's own Store.
+	// Submit under the lease's trace, so one grep follows the cell from
+	// coordinator submit to worker round loop. The engine answers a key
+	// its own Store holds at once (the local tier) and trains the rest.
 	tierStart := time.Now()
-	if res, ok, _ := w.eng.Store().Get(lv.Key); ok {
-		w.m.tierLookups.With("local").Inc()
-		w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "local"})
-		w.uploadAndComplete(ctx, al, res)
-		return
-	}
-	w.m.tierLookups.With("miss").Inc()
-	w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": "miss"})
-
-	// Miss: train locally under the lease's trace, so one grep follows
-	// the cell from coordinator submit to worker round loop.
 	j, err := w.eng.SubmitAs(lv.Spec, lv.Priority, lv.TraceID, "")
 	if err != nil {
 		w.complete(al, engine.LeaseCompleteRequest{Error: err.Error()}, "failed")
+		return
+	}
+	tier := "miss"
+	if j.Cached() {
+		tier = "local"
+	}
+	w.m.tierLookups.With(tier).Inc()
+	w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": tier})
+	if j.Cached() {
+		res, _ := j.Result()
+		w.uploadAndComplete(ctx, al, res)
 		return
 	}
 	w.mu.Lock()

@@ -208,6 +208,26 @@ func TestStoreMemoryHitMiss(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreKeepsNoRecency: only disk eviction reads the recency
+// map, so a memory-only store's Puts and Gets leave it empty.
+func TestMemoryStoreKeepsNoRecency(t *testing.T) {
+	st, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{"a1", "b2", "c3"} {
+		if err := st.Put(h, &Result{Method: "FedAvg"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := st.Get(h); !ok {
+			t.Fatalf("%s: miss after Put", h)
+		}
+	}
+	if n := len(st.use); n != 0 {
+		t.Fatalf("memory-only store holds %d recency entries, want 0", n)
+	}
+}
+
 func TestStoreDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newStoreWith(dir, telemetry.NewRegistry(), slog.Default())

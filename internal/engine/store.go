@@ -105,15 +105,15 @@ func (s *Store) SetMaxBytes(max int64) {
 	}
 }
 
-// touchLocked records an access and, for disk-backed stores, evicts the
+// touchLocked records an access in a disk-backed store and evicts the
 // least-recently-used in-memory entries beyond memCacheCap; s.mu must
-// be held.
+// be held. A memory-only store evicts nothing, so it records nothing.
 func (s *Store) touchLocked(hash string) {
-	s.seq++
-	s.use[hash] = s.seq
 	if s.dir == "" {
 		return
 	}
+	s.seq++
+	s.use[hash] = s.seq
 	for len(s.mem) > memCacheCap {
 		var victim string
 		var oldest int64

@@ -119,38 +119,27 @@ func runSplitScheme(cfg Config, spec corpusSpec, split dataset.Split, methods []
 // RunLTDO regenerates Table I: leave-two-domains-out on the PACS-style and
 // Office-Home-style corpora for all six methods.
 func RunLTDO(cfg Config) ([]*SplitTableResult, error) {
-	methods := MethodNames()
-	var out []*SplitTableResult
-	for _, spec := range []corpusSpec{pacsSpec(cfg), officeHomeSpec(cfg)} {
-		splits, err := dataset.LTDOSplits(spec.Gen.NumDomains, spec.Gen.DomainNames)
-		if err != nil {
-			return nil, err
-		}
-		res := &SplitTableResult{Dataset: spec.Name, Methods: methods}
-		for si, sp := range splits {
-			sr, err := runSplitScheme(cfg, spec, sp, methods, fmt.Sprintf("ltdo-%s-%d", spec.Name, si))
-			if err != nil {
-				return nil, err
-			}
-			res.Schemes = append(res.Schemes, sr)
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return runSplitTable(cfg, "ltdo", dataset.LTDOSplits)
 }
 
 // RunLODO regenerates Table II: leave-one-domain-out on both corpora.
 func RunLODO(cfg Config) ([]*SplitTableResult, error) {
+	return runSplitTable(cfg, "lodo", dataset.LODOSplits)
+}
+
+// runSplitTable runs every split scheme that splits draws for each
+// corpus, tagging each scheme's cells "<prefix>-<corpus>-<scheme>".
+func runSplitTable(cfg Config, prefix string, splits func(int, []string) ([]dataset.Split, error)) ([]*SplitTableResult, error) {
 	methods := MethodNames()
 	var out []*SplitTableResult
 	for _, spec := range []corpusSpec{pacsSpec(cfg), officeHomeSpec(cfg)} {
-		splits, err := dataset.LODOSplits(spec.Gen.NumDomains, spec.Gen.DomainNames)
+		sps, err := splits(spec.Gen.NumDomains, spec.Gen.DomainNames)
 		if err != nil {
 			return nil, err
 		}
 		res := &SplitTableResult{Dataset: spec.Name, Methods: methods}
-		for si, sp := range splits {
-			sr, err := runSplitScheme(cfg, spec, sp, methods, fmt.Sprintf("lodo-%s-%d", spec.Name, si))
+		for si, sp := range sps {
+			sr, err := runSplitScheme(cfg, spec, sp, methods, fmt.Sprintf("%s-%s-%d", prefix, spec.Name, si))
 			if err != nil {
 				return nil, err
 			}

@@ -27,16 +27,14 @@ func Posteriors(m *nn.Model, x *tensor.Tensor, batchSize int) ([][]float64, erro
 		if err != nil {
 			return nil, err
 		}
-		probs, err := tensor.Softmax(acts.Logits)
-		if err != nil {
+		c := acts.Logits.Dim(1)
+		probs := tensor.New(end-start, c)
+		if err := tensor.SoftmaxInto(probs, acts.Logits); err != nil {
 			return nil, err
 		}
-		c := probs.Dim(1)
 		pd := probs.Data()
 		for i := 0; i < end-start; i++ {
-			row := make([]float64, c)
-			copy(row, pd[i*c:(i+1)*c])
-			out = append(out, row)
+			out = append(out, pd[i*c:(i+1)*c:(i+1)*c])
 		}
 	}
 	return out, nil

@@ -507,13 +507,10 @@ func TestRecomputeLogits(t *testing.T) {
 		t.Fatal(err)
 	}
 	cls := m.Classifier()
-	want, err := tensor.MatMul(acts.Z, cls.W)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wd, bd := want.Data(), cls.B.Data()
-	c := want.Dim(1)
-	for i := 0; i < want.Dim(0); i++ {
+	rows, c := acts.Z.Dim(0), cls.W.Dim(1)
+	wd, bd := make([]float64, rows*c), cls.B.Data()
+	tensor.MatMulF64(wd, zd, cls.W.Data(), rows, acts.Z.Dim(1), c)
+	for i := 0; i < rows; i++ {
 		for j := 0; j < c; j++ {
 			wd[i*c+j] += bd[j]
 		}

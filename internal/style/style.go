@@ -199,19 +199,10 @@ func OfConcat(features []*tensor.Tensor, idx []int) (*Style, error) {
 	return st, nil
 }
 
-// Interpolate returns the convex combination (1−t)·a + t·b of two styles
+// InterpolateInto writes the convex combination (1−t)·a + t·b of two
+// styles into dst, reusing dst's Mu and Sigma storage when it has room
 // — the path between a sample's own style and the global interpolation
 // style that PARDON's transferred views are drawn from.
-func Interpolate(a, b *Style, t float64) (*Style, error) {
-	out := &Style{}
-	if err := InterpolateInto(out, a, b, t); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InterpolateInto writes Interpolate(a, b, t) into dst, reusing dst's
-// Mu and Sigma storage when it has room.
 func InterpolateInto(dst, a, b *Style, t float64) error {
 	if a.Channels() != b.Channels() {
 		return fmt.Errorf("style: interpolate channel mismatch %d vs %d", a.Channels(), b.Channels())

@@ -127,22 +127,16 @@ func TestMeanMedianStyles(t *testing.T) {
 func TestInterpolateEndpoints(t *testing.T) {
 	a := &style.Style{Mu: []float64{0}, Sigma: []float64{1}}
 	b := &style.Style{Mu: []float64{10}, Sigma: []float64{3}}
-	at0, err := style.Interpolate(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
+	var got style.Style
+	for _, tc := range []struct{ t, mu, sigma float64 }{{0, 0, 1}, {1, 10, 3}, {0.5, 5, 2}} {
+		if err := style.InterpolateInto(&got, a, b, tc.t); err != nil {
+			t.Fatal(err)
+		}
+		if got.Mu[0] != tc.mu || got.Sigma[0] != tc.sigma {
+			t.Fatalf("t=%g = %+v", tc.t, got)
+		}
 	}
-	if at0.Mu[0] != 0 || at0.Sigma[0] != 1 {
-		t.Fatalf("t=0 = %+v", at0)
-	}
-	at1, _ := style.Interpolate(a, b, 1)
-	if at1.Mu[0] != 10 || at1.Sigma[0] != 3 {
-		t.Fatalf("t=1 = %+v", at1)
-	}
-	mid, _ := style.Interpolate(a, b, 0.5)
-	if mid.Mu[0] != 5 || mid.Sigma[0] != 2 {
-		t.Fatalf("t=0.5 = %+v", mid)
-	}
-	if _, err := style.Interpolate(a, &style.Style{Mu: []float64{1, 2}, Sigma: []float64{1, 2}}, 0.5); err == nil {
+	if err := style.InterpolateInto(&got, a, &style.Style{Mu: []float64{1, 2}, Sigma: []float64{1, 2}}, 0.5); err == nil {
 		t.Fatal("channel mismatch should error")
 	}
 }

@@ -1,78 +1,46 @@
 package tensor
 
-// Test-only hooks: run the blocked range kernels over an explicit row
-// partition, so tests can prove the outputs are invariant to how rows are
-// split across workers (the determinism guarantee of DESIGN.md §5)
-// without depending on GOMAXPROCS.
+// Test-only row-split hooks, one per product and dtype: each runs its
+// product's row-range kernel over every [bounds[i], bounds[i+1]) range
+// of out, bounds running from 0 to m, so tests can prove the outputs are
+// invariant to how rows are split across workers (the determinism
+// guarantee of DESIGN.md §5) without depending on GOMAXPROCS. Every hook
+// assigns out, so a dirty out must come back fully overwritten; the
+// float64 aᵀ@b kernel adds, so its hook zeroes out first.
 
-// MatMulWithSplits computes a@b applying matMulRange over each
-// [bounds[i], bounds[i+1]) row range. bounds must start at 0 and end at m.
-func MatMulWithSplits(a, b *Tensor, bounds []int) (*Tensor, error) {
-	m, k, n, err := matMulDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
+func eachSplit(bounds []int, f func(lo, hi int)) {
 	for i := 0; i+1 < len(bounds); i++ {
-		matMulRange(a.data, b.data, out.data, k, n, bounds[i], bounds[i+1])
+		f(bounds[i], bounds[i+1])
 	}
-	return out, nil
 }
 
-// MatMulATBWithSplits is MatMulWithSplits for the aᵀ@b kernel.
-func MatMulATBWithSplits(a, b *Tensor, bounds []int) (*Tensor, error) {
-	k, m, n, err := matMulATBDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	for i := 0; i+1 < len(bounds); i++ {
-		matMulATBRange(a.data, b.data, out.data, k, m, n, bounds[i], bounds[i+1])
-	}
-	return out, nil
+func MatMulF64WithSplits(out, a, b []float64, k, n int, bounds []int) {
+	eachSplit(bounds, func(lo, hi int) { matMulRange(a, b, out, k, n, lo, hi) })
 }
 
-// MatMulABTWithSplits is MatMulWithSplits for the a@bᵀ kernel.
-func MatMulABTWithSplits(a, b *Tensor, bounds []int) (*Tensor, error) {
-	m, k, n, err := matMulABTDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	bt, spare := transposeB(tiles().w64, btSpares64, b.data, m, k, n)
+func MatMulATBF64WithSplits(out, a, b []float64, k, n int, bounds []int) {
+	clear(out)
+	eachSplit(bounds, func(lo, hi int) { matMulATBRange(a, b, out, k, bounds[len(bounds)-1], n, lo, hi) })
+}
+
+func MatMulABTF64WithSplits(out, a, b []float64, k, n int, bounds []int) {
+	bt, spare := transposeB(tiles().w64, btSpares64, b, bounds[len(bounds)-1], k, n)
 	defer releaseB(btSpares64, spare)
-	for i := 0; i+1 < len(bounds); i++ {
-		matMulABTRange(a.data, b.data, bt, out.data, k, n, bounds[i], bounds[i+1])
-	}
-	return out, nil
+	eachSplit(bounds, func(lo, hi int) { matMulABTRange(a, b, bt, out, k, n, lo, hi) })
 }
 
-// Float32 analogs of the split hooks, over the row-range kernels
-// directly. The panels assign every element, so out is not pre-zeroed —
-// the splits must also prove dirty buffers are fully overwritten.
-
-// MatMulF32WithSplits computes a@b over float32 slices applying the
-// blocked panel to each row range.
 func MatMulF32WithSplits(out, a, b []float32, k, n int, bounds []int) {
-	for i := 0; i+1 < len(bounds); i++ {
-		matMulRangeF32(a, b, out, k, n, bounds[i], bounds[i+1])
-	}
+	eachSplit(bounds, func(lo, hi int) { matMulRangeF32(a, b, out, k, n, lo, hi) })
 }
 
-// MatMulATBF32WithSplits is MatMulF32WithSplits for the aᵀ@b kernel.
-func MatMulATBF32WithSplits(out, a, b []float32, k, m, n int, bounds []int) {
-	for i := 0; i+1 < len(bounds); i++ {
-		matMulATBRangeF32(a, b, out, k, m, n, bounds[i], bounds[i+1])
-	}
+func MatMulATBF32WithSplits(out, a, b []float32, k, n int, bounds []int) {
+	eachSplit(bounds, func(lo, hi int) { matMulATBRangeF32(a, b, out, k, bounds[len(bounds)-1], n, lo, hi) })
 }
 
-// MatMulABTF32WithSplits is MatMulF32WithSplits for the a@bᵀ kernel.
 func MatMulABTF32WithSplits(out, a, b []float32, k, n int, bounds []int) {
 	bt, spare := transposeB(tiles().w32, btSpares32, b, bounds[len(bounds)-1], k, n)
 	defer releaseB(btSpares32, spare)
-	for i := 0; i+1 < len(bounds); i++ {
-		matMulABTRangeF32(a, b, bt, out, k, n, bounds[i], bounds[i+1])
-	}
+	eachSplit(bounds, func(lo, hi int) { matMulABTRangeF32(a, b, bt, out, k, n, lo, hi) })
 }
 
 // HaveSIMD reports whether this CPU runs the SIMD tiles at all.

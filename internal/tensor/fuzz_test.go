@@ -8,18 +8,17 @@ import (
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
-// FuzzMatMulKernels drives the blocked kernels — all three float64
-// products and the float32 kernel set — against their scalar references
-// on fuzzer-chosen shapes and data, on every kernel tier the CPU has:
-// the AVX-512 and AVX tiles where it has them, and the generic strips.
-// The property under test is the strongest one the kernels claim:
-// bit-identical output, not tolerance. The float64 kernels must
-// reproduce the naive serial loops exactly (the determinism contract
-// that lets the CPU bounds stay outside the content-address), and
-// MatMulATBAddF64, which accumulates into an out of fuzzed values, the
-// serial product plus one add per element. The float32 kernels must
-// reproduce the scalar float32 loops exactly (same loop order, same
-// zero-skip semantics). Besides ±0, both operands carry a few NaN,
+// FuzzMatMulKernels drives the slice entries of all three products, in
+// float64 and float32, against their scalar references on
+// fuzzer-chosen shapes and data, on every kernel tier the CPU has: the
+// AVX-512 and AVX tiles where it has them, and the generic strips. The
+// property under test is the strongest one the kernels claim:
+// bit-identical output, not tolerance. Each entry must reproduce the
+// naive serial loop of its dtype exactly (the determinism contract
+// that lets the CPU bounds stay outside the content-address), and the
+// adding aᵀ@b, which accumulates into an out of fuzzed values, the
+// serial product plus one add per element. Besides ±0, both operands
+// carry a few NaN,
 // ±Inf, subnormal and near-overflow entries, so a SIMD tile whose zero
 // a meets an Inf or NaN in b must fall back to the gated strips.
 //
@@ -50,65 +49,17 @@ func FuzzMatMulKernels(f *testing.F) {
 }
 
 // checkKernels compares every kernel with its reference on one shape.
+// The checked-in corpus was chosen against this draw order: a, b, at
+// and bt of float64, the same of float32, then the float64 accumulator
+// (the float32 one comes last).
 func checkKernels(t *testing.T, r *rand.Rand, m, k, n int) {
 	t.Helper()
-	a := specialMatrix(r, m, k)
-	b := specialMatrix(r, k, n)
-	want, err := tensor.MatMulSerial(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tensor.MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "matmul", got, want)
-
-	at := specialMatrix(r, k, m) // (k,m) for aᵀ@b
-	wantATB, err := tensor.MatMulATBSerial(at, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotATB, err := tensor.MatMulATB(at, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "matmulATB", gotATB, wantATB)
-
-	bt := specialMatrix(r, n, k) // (n,k) for a@bᵀ
-	wantABT, err := tensor.MatMulABTSerial(a, bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotABT, err := tensor.MatMulABT(a, bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitsEqual(t, "matmulABT", gotABT, wantABT)
-
-	a32 := specialF32(r, m*k)
-	b32 := specialF32(r, k*n)
-	out32 := make([]float32, m*n)
-	tensor.MatMulF32(out32, a32, b32, m, k, n)
-	f32BitsEqual(t, "matmulF32", out32, mmRefF32(a32, b32, m, k, n))
-
-	at32 := specialF32(r, k*m)
-	tensor.MatMulATBF32(out32, at32, b32, k, m, n)
-	f32BitsEqual(t, "matmulATBF32", out32, atbRefF32(at32, b32, k, m, n))
-
-	bt32 := specialF32(r, n*k)
-	tensor.MatMulABTF32(out32, a32, bt32, m, k, n)
-	f32BitsEqual(t, "matmulABTF32", out32, abtRefF32(a32, bt32, m, k, n))
-
-	// The accumulate epilogue: aᵀ@b added into a non-zero out must equal
-	// the serial product plus one add per element.
-	acc := specialMatrix(r, m, n)
-	wantAcc := acc.Clone()
-	for i, v := range wantATB.Data() {
-		wantAcc.Data()[i] += v
-	}
-	tensor.MatMulATBAddF64(acc.Data(), at.Data(), b.Data(), k, m, n)
-	bitsEqual(t, "matmulATB accumulate", acc, wantAcc)
+	gen64, gen32 := withSpecials(randF64, specials64), withSpecials(randF32, specials32)
+	o64 := drawOperands(r, gen64, m, k, n)
+	o32 := drawOperands(r, gen32, m, k, n)
+	o64.acc, o32.acc = gen64(r, m*n), gen32(r, m*n)
+	checkProducts(t, f64Kernels, o64)
+	checkProducts(t, f32Kernels, o32)
 }
 
 // Special operands: NaN, ±Inf, subnormals and near-overflow values.
@@ -119,23 +70,15 @@ var (
 		1e-45, -3e-40, math.MaxFloat32 / 2}
 )
 
-// specialMatrix is randMatrix with up to four entries overwritten by
-// specials. A few per operand keep most outputs finite, so the rest of
-// the comparison still sees ordinary values.
-func specialMatrix(r *rand.Rand, rows, cols int) *tensor.Tensor {
-	m := randMatrix(r, rows, cols)
-	d := m.Data()
-	for i := r.Intn(5); i > 0; i-- {
-		d[r.Intn(len(d))] = specials64[r.Intn(len(specials64))]
+// withSpecials wraps gen to overwrite up to four entries of each
+// operand with specials. A few per operand keep most outputs finite, so
+// the rest of the comparison still sees ordinary values.
+func withSpecials[T dtype](gen func(*rand.Rand, int) []T, specials []T) func(*rand.Rand, int) []T {
+	return func(r *rand.Rand, n int) []T {
+		s := gen(r, n)
+		for i := r.Intn(5); i > 0; i-- {
+			s[r.Intn(len(s))] = specials[r.Intn(len(specials))]
+		}
+		return s
 	}
-	return m
-}
-
-// specialF32 is specialMatrix for float32 operands.
-func specialF32(r *rand.Rand, nelem int) []float32 {
-	s := randF32(r, nelem)
-	for i := r.Intn(5); i > 0; i-- {
-		s[r.Intn(len(s))] = specials32[r.Intn(len(specials32))]
-	}
-	return s
 }

@@ -15,24 +15,24 @@
 //     transposes b once per call so the MatMul tile can read it. The
 //     rest walks 2-row × 4-column output strips with manually unrolled
 //     accumulators in locals (microkernel.go), with the scalar row loop
-//     as the tail for ragged edges. The slice entry points (slices.go)
-//     share these kernels per dtype; float32 has its own, wider tiles.
+//     as the tail for ragged edges. The slice entries (slices.go), one
+//     per product and dtype, are the only way in; float32 has its own,
+//     wider tiles.
 //   - Fixed accumulation order. Every output element accumulates its k terms
 //     in ascending-p order no matter how rows are split across workers, so
-//     results are bit-identical to the serial reference kernels at any
-//     parallelism — the property that keeps the engine's content-addressed
-//     result cache sound.
+//     results are bit-identical to the scalar references (MatMul*Serial) at
+//     any parallelism — the property that keeps the engine's
+//     content-addressed result cache sound.
 //   - Shared worker pool. One pool of GOMAXPROCS goroutines (started on
 //     first use) serves every kernel call in the process; fl.Env.Parallelism
 //     (set per engine by engine.Options.Parallelism) bounds how many
 //     training goroutines feed it, while the pool itself bounds total
 //     kernel CPU at GOMAXPROCS.
 //   - Serial threshold. Products below serialFlopCutoff multiply-adds run
-//     inline: small eval-time matmuls cost less than a goroutine handoff.
+//     inline: small products cost less than a goroutine handoff.
 package tensor
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -214,9 +214,9 @@ func dispatch(rows int, body func(lo, hi int)) {
 // runMatMul/runMatMulATB/runMatMulABT execute one blocked kernel over
 // its full row range — serially below the work cutoff (panel called
 // directly, allocation-free), across the pool above it. Generic over
-// the dtype seam, so the allocating Tensor entry points and the slice
-// entry points of both dtypes share them; each passes its dtype's
-// row-range kernel, which picks that dtype's live SIMD tile.
+// the dtype seam, so the slice entries of both dtypes share them; each
+// passes its dtype's row-range kernel, which picks that dtype's live
+// SIMD tile.
 
 func runMatMul[T number](panel func(a, b, out []T, k, n, lo, hi int), a, b, out []T, m, k, n int) {
 	if m*k*n < serialFlopCutoff {
@@ -253,157 +253,64 @@ func runMatMulABT[T number](panel func(a, b, bt, out []T, k, n, lo, hi int), w i
 	dispatch(m, func(lo, hi int) { panel(a, b, bt, out, k, n, lo, hi) })
 }
 
-// --- shape validation shared by the public entry points ---
-
-func matMulDims(a, b *Tensor) (m, k, n int, err error) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmul needs 2-D operands, got %v and %v", a.shape, b.shape)
-	}
-	m, k = a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmul inner dims %d vs %d", k, k2)
-	}
-	return m, k, n, nil
-}
-
-func matMulATBDims(a, b *Tensor) (k, m, n int, err error) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmulATB needs 2-D operands, got %v and %v", a.shape, b.shape)
-	}
-	k, m = a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmulATB outer dims %d vs %d", k, k2)
-	}
-	return k, m, n, nil
-}
-
-func matMulABTDims(a, b *Tensor) (m, k, n int, err error) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmulABT needs 2-D operands, got %v and %v", a.shape, b.shape)
-	}
-	m, k = a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		return 0, 0, 0, fmt.Errorf("tensor: matmulABT inner dims %d vs %d", k, k2)
-	}
-	return m, k, n, nil
-}
-
-// --- public kernels ---
-
-// MatMul returns a@b for a of shape (m,k) and b of shape (k,n), computed
-// by the blocked kernel — in parallel over row panels above the work
-// threshold, serially below it. Bit-identical to MatMulSerial.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	m, k, n, err := matMulDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	runMatMul(matMulRange, a.data, b.data, out.data, m, k, n)
-	return out, nil
-}
-
-// MatMulATB returns aᵀ@b for a of shape (k,m) and b of shape (k,n),
-// computed without materializing the transpose.
-func MatMulATB(a, b *Tensor) (*Tensor, error) {
-	k, m, n, err := matMulATBDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	runMatMulATB(matMulATBRange, a.data, b.data, out.data, k, m, n)
-	return out, nil
-}
-
-// MatMulABT returns a@bᵀ for a of shape (m,k) and b of shape (n,k).
-// Used in backprop for input gradients without materializing transposes.
-func MatMulABT(a, b *Tensor) (*Tensor, error) {
-	m, k, n, err := matMulABTDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
-	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a.data, b.data, out.data, m, k, n)
-	return out, nil
-}
-
-// --- serial reference kernels ---
+// --- scalar references ---
 //
-// The original naive triple loops, kept as the ground truth the blocked
-// parallel kernels are tested bit-identical against and benchmarked
-// against (BenchmarkMatMul256*).
+// The naive loops, one per product, generic over the dtype seam: the
+// ground truth the blocked kernels of both dtypes are tested bit-identical
+// against, and benchmarked against (BenchmarkMatMul256*). Each takes the
+// slice signature of its product's entries and overwrites out, every
+// element summed from +0 in ascending-p order.
 
-// MatMulSerial is the single-threaded naive reference for MatMul.
-func MatMulSerial(a, b *Tensor) (*Tensor, error) {
-	m, k, n, err := matMulDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
+// MatMulSerial is the reference for MatMulF64 and MatMulF32: out = a@b.
+func MatMulSerial[T number](out, a, b []T, m, k, n int) {
+	checkLens("matmulSerial", len(a), len(b), len(out), m*k, k*n, m*n)
+	clear(out)
 	for i := 0; i < m; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		oi := out.data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ai[p]
+		oi := out[i*n : (i+1)*n]
+		for p, av := range a[i*k : (i+1)*k] {
 			if av == 0 {
 				continue
 			}
-			bp := b.data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				oi[j] += av * bp[j]
+			for j, bv := range b[p*n : (p+1)*n] {
+				oi[j] += av * bv
 			}
 		}
 	}
-	return out, nil
 }
 
-// MatMulATBSerial is the single-threaded naive reference for MatMulATB.
-func MatMulATBSerial(a, b *Tensor) (*Tensor, error) {
-	k, m, n, err := matMulATBDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
+// MatMulATBSerial is the reference for MatMulATBF32 and, added into
+// out, MatMulATBAddF64: out = aᵀ@b.
+func MatMulATBSerial[T number](out, a, b []T, k, m, n int) {
+	checkLens("matmulATBSerial", len(a), len(b), len(out), k*m, k*n, m*n)
+	clear(out)
 	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n]
-		for i := 0; i < m; i++ {
-			av := ap[i]
+		bp := b[p*n : (p+1)*n]
+		for i, av := range a[p*m : (p+1)*m] {
 			if av == 0 {
 				continue
 			}
-			oi := out.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				oi[j] += av * bp[j]
+			oi := out[i*n : (i+1)*n]
+			for j, bv := range bp {
+				oi[j] += av * bv
 			}
 		}
 	}
-	return out, nil
 }
 
-// MatMulABTSerial is the single-threaded naive reference for MatMulABT.
-func MatMulABTSerial(a, b *Tensor) (*Tensor, error) {
-	m, k, n, err := matMulABTDims(a, b)
-	if err != nil {
-		return nil, err
-	}
-	out := New(m, n)
+// MatMulABTSerial is the reference for MatMulABTF64 and MatMulABTF32:
+// out = a@bᵀ.
+func MatMulABTSerial[T number](out, a, b []T, m, k, n int) {
+	checkLens("matmulABTSerial", len(a), len(b), len(out), m*k, n*k, m*n)
 	for i := 0; i < m; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		oi := out.data[i*n : (i+1)*n]
+		ai := a[i*k : (i+1)*k]
 		for j := 0; j < n; j++ {
-			bj := b.data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += ai[p] * bj[p]
+			var s T
+			for p, bv := range b[j*k : (j+1)*k] {
+				s += ai[p] * bv
 			}
-			oi[j] = s
+			out[i*n+j] = s
 		}
 	}
-	return out, nil
 }
 
 // --- fused element-wise helpers ---
@@ -486,7 +393,7 @@ func AffineInto(dst, src []float64, shift, scale float64) {
 // WeightedSumInto writes Σ_k ws[k]·srcs[k][i] into dst[i], each element
 // summed from +0 in k order with a separately rounded multiply and add
 // per term: the bits of zeroing dst and then running one axpy pass
-// (AddScaledInto) per input, in one sweep. Four lanes at a time on
+// (Tensor.AddScaled) per input, in one sweep. Four lanes at a time on
 // SIMD. Every srcs[k] must have dst's length, and ws must have one
 // weight per input; no input may alias dst.
 func WeightedSumInto(dst []float64, srcs [][]float64, ws []float64) {
@@ -549,15 +456,4 @@ func Conv3x3AddInto(dst, src []float64, stride int, k *[9]float64) {
 		s += k[8] * r2[j+2]
 		dst[j] += s
 	}
-}
-
-// AddScaledInto computes dst = a + s·b element-wise in one pass. dst may
-// alias a and/or b (all three must share the shape), which turns the
-// allocate-clone-axpy pattern into a single in-place sweep.
-func AddScaledInto(dst, a *Tensor, s float64, b *Tensor) error {
-	if !SameShape(dst, a) || !SameShape(dst, b) {
-		return fmt.Errorf("tensor: addscaledinto shape mismatch %v, %v, %v", dst.shape, a.shape, b.shape)
-	}
-	addScaled(dst.data, a.data, s, b.data)
-	return nil
 }

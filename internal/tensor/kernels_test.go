@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,39 +9,83 @@ import (
 	"github.com/pardon-feddg/pardon/internal/tensor"
 )
 
-// randMatrix fills an (r,c) tensor with normal samples, sprinkling exact
-// zeros (and a negative zero) so the kernels' zero-skip paths and FP
-// edge cases are exercised.
-func randMatrix(r *rand.Rand, rows, cols int) *tensor.Tensor {
-	t := tensor.Randn(r, 1, rows, cols)
-	d := t.Data()
-	for i := range d {
+// The kernel property tests are written once, generic over the dtype,
+// against the slice entries nn calls; each dtype's tests instantiate
+// them with its kernelSet.
+
+// dtype is the element types the products come in.
+type dtype interface{ float32 | float64 }
+
+// kernelSet is one dtype's product entries, the ones nn calls, in their
+// slice signatures, beside the row-split hooks of export_test.go and an
+// operand generator. atb assigns out and atbAdd adds into it; the
+// float64 entry adds and the float32 one assigns, so each dtype wraps
+// or hooks the other form.
+type kernelSet[T dtype] struct {
+	mm, abt     func(out, a, b []T, m, k, n int)
+	atb, atbAdd func(out, a, b []T, k, m, n int)
+	// mmSplits, atbSplits and abtSplits assign out over a row partition.
+	mmSplits, atbSplits, abtSplits func(out, a, b []T, k, n int, bounds []int)
+	rand                           func(r *rand.Rand, n int) []T
+}
+
+var f64Kernels = kernelSet[float64]{
+	mm:  tensor.MatMulF64,
+	abt: tensor.MatMulABTF64,
+	atb: func(out, a, b []float64, k, m, n int) {
+		clear(out)
+		tensor.MatMulATBAddF64(out, a, b, k, m, n)
+	},
+	atbAdd:    tensor.MatMulATBAddF64,
+	mmSplits:  tensor.MatMulF64WithSplits,
+	atbSplits: tensor.MatMulATBF64WithSplits,
+	abtSplits: tensor.MatMulABTF64WithSplits,
+	rand:      randF64,
+}
+
+var f32Kernels = kernelSet[float32]{
+	mm:        tensor.MatMulF32,
+	abt:       tensor.MatMulABTF32,
+	atb:       tensor.MatMulATBF32,
+	atbAdd:    tensor.MatMulATBAddF32,
+	mmSplits:  tensor.MatMulF32WithSplits,
+	atbSplits: tensor.MatMulATBF32WithSplits,
+	abtSplits: tensor.MatMulABTF32WithSplits,
+	rand:      randF32,
+}
+
+// randF64 returns n normal samples, sprinkling exact zeros (and
+// negative zeros) so the kernels' zero-skip paths and FP edge cases are
+// exercised.
+func randF64(r *rand.Rand, n int) []float64 {
+	s := tensor.Randn(r, 1, n).Data()
+	for i := range s {
 		switch r.Intn(8) {
 		case 0:
-			d[i] = 0
+			s[i] = 0
 		case 1:
-			d[i] = math.Copysign(0, -1)
+			s[i] = math.Copysign(0, -1)
 		}
 	}
-	return t
+	return s
 }
 
 // bitsEqual requires identical bits, except that any NaN matches any
 // NaN: which operand's payload a NaN result carries depends on the
-// instruction's operand order, which the compiler may commute.
-func bitsEqual(t *testing.T, name string, got, want *tensor.Tensor) {
+// instruction's operand order, which the compiler may commute. Widening
+// to float64 is exact, so it keeps every float32 bit.
+func bitsEqual[T dtype](t *testing.T, name string, got, want []T) {
 	t.Helper()
-	if !tensor.SameShape(got, want) {
-		t.Fatalf("%s: shape %v vs %v", name, got.Shape(), want.Shape())
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
 	}
-	gd, wd := got.Data(), want.Data()
-	for i := range gd {
-		if math.IsNaN(gd[i]) && math.IsNaN(wd[i]) {
+	for i := range got {
+		g, w := float64(got[i]), float64(want[i])
+		if math.IsNaN(g) && math.IsNaN(w) {
 			continue
 		}
-		if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
-			t.Fatalf("%s: element %d = %x, want %x (%g vs %g)",
-				name, i, math.Float64bits(gd[i]), math.Float64bits(wd[i]), gd[i], wd[i])
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: element %d = %g, want %g (%x vs %x)", name, i, got[i], want[i], math.Float64bits(g), math.Float64bits(w))
 		}
 	}
 }
@@ -108,50 +153,76 @@ var kernelShapes = []struct{ m, k, n int }{
 	{32, 1024, 64}, // the training shape: layer-0 X·W₀ and Xᵀ·δ
 }
 
+// operands are one shape's inputs: a (m,k) and b (k,n), at (k,m) for
+// aᵀ@b, bt (n,k) for a@bᵀ, and acc (m,n), which the adding aᵀ@b adds
+// into when set.
+type operands[T dtype] struct {
+	m, k, n           int
+	a, b, at, bt, acc []T
+}
+
+// drawOperands draws a, b, at and bt from gen, in that order.
+func drawOperands[T dtype](r *rand.Rand, gen func(*rand.Rand, int) []T, m, k, n int) operands[T] {
+	return operands[T]{m: m, k: k, n: n, a: gen(r, m*k), b: gen(r, k*n), at: gen(r, k*m), bt: gen(r, n*k)}
+}
+
+// dirty fills out with a value no product of the tests returns, so an
+// element an entry fails to write shows.
+func dirty[T dtype](out []T) []T {
+	for i := range out {
+		out[i] = 999
+	}
+	return out
+}
+
+// checkProducts runs each product of ks on o and compares it bit for
+// bit with its scalar reference: the assigning forms over a dirty out,
+// and, when o.acc is set, the adding aᵀ@b on top of o.acc.
+func checkProducts[T dtype](t *testing.T, ks kernelSet[T], o operands[T]) {
+	t.Helper()
+	m, k, n := o.m, o.k, o.n
+	name := fmt.Sprintf("%T %dx%dx%d", T(0), m, k, n)
+	want, out := make([]T, m*n), make([]T, m*n)
+	tensor.MatMulSerial(want, o.a, o.b, m, k, n)
+	ks.mm(dirty(out), o.a, o.b, m, k, n)
+	bitsEqual(t, "matmul "+name, out, want)
+	tensor.MatMulATBSerial(want, o.at, o.b, k, m, n)
+	ks.atb(dirty(out), o.at, o.b, k, m, n)
+	bitsEqual(t, "matmulATB "+name, out, want)
+	tensor.MatMulABTSerial(want, o.a, o.bt, m, k, n)
+	ks.abt(dirty(out), o.a, o.bt, m, k, n)
+	bitsEqual(t, "matmulABT "+name, out, want)
+	if o.acc != nil {
+		checkATBAdd(t, "matmulATB accumulate "+name, ks, o.acc, o.at, o.b, k, m, n)
+	}
+}
+
+// checkATBAdd runs the adding aᵀ@b of ks into out and requires the
+// reference product added to out's old value, one add per element.
+func checkATBAdd[T dtype](t *testing.T, name string, ks kernelSet[T], out, a, b []T, k, m, n int) {
+	t.Helper()
+	want := make([]T, m*n)
+	tensor.MatMulATBSerial(want, a, b, k, m, n)
+	for i, v := range out {
+		want[i] = v + want[i]
+	}
+	ks.atbAdd(out, a, b, k, m, n)
+	bitsEqual(t, name, out, want)
+}
+
 // TestKernelsBitIdenticalToSerial is the core determinism property: the
 // blocked (and, above the threshold, parallel) kernels must reproduce the
 // naive serial reference bit for bit across odd shapes.
 func TestKernelsBitIdenticalToSerial(t *testing.T) {
-	bothKernelPaths(t, testKernelsBitIdenticalToSerial)
+	bothKernelPaths(t, func(t *testing.T) { testBitIdentical(t, f64Kernels, 11) })
 }
 
-func testKernelsBitIdenticalToSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
+func testBitIdentical[T dtype](t *testing.T, ks kernelSet[T], seed int64) {
+	r := rand.New(rand.NewSource(seed))
 	for _, s := range kernelShapes {
-		a := randMatrix(r, s.m, s.k)
-		b := randMatrix(r, s.k, s.n)
-
-		want, err := tensor.MatMulSerial(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tensor.MatMul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmul", got, want)
-
-		at := randMatrix(r, s.k, s.m) // (k,m) for aᵀ@b
-		wantATB, err := tensor.MatMulATBSerial(at, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotATB, err := tensor.MatMulATB(at, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmulATB", gotATB, wantATB)
-
-		bt := randMatrix(r, s.n, s.k) // (n,k) for a@bᵀ
-		wantABT, err := tensor.MatMulABTSerial(a, bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotABT, err := tensor.MatMulABT(a, bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmulABT", gotABT, wantABT)
+		o := drawOperands(r, ks.rand, s.m, s.k, s.n)
+		o.acc = ks.rand(r, s.m*s.n)
+		checkProducts(t, ks, o)
 	}
 }
 
@@ -164,117 +235,53 @@ func TestKernelsSplitInvariant(t *testing.T) {
 		{37, 512, 520}, // large streamed b panel (k·n past L2)
 	} {
 		t.Run("", func(t *testing.T) {
-			bothKernelPaths(t, func(t *testing.T) { testSplitInvariant(t, s.m, s.k, s.n) })
+			bothKernelPaths(t, func(t *testing.T) { testSplitInvariant(t, f64Kernels, 12, s.m, s.k, s.n) })
 		})
 	}
 }
 
-func testSplitInvariant(t *testing.T, m, k, n int) {
-	r := rand.New(rand.NewSource(12))
-	a := randMatrix(r, m, k)
-	b := randMatrix(r, k, n)
-	at := randMatrix(r, k, m)
-	bt := randMatrix(r, n, k)
-
-	splits := [][]int{
-		{0, m},
-		{0, 1, m},
-		{0, m - 1, m},
-		{0, 5, 11, 12, 30, m},
-		func() []int { // one row per task
-			s := make([]int, m+1)
-			for i := range s {
-				s[i] = i
-			}
-			return s
-		}(),
+func testSplitInvariant[T dtype](t *testing.T, ks kernelSet[T], seed int64, m, k, n int) {
+	o := drawOperands(rand.New(rand.NewSource(seed)), ks.rand, m, k, n)
+	perRow := make([]int, m+1) // one row per task
+	for i := range perRow {
+		perRow[i] = i
 	}
-
-	wantMM, _ := tensor.MatMulSerial(a, b)
-	wantATB, _ := tensor.MatMulATBSerial(at, b)
-	wantABT, _ := tensor.MatMulABTSerial(a, bt)
-	for _, bounds := range splits {
-		got, err := tensor.MatMulWithSplits(a, b, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmul split", got, wantMM)
-		got, err = tensor.MatMulATBWithSplits(at, b, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmulATB split", got, wantATB)
-		got, err = tensor.MatMulABTWithSplits(a, bt, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "matmulABT split", got, wantABT)
+	wantMM, wantATB, wantABT := make([]T, m*n), make([]T, m*n), make([]T, m*n)
+	tensor.MatMulSerial(wantMM, o.a, o.b, m, k, n)
+	tensor.MatMulATBSerial(wantATB, o.at, o.b, k, m, n)
+	tensor.MatMulABTSerial(wantABT, o.a, o.bt, m, k, n)
+	out := make([]T, m*n)
+	for _, bounds := range [][]int{{0, m}, {0, 1, m}, {0, m - 1, m}, {0, 5, 11, 12, 30, m}, perRow} {
+		ks.mmSplits(dirty(out), o.a, o.b, k, n, bounds)
+		bitsEqual(t, "matmul split", out, wantMM)
+		ks.atbSplits(dirty(out), o.at, o.b, k, n, bounds)
+		bitsEqual(t, "matmulATB split", out, wantATB)
+		ks.abtSplits(dirty(out), o.a, o.bt, k, n, bounds)
+		bitsEqual(t, "matmulABT split", out, wantABT)
 	}
 }
 
-// TestMatMulIntoVariants checks the slice entries of the float64
-// products against their allocating forms: MatMulF64 and MatMulABTF64
-// fully overwrite a dirty reused output buffer, and MatMulATBAddF64
-// into a zeroed one is MatMulATB.
-func TestMatMulIntoVariants(t *testing.T) {
-	bothKernelPaths(t, testMatMulIntoVariants)
+// testShapePanics requires every entry to reject an operand of the
+// wrong length instead of reading or writing past it.
+func testShapePanics[T dtype](t *testing.T, ks kernelSet[T]) {
+	out, a, b := make([]T, 4), make([]T, 4), make([]T, 4)
+	assertPanics(t, "matmul a", func() { ks.mm(out, a[:3], b, 2, 2, 2) })
+	assertPanics(t, "matmul b", func() { ks.mm(out, a, b[:3], 2, 2, 2) })
+	assertPanics(t, "matmul out", func() { ks.mm(out[:3], a, b, 2, 2, 2) })
+	assertPanics(t, "matmulATB a", func() { ks.atb(out, a[:1], b, 2, 2, 2) })
+	assertPanics(t, "matmulATB out", func() { ks.atb(out[:3], a, b, 2, 2, 2) })
+	assertPanics(t, "matmulABT b", func() { ks.abt(out, a, b[:1], 2, 2, 2) })
+	assertPanics(t, "matmulABT out", func() { ks.abt(out[:3], a, b, 2, 2, 2) })
 }
 
-func testMatMulIntoVariants(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	const m, k, n = 9, 33, 14
-	a := randMatrix(r, m, k)
-	b := randMatrix(r, k, n)
-	at := randMatrix(r, k, m)
-	bt := randMatrix(r, n, k)
-
-	dirty := func() *tensor.Tensor { return tensor.Full(999, m, n) }
-
-	out := dirty()
-	tensor.MatMulF64(out.Data(), a.Data(), b.Data(), m, k, n)
-	want, _ := tensor.MatMul(a, b)
-	bitsEqual(t, "matmulF64", out, want)
-
-	out = tensor.New(m, n)
-	tensor.MatMulATBAddF64(out.Data(), at.Data(), b.Data(), k, m, n)
-	want, _ = tensor.MatMulATB(at, b)
-	bitsEqual(t, "matmulATBAddF64", out, want)
-
-	out = dirty()
-	tensor.MatMulABTF64(out.Data(), a.Data(), bt.Data(), m, k, n)
-	want, _ = tensor.MatMulABT(a, bt)
-	bitsEqual(t, "matmulABTF64", out, want)
-
-	// A wrong output length must be rejected, not silently written.
-	bad := make([]float64, (m+1)*n)
-	assertPanics(t, "MatMulF64 out", func() { tensor.MatMulF64(bad, a.Data(), b.Data(), m, k, n) })
-	assertPanics(t, "MatMulATBAddF64 out", func() { tensor.MatMulATBAddF64(bad, at.Data(), b.Data(), k, m, n) })
-	assertPanics(t, "MatMulABTF64 out", func() { tensor.MatMulABTF64(bad, a.Data(), bt.Data(), m, k, n) })
-}
-
-func TestAddScaledInto(t *testing.T) {
-	a := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := tensor.MustFromSlice([]float64{10, 20, 30, 40}, 2, 2)
-	dst := tensor.New(2, 2)
-	if err := tensor.AddScaledInto(dst, a, 0.5, b); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{6, 12, 18, 24}
-	for i, v := range dst.Data() {
-		if v != want[i] {
-			t.Fatalf("dst[%d] = %g, want %g", i, v, want[i])
+func assertPanics(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", name)
 		}
-	}
-	// Aliasing dst==a is the in-place axpy.
-	if err := tensor.AddScaledInto(a, a, 1, b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Data()[3] != 44 {
-		t.Fatalf("aliased axpy = %v", a.Data())
-	}
-	if err := tensor.AddScaledInto(dst, a, 1, tensor.New(4)); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
+	}()
+	f()
 }
 
 // TestBinaryOpShapeChecks covers the SquaredDistance fix: equal

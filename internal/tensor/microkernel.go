@@ -1,11 +1,12 @@
 // Micro-kernel layer: register-blocked inner loops shared by the
 // float64 kernels (kernels.go) and the float32 ones (simd.go), behind
-// the Tensor and slice entry points (slices.go). The panel entry points (mmPanel/atbPanel/abtPanel) compute
-// a contiguous range of output rows — the unit the worker pool hands
-// out — by walking the output in 2-row × 4-column register strips
-// whose accumulators live in named locals, so each a/b element loaded
-// from memory feeds up to 4 multiply-adds instead of one and each b
-// element is reused across both rows.
+// the slice entries (slices.go). The panel entry points
+// (mmPanel/atbPanel/abtPanel) compute a contiguous range of output
+// rows — the unit the worker pool hands out — by walking the output in
+// 2-row × 4-column register strips whose accumulators live in named
+// locals, so each a/b element loaded from memory feeds up to 4
+// multiply-adds instead of one and each b element is reused across
+// both rows.
 //
 // Why 2×4 in Go: the compiler keeps every accumulator in its own
 // scalar register (it does not vectorize), and a 2×4 strip's 8
@@ -361,24 +362,4 @@ func abt2x4[T number](a0, a1, b0, b1, b2, b3, o0, o1 []T, j int) {
 	o1[j+1] = c11
 	o1[j+2] = c12
 	o1[j+3] = c13
-}
-
-// --- Fused element-wise kernels ---
-
-// addScaled computes dst[i] = a[i] + s·b[i], 4-way unrolled. dst may
-// alias a and/or b (the in-place axpy of the aggregation path).
-func addScaled[T number](dst, a []T, s T, b []T) {
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		d := dst[i : i+4]
-		av := a[i : i+4]
-		bv := b[i : i+4]
-		d[0] = av[0] + s*bv[0]
-		d[1] = av[1] + s*bv[1]
-		d[2] = av[2] + s*bv[2]
-		d[3] = av[3] + s*bv[3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = a[i] + s*b[i]
-	}
 }

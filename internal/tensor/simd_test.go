@@ -66,11 +66,6 @@ func eachTier(t *testing.T, f func(t *testing.T, tier tensor.Tier)) {
 	}
 }
 
-func sliceBitsEqual(t *testing.T, name string, got, want []float64) {
-	t.Helper()
-	bitsEqual(t, name, tensor.MustFromSlice(got, len(got)), tensor.MustFromSlice(want, len(want)))
-}
-
 // momentumHypers are the (momentum, lr, wd) triples of the step tests;
 // the last overflows the update.
 var momentumHypers = [][3]float64{{0.9, 0.05, 5e-4}, {0, 1, 0}, {0.5, math.MaxFloat64 / 4, 2}}
@@ -92,9 +87,9 @@ func TestMomentumStepMatchesScalarLoop(t *testing.T) {
 					wantP[j] += wantV[j]
 				}
 				tensor.SGDStep{Momentum: mom, LR: lr, WeightDecay: wd, GradScale: 1}.Apply(p, nil, v, g, nil)
-				sliceBitsEqual(t, "momentum vel", v, wantV)
-				sliceBitsEqual(t, "momentum param", p, wantP)
-				sliceBitsEqual(t, "momentum grad", g, make([]float64, n))
+				bitsEqual(t, "momentum vel", v, wantV)
+				bitsEqual(t, "momentum param", p, wantP)
+				bitsEqual(t, "momentum grad", g, make([]float64, n))
 			}
 		}
 	})
@@ -152,14 +147,14 @@ func TestSGDStepFusedFormsMatchTwoPasses(t *testing.T) {
 							srcArg = src
 						}
 						step.Apply(param, srcArg, vel, grad, shadow)
-						sliceBitsEqual(t, name+" param", param, wantP)
-						sliceBitsEqual(t, name+" vel", vel, wantV)
-						sliceBitsEqual(t, name+" grad", grad, make([]float64, n))
+						bitsEqual(t, name+" param", param, wantP)
+						bitsEqual(t, name+" vel", vel, wantV)
+						bitsEqual(t, name+" grad", grad, make([]float64, n))
 						if fromSrc {
-							sliceBitsEqual(t, name+" src untouched", src, srcBefore)
+							bitsEqual(t, name+" src untouched", src, srcBefore)
 						}
 						if shadowed {
-							f32BitsEqual(t, name+" shadow", shadow, wantS)
+							bitsEqual(t, name+" shadow", shadow, wantS)
 						}
 					}
 				}
@@ -183,16 +178,16 @@ func TestAffineIntoMatchesScalarLoop(t *testing.T) {
 				}
 				dst := edgeSlice(r, n+3, 1)
 				tensor.AffineInto(dst, src, sc[0], sc[1])
-				sliceBitsEqual(t, "affine", dst[:n], want)
+				bitsEqual(t, "affine", dst[:n], want)
 				tensor.AffineInto(src, src, sc[0], sc[1])
-				sliceBitsEqual(t, "affine in place", src, want)
+				bitsEqual(t, "affine in place", src, want)
 			}
 		}
 	})
 }
 
 // TestWeightedSumIntoMatchesAxpyPasses pins the K-input sum to zeroing
-// the destination and then one AddScaledInto pass per input, in input
+// the destination and then one AddScaled pass per input, in input
 // order, for K from 0 to 6, with signed-zero inputs mixed in (only a
 // sum that starts at +0 gets their sign right).
 func TestWeightedSumIntoMatchesAxpyPasses(t *testing.T) {
@@ -213,13 +208,13 @@ func TestWeightedSumIntoMatchesAxpyPasses(t *testing.T) {
 				}
 				want := tensor.New(n)
 				for i, s := range srcs {
-					if err := tensor.AddScaledInto(want, want, ws[i], tensor.MustFromSlice(s, n)); err != nil {
+					if err := want.AddScaled(ws[i], tensor.MustFromSlice(s, n)); err != nil {
 						t.Fatal(err)
 					}
 				}
 				dst := edgeSlice(r, n, 1)
 				tensor.WeightedSumInto(dst, srcs, ws)
-				sliceBitsEqual(t, fmt.Sprintf("weighted sum n=%d k=%d", n, k), dst, want.Data())
+				bitsEqual(t, fmt.Sprintf("weighted sum n=%d k=%d", n, k), dst, want.Data())
 			}
 		}
 	})
@@ -241,7 +236,7 @@ func TestNarrowIntoMatchesScalarLoop(t *testing.T) {
 				got[i] = float32(i) // dirty: every element must be written
 			}
 			tensor.NarrowInto(got, src)
-			f32BitsEqual(t, "narrow", got, want)
+			bitsEqual(t, "narrow", got, want)
 		}
 	})
 }
@@ -260,43 +255,26 @@ func TestWidenAddIntoMatchesScalarLoop(t *testing.T) {
 				want[i] += float64(v)
 			}
 			tensor.WidenAddInto(dst, src)
-			sliceBitsEqual(t, "widen-add", dst, want)
+			bitsEqual(t, "widen-add", dst, want)
 		}
 	})
 }
 
 // TestMatMulATBAddIntoMatchesOneAdd pins the accumulate epilogue of
-// MatMulATBAddF64: out += aᵀ@b must equal the product computed alone, then added to out with
-// one add per element — on tiles, strips and tails, at every output
-// width 0–67, in float64 and (through a test hook) float32, on every
-// tier the CPU has.
+// MatMulATBAddF64: out += aᵀ@b must equal the product computed alone,
+// then added to out with one add per element — on tiles, strips and
+// tails, at every output width 0–67, in float64 and (through a test
+// hook) float32, on every tier the CPU has.
 func TestMatMulATBAddIntoMatchesOneAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	eachTier(t, func(t *testing.T, _ tensor.Tier) {
 		for n := 0; n <= maxPropLen; n++ {
 			for _, km := range [][2]int{{1, 4}, {9, 5}, {3, 8}, {2, 1}} {
 				k, m := km[0], km[1]
-				a := tensor.MustFromSlice(edgeSlice(r, k*m, 1), k, m)
-				b := tensor.MustFromSlice(edgeSlice(r, k*n, 1), k, n)
-				prod, err := tensor.MatMulATBSerial(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := tensor.MustFromSlice(edgeSlice(r, m*n, 1), m, n)
-				want := out.Clone()
-				for i, v := range prod.Data() {
-					want.Data()[i] += v
-				}
-				tensor.MatMulATBAddF64(out.Data(), a.Data(), b.Data(), k, m, n)
-				bitsEqual(t, "matmulATB accumulate", out, want)
-
-				a32, b32, out32 := narrowed(a.Data()), narrowed(b.Data()), narrowed(out.Data())
-				want32 := append([]float32(nil), out32...)
-				for i, v := range atbRefF32(a32, b32, k, m, n) {
-					want32[i] += v
-				}
-				tensor.MatMulATBAddF32(out32, a32, b32, k, m, n)
-				f32BitsEqual(t, "matmulATBF32 accumulate", out32, want32)
+				a, b, out := edgeSlice(r, k*m, 1), edgeSlice(r, k*n, 1), edgeSlice(r, m*n, 1)
+				a32, b32, out32 := narrowed(a), narrowed(b), narrowed(out)
+				checkATBAdd(t, "matmulATB accumulate", f64Kernels, out, a, b, k, m, n)
+				checkATBAdd(t, "matmulATBF32 accumulate", f32Kernels, out32, a32, b32, k, m, n)
 			}
 		}
 	})
@@ -349,7 +327,7 @@ func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
 					want[p] += s
 				}
 				tensor.Conv3x3AddInto(dst, src, stride, &k)
-				sliceBitsEqual(t, "conv3x3", dst, want)
+				bitsEqual(t, "conv3x3", dst, want)
 			}
 		}
 	})
@@ -361,19 +339,19 @@ func TestConv3x3AddIntoMatchesScalarLoop(t *testing.T) {
 // the gated sum stays finite; the tile must then store nothing and
 // leave its block to the gated strips. Each case plants one such pair
 // (a = +0, −0 or NaN against b = +Inf, −Inf or NaN) inside a full
-// 4-row tile, among finite nonzero operands, and runs MatMul,
-// MatMulATBAddF64 into a zeroed and into a non-zero out, and the float32
-// forms against the serial references, on every tier the CPU has.
-// MatMulABT runs its tile on bᵀ but has no gate: there the planted pair
-// makes the reference NaN too, and the block must fall back to the
-// dense ABT strips, which keep it NaN, not to the gated ones.
+// 4-row tile, among finite nonzero operands, and runs every product
+// of both dtypes against the serial references, aᵀ@b also into a
+// non-zero out, on every tier the CPU has. MatMulABT runs its tile on
+// bᵀ but has no gate: there the planted pair makes the reference NaN
+// too, and the block must fall back to the dense ABT strips, which
+// keep it NaN, not to the gated ones.
 func TestTileNaNFallbackMatchesGate(t *testing.T) {
 	// Two row tiles. Every planted column (< 16) lies in the first tile
 	// of every width: f64 tiles at columns 0, 8, 16, 24 (ymm) or 0, 16
 	// (zmm), f32 at 0, 16 (ymm) or 0 (zmm).
 	const m, k, n = 8, 5, 35
 	r := rand.New(rand.NewSource(46))
-	nonzero := func(cnt int) []float64 {
+	nonzero := func(r *rand.Rand, cnt int) []float64 {
 		s := make([]float64, cnt)
 		for i := range s {
 			s[i] = r.NormFloat64() + math.Copysign(0.25, r.NormFloat64())
@@ -382,78 +360,29 @@ func TestTileNaNFallbackMatchesGate(t *testing.T) {
 	}
 	specialA := []float64{0, math.Copysign(0, -1), math.NaN()}
 	specialB := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
-	eachTier(t, func(t *testing.T, tier tensor.Tier) {
+	eachTier(t, func(t *testing.T, _ tensor.Tier) {
 		for ci, sa := range specialA {
 			for cj, sb := range specialB {
 				row, p, col := (ci*3+cj)%m, (ci+cj)%k, (ci*5+cj*3)%16
-				name := fmt.Sprintf("a=%v b=%v tier=%v", sa, sb, tier)
-
-				ad, bd := nonzero(m*k), nonzero(k*n)
-				ad[row*k+p], bd[p*n+col] = sa, sb
-				a, b := tensor.MustFromSlice(ad, m, k), tensor.MustFromSlice(bd, k, n)
-				want, err := tensor.MatMulSerial(a, b)
-				if err != nil {
-					t.Fatal(err)
+				o := drawOperands(r, nonzero, m, k, n)
+				o.acc = nonzero(r, m*n)
+				o.a[row*k+p], o.b[p*n+col], o.at[p*m+row], o.bt[col*k+p] = sa, sb, sa, sb
+				abt := make([]float64, m*n)
+				tensor.MatMulABTSerial(abt, o.a, o.bt, m, k, n)
+				if !math.IsNaN(abt[row*n+col]) {
+					t.Fatalf("abt a=%v b=%v: reference element is %g, want NaN", sa, sb, abt[row*n+col])
 				}
-				got, err := tensor.MatMul(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bitsEqual(t, "matmul "+name, got, want)
-
-				atd := nonzero(k * m)
-				atd[p*m+row] = sa
-				at := tensor.MustFromSlice(atd, k, m)
-				wantATB, err := tensor.MatMulATBSerial(at, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out := tensor.New(m, n)
-				tensor.MatMulATBAddF64(out.Data(), atd, bd, k, m, n)
-				bitsEqual(t, "matmulATB "+name, out, wantATB)
-
-				acc := tensor.MustFromSlice(nonzero(m*n), m, n)
-				wantAcc := acc.Clone()
-				for i, v := range wantATB.Data() {
-					wantAcc.Data()[i] += v
-				}
-				tensor.MatMulATBAddF64(acc.Data(), atd, bd, k, m, n)
-				bitsEqual(t, "matmulATB accumulate "+name, acc, wantAcc)
-
-				a32, b32, at32 := narrowed(ad), narrowed(bd), narrowed(atd)
-				out32 := narrowed(nonzero(m * n))
-				tensor.MatMulF32(out32, a32, b32, m, k, n)
-				f32BitsEqual(t, "matmulF32 "+name, out32, mmRefF32(a32, b32, m, k, n))
-
-				wantATB32 := atbRefF32(at32, b32, k, m, n)
-				tensor.MatMulATBF32(out32, at32, b32, k, m, n)
-				f32BitsEqual(t, "matmulATBF32 "+name, out32, wantATB32)
-
-				acc32 := narrowed(nonzero(m * n))
-				wantAcc32 := append([]float32(nil), acc32...)
-				for i, v := range wantATB32 {
-					wantAcc32[i] += v
-				}
-				tensor.MatMulATBAddF32(acc32, at32, b32, k, m, n)
-				f32BitsEqual(t, "matmulATBF32 accumulate "+name, acc32, wantAcc32)
-
-				btd := nonzero(n * k)
-				btd[col*k+p] = sb
-				bt := tensor.MustFromSlice(btd, n, k)
-				wantABT, err := tensor.MatMulABTSerial(a, bt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !math.IsNaN(wantABT.Data()[row*n+col]) {
-					t.Fatalf("abt %s: reference element is %g, want NaN", name, wantABT.Data()[row*n+col])
-				}
-				outABT := tensor.MustFromSlice(nonzero(m*n), m, n)
-				tensor.MatMulABTF64(outABT.Data(), ad, btd, m, k, n)
-				bitsEqual(t, "matmulABT "+name, outABT, wantABT)
-
-				bt32 := narrowed(btd)
-				tensor.MatMulABTF32(out32, a32, bt32, m, k, n)
-				f32BitsEqual(t, "matmulABTF32 "+name, out32, abtRefF32(a32, bt32, m, k, n))
+				o32 := operands[float32]{m: m, k: k, n: n,
+					a: narrowed(o.a), b: narrowed(o.b), at: narrowed(o.at), bt: narrowed(o.bt), acc: narrowed(o.acc)}
+				func() {
+					defer func() {
+						if t.Failed() {
+							t.Logf("planted a=%v against b=%v", sa, sb)
+						}
+					}()
+					checkProducts(t, f64Kernels, o)
+					checkProducts(t, f32Kernels, o32)
+				}()
 			}
 		}
 	})

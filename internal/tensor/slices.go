@@ -3,16 +3,17 @@
 // []float64, or one []float32 shadow, and nn walks its layers once
 // over per-layer slices of either dtype; these entries give both
 // walks the same register-blocked micro-kernels (microkernel.go) and
-// the same shared worker pool as the allocating Tensor kernels.
+// the same shared worker pool. They are the only route to the
+// products.
 //
 // The API is deliberately slice-first: the arenas never materialize
 // Tensor views on the hot path, so the kernels take raw slices plus
 // explicit dims and panic on length mismatches (a programmer error in
 // the nn hot path — the nn layer validates shapes before calling).
-// Each kernel is bit-identical to a scalar reference of its dtype with
-// the same ascending-p accumulation order at any parallelism: the
-// float64 entries run exactly the kernels of MatMul, MatMulATB and
-// MatMulABT.
+// Each entry is bit-identical at any parallelism to its product's
+// scalar reference (MatMulSerial, MatMulATBSerial, MatMulABTSerial in
+// kernels.go), one generic loop per product for both dtypes, with the
+// same ascending-p accumulation order.
 package tensor
 
 import "fmt"
@@ -31,8 +32,8 @@ func checkLens(name string, a, b, out, wantA, wantB, wantOut int) {
 }
 
 // MatMulF64 computes out = a@b for a of shape (m,k) and b of shape
-// (k,n), overwriting out (shape (m,n)), bit-identical to MatMul. out
-// must not alias a or b.
+// (k,n), overwriting out (shape (m,n)), bit-identical to MatMulSerial.
+// out must not alias a or b.
 func MatMulF64(out, a, b []float64, m, k, n int) {
 	checkLens("matmulF64", len(a), len(b), len(out), m*k, k*n, m*n)
 	runMatMul(matMulRange, a, b, out, m, k, n)
@@ -40,7 +41,7 @@ func MatMulF64(out, a, b []float64, m, k, n int) {
 
 // MatMulATBAddF64 adds aᵀ@b into out for a of shape (k,m) and b of
 // shape (k,n): out += aᵀ@b, one add per element, bit-identical to
-// computing MatMulATB and adding it (backprop accumulates weight
+// computing MatMulATBSerial and adding it (backprop accumulates weight
 // gradients this way without staging them). out must not alias a or b.
 func MatMulATBAddF64(out, a, b []float64, k, m, n int) {
 	checkLens("matmulATBAddF64", len(a), len(b), len(out), k*m, k*n, m*n)
@@ -48,8 +49,8 @@ func MatMulATBAddF64(out, a, b []float64, k, m, n int) {
 }
 
 // MatMulABTF64 computes out = a@bᵀ for a of shape (m,k) and b of shape
-// (n,k), overwriting out (shape (m,n)), bit-identical to MatMulABT.
-// out must not alias a or b.
+// (n,k), overwriting out (shape (m,n)), bit-identical to
+// MatMulABTSerial. out must not alias a or b.
 func MatMulABTF64(out, a, b []float64, m, k, n int) {
 	checkLens("matmulABTF64", len(a), len(b), len(out), m*k, n*k, m*n)
 	runMatMulABT(matMulABTRange, tiles().w64, btSpares64, a, b, out, m, k, n)

@@ -253,10 +253,10 @@ func SquaredDistance(a, b *Tensor) (float64, error) {
 
 // --- matrix operations (2-D tensors) ---
 //
-// The matrix products (MatMul, MatMulATB, MatMulABT and their Into/Serial
-// variants) live in kernels.go: parallel cache-blocked kernels with a
-// serial fallback, bit-identical to the naive reference at any
-// parallelism.
+// The matrix products take raw slices, not tensors: one entry per
+// product and dtype in slices.go, over the parallel cache-blocked
+// kernels of kernels.go, bit-identical to the scalar references there
+// at any parallelism.
 
 // Row returns a view of row i of a 2-D tensor as a 1-D tensor.
 func (t *Tensor) Row(i int) (*Tensor, error) {
@@ -320,18 +320,6 @@ func ChannelStatsInto(mu, sigma, data []float64, eps float64) {
 		mu[ch] = m
 		sigma[ch] = math.Sqrt(va + eps)
 	}
-}
-
-// Softmax writes the softmax of each row of a 2-D tensor into a new tensor.
-func Softmax(logits *Tensor) (*Tensor, error) {
-	if logits.Dims() != 2 {
-		return nil, fmt.Errorf("tensor: Softmax needs a 2-D tensor, got %v", logits.shape)
-	}
-	out := New(logits.shape[0], logits.shape[1])
-	if err := SoftmaxInto(out, logits); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SoftmaxInto writes the softmax of each row of a 2-D tensor into out,

@@ -108,64 +108,40 @@ func TestAddSubRoundTrip(t *testing.T) {
 }
 
 func TestMatMulKnown(t *testing.T) {
-	a := tensor.MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := tensor.MustFromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := tensor.MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := make([]float64, 4)
+	tensor.MatMulF64(c, []float64{1, 2, 3, 4, 5, 6}, []float64{7, 8, 9, 10, 11, 12}, 2, 3, 2)
 	want := []float64{58, 64, 139, 154}
-	for i, v := range c.Data() {
+	for i, v := range c {
 		if v != want[i] {
 			t.Fatalf("matmul[%d] = %g, want %g", i, v, want[i])
 		}
 	}
 }
 
-func TestMatMulShapeErrors(t *testing.T) {
-	a := tensor.New(2, 3)
-	b := tensor.New(2, 3)
-	if _, err := tensor.MatMul(a, b); err == nil {
-		t.Fatal("want inner-dim error")
-	}
-	if _, err := tensor.MatMul(tensor.New(6), b); err == nil {
-		t.Fatal("want rank error")
-	}
-}
+func TestMatMulShapeErrors(t *testing.T) { testShapePanics(t, f64Kernels) }
 
-// MatMulATB and MatMulABT must agree with MatMul on the explicitly
+// The aᵀ@b and a@bᵀ entries must agree with MatMulF64 on the explicitly
 // transposed operand, written out here as a literal.
 func TestMatMulTransposedVariants(t *testing.T) {
 	// a is (2,3); at is its transpose.
-	a := tensor.MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := tensor.MustFromSlice([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	b := tensor.MustFromSlice([]float64{7, 8, 9, 10}, 2, 2)
-	want, err := tensor.MatMul(at, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tensor.MatMulATB(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(want.Data(), got.Data()) {
-		t.Fatalf("MatMulATB = %v, want %v", got.Data(), want.Data())
+	a := []float64{1, 2, 3, 4, 5, 6}
+	at := []float64{1, 4, 2, 5, 3, 6}
+	b := []float64{7, 8, 9, 10}
+	want, got := make([]float64, 6), make([]float64, 6)
+	tensor.MatMulF64(want, at, b, 3, 2, 2)
+	tensor.MatMulATBAddF64(got, a, b, 2, 3, 2)
+	if !almostEqual(want, got) {
+		t.Fatalf("MatMulATBAddF64 = %v, want %v", got, want)
 	}
 
 	// d is (2,3); dt is its transpose.
-	c := tensor.MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	d := tensor.MustFromSlice([]float64{7, 8, 9, 10, 11, 12}, 2, 3)
-	dt := tensor.MustFromSlice([]float64{7, 10, 8, 11, 9, 12}, 3, 2)
-	want2, err := tensor.MatMul(c, dt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := tensor.MatMulABT(c, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(want2.Data(), got2.Data()) {
-		t.Fatalf("MatMulABT = %v, want %v", got2.Data(), want2.Data())
+	d := []float64{7, 8, 9, 10, 11, 12}
+	dt := []float64{7, 10, 8, 11, 9, 12}
+	want, got = make([]float64, 4), make([]float64, 4)
+	tensor.MatMulF64(want, a, dt, 2, 3, 2)
+	tensor.MatMulABTF64(got, a, d, 2, 3, 2)
+	if !almostEqual(want, got) {
+		t.Fatalf("MatMulABTF64 = %v, want %v", got, want)
 	}
 }
 
@@ -194,8 +170,8 @@ func TestChannelStats(t *testing.T) {
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	x := tensor.Randn(r, 10, 4, 6) // large values exercise stability
-	p, err := tensor.Softmax(x)
-	if err != nil {
+	p := tensor.New(4, 6)
+	if err := tensor.SoftmaxInto(p, x); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
