@@ -544,7 +544,7 @@ func (c *Client) Model(ctx context.Context, id string) ([]byte, error) {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		return nil, parseAPIErrorResp(resp, raw)
 	}
-	return io.ReadAll(resp.Body)
+	return engine.ReadBody(resp.Body, resp.ContentLength)
 }
 
 // Cancel aborts a job: immediately when queued, at the next round

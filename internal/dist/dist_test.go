@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/pardon-feddg/pardon/client"
@@ -677,6 +680,45 @@ func TestCompletionBodyLimit(t *testing.T) {
 	}
 	if got, ok, err := cl.eng.ModelBlob(j.Key); err != nil || !ok || len(got) != len(blob) {
 		t.Fatalf("stored blob: %d bytes, ok=%v err=%v, want %d bytes", len(got), ok, err, len(blob))
+	}
+}
+
+// TestModelUploadReadErrorIsBadRequest: an upload whose body fails
+// mid-read is a 400 bad_request, not a 413: only the size cap is
+// payload_too_large. Nothing is stored and the lease stays held.
+func TestModelUploadReadErrorIsBadRequest(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := newCluster(t, 5*time.Second)
+	c := client.New(cl.srv.URL)
+	reg, err := c.RegisterWorker(ctx, client.WorkerRegisterRequest{Name: "torn", CodeVersion: engine.CodeVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := cl.eng.Submit(tinySpec("FedAvg", 42), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := c.PullLease(ctx, reg.WorkerID)
+	if err != nil || lv == nil || lv.JobID != j.ID {
+		t.Fatalf("pull: lease %v, err %v, want job %s", lv, err, j.ID)
+	}
+	body := io.MultiReader(bytes.NewReader(make([]byte, 4096)), iotest.ErrReader(errors.New("connection reset")))
+	req := httptest.NewRequest(http.MethodPut, "/v1/workers/"+reg.WorkerID+"/jobs/"+lv.JobID+"/model", body)
+	req.ContentLength = 1 << 20
+	rec := httptest.NewRecorder()
+	cl.srv.Config.Handler.ServeHTTP(rec, req)
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest || env.Error.Code != client.ErrCodeBadRequest {
+		t.Fatalf("torn upload answered %d %s, want 400 %s", rec.Code, rec.Body, client.ErrCodeBadRequest)
+	}
+	if _, ok, _ := cl.eng.ModelBlob(j.Key); ok {
+		t.Fatal("a torn upload was stored")
+	}
+	if _, holder, ok := cl.coord.LeaseHolder(j.ID); !ok || holder != reg.WorkerID {
+		t.Fatalf("lease after a torn upload: holder %q, held %v", holder, ok)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strings"
 
@@ -125,9 +124,14 @@ func (c *Coordinator) handleModelUpload(w http.ResponseWriter, r *http.Request) 
 			"job "+jobID+" is not leased to worker "+workerID)
 		return
 	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	blob, err := engine.ReadBody(http.MaxBytesReader(w, r.Body, maxUploadBytes), r.ContentLength)
 	if err != nil {
-		engine.WriteError(w, http.StatusRequestEntityTooLarge, engine.ErrCodePayloadTooLarge, err.Error())
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			engine.WriteError(w, http.StatusRequestEntityTooLarge, engine.ErrCodePayloadTooLarge, err.Error())
+		} else {
+			engine.WriteError(w, http.StatusBadRequest, engine.ErrCodeBadRequest, "reading the model upload: "+err.Error())
+		}
 		return
 	}
 	if err := c.eng.Store().PutBlob(j.Key, blob); err != nil {

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,17 +179,8 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 			}
 		}
 	}
-	newStore := func(t *testing.T) *Store {
-		t.Helper()
-		st, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-
 	t.Run("mixed sizes, oldest first", func(t *testing.T) {
-		st := newStore(t)
+		st := newMemStore(t)
 		put(t, st, "a", budget/4)
 		put(t, st, "b", budget/8)
 		put(t, st, "c", budget/2)
@@ -207,7 +201,7 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 	})
 
 	t.Run("newest kept alone over budget", func(t *testing.T) {
-		st := newStore(t)
+		st := newMemStore(t)
 		put(t, st, "small", 1024)
 		put(t, st, "huge", budget+1)
 		held(t, st, map[string]bool{"small": false, "huge": true})
@@ -219,7 +213,7 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 	})
 
 	t.Run("DropBlob releases its bytes", func(t *testing.T) {
-		st := newStore(t)
+		st := newMemStore(t)
 		put(t, st, "a", budget/2)
 		put(t, st, "b", budget/2)
 		st.DropBlob("a")
@@ -232,7 +226,7 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 	})
 
 	t.Run("thousands of checkpoints", func(t *testing.T) {
-		st := newStore(t)
+		st := newMemStore(t)
 		const cell = 543 << 10 // one Table-I checkpoint
 		const puts = 2000
 		for i := 0; i < puts; i++ {
@@ -249,6 +243,191 @@ func TestStoreMemoryBlobsBounded(t *testing.T) {
 		}
 		held(t, st, map[string]bool{"h00000": false, fmt.Sprintf("h%05d", puts-n): true, fmt.Sprintf("h%05d", puts-1): true})
 	})
+}
+
+// newMemStore is a memory-only Store on its own registry.
+func newMemStore(t *testing.T) *Store {
+	t.Helper()
+	st, err := newStoreWith("", telemetry.NewRegistry(), slog.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// mappedBytes checks a memory-only store's mappings against its
+// accounting and returns them: the held blobs' lengths sum to
+// blobBytes, and their mappings and the spare's sum to the
+// store_blob_resident_bytes gauge.
+func mappedBytes(t *testing.T, st *Store) int64 {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var held, mapped int64
+	for _, b := range st.blobs {
+		held += int64(len(b))
+		mapped += int64(cap(b))
+	}
+	mapped += int64(cap(st.spare))
+	if held != st.blobBytes {
+		t.Fatalf("blobs hold %d bytes, running total %d", held, st.blobBytes)
+	}
+	if g := st.metrics.blobResident.Value(); g != mapped {
+		t.Fatalf("store_blob_resident_bytes = %d, mappings total %d", g, mapped)
+	}
+	return mapped
+}
+
+// TestStoreBlobReadIsACopy: a GetBlob result belongs to its caller, so
+// writing into it leaves the stored blob as it was.
+func TestStoreBlobReadIsACopy(t *testing.T) {
+	st := newMemStore(t)
+	if err := st.PutBlob("k", []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	b, _, _ := st.GetBlob("k")
+	b[0] = 9
+	if again, ok, _ := st.GetBlob("k"); !ok || !bytes.Equal(again, []byte{1, 2, 3}) {
+		t.Fatalf("after writing into a read, the store holds %v, want [1 2 3]", again)
+	}
+}
+
+// TestStoreReusesEvictedMapping: once a full store starts evicting,
+// each same-size put takes the mapping the last eviction left as the
+// spare, so no new mapping is made and the mapped bytes stay put.
+func TestStoreReusesEvictedMapping(t *testing.T) {
+	st := newMemStore(t)
+	const cell = 543 << 10
+	data := make([]byte, cell)
+	i := 0
+	put := func() {
+		t.Helper()
+		if err := st.PutBlob(fmt.Sprintf("h%04d", i), data); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for st.metrics.evictions.Value() == 0 {
+		put()
+	}
+	seen := map[*byte]bool{}
+	st.mu.Lock()
+	for _, b := range st.blobs {
+		seen[&b[:1][0]] = true
+	}
+	seen[&st.spare[:1][0]] = true
+	st.mu.Unlock()
+	mapped := mappedBytes(t, st)
+	for n := 0; n < 300; n++ {
+		put()
+		st.mu.Lock()
+		b := st.blobs[fmt.Sprintf("h%04d", i-1)]
+		st.mu.Unlock()
+		if !seen[&b[:1][0]] {
+			t.Fatalf("put %d after the first eviction mapped new memory", n)
+		}
+		if got := mappedBytes(t, st); got != mapped {
+			t.Fatalf("put %d after the first eviction: %d bytes mapped, want %d", n, got, mapped)
+		}
+	}
+}
+
+// TestEngineCloseUnmapsStoreBlobs: Engine.Close unmaps a memory-only
+// store's blobs and spare; afterwards a get misses and a put keeps
+// nothing.
+func TestEngineCloseUnmapsStoreBlobs(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	st := e.Store()
+	for _, h := range []string{"a", "b", "c"} {
+		if err := st.PutBlob(h, make([]byte, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.DropBlob("a") // leaves a spare
+	if got := mappedBytes(t, st); got != 3*4096 {
+		t.Fatalf("%d bytes mapped before Close, want %d", got, 3*4096)
+	}
+	e.Close()
+	if got := mappedBytes(t, st); got != 0 {
+		t.Fatalf("%d bytes mapped after Close, want 0", got)
+	}
+	if _, ok, _ := e.ModelBlob("b"); ok {
+		t.Fatal("a blob survived Close")
+	}
+	if err := st.PutBlob("d", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := st.GetBlob("d"); ok {
+		t.Fatal("a put after Close was kept")
+	}
+	if got := mappedBytes(t, st); got != 0 {
+		t.Fatalf("%d bytes mapped by a put after Close, want 0", got)
+	}
+}
+
+// TestStoreEmptyBlob: a zero-length blob maps nothing and reads back
+// as held and empty.
+func TestStoreEmptyBlob(t *testing.T) {
+	st := newMemStore(t)
+	for _, data := range [][]byte{{}, nil} {
+		if err := st.PutBlob("z", data); err != nil {
+			t.Fatal(err)
+		}
+		if b, ok, err := st.GetBlob("z"); err != nil || !ok || len(b) != 0 {
+			t.Fatalf("empty blob read back as %v, ok=%v err=%v", b, ok, err)
+		}
+	}
+	if got := mappedBytes(t, st); got != 0 {
+		t.Fatalf("an empty blob mapped %d bytes", got)
+	}
+	st.DropBlob("z")
+	if _, ok, _ := st.GetBlob("z"); ok {
+		t.Fatal("a dropped empty blob is still held")
+	}
+}
+
+// TestStoreBlobsConcurrent: puts, gets and drops over overlapping keys
+// whose blobs overrun the budget, so evictions and spare reuse race
+// with the reads. Each key has its own length and each writer its own
+// fill byte, so a read only ever returns bytes written under its key:
+// whole, of that key's length, and all from one writer.
+func TestStoreBlobsConcurrent(t *testing.T) {
+	st := newMemStore(t)
+	const keys, writers, ops = 32, 4, 100
+	size := func(k int) int { return 2<<20 + k<<16 } // 95 MiB over all keys
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fill := bytes.Repeat([]byte{byte(w)}, size(keys-1))
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < ops; i++ {
+				k := rng.Intn(keys)
+				h := fmt.Sprintf("k%02d", k)
+				switch op := rng.Intn(10); {
+				case op < 4:
+					if err := st.PutBlob(h, fill[:size(k)]); err != nil {
+						t.Error(err)
+						return
+					}
+				case op < 9:
+					b, ok, _ := st.GetBlob(h)
+					if ok && (len(b) != size(k) || int(b[0]) >= writers || !bytes.Equal(b[1:], b[:len(b)-1])) {
+						t.Errorf("read of %s: %d bytes starting % x, want %d bytes of one writer's fill", h, len(b), b[:min(len(b), 4)], size(k))
+						return
+					}
+				default:
+					st.DropBlob(h)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// A reused spare may be up to a quarter larger than its blob.
+	if got := mappedBytes(t, st); got > memBlobBudget*5/4+int64(size(keys-1)) {
+		t.Fatalf("%d bytes mapped, over 5/4 of the budget plus one spare", got)
+	}
 }
 
 func TestStoreBlobMemoryAndDisk(t *testing.T) {

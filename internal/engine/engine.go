@@ -278,12 +278,14 @@ func (e *Engine) tenantQuota(tenant string) int {
 }
 
 // Close cancels all pending and running jobs, drains the worker pool,
-// and releases the journal. Jobs cancelled by this drain keep their
+// releases the journal and unmaps a memory-only store's checkpoint
+// blobs. Jobs cancelled by this drain keep their
 // journal records live, so a subsequent boot on the same cache dir
 // re-enqueues them.
 func (e *Engine) Close() {
 	e.sched.close()
 	e.journal.Close()
+	e.store.close()
 }
 
 // Draining reports whether the engine has begun shutting down and

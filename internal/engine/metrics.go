@@ -105,6 +105,8 @@ type storeMetrics struct {
 	corrupt   *telemetry.Counter
 	evictions *telemetry.Counter
 	blobBytes *telemetry.Counter
+	// blobResident counts mapped blob bytes, which heap metrics miss.
+	blobResident *telemetry.Gauge
 }
 
 func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
@@ -119,6 +121,8 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 			"Cache files deleted by the disk-size cap's LRU sweep, and checkpoint blobs a memory-only store evicted over its byte budget."),
 		blobBytes: reg.Counter("store_blob_bytes_total",
 			"Bytes of model-checkpoint blobs written to the store."),
+		blobResident: reg.Gauge("store_blob_resident_bytes",
+			"Bytes a memory-only store has mapped outside the Go heap for checkpoint blobs, one spare mapping included."),
 	}
 }
 

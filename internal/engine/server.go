@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -130,6 +132,17 @@ func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, 
 // WriteError writes the structured v2 error envelope.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
 	writeError(w, status, code, msg)
+}
+
+// ReadBody reads r to EOF into one buffer pre-sized from declared, the
+// body's Content-Length (≤ 0 when unknown), where io.ReadAll would
+// regrow a checkpoint's buffer from 512 bytes. The pre-size is capped
+// at 1 MiB, so a claimed length pins no more before any byte arrives.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(declared, 0), 1<<20)) + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 func (s *Server) register(pattern string, h http.HandlerFunc, authed bool) {

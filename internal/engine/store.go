@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +26,9 @@ const memCacheCap = 256
 // memBlobBudget bounds the checkpoint bytes a memory-only Store keeps
 // resident: past it the oldest blobs are evicted. 64 MiB holds about
 // 120 Table-I checkpoints (543 KB each), eight 14-cell fleet sweeps, so
-// a coordinator's memory stays flat however fast its fleet trains.
+// a coordinator's memory stays flat however fast its fleet trains. The
+// bytes live in memory mapped outside the Go heap (mapBlob), so they
+// do not also raise the collector's heap goal by as much again.
 const memBlobBudget = 64 << 20
 
 // Store memoizes completed Results keyed by content-address. Entries
@@ -34,8 +37,9 @@ const memBlobBudget = 64 << 20
 // table/figure regeneration is O(cache-hit). Next to each Result the
 // store can hold an opaque checkpoint blob (the trained model in the
 // nn binary format) under the same address: on disk when a directory is
-// configured, else in memory within memBlobBudget bytes. Store is safe
-// for concurrent use.
+// configured, else in memory within memBlobBudget bytes, mapped outside
+// the Go heap and copied out on every read. Store is safe for
+// concurrent use.
 type Store struct {
 	dir     string
 	metrics *storeMetrics
@@ -47,13 +51,17 @@ type Store struct {
 
 	mu    sync.Mutex
 	mem   map[string]*Result
-	blobs map[string][]byte // memory-only stores ("" dir) keep blobs here
+	blobs map[string][]byte // memory-only stores ("" dir) map blobs here (mapBlob)
 	// blobOrder lists the blobs oldest write first, for eviction;
 	// blobBytes is their resident total, at most memBlobBudget unless
 	// the newest blob alone exceeds it.
 	blobOrder []string
 	blobBytes int64
-	use       map[string]int64
+	// spare is the last evicted or dropped blob's mapping: a full store
+	// evicts one blob per put, and the next put reuses it.
+	spare  []byte
+	closed bool // by close: no mapping is left, and none is made
+	use    map[string]int64
 	// approx over-estimates the on-disk byte total (it grows with every
 	// write, including overwrites); the full directory scan in
 	// enforceCap only runs when it crosses maxBytes, then resets it to
@@ -263,11 +271,18 @@ func (s *Store) blobPath(hash string) string {
 // missing blob degrades to a 404, never an error.
 func (s *Store) PutBlob(hash string, data []byte) error {
 	if s.dir == "" {
-		cp := make([]byte, len(data))
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return nil
+		}
+		s.unlinkBlobLocked(hash)
+		cp, err := s.allocBlobLocked(len(data))
+		if err != nil {
+			return fmt.Errorf("engine: map checkpoint blob: %w", err)
+		}
 		copy(cp, data)
 		s.metrics.blobBytes.Add(int64(len(cp)))
-		s.mu.Lock()
-		s.unlinkBlobLocked(hash)
 		s.blobs[hash] = cp
 		s.blobOrder = append(s.blobOrder, hash)
 		s.blobBytes += int64(len(cp))
@@ -275,7 +290,6 @@ func (s *Store) PutBlob(hash string, data []byte) error {
 			s.unlinkBlobLocked(s.blobOrder[0])
 			s.metrics.evictions.Inc()
 		}
-		s.mu.Unlock()
 		return nil
 	}
 	if err := s.writeFile(s.blobPath(hash), data); err != nil {
@@ -286,15 +300,17 @@ func (s *Store) PutBlob(hash string, data []byte) error {
 	return nil
 }
 
-// GetBlob returns the checkpoint blob stored under a content-address,
-// if present. Disk-backed stores read from disk on every call — blobs
-// are large and cold, so they are deliberately not held in memory.
+// GetBlob returns a copy of the checkpoint blob stored under a
+// content-address, if present: the caller owns it, and an eviction
+// may unmap the store's bytes the moment the lock is released.
+// Disk-backed stores read from disk on every call — blobs are large
+// and cold, so they are deliberately not held in memory.
 func (s *Store) GetBlob(hash string) ([]byte, bool, error) {
 	if s.dir == "" {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		b, ok := s.blobs[hash]
-		s.mu.Unlock()
-		return b, ok, nil
+		return bytes.Clone(b), ok, nil
 	}
 	raw, err := os.ReadFile(s.blobPath(hash))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -319,8 +335,8 @@ func (s *Store) DropBlob(hash string) {
 	s.mu.Unlock()
 }
 
-// unlinkBlobLocked forgets a memory-only blob and its bytes, if held;
-// s.mu must be held.
+// unlinkBlobLocked forgets a memory-only blob and its bytes, if held,
+// keeping its mapping as the spare; s.mu must be held.
 func (s *Store) unlinkBlobLocked(hash string) {
 	b, ok := s.blobs[hash]
 	if !ok {
@@ -334,6 +350,51 @@ func (s *Store) unlinkBlobLocked(hash string) {
 			break
 		}
 	}
+	if cap(b) > 0 {
+		s.unmapLocked(s.spare)
+		s.spare = b[:cap(b)]
+	}
+}
+
+// allocBlobLocked returns n bytes for a blob: the spare mapping when
+// it fits with at most a quarter of n left over, so the mapped bytes
+// stay within 5/4 of the budget plus the spare, else a new mapping;
+// s.mu must be held.
+func (s *Store) allocBlobLocked(n int) ([]byte, error) {
+	if n == 0 {
+		return []byte{}, nil
+	}
+	if sp := s.spare; n <= cap(sp) && cap(sp)-n <= n/4 {
+		s.spare = nil
+		return sp[:n], nil
+	}
+	b, err := mapBlob(n)
+	if err == nil {
+		s.metrics.blobResident.Add(int64(cap(b)))
+	}
+	return b, err
+}
+
+// unmapLocked releases a whole mapping, if any; s.mu must be held.
+func (s *Store) unmapLocked(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	unmapBlob(b[:cap(b)])
+	s.metrics.blobResident.Add(-int64(cap(b)))
+}
+
+// close unmaps every blob and the spare (Engine.Close): afterwards a
+// memory-only store's GetBlob misses and its PutBlob keeps nothing.
+func (s *Store) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for _, b := range s.blobs {
+		s.unmapLocked(b)
+	}
+	s.unmapLocked(s.spare)
+	s.blobs, s.blobOrder, s.blobBytes, s.spare = map[string][]byte{}, nil, 0, nil
 }
 
 // enforceCap evicts least-recently-modified cache files until the disk
