@@ -137,3 +137,53 @@ func TestLocalTrainReusesBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestFedGMAAggregateBytesConstant bounds a warm FedGMA server step at
+// Parallelism 2, where its sweep splits into column ranges: the ranges
+// share the recycled scratch and output arena, so a call allocates only
+// the fan-out's closure and goroutine state, under a kilobyte at any
+// parameter count (the bound leaves room for the runtime's own). One
+// parameter vector of the wider model below is over 2 MB.
+func TestFedGMAAggregateBytesConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments the fan-out's goroutines")
+	}
+	env, clients := buildClients(t, 4)
+	env.Parallelism = 2
+	for _, hidden := range []int{16, 256} {
+		cfg := env.ModelCfg
+		cfg.Hidden = hidden
+		global, err := nn.New(cfg, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		updates := make([]*nn.Model, len(clients))
+		for i := range updates {
+			updates[i] = global.Clone()
+			r := rand.New(rand.NewSource(int64(2 + i)))
+			uv := updates[i].Vector()
+			for j := range uv {
+				uv[j] += r.NormFloat64() * 0.01
+			}
+		}
+		g := baselines.NewFedGMA()
+		aggregate := func() {
+			if _, err := g.Aggregate(env, global, clients, updates, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		aggregate()
+		const calls = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			aggregate()
+		}
+		runtime.ReadMemStats(&after)
+		perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+		t.Logf("hidden %d (%d params): %d B/call", hidden, global.NumParams(), perCall)
+		if perCall > 4<<10 {
+			t.Fatalf("hidden %d: FedGMA Aggregate allocated %d B/call after warm-up, want ≤ 4096", hidden, perCall)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -88,8 +89,11 @@ func (c *CCST) Bank() []BankEntry {
 
 // Setup implements fl.Algorithm: build and broadcast the style bank.
 func (c *CCST) Setup(env *fl.Env, clients []*fl.Client) error {
-	bank := make([]BankEntry, 0, len(clients))
-	for _, cl := range clients {
+	// Each client's entries build on the fan-out and join the bank in
+	// client order.
+	entries := make([][]BankEntry, len(clients))
+	if err := env.ForEach(len(clients), func(_, k int) error {
+		cl := clients[k]
 		switch c.Mode {
 		case CCSTSample:
 			r := env.RNG.Stream("CCST", "bank", strconv.Itoa(cl.ID))
@@ -98,16 +102,20 @@ func (c *CCST) Setup(env *fl.Env, clients []*fl.Client) error {
 				n = len(cl.Features)
 			}
 			for _, i := range r.Perm(len(cl.Features))[:n] {
-				bank = append(bank, BankEntry{Owner: cl.ID, S: cl.Styles[i].Clone()})
+				entries[k] = append(entries[k], BankEntry{Owner: cl.ID, S: cl.Styles[i].Clone()})
 			}
 		default:
 			s, err := style.OfConcat(cl.Features, nil)
 			if err != nil {
 				return fmt.Errorf("ccst: client %d: %w", cl.ID, err)
 			}
-			bank = append(bank, BankEntry{Owner: cl.ID, S: s})
+			entries[k] = []BankEntry{{Owner: cl.ID, S: s}}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
+	bank := slices.Concat(entries...)
 	c.mu.Lock()
 	c.bank = bank
 	c.mu.Unlock()

@@ -73,11 +73,12 @@ func (*FedDGGA) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round in
 // Aggregate implements fl.Algorithm: generalization-adjusted weighting.
 //
 // The gaps take one forward of the provisional model over every
-// participant's evaluation rows stacked into one batch, each
-// participant's loss taken over its own rows of the logits (rows are
-// independent, so the bits match one forward per participant), and
-// one forward per update on env.ForEach. No model is forwarded from
-// two goroutines at once: a forward writes the model's float32 shadow.
+// participant's evaluation rows stacked into one batch, each participant
+// gathering its rows on env.ForEach and taking its loss over its own rows
+// of the logits (rows are independent, so the bits match one forward per
+// participant), and one forward per update on env.ForEach. No model is
+// forwarded from two goroutines at once: a forward writes the model's
+// float32 shadow.
 func (g *FedDGGA) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -107,9 +108,11 @@ func (g *FedDGGA) Aggregate(env *fl.Env, _ *nn.Model, parts []*fl.Client, update
 	}
 	g.x = tensor.Fit2D(g.x, g.offs[len(parts)], provisional.Cfg.In)
 	g.xs = rowViews(g.xs, g.x, g.offs)
-	for i, c := range parts {
-		c.RowsInto(g.xs[i], g.xs[i].Dim(0)) // fills the view in place
-	}
+	// RowsInto fills each view in place and cannot fail.
+	_ = env.ForEach(len(parts), func(_, i int) error {
+		parts[i].RowsInto(g.xs[i], g.xs[i].Dim(0))
+		return nil
+	})
 	if err := provisional.ForwardInto(&g.acts, g.x); err != nil {
 		return nil, err
 	}

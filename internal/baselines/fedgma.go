@@ -50,14 +50,16 @@ func (*FedGMA) LocalTrain(env *fl.Env, c *fl.Client, global *nn.Model, round int
 }
 
 // Aggregate implements fl.Algorithm: gradient-masked averaging as one
-// sweep over the coordinates, with the K updates in the inner loop.
+// sweep over the coordinates, with the K updates in the inner loop, split
+// into one contiguous column range per env.ForEach slot.
 // Each coordinate's weighted mean delta and signed agreement live in
 // registers, summed in participant order as the per-update passes did,
 // and both the sign term and the threshold select are bit selects: the
 // deltas' signs are random, so branches on them mispredict about half
-// the time. No per-round allocation: the deltas are never materialized
-// and the scratch and output arena are recycled.
-func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
+// the time. A round allocates only the fan-out's closure, whatever the
+// parameter count: the deltas are never materialized and the scratch and
+// output arena are recycled.
+func (g *FedGMA) Aggregate(env *fl.Env, global *nn.Model, parts []*fl.Client, updates []*nn.Model, _ int) (*nn.Model, error) {
 	if err := fl.CheckUpdates(parts, updates); err != nil {
 		return nil, err
 	}
@@ -93,18 +95,26 @@ func (g *FedGMA) Aggregate(_ *fl.Env, global *nn.Model, parts []*fl.Client, upda
 	}
 	keep := math.Float64bits(g.ServerLR)
 	masked := math.Float64bits(g.ServerLR * g.MaskedScale)
-	for j, g0 := range gv {
-		avg, sign := 0.0, 0.0
-		for i, uv := range uvs {
-			d := uv[j] - g0
-			w := ws[i]
-			avg += w * d
-			sign += signedWeight(d, w)
+	// Each coordinate is summed by one slot, in participant order, so
+	// the split leaves every bit as the serial sweep had it. The sweep
+	// cannot fail.
+	slots := env.Slots()
+	_ = env.ForEach(slots, func(_, s int) error {
+		lo, hi := s*n/slots, (s+1)*n/slots
+		for j, g0 := range gv[lo:hi] {
+			avg, sign := 0.0, 0.0
+			for i, uv := range uvs {
+				d := uv[lo+j] - g0
+				w := ws[i]
+				avg += w * d
+				sign += signedWeight(d, w)
+			}
+			agreement := math.Float64bits(sign) &^ signBit
+			below := uint64((int64(agreement) - tau) >> 63) // all ones when agreement < Tau
+			ov[lo+j] = g0 + math.Float64frombits(keep&^below|masked&below)*avg
 		}
-		agreement := math.Float64bits(sign) &^ signBit
-		below := uint64((int64(agreement) - tau) >> 63) // all ones when agreement < Tau
-		ov[j] = g0 + math.Float64frombits(keep&^below|masked&below)*avg
-	}
+		return nil
+	})
 	return g.out, nil
 }
 

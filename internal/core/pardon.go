@@ -182,12 +182,14 @@ func (p *PARDON) Setup(env *fl.Env, clients []*fl.Client) error {
 		return nil // v4 exchanges nothing
 	}
 	styles := make([][]float64, len(clients))
-	for i, c := range clients {
-		sv, err := ClientStyle(c.Features, p.opts.LocalClustering)
-		if err != nil {
-			return fmt.Errorf("core: client %d style: %w", c.ID, err)
+	if err := env.ForEach(len(clients), func(_, i int) error {
+		var err error
+		if styles[i], err = ClientStyle(clients[i].Features, p.opts.LocalClustering); err != nil {
+			return fmt.Errorf("core: client %d style: %w", clients[i].ID, err)
 		}
-		styles[i] = sv
+		return nil
+	}); err != nil {
+		return err
 	}
 	sg, err := InterpolationStyle(styles, p.opts.GlobalClustering)
 	if err != nil {

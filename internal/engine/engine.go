@@ -89,9 +89,10 @@ type Options struct {
 	// checkpoint blobs); least-recently-modified entries are evicted
 	// past it. 0 = unbounded.
 	CacheMaxBytes int64
-	// Parallelism bounds each job's local-training worker pool; 0
-	// means ceil(NumCPU/Workers), so a full worker pool totals about
-	// NumCPU training goroutines instead of NumCPU per job.
+	// Parallelism bounds each job's fan-out (fl.Env.ForEach): its
+	// scenario build, Setup, local training and aggregation. 0 means
+	// ceil(NumCPU/Workers), so a full worker pool totals about NumCPU
+	// training goroutines instead of NumCPU per job.
 	Parallelism int
 	// Metrics receives the engine's instruments; nil exports on the
 	// process-wide telemetry.Default() registry. Stats reads these

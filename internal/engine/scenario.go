@@ -56,14 +56,31 @@ func buildScenario(spec Spec, parallelism int) (*Scenario, error) {
 		Parallelism: parallelism,
 	}
 
-	trainDomains := make([]*dataset.Dataset, 0, len(spec.Split.Train))
-	for _, d := range spec.Split.Train {
-		ds, err := gen.GenerateDomain(d, spec.PerDomain, spec.Tag+"-train")
-		if err != nil {
-			return nil, err
-		}
-		trainDomains = append(trainDomains, ds)
+	// Every domain draws its own named rng stream, so the train domains
+	// and the val/test corpora generate as one fan-out, in any order.
+	type corpus struct {
+		domain, n int
+		tag       string
 	}
+	var corpora []corpus
+	add := func(domains []int, n int, tag string) {
+		for _, d := range domains {
+			corpora = append(corpora, corpus{d, n, spec.Tag + tag})
+		}
+	}
+	add(spec.Split.Train, spec.PerDomain, "-train")
+	add(spec.Split.Val, spec.EvalPer, "-val")
+	add(spec.Split.Test, spec.EvalPer, "-test")
+	dss := make([]*dataset.Dataset, len(corpora))
+	if err := env.ForEach(len(corpora), func(_, i int) error {
+		var err error
+		dss[i], err = gen.GenerateDomain(corpora[i].domain, corpora[i].n, corpora[i].tag)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	nTrain, nVal := len(spec.Split.Train), len(spec.Split.Val)
+	trainDomains := dss[:nTrain]
 	if err := env.Calibrate(64, trainDomains...); err != nil {
 		return nil, err
 	}
@@ -79,39 +96,26 @@ func buildScenario(spec Spec, parallelism int) (*Scenario, error) {
 	}
 
 	sc := &Scenario{Env: env, Clients: clients, Gen: gen}
-	if len(spec.Split.Val) > 0 {
-		ds, err := generateEval(gen, spec.Split.Val, spec.EvalPer, spec.Tag+"-val")
-		if err != nil {
-			return nil, err
-		}
-		sc.Val, err = fl.NewEvalSet(env, ds)
-		if err != nil {
-			return nil, err
-		}
+	if sc.Val, err = newEvalSet(env, dss[nTrain:nTrain+nVal]); err != nil {
+		return nil, err
 	}
-	if len(spec.Split.Test) > 0 {
-		ds, err := generateEval(gen, spec.Split.Test, spec.EvalPer, spec.Tag+"-test")
-		if err != nil {
-			return nil, err
-		}
-		sc.Test, err = fl.NewEvalSet(env, ds)
-		if err != nil {
-			return nil, err
-		}
+	if sc.Test, err = newEvalSet(env, dss[nTrain+nVal:]); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
 
-func generateEval(gen *synth.Generator, domains []int, per int, tag string) (*dataset.Dataset, error) {
-	parts := make([]*dataset.Dataset, 0, len(domains))
-	for _, d := range domains {
-		ds, err := gen.GenerateDomain(d, per, tag)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, ds)
+// newEvalSet merges an evaluation split's generated domains and encodes
+// them; an empty split has no set.
+func newEvalSet(env *fl.Env, dss []*dataset.Dataset) (*fl.EvalSet, error) {
+	if len(dss) == 0 {
+		return nil, nil
 	}
-	return dataset.Merge(parts...)
+	ds, err := dataset.Merge(dss...)
+	if err != nil {
+		return nil, err
+	}
+	return fl.NewEvalSet(env, ds)
 }
 
 // scenarioEntry is one cache slot; ready is closed once sc/err are set.

@@ -3,10 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/pardon-feddg/pardon/internal/fl"
 	"github.com/pardon-feddg/pardon/internal/telemetry"
 )
 
@@ -222,5 +225,79 @@ func TestScenarioResidentCeiling(t *testing.T) {
 	}
 	if n := e.metrics.scenarioBuild.Count(); n < 6 {
 		t.Fatalf("a sweep over 6 scenarios built %d, want at least 6", n)
+	}
+}
+
+// TestScenarioBuildParallelismInvariant builds one scenario at
+// Parallelism 1 and at 3, which splits its fan-outs unevenly (four
+// corpora, five clients): corpus generation, calibration, client
+// encoding and the eval sets must all come out bit-identical. The
+// parallel build runs three times, as one run's schedule may happen to
+// hand every index to the calling goroutine.
+func TestScenarioBuildParallelismInvariant(t *testing.T) {
+	spec := tinySpec("FedAvg")
+	spec.Split.Val = []int{2}
+	spec.Clients, spec.SampleK = 5, 2
+	a, err := buildScenario(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		b, err := buildScenario(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameScenario(t, a, b)
+	}
+}
+
+// sameScenario fails t unless a (built at Parallelism 1) and b (at 3)
+// hold the same bits.
+func sameScenario(t *testing.T, a, b *Scenario) {
+	t.Helper()
+	sameBits := func(what string, x, y []float64) {
+		t.Helper()
+		if len(x) != len(y) {
+			t.Fatalf("%s: length %d at parallelism 1, %d at 3", what, len(x), len(y))
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("%s[%d]: %v at parallelism 1, %v at 3", what, i, x[i], y[i])
+			}
+		}
+	}
+	sameInts := func(what string, x, y []int) {
+		t.Helper()
+		if !slices.Equal(x, y) {
+			t.Fatalf("%s differ: %v at parallelism 1, %v at 3", what, x, y)
+		}
+	}
+	sameBits("FeatShift, FeatScale", []float64{a.Env.FeatShift, a.Env.FeatScale}, []float64{b.Env.FeatShift, b.Env.FeatScale})
+	if len(a.Clients) != len(b.Clients) {
+		t.Fatalf("%d clients at parallelism 1, %d at 3", len(a.Clients), len(b.Clients))
+	}
+	for k, ca := range a.Clients {
+		cb := b.Clients[k]
+		if len(ca.Features) != len(cb.Features) {
+			t.Fatalf("client %d: %d samples at parallelism 1, %d at 3", k, len(ca.Features), len(cb.Features))
+		}
+		for i := range ca.Features {
+			what := fmt.Sprintf("client %d sample %d", k, i)
+			sameBits(what+" features", ca.Features[i].Data(), cb.Features[i].Data())
+			sameBits(what+" style mu", ca.Styles[i].Mu, cb.Styles[i].Mu)
+			sameBits(what+" style sigma", ca.Styles[i].Sigma, cb.Styles[i].Sigma)
+		}
+		sameInts(fmt.Sprintf("client %d labels", k), ca.Labels, cb.Labels)
+	}
+	for _, set := range []struct {
+		name string
+		a, b *fl.EvalSet
+	}{{"val", a.Val, b.Val}, {"test", a.Test, b.Test}} {
+		if set.a == nil || set.b == nil {
+			t.Fatalf("%s set missing", set.name)
+		}
+		sameBits(set.name+" X", set.a.X.Data(), set.b.X.Data())
+		sameInts(set.name+" labels", set.a.Labels, set.b.Labels)
+		sameInts(set.name+" domains", set.a.Domains, set.b.Domains)
 	}
 }

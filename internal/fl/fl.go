@@ -14,12 +14,15 @@
 // bit-reproducible regardless of the worker pool's scheduling.
 //
 // Parallel work goes through one fan-out, Env.ForEach, bounded by
-// Env.Parallelism: client encoding (NewClients), the local phase of each
-// round, and the per-participant work inside an Aggregate (FedDG-GA's
-// loss evaluations, FPL's class means). Run hands every phase an env
-// whose Parallelism is resolved (Slots), so the caller's Env.Parallelism
-// caps them all. Each call of the fan-out writes only its own index's
-// result, so the output does not depend on the parallelism.
+// Env.Parallelism: encoding (Calibrate, NewClients, NewEvalSet), the
+// per-client work of a Setup (PARDON's client styles, CCST's bank), the
+// local phase of each round, and the work inside an Aggregate (FedDG-GA's
+// row gathers and loss evaluations, FPL's class means, FedGMA's column
+// ranges). Run hands every phase an env whose Parallelism is resolved
+// (Slots), so the caller's Env.Parallelism caps them all. Each call of
+// the fan-out writes only its own index's result, and any sum over the
+// results runs afterwards in index order, so the output does not depend
+// on the parallelism.
 package fl
 
 import (
@@ -86,9 +89,9 @@ type Env struct {
 	ModelCfg nn.Config
 	Hyper    Hyper
 	RNG      *rng.Source
-	// Parallelism bounds the goroutines of ForEach, which runs client
-	// encoding, local training and the parallel parts of aggregation;
-	// 0 means runtime.NumCPU().
+	// Parallelism bounds the goroutines of ForEach, which runs encoding,
+	// the per-client part of Setup, local training and the parallel
+	// parts of aggregation; 0 means runtime.NumCPU().
 	Parallelism int
 	// FeatShift and FeatScale standardize flattened encoder features
 	// before they enter the model: x ← (x − FeatShift)·FeatScale. They
@@ -191,25 +194,30 @@ func (e *Env) Calibrate(capPer int, dss ...*dataset.Dataset) error {
 	if capPer <= 0 {
 		capPer = 64
 	}
-	var sum, sumSq float64
-	var n int
-	f := make([]float64, e.InputDim())
+	var xs []*tensor.Tensor
 	for _, ds := range dss {
-		limit := ds.Len()
-		if limit > capPer {
-			limit = capPer
-		}
-		for i := 0; i < limit; i++ {
-			if err := e.Enc.EncodeInto(f, ds.Samples[i].X); err != nil {
-				return fmt.Errorf("fl: calibrate: %w", err)
-			}
-			for _, v := range f {
-				sum += v
-				sumSq += v * v
-			}
-			n += len(f)
+		for _, s := range ds.Samples[:min(ds.Len(), capPer)] {
+			xs = append(xs, s.X)
 		}
 	}
+	// The samples encode on the fan-out into one buffer, which is then
+	// summed in sample order, so the constants keep their bits.
+	in := e.InputDim()
+	f := make([]float64, len(xs)*in)
+	if err := e.ForEach(len(xs), func(_, i int) error {
+		if err := e.Enc.EncodeInto(f[i*in:(i+1)*in], xs[i]); err != nil {
+			return fmt.Errorf("fl: calibrate: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	var sum, sumSq float64
+	for _, v := range f {
+		sum += v
+		sumSq += v * v
+	}
+	n := len(f)
 	if n == 0 {
 		return fmt.Errorf("fl: calibrate: no samples")
 	}
@@ -444,14 +452,19 @@ func NewEvalSet(env *Env, data *dataset.Dataset) (*EvalSet, error) {
 	in := env.InputDim()
 	es := &EvalSet{X: tensor.New(data.Len(), in), Labels: make([]int, data.Len()), Domains: make([]int, data.Len())}
 	dst := es.X.Data()
-	for i, s := range data.Samples {
+	err := env.ForEach(data.Len(), func(_, i int) error {
+		s := data.Samples[i]
 		row := dst[i*in : (i+1)*in]
 		if err := env.Enc.EncodeInto(row, s.X); err != nil {
-			return nil, fmt.Errorf("fl: eval sample %d: %w", i, err)
+			return fmt.Errorf("fl: eval sample %d: %w", i, err)
 		}
 		env.NormalizeFeature(row)
 		es.Labels[i] = s.Y
 		es.Domains[i] = s.Domain
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return es, nil
 }
