@@ -47,7 +47,7 @@ func counted(e *Engine, j *Job, state State, runSpan string, n int) error {
 // or poll in between.
 func TestLocalJobAccountedBeforeWaitReturns(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 2, Metrics: telemetry.NewRegistry()})
-	stubRuns(e, map[string]jobRunFunc{"noop": func(context.Context, *Job) (*Result, error) { return &Result{}, nil }})
+	stubRuns(e, map[string]stubRun{"noop": func(context.Context, *Job) (*Result, error) { return &Result{}, nil }})
 	for n := 1; n <= accountedJobs; n++ {
 		spec := stubSpec("noop")
 		spec.Seed = uint64(n)

@@ -278,11 +278,12 @@ func (e *Engine) tenantQuota(tenant string) int {
 	return t.MaxQueued(tenant)
 }
 
-// Close cancels all pending and running jobs, drains the worker pool,
-// releases the journal and unmaps a memory-only store's checkpoint
-// blobs. Jobs cancelled by this drain keep their
-// journal records live, so a subsequent boot on the same cache dir
-// re-enqueues them.
+// Close cancels all pending and running jobs, drains the worker pool
+// and its persisters (a run that finished training is stored and
+// settles Done before Close returns), releases the journal and unmaps
+// a memory-only store's checkpoint blobs. Jobs cancelled by this drain
+// keep their journal records live, so a subsequent boot on the same
+// cache dir re-enqueues them.
 func (e *Engine) Close() {
 	e.sched.close()
 	e.journal.Close()
@@ -598,11 +599,13 @@ func (e *Engine) BuildScenario(spec Spec) (*Scenario, error) {
 	return sc, err
 }
 
-// run executes a job's Spec, the scheduler's one run path: build (or
-// reuse) the scenario, instantiate the method, run federated training
-// with per-round progress events and cancellation, then persist the
-// Result and its checkpoint blob under the job's content-address.
-func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
+// run trains a job's Spec, the scheduler's one run path: build (or
+// reuse) the scenario, instantiate the method, and run federated
+// training with per-round progress events and cancellation. It returns
+// the Result and the step that persists it with its checkpoint blob
+// under the job's content-address (see persist), which the pool runs
+// behind the slot's next job.
+func (e *Engine) run(ctx context.Context, j *Job) (*Result, func() error, error) {
 	spec, runSpan := *j.Spec, j.RunSpanID()
 	scenarioStart := time.Now()
 	sc, hit, err := e.scenarios.get(spec, e.parallelism)
@@ -612,16 +615,16 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 	}
 	e.sched.recordSpan(j, runSpan, "scenario", scenarioStart, time.Now(), map[string]string{"cache": cache})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	alg, err := NewAlgorithm(spec.Method)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Validate guarantees the spelling parses.
 	prec, err := nn.ParsePrecision(spec.Precision)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	start := time.Now()
 	var model *nn.Model
@@ -644,31 +647,44 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, error) {
 			})
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := resultFromHistory(j.Key, spec.Method, hist)
 	res.ElapsedSec = time.Since(start).Seconds()
-	// The trained model becomes a content-addressed checkpoint blob next
-	// to the Result, so cached re-runs return metrics AND the model
-	// (GET /v1/jobs/{id}/model, feddg -save-model). The write is
-	// best-effort: consumers already tolerate a missing blob (404 /
-	// skip), so a full disk must not discard a completed run's metrics.
-	// The span and the persist timer cover the marshal as well as the
-	// store write.
+	return res, func() error { return e.persist(j, res, model) }, nil
+}
+
+// persist stores a trained run: the model becomes a content-addressed
+// checkpoint blob next to the Result, so cached re-runs return metrics
+// AND the model (GET /v1/jobs/{id}/model, feddg -save-model). The blob
+// write is best-effort: consumers already tolerate a missing blob (404 /
+// skip), so a full disk must not discard a completed run's metrics; a
+// failed one is counted and logged. The Result is written last, so a
+// Result in the Store implies its blob was attempted first. The spans
+// and the persist timer cover the marshal as well as the store writes.
+func (e *Engine) persist(j *Job, res *Result, model *nn.Model) error {
+	runSpan := j.RunSpanID()
 	persistStart := time.Now()
-	if blob, err := model.MarshalBinary(); err == nil {
-		_ = e.store.PutBlob(j.Key, blob)
+	blob, err := model.MarshalBinary()
+	// The blob is all that is kept of the model: its arena goes back to
+	// nn's pool for the slot's next run.
+	model.Release()
+	if err == nil {
+		err = e.store.PutBlob(j.Key, blob)
 		j.addPersist(time.Since(persistStart))
 		e.sched.recordSpan(j, runSpan, "checkpoint", persistStart, time.Now(),
 			map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
 	}
+	if err != nil {
+		e.log.Warn("engine: checkpoint blob not stored", "trace", j.TraceID, "job", j.ID, "error", err)
+	}
 	persistStart = time.Now()
 	if err := e.store.Put(j.Key, res); err != nil {
-		return nil, err
+		return err
 	}
 	j.addPersist(time.Since(persistStart))
 	e.sched.recordSpan(j, runSpan, "persist", persistStart, time.Now(), nil)
-	return res, nil
+	return nil
 }
 
 // ModelBlob returns the checkpoint blob (nn binary format) stored under

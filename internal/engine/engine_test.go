@@ -48,13 +48,18 @@ func newTestEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
+// stubRun stands in for a job's training and persist: the job settles
+// with what it returns, and nothing is stored.
+type stubRun func(ctx context.Context, j *Job) (*Result, error)
+
 // stubRuns swaps e's job runner: a job whose Spec.Tag has an entry in
 // stubs runs that stub instead of training, and every other job trains
 // for real. Call it before e's first submission.
-func stubRuns(e *Engine, stubs map[string]jobRunFunc) {
-	e.sched.run = func(ctx context.Context, j *Job) (*Result, error) {
+func stubRuns(e *Engine, stubs map[string]stubRun) {
+	e.sched.run = func(ctx context.Context, j *Job) (*Result, func() error, error) {
 		if stub, ok := stubs[j.Spec.Tag]; ok {
-			return stub(ctx, j)
+			res, err := stub(ctx, j)
+			return res, nil, err
 		}
 		return e.run(ctx, j)
 	}
@@ -279,7 +284,7 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 		mu.Unlock()
 		return &Result{}, nil
 	}
-	stubRuns(e, map[string]jobRunFunc{
+	stubRuns(e, map[string]stubRun{
 		"gate": func(context.Context, *Job) (*Result, error) {
 			<-block
 			return &Result{}, nil
@@ -317,7 +322,7 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 func TestSchedulerCancellation(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	started := make(chan struct{})
-	stubRuns(e, map[string]jobRunFunc{
+	stubRuns(e, map[string]stubRun{
 		"cancel-running": func(ctx context.Context, _ *Job) (*Result, error) {
 			close(started)
 			<-ctx.Done()
@@ -368,7 +373,7 @@ func TestSchedulerCancellation(t *testing.T) {
 func TestSubmitCoalescesInflight(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	block := make(chan struct{})
-	stubRuns(e, map[string]jobRunFunc{"coalesce-gate": func(context.Context, *Job) (*Result, error) {
+	stubRuns(e, map[string]stubRun{"coalesce-gate": func(context.Context, *Job) (*Result, error) {
 		<-block
 		return &Result{}, nil
 	}})

@@ -127,7 +127,7 @@ func TestJobHistoryEvictsOldestSettled(t *testing.T) {
 // trace store's recency lists all stay bounded.
 func TestJobHistoryHeapSoak(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
-	stubRuns(e, map[string]jobRunFunc{"soak-fresh": func(context.Context, *Job) (*Result, error) {
+	stubRuns(e, map[string]stubRun{"soak-fresh": func(context.Context, *Job) (*Result, error) {
 		return &Result{Method: "FedAvg"}, nil
 	}})
 	hit := cachedSpec(t, e, "soak-hit")

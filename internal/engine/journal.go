@@ -195,7 +195,8 @@ func (jl *Journal) appendLocked(rec journalRecord) error {
 	if jl.f == nil {
 		return fmt.Errorf("%w: journal closed", errJournal)
 	}
-	rec.At = time.Now().UTC()
+	start := time.Now()
+	rec.At = start.UTC()
 	raw, err := json.Marshal(rec)
 	if err == nil {
 		_, err = jl.f.Write(append(raw, '\n'))
@@ -207,6 +208,7 @@ func (jl *Journal) appendLocked(rec journalRecord) error {
 		jl.log.Warn("engine: journal append failed", "op", rec.Op, "key", rec.Key, "error", err)
 		return fmt.Errorf("%w: %w", errJournal, err)
 	}
+	jl.metrics.append.Observe(time.Since(start).Seconds())
 	jl.metrics.records.Inc()
 	jl.appends++
 	if jl.appends >= jl.compactEvery {

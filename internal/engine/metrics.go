@@ -77,6 +77,7 @@ func methodLabel(j *Job) string { return j.Spec.Method }
 // journalMetrics bundles the write-ahead journal instruments.
 type journalMetrics struct {
 	records     *telemetry.Counter
+	append      *telemetry.Histogram
 	corrupt     *telemetry.Counter
 	compactions *telemetry.Counter
 	replayed    *telemetry.CounterVec // kind: job|sweep
@@ -87,6 +88,8 @@ func newJournalMetrics(reg *telemetry.Registry) *journalMetrics {
 	return &journalMetrics{
 		records: reg.Counter("journal_records_total",
 			"Records appended (and fsync'd) to the write-ahead job journal."),
+		append: reg.Histogram("journal_append_seconds",
+			"Wall-clock of one successful journal append: encode, write and fsync.", nil),
 		corrupt: reg.Counter("journal_corrupt_lines_total",
 			"Journal lines skipped on load because they failed to parse."),
 		compactions: reg.Counter("journal_compactions_total",
@@ -107,9 +110,14 @@ type storeMetrics struct {
 	blobBytes *telemetry.Counter
 	// blobResident counts mapped blob bytes, which heap metrics miss.
 	blobResident *telemetry.Gauge
+	// entryWrite and blobWrite are store_write_seconds{kind}.
+	entryWrite, blobWrite *telemetry.Histogram
+	blobFailures          *telemetry.Counter
 }
 
 func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
+	writes := reg.HistogramVec("store_write_seconds",
+		"Wall-clock of one successful Store write, by kind: entry (encode + atomic file write) or blob (atomic file write, or a memory-only store's copy into its mapping).", nil, "kind")
 	return &storeMetrics{
 		hits: reg.Counter("store_hits_total",
 			"Result-store lookups answered from memory or disk."),
@@ -123,6 +131,10 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 			"Bytes of model-checkpoint blobs written to the store."),
 		blobResident: reg.Gauge("store_blob_resident_bytes",
 			"Bytes a memory-only store has mapped outside the Go heap for checkpoint blobs, one spare mapping included."),
+		entryWrite: writes.With("entry"),
+		blobWrite:  writes.With("blob"),
+		blobFailures: reg.Counter("store_blob_write_failures_total",
+			"Checkpoint blob writes that failed; the run's Result is still stored, and its model answers 404."),
 	}
 }
 

@@ -95,6 +95,10 @@ func buildScenario(spec Spec, parallelism int) (*Scenario, error) {
 		return nil, err
 	}
 
+	// Every run on the scenario starts from the same drawn weights.
+	if err := env.DrawInit(); err != nil {
+		return nil, err
+	}
 	sc := &Scenario{Env: env, Clients: clients, Gen: gen}
 	if sc.Val, err = newEvalSet(env, dss[nTrain:nTrain+nVal]); err != nil {
 		return nil, err

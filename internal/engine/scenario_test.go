@@ -119,14 +119,14 @@ func TestInterleavedTenantsKeepBothScenarios(t *testing.T) {
 	gate, started := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	var order []uint64 // the seed, and so the scenario, of each run
-	e.sched.run = func(ctx context.Context, j *Job) (*Result, error) {
+	e.sched.run = func(ctx context.Context, j *Job) (*Result, func() error, error) {
 		if j.Spec.Tag == "gate" {
 			close(started)
 			select {
 			case <-gate:
-				return &Result{}, nil
+				return &Result{}, nil, nil
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		}
 		mu.Lock()

@@ -53,9 +53,12 @@ type Event struct {
 	Time   time.Time `json:"time"`
 }
 
-// jobRunFunc executes a job's Spec; the job is passed so the runner can
-// emit progress events.
-type jobRunFunc func(ctx context.Context, j *Job) (*Result, error)
+// jobRunFunc trains a job's Spec; the job is passed so the runner can
+// emit progress events. Besides the Result it returns the step that
+// stores it (nil when there is nothing to store): the pool worker hands
+// that step to its slot's persister and trains its next job meanwhile,
+// and the job settles once the step returns.
+type jobRunFunc func(ctx context.Context, j *Job) (res *Result, persist func() error, err error)
 
 // Job is one schedulable unit of work: a Spec with a content-address, a
 // priority, and a lifecycle the scheduler drives. All methods are safe
@@ -88,6 +91,10 @@ type Job struct {
 	// scheduler's lock the first time a remote claim or a scenario
 	// eviction considers the job (see scenarioLocked); "" until then.
 	scenario string
+	// trained is set under the scheduler's lock once a local run has
+	// trained and only its persist is pending: the job stays Running
+	// but no longer wants its scenario (see scenariosWanted).
+	trained bool
 
 	// rootSpan is the span ID of the job's root "job" span, minted at
 	// creation and immutable: every other span of the trace nests under
@@ -389,8 +396,10 @@ func newScheduler(workers int, m *engineMetrics, log *slog.Logger, run jobRunFun
 		wake: make(chan struct{}), warm: map[string]string{}}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+		persists := make(chan func())
+		s.wg.Add(2)
+		go s.worker(persists)
+		go s.persister(persists)
 	}
 	return s
 }
@@ -677,7 +686,8 @@ func (s *Scheduler) release(j *Job) {
 }
 
 // close cancels all pending and running work and waits for the workers
-// to drain.
+// and their persisters to drain: a job whose training finished settles
+// only after its persist, so it ends Done with its Result stored.
 func (s *Scheduler) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -851,9 +861,14 @@ func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
 }
 
 // worker is one pool worker, an in-process lease holder: wait for a
-// queued job, start it, run it, finish it.
-func (s *Scheduler) worker() {
+// queued job, start it, train it, and hand its persist to the slot's
+// persister, then dequeue the next job while the persist runs. The
+// channel is unbuffered, so a slot has at most one persist in flight:
+// the hand-over waits for the previous persist to finish. A run that
+// failed, or left nothing to store, finishes here at once.
+func (s *Scheduler) worker(persists chan<- func()) {
 	defer s.wg.Done()
+	defer close(persists)
 	for {
 		s.mu.Lock()
 		for !s.closed && s.queued == 0 {
@@ -870,11 +885,31 @@ func (s *Scheduler) worker() {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		if s.start(j, "", cancel) {
-			res, err := s.run(ctx, j)
-			j.mu.Lock()
-			s.finish(j, res, err)
+			res, persist, err := s.run(ctx, j)
+			if err == nil && persist != nil {
+				s.mu.Lock()
+				j.trained = true
+				s.mu.Unlock()
+				persists <- func() {
+					err := persist()
+					j.mu.Lock()
+					s.finish(j, res, err)
+				}
+			} else {
+				j.mu.Lock()
+				s.finish(j, res, err)
+			}
 		}
 		cancel()
+	}
+}
+
+// persister runs the persists its worker hands over, in order, until
+// the worker exits.
+func (s *Scheduler) persister(persists <-chan func()) {
+	defer s.wg.Done()
+	for persist := range persists {
+		persist()
 	}
 }
 
@@ -951,13 +986,16 @@ func (s *Scheduler) scenarioLocked(j *Job) string {
 }
 
 // scenariosWanted returns the scenario keys of every queued or running
-// job: the scenarios the engine's scenario cache must not evict.
+// job that has yet to train: the scenarios the engine's scenario cache
+// must not evict. A job whose persist alone is pending needs none.
 func (s *Scheduler) scenariosWanted() map[string]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	wanted := make(map[string]bool, len(s.inflight))
 	for _, j := range s.inflight {
-		wanted[s.scenarioLocked(j)] = true
+		if !j.trained {
+			wanted[s.scenarioLocked(j)] = true
+		}
 	}
 	return wanted
 }

@@ -245,7 +245,7 @@ func TestServeCancel(t *testing.T) {
 	client := srv.Client()
 
 	started := make(chan struct{})
-	stubRuns(e, map[string]jobRunFunc{"serve-cancel": func(ctx context.Context, _ *Job) (*Result, error) {
+	stubRuns(e, map[string]stubRun{"serve-cancel": func(ctx context.Context, _ *Job) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()

@@ -183,7 +183,7 @@ func TestServeListPagination(t *testing.T) {
 	started := make(chan struct{})
 	block := make(chan struct{})
 	defer close(block)
-	stubRuns(e, map[string]jobRunFunc{
+	stubRuns(e, map[string]stubRun{
 		"page": func(context.Context, *Job) (*Result, error) { return &Result{}, nil },
 		"page-running": func(ctx context.Context, _ *Job) (*Result, error) {
 			close(started)

@@ -204,24 +204,27 @@ func (s *Store) corrupt(hash string, err error) {
 
 // Put memoizes a Result under a content-address. On-disk writes are
 // atomic (temp file + rename), so concurrent readers never observe torn
-// entries.
+// entries, and they come first: a Result whose write failed is not
+// memoized, so a later Get misses rather than answering from memory
+// what the disk never got.
 func (s *Store) Put(hash string, r *Result) error {
+	if s.dir != "" {
+		start := time.Now()
+		env := storeEnvelope{Hash: hash, CodeVersion: CodeVersion, SavedAt: start.UTC(), Result: r}
+		raw, err := json.Marshal(env)
+		if err != nil {
+			return fmt.Errorf("engine: encode cache entry: %w", err)
+		}
+		if err := s.writeFile(s.path(hash), raw); err != nil {
+			return fmt.Errorf("engine: write cache entry: %w", err)
+		}
+		s.metrics.entryWrite.Observe(time.Since(start).Seconds())
+		s.noteWrite(hash+".json", int64(len(raw)))
+	}
 	s.mu.Lock()
 	s.mem[hash] = r
 	s.touchLocked(hash)
 	s.mu.Unlock()
-	if s.dir == "" {
-		return nil
-	}
-	env := storeEnvelope{Hash: hash, CodeVersion: CodeVersion, SavedAt: time.Now().UTC(), Result: r}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("engine: encode cache entry: %w", err)
-	}
-	if err := s.writeFile(s.path(hash), raw); err != nil {
-		return fmt.Errorf("engine: write cache entry: %w", err)
-	}
-	s.noteWrite(hash+".json", int64(len(raw)))
 	return nil
 }
 
@@ -268,8 +271,20 @@ func (s *Store) blobPath(hash string) string {
 // A memory-only store keeps at most memBlobBudget blob bytes, evicting
 // the oldest writes first and always keeping the one just written:
 // a long-running in-memory server must not grow without bound, and a
-// missing blob degrades to a 404, never an error.
+// missing blob degrades to a 404, never an error. A failed write is
+// counted in store_blob_write_failures_total.
 func (s *Store) PutBlob(hash string, data []byte) error {
+	start := time.Now()
+	err := s.putBlob(hash, data)
+	if err != nil {
+		s.metrics.blobFailures.Inc()
+		return err
+	}
+	s.metrics.blobWrite.Observe(time.Since(start).Seconds())
+	return nil
+}
+
+func (s *Store) putBlob(hash string, data []byte) error {
 	if s.dir == "" {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -230,7 +230,7 @@ func TestBatchEventsMerged(t *testing.T) {
 func TestBatchCancel(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1})
 	gate := make(chan struct{})
-	stubRuns(e, map[string]jobRunFunc{"batch-cancel-gate": func(ctx context.Context, _ *Job) (*Result, error) {
+	stubRuns(e, map[string]stubRun{"batch-cancel-gate": func(ctx context.Context, _ *Job) (*Result, error) {
 		select {
 		case <-gate:
 			return &Result{}, nil

@@ -147,7 +147,7 @@ func TestFairShareScheduling(t *testing.T) {
 		mu.Unlock()
 		return &Result{}, nil
 	}
-	stubRuns(e, map[string]jobRunFunc{
+	stubRuns(e, map[string]stubRun{
 		"gate": func(ctx context.Context, _ *Job) (*Result, error) {
 			close(started)
 			select {
@@ -310,7 +310,7 @@ func TestServerQueueQuota(t *testing.T) {
 	client := srv.Client()
 
 	started := make(chan struct{})
-	stubRuns(e, map[string]jobRunFunc{"quota-gate": func(ctx context.Context, _ *Job) (*Result, error) {
+	stubRuns(e, map[string]stubRun{"quota-gate": func(ctx context.Context, _ *Job) (*Result, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()

@@ -100,6 +100,33 @@ type Env struct {
 	// treated as 1 so the zero value is usable.
 	FeatShift float64
 	FeatScale float64
+	// init is the initial global model's parameter vector once DrawInit
+	// has drawn it; nil draws it afresh in every Run.
+	init []float64
+}
+
+// DrawInit draws the initial global model's weights from the env's
+// "model-init" stream once and keeps them, so every Run on the env
+// copies them instead of drawing them again. The draw depends only on
+// the stream and ModelCfg's shapes, so a copy equals a fresh draw bit
+// for bit at either precision. Call it once ModelCfg is final and
+// before the env is shared: a scenario that serves many runs does.
+func (e *Env) DrawInit() error {
+	m, err := e.initialGlobal()
+	if err != nil {
+		return err
+	}
+	e.init = m.Vector()
+	return nil
+}
+
+// initialGlobal returns a run's initial global model in the env's
+// ModelCfg: a copy of the weights DrawInit kept, else a fresh draw.
+func (e *Env) initialGlobal() (*nn.Model, error) {
+	if e.init != nil {
+		return nn.FromVector(e.ModelCfg, e.init)
+	}
+	return nn.New(e.ModelCfg, e.RNG.Stream("model-init"))
 }
 
 // Slots returns how many goroutines ForEach may run: Parallelism, or
@@ -636,15 +663,15 @@ func Run(env *Env, alg Algorithm, clients []*Client, val, test *EvalSet, cfg Run
 	}
 	// Work on a copy of the env so the caller's stays untouched. The
 	// precision knob rides on the model config so every Clone in the
-	// round loop inherits it; initialization draws in float64 either
-	// way, so both precisions start from identical weights. Parallelism
-	// becomes the run's resolved bound, which every ForEach of the run
-	// (local phase and aggregation) then keeps to.
+	// round loop inherits it; initialization draws (or DrawInit drew)
+	// in float64 either way, so both precisions start from identical
+	// weights. Parallelism becomes the run's resolved bound, which every
+	// ForEach of the run (local phase and aggregation) then keeps to.
 	e := *env
 	e.ModelCfg.Precision = cfg.Precision
 	e.Parallelism = e.Slots()
 	env = &e
-	global, err := nn.New(env.ModelCfg, env.RNG.Stream("model-init"))
+	global, err := env.initialGlobal()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -567,6 +567,47 @@ func TestRunParallelismBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDrawInitBitIdentical: an env whose initial weights DrawInit drew
+// once trains, run after run and at either precision, the same model
+// bits as an env that draws them in every Run, and no run writes to
+// the kept weights.
+func TestDrawInitBitIdentical(t *testing.T) {
+	env, gen := testEnv(t)
+	var parts []*dataset.Dataset
+	for i := 0; i < 3; i++ {
+		ds, err := gen.GenerateDomain(i%2, 10, "init")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, ds)
+	}
+	clients, err := fl.NewClients(env, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawn := *env
+	if err := drawn.DrawInit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []nn.Precision{nn.F64, nn.F32, nn.F64} {
+		cfg := fl.RunConfig{Rounds: 2, SampleK: 2, Precision: prec}
+		want, _, err := fl.Run(env, &baselines.FedAvg{}, clients, nil, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := fl.Run(&drawn, &baselines.FedAvg{}, clients, nil, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wv, gv := want.Vector(), got.Vector()
+		for i := range wv {
+			if math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
+				t.Fatalf("precision %v: kept initial weights diverge at param %d: %g vs %g", prec, i, gv[i], wv[i])
+			}
+		}
+	}
+}
+
 // TestForEach pins the fan-out's contract: no index runs twice, every
 // index up to the first failing one runs, no more goroutines than
 // Parallelism run at a time, each passes a slot below Slots() that no

@@ -216,6 +216,23 @@ func New(cfg Config, r *rand.Rand) (*Model, error) {
 	return m, nil
 }
 
+// FromVector returns a model of cfg whose parameters are a copy of v,
+// the Vector of a model with cfg's shapes (of either precision).
+func FromVector(cfg Config, v []float64) (*Model, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := acquireModel(cfg)
+	if m == nil {
+		m = newEmpty(cfg)
+	}
+	if err := m.SetParamVector(v); err != nil {
+		m.Release()
+		return nil, err
+	}
+	return m, nil
+}
+
 // NewLike returns a zero-parameter model with m's configuration — the
 // reusable destination for WeightedAverageInto.
 func NewLike(m *Model) *Model {
