@@ -448,7 +448,8 @@ func (c *Client) Sweeps(ctx context.Context, opts ListOptions) (SweepList, error
 // Result fetches a finished job's Result. While the job is still
 // pending this is an *APIError with code "not_finished" (use Wait to
 // block instead); a failed or cancelled job yields an error carrying
-// the job's failure text.
+// the job's failure text, and a done job whose Result a capped server
+// cache evicted an *APIError with code "not_found".
 func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 	var view JobView
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &view); err != nil {

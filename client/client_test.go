@@ -241,6 +241,44 @@ func TestClientTypedErrors(t *testing.T) {
 	}
 }
 
+// TestClientResultEvicted: a Done job whose Result the server's capped
+// disk store has let go reads as a not-found *APIError from Result,
+// never as a nil Result without an error.
+func TestClientResultEvicted(t *testing.T) {
+	e, err := engine.New(engine.Options{Workers: -1, CacheDir: t.TempDir(), CacheMaxBytes: 1, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	srv := httptest.NewServer(engine.NewServer(e))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+	ctx := testCtx(t)
+
+	store := func(sp client.Spec) {
+		key, err := sp.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Store().Put(key, &client.Result{SpecHash: key, Method: sp.Method}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := tinySpec("FedAvg"), tinySpec("FedAvg")
+	b.Seed = 2
+	store(a)
+	view, err := c.Submit(ctx, a, client.SubmitOptions{})
+	if err != nil || !view.Cached {
+		t.Fatalf("submit of a stored Spec = %+v, %v; want a cache hit", view, err)
+	}
+	store(b) // past the 1-byte cap: evicts a's entry
+	res, err := c.Result(ctx, view.ID)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || !apiErr.NotFound() {
+		t.Fatalf("Result of the evicted %s = (%v, %v), want a not_found *APIError", view.ID, res, err)
+	}
+}
+
 // TestClientEventsReconnect: a transport drop mid-stream is repaired
 // transparently — the iterator reconnects and still observes the
 // terminal state.

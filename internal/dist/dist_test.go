@@ -500,9 +500,9 @@ func TestTieredStoreAnswersWithoutTraining(t *testing.T) {
 	}
 }
 
-// TestTrainedLeaseLooksUpStoreOnce: a worker that trains one cell asks
-// its Store for the key once, inside the engine's submit, and counts
-// the lease as one tier miss.
+// TestTrainedLeaseLooksUpStoreOnce: a worker that trains one cell
+// misses its Store for the key once, inside the engine's submit, and
+// counts the lease as one tier miss.
 func TestTrainedLeaseLooksUpStoreOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

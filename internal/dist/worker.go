@@ -468,11 +468,6 @@ func (w *Worker) execute(ctx context.Context, al *activeLease) {
 	}
 	w.m.tierLookups.With(tier).Inc()
 	w.span(lv, "tier-lookup", tierStart, time.Now(), map[string]string{"tier": tier})
-	if j.Cached() {
-		res, _ := j.Result()
-		w.uploadAndComplete(ctx, al, res)
-		return
-	}
 	w.mu.Lock()
 	al.job = j
 	// Instructions that raced ahead of the local submit apply now.
@@ -493,7 +488,16 @@ func (w *Worker) execute(ctx context.Context, al *activeLease) {
 		// The coordinator requeued this job elsewhere; nothing to say.
 		w.m.completions.With("abandoned").Inc()
 	case runErr == nil:
-		w.uploadAndComplete(ctx, al, res)
+		// The checkpoint blob goes up first, best-effort: a missing blob
+		// upstream degrades GET /model to 404, never the result. Once the
+		// coordinator has acknowledged both, the local blob is dropped, so
+		// a memory-only worker does not grow with every cell it trains;
+		// the local Result stays for a re-lease of the key to answer from,
+		// and an unacknowledged blob stays for that re-lease to upload.
+		uploaded := w.upload(ctx, lv)
+		if w.complete(al, engine.LeaseCompleteRequest{Result: res}, "done") && uploaded {
+			w.eng.Store().DropBlob(lv.Key)
+		}
 	case coordCancelled:
 		w.complete(al, engine.LeaseCompleteRequest{Cancelled: true}, "cancelled")
 	case errors.Is(runErr, context.Canceled):
@@ -501,22 +505,6 @@ func (w *Worker) execute(ctx context.Context, al *activeLease) {
 		w.complete(al, engine.LeaseCompleteRequest{Abandoned: true}, "abandoned")
 	default:
 		w.complete(al, engine.LeaseCompleteRequest{Error: runErr.Error()}, "failed")
-	}
-}
-
-// uploadAndComplete settles a lease with its Result, after pushing
-// the lease's checkpoint blob, if the local store holds one, to the
-// coordinator. The upload is best-effort: a missing blob upstream
-// degrades GET /model to 404, never the result. Once the coordinator
-// has acknowledged both, the local in-memory blob is released
-// (Store.DropBlob), so a memory-only worker's footprint does not grow
-// with every cell it trains. The local Result stays, and a later
-// re-lease of the key answers from it. A blob whose upload or
-// completion failed stays too, so that re-lease can upload it again.
-func (w *Worker) uploadAndComplete(ctx context.Context, al *activeLease, res *engine.Result) {
-	uploaded := w.upload(ctx, al.lease)
-	if w.complete(al, engine.LeaseCompleteRequest{Result: res}, "done") && uploaded {
-		w.eng.Store().DropBlob(al.lease.Key)
 	}
 }
 

@@ -118,7 +118,8 @@ type Stats struct {
 	RoundsExecuted int64 `json:"rounds_executed"`
 	// StoreEntries is the in-memory result-store size.
 	StoreEntries int `json:"store_entries"`
-	// StoreHits/StoreMisses are the store's lookup counters.
+	// StoreHits/StoreMisses count every store lookup, Done jobs' Result
+	// reads included; CacheHits counts only the submissions answered.
 	StoreHits   int64 `json:"store_hits"`
 	StoreMisses int64 `json:"store_misses"`
 	// Jobs is the number of jobs the scheduler knows.
@@ -203,7 +204,7 @@ func New(opts Options) (*Engine, error) {
 		log:         logger,
 		batches:     map[string]*Batch{},
 	}
-	e.sched = newScheduler(workers, m, logger, e.run)
+	e.sched = newScheduler(workers, m, logger, store, e.run)
 	e.sched.journal = jl
 	e.sched.traces = e.traces
 	// One resident scenario per pool slot, plus whatever queued or
@@ -293,11 +294,7 @@ func (e *Engine) Close() {
 // Draining reports whether the engine has begun shutting down and
 // rejects new submissions (GET /v1/healthz surfaces this as the
 // "draining" state).
-func (e *Engine) Draining() bool {
-	e.sched.mu.Lock()
-	defer e.sched.mu.Unlock()
-	return e.sched.closed
-}
+func (e *Engine) Draining() bool { return e.sched.isClosed() }
 
 // Metrics exposes the registry the engine's instruments export on; the
 // HTTP layers (API server middleware, the ops mux's /metrics) share it.
@@ -393,7 +390,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	}
 	e.metrics.jobsSubmitted.With(tenant).Inc()
 	if !fresh {
-		if res, ok, err := e.store.Get(hash); err != nil {
+		if _, ok, err := e.store.Get(hash); err != nil {
 			return nil, err
 		} else if ok {
 			e.metrics.cacheHits.Inc()
@@ -401,7 +398,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 			// for this key (e.g. a crash after the Result was persisted
 			// but before the done-record landed).
 			e.journal.jobDone(hash, StateDone)
-			return e.sched.completed(&spec, hash, priority, trace, tenant, res), nil
+			return e.sched.completed(&spec, hash, priority, trace, tenant), nil
 		}
 	}
 	// Write-ahead: the submission is journaled before the scheduler can
@@ -602,10 +599,10 @@ func (e *Engine) BuildScenario(spec Spec) (*Scenario, error) {
 // run trains a job's Spec, the scheduler's one run path: build (or
 // reuse) the scenario, instantiate the method, and run federated
 // training with per-round progress events and cancellation. It returns
-// the Result and the step that persists it with its checkpoint blob
-// under the job's content-address (see persist), which the pool runs
-// behind the slot's next job.
-func (e *Engine) run(ctx context.Context, j *Job) (*Result, func() error, error) {
+// the step that persists the Result with its checkpoint blob under the
+// job's content-address (see persist), which the pool runs behind the
+// slot's next job.
+func (e *Engine) run(ctx context.Context, j *Job) (func() error, error) {
 	spec, runSpan := *j.Spec, j.RunSpanID()
 	scenarioStart := time.Now()
 	sc, hit, err := e.scenarios.get(spec, e.parallelism)
@@ -615,16 +612,16 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, func() error, error)
 	}
 	e.sched.recordSpan(j, runSpan, "scenario", scenarioStart, time.Now(), map[string]string{"cache": cache})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	alg, err := NewAlgorithm(spec.Method)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Validate guarantees the spelling parses.
 	prec, err := nn.ParsePrecision(spec.Precision)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	start := time.Now()
 	var model *nn.Model
@@ -647,11 +644,11 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, func() error, error)
 			})
 		})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res := resultFromHistory(j.Key, spec.Method, hist)
 	res.ElapsedSec = time.Since(start).Seconds()
-	return res, func() error { return e.persist(j, res, model) }, nil
+	return func() error { return e.persist(j, res, model) }, nil
 }
 
 // persist stores a trained run: the model becomes a content-addressed
@@ -663,7 +660,6 @@ func (e *Engine) run(ctx context.Context, j *Job) (*Result, func() error, error)
 // Result in the Store implies its blob was attempted first. The spans
 // and the persist timer cover the marshal as well as the store writes.
 func (e *Engine) persist(j *Job, res *Result, model *nn.Model) error {
-	runSpan := j.RunSpanID()
 	persistStart := time.Now()
 	blob, err := model.MarshalBinary()
 	// The blob is all that is kept of the model: its arena goes back to
@@ -672,18 +668,24 @@ func (e *Engine) persist(j *Job, res *Result, model *nn.Model) error {
 	if err == nil {
 		err = e.store.PutBlob(j.Key, blob)
 		j.addPersist(time.Since(persistStart))
-		e.sched.recordSpan(j, runSpan, "checkpoint", persistStart, time.Now(),
+		e.sched.recordSpan(j, j.RunSpanID(), "checkpoint", persistStart, time.Now(),
 			map[string]string{"bytes": fmt.Sprintf("%d", len(blob))})
 	}
 	if err != nil {
 		e.log.Warn("engine: checkpoint blob not stored", "trace", j.TraceID, "job", j.ID, "error", err)
 	}
-	persistStart = time.Now()
+	return e.putResult(j, res)
+}
+
+// putResult is the one write of a Result, local or remote: to the Store
+// under the job's address, timed as its persist phase and span.
+func (e *Engine) putResult(j *Job, res *Result) error {
+	start := time.Now()
 	if err := e.store.Put(j.Key, res); err != nil {
 		return err
 	}
-	j.addPersist(time.Since(persistStart))
-	e.sched.recordSpan(j, runSpan, "persist", persistStart, time.Now(), nil)
+	j.addPersist(time.Since(start))
+	e.sched.recordSpan(j, j.RunSpanID(), "persist", start, time.Now(), nil)
 	return nil
 }
 
@@ -737,9 +739,9 @@ func (e *Engine) advance(j *Job, round, rounds int) {
 
 // CompleteRemote settles a leased job with a remote outcome. A
 // successful result is persisted to the Store under the job's
-// content-address before the job finishes, preserving the invariant
-// that a Done job's result is cached (its checkpoint blob, if any, was
-// uploaded beforehand). jobErr wrapping context.Canceled marks the job Cancelled; any
+// content-address (putResult) before the job finishes, preserving the
+// invariant that a Done job's result is stored (its checkpoint blob, if
+// any, was uploaded beforehand). jobErr wrapping context.Canceled marks the job Cancelled; any
 // other error marks it Failed. Late completions — the lease expired and
 // the job was requeued but not yet re-claimed — are accepted: the work
 // is done, content-addressing makes the outcome identical.
@@ -748,14 +750,11 @@ func (e *Engine) CompleteRemote(j *Job, res *Result, jobErr error) error {
 		if res == nil {
 			return fmt.Errorf("engine: remote completion of job %s carries neither result nor error", j.ID)
 		}
-		persistStart := time.Now()
-		if err := e.store.Put(j.Key, res); err != nil {
+		if err := e.putResult(j, res); err != nil {
 			return err
 		}
-		j.addPersist(time.Since(persistStart))
-		e.sched.recordSpan(j, j.RunSpanID(), "persist", persistStart, time.Now(), nil)
 	}
 	j.mu.Lock()
-	e.sched.finish(j, res, jobErr)
+	e.sched.finish(j, jobErr)
 	return nil
 }

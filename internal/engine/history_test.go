@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -272,5 +273,118 @@ func TestSweepHistoryEvictsOldestTerminal(t *testing.T) {
 	}
 	if len(tail.Sweeps) != 1 || tail.Sweeps[0].ID != live.ID || tail.Next != "" {
 		t.Fatalf("list after a forgotten ID = %+v, want only %s", tail, live.ID)
+	}
+}
+
+// TestHistoryPinsNoResult: a settled job keeps no Result of its own, so
+// the job history pins none. Once more than memCacheCap newer entries
+// have moved a disk store's memory tier past the first job's, that
+// job's Result is collected while the job is still retained, and Wait
+// reads an equal Result back from disk.
+func TestHistoryPinsNoResult(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1, CacheDir: t.TempDir()})
+	result := func(j *Job) *Result {
+		return &Result{SpecHash: j.Key, Method: j.Spec.Method, Stats: []RoundStat{{Round: 1, TestAcc: float64(j.Spec.Seed)}}}
+	}
+	stubRuns(e, map[string]stubRun{"unpinned": func(_ context.Context, j *Job) (*Result, error) {
+		return result(j), nil
+	}})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	submit := func(seed uint64) *Job {
+		sp := stubSpec("unpinned")
+		sp.Seed = seed
+		j, err := e.Submit(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	first := submit(1)
+	collected := make(chan struct{})
+	func() {
+		res, err := first.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(res, func(*Result) { close(collected) })
+	}()
+	for seed := uint64(2); seed <= memCacheCap+2; seed++ {
+		submit(seed)
+	}
+	gone := false
+	for i := 0; i < 100 && !gone; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !gone {
+		t.Fatalf("%s's Result was not collected after %d newer jobs: something besides the Store holds it", first.ID, memCacheCap+1)
+	}
+	if _, ok := e.Job(first.ID); !ok {
+		t.Fatalf("%s was forgotten; the test needs it retained", first.ID)
+	}
+	got, err := first.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := result(first); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Result read back from disk = %+v, want %+v", got, want)
+	}
+}
+
+// TestEvictedResultIsNotFound: a disk store under a size cap can let a
+// Done job's Result go. A two-cell sweep trains on one slot, and the
+// second cell's entry write evicts the first's. Then the first job's
+// Result read fails naming its key, GET …/result answers 404 not_found,
+// Batch.Wait fails naming the cell, and the sweep view leaves out that
+// cell's result alone.
+func TestEvictedResultIsNotFound(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1, CacheDir: t.TempDir(), CacheMaxBytes: 1})
+	stubRuns(e, map[string]stubRun{"evicted": func(_ context.Context, j *Job) (*Result, error) {
+		return &Result{SpecHash: j.Key, Method: j.Spec.Method}, nil
+	}})
+	b, err := e.SubmitSweep(Sweep{Base: stubSpec("evicted"), Lambdas: []float64{0.1, 0.2}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, j := range b.Unique() {
+		select {
+		case <-j.Done():
+		case <-ctx.Done():
+			t.Fatal(ctx.Err())
+		}
+		if st := j.State(); st != StateDone {
+			t.Fatalf("%s ended %s, want %s", j.ID, st, StateDone)
+		}
+	}
+	a := b.Unique()[0]
+	if _, err := a.Result(); err == nil || !strings.Contains(err.Error(), a.Key) {
+		t.Fatalf("Result of the evicted %s: err = %v, want one naming key %s", a.ID, err, a.Key)
+	}
+	if _, err := b.Wait(ctx); err == nil || !strings.Contains(err.Error(), "cell 0") {
+		t.Fatalf("Batch.Wait over the evicted cell: err = %v, want one naming cell 0", err)
+	}
+
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	var env errorEnvelope
+	if code := getJSON(t, srv.Client(), srv.URL+"/v1/jobs/"+a.ID+"/result", &env); code != http.StatusNotFound || env.Err.Code != ErrCodeNotFound {
+		t.Fatalf("GET result of the evicted %s = %d %+v, want 404 %s", a.ID, code, env.Err, ErrCodeNotFound)
+	}
+	var sv SweepView
+	if code := getJSON(t, srv.Client(), srv.URL+"/v1/sweeps/"+b.ID, &sv); code != http.StatusOK {
+		t.Fatalf("GET sweep = %d", code)
+	}
+	if len(sv.Jobs) != 2 || sv.Jobs[0].Result != nil || sv.Jobs[1].Result == nil {
+		t.Fatalf("sweep view = %+v, want the evicted cell without a result and the other with one", sv.Jobs)
 	}
 }

@@ -120,7 +120,7 @@ func newStoreMetrics(reg *telemetry.Registry) *storeMetrics {
 		"Wall-clock of one successful Store write, by kind: entry (encode + atomic file write) or blob (atomic file write, or a memory-only store's copy into its mapping).", nil, "kind")
 	return &storeMetrics{
 		hits: reg.Counter("store_hits_total",
-			"Result-store lookups answered from memory or disk."),
+			"Result-store lookups answered from memory or disk: submission cache checks and reads of a done job's Result."),
 		misses: reg.Counter("store_misses_total",
 			"Result-store lookups that found no (valid, current) entry."),
 		corrupt: reg.Counter("store_corrupt_total",

@@ -97,12 +97,12 @@ func TestCloseDrainsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	persisting, release := make(chan struct{}), make(chan struct{})
-	e.sched.run = func(ctx context.Context, j *Job) (*Result, func() error, error) {
-		res, persist, err := e.run(ctx, j)
+	e.sched.run = func(ctx context.Context, j *Job) (func() error, error) {
+		persist, err := e.run(ctx, j)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res, func() error {
+		return func() error {
 			close(persisting)
 			<-release
 			return persist()
@@ -168,11 +168,14 @@ func TestOnePersistPerSlot(t *testing.T) {
 			for i := range trained {
 				trained[i] = make(chan struct{})
 			}
-			e.sched.run = func(_ context.Context, j *Job) (*Result, func() error, error) {
+			e.sched.run = func(_ context.Context, j *Job) (func() error, error) {
 				var i int
 				fmt.Sscanf(j.Spec.Tag, "slot-%d", &i)
 				close(trained[i])
-				return &Result{}, func() error {
+				return func() error {
+					if err := e.store.Put(j.Key, &Result{}); err != nil {
+						return err
+					}
 					mu.Lock()
 					inflight++
 					peak = max(peak, inflight)

@@ -119,14 +119,14 @@ func TestInterleavedTenantsKeepBothScenarios(t *testing.T) {
 	gate, started := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	var order []uint64 // the seed, and so the scenario, of each run
-	e.sched.run = func(ctx context.Context, j *Job) (*Result, func() error, error) {
+	e.sched.run = func(ctx context.Context, j *Job) (func() error, error) {
 		if j.Spec.Tag == "gate" {
 			close(started)
 			select {
 			case <-gate:
-				return &Result{}, nil, nil
+				return func() error { return e.store.Put(j.Key, &Result{}) }, nil
 			case <-ctx.Done():
-				return nil, nil, ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
 		mu.Lock()

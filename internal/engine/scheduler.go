@@ -15,7 +15,7 @@ import (
 
 // maxRetainedJobs bounds the job history a long-running scheduler keeps
 // for status queries. Beyond it the jobs that settled longest ago are
-// forgotten (their cached Results live on in the Store); queued and
+// forgotten (a settled job keeps no Result: the Store holds it); queued and
 // running jobs are never forgotten. Settled jobs wait in a FIFO in the
 // order they settled, so a new job forgets the oldest ones by popping
 // its head: no scan of the history, and no job's mutex taken.
@@ -54,11 +54,11 @@ type Event struct {
 }
 
 // jobRunFunc trains a job's Spec; the job is passed so the runner can
-// emit progress events. Besides the Result it returns the step that
-// stores it (nil when there is nothing to store): the pool worker hands
-// that step to its slot's persister and trains its next job meanwhile,
-// and the job settles once the step returns.
-type jobRunFunc func(ctx context.Context, j *Job) (res *Result, persist func() error, err error)
+// emit progress events. A successful run returns the step that stores
+// its Result: the pool worker hands that step to its slot's persister
+// and trains its next job meanwhile, and the job settles once the step
+// returns.
+type jobRunFunc func(ctx context.Context, j *Job) (persist func() error, err error)
 
 // Job is one schedulable unit of work: a Spec with a content-address, a
 // priority, and a lifecycle the scheduler drives. All methods are safe
@@ -100,6 +100,7 @@ type Job struct {
 	// creation and immutable: every other span of the trace nests under
 	// it (directly or via the run/lease span).
 	rootSpan string
+	store    *Store // holds the job's Result once Done; the job keeps none
 
 	mu       sync.Mutex
 	state    State
@@ -115,7 +116,6 @@ type Job struct {
 	round    int
 	rounds   int
 	persist  time.Duration
-	result   *Result
 	err      error
 	subs     []chan Event
 	cancel   func() // the holder's cancel hook while running
@@ -189,19 +189,23 @@ func (j *Job) Worker() string {
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the job's outcome once terminal: the Result on success,
-// the failure or cancellation error otherwise, and an error if the job
-// is still pending.
+// read from the Store under the job's key, the failure or cancellation
+// error otherwise. A pending job, or a Done one whose Result a disk
+// store has let go (evicted by its size cap, or deleted), gets an error.
 func (j *Job) Result() (*Result, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		return j.result, nil
-	case StateFailed, StateCancelled:
-		return nil, j.err
-	default:
-		return nil, fmt.Errorf("engine: job %s not finished (state %s)", j.ID, j.state)
+	state, err := j.state, j.err
+	j.mu.Unlock()
+	if state != StateDone {
+		if !state.Terminal() {
+			err = fmt.Errorf("engine: job %s not finished (state %s)", j.ID, state)
+		}
+		return nil, err
 	}
+	if res, ok, err := j.store.Get(j.Key); ok || err != nil {
+		return res, err
+	}
+	return nil, fmt.Errorf("engine: job %s: result %s is no longer in the store; resubmitting the Spec recomputes it", j.ID, j.Key)
 }
 
 // Wait blocks until the job is terminal or ctx is cancelled, then
@@ -319,12 +323,11 @@ func (j *Job) advance(round, total int) int {
 // must be held through publishLocked: Scheduler.finish accounts for the
 // job (run time, completion counter, spans) in between, so whoever
 // Wait or the event stream wakes reads counters that include it.
-func (j *Job) settleLocked(state State, res *Result, err error) bool {
+func (j *Job) settleLocked(state State, err error) bool {
 	if j.state.Terminal() {
 		return false
 	}
 	j.state = state
-	j.result = res
 	j.err = err
 	j.finished = time.Now()
 	return true
@@ -361,6 +364,7 @@ func outcome(err error) State {
 // job instead of duplicating work.
 type Scheduler struct {
 	run     jobRunFunc // runs each job the pool dequeues: Engine.run
+	store   *Store     // where every job reads its Result once Done
 	metrics *engineMetrics
 	log     *slog.Logger
 	// journal, when non-nil, receives the terminal records of
@@ -391,8 +395,8 @@ type Scheduler struct {
 }
 
 // newScheduler starts a scheduler with the given worker-pool size.
-func newScheduler(workers int, m *engineMetrics, log *slog.Logger, run jobRunFunc) *Scheduler {
-	s := &Scheduler{run: run, metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
+func newScheduler(workers int, m *engineMetrics, log *slog.Logger, store *Store, run jobRunFunc) *Scheduler {
+	s := &Scheduler{run: run, store: store, metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
 		wake: make(chan struct{}), warm: map[string]string{}}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
@@ -518,12 +522,11 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 
 // completed registers a job that is already Done (a cache hit), so the
 // submission is observable through the same job API as a live run.
-func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenant string, res *Result) *Job {
+func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenant string) *Job {
 	s.mu.Lock()
 	j := s.newJobLocked(spec, key, priority, trace, tenant, time.Now())
 	j.state = StateDone
 	j.cached = true
-	j.result = res
 	j.finished = j.Created
 	close(j.done)
 	s.settled = append(s.settled, j)
@@ -574,6 +577,7 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		Tenant:   tenant,
 		Created:  arrived,
 		rootSpan: telemetry.NewSpanID(),
+		store:    s.store,
 		queued:   time.Now(),
 		seq:      s.nextID,
 		priority: priority,
@@ -660,7 +664,7 @@ func (s *Scheduler) cancel(id string) error {
 	j.mu.Lock()
 	switch j.state {
 	case StateQueued:
-		s.finish(j, nil, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
+		s.finish(j, fmt.Errorf("engine: job %s cancelled while queued: %w", j.ID, context.Canceled))
 	case StateRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -820,12 +824,9 @@ func (s *Scheduler) start(j *Job, worker string, cancel func()) bool {
 // journals done — except for a cancel caused by draining, which stays
 // live so the next boot re-enqueues the job — logs, and drops the job
 // from the in-flight index.
-func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
-	if err != nil {
-		res = nil
-	}
+func (s *Scheduler) finish(j *Job, err error) bool {
 	was := j.state
-	if !j.settleLocked(outcome(err), res, err) {
+	if !j.settleLocked(outcome(err), err) {
 		j.mu.Unlock()
 		return false
 	}
@@ -865,7 +866,7 @@ func (s *Scheduler) finish(j *Job, res *Result, err error) bool {
 // persister, then dequeue the next job while the persist runs. The
 // channel is unbuffered, so a slot has at most one persist in flight:
 // the hand-over waits for the previous persist to finish. A run that
-// failed, or left nothing to store, finishes here at once.
+// failed finishes here at once.
 func (s *Scheduler) worker(persists chan<- func()) {
 	defer s.wg.Done()
 	defer close(persists)
@@ -885,19 +886,19 @@ func (s *Scheduler) worker(persists chan<- func()) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		if s.start(j, "", cancel) {
-			res, persist, err := s.run(ctx, j)
-			if err == nil && persist != nil {
+			persist, err := s.run(ctx, j)
+			if err == nil {
 				s.mu.Lock()
 				j.trained = true
 				s.mu.Unlock()
 				persists <- func() {
 					err := persist()
 					j.mu.Lock()
-					s.finish(j, res, err)
+					s.finish(j, err)
 				}
 			} else {
 				j.mu.Lock()
-				s.finish(j, res, err)
+				s.finish(j, err)
 			}
 		}
 		cancel()
@@ -1094,7 +1095,7 @@ func (s *Scheduler) requeue(j *Job) bool {
 	}
 	if s.closed {
 		s.mu.Unlock()
-		s.finish(j, nil, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
+		s.finish(j, fmt.Errorf("engine: job %s requeued while draining: %w", j.ID, context.Canceled))
 		return false
 	}
 	span, holder := attempt(j.worker)

@@ -26,7 +26,7 @@ import (
 //	POST   /v1/jobs                 submit a Spec ({"spec":…,"priority":n,"wait":bool})
 //	GET    /v1/jobs                 list jobs, newest first (?state=…&limit=…&after=…)
 //	GET    /v1/jobs/{id}            job status
-//	GET    /v1/jobs/{id}/result     job result (409 until terminal)
+//	GET    /v1/jobs/{id}/result     job result (409 until terminal, 404 once evicted)
 //	GET    /v1/jobs/{id}/model      trained-model checkpoint blob (409
 //	                                until done, 404 when none was stored)
 //	GET    /v1/jobs/{id}/events     per-round progress as Server-Sent Events
@@ -265,7 +265,7 @@ const (
 	ErrCodeInvalidSpec = "invalid_spec"
 	// ErrCodePayloadTooLarge: request body over the size cap (HTTP 413).
 	ErrCodePayloadTooLarge = "payload_too_large"
-	// ErrCodeNotFound: unknown job or sweep ID.
+	// ErrCodeNotFound: unknown job or sweep ID, or an evicted Result.
 	ErrCodeNotFound = "not_found"
 	// ErrCodeNotFinished: result/model requested before the job is
 	// terminal (HTTP 409) — retry after completion.
@@ -427,10 +427,10 @@ type SweepList struct {
 	Next string `json:"next,omitempty"`
 }
 
-// view snapshots a job for the wire.
+// view snapshots a job for the wire; withResult then adds a Done job's
+// Result from the Store, outside j.mu, unless the Store has let it go.
 func (s *Server) view(j *Job, withResult bool) JobView {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	v := JobView{
 		ID:       j.ID,
 		Key:      j.Key,
@@ -458,8 +458,9 @@ func (s *Server) view(j *Job, withResult bool) JobView {
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if withResult && j.state == StateDone {
-		v.Result = j.result
+	j.mu.Unlock()
+	if withResult && v.State == StateDone {
+		v.Result, _ = j.Result()
 	}
 	return v
 }
@@ -573,7 +574,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", j.TraceID)
 	if req.Wait {
-		if _, err := j.Wait(r.Context()); err != nil && errors.Is(err, r.Context().Err()) {
+		select {
+		case <-j.Done():
+		case <-r.Context().Done():
 			writeError(w, http.StatusRequestTimeout, ErrCodeClientGone, "client went away before the job finished")
 			return
 		}
@@ -782,15 +785,20 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	switch j.State() {
-	case StateDone:
-		writeJSON(w, http.StatusOK, s.view(j, true))
-	case StateFailed, StateCancelled:
-		writeJSON(w, http.StatusOK, s.view(j, false))
-	default:
-		writeError(w, http.StatusConflict, ErrCodeNotFinished,
-			"job "+j.ID+" not finished (state "+string(j.State())+")")
+	st := j.State()
+	if !st.Terminal() {
+		writeError(w, http.StatusConflict, ErrCodeNotFinished, "job "+j.ID+" not finished (state "+string(st)+")")
+		return
 	}
+	v := s.view(j, false)
+	if st == StateDone {
+		var err error
+		if v.Result, err = j.Result(); err != nil {
+			writeError(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 // handleModel serves the trained-model checkpoint blob of a done job in

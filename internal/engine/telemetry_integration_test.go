@@ -222,34 +222,54 @@ func TestMetricsEndpointEndToEnd(t *testing.T) {
 		t.Fatalf("submit = %d", code)
 	}
 
-	resp, err := ops.Client().Get(ops.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func(wants ...string) {
+		t.Helper()
+		resp, err := ops.Client().Get(ops.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics = %d", resp.StatusCode)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(raw)
+		for _, want := range wants {
+			if !strings.Contains(body, want) {
+				t.Errorf("/metrics missing %q", want)
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("exposition:\n%s", body)
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d", resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{
+	scrape(
 		`engine_jobs_submitted_total{tenant="anonymous"} 1`,
 		`engine_jobs_completed_total{state="done",tenant="anonymous"} 1`,
 		`engine_rounds_total 2`,
 		`store_misses_total 1`,
 		`http_requests_total{route="POST /v1/jobs",code="200",tenant="anonymous"} 1`,
 		`sched_run_seconds_bucket{method="FedAvg",le="+Inf"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
+	)
+
+	// A cache hit, then its result: the store counts every lookup (the
+	// wait above read the Result, the hit's submit and GET …/result
+	// read it again), the engine only the submission it answered.
+	var hit JobView
+	if code := postJSON(t, api.Client(), api.URL+"/v1/jobs", SubmitRequest{Spec: tinySpec("FedAvg")}, &hit); code != http.StatusAccepted || !hit.Cached {
+		t.Fatalf("resubmit = %d %+v, want 202 and a cache hit", code, hit)
 	}
-	if t.Failed() {
-		t.Logf("exposition:\n%s", body)
+	if code := getJSON(t, api.Client(), api.URL+"/v1/jobs/"+hit.ID+"/result", &hit); code != http.StatusOK || hit.Result == nil {
+		t.Fatalf("GET result = %d %+v", code, hit)
 	}
+	scrape(
+		`engine_cache_hits_total 1`,
+		`store_hits_total 3`,
+		`store_misses_total 1`,
+	)
 
 	// One pprof profile must be fetchable from the same mux (the CI
 	// smoke test does exactly this).
