@@ -204,7 +204,7 @@ func New(opts Options) (*Engine, error) {
 		log:         logger,
 		batches:     map[string]*Batch{},
 	}
-	e.sched = newScheduler(workers, m, logger, store, e.run)
+	e.sched = newScheduler(workers, m, logger, e.run)
 	e.sched.journal = jl
 	e.sched.traces = e.traces
 	// One resident scenario per pool slot, plus whatever queued or
@@ -294,7 +294,11 @@ func (e *Engine) Close() {
 // Draining reports whether the engine has begun shutting down and
 // rejects new submissions (GET /v1/healthz surfaces this as the
 // "draining" state).
-func (e *Engine) Draining() bool { return e.sched.isClosed() }
+func (e *Engine) Draining() bool {
+	e.sched.mu.Lock()
+	defer e.sched.mu.Unlock()
+	return e.sched.closed
+}
 
 // Metrics exposes the registry the engine's instruments export on; the
 // HTTP layers (API server middleware, the ops mux's /metrics) share it.
@@ -398,7 +402,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 			// for this key (e.g. a crash after the Result was persisted
 			// but before the done-record landed).
 			e.journal.jobDone(hash, StateDone)
-			return e.sched.completed(&spec, hash, priority, trace, tenant), nil
+			return e.sched.completed(&spec, hash, priority, trace, tenant, e.store), nil
 		}
 	}
 	// Write-ahead: the submission is journaled before the scheduler can
@@ -409,7 +413,7 @@ func (e *Engine) submit(spec Spec, priority int, trace, tenant, sweepTrace strin
 	if err := e.journal.jobSubmitted(hash, trace, tenant, priority, sweepTrace, spec); err != nil {
 		return nil, err
 	}
-	j, coalesced, err := e.sched.submit(&spec, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b)
+	j, coalesced, err := e.sched.submit(&spec, hash, priority, trace, tenant, e.tenantQuota(tenant), submitStart, b, e.store)
 	if coalesced {
 		e.metrics.jobsCoalesced.Inc()
 	} else if err == nil {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -343,8 +344,9 @@ func TestHistoryPinsNoResult(t *testing.T) {
 // Done job's Result go. A two-cell sweep trains on one slot, and the
 // second cell's entry write evicts the first's. Then the first job's
 // Result read fails naming its key, GET …/result answers 404 not_found,
-// Batch.Wait fails naming the cell, and the sweep view leaves out that
-// cell's result alone.
+// and the sweep view leaves out that cell's result alone. Batch.Wait
+// resubmits the evicted cell, which recomputes its Result under the
+// same key, and returns every cell's Result.
 func TestEvictedResultIsNotFound(t *testing.T) {
 	e := newTestEngine(t, Options{Workers: 1, CacheDir: t.TempDir(), CacheMaxBytes: 1})
 	stubRuns(e, map[string]stubRun{"evicted": func(_ context.Context, j *Job) (*Result, error) {
@@ -370,9 +372,6 @@ func TestEvictedResultIsNotFound(t *testing.T) {
 	if _, err := a.Result(); err == nil || !strings.Contains(err.Error(), a.Key) {
 		t.Fatalf("Result of the evicted %s: err = %v, want one naming key %s", a.ID, err, a.Key)
 	}
-	if _, err := b.Wait(ctx); err == nil || !strings.Contains(err.Error(), "cell 0") {
-		t.Fatalf("Batch.Wait over the evicted cell: err = %v, want one naming cell 0", err)
-	}
 
 	srv := httptest.NewServer(NewServer(e))
 	defer srv.Close()
@@ -386,5 +385,101 @@ func TestEvictedResultIsNotFound(t *testing.T) {
 	}
 	if len(sv.Jobs) != 2 || sv.Jobs[0].Result != nil || sv.Jobs[1].Result == nil {
 		t.Fatalf("sweep view = %+v, want the evicted cell without a result and the other with one", sv.Jobs)
+	}
+
+	results, err := b.Wait(ctx)
+	if err != nil {
+		t.Fatalf("Batch.Wait over the evicted cell: %v", err)
+	}
+	for i, res := range results {
+		if want := b.Jobs()[i].Key; res == nil || res.SpecHash != want {
+			t.Fatalf("Batch.Wait cell %d = %+v, want the Result of %s", i, res, want)
+		}
+	}
+}
+
+// TestSweepWaitKeepsCellsPastAnEvictedResult: a wait=true sweep whose
+// cached cell a later cell's write evicts is no failure. The cells run
+// on one slot under a one-byte cache cap, which keeps only the newest
+// entry: cell 0 trains, its entry write evicts cached cell 1's, and cell
+// 2 is still training. The response must show all three cells Done,
+// cell 2 not cancelled, and only cell 2, written last, with a result.
+func TestSweepWaitKeepsCellsPastAnEvictedResult(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1, CacheDir: t.TempDir(), CacheMaxBytes: 1})
+	release := make(chan struct{})
+	stubRuns(e, map[string]stubRun{"past-evicted": func(ctx context.Context, j *Job) (*Result, error) {
+		switch j.Spec.Lambda {
+		case 0.1:
+			// Train once every cell is submitted, so cell 1's lookup
+			// still finds its entry.
+			for len(e.Jobs()) < 3 {
+				time.Sleep(time.Millisecond)
+			}
+		case 0.3:
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return &Result{SpecHash: j.Key, Method: j.Spec.Method}, nil
+	}})
+	sw := Sweep{Base: stubSpec("past-evicted"), Lambdas: []float64{0.1, 0.2, 0.3}}
+	specs, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := specs[1].Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Store().Put(cached, &Result{SpecHash: cached, Method: specs[1].Method}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	var freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	defer free() // before srv.Close, which waits for the handler
+	type response struct {
+		code int
+		view SweepView
+	}
+	got := make(chan response, 1)
+	go func() {
+		var r response
+		r.code = postJSON(t, srv.Client(), srv.URL+"/v1/sweeps", SweepRequest{Sweep: sw, Wait: true}, &r.view)
+		got <- r
+	}()
+	// Release cell 2 only once cell 1's entry is gone and the handler
+	// has had time to reach it.
+	deadline := time.Now().Add(time.Minute)
+	for {
+		if _, ok, _ := e.Store().Get(cached); !ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cell 1's cached entry was never evicted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	free()
+	r := <-got
+	if r.code != http.StatusOK {
+		t.Fatalf("wait=true sweep = %d", r.code)
+	}
+	if len(r.view.Jobs) != 3 {
+		t.Fatalf("sweep view has %d jobs, want 3", len(r.view.Jobs))
+	}
+	for i, jv := range r.view.Jobs {
+		if jv.State != StateDone {
+			t.Fatalf("cell %d ended %s, want %s: an evicted cell must not cancel the sweep", i, jv.State, StateDone)
+		}
+	}
+	for i, jv := range r.view.Jobs {
+		if last := i == 2; (jv.Result != nil) != last {
+			t.Fatalf("cell %d result = %+v, want one on cell 2 alone, the newest entry", i, jv.Result)
+		}
 	}
 }

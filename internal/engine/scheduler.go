@@ -364,7 +364,6 @@ func outcome(err error) State {
 // job instead of duplicating work.
 type Scheduler struct {
 	run     jobRunFunc // runs each job the pool dequeues: Engine.run
-	store   *Store     // where every job reads its Result once Done
 	metrics *engineMetrics
 	log     *slog.Logger
 	// journal, when non-nil, receives the terminal records of
@@ -395,8 +394,8 @@ type Scheduler struct {
 }
 
 // newScheduler starts a scheduler with the given worker-pool size.
-func newScheduler(workers int, m *engineMetrics, log *slog.Logger, store *Store, run jobRunFunc) *Scheduler {
-	s := &Scheduler{run: run, store: store, metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
+func newScheduler(workers int, m *engineMetrics, log *slog.Logger, run jobRunFunc) *Scheduler {
+	s := &Scheduler{run: run, metrics: m, log: log, queues: map[string]*jobQueue{}, jobs: map[string]*Job{}, inflight: map[string]*Job{},
 		wake: make(chan struct{}), warm: map[string]string{}}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
@@ -478,12 +477,13 @@ func (s *Scheduler) isClosed() bool {
 // condition, not a fault of the submitted Spec.
 var ErrClosed = errors.New("engine: scheduler closed")
 
-// submit enqueues work under a content-address for a tenant. When a job
-// with the same address is already in flight, that job is returned with
+// submit enqueues work under a content-address for a tenant; store is
+// where the job will read its Result once Done. When a job with the
+// same address is already in flight, that job is returned with
 // coalesced=true and nothing is enqueued (coalescing never consumes
 // quota). quota > 0 caps how many jobs the tenant may have queued; at
 // the cap the submission is refused with a *QuotaError.
-func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, b *enqueueBatch) (j *Job, coalesced bool, err error) {
+func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant string, quota int, arrived time.Time, b *enqueueBatch, store *Store) (j *Job, coalesced bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -511,7 +511,7 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 		s.log.Warn("engine: submission refused by queue quota", "trace", trace, "tenant", tenant, "quota", quota)
 		return nil, false, &QuotaError{Tenant: tenant, Limit: quota}
 	}
-	j = s.newJobLocked(spec, key, priority, trace, tenant, arrived)
+	j = s.newJobLocked(spec, key, priority, trace, tenant, arrived, store)
 	j.state = StateQueued
 	s.inflight[key] = j
 	s.pushLocked(j, b)
@@ -522,9 +522,9 @@ func (s *Scheduler) submit(spec *Spec, key string, priority int, trace, tenant s
 
 // completed registers a job that is already Done (a cache hit), so the
 // submission is observable through the same job API as a live run.
-func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenant string) *Job {
+func (s *Scheduler) completed(spec *Spec, key string, priority int, trace, tenant string, store *Store) *Job {
 	s.mu.Lock()
-	j := s.newJobLocked(spec, key, priority, trace, tenant, time.Now())
+	j := s.newJobLocked(spec, key, priority, trace, tenant, time.Now(), store)
 	j.state = StateDone
 	j.cached = true
 	j.finished = j.Created
@@ -564,7 +564,7 @@ func (s *Scheduler) orderIndexLocked(seq int64) int {
 // forgotten prefix outgrows the rest, and the creation order once its
 // empty slots outnumber the retained jobs, which keeps both backing
 // arrays bounded at O(1) amortized per job.
-func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string, arrived time.Time) *Job {
+func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, tenant string, arrived time.Time, store *Store) *Job {
 	s.nextID++
 	if tenant == "" {
 		tenant = AnonymousTenant
@@ -577,7 +577,7 @@ func (s *Scheduler) newJobLocked(spec *Spec, key string, priority int, trace, te
 		Tenant:   tenant,
 		Created:  arrived,
 		rootSpan: telemetry.NewSpanID(),
-		store:    s.store,
+		store:    store,
 		queued:   time.Now(),
 		seq:      s.nextID,
 		priority: priority,

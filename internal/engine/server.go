@@ -598,9 +598,18 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", b.TraceID)
 	if req.Wait {
-		if _, err := b.Wait(r.Context()); err != nil && errors.Is(err, r.Context().Err()) {
-			writeError(w, http.StatusRequestTimeout, ErrCodeClientGone, "client went away before the sweep finished")
-			return
+		// Settle every cell, cancelling the rest at a failure as Batch.Wait
+		// does; the view then reads the Results, leaving out any evicted.
+		for _, j := range b.Unique() {
+			select {
+			case <-j.Done():
+			case <-r.Context().Done():
+				writeError(w, http.StatusRequestTimeout, ErrCodeClientGone, "client went away before the sweep finished")
+				return
+			}
+			if j.State() != StateDone {
+				b.Cancel()
+			}
 		}
 		writeJSON(w, http.StatusOK, s.sweepView(b, true))
 		return
@@ -786,19 +795,17 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := j.State()
-	if !st.Terminal() {
+	res, err := j.Result()
+	switch {
+	case !st.Terminal():
 		writeError(w, http.StatusConflict, ErrCodeNotFinished, "job "+j.ID+" not finished (state "+string(st)+")")
-		return
+	case st == StateDone && err != nil:
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
+	default:
+		v := s.view(j, false)
+		v.Result = res
+		writeJSON(w, http.StatusOK, v)
 	}
-	v := s.view(j, false)
-	if st == StateDone {
-		var err error
-		if v.Result, err = j.Result(); err != nil {
-			writeError(w, http.StatusNotFound, ErrCodeNotFound, err.Error())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 // handleModel serves the trained-model checkpoint blob of a done job in

@@ -98,34 +98,10 @@ func (sw Sweep) Expand() ([]Spec, error) {
 	if n := sw.Size(); n > MaxSweepSpecs {
 		return nil, fmt.Errorf("engine: sweep expands to %d specs, cap is %d", n, MaxSweepSpecs)
 	}
-	splits := sw.Splits
-	if len(splits) == 0 {
-		splits = []SplitSpec{sw.Base.Split}
-	}
-	lambdas := sw.Lambdas
-	if len(lambdas) == 0 {
-		lambdas = []float64{sw.Base.Lambda}
-	}
-	clients := sw.Clients
-	if len(clients) == 0 {
-		clients = []int{sw.Base.Clients}
-	}
-	hiddens := sw.Hiddens
-	if len(hiddens) == 0 {
-		hiddens = [][]int{sw.Base.Hidden}
-	}
-	precisions := sw.Precisions
-	if len(precisions) == 0 {
-		precisions = []string{sw.Base.Precision}
-	}
-	seeds := sw.Seeds
-	if len(seeds) == 0 {
-		seeds = []SeedSpec{{Seed: sw.Base.Seed, GenSeed: sw.Base.GenSeed}}
-	}
-	methods := sw.Methods
-	if len(methods) == 0 {
-		methods = []string{sw.Base.Method}
-	}
+	splits, lambdas := axis(sw.Splits, sw.Base.Split), axis(sw.Lambdas, sw.Base.Lambda)
+	clients, hiddens := axis(sw.Clients, sw.Base.Clients), axis(sw.Hiddens, sw.Base.Hidden)
+	precisions, methods := axis(sw.Precisions, sw.Base.Precision), axis(sw.Methods, sw.Base.Method)
+	seeds := axis(sw.Seeds, SeedSpec{Seed: sw.Base.Seed, GenSeed: sw.Base.GenSeed})
 	specs := make([]Spec, 0, sw.Size())
 	for _, split := range splits {
 		for _, lambda := range lambdas {
@@ -158,6 +134,14 @@ func (sw Sweep) Expand() ([]Spec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// axis is a Sweep axis's values, or the Base value alone when it is empty.
+func axis[T any](values []T, base T) []T {
+	if len(values) == 0 {
+		return []T{base}
+	}
+	return values
 }
 
 // BatchCounts is the aggregate state of a Batch: how many grid cells it
@@ -241,20 +225,26 @@ func (b *Batch) Counts() BatchCounts {
 }
 
 // Wait blocks until every job is terminal and returns one Result per
-// grid cell, in grid order. On the first job failure the batch's
-// remaining solely-owned jobs are cancelled (jobs coalesced with
-// submissions outside the batch are left running) and the failure is
-// returned. A dead ctx is the caller going away, not the work failing:
-// the batch keeps running so the caller can re-attach (e.g. an HTTP
-// wait=true client that disconnected and re-fetches the sweep later).
+// grid cell, in grid order, read from the Store. On the first job
+// failure the batch's remaining solely-owned jobs are cancelled (jobs
+// coalesced with submissions outside the batch are left running) and
+// the failure is returned. A Done cell whose Result the Store has let
+// go (a capped disk cache evicted it) is no failure: Wait cancels
+// nothing and resubmits the cell's Spec, which recomputes the Result. A
+// dead ctx is the caller going away, not the work failing: the batch
+// keeps running so the caller can re-attach and wait again.
 func (b *Batch) Wait(ctx context.Context) ([]*Result, error) {
 	out := make([]*Result, len(b.jobs))
 	for i, j := range b.jobs {
 		res, err := j.Wait(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				b.Cancel()
+		if err != nil && ctx.Err() == nil && j.State() == StateDone {
+			if j, err = b.eng.SubmitAs(b.specs[i], 0, "", b.Tenant); err == nil {
+				res, err = j.Wait(ctx)
 			}
+		} else if err != nil && ctx.Err() == nil {
+			b.Cancel()
+		}
+		if err != nil {
 			sp := b.specs[i]
 			return nil, fmt.Errorf("engine: %s cell %d (%s on %s/%s): %w",
 				b.ID, i, sp.Method, sp.Dataset, sp.Split.Name, err)

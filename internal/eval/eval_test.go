@@ -1,6 +1,9 @@
 package eval_test
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/pardon-feddg/pardon/internal/engine"
@@ -165,5 +168,60 @@ func TestRunLandscapeSmoke(t *testing.T) {
 	if eng.Stats().RoundsExecuted != 2*rounds {
 		t.Fatalf("rounds after the blob-less re-run = %d, want %d (both cells re-trained once)",
 			eng.Stats().RoundsExecuted, 2*rounds)
+	}
+}
+
+// TestConvergenceUnderCacheCap re-runs Fig. 3 on a partly warm disk
+// cache capped below the table's footprint: half the cells' entries are
+// gone, and the fresh cells' writes evict the cached cells' entries
+// before the table reads them. The run must recompute the Results the
+// cap let go and render the same tables as the uncapped run.
+func TestConvergenceUnderCacheCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig3 runs are not short")
+	}
+	dir := t.TempDir()
+	render := func(maxBytes int64) string {
+		eng, err := engine.New(engine.Options{Metrics: telemetry.NewRegistry(), CacheDir: dir, CacheMaxBytes: maxBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		res, err := eval.RunConvergence(eval.Config{Scale: eval.Small, Seed: 1, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for _, tbl := range res.Tables() {
+			out.WriteString(tbl.Render())
+		}
+		return out.String()
+	}
+	want := render(0)
+	blobs, err := filepath.Glob(filepath.Join(dir, "*.model.bin"))
+	if err != nil || len(blobs) < 2 {
+		t.Fatalf("cache holds %d checkpoint blobs (%v), want one per cell", len(blobs), err)
+	}
+	var kept int64
+	for i, blob := range blobs {
+		entry := strings.TrimSuffix(blob, ".model.bin") + ".json"
+		if i%2 == 0 {
+			for _, f := range []string{blob, entry} {
+				if err := os.Remove(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		for _, f := range []string{blob, entry} {
+			info, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept += info.Size()
+		}
+	}
+	if got := render(kept + kept/10); got != want {
+		t.Fatalf("fig3 under a cache cap rendered\n%s\nwant\n%s", got, want)
 	}
 }
